@@ -7,6 +7,8 @@ partial CSVs behind.
 """
 
 import argparse
+import csv
+import io
 import os
 import sys
 import tempfile
@@ -56,10 +58,13 @@ def _atomic_write(path, text):
 
 
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
+    """CSV with minimal quoting: fields with a comma, quote or newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
     for row in rows:
-        lines.append(",".join(_fmt(row.get(k, "")) for k in header))
-    _atomic_write(path, "\n".join(lines) + "\n")
+        writer.writerow(_fmt(row.get(k, "")) for k in header)
+    _atomic_write(path, buf.getvalue())
 
 
 def write_dat(path, header, rows):

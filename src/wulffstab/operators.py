@@ -7,12 +7,11 @@ fitted gradient and Hessian are the covariant ones at the vertex. Fits are
 precomputed once per mesh as sparse stencil matrices.
 """
 
-import weakref
-
 import numpy as np
 from scipy import sparse
 
 from . import spectral
+from .spheremesh import adjacency_matrix
 
 
 class TensorField:
@@ -42,64 +41,71 @@ class TensorField:
         return np.einsum("nii->n", self.values)
 
 
-# monomial exponents for fits up to cubic order; coefficients of the
+# monomials of the cubic fit in chart coordinates (a, b):
+# 1, a, b, a^2, ab, b^2, a^3, a^2 b, a b^2, b^3; coefficients of the
 # quadratic block are the Hessian entries thanks to the 1/2 factors
-_EXPONENTS = np.array([
-    (0, 0),
-    (1, 0), (0, 1),
-    (2, 0), (1, 1), (0, 2),
-    (3, 0), (2, 1), (1, 2), (0, 3),
-])
 _FACTORS = np.array([1.0, 1, 1, 0.5, 1, 0.5, 1 / 6, 0.5, 0.5, 1 / 6])
 
 
-def _design_matrix(y, n_terms):
-    m = (y[..., 0:1] ** _EXPONENTS[:n_terms, 0]
-         * y[..., 1:2] ** _EXPONENTS[:n_terms, 1])
-    return m * _FACTORS[:n_terms]
+def _design_matrix(y):
+    a, b = y[..., 0], y[..., 1]
+    aa, bb = a * a, b * b
+    m = np.stack((np.ones_like(a), a, b, aa, a * b, bb,
+                  aa * a, aa * b, a * bb, bb * b), axis=-1)
+    return m * _FACTORS
 
 
 class DerivativeOperators:
     """Sparse stencil matrices for gradient and Hessian in vertex frames.
 
-    Built from any mesh exposing vertices, frames, two_ring and neighbors.
+    Built from any mesh exposing vertices, frames and neighbors. Each vertex
+    gets a weighted cubic fit over itself and its two-ring; vertices with
+    equally large rings are fitted together in one stacked pseudo-inverse.
     """
 
-    def __init__(self, mesh, order=3):
-        if order not in (2, 3):
-            raise ValueError("fit order must be 2 or 3")
+    def __init__(self, mesh):
         self.mesh = mesh
         n = mesh.n_vertices
         e1, e2 = mesh.frames
-        # one stencil row per vertex per derivative channel
-        # channels: g1, g2, h11, h12, h22
-        stencil_rows = [[] for _ in range(5)]
-        stencil_cols = [[] for _ in range(5)]
-        stencil_data = [[] for _ in range(5)]
-        for i in range(n):
-            ring = mesh.two_ring(i)
-            if len(mesh.neighbors[i]) < 3:
-                raise ValueError(f"degenerate one-ring at vertex {i}")
-            idx = np.concatenate(([i], ring))
-            d = mesh.vertices[idx] - mesh.vertices[i]
-            y = np.column_stack((d @ e1[i], d @ e2[i]))
-            r = np.linalg.norm(y, axis=1)
-            rbar = r[1:].mean()
+        adj = adjacency_matrix(mesh)
+        degenerate = np.flatnonzero(np.diff(adj.indptr) < 3)
+        if degenerate.size:
+            raise ValueError(f"degenerate one-ring at vertex {degenerate[0]}")
+        ring = (adj + adj @ adj).tocsr()
+        ring.setdiag(0)
+        ring.eliminate_zeros()
+        ring.sort_indices()
+        # stencil nodes: the vertex itself, then its two-ring in index order
+        sizes = np.diff(ring.indptr) + 1
+        if sizes.min() < len(_FACTORS):
+            i = int(np.argmin(sizes))
+            raise ValueError(f"two-ring of vertex {i} has {sizes[i]} nodes; "
+                             f"the cubic fit needs {len(_FACTORS)}")
+        rows, cols, data = [], [], []
+        for size in np.unique(sizes):
+            verts = np.flatnonzero(sizes == size)
+            idx = np.empty((len(verts), size), dtype=np.int64)
+            idx[:, 0] = verts
+            idx[:, 1:] = ring.indices[ring.indptr[verts][:, None]
+                                      + np.arange(size - 1)]
+            d = mesh.vertices[idx] - mesh.vertices[verts][:, None, :]
+            y = np.stack((np.einsum("gki,gi->gk", d, e1[verts]),
+                          np.einsum("gki,gi->gk", d, e2[verts])), axis=2)
+            r = np.linalg.norm(y, axis=2)
+            rbar = r[:, 1:].mean(axis=1, keepdims=True)
             w = np.exp(-((r / rbar) ** 2))
-            n_terms = 10 if (order == 3 and len(idx) >= 12) else 6
-            A = _design_matrix(y, n_terms) * w[:, None]
+            A = _design_matrix(y) * w[..., None]
             # rows of the pseudo-inverse map weighted values to coefficients
-            pinv = np.linalg.pinv(A, rcond=1e-10) * w[None, :]
-            for ch, coef in enumerate((1, 2, 3, 4, 5)):
-                stencil_rows[ch].extend([i] * len(idx))
-                stencil_cols[ch].extend(idx.tolist())
-                stencil_data[ch].extend(pinv[coef].tolist())
-        mats = []
-        for ch in range(5):
-            mats.append(sparse.csr_matrix(
-                (stencil_data[ch], (stencil_rows[ch], stencil_cols[ch])),
-                shape=(n, n)))
-        self.g1, self.g2, self.h11, self.h12, self.h22 = mats
+            pinv = np.linalg.pinv(A, rcond=1e-10) * w[:, None, :]
+            rows.append(np.repeat(verts, size))
+            cols.append(idx.ravel())
+            data.append(pinv[:, 1:6].transpose(1, 0, 2).reshape(5, -1))
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        data = np.concatenate(data, axis=1)
+        # channels: g1, g2, h11, h12, h22
+        self.g1, self.g2, self.h11, self.h12, self.h22 = [
+            sparse.csr_matrix((data[ch], (rows, cols)), shape=(n, n))
+            for ch in range(5)]
 
     def gradient(self, values):
         """Covariant gradient, (N, 2) components in the vertex frames."""
@@ -194,15 +200,12 @@ def w2p_norm(values, p, mesh, ops=None, coeffs=None):
     return lp_norm(values, p, w) + lp_norm(grad, p, w) + lp_norm(hess, p, w)
 
 
-_OPS_CACHE = weakref.WeakKeyDictionary()
-
-
-def get_operators(mesh, order=3):
-    """Memoized DerivativeOperators for a mesh instance."""
-    per_mesh = _OPS_CACHE.setdefault(mesh, {})
-    if order not in per_mesh:
-        per_mesh[order] = DerivativeOperators(mesh, order=order)
-    return per_mesh[order]
+def get_operators(mesh):
+    """DerivativeOperators of a mesh, built once and cached on it."""
+    ops = getattr(mesh, "_operators", None)
+    if ops is None:
+        ops = mesh._operators = DerivativeOperators(mesh)
+    return ops
 
 
 def surface_gradient(mesh, values):

@@ -6,6 +6,7 @@ the normal parametrization of Wulff shapes.
 """
 
 import numpy as np
+from scipy import sparse
 
 MIN_LEVEL = 2
 MAX_LEVEL = 8
@@ -66,12 +67,27 @@ def vertex_area_weights(vertices, faces):
 
 def vertex_adjacency(n_vertices, faces):
     """One-ring neighbor lists, sorted by index for reproducibility."""
-    nbrs = [set() for _ in range(n_vertices)]
-    for a, b, c in faces:
-        nbrs[a].update((b, c))
-        nbrs[b].update((a, c))
-        nbrs[c].update((a, b))
-    return [np.array(sorted(s), dtype=np.int64) for s in nbrs]
+    n = n_vertices
+    pairs = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    key = np.sort(pairs[:, 0] * n + pairs[:, 1])
+    i, j = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
+    rows, cols = np.divmod(np.sort(np.concatenate((i * n + j, j * n + i))), n)
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    return [cols[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def adjacency_matrix(mesh):
+    """Sparse 0/1 vertex adjacency (CSR) of a mesh, cached on the mesh."""
+    adj = getattr(mesh, "_adjacency", None)
+    if adj is None:
+        counts = np.array([len(nb) for nb in mesh.neighbors])
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        cols = np.concatenate(mesh.neighbors)
+        n = mesh.n_vertices
+        adj = sparse.csr_matrix((np.ones(len(cols)), cols, indptr),
+                                shape=(n, n))
+        mesh._adjacency = adj
+    return adj
 
 
 def tangent_frames(normals):
@@ -127,15 +143,6 @@ class SphereMesh:
                             self.faces[:, [2, 0]]])
         d = np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
         return float(d.mean())
-
-    def two_ring(self, i):
-        """Indices of the one- and two-ring around vertex i (excluding i)."""
-        ring1 = self.neighbors[i]
-        out = set(ring1)
-        for j in ring1:
-            out.update(self.neighbors[j])
-        out.discard(i)
-        return np.array(sorted(out), dtype=np.int64)
 
 
 def build_sphere_mesh(level):

@@ -13,10 +13,13 @@ derivatives and differentiated with the mesh stencils.
 """
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import minimize
+from scipy.spatial import cKDTree
 
 from . import spectral
 from .operators import get_operators
+from .spheremesh import adjacency_matrix, tangent_frames
 from .wulff import WulffMesh
 
 
@@ -218,8 +221,8 @@ def project_to_wulff(wmesh, points, n_newton=30, tol=1e-12):
     """
     integ = wmesh.integrand
     # seed with the nearest construction direction by actual distance
-    d2 = ((points[:, None, :] - wmesh.vertices[None, ::4, :]) ** 2).sum(axis=2)
-    nu = wmesh.normals[::4][np.argmin(d2, axis=1)].copy()
+    nearest = cKDTree(wmesh.vertices[::4]).query(points)[1]
+    nu = wmesh.normals[::4][nearest]
     converged = np.zeros(len(points), dtype=bool)
     for _ in range(n_newton):
         x = integ.fbar_grad(nu)
@@ -230,7 +233,6 @@ def project_to_wulff(wmesh, points, n_newton=30, tol=1e-12):
         if converged.all():
             break
         A3 = integ.anisotropy_ambient(nu)
-        from .spheremesh import tangent_frames
         e1, e2 = tangent_frames(nu)
         E = np.stack((e1, e2), axis=2)
         A2 = np.einsum("nik,nij,njl->nkl", E, A3, E)
@@ -317,30 +319,72 @@ def recover_radius_spectral(mesh, coeffs, kind, translation,
 
 
 def _faces_near_nodes(mesh, k=4):
-    """Face index lists within graph distance k of each vertex (cached)."""
+    """Faces with a vertex within graph distance k of each vertex (cached).
+
+    Returns an (N, K) array of face indices, ascending along each row and
+    padded with -1 after the last face.
+    """
     cache = getattr(mesh, "_near_faces", None)
     if cache is not None and cache[0] == k:
         return cache[1]
     n = mesh.n_vertices
-    vert_faces = [[] for _ in range(n)]
-    for fi, f in enumerate(mesh.faces):
-        for v in f:
-            vert_faces[v].append(fi)
-    out = []
-    for i in range(n):
-        verts = {i}
-        frontier = {i}
-        for _ in range(k):
-            nxt = set()
-            for v in frontier:
-                nxt.update(mesh.neighbors[v].tolist())
-            frontier = nxt - verts
-            verts |= nxt
-        faces = set()
-        for v in verts:
-            faces.update(vert_faces[v])
-        out.append(np.array(sorted(faces), dtype=np.int64))
+    step = adjacency_matrix(mesh) + sparse.identity(n, format="csr")
+    reach = step
+    for _ in range(k - 1):
+        reach = reach @ step
+    n_faces = len(mesh.faces)
+    incidence = sparse.csr_matrix(
+        (np.ones(3 * n_faces), (mesh.faces.ravel(),
+                                np.repeat(np.arange(n_faces), 3))),
+        shape=(n, n_faces))
+    near = (reach @ incidence).tocsr()
+    near.sort_indices()
+    counts = np.diff(near.indptr)
+    out = np.full((n, counts.max()), -1, dtype=np.int64)
+    out[np.arange(out.shape[1]) < counts[:, None]] = near.indices
     mesh._near_faces = (k, out)
+    return out
+
+
+# candidate (ray, face) pairs intersected per batch
+_RAY_BLOCK = 1 << 15
+
+
+def _cast_rays(origins, dirs, cand, p0, e1, e2):
+    """Signed hit parameter of each ray against its candidate faces.
+
+    Moller-Trumbore, written out per component: origins and dirs are (R, 3),
+    cand is (R, K) face indices padded with -1, and p0, e1, e2 are (3, T)
+    first corners and edge vectors of the faces. Each ray keeps the hit of
+    smallest |t|, the first candidate on ties; rays without a hit get NaN.
+    """
+    out = np.full(len(cand), np.nan)
+    step = max(1, _RAY_BLOCK // cand.shape[1])
+    for lo in range(0, len(cand), step):
+        c = cand[lo:lo + step]
+        ox, oy, oz = origins[lo:lo + step].T[:, :, None]
+        dx, dy, dz = dirs[lo:lo + step].T[:, :, None]
+        ax, ay, az = e1[:, c]
+        bx, by, bz = e2[:, c]
+        px, py, pz = p0[:, c]
+        hx = dy * bz - dz * by
+        hy = dz * bx - dx * bz
+        hz = dx * by - dy * bx
+        det = ax * hx + ay * hy + az * hz
+        ok = (np.abs(det) > 1e-14) & (c >= 0)
+        inv = np.divide(1.0, det, out=np.zeros_like(det), where=ok)
+        sx, sy, sz = ox - px, oy - py, oz - pz
+        u = (sx * hx + sy * hy + sz * hz) * inv
+        qx = sy * az - sz * ay
+        qy = sz * ax - sx * az
+        qz = sx * ay - sy * ax
+        v = (dx * qx + dy * qy + dz * qz) * inv
+        t = (bx * qx + by * qy + bz * qz) * inv
+        eps = 1e-10
+        hit = ok & (u >= -eps) & (v >= -eps) & (u + v <= 1 + eps)
+        best = np.argmin(np.where(hit, np.abs(t), np.inf), axis=1)
+        rows = np.arange(len(c))
+        out[lo:lo + step] = np.where(hit[rows, best], t[rows, best], np.nan)
     return out
 
 
@@ -348,64 +392,39 @@ def recover_radius_mesh(base, positions, translation):
     """Radius over the base of a translated triangle mesh, by ray casting.
 
     Rays start at the base nodes along the base normals (radially for the
-    sphere) and are intersected with candidate triangles near the matching
-    node of the surface mesh.
+    sphere) and are intersected with the faces near the matching node of
+    the surface mesh; rays that miss all of those are cast against every
+    face.
     """
     c = np.asarray(translation, dtype=float)
     verts = positions - c
-    faces = base.faces
-    origins = base.vertices
-    dirs = base.normals
-    near = _faces_near_nodes(base)
-    n = base.n_vertices
-    radius = np.full(n, np.nan)
-    for i in range(n):
-        cand = faces[near[i]]
-        t = _ray_triangles(origins[i], dirs[i], verts[cand])
-        if t.size:
-            radius[i] = t[np.argmin(np.abs(t))]
-    missing = np.isnan(radius)
-    if missing.any():
-        for i in np.flatnonzero(missing):
-            t = _ray_triangles(origins[i], dirs[i], verts[faces])
-            if t.size:
-                radius[i] = t[np.argmin(np.abs(t))]
+    tri = verts[base.faces]
+    p0 = np.ascontiguousarray(tri[:, 0].T)
+    e1 = np.ascontiguousarray((tri[:, 1] - tri[:, 0]).T)
+    e2 = np.ascontiguousarray((tri[:, 2] - tri[:, 0]).T)
+    origins, dirs = base.vertices, base.normals
+    radius = _cast_rays(origins, dirs, _faces_near_nodes(base), p0, e1, e2)
+    missing = np.flatnonzero(np.isnan(radius))
+    if missing.size:
+        every = np.broadcast_to(np.arange(len(base.faces)),
+                                (missing.size, len(base.faces)))
+        radius[missing] = _cast_rays(origins[missing], dirs[missing], every,
+                                     p0, e1, e2)
     ok = not np.isnan(radius).any()
     return radius, ok
-
-
-def _ray_triangles(origin, direction, tri):
-    """Signed ray parameters of intersections with triangles (Moller-Trumbore)."""
-    e1 = tri[:, 1] - tri[:, 0]
-    e2 = tri[:, 2] - tri[:, 0]
-    h = np.cross(direction[None, :], e2)
-    det = np.einsum("ni,ni->n", e1, h)
-    mask = np.abs(det) > 1e-14
-    inv = np.zeros_like(det)
-    inv[mask] = 1.0 / det[mask]
-    s = origin[None, :] - tri[:, 0]
-    u = np.einsum("ni,ni->n", s, h) * inv
-    qv = np.cross(s, e1)
-    v = np.einsum("i,ni->n", direction, qv) * inv
-    t = np.einsum("ni,ni->n", e2, qv) * inv
-    eps = 1e-10
-    hit = mask & (u >= -eps) & (v >= -eps) & (u + v <= 1 + eps)
-    return t[hit]
 
 
 # --- distances ------------------------------------------------------------
 
 
-def _directed_max_min(a, b, chunk=512):
-    out = 0.0
-    for i in range(0, len(a), chunk):
-        d = np.sqrt(((a[i:i + chunk, None, :] - b[None, :, :]) ** 2).sum(axis=2))
-        out = max(out, float(d.min(axis=1).max()))
-    return out
+def _directed_max_min(tree, points):
+    """Largest distance from a point of `points` to its nearest tree point."""
+    return float(tree.query(points)[0].max())
 
 
-def symmetric_point_distance(a, b, chunk=512):
-    return max(_directed_max_min(a, b, chunk), _directed_max_min(b, a, chunk))
+def symmetric_point_distance(a, b):
+    return max(_directed_max_min(cKDTree(b), a),
+               _directed_max_min(cKDTree(a), b))
 
 
 def hausdorff_distance(geom, base, optimize_translation=True, subsample=800):
@@ -423,9 +442,12 @@ def hausdorff_distance(geom, base, optimize_translation=True, subsample=800):
     stride_b = max(1, len(b) // subsample)
     asub, bsub = a[::stride_a], b[::stride_b]
     t0 = a.mean(axis=0) - b.mean(axis=0)
+    tree_a, tree_b = cKDTree(asub), cKDTree(bsub)
 
     def objective(t):
-        return symmetric_point_distance(asub - t, bsub)
+        # d(bsub, asub - t) = d(bsub + t, asub), so both trees are reused
+        return max(_directed_max_min(tree_b, asub - t),
+                   _directed_max_min(tree_a, bsub + t))
 
     res = minimize(objective, t0, method="Nelder-Mead",
                    options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 300})

@@ -54,14 +54,6 @@ class WulffMesh:
         d = np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
         return float(d.mean())
 
-    def two_ring(self, i):
-        ring1 = self.neighbors[i]
-        out = set(ring1)
-        for j in ring1:
-            out.update(self.neighbors[j])
-        out.discard(i)
-        return np.array(sorted(out), dtype=np.int64)
-
     def area(self):
         return float(self.weights.sum())
 

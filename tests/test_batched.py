@@ -1,0 +1,244 @@
+"""Batched mesh kernels against their per-vertex and per-ray definitions.
+
+The reference implementations below are the straightforward loops: sets
+for adjacency and rings, one pinv per vertex, one Moller-Trumbore call per
+ray and brute-force point distances.
+"""
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+from wulffstab import build_sphere_mesh, build_wulff, spectral
+from wulffstab.operators import get_operators
+from wulffstab.spheremesh import vertex_adjacency
+from wulffstab.surface import (_faces_near_nodes, recover_radius_mesh,
+                               symmetric_point_distance)
+
+
+def vertex_adjacency_reference(n_vertices, faces):
+    nbrs = [set() for _ in range(n_vertices)]
+    for a, b, c in faces:
+        nbrs[a].update((b, c))
+        nbrs[b].update((a, c))
+        nbrs[c].update((a, b))
+    return [np.array(sorted(s), dtype=np.int64) for s in nbrs]
+
+
+def two_ring_reference(mesh, i):
+    out = set(mesh.neighbors[i].tolist())
+    for j in mesh.neighbors[i]:
+        out.update(mesh.neighbors[j].tolist())
+    out.discard(i)
+    return np.array(sorted(out), dtype=np.int64)
+
+
+EXPONENTS = np.array([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+                      (3, 0), (2, 1), (1, 2), (0, 3)])
+FACTORS = np.array([1.0, 1, 1, 0.5, 1, 0.5, 1 / 6, 0.5, 0.5, 1 / 6])
+
+
+def design_matrix_reference(y):
+    m = y[:, 0:1] ** EXPONENTS[:, 0] * y[:, 1:2] ** EXPONENTS[:, 1]
+    return m * FACTORS
+
+
+def stencils_reference(mesh):
+    """g1, g2, h11, h12, h22 from one weighted cubic fit per vertex."""
+    e1, e2 = mesh.frames
+    rows, cols, data = [], [], [[] for _ in range(5)]
+    for i in range(mesh.n_vertices):
+        idx = np.concatenate(([i], two_ring_reference(mesh, i)))
+        d = mesh.vertices[idx] - mesh.vertices[i]
+        y = np.column_stack((d @ e1[i], d @ e2[i]))
+        r = np.linalg.norm(y, axis=1)
+        w = np.exp(-((r / r[1:].mean()) ** 2))
+        pinv = np.linalg.pinv(design_matrix_reference(y) * w[:, None],
+                              rcond=1e-10)
+        pinv *= w[None, :]
+        rows.extend([i] * len(idx))
+        cols.extend(idx.tolist())
+        for ch in range(5):
+            data[ch].extend(pinv[ch + 1].tolist())
+    n = mesh.n_vertices
+    return [sparse.csr_matrix((d, (rows, cols)), shape=(n, n)) for d in data]
+
+
+def faces_near_reference(mesh, k):
+    vert_faces = [[] for _ in range(mesh.n_vertices)]
+    for fi, f in enumerate(mesh.faces):
+        for v in f:
+            vert_faces[v].append(fi)
+    out = []
+    for i in range(mesh.n_vertices):
+        verts, frontier = {i}, {i}
+        for _ in range(k):
+            nxt = set()
+            for v in frontier:
+                nxt.update(mesh.neighbors[v].tolist())
+            frontier = nxt - verts
+            verts |= nxt
+        out.append(sorted({fi for v in verts for fi in vert_faces[v]}))
+    return out
+
+
+def ray_triangles_reference(origin, direction, tri):
+    e1 = tri[:, 1] - tri[:, 0]
+    e2 = tri[:, 2] - tri[:, 0]
+    h = np.cross(direction[None, :], e2)
+    det = np.einsum("ni,ni->n", e1, h)
+    mask = np.abs(det) > 1e-14
+    inv = np.zeros_like(det)
+    inv[mask] = 1.0 / det[mask]
+    s = origin[None, :] - tri[:, 0]
+    u = np.einsum("ni,ni->n", s, h) * inv
+    qv = np.cross(s, e1)
+    v = np.einsum("i,ni->n", direction, qv) * inv
+    t = np.einsum("ni,ni->n", e2, qv) * inv
+    eps = 1e-10
+    hit = mask & (u >= -eps) & (v >= -eps) & (u + v <= 1 + eps)
+    return t[hit]
+
+
+def radius_reference(base, positions, translation):
+    verts = positions - np.asarray(translation, dtype=float)
+    near = faces_near_reference(base, 4)
+    radius = np.full(base.n_vertices, np.nan)
+    for i in range(base.n_vertices):
+        t = ray_triangles_reference(base.vertices[i], base.normals[i],
+                                    verts[base.faces[near[i]]])
+        if t.size:
+            radius[i] = t[np.argmin(np.abs(t))]
+    return radius
+
+
+def directed_max_min_reference(a, b):
+    d = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+    return float(d.min(axis=1).max())
+
+
+@pytest.fixture(scope="module")
+def wulff3(ellipsoid_integrand):
+    return build_wulff(ellipsoid_integrand, 3)
+
+
+def test_vertex_adjacency_matches_sets():
+    for level in (2, 4):
+        mesh = build_sphere_mesh(level)
+        got = vertex_adjacency(mesh.n_vertices, mesh.faces)
+        want = vertex_adjacency_reference(mesh.n_vertices, mesh.faces)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("which", ["sphere", "wulff"])
+def test_stencils_match_per_vertex_fits(which, wulff3):
+    mesh = build_sphere_mesh(3) if which == "sphere" else wulff3
+    ops = get_operators(mesh)
+    for got, want in zip((ops.g1, ops.g2, ops.h11, ops.h12, ops.h22),
+                         stencils_reference(mesh)):
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        scale = np.abs(want.data).max()
+        assert np.abs(got.data - want.data).max() <= 1e-11 * scale
+
+
+def test_stencil_rejects_small_rings():
+    """An octahedron's two-rings hold 6 nodes, too few for a cubic fit."""
+    from wulffstab.operators import DerivativeOperators
+    from wulffstab.spheremesh import SphereMesh
+    v = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
+                  [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float)
+    f = np.array([[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4],
+                  [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]])
+    with pytest.raises(ValueError, match="6 nodes"):
+        DerivativeOperators(SphereMesh(v, f, 0))
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_near_faces_match_k_ring_search(k):
+    mesh = build_sphere_mesh(3)
+    near = _faces_near_nodes(mesh, k)
+    want = faces_near_reference(mesh, k)
+    assert near.shape == (mesh.n_vertices, max(len(w) for w in want))
+    for row, w in zip(near, want):
+        np.testing.assert_array_equal(row[:len(w)], w)
+        assert (row[len(w):] == -1).all()
+
+
+@pytest.fixture(scope="module")
+def translated_wulff4(wulff4):
+    rng = np.random.default_rng(3)
+    u = 0.05 * spectral.sh_synthesize(rng.normal(size=9), wulff4.normals)
+    return wulff4.vertices + u[:, None] * wulff4.normals
+
+
+def test_batched_rays_match_per_ray_loop(wulff4, translated_wulff4):
+    import wulffstab.surface as surface
+    rays_per_batch = surface._RAY_BLOCK // _faces_near_nodes(wulff4).shape[1]
+    assert wulff4.n_vertices == 2562 > rays_per_batch
+    c = np.array([0.03, -0.02, 0.04])
+    radius, ok = recover_radius_mesh(wulff4, translated_wulff4, c)
+    want = radius_reference(wulff4, translated_wulff4, c)
+    assert ok and not np.isnan(want).any()
+    assert np.abs(radius - want).max() <= 1e-15
+
+
+def test_missed_rays_fall_back_to_all_faces(wulff4, translated_wulff4,
+                                            monkeypatch):
+    import wulffstab.surface as surface
+    c = np.array([0.03, -0.02, 0.04])
+    want, _ = recover_radius_mesh(wulff4, translated_wulff4, c)
+    near = _faces_near_nodes(wulff4).copy()
+    near[:5] = -1        # the first five rays have no candidate faces
+    calls = []
+
+    def spy(origins, dirs, cand, *faces):
+        calls.append(cand.shape)
+        return cast_rays(origins, dirs, cand, *faces)
+
+    cast_rays = surface._cast_rays
+    monkeypatch.setattr(surface, "_faces_near_nodes", lambda mesh: near)
+    monkeypatch.setattr(surface, "_cast_rays", spy)
+    radius, ok = recover_radius_mesh(wulff4, translated_wulff4, c)
+    assert calls == [near.shape, (5, len(wulff4.faces))]
+    assert ok
+    np.testing.assert_array_equal(radius, want)
+
+
+def test_cast_rays_padding_and_ties():
+    """Padding never hits; a tie in |t| keeps the first candidate."""
+    from wulffstab.surface import _cast_rays
+    tri = np.array([[[-1, -1, 1], [2, -1, 1], [-1, 2, 1]],
+                    [[-1, -1, -1], [2, -1, -1], [-1, 2, -1]]], dtype=float)
+    p0 = tri[:, 0].T.copy()
+    e1 = (tri[:, 1] - tri[:, 0]).T.copy()
+    e2 = (tri[:, 2] - tri[:, 0]).T.copy()
+    origins = np.zeros((3, 3))
+    dirs = np.tile([0.0, 0.0, 1.0], (3, 1))
+    cand = np.array([[0, 1], [1, 0], [0, -1]])
+    np.testing.assert_array_equal(
+        _cast_rays(origins, dirs, cand, p0, e1, e2), [1.0, -1.0, 1.0])
+    # the padding index -1 must not stand for the last face
+    t = _cast_rays(origins[:1], dirs[:1], np.array([[-1, -1]]), p0, e1, e2)
+    assert np.isnan(t).all()
+
+
+def test_true_miss_reports_not_ok(sphere4):
+    """A surface that does not enclose the origins leaves rays without hits."""
+    shifted = sphere4.vertices * 0.1
+    radius, ok = recover_radius_mesh(sphere4, shifted, [5.0, 0.0, 0.0])
+    assert not ok
+    assert np.isnan(radius).any()
+
+
+def test_tree_hausdorff_matches_brute_force():
+    rng = np.random.default_rng(11)
+    for n, m in ((1, 7), (50, 300), (400, 120)):
+        a = rng.normal(size=(n, 3))
+        b = rng.normal(size=(m, 3)) * 1.5 + 0.2
+        want = max(directed_max_min_reference(a, b),
+                   directed_max_min_reference(b, a))
+        assert symmetric_point_distance(a, b) == want

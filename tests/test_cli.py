@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -95,6 +96,27 @@ amplitudes = 1e-3,1e-2,5
                         "slope_flags,eta_margin,iterations")
     assert len(lines) == 6
     assert (out / "sweep.svg").exists()
+
+
+def test_sweep_csv_quotes_kernel_family(tmp_path):
+    cfg = write_config(tmp_path, BASE.format(integrand="constant") + """
+[sweep]
+family = kernel:0.6,-0.48,0.64
+amplitudes = 1e-3,1e-2,4
+""")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert len(rows) == 4
+    for row in rows:
+        assert None not in row and len(row) == len(reader.fieldnames)
+        kind, _, comps = row["family"].partition(":")
+        assert kind == "kernel"
+        assert np.allclose([float(c) for c in comps.split(",")],
+                           [0.6, -0.48, 0.64])
+        assert float(row["eta_margin"]) > 0 and row["iterations"].isdigit()
 
 
 def test_kernel_subcommand(tmp_path):

@@ -129,6 +129,17 @@ def test_gradient_exact_on_constants(sphere4):
     assert np.abs(g).max() < 1e-10
 
 
+def test_operator_cache_does_not_keep_mesh_alive():
+    import gc
+    import weakref
+    mesh = build_sphere_mesh(2)
+    assert get_operators(mesh) is get_operators(mesh)
+    ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert ref() is None
+
+
 def test_gradient_of_linear_field(sphere4):
     ops = get_operators(sphere4)
     c = np.array([0.3, -1.1, 0.7])
