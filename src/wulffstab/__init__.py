@@ -10,7 +10,7 @@ from .integrand import AnisotropyMatrix, EllipticityError, Integrand, gauge
 from .operators import (TensorField, get_operators, lp_norm,
                         surface_divergence, surface_gradient, w2p_norm)
 from .spectral import sh_analyze, sh_synthesize
-from .spheremesh import SphereMesh, build_sphere_mesh
+from .spheremesh import build_sphere_mesh
 from .stability import (CenteringResult, KernelFrame, ScalingFit, center,
                         kernel_component, kernel_frame, scaling_sweep,
                         stability_operator, stability_ratio)
@@ -30,7 +30,6 @@ __all__ = [
     "KernelFrame",
     "RatioBound",
     "ScalingFit",
-    "SphereMesh",
     "SurfaceGeometry",
     "TensorField",
     "WulffMesh",

@@ -177,10 +177,9 @@ def run_curvature(cfg, outdir, svg):
     eps = float(sec.get("epsilon", "1e-3"))
     family = cfg.family("curvature")
     base = _sphere_or_wulff(cfg)
-    from .spheremesh import SphereMesh
     from .stability import perturbation_field
     shape = perturbation_field(base, family)
-    if isinstance(base, SphereMesh):
+    if base.integrand is None:
         geom = exp_graph(base, eps * shape)
     else:
         geom = radial_graph(base, eps * shape)

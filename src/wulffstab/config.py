@@ -8,7 +8,7 @@ import configparser
 
 import numpy as np
 
-from .integrand import Integrand
+from .integrand import HARMONIC_POLYNOMIALS, Integrand
 
 
 class ConfigError(Exception):
@@ -35,8 +35,11 @@ def parse_integrand(text):
             raise ConfigError("quadratic integrand needs 3 or 9 entries")
         if head == "fourier":
             base, amp, ell, m = rest.split(",")
-            return Integrand.fourier_perturbed(
-                float(base), float(amp), (int(ell), int(m)))
+            mode = (int(ell), int(m))
+            if mode not in HARMONIC_POLYNOMIALS:
+                raise ConfigError(f"fourier mode (l, m) = {mode} is not one "
+                                  "of the tabulated harmonics (l <= 3)")
+            return Integrand.fourier_perturbed(float(base), float(amp), mode)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad integrand spec {text!r}: {exc}") from exc
     raise ConfigError(f"unknown integrand family {head!r}")
@@ -49,6 +52,9 @@ def parse_family(text):
     try:
         if head == "harmonic":
             ell, m = (int(t) for t in rest.split(","))
+            if abs(m) > ell:
+                raise ConfigError(f"harmonic mode needs |m| <= l, got "
+                                  f"(l, m) = ({ell}, {m})")
             return ("harmonic", ell, m)
         if head == "kernel":
             c = np.array([float(t) for t in rest.split(",")])
@@ -83,7 +89,10 @@ class ExperimentConfig:
         self.out = common.get("out", "out")
         self.p = self._float(common, "common", "p", 4.0)
         self.integrand_spec = common.get("integrand", "constant")
-        self.integrand = parse_integrand(self.integrand_spec)
+        try:
+            self.integrand = parse_integrand(self.integrand_spec)
+        except ConfigError as exc:
+            raise ConfigError(f"common.integrand: {exc}") from exc
         self.tolerance = self._float(common, "common", "tolerance", 1e-8)
         if not 1 < self.p < np.inf:
             raise ConfigError("common.p must lie in (1, inf)")
@@ -117,7 +126,10 @@ class ExperimentConfig:
         return np.array(vals)
 
     def family(self, name, default="harmonic:2,0"):
-        return parse_family(self.section(name).get("family", default))
+        try:
+            return parse_family(self.section(name).get("family", default))
+        except ConfigError as exc:
+            raise ConfigError(f"{name}.family: {exc}") from exc
 
     def floats(self, name, key, default):
         return _floats(self.section(name).get(key, default))

@@ -106,21 +106,3 @@ def gauss_ricci(h):
     ric = H * h - h @ h
     r = H ** 2 - float(np.sum(h * h))
     return ric, r
-
-
-def riemann_brute(h):
-    """Riemann tensor Riem_ijkl = h_ik h_jl - h_il h_jk by explicit loops."""
-    h = np.asarray(h, dtype=float)
-    n = h.shape[0]
-    riem = np.empty((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    riem[i, j, k, l] = h[i, k] * h[j, l] - h[i, l] * h[j, k]
-    return riem
-
-
-def ricci_from_riemann(riem):
-    """Contraction Ric_ij = g^{pq} Riem_ipjq with g = Id."""
-    return np.einsum("ipjp->ij", riem)

@@ -8,8 +8,6 @@ Monte Carlo bounds on their ratio, and the Sobolev interpolation exponent.
 
 import numpy as np
 
-from .curvature import gauss_ricci
-
 
 class EigenSpectrum:
     """Sorted principal curvatures of h plus the model constant kappa."""
@@ -29,13 +27,8 @@ def ricci_spectrum(spec):
     return lam * (lam.sum() - lam)
 
 
-def pinching_check(spec, lambda_low):
-    """Evaluate |Ric_dev|^2 against (n-1) * Lambda^2 * |h_dev|^2.
-
-    Returns (lhs, rhs, pass); both sides use standard tensor norms
-    |T_dev|^2 = sum eig^2 - (sum eig)^2 / n. Not applicable (None flags)
-    when the spectrum violates min lambda >= Lambda > 0.
-    """
+def _pinching(spec, lambda_low, factor):
+    """|Ric_dev|^2 against factor(n) * Lambda^2 * |h_dev|^2; see pinching_check."""
     s = spec if isinstance(spec, EigenSpectrum) else EigenSpectrum(spec)
     if lambda_low <= 0 or s.eigenvalues.min() < lambda_low:
         return None, None, None
@@ -44,8 +37,18 @@ def pinching_check(spec, lambda_low):
     Lam = ricci_spectrum(s)
     ric_dev2 = float(np.sum(Lam ** 2) - Lam.sum() ** 2 / n)
     h_dev2 = float(np.sum(lam ** 2) - lam.sum() ** 2 / n)
-    rhs = (n - 1) * lambda_low ** 2 * h_dev2
+    rhs = factor(n) * lambda_low ** 2 * h_dev2
     return ric_dev2, rhs, bool(ric_dev2 >= rhs - 1e-12 * max(1.0, rhs))
+
+
+def pinching_check(spec, lambda_low):
+    """Evaluate |Ric_dev|^2 against (n-1) * Lambda^2 * |h_dev|^2.
+
+    Returns (lhs, rhs, pass); both sides use standard tensor norms
+    |T_dev|^2 = sum eig^2 - (sum eig)^2 / n. Not applicable (None flags)
+    when the spectrum violates min lambda >= Lambda > 0.
+    """
+    return _pinching(spec, lambda_low, lambda n: n - 1)
 
 
 def pinching_check_provable(spec, lambda_low):
@@ -55,16 +58,7 @@ def pinching_check_provable(spec, lambda_low):
     lambda_k and the inner sum has n-2 terms, each >= Lambda; squaring and
     summing gives |Ric_dev|^2 >= (n-2)^2 Lambda^2 |h_dev|^2.
     """
-    s = spec if isinstance(spec, EigenSpectrum) else EigenSpectrum(spec)
-    if lambda_low <= 0 or s.eigenvalues.min() < lambda_low:
-        return None, None, None
-    lam = s.eigenvalues
-    n = s.n
-    Lam = ricci_spectrum(s)
-    ric_dev2 = float(np.sum(Lam ** 2) - Lam.sum() ** 2 / n)
-    h_dev2 = float(np.sum(lam ** 2) - lam.sum() ** 2 / n)
-    rhs = (n - 2) ** 2 * lambda_low ** 2 * h_dev2
-    return ric_dev2, rhs, bool(ric_dev2 >= rhs - 1e-12 * max(1.0, rhs))
+    return _pinching(spec, lambda_low, lambda n: (n - 2) ** 2)
 
 
 def polys(spec):
@@ -74,15 +68,8 @@ def polys(spec):
     q = sum_i (Lambda_i - (n-1) kappa)^2.
     """
     s = spec if isinstance(spec, EigenSpectrum) else EigenSpectrum(spec)
-    lam = s.eigenvalues
-    kap = s.kappa
-    n = s.n
-    prod = np.outer(lam, lam)
-    off = ~np.eye(n, dtype=bool)
-    p = float(np.sum((prod[off] - kap) ** 2))
-    Lam = ricci_spectrum(s)
-    q = float(np.sum((Lam - (n - 1) * kap) ** 2))
-    return p, q
+    p, q = polys_batch(s.eigenvalues[None, :], s.kappa)
+    return float(p[0]), float(q[0])
 
 
 def polys_batch(lams, kappa):
@@ -284,10 +271,3 @@ def alpha_exponent(p, q, n=3):
     if q <= p / 2:
         return 1.0
     return p / q - 1.0
-
-
-def ricci_matrix_oracle(lam):
-    """Ricci eigenvalues through dense linear algebra on h = diag(lam)."""
-    h = np.diag(np.asarray(lam, dtype=float))
-    ric, _ = gauss_ricci(h)
-    return np.sort(np.linalg.eigvalsh(ric))

@@ -13,7 +13,7 @@ for every family. This gives all derived quantities directly:
 import numpy as np
 
 from . import spheremesh
-from .spheremesh import tangent_frames
+from .spheremesh import frame_restriction, sphere_newton, tangent_frames
 
 UNIT_TOL = 1e-12
 
@@ -267,11 +267,7 @@ class Integrand:
         """AnisotropyMatrix at a unit direction; raises if not positive definite."""
         pts, single = _as_points(nu)
         e1, e2 = tangent_frames(pts)
-        A3 = self.anisotropy_ambient(pts)
-        A = np.empty((len(pts), 2, 2))
-        A[:, 0, 0] = np.einsum("ni,nij,nj->n", e1, A3, e1)
-        A[:, 0, 1] = A[:, 1, 0] = np.einsum("ni,nij,nj->n", e1, A3, e2)
-        A[:, 1, 1] = np.einsum("ni,nij,nj->n", e2, A3, e2)
+        A = frame_restriction(self.anisotropy_ambient(pts), e1, e2)
         mins = np.linalg.eigvalsh(A)[:, 0]
         if np.any(mins <= 0):
             bad = pts[int(np.argmin(mins))]
@@ -283,12 +279,8 @@ class Integrand:
 
     def _compute_margin(self):
         sample = _dense_sample()
-        A3 = self.anisotropy_ambient(sample)
-        e1, e2 = tangent_frames(sample)
-        A = np.empty((len(sample), 2, 2))
-        A[:, 0, 0] = np.einsum("ni,nij,nj->n", e1, A3, e1)
-        A[:, 0, 1] = A[:, 1, 0] = np.einsum("ni,nij,nj->n", e1, A3, e2)
-        A[:, 1, 1] = np.einsum("ni,nij,nj->n", e2, A3, e2)
+        A = frame_restriction(self.anisotropy_ambient(sample),
+                              *tangent_frames(sample))
         return float(np.linalg.eigvalsh(A)[:, 0].min())
 
     @property
@@ -330,24 +322,18 @@ def gauge(integrand, x, n_newton=10):
     sample = _dense_sample()
     fs = integrand.value(sample)
     ratios = pts @ sample.T / fs[None, :]
-    nu = sample[np.argmax(ratios, axis=1)].copy()
+    seed = sample[np.argmax(ratios, axis=1)]
 
-    for _ in range(n_newton):
+    def ascent(nu, e1, e2):
         F = integrand.value(nu)
-        gradF = integrand.fbar_grad(nu)
-        DF = gradF - F[:, None] * nu
-        A3 = integrand.anisotropy_ambient(nu)
+        DF = integrand.fbar_grad(nu) - F[:, None] * nu
         u = np.einsum("ni,ni->n", pts, nu)
         P = np.eye(3)[None] - nu[:, :, None] * nu[:, None, :]
         Du = np.einsum("nij,nj->ni", P, pts)
-        e1, e2 = tangent_frames(nu)
         E = np.stack((e1, e2), axis=2)  # (n, 3, 2)
-
-        def tang(v):
-            return np.einsum("nik,ni->nk", E, v)
-
-        Du2, DF2 = tang(Du), tang(DF)
-        D2F = np.einsum("nik,nij,njl->nkl", E, A3, E)
+        Du2 = np.einsum("nik,ni->nk", E, Du)
+        DF2 = np.einsum("nik,ni->nk", E, DF)
+        D2F = frame_restriction(integrand.anisotropy_ambient(nu), e1, e2)
         D2F -= F[:, None, None] * np.eye(2)[None]
         # derivatives of g = u/F on the sphere; Hess of a linear restriction
         # is -u * Id
@@ -358,12 +344,9 @@ def gauge(integrand, x, n_newton=10):
                - u[:, None, None] * D2F / F[:, None, None] ** 2
                + 2 * u[:, None, None] * DF2[:, :, None] * DF2[:, None, :]
                / F[:, None, None] ** 3)
-        step = -np.linalg.solve(D2g, Dg[..., None])[..., 0]
-        slen = np.linalg.norm(step, axis=1, keepdims=True)
-        step = step * np.where(slen > 0.5, 0.5 / np.maximum(slen, 1e-300), 1.0)
-        nu = nu + np.einsum("nik,nk->ni", E, step)
-        nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+        return D2g, -Dg
 
+    nu = sphere_newton(seed, ascent, n_newton, 0.5)
     F = integrand.value(nu)
     vals = np.einsum("ni,ni->n", pts, nu) / F
     grads = nu / F[:, None]

@@ -11,7 +11,6 @@ fields regardless of quadrature error.
 import weakref
 
 import numpy as np
-from scipy.special import lpmv, gammaln
 
 
 def band_limit(n_vertices):
@@ -67,29 +66,6 @@ def real_sph_harm_matrix(points, L):
                 out[:, sh_index(ell, m)] = p * cm
                 out[:, sh_index(ell, -m)] = p * sm
     return out
-
-
-def real_sph_harm_matrix_reference(points, L):
-    """Slow lpmv-based evaluation, kept as an independent oracle."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    ct = np.clip(pts[:, 2], -1.0, 1.0)
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
-    cols = []
-    for ell in range(L + 1):
-        for m in range(-ell, ell + 1):
-            am = abs(m)
-            lognorm = 0.5 * (np.log(2 * ell + 1) - np.log(4 * np.pi)
-                             + gammaln(ell - am + 1) - gammaln(ell + am + 1))
-            # (-1)^m cancels the Condon-Shortley phase carried by lpmv
-            norm = (-1.0) ** am * np.exp(lognorm)
-            P = lpmv(am, ell, ct)
-            if m == 0:
-                cols.append(norm * P)
-            elif m > 0:
-                cols.append(np.sqrt(2.0) * norm * P * np.cos(am * phi))
-            else:
-                cols.append(np.sqrt(2.0) * norm * P * np.sin(am * phi))
-    return np.column_stack(cols)
 
 
 _MATRIX_CACHE = weakref.WeakKeyDictionary()

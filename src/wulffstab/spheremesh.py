@@ -1,8 +1,9 @@
-"""Icosphere meshes on the unit sphere.
+"""The mesh type, icospheres, and tangent-plane tools on S^2.
 
-The icosphere is the common discretization backbone: unit-sphere meshes are
-used directly for round-sphere experiments, and their vertex directions drive
-the normal parametrization of Wulff shapes.
+WulffMesh is the one mesh type. The icosphere built here is the unit
+sphere, the Wulff shape of F = 1, with integrand=None, which selects the
+spectral round-sphere paths; its vertex directions also parametrize
+every other Wulff shape (see wulff.py).
 """
 
 import numpy as np
@@ -31,24 +32,27 @@ def _icosahedron():
 
 
 def _subdivide(vertices, faces):
-    """One 4-to-1 triangle subdivision with midpoints projected to the sphere."""
-    edge_mid = {}
-    verts = list(vertices)
+    """One 4-to-1 triangle subdivision with midpoints projected to the sphere.
 
-    def midpoint(i, j):
-        key = (i, j) if i < j else (j, i)
-        if key not in edge_mid:
-            m = vertices[i] + vertices[j]
-            m /= np.linalg.norm(m)
-            edge_mid[key] = len(verts)
-            verts.append(m)
-        return edge_mid[key]
-
-    new_faces = np.empty((4 * len(faces), 3), dtype=np.int64)
-    for k, (a, b, c) in enumerate(faces):
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        new_faces[4 * k:4 * k + 4] = [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-    return np.array(verts), new_faces
+    Midpoints are numbered in the order their edges first appear in the
+    per-face edge list (ab, bc, ca).
+    """
+    n = len(vertices)
+    edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    key = edges.min(axis=1) * n + edges.max(axis=1)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
+    ends = edges[first[order]]
+    m = vertices[ends[:, 0]] + vertices[ends[:, 1]]
+    # rounds like np.linalg.norm of one row, so meshes stay bit-reproducible
+    m = m / np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+    a, b, c = faces.T
+    new_faces = np.stack((a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca),
+                         axis=1).reshape(-1, 3)
+    return np.concatenate((vertices, m)), new_faces
 
 
 def triangle_areas(vertices, faces):
@@ -107,35 +111,91 @@ def tangent_frames(normals):
     return e1, e2
 
 
-class SphereMesh:
-    """Icosphere discretization of the unit sphere.
+def frame_restriction(A3, e1, e2):
+    """2x2 restrictions A[k, l] = e_k . A3 e_l of symmetric ambient matrices.
+
+    A3 is (N, 3, 3) and e1, e2 are (N, 3) tangent frames; the off-diagonal
+    entry is computed once, so the result is exactly symmetric.
+    """
+    A = np.empty((len(A3), 2, 2))
+    A[:, 0, 0] = np.einsum("ni,nij,nj->n", e1, A3, e1)
+    A[:, 0, 1] = A[:, 1, 0] = np.einsum("ni,nij,nj->n", e1, A3, e2)
+    A[:, 1, 1] = np.einsum("ni,nij,nj->n", e2, A3, e2)
+    return A
+
+
+def sphere_newton(nu, system, n_steps, max_step):
+    """Damped Newton iteration for unit vectors nu (N, 3) on S^2.
+
+    system(nu, e1, e2) returns the (N, 2, 2) Newton matrices and (N, 2)
+    right-hand sides in the tangent frames of nu, or None to stop early.
+    Each step solves the 2x2 systems, caps the step length at max_step,
+    moves along the frame and renormalizes. Returns the final directions.
+    """
+    for _ in range(n_steps):
+        e1, e2 = tangent_frames(nu)
+        eqs = system(nu, e1, e2)
+        if eqs is None:
+            break
+        step = np.linalg.solve(eqs[0], eqs[1][..., None])[..., 0]
+        slen = np.linalg.norm(step, axis=1, keepdims=True)
+        step = step * np.where(slen > max_step,
+                               max_step / np.maximum(slen, 1e-300), 1.0)
+        nu = nu + np.einsum("nik,nk->ni", np.stack((e1, e2), axis=2), step)
+        nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    return nu
+
+
+class WulffMesh:
+    """Triangulated Wulff shape with per-vertex normals, frames and curvature.
+
+    The unit sphere is the Wulff shape of F = 1 and is stored with
+    integrand=None: its normals are its vertices and its curvature is in
+    closed form (A = S = Id, H = 2). Any other Wulff shape carries its
+    integrand, and its shape operator at x(nu) is A_F(nu)^{-1}.
 
     Attributes
     ----------
-    vertices : (N, 3) array of unit vectors
+    vertices : (N, 3) array
     faces : (T, 3) int array, counter-clockwise seen from outside
+    normals : (N, 3) outward unit normals (the construction directions)
+    level : subdivision level
+    integrand : the Integrand whose Wulff shape this is, or None for the
+        unit sphere
     weights : (N,) barycentric vertex area weights, summing to the mesh area
     neighbors : list of one-ring index arrays
-    frames : (e1, e2) pair of (N, 3) arrays, orthonormal tangent frames
-    level : subdivision level
+    frames : (e1, e2) pair of (N, 3) orthonormal tangent frames of the normals
+    anisotropy, shape_operator : (N, 2, 2) A_F and its inverse in the frames
+    mean_curvature : (N,) trace of the shape operator
+    reach : tubular reach estimate, 0.9 / max principal curvature
     """
 
-    def __init__(self, vertices, faces, level):
+    def __init__(self, vertices, faces, normals, level, integrand=None):
         self.vertices = vertices
         self.faces = faces
+        self.normals = normals
         self.level = level
+        self.integrand = integrand
         self.weights = vertex_area_weights(vertices, faces)
         self.neighbors = vertex_adjacency(len(vertices), faces)
-        self.frames = tangent_frames(vertices)
+        self.frames = tangent_frames(normals)
+        n = len(vertices)
+        if integrand is None:
+            self.anisotropy = self.shape_operator = np.broadcast_to(
+                np.eye(2), (n, 2, 2))
+            self.mean_curvature = np.full(n, 2.0)
+            self.reach = 0.9
+            return
+        A3 = integrand.anisotropy_ambient(normals)
+        self.anisotropy = frame_restriction(A3, *self.frames)
+        self.shape_operator = np.linalg.inv(self.anisotropy)
+        self.mean_curvature = np.einsum("nii->n", self.shape_operator)
+        kappa_max = np.linalg.eigvalsh(self.shape_operator)[:, 1].max()
+        self.reach = 0.9 / kappa_max
 
     @property
     def n_vertices(self):
         return len(self.vertices)
-
-    @property
-    def normals(self):
-        """Outward unit normals; for the unit sphere these are the vertices."""
-        return self.vertices
 
     def edge_length(self):
         """Mean edge length, the resolution parameter h."""
@@ -143,6 +203,9 @@ class SphereMesh:
                             self.faces[:, [2, 0]]])
         d = np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
         return float(d.mean())
+
+    def area(self):
+        return float(self.weights.sum())
 
 
 def build_sphere_mesh(level):
@@ -153,4 +216,4 @@ def build_sphere_mesh(level):
     for _ in range(level):
         v, f = _subdivide(v, f)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return SphereMesh(v, f, level)
+    return WulffMesh(v, f, v, level)

@@ -12,10 +12,9 @@ import numpy as np
 from . import spectral
 from .operators import get_operators, lp_norm, w2p_norm
 from .curvature import anisotropic_shape_operator, trace_free
-from .spheremesh import SphereMesh
+from .spheremesh import frame_restriction
 from .surface import (exp_graph, radial_graph, projection_certificate,
                       recover_radius_spectral, recover_radius_mesh)
-from .wulff import WulffMesh
 
 
 class KernelFrame:
@@ -57,17 +56,9 @@ def stability_operator(base, integrand, values):
     """
     ops = get_operators(base)
     grad = ops.gradient(values)
-    if isinstance(base, WulffMesh):
-        A2 = base.anisotropy
-        H = base.mean_curvature
-    else:
-        e1, e2 = base.frames
-        A3 = integrand.anisotropy_ambient(base.normals)
-        A2 = np.empty((base.n_vertices, 2, 2))
-        A2[:, 0, 0] = np.einsum("ni,nij,nj->n", e1, A3, e1)
-        A2[:, 0, 1] = A2[:, 1, 0] = np.einsum("ni,nij,nj->n", e1, A3, e2)
-        A2[:, 1, 1] = np.einsum("ni,nij,nj->n", e2, A3, e2)
-        H = np.full(base.n_vertices, 2.0)
+    A2 = frame_restriction(integrand.anisotropy_ambient(base.normals),
+                           *base.frames)
+    H = base.mean_curvature
     flux = np.einsum("nij,nj->ni", A2, grad)
     return ops.divergence(flux) + H * values
 
@@ -165,7 +156,7 @@ def _distance_norm(base, values, v, p, band=None):
     """||u - phi_v||_{W^{2,p}} over the base."""
     frame_field = base.normals @ v
     resid = values - frame_field
-    if isinstance(base, SphereMesh):
+    if base.integrand is None:
         if band is None:
             band = min(8, spectral.band_limit(base.n_vertices))
         coeffs = spectral.sh_analyze(base, resid, band)
@@ -253,7 +244,7 @@ def scaling_sweep(base, integrand, family, amplitudes, p, tolerance=1e-8,
     deficits, distances, used = [], [], []
     for eps in amplitudes:
         values = eps * shape
-        if isinstance(base, WulffMesh) or parametrization == "radial":
+        if base.integrand is not None or parametrization == "radial":
             geom = radial_graph(base, values)
         else:
             geom = exp_graph(base, values)
@@ -262,7 +253,7 @@ def scaling_sweep(base, integrand, family, amplitudes, p, tolerance=1e-8,
             rows.append({"epsilon": eps, "warning": "certificate_failed",
                          "eta": cert.margin})
             break
-        if isinstance(base, WulffMesh):
+        if base.integrand is not None:
             surf = MeshGraphSurface.from_geometry(geom)
         else:
             surf = SpectralGraphSurface.from_geometry(geom)

@@ -19,8 +19,7 @@ from scipy.spatial import cKDTree
 
 from . import spectral
 from .operators import get_operators
-from .spheremesh import adjacency_matrix, tangent_frames
-from .wulff import WulffMesh
+from .spheremesh import adjacency_matrix, frame_restriction, sphere_newton
 
 
 class SurfaceGeometry:
@@ -164,13 +163,12 @@ def radial_graph(base, values, band=None):
     tubular neighborhood of the base.
     """
     values = np.asarray(values, dtype=float)
-    reach = base.reach if isinstance(base, WulffMesh) else 0.9
     umax = float(np.abs(values).max())
-    if umax >= reach:
+    if umax >= base.reach:
         raise ValueError(
             f"radius leaves the tubular neighborhood: max |u| = {umax:g} "
-            f">= reach {reach:g}")
-    if isinstance(base, WulffMesh):
+            f">= reach {base.reach:g}")
+    if base.integrand is not None:
         return _wulff_graph(base, values)
     return _spectral_sphere_graph(base, values, "radial", band)
 
@@ -217,34 +215,30 @@ def project_to_wulff(wmesh, points, n_newton=30, tol=1e-12):
     construction direction nu by a damped Newton iteration; the Newton
     matrix is A_F + t Id with t the signed normal offset.
 
-    Returns (feet, directions, offsets, converged).
+    Returns (feet, directions, offsets, converged); converged is measured
+    at the returned feet.
     """
     integ = wmesh.integrand
-    # seed with the nearest construction direction by actual distance
-    nearest = cKDTree(wmesh.vertices[::4]).query(points)[1]
-    nu = wmesh.normals[::4][nearest]
-    converged = np.zeros(len(points), dtype=bool)
-    for _ in range(n_newton):
+
+    def residual(nu):
         x = integ.fbar_grad(nu)
         e = points - x
         t = np.einsum("ni,ni->n", e, nu)
         res = e - t[:, None] * nu
-        converged = np.linalg.norm(res, axis=1) < tol
+        return x, t, res, np.linalg.norm(res, axis=1) < tol
+
+    def foot_point(nu, e1, e2):
+        _, t, res, converged = residual(nu)
         if converged.all():
-            break
-        A3 = integ.anisotropy_ambient(nu)
-        e1, e2 = tangent_frames(nu)
-        E = np.stack((e1, e2), axis=2)
-        A2 = np.einsum("nik,nij,njl->nkl", E, A3, E)
+            return None
+        A2 = frame_restriction(integ.anisotropy_ambient(nu), e1, e2)
         A2 += t[:, None, None] * np.eye(2)[None]
-        rhs = np.einsum("nik,ni->nk", E, res)
-        step = np.linalg.solve(A2, rhs[..., None])[..., 0]
-        slen = np.linalg.norm(step, axis=1, keepdims=True)
-        step = step * np.where(slen > 0.3, 0.3 / np.maximum(slen, 1e-300), 1.0)
-        nu = nu + np.einsum("nik,nk->ni", E, step)
-        nu /= np.linalg.norm(nu, axis=1, keepdims=True)
-    x = integ.fbar_grad(nu)
-    t = np.einsum("ni,ni->n", points - x, nu)
+        return A2, np.einsum("nik,ni->nk", np.stack((e1, e2), axis=2), res)
+
+    # seed with the nearest construction direction by actual distance
+    nearest = cKDTree(wmesh.vertices[::4]).query(points)[1]
+    nu = sphere_newton(wmesh.normals[::4][nearest], foot_point, n_newton, 0.3)
+    x, t, _, converged = residual(nu)
     return x, nu, t, converged
 
 
@@ -270,7 +264,7 @@ def projection_certificate(geom, base=None, threshold=0.1):
     base = base if base is not None else geom.base
     q = geom.positions
     diagnostics = {}
-    if isinstance(base, WulffMesh):
+    if base.integrand is not None:
         feet, dirs, t, conv = project_to_wulff(base, q)
         if not conv.all():
             diagnostics["unconverged_feet"] = int((~conv).sum())

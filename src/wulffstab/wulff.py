@@ -3,7 +3,9 @@
 Vertices are x(nu) = grad Fbar(nu) over icosphere directions nu, so the
 stored normal at x(nu) is nu itself and the gauge identity F*(x(nu)) = 1
 holds by construction. The shape operator of the Wulff shape is the
-inverse anisotropy matrix, which is available in closed form.
+inverse anisotropy matrix, which is available in closed form. The mesh
+type, WulffMesh, lives in spheremesh so that build_sphere_mesh can return
+one without an import cycle; this module also has a plain-text format.
 """
 
 import hashlib
@@ -11,51 +13,7 @@ import hashlib
 import numpy as np
 
 from . import spheremesh
-from .spheremesh import tangent_frames, vertex_area_weights, vertex_adjacency
-
-
-class WulffMesh:
-    """Discretized Wulff shape with per-vertex normals and frames.
-
-    Attributes mirror SphereMesh (vertices, faces, weights, neighbors,
-    frames, level) plus the construction normals, the analytic shape
-    operator in the frame, the mean curvature and a tubular reach estimate.
-    """
-
-    def __init__(self, vertices, faces, normals, level, integrand):
-        self.vertices = vertices
-        self.faces = faces
-        self.normals = normals
-        self.level = level
-        self.integrand = integrand
-        self.weights = vertex_area_weights(vertices, faces)
-        self.neighbors = vertex_adjacency(len(vertices), faces)
-        self.frames = tangent_frames(normals)
-        # shape operator of W at x(nu) is A_F(nu)^{-1} in the tangent plane
-        e1, e2 = self.frames
-        A3 = integrand.anisotropy_ambient(normals)
-        A = np.empty((len(vertices), 2, 2))
-        A[:, 0, 0] = np.einsum("ni,nij,nj->n", e1, A3, e1)
-        A[:, 0, 1] = A[:, 1, 0] = np.einsum("ni,nij,nj->n", e1, A3, e2)
-        A[:, 1, 1] = np.einsum("ni,nij,nj->n", e2, A3, e2)
-        self.anisotropy = A
-        self.shape_operator = np.linalg.inv(A)
-        self.mean_curvature = np.einsum("nii->n", self.shape_operator)
-        kappa_max = np.linalg.eigvalsh(self.shape_operator)[:, 1].max()
-        self.reach = 0.9 / kappa_max
-
-    @property
-    def n_vertices(self):
-        return len(self.vertices)
-
-    def edge_length(self):
-        e = np.concatenate([self.faces[:, [0, 1]], self.faces[:, [1, 2]],
-                            self.faces[:, [2, 0]]])
-        d = np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
-        return float(d.mean())
-
-    def area(self):
-        return float(self.weights.sum())
+from .spheremesh import WulffMesh
 
 
 def build_wulff(integrand, level):

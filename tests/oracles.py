@@ -1,0 +1,76 @@
+"""Slow, independent reference implementations that the tests compare against."""
+
+import numpy as np
+from scipy.special import gammaln, lpmv
+
+from wulffstab.curvature import gauss_ricci
+
+
+def real_sph_harm_matrix_reference(points, L):
+    """Slow lpmv-based evaluation of the real orthonormal harmonics."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    ct = np.clip(pts[:, 2], -1.0, 1.0)
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    cols = []
+    for ell in range(L + 1):
+        for m in range(-ell, ell + 1):
+            am = abs(m)
+            lognorm = 0.5 * (np.log(2 * ell + 1) - np.log(4 * np.pi)
+                             + gammaln(ell - am + 1) - gammaln(ell + am + 1))
+            # (-1)^m cancels the Condon-Shortley phase carried by lpmv
+            norm = (-1.0) ** am * np.exp(lognorm)
+            P = lpmv(am, ell, ct)
+            if m == 0:
+                cols.append(norm * P)
+            elif m > 0:
+                cols.append(np.sqrt(2.0) * norm * P * np.cos(am * phi))
+            else:
+                cols.append(np.sqrt(2.0) * norm * P * np.sin(am * phi))
+    return np.column_stack(cols)
+
+
+def riemann_brute(h):
+    """Riemann tensor Riem_ijkl = h_ik h_jl - h_il h_jk by explicit loops."""
+    h = np.asarray(h, dtype=float)
+    n = h.shape[0]
+    riem = np.empty((n, n, n, n))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    riem[i, j, k, l] = h[i, k] * h[j, l] - h[i, l] * h[j, k]
+    return riem
+
+
+def ricci_from_riemann(riem):
+    """Contraction Ric_ij = g^{pq} Riem_ipjq with g = Id."""
+    return np.einsum("ipjp->ij", riem)
+
+
+def ricci_matrix_oracle(lam):
+    """Ricci eigenvalues through dense linear algebra on h = diag(lam)."""
+    h = np.diag(np.asarray(lam, dtype=float))
+    ric, _ = gauss_ricci(h)
+    return np.sort(np.linalg.eigvalsh(ric))
+
+
+def subdivide_reference(vertices, faces):
+    """One 4-to-1 icosphere subdivision, one face and one midpoint at a time."""
+    edge_mid = {}
+    verts = list(vertices)
+
+    def midpoint(i, j):
+        key = (i, j) if i < j else (j, i)
+        if key not in edge_mid:
+            m = vertices[i] + vertices[j]
+            m /= np.linalg.norm(m)
+            edge_mid[key] = len(verts)
+            verts.append(m)
+        return edge_mid[key]
+
+    new_faces = np.empty((4 * len(faces), 3), dtype=np.int64)
+    for k, (a, b, c) in enumerate(faces):
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        new_faces[4 * k:4 * k + 4] = [[a, ab, ca], [b, bc, ab], [c, ca, bc],
+                                      [ab, bc, ca]]
+    return np.array(verts), new_faces

@@ -148,13 +148,13 @@ def test_stencils_match_per_vertex_fits(which, wulff3):
 def test_stencil_rejects_small_rings():
     """An octahedron's two-rings hold 6 nodes, too few for a cubic fit."""
     from wulffstab.operators import DerivativeOperators
-    from wulffstab.spheremesh import SphereMesh
+    from wulffstab.spheremesh import WulffMesh
     v = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                   [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float)
     f = np.array([[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4],
                   [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]])
     with pytest.raises(ValueError, match="6 nodes"):
-        DerivativeOperators(SphereMesh(v, f, 0))
+        DerivativeOperators(WulffMesh(v, f, v, 0))
 
 
 @pytest.mark.parametrize("k", [1, 4])

@@ -210,3 +210,22 @@ amplitudes = 0.4,8.0,6
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
     body = (out / "sweep.csv").read_text()
     assert "_failed" in body and "fit_unavailable" in body
+
+
+@pytest.mark.parametrize("integrand, family, where", [
+    ("constant", "harmonic:2,-3", "sweep.family"),
+    ("constant", "harmonic:2,5", "sweep.family"),
+    ("fourier:1,0.1,4,0", "harmonic:2,0", "common.integrand"),
+])
+def test_bad_mode_tokens_exit_2(tmp_path, capsys, integrand, family, where):
+    """|m| > l would wrap into a lower band or index past it; l = 4 has no
+    tabulated harmonic polynomial."""
+    cfg = write_config(tmp_path, BASE.format(integrand=integrand) + f"""
+[sweep]
+family = {family}
+amplitudes = 1e-3,1e-2,4
+""")
+    out = tmp_path / "bad"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert where in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()

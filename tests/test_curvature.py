@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import ricci_from_riemann, riemann_brute
 from wulffstab import Integrand
 from wulffstab import spectral
 from wulffstab.curvature import (anisotropic_shape_operator, gauss_ricci,
-                                 oscillation_deficit, ricci_from_riemann,
-                                 riemann_brute, trace_free)
+                                 oscillation_deficit, trace_free)
 from wulffstab.operators import TensorField
 from wulffstab.surface import exp_graph, radial_graph
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import real_sph_harm_matrix_reference, subdivide_reference
 from wulffstab import build_sphere_mesh
-from wulffstab import spectral
+from wulffstab import spectral, spheremesh
 from wulffstab.operators import (DerivativeOperators, TensorField,
                                  get_operators, lp_norm, w2p_norm)
 
@@ -16,6 +17,16 @@ def test_vertex_counts_and_units():
     assert np.abs(np.linalg.norm(m.vertices, axis=1) - 1).max() < 1e-14
     m3 = build_sphere_mesh(3)
     assert m3.n_vertices == 10 * 4 ** 3 + 2
+
+
+def test_subdivide_matches_per_face_loop():
+    v, f = spheremesh._icosahedron()
+    for _ in range(5):
+        got_v, got_f = spheremesh._subdivide(v, f)
+        v, f = subdivide_reference(v, f)
+        np.testing.assert_array_equal(got_v, v)
+        np.testing.assert_array_equal(got_f, f)
+        assert got_f.dtype == np.int64
 
 
 def test_level_bounds():
@@ -44,7 +55,7 @@ def test_frames_orthonormal(sphere4):
 def test_recurrence_matches_lpmv_reference(sphere4):
     pts = sphere4.vertices[::17]
     fast = spectral.real_sph_harm_matrix(pts, 12)
-    ref = spectral.real_sph_harm_matrix_reference(pts, 12)
+    ref = real_sph_harm_matrix_reference(pts, 12)
     assert_allclose(fast, ref, atol=1e-13)
 
 

@@ -142,6 +142,17 @@ def test_project_to_wulff_feet(wulff4):
     assert np.abs(t - offs).max() < 1e-9
 
 
+def test_project_to_wulff_flags_convergence_at_returned_feet(wulff4):
+    """This point reaches the tolerance on its fourth Newton step, so four
+    allowed steps must report it converged."""
+    pts = np.array([[0.3, 0.2, 0.9]])
+    assert not project_to_wulff(wulff4, pts, n_newton=3)[3][0]
+    feet, dirs, t, conv = project_to_wulff(wulff4, pts, n_newton=4)
+    assert conv[0]
+    resid = pts - feet - t[:, None] * dirs
+    assert np.linalg.norm(resid) < 1e-12
+
+
 # --- radius recovery --------------------------------------------------------
 
 

@@ -15,6 +15,18 @@ def test_unit_sphere_wulff():
     assert_allclose(W.mean_curvature, 2.0, atol=1e-12)
 
 
+def test_sphere_mesh_is_the_constant_wulff_mesh(sphere4):
+    """The icosphere carries the closed-form curvature of the F = 1 Wulff
+    shape, which build_wulff computes through the stencil-path integrand."""
+    W = build_wulff(Integrand.constant(), 4)
+    assert sphere4.integrand is None and W.integrand is not None
+    assert_allclose(sphere4.normals, sphere4.vertices, atol=0)
+    for name in ("anisotropy", "shape_operator", "mean_curvature"):
+        assert_allclose(getattr(sphere4, name), getattr(W, name),
+                        rtol=0, atol=1e-12)
+    assert abs(sphere4.reach - W.reach) <= 1e-12
+
+
 def test_ellipsoid_closed_form(ellipsoid_integrand):
     W = build_wulff(ellipsoid_integrand, 4)
     Minv = np.diag([1.0, 1.0, 0.25])
