@@ -173,8 +173,7 @@ def run_wulff(cfg, outdir, svg):
 
 
 def run_curvature(cfg, outdir, svg):
-    sec = cfg.section("curvature")
-    eps = float(sec.get("epsilon", "1e-3"))
+    eps = cfg._float(cfg.section("curvature"), "curvature", "epsilon", 1e-3)
     family = cfg.family("curvature")
     base = _sphere_or_wulff(cfg)
     from .stability import perturbation_field
@@ -216,8 +215,8 @@ def run_curvature(cfg, outdir, svg):
 def run_kernel(cfg, outdir, svg):
     sec = cfg.section("kernel")
     levels = cfg.ints("kernel", "levels", f"{cfg.level - 2},{cfg.level - 1},{cfg.level}")
-    n_vec = int(sec.get("n_vectors", "5"))
-    threshold = float(sec.get("threshold", "0.02"))
+    n_vec = cfg._int(sec, "kernel", "n_vectors", 5)
+    threshold = cfg._float(sec, "kernel", "threshold", 0.02)
     rng = np.random.default_rng((cfg.seed, 2))
     cs = rng.normal(size=(n_vec, 3))
     cs /= np.linalg.norm(cs, axis=1, keepdims=True)
@@ -265,7 +264,8 @@ def run_kernel(cfg, outdir, svg):
 def run_center(cfg, outdir, svg):
     sec = cfg.section("center")
     t = np.array(cfg.floats("center", "translation", "0.03,-0.02,0.028"))
-    t *= float(sec.get("translation_norm", "0.05")) / np.linalg.norm(t)
+    t *= cfg._float(sec, "center", "translation_norm", 0.05) / np.linalg.norm(t)
+    recovery_tol = cfg._float(sec, "center", "recovery_tol", 1e-4)
     epsilons = cfg.floats("center", "epsilons", "0.01,0.02,0.04")
     mesh = build_sphere_mesh(cfg.level)
     rows = []
@@ -302,7 +302,7 @@ def run_center(cfg, outdir, svg):
         write_svg(os.path.join(outdir, "center.svg"),
                   [("one-step residual", epsilons, one_step)],
                   xlabel="epsilon", ylabel="residual")
-    ok = err <= float(sec.get("recovery_tol", "1e-4")) and res.iterations <= 10 \
+    ok = err <= recovery_tol and res.iterations <= 10 \
         and abs(slope - 2.0) <= 0.2
     return (0 if ok else 1), rows
 
@@ -353,7 +353,9 @@ def run_einstein(cfg, outdir, svg):
     sec = cfg.section("einstein")
     dims = cfg.ints("einstein", "dimensions", "3,4,5")
     kappas = cfg.floats("einstein", "kappas", "-1,0,1")
-    budget = int(sec.get("budget", "200000"))
+    budget = cfg._int(sec, "einstein", "budget", 200000)
+    if budget <= 0:
+        raise ConfigError("einstein.budget must be positive")
     rows = []
     ok = True
     for n in dims:

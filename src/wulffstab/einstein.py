@@ -72,15 +72,28 @@ def polys(spec):
     return float(p[0]), float(q[0])
 
 
+_BLOCK_ROWS = 8192
+
+
 def polys_batch(lams, kappa):
-    """Vectorized p, q over a (m, n) batch of spectra."""
+    """Vectorized p, q over a (m, n) batch of spectra.
+
+    A row's p and q do not depend on the other rows: its pair products are
+    one C-ordered row, summed alone. So the batch is taken in blocks of
+    _BLOCK_ROWS spectra, which bounds the temporaries without changing a
+    value.
+    """
     lams = np.asarray(lams, dtype=float)
-    m, n = lams.shape
-    prod = lams[:, :, None] * lams[:, None, :]
-    off = ~np.eye(n, dtype=bool)
-    p = np.sum((prod[:, off] - kappa) ** 2, axis=1)
-    Lam = lams * (lams.sum(axis=1, keepdims=True) - lams)
-    q = np.sum((Lam - (n - 1) * kappa) ** 2, axis=1)
+    n = lams.shape[1]
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    p, q = np.empty(len(lams)), np.empty(len(lams))
+    for a in range(0, len(lams), _BLOCK_ROWS):
+        rows = slice(a, a + _BLOCK_ROWS)
+        block = lams[rows]
+        pairs = np.take(block, i, axis=1) * np.take(block, j, axis=1)
+        p[rows] = np.sum((pairs - kappa) ** 2, axis=1)
+        Lam = block * (block.sum(axis=1, keepdims=True) - block)
+        q[rows] = np.sum((Lam - (n - 1) * kappa) ** 2, axis=1)
     return p, q
 
 
@@ -120,19 +133,76 @@ def _ratio(lams, kappa, guard=1e-300):
     return p[keep] / np.maximum(q[keep], guard), lams[keep]
 
 
-def _nelder_mead_ratio(lam0, kappa, sign, steps=400):
-    """Local refinement of an extremizer of log(p/q) by Nelder-Mead."""
-    from scipy.optimize import minimize
+# trial points A * xbar - B * worst: reflection, expansion, outside and
+# inside contraction (0.5 xbar + 0.5 worst, bit for bit)
+_NM_A = np.array([[2.0], [3.0], [1.5], [0.5]])
+_NM_B = np.array([[1.0], [2.0], [0.5], [-0.5]])
 
-    def obj(lam):
-        p, q = polys_batch(lam[None, :], kappa)
-        if p[0] + q[0] < 1e-20 or q[0] <= 0:
-            return np.inf
-        return sign * np.log(p[0] / q[0])
 
-    res = minimize(obj, lam0, method="Nelder-Mead",
-                   options={"maxiter": steps, "xatol": 1e-10, "fatol": 1e-12})
-    return (res.x, np.exp(sign * res.fun)) if np.isfinite(res.fun) else (lam0, None)
+def _nelder_mead(fun, x0, maxiter, xatol, fatol):
+    """Nelder-Mead from K starts in lockstep: K independent minimizations.
+
+    x0 is (K, N); fun(points (m, N), start (m,)) returns the (m,) objective
+    values of points that belong to the given start indices. Each start
+    follows scipy's minimize(method="Nelder-Mead") step for step (standard
+    coefficients, initial simplex 1.05 x_k or 0.00025 where x_k = 0, no
+    evaluation cap, the same xatol/fatol test), but one fun call covers
+    every running start and all four trial points; starts that shrink take
+    a second call. Each simplex is sorted by numpy's default argsort, as
+    scipy sorts it: log(p/q) is flat enough to tie vertex values exactly,
+    and a stable sort would take a different path there. Returns
+    (x (K, N), fun (K,), nit (K,)).
+    """
+    x0 = np.asarray(x0, dtype=float)
+    K, N = x0.shape
+    sim = np.repeat(x0[:, None, :], N + 1, axis=1)
+    k = np.arange(N)
+    sim[:, k + 1, k] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = fun(sim.reshape(-1, N), np.repeat(np.arange(K), N + 1)).reshape(K, N + 1)
+    sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))  # scipy sorts twice
+    x, fx, nit = np.empty((K, N)), np.empty(K), np.empty(K, dtype=int)
+    running = np.arange(K)
+    iterations = 1
+    while True:
+        done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
+                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
+        if iterations >= maxiter:
+            done[:] = True
+        if done.any():
+            x[running[done]] = sim[done, 0]
+            fx[running[done]] = fsim[done].min(axis=1)
+            nit[running[done]] = iterations
+            running, sim, fsim = running[~done], sim[~done], fsim[~done]
+        if not running.size:
+            return x, fx, nit
+        xbar = np.add.reduce(sim[:, :-1], 1) / N
+        trial = _NM_A * xbar[:, None] - _NM_B * sim[:, -1:]
+        ft = fun(trial.reshape(-1, N), np.repeat(running, 4)).reshape(-1, 4)
+        fr, fe, fc, fcc = ft.T
+        best, second, worst = fsim[:, 0], fsim[:, -2], fsim[:, -1]
+        pick = np.where(fr < best, np.where(fe < fr, 1, 0),   # expand
+                        np.where(fr < second, 0,               # reflect
+                                 np.where(fr < worst,          # contract
+                                          np.where(fc <= fr, 2, -1),
+                                          np.where(fcc < worst, 3, -1))))
+        step = np.flatnonzero(pick >= 0)
+        sim[step, -1] = trial[step, pick[step]]
+        fsim[step, -1] = ft[step, pick[step]]
+        shrink = np.flatnonzero(pick < 0)
+        if shrink.size:
+            low = sim[shrink, :1]
+            sim[shrink, 1:] = low + 0.5 * (sim[shrink, 1:] - low)
+            fsim[shrink, 1:] = fun(sim[shrink, 1:].reshape(-1, N),
+                                   np.repeat(running[shrink], N)).reshape(-1, N)
+        iterations += 1
+        sim, fsim = _sort_simplex(sim, fsim)
+
+
+def _sort_simplex(sim, fsim):
+    """Order each start's vertices by value with numpy's default argsort."""
+    rows = np.arange(len(fsim))[:, None]
+    order = np.argsort(fsim, axis=1)
+    return sim[rows, order], fsim[rows, order]
 
 
 def ratio_bounds(n, kappa, budget=10 ** 6, seed=0, kappa_max=10.0, workers=1):
@@ -193,12 +263,21 @@ def ratio_bounds(n, kappa, budget=10 ** 6, seed=0, kappa_max=10.0, workers=1):
             c1, argmin = rmin, lmin
         if rmax > c2:
             c2, argmax = rmax, lmax
-    lam, val = _nelder_mead_ratio(argmin, kappa, +1)
-    if val is not None and val < c1:
-        c1, argmin = val, lam
-    lam, val = _nelder_mead_ratio(argmax, kappa, -1)
-    if val is not None and val > c2:
-        c2, argmax = val, lam
+    # polish both extremizers of log(p/q): sign +1 for the inf, -1 for the sup
+    sign = np.array([1.0, -1.0])
+
+    def log_ratio(lams, start):
+        p, q = polys_batch(lams, kappa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = sign[start] * np.log(p / q)
+        return np.where((p + q < 1e-20) | (q <= 0), np.inf, val)
+
+    x, fx, _ = _nelder_mead(log_ratio, np.array([argmin, argmax]),
+                            maxiter=400, xatol=1e-10, fatol=1e-12)
+    if np.isfinite(fx[0]) and np.exp(fx[0]) < c1:
+        c1, argmin = np.exp(fx[0]), x[0]
+    if np.isfinite(fx[1]) and np.exp(-fx[1]) > c2:
+        c2, argmax = np.exp(-fx[1]), x[1]
     return RatioBound(n, kappa, float(c1), float(c2), total, argmin, argmax)
 
 
@@ -212,8 +291,6 @@ def zero_set_check(n, kappa, budget=10 ** 5, seed=0, ball=1e-3, refine=8):
     found stray zero (reported with its location) fails the check; this
     does happen for q when kappa < 0 and n >= 4.
     """
-    from scipy.optimize import minimize
-
     rng = np.random.default_rng((seed, n))
     zeros = analytic_zeros(n, kappa)
     at_zeros = 0.0
@@ -226,34 +303,33 @@ def zero_set_check(n, kappa, budget=10 ** 5, seed=0, ball=1e-3, refine=8):
         rng.normal(size=(budget - budget // 2, n)) * 0.5 * scale,
     ])
     if len(zeros):
-        d = np.min(np.linalg.norm(
-            np.sort(lams, axis=1)[:, None, :] - zeros[None, :, :], axis=2),
-            axis=1)
+        ordered = np.sort(lams, axis=1)
+        d = np.min([np.linalg.norm(ordered - z, axis=1) for z in zeros], axis=0)
         off = lams[d > ball]
     else:
         off = lams
     p, q = polys_batch(off, kappa)
     min_off = float((p + q).min()) if len(off) else np.inf
+    # hunt: minimize p from the refine lowest sampled p, then q likewise
+    starts = np.concatenate([np.argsort(p)[:refine], np.argsort(q)[:refine]])
+    hunts_q = np.arange(len(starts)) >= min(refine, len(off))
+
+    def hunted(lams, start):
+        p, q = polys_batch(lams, kappa)
+        return np.where(hunts_q[start], q, p)
+
+    x, fx, _ = _nelder_mead(hunted, off[starts], maxiter=600, xatol=1e-12,
+                            fatol=1e-16)
+    p_end, q_end = polys_batch(x, kappa)
+    other = np.where(hunts_q, p_end, q_end)
     stray = []
-
-    def hunt(minimized, other):
-        vals = minimized(off)
-        order = np.argsort(vals)[:refine]
-        for idx in order:
-            res = minimize(lambda lam: minimized(lam[None, :])[0], off[idx],
-                           method="Nelder-Mead",
-                           options={"maxiter": 600, "xatol": 1e-12,
-                                    "fatol": 1e-16})
-            lam = res.x
-            if len(zeros):
-                dist = np.min(np.linalg.norm(np.sort(lam) - zeros, axis=1))
-                if dist <= ball:
-                    continue
-            if res.fun < 1e-14 and other(lam[None, :])[0] > 1e-6:
-                stray.append(lam)
-
-    hunt(lambda l: polys_batch(l, kappa)[0], lambda l: polys_batch(l, kappa)[1])
-    hunt(lambda l: polys_batch(l, kappa)[1], lambda l: polys_batch(l, kappa)[0])
+    for lam, val, oth in zip(x, fx, other):
+        if len(zeros):
+            dist = np.min(np.linalg.norm(np.sort(lam) - zeros, axis=1))
+            if dist <= ball:
+                continue
+        if val < 1e-14 and oth > 1e-6:
+            stray.append(lam)
     passed = at_zeros < 1e-18 and min_off > 0 and not stray
     return {"passed": bool(passed), "max_at_zeros": at_zeros,
             "min_off_zeros": min_off, "stray_zeros": len(stray),

@@ -106,11 +106,14 @@ def cap_fit_residual(field, p=2):
     real on the whole grid square.
     """
     lam_max = 0.999 / (field.extent * np.sqrt(2.0))
+    norms = {}  # lambda -> objective; Brent and the polish revisit lambdas
 
     def objective(lam):
-        diff = GridField(field.values - _cap(field.x, field.y, lam),
-                         field.extent)
-        return grid_w2p_norm(diff, p)
+        if lam not in norms:
+            diff = GridField(field.values - _cap(field.x, field.y, lam),
+                             field.extent)
+            norms[lam] = grid_w2p_norm(diff, p)
+        return norms[lam]
 
     # the squared residual is smooth at the bottom, so Brent localizes the
     # minimizer even when the norm itself has a kink

@@ -19,7 +19,10 @@ def band_limit(n_vertices):
 
 
 def sh_index(ell, m):
-    """Column index of (l, m) in the coefficient vector."""
+    """Column index of (l, m) in the coefficient vector; needs |m| <= l."""
+    if ell < 0 or abs(m) > ell:
+        raise ValueError(f"harmonic mode needs |m| <= l, got (l, m) = "
+                         f"({ell}, {m})")
     return ell * ell + ell + m
 
 

@@ -29,6 +29,9 @@ def build_wulff(integrand, level):
 
 
 def integrand_hash(integrand):
+    """Short header token for an integrand; 'none' for the unit sphere."""
+    if integrand is None:
+        return "none"
     return hashlib.sha256(integrand.descriptor.encode()).hexdigest()[:16]
 
 

@@ -1,9 +1,11 @@
 """Slow, independent reference implementations that the tests compare against."""
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, lpmv
 
 from wulffstab.curvature import gauss_ricci
+from wulffstab.flatgraph import GridField, _cap, grid_w2p_norm
 
 
 def real_sph_harm_matrix_reference(points, L):
@@ -74,3 +76,28 @@ def subdivide_reference(vertices, faces):
         new_faces[4 * k:4 * k + 4] = [[a, ab, ca], [b, bc, ab], [c, ca, bc],
                                       [ab, bc, ca]]
     return np.array(verts), new_faces
+
+
+def cap_fit_reference(field, p=2):
+    """cap_fit_residual with a polish that evaluates the objective afresh
+    at every use, the current lambda included."""
+    lam_max = 0.999 / (field.extent * np.sqrt(2.0))
+
+    def objective(lam):
+        diff = GridField(field.values - _cap(field.x, field.y, lam),
+                         field.extent)
+        return grid_w2p_norm(diff, p)
+
+    res = minimize_scalar(lambda lam: objective(lam) ** 2,
+                          bounds=(0.0, lam_max), method="bounded",
+                          options={"xatol": 1e-14})
+    lam = float(res.x)
+    for delta in (1e-5, 1e-8):
+        f0, fm, fp = (objective(lam) ** 2, objective(lam - delta) ** 2,
+                      objective(lam + delta) ** 2)
+        denom = fm - 2 * f0 + fp
+        if denom > 0:
+            cand = lam + 0.5 * delta * (fm - fp) / denom
+            if 0 < cand < lam_max and objective(cand) < objective(lam):
+                lam = cand
+    return float(objective(lam)), lam

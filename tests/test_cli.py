@@ -229,3 +229,21 @@ amplitudes = 1e-3,1e-2,4
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
     assert where in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("einstein", "einstein", "budget", "abc"),
+    ("einstein", "einstein", "budget", "0"),
+    ("einstein", "einstein", "budget", "-5"),
+    ("kernel", "kernel", "n_vectors", "abc"),
+    ("kernel", "kernel", "threshold", "abc"),
+    ("curvature", "curvature", "epsilon", "oops"),
+    ("center", "center", "translation_norm", "abc"),
+    ("center", "center", "recovery_tol", "abc"),
+])
+def test_bad_numeric_values_exit_2(tmp_path, capsys, command, section, key,
+                                   value):
+    cfg = write_config(tmp_path, BASE.format(integrand="constant")
+                       + f"\n[{section}]\n{key} = {value}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize
 
 from oracles import ricci_matrix_oracle, riemann_brute
 from wulffstab import einstein as es
@@ -161,6 +162,85 @@ def test_zero_set_q_defect_for_negative_kappa_n4():
     out = es.zero_set_check(4, -1.0, budget=20000, seed=1)
     assert not out["passed"]
     assert out["stray_zeros"] > 0
+
+
+def test_polys_batch_rows_are_independent():
+    """A row's p and q are bit-identical alone and inside a larger batch,
+    so a batched optimizer sees the values a one-point objective sees."""
+    for n in (3, 4, 5, 6):
+        lams = rng.normal(size=(200, n)) * 3
+        p, q = es.polys_batch(lams, -1.0)
+        single = np.array([es.polys_batch(lam[None, :], -1.0) for lam in lams])
+        np.testing.assert_array_equal(p, single[:, 0, 0])
+        np.testing.assert_array_equal(q, single[:, 1, 0])
+
+
+def _lockstep_runs(monkeypatch, call):
+    """Run call() and record every lockstep Nelder-Mead it makes as
+    (fun, x0, options, x, fun values, nit, rows per objective call)."""
+    runs = []
+    lockstep = es._nelder_mead
+
+    def spy(fun, x0, **options):
+        rows = []
+
+        def counted(points, start):
+            rows.append(len(points))
+            return fun(points, start)
+
+        runs.append((fun, x0, options, *lockstep(counted, x0, **options), rows))
+        return runs[-1][3:6]
+
+    monkeypatch.setattr(es, "_nelder_mead", spy)
+    call()
+    return runs
+
+
+def _assert_matches_scipy(fun, x0, options, x, fx, nit):
+    for k, start in enumerate(x0):
+        ref = minimize(lambda lam: fun(lam[None, :], np.array([k]))[0], start,
+                       method="Nelder-Mead", options=options)
+        np.testing.assert_array_equal(x[k], ref.x)
+        assert nit[k] == ref.nit
+        assert abs(fx[k] - ref.fun) <= 4 * np.spacing(abs(ref.fun))
+
+
+@pytest.mark.parametrize("n, kappa", [(3, 0.0), (4, -1.0)])
+def test_zero_set_hunt_matches_scipy(monkeypatch, n, kappa):
+    """Both hunts' starts in one lockstep run follow scipy's Nelder-Mead to
+    the bit; at kappa = -1, n = 4 some starts stop at the iteration cap."""
+    runs = _lockstep_runs(
+        monkeypatch, lambda: es.zero_set_check(n, kappa, budget=10 ** 5, seed=1))
+    (fun, x0, options, x, fx, nit, _), = runs
+    assert x0.shape == (16, n)
+    assert (nit == options["maxiter"]).any() == (kappa < 0)
+    _assert_matches_scipy(fun, x0, options, x, fx, nit)
+
+
+@pytest.mark.parametrize("n, kappa", [(3, 1.0), (4, 1.0)])
+def test_ratio_polish_matches_scipy(monkeypatch, n, kappa):
+    """The min and max polish of log(p/q) as one two-start run. At n = 3
+    the simplex shrinks (the only calls whose row count is not a multiple
+    of 4); at n = 4, kappa = 1 the max drifts along a ray where log(p/q)
+    ties vertex values exactly, so the simplex order must be scipy's."""
+    runs = _lockstep_runs(
+        monkeypatch, lambda: es.ratio_bounds(n, kappa, budget=2 * 10 ** 5,
+                                             seed=42))
+    (fun, x0, options, x, fx, nit, rows), = runs
+    assert x0.shape == (2, n)
+    if n == 3:
+        assert any(m % 4 for m in rows)
+    _assert_matches_scipy(fun, x0, options, x, fx, nit)
+
+
+def test_stray_zero_counts():
+    """Stray zeros of q exist only for kappa = -1, n >= 4 (seed 1)."""
+    counts = {(n, kappa): es.zero_set_check(n, kappa, budget=10 ** 5,
+                                            seed=1)["stray_zeros"]
+              for n in (3, 4, 5) for kappa in (-1.0, 0.0, 1.0)}
+    expected = {key: 0 for key in counts}
+    expected[4, -1.0] = expected[5, -1.0] = 8
+    assert counts == expected
 
 
 def test_alpha_exponent():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import cap_fit_reference
 from wulffstab.flatgraph import (GridField, cap_fit_residual, flat_graph_shape,
                                  grid_w2p_norm)
 
@@ -73,6 +74,25 @@ def test_cap_fit_finds_lambda():
     resid, lstar = cap_fit_residual(g)
     assert abs(lstar - lam) < 1e-8
     assert resid < 1e-8
+
+
+def test_cap_fit_evaluates_each_lambda_once(monkeypatch):
+    """No W^{2,p} norm is computed twice for one lambda, and the result is
+    bit-identical to a polish that recomputes them (the oracle)."""
+    from wulffstab import flatgraph
+    lam = 0.52
+    g = GridField.from_function(
+        lambda x, y: 1 - np.sqrt(1 - lam ** 2 * (x ** 2 + y ** 2)), 0.9, 121)
+    expected = cap_fit_reference(g)
+    fields = []
+
+    def counted(field, p, mask=None):
+        fields.append(field.values.tobytes())
+        return grid_w2p_norm(field, p, mask)
+
+    monkeypatch.setattr(flatgraph, "grid_w2p_norm", counted)
+    assert cap_fit_residual(g) == expected
+    assert len(set(fields)) == len(fields)
 
 
 def test_w2p_norm_of_plane():

@@ -7,6 +7,7 @@ from wulffstab import build_sphere_mesh
 from wulffstab import spectral, spheremesh
 from wulffstab.operators import (DerivativeOperators, TensorField,
                                  get_operators, lp_norm, w2p_norm)
+from wulffstab.stability import perturbation_field
 
 rng = np.random.default_rng(7)
 
@@ -83,6 +84,15 @@ def test_band8_round_trip(sphere5):
 def test_over_band_rejected(sphere4):
     with pytest.raises(ValueError):
         spectral.sh_analyze(sphere4, np.ones(sphere4.n_vertices), 40)
+
+
+@pytest.mark.parametrize("ell, m", [(2, -3), (2, 3), (0, 1), (-1, 0)])
+def test_sh_index_rejects_modes_outside_the_band(sphere4, ell, m):
+    """(2, -3) used to wrap to the column of Y_{1,1}."""
+    with pytest.raises(ValueError, match="harmonic mode"):
+        spectral.sh_index(ell, m)
+    with pytest.raises(ValueError, match="harmonic mode"):
+        perturbation_field(sphere4, ("harmonic", ell, m))
 
 
 def test_spectral_derivatives_of_linear_mode(sphere4):

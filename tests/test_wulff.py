@@ -77,3 +77,13 @@ def test_mesh_text_roundtrip(tmp_path, wulff4):
     assert (faces == wulff4.faces).all()
     assert f"level={wulff4.level}" in header
     assert integrand_hash(wulff4.integrand) in header
+
+
+def test_sphere_mesh_text_roundtrip(tmp_path, sphere4):
+    path = tmp_path / "s.mesh"
+    save_mesh(path, sphere4)
+    verts, norms, faces, header = load_mesh(path)
+    np.testing.assert_array_equal(verts, sphere4.vertices)
+    np.testing.assert_array_equal(norms, sphere4.normals)
+    np.testing.assert_array_equal(faces, sphere4.faces)
+    assert header.endswith("level=4 integrand=none")
