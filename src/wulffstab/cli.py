@@ -214,7 +214,11 @@ def run_curvature(cfg, outdir, svg):
 
 def run_kernel(cfg, outdir, svg):
     sec = cfg.section("kernel")
-    levels = cfg.ints("kernel", "levels", f"{cfg.level - 2},{cfg.level - 1},{cfg.level}")
+    levels = cfg.ints("kernel", "levels",
+                      ",".join(map(str, range(max(2, cfg.level - 2),
+                                              cfg.level + 1))))
+    if not all(2 <= lv <= 8 for lv in levels):
+        raise ConfigError("kernel.levels must lie in [2, 8]")
     n_vec = cfg._int(sec, "kernel", "n_vectors", 5)
     threshold = cfg._float(sec, "kernel", "threshold", 0.02)
     rng = np.random.default_rng((cfg.seed, 2))
@@ -264,9 +268,14 @@ def run_kernel(cfg, outdir, svg):
 def run_center(cfg, outdir, svg):
     sec = cfg.section("center")
     t = np.array(cfg.floats("center", "translation", "0.03,-0.02,0.028"))
+    if t.shape != (3,) or not t.any():
+        raise ConfigError("center.translation must be a nonzero 3-vector")
     t *= cfg._float(sec, "center", "translation_norm", 0.05) / np.linalg.norm(t)
     recovery_tol = cfg._float(sec, "center", "recovery_tol", 1e-4)
     epsilons = cfg.floats("center", "epsilons", "0.01,0.02,0.04")
+    if len(epsilons) < 2 or min(epsilons) <= 0:
+        raise ConfigError("center.epsilons must list two or more positive "
+                          "amplitudes")
     mesh = build_sphere_mesh(cfg.level)
     rows = []
     # exact translated sphere re-read as an exponential graph
@@ -352,6 +361,8 @@ def run_sweep(cfg, outdir, svg):
 def run_einstein(cfg, outdir, svg):
     sec = cfg.section("einstein")
     dims = cfg.ints("einstein", "dimensions", "3,4,5")
+    if min(dims) < 3:
+        raise ConfigError("einstein.dimensions must be 3 or more")
     kappas = cfg.floats("einstein", "kappas", "-1,0,1")
     budget = cfg._int(sec, "einstein", "budget", 200000)
     if budget <= 0:

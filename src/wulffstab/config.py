@@ -66,10 +66,6 @@ def parse_family(text):
     raise ConfigError(f"unknown perturbation family {head!r}")
 
 
-def _floats(text):
-    return [float(t) for t in text.replace(";", ",").split(",") if t.strip()]
-
-
 class ExperimentConfig:
     """Validated experiment settings for one subcommand run."""
 
@@ -94,6 +90,8 @@ class ExperimentConfig:
         except ConfigError as exc:
             raise ConfigError(f"common.integrand: {exc}") from exc
         self.tolerance = self._float(common, "common", "tolerance", 1e-8)
+        if not self.tolerance > 0:
+            raise ConfigError("common.tolerance must be positive")
         if not 1 < self.p < np.inf:
             raise ConfigError("common.p must lie in (1, inf)")
         if not 2 <= self.level <= 8:
@@ -116,9 +114,7 @@ class ExperimentConfig:
 
     def amplitudes(self, name, default="1e-4,1e-2,6"):
         """Amplitude list: explicit 'a,b,c,...' or geometric 'lo,hi,count'."""
-        sec = self.section(name)
-        text = sec.get("amplitudes", default)
-        vals = _floats(text)
+        vals = self.floats(name, "amplitudes", default)
         if len(vals) == 3 and vals[2] == int(vals[2]) and vals[2] >= 4:
             vals = np.geomspace(vals[0], vals[1], int(vals[2])).tolist()
         if any(v <= 0 for v in vals) or sorted(vals) != vals:
@@ -132,7 +128,21 @@ class ExperimentConfig:
             raise ConfigError(f"{name}.family: {exc}") from exc
 
     def floats(self, name, key, default):
-        return _floats(self.section(name).get(key, default))
+        """Non-empty list of finite numbers separated by ',' or ';'."""
+        text = self.section(name).get(key, default)
+        try:
+            vals = [float(t) for t in text.replace(";", ",").split(",")
+                    if t.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"{name}.{key} must be a list of numbers: "
+                              f"{exc}") from exc
+        if not vals or not np.all(np.isfinite(vals)):
+            raise ConfigError(f"{name}.{key} must list one or more finite "
+                              "numbers")
+        return vals
 
     def ints(self, name, key, default):
-        return [int(v) for v in self.floats(name, key, default)]
+        vals = self.floats(name, key, default)
+        if any(v != int(v) for v in vals):
+            raise ConfigError(f"{name}.{key} must list integers")
+        return [int(v) for v in vals]

@@ -5,12 +5,14 @@ the Condon-Shortley phase is cancelled (Y_{1,1} is a positive multiple of
 x). Evaluation uses the stable fully-normalized associated-Legendre
 recurrence; analysis is a weighted least-squares projection, so the
 analyze/synthesize round trip is exact (up to conditioning) on band-limited
-fields regardless of quadrature error.
+fields regardless of quadrature error. The weighted Gram matrix of the basis
+on a mesh is well conditioned (cond(sqrt(w) B) stays near 1 up to the band
+limit), so analysis solves the normal equations with a Cholesky factor
+computed once per mesh and band.
 """
 
-import weakref
-
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 
 def band_limit(n_vertices):
@@ -38,14 +40,14 @@ def real_sph_harm_matrix(points, L):
     st = np.sqrt(np.maximum(1.0 - ct * ct, 0.0))
     phi = np.arctan2(y, x)
     n = len(pts)
-    out = np.empty((n, (L + 1) ** 2))
+    # one contiguous row per harmonic; the caller gets the transpose
+    out = np.empty(((L + 1) ** 2, n))
     sqrt2 = np.sqrt(2.0)
     # iterate over m; for each m walk l = m..L with the normalized recurrence
     pmm = np.full(n, np.sqrt(1.0 / (4.0 * np.pi)))
     for m in range(L + 1):
         if m > 0:
             pmm = pmm * st * np.sqrt((2 * m + 1) / (2.0 * m))
-        if m > 0:
             cm = sqrt2 * np.cos(m * phi)
             sm = sqrt2 * np.sin(m * phi)
         p_prev = np.zeros(n)   # P_{l-2}^m, seeded as 0
@@ -61,23 +63,24 @@ def real_sph_harm_matrix(points, L):
                 else:
                     p = a * (ct * p_curr - p_prev / a_prev)
                 p_prev, p_curr, a_prev = p_curr, p, a
-            if ell == m:
-                p_prev, a_prev = np.zeros(n), 0.0
             if m == 0:
-                out[:, sh_index(ell, 0)] = p
+                out[sh_index(ell, 0)] = p
             else:
-                out[:, sh_index(ell, m)] = p * cm
-                out[:, sh_index(ell, -m)] = p * sm
-    return out
+                np.multiply(p, cm, out=out[sh_index(ell, m)])
+                np.multiply(p, sm, out=out[sh_index(ell, -m)])
+    return out.T
 
 
-_MATRIX_CACHE = weakref.WeakKeyDictionary()
-
-
-def _mesh_matrix(mesh, L):
-    per_mesh = _MATRIX_CACHE.setdefault(mesh, {})
+def mesh_basis(mesh, L):
+    """Harmonics up to L at the mesh vertices and the Cholesky factor of
+    their weighted Gram matrix, built once per band and cached on the mesh.
+    """
+    per_mesh = getattr(mesh, "_sh_basis", None)
+    if per_mesh is None:
+        per_mesh = mesh._sh_basis = {}
     if L not in per_mesh:
-        per_mesh[L] = real_sph_harm_matrix(mesh.vertices, L)
+        B = real_sph_harm_matrix(mesh.vertices, L)
+        per_mesh[L] = B, cho_factor(B.T @ (mesh.weights[:, None] * B))
     return per_mesh[L]
 
 
@@ -86,10 +89,8 @@ def sh_analyze(mesh, values, L):
     limit = band_limit(mesh.n_vertices)
     if L > limit:
         raise ValueError(f"band {L} exceeds mesh limit {limit}")
-    B = _mesh_matrix(mesh, L)
-    sw = np.sqrt(mesh.weights)
-    coeffs, *_ = np.linalg.lstsq(B * sw[:, None], values * sw, rcond=None)
-    return coeffs
+    B, gram = mesh_basis(mesh, L)
+    return cho_solve(gram, B.T @ (mesh.weights * values))
 
 
 def sh_synthesize(coeffs, points):
@@ -119,11 +120,10 @@ def _stencil_points(points, frames, step):
     return np.concatenate(stacks)
 
 
-_STENCIL_CACHE = weakref.WeakKeyDictionary()
-
-
 def _stencil_matrix(mesh, L, step):
-    per_mesh = _STENCIL_CACHE.setdefault(mesh, {})
+    per_mesh = getattr(mesh, "_sh_stencil", None)
+    if per_mesh is None:
+        per_mesh = mesh._sh_stencil = {}
     if (L, step) not in per_mesh:
         pts = _stencil_points(mesh.vertices, mesh.frames, step)
         per_mesh[(L, step)] = real_sph_harm_matrix(pts, L)

@@ -64,10 +64,12 @@ def stability_operator(base, integrand, values):
 
 
 class CenteringResult:
-    """Outcome of the centering fixed point."""
+    """Outcome of the centering fixed point; radius is the field at c."""
 
-    def __init__(self, c, iterations, final_residual, trace, diagnostics=None):
+    def __init__(self, c, radius, iterations, final_residual, trace,
+                 diagnostics=None):
         self.c = c
+        self.radius = radius
         self.iterations = iterations
         self.final_residual = final_residual
         self.trace = trace
@@ -125,12 +127,12 @@ def center(surf, tolerance=1e-8, max_iter=25, smallness=0.45):
     """
     base = surf.base
     frame = kernel_frame(base)
-    u0 = surf.radius_field(np.zeros(3))
-    if np.abs(u0).max() > smallness:
+    u = surf.radius_field(np.zeros(3))
+    if np.abs(u).max() > smallness:
         raise ValueError(
-            f"radius too large for centering: max |u| = {np.abs(u0).max():g}")
+            f"radius too large for centering: max |u| = {np.abs(u).max():g}")
     c = np.zeros(3)
-    v = kernel_component(frame, u0, base.weights)
+    v = kernel_component(frame, u, base.weights)
     trace = [float(np.linalg.norm(v))]
     diagnostics = {}
     # iterations counts radius evaluations; an already-centered surface is 1
@@ -149,7 +151,7 @@ def center(surf, tolerance=1e-8, max_iter=25, smallness=0.45):
                 "kernel residual did not decrease; check the Sigma_c = "
                 "Sigma - c convention")
             break
-    return CenteringResult(c, len(trace), trace[-1], trace, diagnostics)
+    return CenteringResult(c, u, len(trace), trace[-1], trace, diagnostics)
 
 
 def _distance_norm(base, values, v, p, band=None):
@@ -263,10 +265,9 @@ def scaling_sweep(base, integrand, family, amplitudes, p, tolerance=1e-8,
             rows.append({"epsilon": eps, "warning": "centering_failed",
                          "eta": cert.margin, "detail": str(exc)})
             break
-        u_c = surf.radius_field(res.c)
         frame = kernel_frame(base)
-        v = kernel_component(frame, u_c, base.weights)
-        distance = _distance_norm(base, u_c, v, p,
+        v = kernel_component(frame, res.radius, base.weights)
+        distance = _distance_norm(base, res.radius, v, p,
                                   band=getattr(geom, "band", None))
         s_field, _ = anisotropic_shape_operator(geom, integrand)
         dev, _ = trace_free(s_field)

@@ -121,7 +121,8 @@ def _spectral_sphere_graph(mesh, values, kind, band):
                                     values, kind)
     geom.radius_coeffs = coeffs
     geom.band = band
-    resid = spectral.sh_synthesize(coeffs, mesh.vertices) - values
+    basis, _ = spectral.mesh_basis(mesh, band)
+    resid = basis @ coeffs - values
     geom.band_residual = float(np.abs(resid).max())
     return geom
 

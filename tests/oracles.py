@@ -6,6 +6,7 @@ from scipy.special import gammaln, lpmv
 
 from wulffstab.curvature import gauss_ricci
 from wulffstab.flatgraph import GridField, _cap, grid_w2p_norm
+from wulffstab.spectral import sh_index
 
 
 def real_sph_harm_matrix_reference(points, L):
@@ -29,6 +30,50 @@ def real_sph_harm_matrix_reference(points, L):
             else:
                 cols.append(np.sqrt(2.0) * norm * P * np.sin(am * phi))
     return np.column_stack(cols)
+
+
+def real_sph_harm_matrix_columns(points, L):
+    """The harmonics recurrence writing one column of an (n, (L+1)^2)
+    matrix at a time."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    ct = np.clip(z, -1.0, 1.0)
+    st = np.sqrt(np.maximum(1.0 - ct * ct, 0.0))
+    phi = np.arctan2(y, x)
+    n = len(pts)
+    out = np.empty((n, (L + 1) ** 2))
+    sqrt2 = np.sqrt(2.0)
+    pmm = np.full(n, np.sqrt(1.0 / (4.0 * np.pi)))
+    for m in range(L + 1):
+        if m > 0:
+            pmm = pmm * st * np.sqrt((2 * m + 1) / (2.0 * m))
+            cm = sqrt2 * np.cos(m * phi)
+            sm = sqrt2 * np.sin(m * phi)
+        p_prev, p_curr, a_prev = np.zeros(n), pmm, 0.0
+        for ell in range(m, L + 1):
+            if ell == m:
+                p = p_curr
+            else:
+                a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
+                if ell == m + 1:
+                    p = a * ct * p_curr
+                else:
+                    p = a * (ct * p_curr - p_prev / a_prev)
+                p_prev, p_curr, a_prev = p_curr, p, a
+            if m == 0:
+                out[:, sh_index(ell, 0)] = p
+            else:
+                out[:, sh_index(ell, m)] = p * cm
+                out[:, sh_index(ell, -m)] = p * sm
+    return out
+
+
+def sh_analyze_reference(mesh, values, L):
+    """Weighted least squares through lstsq on sqrt(w) B, no factor reuse."""
+    B = real_sph_harm_matrix_columns(mesh.vertices, L)
+    sw = np.sqrt(mesh.weights)
+    coeffs, *_ = np.linalg.lstsq(B * sw[:, None], values * sw, rcond=None)
+    return coeffs
 
 
 def riemann_brute(h):

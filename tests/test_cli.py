@@ -247,3 +247,48 @@ def test_bad_numeric_values_exit_2(tmp_path, capsys, command, section, key,
                        + f"\n[{section}]\n{key} = {value}\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("einstein", "einstein", "dimensions", "abc"),
+    ("einstein", "einstein", "dimensions", "3.5"),
+    ("einstein", "einstein", "dimensions", "1,3"),
+    ("einstein", "einstein", "kappas", "-1,x"),
+    ("einstein", "einstein", "kappas", "nan"),
+    ("kernel", "kernel", "levels", "3,four"),
+    ("kernel", "kernel", "levels", ""),
+    ("kernel", "kernel", "levels", "1,2"),
+    ("kernel", "kernel", "levels", "3,9"),
+    ("center", "center", "translation", "0.1,abc,0"),
+    ("center", "center", "translation", "0.1,0.2"),
+    ("center", "center", "translation", "0,0,0"),
+    ("center", "center", "epsilons", "0.01;abc"),
+    ("center", "center", "epsilons", "-0.01,0.02"),
+    ("center", "center", "epsilons", "0.01"),
+    ("sweep", "sweep", "amplitudes", "1e-3,abc,4"),
+    ("sweep", "sweep", "amplitudes", "inf"),
+])
+def test_bad_list_values_exit_2(tmp_path, capsys, command, section, key,
+                                value):
+    cfg = write_config(tmp_path, BASE.format(integrand="constant")
+                       + f"\n[{section}]\n{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_kernel_default_levels_stay_in_range(tmp_path):
+    """At level 3 the default levels are 2, 3 (level 1 is not buildable)."""
+    cfg = write_config(tmp_path, "[common]\nlevel = 3\n")
+    out = tmp_path / "k"
+    assert main(["kernel", "--config", cfg, "--out", str(out)]) == 0
+    rows = csv.DictReader((out / "kernel.csv").read_text().splitlines())
+    assert [row["level"] for row in rows if not row["note"]] == ["2", "3"]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_nonpositive_tolerance_exit_2(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, f"[common]\nlevel = 3\ntolerance = {value}\n")
+    assert main(["center", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "common.tolerance" in capsys.readouterr().err

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import real_sph_harm_matrix_reference, subdivide_reference
+from oracles import (real_sph_harm_matrix_columns,
+                     real_sph_harm_matrix_reference, sh_analyze_reference,
+                     subdivide_reference)
 from wulffstab import build_sphere_mesh
 from wulffstab import spectral, spheremesh
 from wulffstab.operators import (DerivativeOperators, TensorField,
@@ -58,6 +60,30 @@ def test_recurrence_matches_lpmv_reference(sphere4):
     fast = spectral.real_sph_harm_matrix(pts, 12)
     ref = real_sph_harm_matrix_reference(pts, 12)
     assert_allclose(fast, ref, atol=1e-13)
+
+
+def test_row_fill_matches_per_column_fill(sphere4):
+    for pts, L in ((sphere4.vertices, 10), (sphere4.vertices[::7], 25),
+                   (np.array([0.0, 0.0, 1.0]), 3)):
+        np.testing.assert_array_equal(spectral.real_sph_harm_matrix(pts, L),
+                                      real_sph_harm_matrix_columns(pts, L))
+
+
+# every band up to the limit below level 5; at level 5 the limit (50) alone
+# takes about 10 s on two cores, so the bands the verifier uses (8, 10) and
+# two more
+@pytest.mark.parametrize("level, bands", [
+    (2, range(2, 7)), (3, range(2, 13)), (4, range(2, 26)),
+    (5, (2, 8, 10, 25)),
+])
+def test_sh_analyze_matches_lstsq_reference(level, bands):
+    mesh = build_sphere_mesh(level)
+    assert max(bands) <= spectral.band_limit(mesh.n_vertices)
+    values = np.random.default_rng(level).normal(size=mesh.n_vertices)
+    for L in bands:
+        got = spectral.sh_analyze(mesh, values, L)
+        ref = sh_analyze_reference(mesh, values, L)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), L
 
 
 def test_y10_projects_to_single_coefficient(sphere5):
@@ -155,6 +181,20 @@ def test_operator_cache_does_not_keep_mesh_alive():
     import weakref
     mesh = build_sphere_mesh(2)
     assert get_operators(mesh) is get_operators(mesh)
+    ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert ref() is None
+
+
+def test_spectral_caches_do_not_keep_mesh_alive():
+    import gc
+    import weakref
+    mesh = build_sphere_mesh(2)
+    coeffs = spectral.sh_analyze(mesh, mesh.vertices[:, 2], 4)
+    spectral.spectral_derivatives(coeffs, mesh.vertices, mesh.frames,
+                                  mesh=mesh)
+    assert mesh._sh_basis and mesh._sh_stencil
     ref = weakref.ref(mesh)
     del mesh
     gc.collect()

@@ -4,7 +4,8 @@ from scipy.optimize import minimize
 
 from wulffstab import Integrand, build_wulff
 from wulffstab import spectral
-from wulffstab.stability import (ScalingFit, SpectralGraphSurface, center,
+from wulffstab.stability import (MeshGraphSurface, ScalingFit,
+                                 SpectralGraphSurface, center,
                                  kernel_component, kernel_frame,
                                  perturbation_field, stability_operator,
                                  stability_ratio, _distance_norm)
@@ -95,6 +96,20 @@ def test_center_already_centered(sphere4):
     assert res.iterations == 1
     assert np.abs(res.c).max() == 0.0
     assert res.final_residual <= 1e-8
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.02])
+def test_center_returns_radius_at_final_translation(sphere4, wulff4, shift):
+    """shift = 0 is already centred: one radius evaluation, c = 0."""
+    c = np.array([0.6, -0.48, 0.64])
+    for base, surface in ((sphere4, SpectralGraphSurface),
+                          (wulff4, MeshGraphSurface)):
+        u = (1e-2 * perturbation_field(base, ("harmonic", 2, 0))
+             + shift * (base.normals @ c))
+        surf = surface.from_geometry(radial_graph(base, u))
+        res = center(surf)
+        assert (res.iterations == 1) == (shift == 0.0)
+        np.testing.assert_array_equal(res.radius, surf.radius_field(res.c))
 
 
 def test_center_translated_sphere(sphere5):
