@@ -29,14 +29,6 @@ from .wulff import build_wulff
 FLOAT_FMT = "%.17g"
 
 
-def worker_count():
-    """Worker cap from WULFFSTAB_THREADS (default 1; results never depend on it)."""
-    try:
-        return max(1, int(os.environ.get("WULFFSTAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _fmt(v):
     if isinstance(v, (float, np.floating)):
         return FLOAT_FMT % v
@@ -155,12 +147,11 @@ def run_wulff(cfg, outdir, svg):
         resid = float(np.abs(np.einsum("ni,ij,nj->n", W.vertices, Minv,
                                        W.vertices) - 1.0).max())
         rows.append({"metric": "ellipsoid_closed_form_residual", "value": resid})
-    areas = []
     top = max(cfg.level, 4)
-    levels = [top - 2, top - 1, top]
-    for lv in levels:
-        areas.append(build_wulff(integ, lv).area())
-    h = [build_wulff(integ, lv).edge_length() for lv in levels]
+    meshes = [W if lv == cfg.level else build_wulff(integ, lv)
+              for lv in (top - 2, top - 1, top)]
+    areas = [m.area() for m in meshes]
+    h = [m.edge_length() for m in meshes]
     # Richardson: area(h) = A - C h^order
     order = float(np.log((areas[1] - areas[0]) / (areas[2] - areas[1]))
                   / np.log(h[0] / h[1]))
@@ -270,7 +261,11 @@ def run_center(cfg, outdir, svg):
     t = np.array(cfg.floats("center", "translation", "0.03,-0.02,0.028"))
     if t.shape != (3,) or not t.any():
         raise ConfigError("center.translation must be a nonzero 3-vector")
-    t *= cfg._float(sec, "center", "translation_norm", 0.05) / np.linalg.norm(t)
+    norm = cfg._float(sec, "center", "translation_norm", 0.05)
+    if not 0 < norm < 1:
+        raise ConfigError("center.translation_norm must lie in (0, 1): the "
+                          "translated unit sphere must keep the origin inside")
+    t *= norm / np.linalg.norm(t)
     recovery_tol = cfg._float(sec, "center", "recovery_tol", 1e-4)
     epsilons = cfg.floats("center", "epsilons", "0.01,0.02,0.04")
     if len(epsilons) < 2 or min(epsilons) <= 0:
@@ -281,7 +276,8 @@ def run_center(cfg, outdir, svg):
     # exact translated sphere re-read as an exponential graph
     s = mesh.vertices @ t
     f = np.log(s + np.sqrt(1 - t @ t + s ** 2))
-    coeffs = spectral.sh_analyze(mesh, f, min(10, spectral.band_limit(mesh.n_vertices)))
+    band = min(10, spectral.band_limit(mesh.n_vertices))
+    coeffs = spectral.sh_analyze(mesh, f, band)
     res = center(SpectralGraphSurface(mesh, coeffs, "exp"), tolerance=cfg.tolerance)
     err = float(np.linalg.norm(res.c - t))
     rows.append({"case": "translate_recovery", "epsilon": float(np.linalg.norm(t)),
@@ -295,7 +291,7 @@ def run_center(cfg, outdir, svg):
     one_step = []
     for eps in epsilons:
         fe = eps * (mesh.vertices @ that) + eps * y20
-        ce = spectral.sh_analyze(mesh, fe, 10)
+        ce = spectral.sh_analyze(mesh, fe, band)
         r1 = center(SpectralGraphSurface(mesh, ce, "exp"),
                     tolerance=1e-15, max_iter=1)
         one_step.append(r1.trace[-1])
@@ -364,6 +360,9 @@ def run_einstein(cfg, outdir, svg):
     if min(dims) < 3:
         raise ConfigError("einstein.dimensions must be 3 or more")
     kappas = cfg.floats("einstein", "kappas", "-1,0,1")
+    if max(abs(k) for k in kappas) > es.KAPPA_MAX:
+        raise ConfigError(f"einstein.kappas must lie in [-{es.KAPPA_MAX:g}, "
+                          f"{es.KAPPA_MAX:g}]")
     budget = cfg._int(sec, "einstein", "budget", 200000)
     if budget <= 0:
         raise ConfigError("einstein.budget must be positive")
@@ -373,8 +372,7 @@ def run_einstein(cfg, outdir, svg):
         for kap in kappas:
             zs = es.zero_set_check(n, kap, budget=min(budget, 10 ** 5),
                                    seed=cfg.seed)
-            rb = es.ratio_bounds(n, kap, budget=budget, seed=cfg.seed,
-                                 workers=worker_count())
+            rb = es.ratio_bounds(n, kap, budget=budget, seed=cfg.seed)
             ok = ok and zs["passed"] and rb.c1 > 0 and np.isfinite(rb.c2)
             rows.append({
                 "n": n, "kappa": kap, "c1_est": rb.c1, "c2_est": rb.c2,

@@ -73,6 +73,7 @@ def polys(spec):
 
 
 _BLOCK_ROWS = 8192
+_PAIRS = {}  # n -> (i, j), the ordered index pairs i != j in row-major order
 
 
 def polys_batch(lams, kappa):
@@ -85,16 +86,26 @@ def polys_batch(lams, kappa):
     """
     lams = np.asarray(lams, dtype=float)
     n = lams.shape[1]
-    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    if n not in _PAIRS:
+        _PAIRS[n] = np.nonzero(~np.eye(n, dtype=bool))
     p, q = np.empty(len(lams)), np.empty(len(lams))
     for a in range(0, len(lams), _BLOCK_ROWS):
         rows = slice(a, a + _BLOCK_ROWS)
-        block = lams[rows]
-        pairs = np.take(block, i, axis=1) * np.take(block, j, axis=1)
-        p[rows] = np.sum((pairs - kappa) ** 2, axis=1)
-        Lam = block * (block.sum(axis=1, keepdims=True) - block)
-        q[rows] = np.sum((Lam - (n - 1) * kappa) ** 2, axis=1)
+        p[rows], q[rows] = _polys_block(lams[rows], kappa, *_PAIRS[n])
     return p, q
+
+
+def _polys_block(block, kappa, i, j):
+    """p, q of one block, squaring in place on the two temporaries."""
+    pairs = np.take(block, i, axis=1)
+    pairs *= np.take(block, j, axis=1)
+    pairs -= kappa
+    np.square(pairs, out=pairs)
+    Lam = block.sum(axis=1, keepdims=True) - block
+    Lam *= block
+    Lam -= (block.shape[1] - 1) * kappa
+    np.square(Lam, out=Lam)
+    return pairs.sum(axis=1), Lam.sum(axis=1)
 
 
 def analytic_zeros(n, kappa):
@@ -205,14 +216,16 @@ def _sort_simplex(sim, fsim):
     return sim[rows, order], fsim[rows, order]
 
 
-def ratio_bounds(n, kappa, budget=10 ** 6, seed=0, kappa_max=10.0, workers=1):
+KAPPA_MAX = 10.0  # default bound on |kappa| for ratio_bounds and the CLI
+
+
+def ratio_bounds(n, kappa, budget=10 ** 6, seed=0, kappa_max=KAPPA_MAX):
     """Estimate c1 = inf p/q and c2 = sup p/q over three sampling regimes.
 
     Regimes: uniform directions on the spectrum sphere (covers kappa = 0
     and the |lambda| -> infinity limit), Gaussian bulk at the kappa scale,
     and shrinking balls around the analytic zeros; extremizer candidates
-    are polished by local search. Deterministic for a fixed seed; batches
-    are merged in index order so the worker count never changes results.
+    are polished by local search. Deterministic for a fixed seed.
     """
     if abs(kappa) > kappa_max:
         raise ValueError(f"|kappa| exceeds the configured bound {kappa_max}")
@@ -243,18 +256,10 @@ def ratio_bounds(n, kappa, budget=10 ** 6, seed=0, kappa_max=10.0, workers=1):
         imin, imax = int(np.argmin(r)), int(np.argmax(r))
         return (r[imin], kept[imin], r[imax], kept[imax], r.size)
 
-    results = []
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run_batch, range(batches)))
-    else:
-        results = [run_batch(b) for b in range(batches)]
-
     c1, c2 = np.inf, 0.0
     argmin = argmax = None
     total = 0
-    for res in results:
+    for res in map(run_batch, range(batches)):
         if res is None:
             continue
         rmin, lmin, rmax, lmax, cnt = res

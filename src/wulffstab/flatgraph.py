@@ -7,14 +7,21 @@ The model-case fit measures the W^{2,p} distance of u to the spherical cap
 family 1 - sqrt(1 - lambda^2 |z|^2), minimized over lambda.
 """
 
+from functools import cached_property
+
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0  # offsets -2..2
+_CHUNK = 1 << 15  # grid entries per difference pass
 
 
 class GridField:
-    """Scalar samples on a uniform square grid covering [-R, R]^2."""
+    """Scalar samples on a uniform square grid covering [-R, R]^2.
+
+    The coordinate grids x and y are built on first use, so a field made
+    inside an optimizer loop costs no meshgrid.
+    """
 
     def __init__(self, values, extent):
         values = np.asarray(values, dtype=float)
@@ -24,8 +31,19 @@ class GridField:
         self.extent = float(extent)
         self.n = values.shape[0]
         self.spacing = 2.0 * extent / (self.n - 1)
-        axis = np.linspace(-extent, extent, self.n)
-        self.x, self.y = np.meshgrid(axis, axis, indexing="ij")
+
+    @cached_property
+    def _coords(self):
+        axis = np.linspace(-self.extent, self.extent, self.n)
+        return np.meshgrid(axis, axis, indexing="ij")
+
+    @property
+    def x(self):
+        return self._coords[0]
+
+    @property
+    def y(self):
+        return self._coords[1]
 
     @classmethod
     def from_function(cls, fn, extent, n):
@@ -35,13 +53,33 @@ class GridField:
 
 
 def _diff4(values, axis, spacing):
-    """Fourth-order centered first derivative; edges are left as NaN."""
-    out = np.full_like(values, np.nan)
-    core = (_D1[0] * np.roll(values, 2, axis) + _D1[1] * np.roll(values, 1, axis)
-            + _D1[3] * np.roll(values, -1, axis) + _D1[4] * np.roll(values, -2, axis))
-    sl = [slice(None)] * values.ndim
-    sl[axis] = slice(2, -2)
-    out[tuple(sl)] = core[tuple(sl)] / spacing
+    """Fourth-order centered first derivative; edges are left as NaN.
+
+    On the flattened C-ordered grid a shift along an axis is a shift by
+    that axis's stride, so the core is summed from four shifted 1-D slices
+    in stencil order (offsets -2, -1, 1, 2), in place in the output, then
+    divided by the spacing. It is taken _CHUNK entries at a time, so each
+    pass reads from cache. Points whose stencil wraps past a row end lie in
+    the edge band and are overwritten with NaN.
+    """
+    flat = np.ascontiguousarray(values).ravel()
+    step = int(np.prod(values.shape[axis + 1:]))
+    span = max(flat.size - 4 * step, 0)
+    out = np.empty_like(flat)
+    term = np.empty(min(span, _CHUNK))
+    for a in range(0, span, _CHUNK):
+        b = min(a + _CHUNK, span)
+        core, tmp = out[2 * step + a:2 * step + b], term[:b - a]
+        np.multiply(_D1[0], flat[a:b], out=core)
+        for k in (1, 3, 4):
+            np.multiply(_D1[k], flat[k * step + a:k * step + b], out=tmp)
+            core += tmp
+        core /= spacing
+    out = out.reshape(values.shape)
+    edge = [slice(None)] * values.ndim
+    for band in (slice(0, 2), slice(-2, None)):
+        edge[axis] = band
+        out[tuple(edge)] = np.nan
     return out
 
 
@@ -70,25 +108,35 @@ def flat_graph_shape(field, slope_limit=4.5):
     return h, mask, warning
 
 
-def _cap(x, y, lam):
-    return 1.0 - np.sqrt(1.0 - lam ** 2 * (x ** 2 + y ** 2))
+def _differences(u, spacing):
+    """ux, uy, uxx, uxy, uyy by nested fourth-order differences."""
+    ux = _diff4(u, 0, spacing)
+    uy = _diff4(u, 1, spacing)
+    return ux, uy, _diff4(ux, 0, spacing), _diff4(ux, 1, spacing), _diff4(uy, 1, spacing)
+
+
+def _disk_mask(r2, extent, diffs):
+    """Grid points on the closed disk where no difference is NaN."""
+    valid = np.sqrt(r2) <= extent
+    for arr in diffs:
+        valid &= ~np.isnan(arr)
+    return valid
 
 
 def grid_w2p_norm(field, p, mask=None):
-    """W^{2,p} norm over the disk: value, gradient and Hessian L^p norms."""
+    """W^{2,p} norm over the disk: value, gradient and Hessian L^p norms.
+
+    mask, when given, is the boolean grid of points to integrate over, and
+    the caller vouches that no difference of field.values is NaN there.
+    Without it the norm runs over the points of the disk rho <= extent
+    where none of the five differences is NaN.
+    """
     u = field.values
     hgrid = field.spacing
-    ux = _diff4(u, 0, hgrid)
-    uy = _diff4(u, 1, hgrid)
-    uxx = _diff4(ux, 0, hgrid)
-    uxy = _diff4(ux, 1, hgrid)
-    uyy = _diff4(uy, 1, hgrid)
-    rho = np.sqrt(field.x ** 2 + field.y ** 2)
-    valid = rho <= field.extent
-    for arr in (ux, uy, uxx, uxy, uyy):
-        valid &= ~np.isnan(arr)
-    if mask is not None:
-        valid &= mask
+    ux, uy, uxx, uxy, uyy = diffs = _differences(u, hgrid)
+    valid = mask
+    if valid is None:
+        valid = _disk_mask(field.x ** 2 + field.y ** 2, field.extent, diffs)
     area = hgrid ** 2
     vals = np.abs(u[valid])
     grad = np.sqrt(ux[valid] ** 2 + uy[valid] ** 2)
@@ -103,16 +151,22 @@ def cap_fit_residual(field, p=2):
     """min over lambda of ||u - cap(lambda)||_{W^{2,p}} on the disk.
 
     Returns (residual, lambda_star). The search bracket keeps the cap
-    real on the whole grid square.
+    1 - sqrt(1 - lambda^2 |z|^2) real on the whole grid square, so inside
+    it a difference of u - cap is NaN exactly where that of u is: the
+    integration mask is taken once per fit from u. A polish step past the
+    bracket falls back to the per-call NaN scan.
     """
     lam_max = 0.999 / (field.extent * np.sqrt(2.0))
+    u, extent = field.values, field.extent
+    r2 = field.x ** 2 + field.y ** 2
+    mask = _disk_mask(r2, extent, _differences(u, field.spacing))
     norms = {}  # lambda -> objective; Brent and the polish revisit lambdas
 
     def objective(lam):
         if lam not in norms:
-            diff = GridField(field.values - _cap(field.x, field.y, lam),
-                             field.extent)
-            norms[lam] = grid_w2p_norm(diff, p)
+            diff = GridField(u - (1.0 - np.sqrt(1.0 - lam ** 2 * r2)), extent)
+            norms[lam] = grid_w2p_norm(diff, p,
+                                       mask if abs(lam) <= lam_max else None)
         return norms[lam]
 
     # the squared residual is smooth at the bottom, so Brent localizes the

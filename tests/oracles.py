@@ -5,7 +5,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, lpmv
 
 from wulffstab.curvature import gauss_ricci
-from wulffstab.flatgraph import GridField, _cap, grid_w2p_norm
+from wulffstab.flatgraph import _D1, GridField
 from wulffstab.spectral import sh_index
 
 
@@ -123,15 +123,75 @@ def subdivide_reference(vertices, faces):
     return np.array(verts), new_faces
 
 
+def diff4_roll(values, axis, spacing):
+    """Fourth-order centered first derivative from four full np.roll
+    copies of the grid; edges are left as NaN."""
+    out = np.full_like(values, np.nan)
+    core = (_D1[0] * np.roll(values, 2, axis) + _D1[1] * np.roll(values, 1, axis)
+            + _D1[3] * np.roll(values, -1, axis) + _D1[4] * np.roll(values, -2, axis))
+    sl = [slice(None)] * values.ndim
+    sl[axis] = slice(2, -2)
+    out[tuple(sl)] = core[tuple(sl)] / spacing
+    return out
+
+
+def cap_reference(x, y, lam):
+    return 1.0 - np.sqrt(1.0 - lam ** 2 * (x ** 2 + y ** 2))
+
+
+def grid_w2p_norm_reference(field, p, mask=None):
+    """W^{2,p} norm over the disk with roll differences; a mask is
+    intersected with the disk points where no difference is NaN."""
+    u = field.values
+    hgrid = field.spacing
+    ux = diff4_roll(u, 0, hgrid)
+    uy = diff4_roll(u, 1, hgrid)
+    uxx = diff4_roll(ux, 0, hgrid)
+    uxy = diff4_roll(ux, 1, hgrid)
+    uyy = diff4_roll(uy, 1, hgrid)
+    rho = np.sqrt(field.x ** 2 + field.y ** 2)
+    valid = rho <= field.extent
+    for arr in (ux, uy, uxx, uxy, uyy):
+        valid &= ~np.isnan(arr)
+    if mask is not None:
+        valid &= mask
+    area = hgrid ** 2
+    vals = np.abs(u[valid])
+    grad = np.sqrt(ux[valid] ** 2 + uy[valid] ** 2)
+    hess = np.sqrt(uxx[valid] ** 2 + 2 * uxy[valid] ** 2 + uyy[valid] ** 2)
+    norm = 0.0
+    for mag in (vals, grad, hess):
+        norm += float(np.sum(area * mag ** p) ** (1.0 / p))
+    return norm
+
+
+def polys_batch_reference(lams, kappa, block_rows=8192):
+    """p, q over a batch of spectra with the pair indices rebuilt per call
+    and out-of-place temporaries."""
+    lams = np.asarray(lams, dtype=float)
+    n = lams.shape[1]
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    p, q = np.empty(len(lams)), np.empty(len(lams))
+    for a in range(0, len(lams), block_rows):
+        rows = slice(a, a + block_rows)
+        block = lams[rows]
+        pairs = np.take(block, i, axis=1) * np.take(block, j, axis=1)
+        p[rows] = np.sum((pairs - kappa) ** 2, axis=1)
+        Lam = block * (block.sum(axis=1, keepdims=True) - block)
+        q[rows] = np.sum((Lam - (n - 1) * kappa) ** 2, axis=1)
+    return p, q
+
+
 def cap_fit_reference(field, p=2):
-    """cap_fit_residual with a polish that evaluates the objective afresh
-    at every use, the current lambda included."""
+    """cap_fit_residual with the roll-based norm, its per-call disk and NaN
+    scan, and a polish that evaluates the objective afresh at every use,
+    the current lambda included."""
     lam_max = 0.999 / (field.extent * np.sqrt(2.0))
 
     def objective(lam):
-        diff = GridField(field.values - _cap(field.x, field.y, lam),
+        diff = GridField(field.values - cap_reference(field.x, field.y, lam),
                          field.extent)
-        return grid_w2p_norm(diff, p)
+        return grid_w2p_norm_reference(diff, p)
 
     res = minimize_scalar(lambda lam: objective(lam) ** 2,
                           bounds=(0.0, lam_max), method="bounded",

@@ -191,14 +191,6 @@ def test_svg_writer(tmp_path):
     assert body.startswith("<svg") and "polyline" in body
 
 
-def test_worker_count_env(monkeypatch):
-    from wulffstab.cli import worker_count
-    monkeypatch.setenv("WULFFSTAB_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("WULFFSTAB_THREADS", "junk")
-    assert worker_count() == 1
-
-
 def test_sweep_truncates_on_gate_failure(tmp_path):
     """Amplitudes beyond the smallness gates truncate the sweep with exit 1."""
     cfg = write_config(tmp_path, BASE.format(integrand="constant") + """
@@ -239,6 +231,10 @@ amplitudes = 1e-3,1e-2,4
     ("kernel", "kernel", "threshold", "abc"),
     ("curvature", "curvature", "epsilon", "oops"),
     ("center", "center", "translation_norm", "abc"),
+    ("center", "center", "translation_norm", "2"),
+    ("center", "center", "translation_norm", "1"),
+    ("center", "center", "translation_norm", "0"),
+    ("center", "center", "translation_norm", "-0.1"),
     ("center", "center", "recovery_tol", "abc"),
 ])
 def test_bad_numeric_values_exit_2(tmp_path, capsys, command, section, key,
@@ -255,6 +251,8 @@ def test_bad_numeric_values_exit_2(tmp_path, capsys, command, section, key,
     ("einstein", "einstein", "dimensions", "1,3"),
     ("einstein", "einstein", "kappas", "-1,x"),
     ("einstein", "einstein", "kappas", "nan"),
+    ("einstein", "einstein", "kappas", "20"),
+    ("einstein", "einstein", "kappas", "0,-10.5"),
     ("kernel", "kernel", "levels", "3,four"),
     ("kernel", "kernel", "levels", ""),
     ("kernel", "kernel", "levels", "1,2"),
@@ -292,3 +290,16 @@ def test_nonpositive_tolerance_exit_2(tmp_path, capsys, value):
     cfg = write_config(tmp_path, f"[common]\nlevel = 3\ntolerance = {value}\n")
     assert main(["center", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "common.tolerance" in capsys.readouterr().err
+
+
+def test_center_at_level_2_runs(tmp_path):
+    """Level 2 admits band 6 at most; both the recovery and the one-step
+    cases analyse at min(10, band limit)."""
+    cfg = write_config(tmp_path, "[common]\nlevel = 2\n")
+    out = tmp_path / "c2"
+    assert main(["center", "--config", cfg, "--out", str(out)]) in (0, 1)
+    rows = list(csv.DictReader((out / "center.csv").read_text().splitlines()))
+    assert [row["case"] for row in rows] == (
+        ["translate_recovery"] + ["one_step"] * 3 + ["one_step_exponent"])
+    assert all(np.isfinite(float(row["residual"])) for row in rows)
+    assert (out / "center.dat").exists()

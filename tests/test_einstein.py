@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
-from oracles import ricci_matrix_oracle, riemann_brute
+from oracles import polys_batch_reference, ricci_matrix_oracle, riemann_brute
 from wulffstab import einstein as es
 
 rng = np.random.default_rng(41)
@@ -173,6 +173,34 @@ def test_polys_batch_rows_are_independent():
         single = np.array([es.polys_batch(lam[None, :], -1.0) for lam in lams])
         np.testing.assert_array_equal(p, single[:, 0, 0])
         np.testing.assert_array_equal(q, single[:, 1, 0])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0, 2.5])
+def test_polys_batch_matches_reference_bit_for_bit(n, kappa):
+    """Cached pair indices and in-place squares change no value, on either
+    side of a block boundary."""
+    lams = rng.normal(size=(20000, n)) * 2
+    for m in (1, 8191, 8192, 8193, 20000):
+        p, q = es.polys_batch(lams[:m], kappa)
+        p_ref, q_ref = polys_batch_reference(lams[:m], kappa)
+        np.testing.assert_array_equal(p, p_ref)
+        np.testing.assert_array_equal(q, q_ref)
+
+
+def test_polys_batch_counts_one_call_per_batch(monkeypatch):
+    """Blocks go through a helper, so a spy on the module-level name sees
+    one call however many blocks a batch spans."""
+    calls = []
+    original = es.polys_batch
+
+    def spy(lams, kappa):
+        calls.append(len(lams))
+        return original(lams, kappa)
+
+    monkeypatch.setattr(es, "polys_batch", spy)
+    es.polys_batch(np.ones((3 * es._BLOCK_ROWS + 5, 4)), 1.0)
+    assert calls == [3 * es._BLOCK_ROWS + 5]
 
 
 def _lockstep_runs(monkeypatch, call):

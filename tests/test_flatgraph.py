@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import cap_fit_reference
-from wulffstab.flatgraph import (GridField, cap_fit_residual, flat_graph_shape,
+from oracles import cap_fit_reference, diff4_roll, grid_w2p_norm_reference
+from wulffstab.flatgraph import (GridField, _diff4, _differences, _disk_mask,
+                                 cap_fit_residual, flat_graph_shape,
                                  grid_w2p_norm)
 
 rng = np.random.default_rng(53)
@@ -100,3 +101,61 @@ def test_w2p_norm_of_plane():
     n = grid_w2p_norm(g, 2)
     # only the value term contributes: 2 * sqrt(disk area)
     assert abs(n - 2 * np.sqrt(np.pi)) / (2 * np.sqrt(np.pi)) < 0.05
+
+
+def _wavy(n, nan=False):
+    """A smooth field on an n x n grid, optionally with NaN entries inside
+    the disk and at the rim."""
+    a = rng.normal(size=3)
+    g = GridField.from_function(
+        lambda x, y: (a[0] * np.sin(2.1 * x + 0.3) + a[1] * x * y
+                      + a[2] * np.cos(1.4 * y)), 0.8, n)
+    if nan:
+        g.values[n // 3, n // 2] = np.nan
+        g.values[n // 2:n // 2 + 2, 4] = np.nan
+        g.values[0, n - 1] = np.nan
+    return g
+
+
+@pytest.mark.parametrize("n", [5, 6, 40, 41, 200])
+@pytest.mark.parametrize("nan", [False, True])
+def test_diff4_matches_roll_oracle(n, nan):
+    g = _wavy(n, nan)
+    for axis in (0, 1):
+        expected = diff4_roll(g.values, axis, g.spacing)
+        assert_array_equal(_diff4(g.values, axis, g.spacing), expected)
+        # a strided view (as flat_graph_shape passes) gives the same values
+        stacked = np.stack([g.values, -g.values], axis=-1)
+        assert_array_equal(_diff4(stacked[..., 0], axis, g.spacing), expected)
+
+
+@pytest.mark.parametrize("n", [40, 41])
+@pytest.mark.parametrize("nan", [False, True])
+@pytest.mark.parametrize("p", [2, 4.0])
+def test_w2p_norm_matches_roll_oracle(n, nan, p):
+    """Without a mask the norm scans the disk for NaN as before; the
+    mask it would build, or any subset of it, integrates over exactly
+    those points."""
+    g = _wavy(n, nan)
+    assert grid_w2p_norm(g, p) == grid_w2p_norm_reference(g, p)
+    mask = _disk_mask(g.x ** 2 + g.y ** 2, g.extent,
+                      _differences(g.values, g.spacing))
+    assert grid_w2p_norm(g, p, mask) == grid_w2p_norm_reference(g, p)
+    half = mask & (g.x < 0.1)
+    assert grid_w2p_norm(g, p, half) == grid_w2p_norm_reference(g, p, half)
+
+
+@pytest.mark.parametrize("n, nan, lam", [
+    (60, False, 0.41), (61, True, 0.41),
+    (60, False, 0.999 / (0.85 * np.sqrt(2.0)) - 3e-6),  # polish past lam_max
+])
+def test_cap_fit_matches_roll_oracle(n, nan, lam):
+    """The once-per-fit mask and r^2 leave (residual, lambda*) bit-identical
+    to the per-call scan, also when u has NaN entries and when a polish
+    step leaves the search bracket."""
+    g = GridField.from_function(
+        lambda x, y: 1 - np.sqrt(1 - lam ** 2 * (x ** 2 + y ** 2))
+        + 0.01 * np.sin(3 * x), 0.85, n)
+    if nan:
+        g.values[n // 4, n // 3] = np.nan
+    assert cap_fit_residual(g) == cap_fit_reference(g)
