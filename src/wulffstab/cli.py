@@ -66,16 +66,15 @@ def write_dat(path, header, rows):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_svg(path, series, xlabel="x", ylabel="y", loglog=True):
-    """Minimal polyline plot; series is a list of (name, xs, ys)."""
+def write_svg(path, series, xlabel="x", ylabel="y"):
+    """Log-log polyline plot of the positive points of (name, xs, ys)."""
     W, H, pad = 640, 480, 60
     pts_all = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)
-               if (x > 0 and y > 0) or not loglog]
+               if x > 0 and y > 0]
     if not pts_all:
         return
-    tx = np.log10 if loglog else (lambda v: v)
-    xs = [tx(p[0]) for p in pts_all]
-    ys = [tx(p[1]) for p in pts_all]
+    xs = [np.log10(p[0]) for p in pts_all]
+    ys = [np.log10(p[1]) for p in pts_all]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     x1 += (x1 - x0 or 1) * 0.05
@@ -84,10 +83,10 @@ def write_svg(path, series, xlabel="x", ylabel="y", loglog=True):
     y0 -= (y1 - y0 or 1) * 0.05
 
     def sx(v):
-        return pad + (tx(v) - x0) / (x1 - x0) * (W - 2 * pad)
+        return pad + (np.log10(v) - x0) / (x1 - x0) * (W - 2 * pad)
 
     def sy(v):
-        return H - pad - (tx(v) - y0) / (y1 - y0) * (H - 2 * pad)
+        return H - pad - (np.log10(v) - y0) / (y1 - y0) * (H - 2 * pad)
 
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}">',
@@ -96,7 +95,7 @@ def write_svg(path, series, xlabel="x", ylabel="y", loglog=True):
              f'height="{H - 2 * pad}" fill="none" stroke="black"/>']
     for i, (name, xs_, ys_) in enumerate(series):
         pts = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in zip(xs_, ys_)
-                       if not loglog or (x > 0 and y > 0))
+                       if x > 0 and y > 0)
         color = colors[i % len(colors)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.5"/>')
@@ -111,10 +110,19 @@ def write_svg(path, series, xlabel="x", ylabel="y", loglog=True):
     _atomic_write(path, "\n".join(parts) + "\n")
 
 
-def _sphere_or_wulff(cfg):
-    if cfg.integrand.family == "constant" and cfg.integrand.params["value"] == 1.0:
-        return build_sphere_mesh(cfg.level)
-    return build_wulff(cfg.integrand, cfg.level)
+def _sphere_or_wulff(cfg, name):
+    """Base mesh and family of [name]; the sphere's graph band bounds l."""
+    family = cfg.family(name)
+    if not (cfg.integrand.family == "constant"
+            and cfg.integrand.params["value"] == 1.0):
+        return build_wulff(cfg.integrand, cfg.level), family
+    base = build_sphere_mesh(cfg.level)
+    band = spectral.graph_band(base.n_vertices)
+    if family[0] == "harmonic" and family[1] > band:
+        raise ConfigError(f"{name}.family: harmonic degree {family[1]} "
+                          f"exceeds band {band} of the level-{cfg.level} "
+                          "sphere")
+    return base, family
 
 
 # --- subcommands ------------------------------------------------------------
@@ -165,8 +173,7 @@ def run_wulff(cfg, outdir, svg):
 
 def run_curvature(cfg, outdir, svg):
     eps = cfg._float(cfg.section("curvature"), "curvature", "epsilon", 1e-3)
-    family = cfg.family("curvature")
-    base = _sphere_or_wulff(cfg)
+    base, family = _sphere_or_wulff(cfg, "curvature")
     from .stability import perturbation_field
     shape = perturbation_field(base, family)
     if base.integrand is None:
@@ -211,6 +218,8 @@ def run_kernel(cfg, outdir, svg):
     if not all(2 <= lv <= 8 for lv in levels):
         raise ConfigError("kernel.levels must lie in [2, 8]")
     n_vec = cfg._int(sec, "kernel", "n_vectors", 5)
+    if n_vec < 1:
+        raise ConfigError("kernel.n_vectors must be 1 or more")
     threshold = cfg._float(sec, "kernel", "threshold", 0.02)
     rng = np.random.default_rng((cfg.seed, 2))
     cs = rng.normal(size=(n_vec, 3))
@@ -241,9 +250,8 @@ def run_kernel(cfg, outdir, svg):
             prev = worst
             if lv == levels[-1]:
                 worst_final = max(worst_final, worst)
-        # eigenvalue check for the first nontrivial band on the sphere
+        # eigenvalue check for the first nontrivial band on the top sphere
         if name == "sphere":
-            base = builder(levels[-1])
             y2 = spectral.real_sph_harm_matrix(base.vertices, 2)[:, spectral.sh_index(2, 0)]
             L = stability_operator(base, integ, y2)
             ray = float(np.sum(base.weights * L * y2) / np.sum(base.weights * y2 ** 2))
@@ -313,9 +321,8 @@ def run_center(cfg, outdir, svg):
 
 
 def run_sweep(cfg, outdir, svg):
-    family = cfg.family("sweep")
     amps = cfg.amplitudes("sweep")
-    base = _sphere_or_wulff(cfg)
+    base, family = _sphere_or_wulff(cfg, "sweep")
     deficit_fit, distance_fit, rows = scaling_sweep(
         base, cfg.integrand, family, amps, cfg.p, tolerance=cfg.tolerance)
     fam_txt = (f"harmonic:{family[1]},{family[2]}" if family[0] == "harmonic"
@@ -415,6 +422,8 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
+        if args.seed < 0:
+            parser.error("--seed must be 0 or more")
         cfg.seed = args.seed
     outdir = args.out if args.out is not None else cfg.out
     os.makedirs(outdir, exist_ok=True)

@@ -58,8 +58,9 @@ def parse_family(text):
             return ("harmonic", ell, m)
         if head == "kernel":
             c = np.array([float(t) for t in rest.split(",")])
-            if c.shape != (3,):
-                raise ConfigError("kernel family needs three components")
+            if c.shape != (3,) or not c.any() or not np.isfinite(c).all():
+                raise ConfigError("kernel family needs a finite nonzero "
+                                  "3-vector")
             return ("kernel", c)
     except ValueError as exc:
         raise ConfigError(f"bad family spec {text!r}: {exc}") from exc
@@ -81,6 +82,8 @@ class ExperimentConfig:
         self._cp = cp
         common = cp["common"] if cp.has_section("common") else {}
         self.seed = self._int(common, "common", "seed", 0)
+        if self.seed < 0:
+            raise ConfigError("common.seed must be 0 or more")
         self.level = self._int(common, "common", "level", 5)
         self.out = common.get("out", "out")
         self.p = self._float(common, "common", "p", 4.0)
@@ -105,9 +108,12 @@ class ExperimentConfig:
 
     def _float(self, sec, name, key, default):
         try:
-            return float(sec.get(key, default))
+            value = float(sec.get(key, default))
         except ValueError as exc:
             raise ConfigError(f"{name}.{key} must be a number: {exc}") from exc
+        if not np.isfinite(value):
+            raise ConfigError(f"{name}.{key} must be finite")
+        return value
 
     def section(self, name):
         return self._cp[name] if self._cp.has_section(name) else {}

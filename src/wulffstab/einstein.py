@@ -216,10 +216,10 @@ def _sort_simplex(sim, fsim):
     return sim[rows, order], fsim[rows, order]
 
 
-KAPPA_MAX = 10.0  # default bound on |kappa| for ratio_bounds and the CLI
+KAPPA_MAX = 10.0  # bound on |kappa| for ratio_bounds and the CLI
 
 
-def ratio_bounds(n, kappa, budget=10 ** 6, seed=0, kappa_max=KAPPA_MAX):
+def ratio_bounds(n, kappa, budget=10 ** 6, seed=0):
     """Estimate c1 = inf p/q and c2 = sup p/q over three sampling regimes.
 
     Regimes: uniform directions on the spectrum sphere (covers kappa = 0
@@ -227,8 +227,8 @@ def ratio_bounds(n, kappa, budget=10 ** 6, seed=0, kappa_max=KAPPA_MAX):
     and shrinking balls around the analytic zeros; extremizer candidates
     are polished by local search. Deterministic for a fixed seed.
     """
-    if abs(kappa) > kappa_max:
-        raise ValueError(f"|kappa| exceeds the configured bound {kappa_max}")
+    if abs(kappa) > KAPPA_MAX:
+        raise ValueError(f"|kappa| exceeds the configured bound {KAPPA_MAX}")
     scale = max(1.0, np.sqrt(abs(kappa)))
     zeros = analytic_zeros(n, kappa)
     batches = max(1, budget // 100_000)
@@ -286,16 +286,17 @@ def ratio_bounds(n, kappa, budget=10 ** 6, seed=0, kappa_max=KAPPA_MAX):
     return RatioBound(n, kappa, float(c1), float(c2), total, argmin, argmax)
 
 
-def zero_set_check(n, kappa, budget=10 ** 5, seed=0, ball=1e-3, refine=8):
+def zero_set_check(n, kappa, budget=10 ** 5, seed=0):
     """Verify the common-zero characterization of p and q numerically.
 
     Checks that p and q vanish at the analytic zeros, that min(p + q) over
-    samples outside shrinking balls around those zeros stays positive, and
-    hunts for stray zeros of one polynomial where the other is bounded away
-    from zero by local minimization from the lowest sampled values. A
+    samples outside balls of radius 1e-3 around those zeros stays positive,
+    and hunts for stray zeros of one polynomial where the other is bounded
+    away from zero by local minimization from the 8 lowest sampled values. A
     found stray zero (reported with its location) fails the check; this
     does happen for q when kappa < 0 and n >= 4.
     """
+    ball, refine = 1e-3, 8
     rng = np.random.default_rng((seed, n))
     zeros = analytic_zeros(n, kappa)
     at_zeros = 0.0

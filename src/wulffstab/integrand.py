@@ -307,12 +307,13 @@ class AnisotropyMatrix:
         self.min_eigenvalue = min_eigenvalue
 
 
-def gauge(integrand, x, n_newton=10):
+def gauge(integrand, x):
     """Gauge function F* and its gradient at ambient points.
 
     F*(x) = sup over unit nu of <x, nu>/F(nu), located by a coarse
-    icosphere sample followed by damped Newton ascent on the sphere.
-    The envelope rule gives grad F*(x) = nu*/F(nu*) at the maximizer.
+    icosphere sample followed by ten damped Newton ascent steps on the
+    sphere. The envelope rule gives grad F*(x) = nu*/F(nu*) at the
+    maximizer.
     """
     pts, single = _as_points(x)
     norms = np.linalg.norm(pts, axis=1)
@@ -346,7 +347,7 @@ def gauge(integrand, x, n_newton=10):
                / F[:, None, None] ** 3)
         return D2g, -Dg
 
-    nu = sphere_newton(seed, ascent, n_newton, 0.5)
+    nu = sphere_newton(seed, ascent, 10, 0.5)
     F = integrand.value(nu)
     vals = np.einsum("ni,ni->n", pts, nu) / F
     grads = nu / F[:, None]

@@ -11,7 +11,6 @@ import numpy as np
 from scipy import sparse
 
 from . import spectral
-from .spheremesh import adjacency_matrix
 
 
 class TensorField:
@@ -58,16 +57,17 @@ def _design_matrix(y):
 class DerivativeOperators:
     """Sparse stencil matrices for gradient and Hessian in vertex frames.
 
-    Built from any mesh exposing vertices, frames and neighbors. Each vertex
-    gets a weighted cubic fit over itself and its two-ring; vertices with
-    equally large rings are fitted together in one stacked pseudo-inverse.
+    Built from any mesh exposing vertices, frames and a CSR adjacency. Each
+    vertex gets a weighted cubic fit over itself and its two-ring; vertices
+    with equally large rings are fitted together in one stacked
+    pseudo-inverse.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
         n = mesh.n_vertices
         e1, e2 = mesh.frames
-        adj = adjacency_matrix(mesh)
+        adj = mesh.adjacency
         degenerate = np.flatnonzero(np.diff(adj.indptr) < 3)
         if degenerate.size:
             raise ValueError(f"degenerate one-ring at vertex {degenerate[0]}")
@@ -181,7 +181,7 @@ def lp_norm(values, p, weights):
     return float(np.sum(weights * mag ** p) ** (1.0 / p))
 
 
-def w2p_norm(values, p, mesh, ops=None, coeffs=None):
+def w2p_norm(values, p, mesh, coeffs=None):
     """Sobolev W^{2,p} norm: ||u||_p + ||grad u||_p + ||Hess u||_p.
 
     If harmonic coefficients are supplied the derivatives are spectral
@@ -189,11 +189,9 @@ def w2p_norm(values, p, mesh, ops=None, coeffs=None):
     """
     values = np.asarray(values, dtype=float)
     if coeffs is not None:
-        _, grad, hess = spectral.spectral_derivatives(coeffs, mesh.vertices,
-                                                      mesh.frames, mesh=mesh)
+        _, grad, hess = spectral.spectral_derivatives(mesh, coeffs)
     else:
-        if ops is None:
-            ops = get_operators(mesh)
+        ops = get_operators(mesh)
         grad = ops.gradient(values)
         hess = ops.hessian(values)
     w = mesh.weights
@@ -202,10 +200,7 @@ def w2p_norm(values, p, mesh, ops=None, coeffs=None):
 
 def get_operators(mesh):
     """DerivativeOperators of a mesh, built once and cached on it."""
-    ops = getattr(mesh, "_operators", None)
-    if ops is None:
-        ops = mesh._operators = DerivativeOperators(mesh)
-    return ops
+    return mesh.cached("operators", DerivativeOperators)
 
 
 def surface_gradient(mesh, values):

@@ -20,6 +20,11 @@ def band_limit(n_vertices):
     return int(np.sqrt(n_vertices) / 2)
 
 
+def graph_band(n_vertices):
+    """Band that carries radius fields of graphs over the sphere."""
+    return min(8, band_limit(n_vertices))
+
+
 def sh_index(ell, m):
     """Column index of (l, m) in the coefficient vector; needs |m| <= l."""
     if ell < 0 or abs(m) > ell:
@@ -75,13 +80,10 @@ def mesh_basis(mesh, L):
     """Harmonics up to L at the mesh vertices and the Cholesky factor of
     their weighted Gram matrix, built once per band and cached on the mesh.
     """
-    per_mesh = getattr(mesh, "_sh_basis", None)
-    if per_mesh is None:
-        per_mesh = mesh._sh_basis = {}
-    if L not in per_mesh:
+    def build(mesh):
         B = real_sph_harm_matrix(mesh.vertices, L)
-        per_mesh[L] = B, cho_factor(B.T @ (mesh.weights[:, None] * B))
-    return per_mesh[L]
+        return B, cho_factor(B.T @ (mesh.weights[:, None] * B))
+    return mesh.cached(("sh_basis", L), build)
 
 
 def sh_analyze(mesh, values, L):
@@ -109,9 +111,10 @@ _W1 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0          # offsets -2h,-h,h,2h
 _W2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # offsets -2h,-h,0,h,2h
 
 
-def _stencil_points(points, frames, step):
-    e1, e2 = frames
-    offs = np.array([-2 * step, -step, step, 2 * step])
+def _stencil_points(mesh):
+    points = mesh.vertices
+    e1, e2 = mesh.frames
+    offs = np.array([-2 * _H_STEP, -_H_STEP, _H_STEP, 2 * _H_STEP])
     dirs = [e1, e2, (e1 + e2) / np.sqrt(2.0)]
     stacks = [points]
     for d in dirs:
@@ -120,32 +123,20 @@ def _stencil_points(points, frames, step):
     return np.concatenate(stacks)
 
 
-def _stencil_matrix(mesh, L, step):
-    per_mesh = getattr(mesh, "_sh_stencil", None)
-    if per_mesh is None:
-        per_mesh = mesh._sh_stencil = {}
-    if (L, step) not in per_mesh:
-        pts = _stencil_points(mesh.vertices, mesh.frames, step)
-        per_mesh[(L, step)] = real_sph_harm_matrix(pts, L)
-    return per_mesh[(L, step)]
+def spectral_derivatives(mesh, coeffs):
+    """Covariant gradient and Hessian of a band-limited field at the vertices.
 
-
-def spectral_derivatives(coeffs, points, frames, step=_H_STEP, mesh=None):
-    """Covariant gradient and Hessian of a band-limited field at unit points.
-
-    Passing mesh enables caching of the stencil basis matrix, which makes
-    repeated calls on the same mesh cheap.
+    The harmonics at the stencil points are evaluated once per band and
+    cached on the mesh, which makes repeated calls cheap.
 
     Returns (value (N,), grad (N, 2) in the frame, hess (N, 2, 2)).
     """
-    n = len(points)
+    n = mesh.n_vertices
     L = int(np.sqrt(len(coeffs))) - 1
-    if mesh is not None:
-        vals = (_stencil_matrix(mesh, L, step) @ coeffs).reshape(13, n)
-    else:
-        vals = sh_synthesize(coeffs, _stencil_points(points, frames, step))
-        vals = vals.reshape(13, n)
-    h = step
+    stencil = mesh.cached(("sh_stencil", L),
+                          lambda m: real_sph_harm_matrix(_stencil_points(m), L))
+    vals = (stencil @ coeffs).reshape(13, n)
+    h = _H_STEP
     f0 = vals[0]
     out_g = np.empty((n, 2))
     d2 = np.empty((3, n))

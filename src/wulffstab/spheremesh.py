@@ -70,28 +70,14 @@ def vertex_area_weights(vertices, faces):
 
 
 def vertex_adjacency(n_vertices, faces):
-    """One-ring neighbor lists, sorted by index for reproducibility."""
+    """Sparse 0/1 one-ring adjacency (CSR), column indices sorted per row."""
     n = n_vertices
     pairs = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     key = np.sort(pairs[:, 0] * n + pairs[:, 1])
     i, j = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
     rows, cols = np.divmod(np.sort(np.concatenate((i * n + j, j * n + i))), n)
-    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    return [cols[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def adjacency_matrix(mesh):
-    """Sparse 0/1 vertex adjacency (CSR) of a mesh, cached on the mesh."""
-    adj = getattr(mesh, "_adjacency", None)
-    if adj is None:
-        counts = np.array([len(nb) for nb in mesh.neighbors])
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        cols = np.concatenate(mesh.neighbors)
-        n = mesh.n_vertices
-        adj = sparse.csr_matrix((np.ones(len(cols)), cols, indptr),
-                                shape=(n, n))
-        mesh._adjacency = adj
-    return adj
+    bounds = np.searchsorted(rows, np.arange(n + 1))
+    return sparse.csr_matrix((np.ones(len(cols)), cols, bounds), shape=(n, n))
 
 
 def tangent_frames(normals):
@@ -163,11 +149,13 @@ class WulffMesh:
     integrand : the Integrand whose Wulff shape this is, or None for the
         unit sphere
     weights : (N,) barycentric vertex area weights, summing to the mesh area
-    neighbors : list of one-ring index arrays
     frames : (e1, e2) pair of (N, 3) orthonormal tangent frames of the normals
     anisotropy, shape_operator : (N, 2, 2) A_F and its inverse in the frames
     mean_curvature : (N,) trace of the shape operator
     reach : tubular reach estimate, 0.9 / max principal curvature
+
+    The arrays are read-only, so values derived from them and kept by
+    `cached` (adjacency, stencils, harmonic bases) cannot go stale.
     """
 
     def __init__(self, vertices, faces, normals, level, integrand=None):
@@ -177,21 +165,36 @@ class WulffMesh:
         self.level = level
         self.integrand = integrand
         self.weights = vertex_area_weights(vertices, faces)
-        self.neighbors = vertex_adjacency(len(vertices), faces)
         self.frames = tangent_frames(normals)
+        self._cache = {}
         n = len(vertices)
         if integrand is None:
             self.anisotropy = self.shape_operator = np.broadcast_to(
                 np.eye(2), (n, 2, 2))
             self.mean_curvature = np.full(n, 2.0)
             self.reach = 0.9
-            return
-        A3 = integrand.anisotropy_ambient(normals)
-        self.anisotropy = frame_restriction(A3, *self.frames)
-        self.shape_operator = np.linalg.inv(self.anisotropy)
-        self.mean_curvature = np.einsum("nii->n", self.shape_operator)
-        kappa_max = np.linalg.eigvalsh(self.shape_operator)[:, 1].max()
-        self.reach = 0.9 / kappa_max
+        else:
+            A3 = integrand.anisotropy_ambient(normals)
+            self.anisotropy = frame_restriction(A3, *self.frames)
+            self.shape_operator = np.linalg.inv(self.anisotropy)
+            self.mean_curvature = np.einsum("nii->n", self.shape_operator)
+            kappa_max = np.linalg.eigvalsh(self.shape_operator)[:, 1].max()
+            self.reach = 0.9 / kappa_max
+        for a in (vertices, faces, normals, self.weights, *self.frames,
+                  self.anisotropy, self.shape_operator, self.mean_curvature):
+            a.flags.writeable = False
+
+    def cached(self, key, build):
+        """build(self), computed on the first call for key and kept."""
+        if key not in self._cache:
+            self._cache[key] = build(self)
+        return self._cache[key]
+
+    @property
+    def adjacency(self):
+        """Sparse 0/1 vertex adjacency (CSR)."""
+        return self.cached("adjacency",
+                           lambda m: vertex_adjacency(m.n_vertices, m.faces))
 
     @property
     def n_vertices(self):

@@ -100,14 +100,13 @@ class SpectralGraphSurface:
 class MeshGraphSurface:
     """Surface given by node positions over a base mesh; rays recover radii."""
 
-    def __init__(self, base, positions, kind="radial"):
+    def __init__(self, base, positions):
         self.base = base
         self.positions = positions
-        self.kind = kind
 
     @classmethod
     def from_geometry(cls, geom):
-        return cls(geom.base, geom.positions, geom.kind)
+        return cls(geom.base, geom.positions)
 
     def radius_field(self, c):
         radius, ok = recover_radius_mesh(self.base, self.positions, c)
@@ -117,18 +116,19 @@ class MeshGraphSurface:
         return radius
 
 
-def center(surf, tolerance=1e-8, max_iter=25, smallness=0.45):
+def center(surf, tolerance=1e-8, max_iter=25):
     """Drive the kernel component of the radius to zero by translating.
 
     Each step translates by the current kernel component (Sigma_c = Sigma - c
     convention), re-reads the radius over the base and recomputes v. The
     contraction is quadratic; a non-decreasing residual above tolerance is
-    recorded as a sign-convention diagnostic.
+    recorded as a sign-convention diagnostic. A starting radius above 0.45
+    in absolute value is rejected.
     """
     base = surf.base
     frame = kernel_frame(base)
     u = surf.radius_field(np.zeros(3))
-    if np.abs(u).max() > smallness:
+    if np.abs(u).max() > 0.45:
         raise ValueError(
             f"radius too large for centering: max |u| = {np.abs(u).max():g}")
     c = np.zeros(3)
@@ -154,16 +154,15 @@ def center(surf, tolerance=1e-8, max_iter=25, smallness=0.45):
     return CenteringResult(c, u, len(trace), trace[-1], trace, diagnostics)
 
 
-def _distance_norm(base, values, v, p, band=None):
+def _distance_norm(base, values, v, p):
     """||u - phi_v||_{W^{2,p}} over the base."""
     frame_field = base.normals @ v
     resid = values - frame_field
     if base.integrand is None:
-        if band is None:
-            band = min(8, spectral.band_limit(base.n_vertices))
+        band = spectral.graph_band(base.n_vertices)
         coeffs = spectral.sh_analyze(base, resid, band)
         return w2p_norm(resid, p, base, coeffs=coeffs)
-    return w2p_norm(resid, p, base, ops=get_operators(base))
+    return w2p_norm(resid, p, base)
 
 
 class StabilityRatio:
@@ -176,16 +175,18 @@ class StabilityRatio:
         self.v_u = v_u
 
 
-def stability_ratio(geom, integrand, p, band=None):
+def stability_ratio(geom, integrand, p):
     """Measure ||S_F_dev||_{L^p(Sigma)} against ||u - phi_{v_u}||_{W^{2,p}(W)}."""
+    return _ratio(geom, integrand, p, geom.radius, kernel_frame(geom.base))
+
+
+def _ratio(geom, integrand, p, radius, frame):
+    """Deficit of geom against the W^{2,p} distance of radius over its base."""
     s_field, _ = anisotropic_shape_operator(geom, integrand)
     dev, _ = trace_free(s_field)
     deficit = lp_norm(dev, p, geom.weights)
-    base = geom.base
-    frame = kernel_frame(base)
-    v_u = kernel_component(frame, geom.radius, base.weights)
-    distance = _distance_norm(base, geom.radius, v_u, p,
-                              band=getattr(geom, "band", band))
+    v_u = kernel_component(frame, radius, geom.base.weights)
+    distance = _distance_norm(geom.base, radius, v_u, p)
     ratio = distance / deficit if deficit > 1e-14 else np.nan
     return StabilityRatio(deficit, distance, ratio, v_u)
 
@@ -228,8 +229,7 @@ def perturbation_field(base, family):
     raise ValueError(f"unknown perturbation family {family!r}")
 
 
-def scaling_sweep(base, integrand, family, amplitudes, p, tolerance=1e-8,
-                  parametrization=None):
+def scaling_sweep(base, integrand, family, amplitudes, p, tolerance=1e-8):
     """Sweep amplitudes, measure deficit and post-centering distance, fit slopes.
 
     Harmonic families over the sphere use the exponential graph; kernel
@@ -240,13 +240,12 @@ def scaling_sweep(base, integrand, family, amplitudes, p, tolerance=1e-8,
     in the last row.
     """
     shape = perturbation_field(base, family)
-    if parametrization is None:
-        parametrization = "radial" if family[0] == "kernel" else "exp"
+    frame = kernel_frame(base)
     rows = []
     deficits, distances, used = [], [], []
     for eps in amplitudes:
         values = eps * shape
-        if base.integrand is not None or parametrization == "radial":
+        if base.integrand is not None or family[0] == "kernel":
             geom = radial_graph(base, values)
         else:
             geom = exp_graph(base, values)
@@ -265,18 +264,12 @@ def scaling_sweep(base, integrand, family, amplitudes, p, tolerance=1e-8,
             rows.append({"epsilon": eps, "warning": "centering_failed",
                          "eta": cert.margin, "detail": str(exc)})
             break
-        frame = kernel_frame(base)
-        v = kernel_component(frame, res.radius, base.weights)
-        distance = _distance_norm(base, res.radius, v, p,
-                                  band=getattr(geom, "band", None))
-        s_field, _ = anisotropic_shape_operator(geom, integrand)
-        dev, _ = trace_free(s_field)
-        deficit = lp_norm(dev, p, geom.weights)
-        deficits.append(deficit)
-        distances.append(distance)
+        r = _ratio(geom, integrand, p, res.radius, frame)
+        deficits.append(r.deficit)
+        distances.append(r.distance)
         used.append(eps)
-        rows.append({"epsilon": eps, "deficit": deficit, "distance": distance,
-                     "ratio": distance / deficit if deficit > 1e-14 else np.nan,
+        rows.append({"epsilon": eps, "deficit": r.deficit,
+                     "distance": r.distance, "ratio": r.ratio,
                      "eta": cert.margin, "iterations": res.iterations,
                      "c_norm": float(np.linalg.norm(res.c))})
     try:

@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 
 from . import spectral
 from .operators import get_operators
-from .spheremesh import adjacency_matrix, frame_restriction, sphere_newton
+from .spheremesh import frame_restriction, sphere_newton
 
 
 class SurfaceGeometry:
@@ -82,13 +82,11 @@ def _finish_from_derivatives(base, positions, psi_d, nu, h_chart, radius,
                            radius, kind, shape_asymmetry=asym)
 
 
-def _spectral_sphere_graph(mesh, values, kind, band):
+def _spectral_sphere_graph(mesh, values, kind):
     """Geometry of {rho(x) x} on the sphere with spectrally carried radius."""
-    if band is None:
-        band = min(8, spectral.band_limit(mesh.n_vertices))
+    band = spectral.graph_band(mesh.n_vertices)
     coeffs = spectral.sh_analyze(mesh, values, band)
-    val, grad, hess = spectral.spectral_derivatives(coeffs, mesh.vertices,
-                                                    mesh.frames, mesh=mesh)
+    val, grad, hess = spectral.spectral_derivatives(mesh, coeffs)
     if kind == "exp":
         rho = np.exp(val)
         rho_d = rho[:, None] * grad
@@ -120,7 +118,6 @@ def _spectral_sphere_graph(mesh, values, kind, band):
     geom = _finish_from_derivatives(mesh, positions, psi_d, nu, h_chart,
                                     values, kind)
     geom.radius_coeffs = coeffs
-    geom.band = band
     basis, _ = spectral.mesh_basis(mesh, band)
     resid = basis @ coeffs - values
     geom.band_residual = float(np.abs(resid).max())
@@ -156,7 +153,7 @@ def _wulff_graph(wmesh, values):
                                     values, "radial")
 
 
-def radial_graph(base, values, band=None):
+def radial_graph(base, values):
     """Geometry of the radial graph psi(x) = x + u(x) nu_base(x).
 
     Over the unit sphere the radius is carried spectrally; over a Wulff
@@ -171,15 +168,15 @@ def radial_graph(base, values, band=None):
             f">= reach {base.reach:g}")
     if base.integrand is not None:
         return _wulff_graph(base, values)
-    return _spectral_sphere_graph(base, values, "radial", band)
+    return _spectral_sphere_graph(base, values, "radial")
 
 
-def exp_graph(mesh, values, band=None):
+def exp_graph(mesh, values):
     """Geometry of the isotropic graph psi(x) = e^{f(x)} x over the sphere."""
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("radius field must be finite")
-    return _spectral_sphere_graph(mesh, values, "exp", band)
+    return _spectral_sphere_graph(mesh, values, "exp")
 
 
 def geometry_from_positions(base, positions):
@@ -209,7 +206,7 @@ def geometry_from_positions(base, positions):
 # --- projection onto the base -------------------------------------------
 
 
-def project_to_wulff(wmesh, points, n_newton=30, tol=1e-12):
+def project_to_wulff(wmesh, points, n_newton=30):
     """Foot points on a Wulff shape along its normal lines.
 
     Solves the nearest-point condition P_nu(q - x(nu)) = 0 for the
@@ -226,7 +223,7 @@ def project_to_wulff(wmesh, points, n_newton=30, tol=1e-12):
         e = points - x
         t = np.einsum("ni,ni->n", e, nu)
         res = e - t[:, None] * nu
-        return x, t, res, np.linalg.norm(res, axis=1) < tol
+        return x, t, res, np.linalg.norm(res, axis=1) < 1e-12
 
     def foot_point(nu, e1, e2):
         _, t, res, converged = residual(nu)
@@ -250,17 +247,18 @@ class GraphCertificate:
     the certificate passes when it exceeds the threshold.
     """
 
-    def __init__(self, margins, threshold, radius, feet, diagnostics=None):
+    threshold = 0.1
+
+    def __init__(self, margins, radius, feet, diagnostics=None):
         self.margins = margins
         self.margin = float(margins.min())
-        self.threshold = threshold
-        self.passed = bool(self.margin > threshold) and not (diagnostics or {})
         self.radius = radius
         self.feet = feet
         self.diagnostics = diagnostics or {}
+        self.passed = self.margin > self.threshold and not self.diagnostics
 
 
-def projection_certificate(geom, base=None, threshold=0.1):
+def projection_certificate(geom, base=None):
     """Project surface nodes to the base and certify the graph property."""
     base = base if base is not None else geom.base
     q = geom.positions
@@ -278,25 +276,24 @@ def projection_certificate(geom, base=None, threshold=0.1):
         feet = q / np.maximum(r, 1e-300)[:, None]
         radius = r - 1.0
         margins = np.einsum("ni,ni->n", geom.normal, feet)
-    return GraphCertificate(margins, threshold, radius, feet, diagnostics)
+    return GraphCertificate(margins, radius, feet, diagnostics)
 
 
 # --- radius recovery for translated surfaces ----------------------------
 
 
-def recover_radius_spectral(mesh, coeffs, kind, translation,
-                            n_iter=60, tol=1e-13):
+def recover_radius_spectral(mesh, coeffs, kind, translation):
     """Radius over the sphere of the translated surface {rho(y) y} - c.
 
     For each node direction x0, solves rho(y) y - c = s x0 by the fixed
-    point y = normalize(s x0 + c), s = |rho(y) y - c|. Returns the radius
-    field in the convention of `kind` ('exp' gives log s, 'radial' s - 1).
+    point y = normalize(s x0 + c), s = |rho(y) y - c|, for at most 60 steps
+    or until s moves by less than 1e-13. Returns the radius field in the
+    convention of `kind` ('exp' gives log s, 'radial' s - 1).
     """
     c = np.asarray(translation, dtype=float)
     x0 = mesh.vertices
     s = np.ones(len(x0))
-    y = x0.copy()
-    for _ in range(n_iter):
+    for _ in range(60):
         y_new = s[:, None] * x0 + c
         y_new /= np.linalg.norm(y_new, axis=1, keepdims=True)
         val = spectral.sh_synthesize(coeffs, y_new)
@@ -304,8 +301,8 @@ def recover_radius_spectral(mesh, coeffs, kind, translation,
         v = rho[:, None] * y_new - c
         s_new = np.linalg.norm(v, axis=1)
         delta = np.abs(s_new - s).max()
-        y, s = y_new, s_new
-        if delta < tol:
+        s = s_new
+        if delta < 1e-13:
             break
     resid = v / s[:, None] - x0
     ok = np.abs(resid).max() < 1e-9
@@ -319,11 +316,12 @@ def _faces_near_nodes(mesh, k=4):
     Returns an (N, K) array of face indices, ascending along each row and
     padded with -1 after the last face.
     """
-    cache = getattr(mesh, "_near_faces", None)
-    if cache is not None and cache[0] == k:
-        return cache[1]
+    return mesh.cached(("near_faces", k), lambda m: _near_faces(m, k))
+
+
+def _near_faces(mesh, k):
     n = mesh.n_vertices
-    step = adjacency_matrix(mesh) + sparse.identity(n, format="csr")
+    step = mesh.adjacency + sparse.identity(n, format="csr")
     reach = step
     for _ in range(k - 1):
         reach = reach @ step
@@ -337,7 +335,6 @@ def _faces_near_nodes(mesh, k=4):
     counts = np.diff(near.indptr)
     out = np.full((n, counts.max()), -1, dtype=np.int64)
     out[np.arange(out.shape[1]) < counts[:, None]] = near.indices
-    mesh._near_faces = (k, out)
     return out
 
 
@@ -422,19 +419,19 @@ def symmetric_point_distance(a, b):
                _directed_max_min(cKDTree(a), b))
 
 
-def hausdorff_distance(geom, base, optimize_translation=True, subsample=800):
+def hausdorff_distance(geom, base, optimize_translation=True):
     """Node-sampled symmetric Hausdorff distance, minimized over translations.
 
     The translation search is a Nelder-Mead descent started at the centroid
-    offset, run on strided node subsets; the reported value re-evaluates the
-    full node sets at the optimum.
+    offset, run on strided subsets of about 800 nodes; the reported value
+    re-evaluates the full node sets at the optimum.
     """
     a = geom.positions if isinstance(geom, SurfaceGeometry) else np.asarray(geom)
     b = base.vertices if hasattr(base, "vertices") else np.asarray(base)
     if not optimize_translation:
         return symmetric_point_distance(a, b)
-    stride_a = max(1, len(a) // subsample)
-    stride_b = max(1, len(b) // subsample)
+    stride_a = max(1, len(a) // 800)
+    stride_b = max(1, len(b) // 800)
     asub, bsub = a[::stride_a], b[::stride_b]
     t0 = a.mean(axis=0) - b.mean(axis=0)
     tree_a, tree_b = cKDTree(asub), cKDTree(bsub)

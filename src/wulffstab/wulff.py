@@ -25,7 +25,7 @@ def build_wulff(integrand, level):
             f"integrand is not elliptic (margin {integrand.ellipticity_margin:g})")
     base = spheremesh.build_sphere_mesh(level)
     vertices = integrand.fbar_grad(base.vertices)
-    return WulffMesh(vertices, base.faces, base.vertices.copy(), level, integrand)
+    return WulffMesh(vertices, base.faces, base.vertices, level, integrand)
 
 
 def integrand_hash(integrand):

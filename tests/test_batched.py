@@ -25,10 +25,10 @@ def vertex_adjacency_reference(n_vertices, faces):
     return [np.array(sorted(s), dtype=np.int64) for s in nbrs]
 
 
-def two_ring_reference(mesh, i):
-    out = set(mesh.neighbors[i].tolist())
-    for j in mesh.neighbors[i]:
-        out.update(mesh.neighbors[j].tolist())
+def two_ring_reference(nbrs, i):
+    out = set(nbrs[i].tolist())
+    for j in nbrs[i]:
+        out.update(nbrs[j].tolist())
     out.discard(i)
     return np.array(sorted(out), dtype=np.int64)
 
@@ -46,9 +46,10 @@ def design_matrix_reference(y):
 def stencils_reference(mesh):
     """g1, g2, h11, h12, h22 from one weighted cubic fit per vertex."""
     e1, e2 = mesh.frames
+    nbrs = vertex_adjacency_reference(mesh.n_vertices, mesh.faces)
     rows, cols, data = [], [], [[] for _ in range(5)]
     for i in range(mesh.n_vertices):
-        idx = np.concatenate(([i], two_ring_reference(mesh, i)))
+        idx = np.concatenate(([i], two_ring_reference(nbrs, i)))
         d = mesh.vertices[idx] - mesh.vertices[i]
         y = np.column_stack((d @ e1[i], d @ e2[i]))
         r = np.linalg.norm(y, axis=1)
@@ -65,6 +66,7 @@ def stencils_reference(mesh):
 
 
 def faces_near_reference(mesh, k):
+    nbrs = vertex_adjacency_reference(mesh.n_vertices, mesh.faces)
     vert_faces = [[] for _ in range(mesh.n_vertices)]
     for fi, f in enumerate(mesh.faces):
         for v in f:
@@ -75,7 +77,7 @@ def faces_near_reference(mesh, k):
         for _ in range(k):
             nxt = set()
             for v in frontier:
-                nxt.update(mesh.neighbors[v].tolist())
+                nxt.update(nbrs[v].tolist())
             frontier = nxt - verts
             verts |= nxt
         out.append(sorted({fi for v in verts for fi in vert_faces[v]}))
@@ -127,10 +129,12 @@ def test_vertex_adjacency_matches_sets():
         mesh = build_sphere_mesh(level)
         got = vertex_adjacency(mesh.n_vertices, mesh.faces)
         want = vertex_adjacency_reference(mesh.n_vertices, mesh.faces)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.dtype == np.int64
-            np.testing.assert_array_equal(g, w)
+        assert got.shape == (len(want), len(want))
+        assert (got.data == 1).all()
+        for i, w in enumerate(want):
+            np.testing.assert_array_equal(
+                got.indices[got.indptr[i]:got.indptr[i + 1]], w)
+        assert mesh.adjacency is mesh.adjacency
 
 
 @pytest.mark.parametrize("which", ["sphere", "wulff"])

@@ -208,19 +208,38 @@ amplitudes = 0.4,8.0,6
     ("constant", "harmonic:2,-3", "sweep.family"),
     ("constant", "harmonic:2,5", "sweep.family"),
     ("fourier:1,0.1,4,0", "harmonic:2,0", "common.integrand"),
+    ("constant", "kernel:0,0,0", "sweep.family"),
+    ("constant", "kernel:0,0,0", "curvature.family"),
+    ("constant", "harmonic:9,0", "sweep.family"),
+    ("constant", "harmonic:12,0", "curvature.family"),
 ])
 def test_bad_mode_tokens_exit_2(tmp_path, capsys, integrand, family, where):
     """|m| > l would wrap into a lower band or index past it; l = 4 has no
-    tabulated harmonic polynomial."""
+    tabulated harmonic polynomial; a zero kernel vector has no direction;
+    l above band 8 of the level-3 sphere would be measured aliased."""
+    command = "curvature" if where.startswith("curvature") else "sweep"
     cfg = write_config(tmp_path, BASE.format(integrand=integrand) + f"""
-[sweep]
+[{command}]
 family = {family}
 amplitudes = 1e-3,1e-2,4
 """)
     out = tmp_path / "bad"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert where in capsys.readouterr().err
-    assert not (out / "sweep.csv").exists()
+    assert not (out / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("integrand, family", [
+    ("constant", "harmonic:8,0"),
+    ("quadratic:1,1,4", "harmonic:9,0"),
+])
+def test_harmonic_band_edges_run(tmp_path, integrand, family):
+    """l = 8 is the graph band of the level-3 sphere; Wulff bases take any l."""
+    cfg = write_config(tmp_path, BASE.format(integrand=integrand)
+                       + f"\n[curvature]\nfamily = {family}\n")
+    out = tmp_path / "c"
+    assert main(["curvature", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "curvature.csv").exists()
 
 
 @pytest.mark.parametrize("command, section, key, value", [
@@ -236,13 +255,32 @@ amplitudes = 1e-3,1e-2,4
     ("center", "center", "translation_norm", "0"),
     ("center", "center", "translation_norm", "-0.1"),
     ("center", "center", "recovery_tol", "abc"),
+    ("wulff", "common", "seed", "-1"),
+    ("kernel", "kernel", "n_vectors", "0"),
+    ("kernel", "kernel", "n_vectors", "-2"),
+    ("curvature", "curvature", "epsilon", "nan"),
+    ("curvature", "curvature", "epsilon", "inf"),
+    ("kernel", "kernel", "threshold", "nan"),
+    ("center", "center", "recovery_tol", "nan"),
 ])
 def test_bad_numeric_values_exit_2(tmp_path, capsys, command, section, key,
                                    value):
-    cfg = write_config(tmp_path, BASE.format(integrand="constant")
-                       + f"\n[{section}]\n{key} = {value}\n")
+    body = BASE.format(integrand="constant")
+    if section == "common":  # BASE already opens [common] and sets its seed
+        body = body.replace("seed = 11", f"{key} = {value}")
+    else:
+        body += f"\n[{section}]\n{key} = {value}\n"
+    cfg = write_config(tmp_path, body)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exits_2(tmp_path):
+    cfg = write_config(tmp_path, "[common]\nlevel = 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["wulff", "--config", cfg, "--seed", "-1",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("command, section, key, value", [

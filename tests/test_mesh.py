@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from oracles import (real_sph_harm_matrix_columns,
                      real_sph_harm_matrix_reference, sh_analyze_reference,
                      subdivide_reference)
-from wulffstab import build_sphere_mesh
+from wulffstab import build_sphere_mesh, build_wulff
 from wulffstab import spectral, spheremesh
 from wulffstab.operators import (DerivativeOperators, TensorField,
                                  get_operators, lp_norm, w2p_norm)
@@ -129,8 +129,7 @@ def test_spectral_derivatives_of_linear_mode(sphere4):
     coeffs[spectral.sh_index(1, 1)] = c[0] / c1
     coeffs[spectral.sh_index(1, -1)] = c[1] / c1
     coeffs[spectral.sh_index(1, 0)] = c[2] / c1
-    val, grad, hess = spectral.spectral_derivatives(
-        coeffs, sphere4.vertices, sphere4.frames, mesh=sphere4)
+    val, grad, hess = spectral.spectral_derivatives(sphere4, coeffs)
     u = sphere4.vertices @ c
     assert_allclose(val, u, atol=1e-10)
     e1, e2 = sphere4.frames
@@ -166,7 +165,7 @@ def test_w22_of_y20_against_eigenvalue_identity(sphere5):
     exact = 1 + np.sqrt(6) + np.sqrt(30)
     got = w2p_norm(f, 2, sphere5, coeffs=coeffs)
     assert abs(got - exact) / exact < 0.02
-    got_mesh = w2p_norm(f, 2, sphere5, ops=get_operators(sphere5))
+    got_mesh = w2p_norm(f, 2, sphere5)
     assert abs(got_mesh - exact) / exact < 0.02
 
 
@@ -174,6 +173,18 @@ def test_gradient_exact_on_constants(sphere4):
     ops = get_operators(sphere4)
     g = ops.gradient(np.full(sphere4.n_vertices, 2.5))
     assert np.abs(g).max() < 1e-10
+
+
+@pytest.mark.parametrize("which", ["sphere", "wulff"])
+def test_mesh_arrays_are_read_only(which, ellipsoid_integrand):
+    """Cached stencils and bases would go stale if the arrays could change."""
+    mesh = (build_sphere_mesh(2) if which == "sphere"
+            else build_wulff(ellipsoid_integrand, 2))
+    for a in (mesh.vertices, mesh.faces, mesh.normals, mesh.weights,
+              *mesh.frames, mesh.anisotropy, mesh.shape_operator,
+              mesh.mean_curvature):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
 
 
 def test_operator_cache_does_not_keep_mesh_alive():
@@ -192,9 +203,8 @@ def test_spectral_caches_do_not_keep_mesh_alive():
     import weakref
     mesh = build_sphere_mesh(2)
     coeffs = spectral.sh_analyze(mesh, mesh.vertices[:, 2], 4)
-    spectral.spectral_derivatives(coeffs, mesh.vertices, mesh.frames,
-                                  mesh=mesh)
-    assert mesh._sh_basis and mesh._sh_stencil
+    spectral.spectral_derivatives(mesh, coeffs)
+    assert set(mesh._cache) == {("sh_basis", 4), ("sh_stencil", 4)}
     ref = weakref.ref(mesh)
     del mesh
     gc.collect()
