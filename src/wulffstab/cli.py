@@ -276,9 +276,10 @@ def run_center(cfg, outdir, svg):
     t *= norm / np.linalg.norm(t)
     recovery_tol = cfg._float(sec, "center", "recovery_tol", 1e-4)
     epsilons = cfg.floats("center", "epsilons", "0.01,0.02,0.04")
-    if len(epsilons) < 2 or min(epsilons) <= 0:
-        raise ConfigError("center.epsilons must list two or more positive "
-                          "amplitudes")
+    if (len(epsilons) < 2 or min(epsilons) <= 0
+            or len(set(epsilons)) < len(epsilons)):
+        raise ConfigError("center.epsilons must list two or more distinct "
+                          "positive amplitudes")
     mesh = build_sphere_mesh(cfg.level)
     rows = []
     # exact translated sphere re-read as an exponential graph
@@ -425,7 +426,13 @@ def main(argv=None):
         if args.seed < 0:
             parser.error("--seed must be 0 or more")
         cfg.seed = args.seed
+    if args.out == "":
+        parser.error("--out must name a directory")
     outdir = args.out if args.out is not None else cfg.out
+    if not outdir:
+        print("config error: common.out must name a directory",
+              file=sys.stderr)
+        return 2
     os.makedirs(outdir, exist_ok=True)
     try:
         code, _ = COMMANDS[args.command](cfg, outdir, args.svg)

@@ -108,6 +108,11 @@ class HomogeneousPolynomial:
         return out
 
 
+def _num(v):
+    """Descriptor token of a number, the same under every numpy version."""
+    return repr(float(v))
+
+
 def _as_points(nu):
     nu = np.asarray(nu, dtype=float)
     single = nu.ndim == 1
@@ -134,7 +139,8 @@ class Integrand:
     def constant(cls, value=1.0):
         if value <= 0:
             raise ValueError("constant integrand must be positive")
-        return cls("constant", {"value": float(value)}, f"constant:{value!r}")
+        return cls("constant", {"value": float(value)},
+                   f"constant:{_num(value)}")
 
     @classmethod
     def quadratic_form(cls, matrix):
@@ -143,7 +149,7 @@ class Integrand:
             raise ValueError("matrix must be symmetric 3x3")
         if np.linalg.eigvalsh(M).min() <= 0:
             raise ValueError("matrix must be positive definite")
-        desc = "quadratic:" + ",".join(f"{v!r}" for v in M.ravel())
+        desc = "quadratic:" + ",".join(map(_num, M.ravel()))
         return cls("quadratic", {"M": M}, desc)
 
     @classmethod
@@ -155,13 +161,14 @@ class Integrand:
         """
         if isinstance(mode, tuple) and len(mode) == 2 and mode in HARMONIC_POLYNOMIALS:
             poly = HomogeneousPolynomial(HARMONIC_POLYNOMIALS[mode])
-            mdesc = f"lm{mode[0]},{mode[1]}"
+            mdesc = f"lm{int(mode[0])},{int(mode[1])}"
         else:
             poly = HomogeneousPolynomial(mode)
-            mdesc = ";".join(f"{k}:{v!r}" for k, v in sorted(poly.coeffs.items()))
+            mdesc = ";".join(f"{tuple(map(int, k))}:{_num(v)}"
+                             for k, v in sorted(poly.coeffs.items()))
         self = cls("fourier", {"base": float(base), "amplitude": float(amplitude),
                                "poly": poly},
-                   f"fourier:{base!r},{amplitude!r},{mdesc}")
+                   f"fourier:{_num(base)},{_num(amplitude)},{mdesc}")
         sample = _dense_sample()
         if self.value(sample).min() <= 0:
             raise ValueError("perturbed integrand is not positive on the sphere")
@@ -293,7 +300,9 @@ _SAMPLE_CACHE = {}
 
 def _dense_sample(level=4):
     if level not in _SAMPLE_CACHE:
-        _SAMPLE_CACHE[level] = spheremesh.build_sphere_mesh(level).vertices
+        sample = spheremesh._icosphere(level)[0]
+        sample.flags.writeable = False
+        _SAMPLE_CACHE[level] = sample
     return _SAMPLE_CACHE[level]
 
 

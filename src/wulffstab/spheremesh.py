@@ -211,12 +211,18 @@ class WulffMesh:
         return float(self.weights.sum())
 
 
-def build_sphere_mesh(level):
-    """Icosphere at the given subdivision level; 10*4^level + 2 vertices."""
+def _icosphere(level):
+    """Unit vertices and faces of the icosphere at the given level."""
     if not MIN_LEVEL <= level <= MAX_LEVEL:
         raise ValueError(f"level must be in [{MIN_LEVEL}, {MAX_LEVEL}], got {level}")
     v, f = _icosahedron()
     for _ in range(level):
         v, f = _subdivide(v, f)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v, f
+
+
+def build_sphere_mesh(level):
+    """Icosphere at the given subdivision level; 10*4^level + 2 vertices."""
+    v, f = _icosphere(level)
     return WulffMesh(v, f, v, level)

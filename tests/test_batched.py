@@ -7,6 +7,9 @@ ray and brute-force point distances.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
 from wulffstab import build_sphere_mesh, build_wulff, spectral
@@ -207,9 +210,56 @@ def test_missed_rays_fall_back_to_all_faces(wulff4, translated_wulff4,
     monkeypatch.setattr(surface, "_faces_near_nodes", lambda mesh: near)
     monkeypatch.setattr(surface, "_cast_rays", spy)
     radius, ok = recover_radius_mesh(wulff4, translated_wulff4, c)
-    assert calls == [near.shape, (5, len(wulff4.faces))]
+    # the first cast gets the bounding-sphere survivors of the near table
+    assert len(calls) == 2
+    assert calls[0][0] == len(near) and calls[0][1] <= near.shape[1]
+    assert calls[1] == (5, len(wulff4.faces))
     assert ok
     np.testing.assert_array_equal(radius, want)
+
+
+def unpruned_radius(base, positions, translation):
+    """recover_radius_mesh without the bounding-sphere test: every near
+    face is cast against, then every face for the rays that missed."""
+    from wulffstab.surface import _cast_rays
+    tri = (positions - translation)[base.faces]
+    faces = [np.ascontiguousarray(a.T)
+             for a in (tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])]
+    o, d = base.vertices, base.normals
+    radius = _cast_rays(o, d, _faces_near_nodes(base), *faces)
+    miss = np.flatnonzero(np.isnan(radius))
+    every = np.broadcast_to(np.arange(len(base.faces)),
+                            (miss.size, len(base.faces)))
+    radius[miss] = _cast_rays(o[miss], d[miss], every, *faces)
+    return radius
+
+
+@pytest.fixture(scope="module")
+def sphere3():
+    return build_sphere_mesh(3)
+
+
+@pytest.mark.parametrize("which", ["sphere", "wulff"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(coeffs=arrays(np.float64, 16, elements=st.floats(-1, 1)),
+       amplitude=st.floats(0, 0.1),
+       direction=arrays(np.float64, 3, elements=st.floats(-1, 1)),
+       shift=st.one_of(st.just(0.0), st.floats(0, 0.1)))
+@example(coeffs=np.zeros(16), amplitude=0.0, direction=np.zeros(3),
+         shift=0.0)
+def test_pruned_rays_match_unpruned(which, sphere3, wulff3, coeffs, amplitude,
+                                    direction, shift):
+    """Band-limited |u| <= 0.1 and |c| <= 0.1; at c = 0 every ray passes
+    through its own node, a corner of several faces (a tie in |t|)."""
+    base = sphere3 if which == "sphere" else wulff3
+    u = spectral.sh_synthesize(coeffs, base.normals)
+    u *= amplitude / max(np.abs(u).max(), 1e-300)
+    norm = np.linalg.norm(direction)
+    c = direction * (shift / norm) if norm > 1e-3 else np.zeros(3)
+    positions = base.vertices + u[:, None] * base.normals
+    radius, _ = recover_radius_mesh(base, positions, c)
+    np.testing.assert_array_equal(radius,
+                                  unpruned_radius(base, positions, c))
 
 
 def test_cast_rays_padding_and_ties():

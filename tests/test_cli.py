@@ -301,6 +301,8 @@ def test_negative_seed_flag_exits_2(tmp_path):
     ("center", "center", "epsilons", "0.01;abc"),
     ("center", "center", "epsilons", "-0.01,0.02"),
     ("center", "center", "epsilons", "0.01"),
+    ("center", "center", "epsilons", "0.01,0.01"),
+    ("center", "center", "epsilons", "0.01,0.02,0.01"),
     ("sweep", "sweep", "amplitudes", "1e-3,abc,4"),
     ("sweep", "sweep", "amplitudes", "inf"),
 ])
@@ -341,3 +343,16 @@ def test_center_at_level_2_runs(tmp_path):
         ["translate_recovery"] + ["one_step"] * 3 + ["one_step_exponent"])
     assert all(np.isfinite(float(row["residual"])) for row in rows)
     assert (out / "center.dat").exists()
+
+
+def test_empty_out_exits_2(tmp_path, capsys, monkeypatch):
+    """An empty common.out names no directory; --out can still supply one."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "[common]\nlevel = 2\nout =\n")
+    assert main(["wulff", "--config", cfg]) == 2
+    assert "common.out" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+    assert main(["wulff", "--config", cfg, "--out", "o"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["wulff", "--config", cfg, "--out", ""])
+    assert exc.value.code == 2

@@ -202,3 +202,26 @@ def test_fourier_explicit_polynomial_mode():
 def test_fourier_rejects_mixed_degree():
     with pytest.raises(ValueError):
         Integrand.fourier_perturbed(1.0, 0.1, {(1, 0, 0): 1.0, (2, 0, 0): 1.0})
+
+
+def test_descriptors_are_plain_and_input_independent():
+    """Descriptors key the Wulff memo and the mesh-file integrand hash, so
+    they must not depend on the numpy version or the input container."""
+    M = np.diag([1.0, 1.0, 4.0])
+    groups = [
+        [Integrand.constant(2), Integrand.constant(2.0),
+         Integrand.constant(np.float64(2.0))],
+        [Integrand.quadratic_form(M), Integrand.quadratic_form(M.tolist()),
+         Integrand.quadratic_form([[1, 0, 0], [0, 1, 0], [0, 0, 4]])],
+        [Integrand.fourier_perturbed(1.0, 0.1, (2, 0)),
+         Integrand.fourier_perturbed(np.float64(1.0), np.float64(0.1),
+                                     (np.int64(2), np.int64(0)))],
+        [Integrand.fourier_perturbed(1.0, 0.05, {(0, 0, 2): 1.0}),
+         Integrand.fourier_perturbed(1, np.float64(0.05),
+                                     {(np.int64(0), 0, 2): np.float64(1)})],
+    ]
+    for group in groups:
+        assert len({integ.descriptor for integ in group}) == 1
+        assert "np." not in group[0].descriptor
+    assert groups[1][0].descriptor == "quadratic:" + ",".join(
+        repr(float(v)) for v in M.ravel())
