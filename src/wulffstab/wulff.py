@@ -9,8 +9,6 @@ one without an import cycle; this module also has a plain-text format.
 """
 
 import hashlib
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -18,40 +16,20 @@ from . import spheremesh
 from .spheremesh import WulffMesh
 
 
-# Wulff meshes kept per process: run_wulff's three Richardson levels plus
-# the configured level
-_MEMO_SIZE = 4
-_memo = OrderedDict()
-_memo_lock = threading.Lock()
-
-
 def build_wulff(integrand, level):
     """Wulff shape mesh from icosphere directions at the given level.
 
-    Meshes are memoized per process on (integrand.descriptor, level), so
-    equal calls share one read-only mesh and its cached stencils and
-    near-face tables. Beyond _MEMO_SIZE meshes the least recently used one
-    is dropped. Invalid levels and non-elliptic integrands raise on every
-    call and are never stored.
+    The vertices are grad Fbar over the unit icosphere directions, which
+    are also the stored normals; no sphere mesh is built on the way.
     """
     if level < 2:
         raise ValueError("level must be at least 2")
     if not integrand.is_elliptic:
         raise ValueError(
             f"integrand is not elliptic (margin {integrand.ellipticity_margin:g})")
-    key = (integrand.descriptor, level)
-    with _memo_lock:
-        if key in _memo:
-            _memo.move_to_end(key)
-            return _memo[key]
     directions, faces = spheremesh._icosphere(level)
-    mesh = WulffMesh(integrand.fbar_grad(directions), faces, directions, level,
+    return WulffMesh(integrand.fbar_grad(directions), faces, directions, level,
                      integrand)
-    with _memo_lock:
-        _memo[key] = mesh
-        if len(_memo) > _MEMO_SIZE:
-            _memo.popitem(last=False)
-    return mesh
 
 
 def integrand_hash(integrand):

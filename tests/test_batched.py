@@ -7,9 +7,6 @@ ray and brute-force point distances.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
 from wulffstab import build_sphere_mesh, build_wulff, spectral
@@ -239,23 +236,22 @@ def sphere3():
     return build_sphere_mesh(3)
 
 
+@pytest.mark.parametrize("seed", [None, *range(16)])
 @pytest.mark.parametrize("which", ["sphere", "wulff"])
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(coeffs=arrays(np.float64, 16, elements=st.floats(-1, 1)),
-       amplitude=st.floats(0, 0.1),
-       direction=arrays(np.float64, 3, elements=st.floats(-1, 1)),
-       shift=st.one_of(st.just(0.0), st.floats(0, 0.1)))
-@example(coeffs=np.zeros(16), amplitude=0.0, direction=np.zeros(3),
-         shift=0.0)
-def test_pruned_rays_match_unpruned(which, sphere3, wulff3, coeffs, amplitude,
-                                    direction, shift):
-    """Band-limited |u| <= 0.1 and |c| <= 0.1; at c = 0 every ray passes
-    through its own node, a corner of several faces (a tie in |t|)."""
+def test_pruned_rays_match_unpruned(which, seed, sphere3, wulff3):
+    """Band-limited |u| <= 0.1 and |c| <= 0.1. Even seeds and the seed-less
+    case (u = 0) keep c = 0, where every ray passes through its own node, a
+    corner of several faces (a tie in |t|)."""
     base = sphere3 if which == "sphere" else wulff3
-    u = spectral.sh_synthesize(coeffs, base.normals)
-    u *= amplitude / max(np.abs(u).max(), 1e-300)
-    norm = np.linalg.norm(direction)
-    c = direction * (shift / norm) if norm > 1e-3 else np.zeros(3)
+    u = np.zeros(base.n_vertices)
+    c = np.zeros(3)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        u = spectral.sh_synthesize(rng.uniform(-1, 1, 16), base.normals)
+        u *= rng.uniform(0, 0.1) / np.abs(u).max()
+        if seed % 2:
+            direction = rng.standard_normal(3)
+            c = direction * (rng.uniform(0, 0.1) / np.linalg.norm(direction))
     positions = base.vertices + u[:, None] * base.normals
     radius, _ = recover_radius_mesh(base, positions, c)
     np.testing.assert_array_equal(radius,

@@ -205,8 +205,8 @@ def test_fourier_rejects_mixed_degree():
 
 
 def test_descriptors_are_plain_and_input_independent():
-    """Descriptors key the Wulff memo and the mesh-file integrand hash, so
-    they must not depend on the numpy version or the input container."""
+    """Descriptors feed the mesh-file integrand hash, so they must not
+    depend on the numpy version or the input container."""
     M = np.diag([1.0, 1.0, 4.0])
     groups = [
         [Integrand.constant(2), Integrand.constant(2.0),

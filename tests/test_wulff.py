@@ -89,46 +89,6 @@ def test_sphere_mesh_text_roundtrip(tmp_path, sphere4):
     assert header.endswith("level=4 integrand=none")
 
 
-def test_build_wulff_memo_shares_equal_keys(ellipsoid_integrand):
-    W = build_wulff(ellipsoid_integrand, 3)
-    twin = Integrand.quadratic_form([[1, 0, 0], [0, 1, 0], [0, 0, 4]])
-    assert twin is not ellipsoid_integrand
-    assert build_wulff(twin, 3) is W
-    assert build_wulff(ellipsoid_integrand, 2) is not W
-    other = Integrand.quadratic_form(np.diag([1.0, 1.0, 3.0]))
-    assert build_wulff(other, 3) is not W
-
-
-def test_build_wulff_memo_evicts_least_recently_used():
-    import gc
-    import weakref
-    from wulffstab import wulff
-    integs = [Integrand.quadratic_form(np.diag([1.0, 1.0, 1.0 + k / 16]))
-              for k in range(1, wulff._MEMO_SIZE + 3)]
-    refs = [weakref.ref(build_wulff(integ, 2)) for integ in integs[:-2]]
-    build_wulff(integs[0], 2)            # the oldest becomes the most recent
-    build_wulff(integs[-2], 2)
-    gc.collect()
-    assert refs[0]() is not None and refs[1]() is None
-    build_wulff(integs[-1], 2)
-    gc.collect()
-    assert refs[2]() is None and refs[0]() is not None
-
-
-def test_build_wulff_failures_are_not_cached(ellipsoid_integrand):
-    from wulffstab import wulff
-    before = list(wulff._memo)
-    bad = Integrand.fourier_perturbed(1.0, 1.2, (2, 0))
-    for _ in range(2):
-        with pytest.raises(ValueError, match="at least 2"):
-            build_wulff(ellipsoid_integrand, 1)
-        with pytest.raises(ValueError, match="not elliptic"):
-            build_wulff(bad, 3)
-        with pytest.raises(ValueError, match="level must be in"):
-            build_wulff(ellipsoid_integrand, 9)
-    assert list(wulff._memo) == before
-
-
 def test_build_wulff_matches_the_sphere_directions(ellipsoid_integrand):
     """The Wulff mesh is grad Fbar over the icosphere's own arrays."""
     from wulffstab import build_sphere_mesh
