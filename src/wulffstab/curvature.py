@@ -3,6 +3,7 @@
 import numpy as np
 
 from .operators import TensorField, lp_norm
+from .spheremesh import frame_restriction
 
 
 def anisotropic_shape_operator(geom, integrand):
@@ -19,7 +20,7 @@ def anisotropic_shape_operator(geom, integrand):
             f"integrand is not elliptic (margin {integrand.ellipticity_margin:g})")
     A3 = integrand.anisotropy_ambient(geom.normal)
     tau = geom.tangent_basis  # (N, 3, 2)
-    A2 = np.einsum("nki,nkl,nlj->nij", tau, A3, tau)
+    A2 = frame_restriction(A3, tau[:, :, 0], tau[:, :, 1])
     vals = A2 @ geom.shape_operator
     field = TensorField(vals, kind="operator")
     return field, field.trace()

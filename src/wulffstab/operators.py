@@ -4,7 +4,8 @@ Derivatives come from weighted least-squares polynomial fits over the
 one- and two-ring of each vertex, in tangent-plane projection coordinates.
 The projection chart agrees with normal coordinates to second order, so the
 fitted gradient and Hessian are the covariant ones at the vertex. Fits are
-precomputed once per mesh as sparse stencil matrices.
+precomputed once per mesh as sparse stencil matrices; each is solved by
+normal equations in chart coordinates scaled by the mean ring radius.
 """
 
 import numpy as np
@@ -44,6 +45,13 @@ class TensorField:
 # 1, a, b, a^2, ab, b^2, a^3, a^2 b, a b^2, b^3; coefficients of the
 # quadratic block are the Hessian entries thanks to the 1/2 factors
 _FACTORS = np.array([1.0, 1, 1, 0.5, 1, 0.5, 1 / 6, 0.5, 0.5, 1 / 6])
+# total degree of the gradient and Hessian monomials a, b, a^2, ab, b^2
+_DEGREES = np.array([1, 1, 2, 2, 2])
+# stencils fitted per batch; each fit is solved on its own, so the block
+# size bounds the temporaries without changing an entry
+_BLOCK_VERTICES = 8192
+# largest entry of |X A - I| accepted for a fit in scaled coordinates
+_IDENTITY_TOL = 1e-8
 
 
 def _design_matrix(y):
@@ -54,13 +62,47 @@ def _design_matrix(y):
     return m * _FACTORS
 
 
+def _fit_rows(y):
+    """Weighted cubic fits of a batch of stencils in chart coordinates.
+
+    y is (B, m, 2): node 0 at the origin, then its ring. Returns the (B, 5, m)
+    rows mapping values at the nodes to g1, g2, h11, h12, h22, and a (B,)
+    mask of the fits whose design matrix has full rank.
+
+    The fit is the least-squares solution X = (A^T A)^{-1} A^T of the
+    weighted design matrix A in coordinates divided by the mean ring radius
+    rbar, which keeps cond(A) below about a thousand at every mesh level
+    (unscaled, it grows past 1e5 from level 4 on); row k of X is then
+    divided by rbar^deg(k), giving pinv of the unscaled A. A fit counts as
+    full rank when X A reproduces the identity.
+    """
+    r = np.linalg.norm(y, axis=2)
+    rbar = r[:, 1:].mean(axis=1, keepdims=True)
+    w = np.exp(-((r / rbar) ** 2))
+    A = _design_matrix(y / rbar[..., None]) * w[..., None]
+    At = A.transpose(0, 2, 1)
+    G = At @ A
+    try:
+        X = np.linalg.solve(G, At)
+    except np.linalg.LinAlgError:
+        # an exactly singular G fails the whole batch: solve the others
+        X = np.full(At.shape, np.nan)
+        regular = np.linalg.det(G) != 0
+        X[regular] = np.linalg.solve(G[regular], At[regular])
+    residual = np.abs(X @ A - np.eye(len(_FACTORS))).max(axis=(1, 2))
+    ok = residual <= _IDENTITY_TOL
+    rows = X[:, 1:6] * rbar[..., None] ** -_DEGREES[:, None] * w[:, None, :]
+    return rows, ok
+
+
 class DerivativeOperators:
     """Sparse stencil matrices for gradient and Hessian in vertex frames.
 
     Built from any mesh exposing vertices, frames and a CSR adjacency. Each
     vertex gets a weighted cubic fit over itself and its two-ring; vertices
-    with equally large rings are fitted together in one stacked
-    pseudo-inverse.
+    with equally large rings are fitted together, in blocks of at most
+    _BLOCK_VERTICES, by batched normal equations (`_fit_rows`). A two-ring
+    too small or too degenerate for a cubic fit raises ValueError.
     """
 
     def __init__(self, mesh):
@@ -81,25 +123,27 @@ class DerivativeOperators:
             i = int(np.argmin(sizes))
             raise ValueError(f"two-ring of vertex {i} has {sizes[i]} nodes; "
                              f"the cubic fit needs {len(_FACTORS)}")
-        rows, cols, data = [], [], []
+        rows, cols, data, bad = [], [], [], []
         for size in np.unique(sizes):
-            verts = np.flatnonzero(sizes == size)
-            idx = np.empty((len(verts), size), dtype=np.int64)
-            idx[:, 0] = verts
-            idx[:, 1:] = ring.indices[ring.indptr[verts][:, None]
-                                      + np.arange(size - 1)]
-            d = mesh.vertices[idx] - mesh.vertices[verts][:, None, :]
-            y = np.stack((np.einsum("gki,gi->gk", d, e1[verts]),
-                          np.einsum("gki,gi->gk", d, e2[verts])), axis=2)
-            r = np.linalg.norm(y, axis=2)
-            rbar = r[:, 1:].mean(axis=1, keepdims=True)
-            w = np.exp(-((r / rbar) ** 2))
-            A = _design_matrix(y) * w[..., None]
-            # rows of the pseudo-inverse map weighted values to coefficients
-            pinv = np.linalg.pinv(A, rcond=1e-10) * w[:, None, :]
-            rows.append(np.repeat(verts, size))
-            cols.append(idx.ravel())
-            data.append(pinv[:, 1:6].transpose(1, 0, 2).reshape(5, -1))
+            group = np.flatnonzero(sizes == size)
+            for lo in range(0, len(group), _BLOCK_VERTICES):
+                verts = group[lo:lo + _BLOCK_VERTICES]
+                idx = np.empty((len(verts), size), dtype=np.int64)
+                idx[:, 0] = verts
+                idx[:, 1:] = ring.indices[ring.indptr[verts][:, None]
+                                          + np.arange(size - 1)]
+                d = mesh.vertices[idx] - mesh.vertices[verts][:, None, :]
+                y = np.stack((np.einsum("gki,gi->gk", d, e1[verts]),
+                              np.einsum("gki,gi->gk", d, e2[verts])), axis=2)
+                fit, ok = _fit_rows(y)
+                bad.append(verts[~ok])
+                rows.append(np.repeat(verts, size))
+                cols.append(idx.ravel())
+                data.append(fit.transpose(1, 0, 2).reshape(5, -1))
+        bad = np.concatenate(bad)
+        if bad.size:
+            raise ValueError(f"rank-deficient cubic fit over the two-ring "
+                             f"of vertex {bad.min()}")
         rows, cols = np.concatenate(rows), np.concatenate(cols)
         data = np.concatenate(data, axis=1)
         # channels: g1, g2, h11, h12, h22

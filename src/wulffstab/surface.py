@@ -313,8 +313,8 @@ def recover_radius_spectral(mesh, coeffs, kind, translation):
 def _faces_near_nodes(mesh, k=4):
     """Faces with a vertex within graph distance k of each vertex (cached).
 
-    Returns an (N, K) array of face indices, ascending along each row and
-    padded with -1 after the last face.
+    Returns an (N, K) int32 array of face indices, ascending along each row
+    and padded with -1 after the last face.
     """
     return mesh.cached(("near_faces", k), lambda m: _near_faces(m, k))
 
@@ -333,7 +333,7 @@ def _near_faces(mesh, k):
     near = (reach @ incidence).tocsr()
     near.sort_indices()
     counts = np.diff(near.indptr)
-    out = np.full((n, counts.max()), -1, dtype=np.int64)
+    out = np.full((n, counts.max()), -1, dtype=np.int32)
     out[np.arange(out.shape[1]) < counts[:, None]] = near.indices
     return out
 
@@ -356,7 +356,7 @@ def _cast_rays(origins, dirs, cand, p0, e1, e2):
     out = np.full(len(cand), np.nan)
     step = max(1, _RAY_BLOCK // cand.shape[1])
     for lo in range(0, len(cand), step):
-        c = cand[lo:lo + step]
+        c = cand[lo:lo + step].astype(np.intp)  # native-width gathers
         ox, oy, oz = origins[lo:lo + step].T[:, :, None]
         dx, dy, dz = dirs[lo:lo + step].T[:, :, None]
         ax, ay, az = e1[:, c]
@@ -397,7 +397,7 @@ def _prune_candidates(origins, frames, cand, centres, reach2):
     keep = np.empty(cand.shape, dtype=bool)
     step = max(1, _RAY_BLOCK // cand.shape[1])
     for lo in range(0, len(cand), step):
-        c = cand[lo:lo + step]
+        c = cand[lo:lo + step].astype(np.intp)  # native-width gathers
         ox, oy, oz = origins[lo:lo + step].T[:, :, None]
         wx, wy, wz = cx[c] - ox, cy[c] - oy, cz[c] - oz
         dist2 = 0.0

@@ -161,11 +161,77 @@ def test_stencil_rejects_small_rings():
         DerivativeOperators(WulffMesh(v, f, v, 0))
 
 
+def test_blocked_stencils_match_unblocked(wulff3, monkeypatch):
+    import wulffstab.operators as operators
+    want = operators.DerivativeOperators(wulff3)
+    block = 5
+    _, group_sizes = np.unique(np.diff(want.g1.indptr), return_counts=True)
+    assert group_sizes.min() > 2 * block
+    monkeypatch.setattr(operators, "_BLOCK_VERTICES", block)
+    got = operators.DerivativeOperators(wulff3)
+    for ch in ("g1", "g2", "h11", "h12", "h22"):
+        a, b = getattr(got, ch), getattr(want, ch)
+        np.testing.assert_array_equal(a.indptr, b.indptr)
+        np.testing.assert_array_equal(a.indices, b.indices)
+        np.testing.assert_array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.05, 1.0])
+def test_fit_rows_reproduce_cubics(scale):
+    """Gradient and Hessian of random cubics at random chart points, with
+    coefficients drawn for the chart scaled to unit size."""
+    from wulffstab.operators import _fit_rows
+    rng = np.random.default_rng(5)
+    y = scale * rng.uniform(-1, 1, (200, 19, 2))
+    y[:, 0] = 0.0
+    c = rng.normal(size=(200, 10))
+    unit = y / scale
+    monomials = (unit[..., :1] ** EXPONENTS[:, 0]
+                 * unit[..., 1:] ** EXPONENTS[:, 1] * FACTORS)
+    values = np.einsum("bmk,bk->bm", monomials, c)
+    rows, ok = _fit_rows(y)
+    assert ok.all()
+    got = np.einsum("bkm,bm->bk", rows, values)
+    got *= scale ** EXPONENTS[1:6].sum(axis=1)
+    assert np.abs(got - c[:, 1:6]).max() <= 1e-11 * np.abs(c).max()
+
+
+def test_fit_rows_flag_rank_deficient_rings():
+    """Collinear chart points (exactly, off the axes and nearly) and points
+    on three lines, where a cubic vanishes, leave the fit rank-deficient."""
+    from wulffstab.operators import _fit_rows
+    rng = np.random.default_rng(6)
+    y = 0.05 * rng.uniform(-1, 1, (6, 19, 2))
+    y[1, :, 1] = 0.0
+    y[2, :, 1] = 2.0 * y[2, :, 0]
+    y[3, :, 1] = 0.3 * y[3, :, 0] + 1e-10 * rng.normal(size=19)
+    angle = np.repeat([0.3, 1.4, 2.5], 7)[:19]
+    y[4] = y[4, :, :1] * np.column_stack((np.cos(angle), np.sin(angle)))
+    y[:, 0] = 0.0
+    rows, ok = _fit_rows(y)
+    np.testing.assert_array_equal(ok, [True, False, False, False, False,
+                                       True])
+    assert np.isfinite(rows[ok]).all()
+
+
+def test_stencil_rejects_rank_deficient_rings():
+    """A sphere mesh squashed onto a line keeps its rings but not a chart
+    in which a cubic can be fitted."""
+    from wulffstab.operators import DerivativeOperators
+    from wulffstab.spheremesh import WulffMesh
+    sphere = build_sphere_mesh(2)
+    u = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    line = (sphere.vertices @ u)[:, None] * u
+    with pytest.raises(ValueError, match="rank-deficient .* vertex 0$"):
+        DerivativeOperators(WulffMesh(line, sphere.faces, sphere.normals, 2))
+
+
 @pytest.mark.parametrize("k", [1, 4])
 def test_near_faces_match_k_ring_search(k):
     mesh = build_sphere_mesh(3)
     near = _faces_near_nodes(mesh, k)
     want = faces_near_reference(mesh, k)
+    assert near.dtype == np.int32
     assert near.shape == (mesh.n_vertices, max(len(w) for w in want))
     for row, w in zip(near, want):
         np.testing.assert_array_equal(row[:len(w)], w)
@@ -197,10 +263,11 @@ def test_missed_rays_fall_back_to_all_faces(wulff4, translated_wulff4,
     want, _ = recover_radius_mesh(wulff4, translated_wulff4, c)
     near = _faces_near_nodes(wulff4).copy()
     near[:5] = -1        # the first five rays have no candidate faces
-    calls = []
+    calls, dtypes = [], []
 
     def spy(origins, dirs, cand, *faces):
         calls.append(cand.shape)
+        dtypes.append(cand.dtype)
         return cast_rays(origins, dirs, cand, *faces)
 
     cast_rays = surface._cast_rays
@@ -211,6 +278,7 @@ def test_missed_rays_fall_back_to_all_faces(wulff4, translated_wulff4,
     assert len(calls) == 2
     assert calls[0][0] == len(near) and calls[0][1] <= near.shape[1]
     assert calls[1] == (5, len(wulff4.faces))
+    assert dtypes[0] == near.dtype == np.int32
     assert ok
     np.testing.assert_array_equal(radius, want)
 
