@@ -5,7 +5,8 @@ one- and two-ring of each vertex, in tangent-plane projection coordinates.
 The projection chart agrees with normal coordinates to second order, so the
 fitted gradient and Hessian are the covariant ones at the vertex. Fits are
 precomputed once per mesh as sparse stencil matrices; each is solved by
-normal equations in chart coordinates scaled by the mean ring radius.
+normal equations in chart coordinates scaled by the mean ring radius, or by
+SVD where the normal equations would lose accuracy.
 """
 
 import numpy as np
@@ -45,13 +46,14 @@ class TensorField:
 # 1, a, b, a^2, ab, b^2, a^3, a^2 b, a b^2, b^3; coefficients of the
 # quadratic block are the Hessian entries thanks to the 1/2 factors
 _FACTORS = np.array([1.0, 1, 1, 0.5, 1, 0.5, 1 / 6, 0.5, 0.5, 1 / 6])
-# total degree of the gradient and Hessian monomials a, b, a^2, ab, b^2
-_DEGREES = np.array([1, 1, 2, 2, 2])
 # stencils fitted per batch; each fit is solved on its own, so the block
 # size bounds the temporaries without changing an entry
 _BLOCK_VERTICES = 8192
-# largest entry of |X A - I| accepted for a fit in scaled coordinates
-_IDENTITY_TOL = 1e-8
+# largest entry of |X A - I| accepted from the normal equations; their error
+# grows with cond(A)^2, so fits beyond it are refitted by SVD
+_NORMAL_TOL = 1e-11
+# smallest smin/smax of the scaled design matrix that counts as full rank
+_RCOND = 1e-10
 
 
 def _design_matrix(y):
@@ -69,29 +71,35 @@ def _fit_rows(y):
     rows mapping values at the nodes to g1, g2, h11, h12, h22, and a (B,)
     mask of the fits whose design matrix has full rank.
 
-    The fit is the least-squares solution X = (A^T A)^{-1} A^T of the
-    weighted design matrix A in coordinates divided by the mean ring radius
-    rbar, which keeps cond(A) below about a thousand at every mesh level
-    (unscaled, it grows past 1e5 from level 4 on); row k of X is then
-    divided by rbar^deg(k), giving pinv of the unscaled A. A fit counts as
-    full rank when X A reproduces the identity.
+    Each fit is pinv(A) of the weighted design matrix A in coordinates
+    divided by the mean ring radius rbar, which keeps cond(A) in the
+    hundreds on round and mildly anisotropic meshes (unscaled, it grows
+    past 1e5 from level 4 on). It is solved as X = (A^T A)^{-1} A^T; where
+    X A misses the identity by more than _NORMAL_TOL (rings stretched by a
+    strongly anisotropic integrand), by SVD instead. Row k of X is then
+    divided by rbar^deg(k), giving pinv of the unscaled A.
     """
     r = np.linalg.norm(y, axis=2)
     rbar = r[:, 1:].mean(axis=1, keepdims=True)
+    rbar[rbar == 0] = 1.0    # a ring collapsed onto its vertex: rank 1
     w = np.exp(-((r / rbar) ** 2))
     A = _design_matrix(y / rbar[..., None]) * w[..., None]
     At = A.transpose(0, 2, 1)
-    G = At @ A
     try:
-        X = np.linalg.solve(G, At)
+        X = np.linalg.solve(At @ A, At)
     except np.linalg.LinAlgError:
-        # an exactly singular G fails the whole batch: solve the others
+        # an exactly singular A^T A fails the whole batch: refit it by SVD
         X = np.full(At.shape, np.nan)
-        regular = np.linalg.det(G) != 0
-        X[regular] = np.linalg.solve(G[regular], At[regular])
-    residual = np.abs(X @ A - np.eye(len(_FACTORS))).max(axis=(1, 2))
-    ok = residual <= _IDENTITY_TOL
-    rows = X[:, 1:6] * rbar[..., None] ** -_DEGREES[:, None] * w[:, None, :]
+    redo = ~(np.abs(X @ A - np.eye(len(_FACTORS))).max(axis=(1, 2))
+             <= _NORMAL_TOL)
+    ok = np.ones(len(y), dtype=bool)
+    if redo.any():
+        X[redo] = np.linalg.pinv(A[redo], rcond=_RCOND)
+        s = np.linalg.svd(A[redo], compute_uv=False)
+        ok[redo] = s[:, -1] > _RCOND * s[:, 0]
+    # rbar^deg of the gradient and Hessian monomials
+    scale = _design_matrix(np.repeat(rbar, 2, axis=1))[:, 1:6] / _FACTORS[1:6]
+    rows = X[:, 1:6] / scale[..., None] * w[:, None, :]
     return rows, ok
 
 
@@ -101,8 +109,8 @@ class DerivativeOperators:
     Built from any mesh exposing vertices, frames and a CSR adjacency. Each
     vertex gets a weighted cubic fit over itself and its two-ring; vertices
     with equally large rings are fitted together, in blocks of at most
-    _BLOCK_VERTICES, by batched normal equations (`_fit_rows`). A two-ring
-    too small or too degenerate for a cubic fit raises ValueError.
+    _BLOCK_VERTICES, by batched normal equations or SVD (`_fit_rows`). A
+    two-ring too small or too degenerate for a cubic fit raises ValueError.
     """
 
     def __init__(self, mesh):

@@ -226,6 +226,60 @@ def test_stencil_rejects_rank_deficient_rings():
         DerivativeOperators(WulffMesh(line, sphere.faces, sphere.normals, 2))
 
 
+def test_stencil_rejects_collapsed_rings_without_warnings():
+    """A mesh squashed onto the x axis collapses some two-rings onto their
+    vertex in the chart (mean ring radius 0)."""
+    import warnings
+    from wulffstab.operators import DerivativeOperators
+    from wulffstab.spheremesh import WulffMesh
+    sphere = build_sphere_mesh(2)
+    squashed = WulffMesh(sphere.vertices * [1.0, 0.0, 0.0], sphere.faces,
+                         sphere.normals, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="rank-deficient"):
+            DerivativeOperators(squashed)
+
+
+def chart_cubic_errors(mesh, ops):
+    """Largest error of each stencil channel on random cubics, one per
+    vertex, in that vertex's chart scaled to unit RMS ring radius; relative
+    to the largest coefficient."""
+    e1, e2 = mesh.frames
+    c = np.random.default_rng(7).normal(size=(mesh.n_vertices, 10))
+    out = []
+    for k, ch in enumerate((ops.g1, ops.g2, ops.h11, ops.h12, ops.h22)):
+        m = ch.tocoo()
+        d = mesh.vertices[m.col] - mesh.vertices[m.row]
+        y = np.column_stack((np.einsum("ki,ki->k", d, e1[m.row]),
+                             np.einsum("ki,ki->k", d, e2[m.row])))
+        h = np.sqrt(np.bincount(m.row, (y ** 2).sum(axis=1))
+                    / np.bincount(m.row))
+        u = y / h[m.row, None]
+        monomials = (u[:, :1] ** EXPONENTS[:, 0] * u[:, 1:] ** EXPONENTS[:, 1]
+                     * FACTORS)
+        values = np.einsum("kj,kj->k", monomials, c[m.row])
+        got = np.bincount(m.row, m.data * values, minlength=mesh.n_vertices)
+        got *= h ** EXPONENTS[k + 1].sum()
+        out.append(np.abs(got - c[:, k + 1]).max() / np.abs(c).max())
+    return np.array(out)
+
+
+def test_stencils_reproduce_cubics_on_stretched_rings(monkeypatch):
+    """quadratic:1,1,400 stretches two-rings up to ~280-fold, so cond(A)
+    reaches 2.5e8 even in scaled coordinates. The normal equations alone
+    lose accuracy there (errors ~1e-9); the SVD refit restores it."""
+    import wulffstab.operators as operators
+    from wulffstab import Integrand
+    mesh = build_wulff(Integrand.quadratic_form(np.diag([1.0, 1.0, 400.0])),
+                       3)
+    errors = chart_cubic_errors(mesh, operators.DerivativeOperators(mesh))
+    assert errors.max() <= 1e-10
+    monkeypatch.setattr(operators, "_NORMAL_TOL", np.inf)
+    errors = chart_cubic_errors(mesh, operators.DerivativeOperators(mesh))
+    assert errors.max() > 1e-10
+
+
 @pytest.mark.parametrize("k", [1, 4])
 def test_near_faces_match_k_ring_search(k):
     mesh = build_sphere_mesh(3)
