@@ -15,6 +15,36 @@ class ConfigError(Exception):
     """Invalid configuration; message carries section/key or line context."""
 
 
+# every section and key that a subcommand reads; any other name is rejected,
+# so a misspelled key cannot silently leave its default in force
+KEYS = {
+    "common": ("seed", "level", "out", "p", "integrand", "tolerance"),
+    "sweep": ("family", "amplitudes"),
+    "curvature": ("family", "epsilon"),
+    "kernel": ("levels", "n_vectors", "threshold"),
+    "center": ("translation", "translation_norm", "recovery_tol",
+               "epsilons"),
+    "einstein": ("dimensions", "kappas", "budget"),
+}
+
+
+def _check_names(cp):
+    """Reject sections and keys outside KEYS, naming section.key."""
+    for key in cp.defaults():
+        raise ConfigError(f"{cp.default_section}.{key}: unknown section; "
+                          f"sections are {', '.join(KEYS)}")
+    for name in cp.sections():
+        keys = cp.options(name)
+        if name not in KEYS:
+            where = f"{name}.{keys[0]}" if keys else name
+            raise ConfigError(f"{where}: unknown section [{name}]; "
+                              f"sections are {', '.join(KEYS)}")
+        for key in keys:
+            if key not in KEYS[name]:
+                raise ConfigError(f"{name}.{key}: unknown key; [{name}] "
+                                  f"takes {', '.join(KEYS[name])}")
+
+
 def parse_integrand(text):
     """Integrand from a config token.
 
@@ -79,6 +109,7 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"parse error: {exc}") from exc
+        _check_names(cp)
         self._cp = cp
         common = cp["common"] if cp.has_section("common") else {}
         self.seed = self._int(common, "common", "seed", 0)

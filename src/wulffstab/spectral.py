@@ -109,47 +109,70 @@ def sh_synthesize(coeffs, points):
 _H_STEP = 1e-2
 _W1 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0          # offsets -2h,-h,h,2h
 _W2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # offsets -2h,-h,0,h,2h
+# vertices whose stencil harmonics are evaluated at once; each vertex's rows
+# depend on its own points only, so the block size bounds the temporaries
+# without changing an entry
+_BLOCK_VERTICES = 2048
 
 
-def _stencil_points(mesh):
-    points = mesh.vertices
+def _stencil_weights():
+    """(5, 12) weights of the rows (g1, g2, h11, h22, h12) on the field at
+    -2h, -h, h, 2h along e1, e2 and their bisector, less its vertex value.
+
+    Every row's weights, the vertex's included, sum to 0, so acting on the
+    differences from the vertex value gives the same rows with much less
+    left to cancel.
+    """
+    w = np.zeros((5, 3, 4))
+    w[0, 0] = w[1, 1] = _W1 / _H_STEP
+    w2 = _W2[[0, 1, 3, 4]] / _H_STEP ** 2
+    w[2, 0] = w[3, 1] = w[4, 2] = w2
+    w[4, :2] = -0.5 * w2
+    return w.reshape(5, 12)
+
+
+def _derivative_rows(mesh, L):
+    """Stencil combinations of the harmonics: rows (g1, g2, h11, h22, h12).
+
+    Returns a (5, N, (L+1)^2) array; row k times a coefficient vector is
+    that derivative at the vertices. The harmonics at the 12 off-vertex
+    stencil points are evaluated one vertex block at a time.
+    """
+    n = mesh.n_vertices
+    f0 = mesh_basis(mesh, L)[0]
     e1, e2 = mesh.frames
+    dirs = (e1, e2, (e1 + e2) / np.sqrt(2.0))
     offs = np.array([-2 * _H_STEP, -_H_STEP, _H_STEP, 2 * _H_STEP])
-    dirs = [e1, e2, (e1 + e2) / np.sqrt(2.0)]
-    stacks = [points]
-    for d in dirs:
-        for t in offs:
-            stacks.append(np.cos(t) * points + np.sin(t) * d)
-    return np.concatenate(stacks)
+    weights = _stencil_weights()
+    rows = np.empty((5, n, (L + 1) ** 2))
+    for lo in range(0, n, _BLOCK_VERTICES):
+        sl = slice(lo, lo + _BLOCK_VERTICES)
+        x = mesh.vertices[sl]
+        pts = np.concatenate([np.cos(t) * x + np.sin(t) * d[sl]
+                              for d in dirs for t in offs])
+        # (harmonic, point, vertex) view with the points ordered as pts
+        vals = real_sph_harm_matrix(pts, L).T.reshape(-1, 12, len(x))
+        vals -= f0[sl].T[:, None]
+        out = weights @ vals                     # (harmonic, row, vertex)
+        rows[:, sl] = out.transpose(1, 2, 0)
+    return rows
 
 
 def spectral_derivatives(mesh, coeffs):
     """Covariant gradient and Hessian of a band-limited field at the vertices.
 
-    The harmonics at the stencil points are evaluated once per band and
-    cached on the mesh, which makes repeated calls cheap.
+    The stencil combinations of the harmonics are built once per band and
+    cached on the mesh, so each call is one product with the coefficients.
 
     Returns (value (N,), grad (N, 2) in the frame, hess (N, 2, 2)).
     """
     n = mesh.n_vertices
     L = int(np.sqrt(len(coeffs))) - 1
-    stencil = mesh.cached(("sh_stencil", L),
-                          lambda m: real_sph_harm_matrix(_stencil_points(m), L))
-    vals = (stencil @ coeffs).reshape(13, n)
-    h = _H_STEP
-    f0 = vals[0]
-    out_g = np.empty((n, 2))
-    d2 = np.empty((3, n))
-    for k in range(3):
-        block = vals[1 + 4 * k: 5 + 4 * k]  # rows: -2h, -h, h, 2h
-        d1 = (_W1[0] * block[0] + _W1[1] * block[1]
-              + _W1[2] * block[2] + _W1[3] * block[3]) / h
-        d2[k] = (_W2[0] * block[0] + _W2[1] * block[1] + _W2[2] * f0
-                 + _W2[3] * block[2] + _W2[4] * block[3]) / h ** 2
-        if k < 2:
-            out_g[:, k] = d1
+    rows = mesh.cached(("sh_stencil", L), lambda m: _derivative_rows(m, L))
+    g1, g2, h11, h22, h12 = (rows.reshape(5 * n, -1) @ coeffs).reshape(5, n)
+    grad = np.stack((g1, g2), axis=1)
     hess = np.empty((n, 2, 2))
-    hess[:, 0, 0] = d2[0]
-    hess[:, 1, 1] = d2[1]
-    hess[:, 0, 1] = hess[:, 1, 0] = d2[2] - 0.5 * (d2[0] + d2[1])
-    return f0, out_g, hess
+    hess[:, 0, 0] = h11
+    hess[:, 1, 1] = h22
+    hess[:, 0, 1] = hess[:, 1, 0] = h12
+    return mesh_basis(mesh, L)[0] @ coeffs, grad, hess

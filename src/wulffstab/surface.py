@@ -118,9 +118,7 @@ def _spectral_sphere_graph(mesh, values, kind):
     geom = _finish_from_derivatives(mesh, positions, psi_d, nu, h_chart,
                                     values, kind)
     geom.radius_coeffs = coeffs
-    basis, _ = spectral.mesh_basis(mesh, band)
-    resid = basis @ coeffs - values
-    geom.band_residual = float(np.abs(resid).max())
+    geom.band_residual = float(np.abs(val - values).max())
     return geom
 
 
@@ -289,8 +287,17 @@ def recover_radius_spectral(mesh, coeffs, kind, translation):
     point y = normalize(s x0 + c), s = |rho(y) y - c|, for at most 60 steps
     or until s moves by less than 1e-13. Returns the radius field in the
     convention of `kind` ('exp' gives log s, 'radial' s - 1).
+
+    At c = 0 the fixed point stops at y = x0, s = |rho(x0)|, so the field
+    is read off the cached vertex basis, and the residual vanishes exactly
+    where rho > 0.
     """
     c = np.asarray(translation, dtype=float)
+    band = int(np.sqrt(len(coeffs))) - 1
+    if not c.any() and band <= spectral.band_limit(mesh.n_vertices):
+        radius = spectral.mesh_basis(mesh, band)[0] @ coeffs
+        rho = np.exp(radius) if kind == "exp" else 1.0 + radius
+        return radius, bool((rho > 0).all())
     x0 = mesh.vertices
     s = np.ones(len(x0))
     for _ in range(60):

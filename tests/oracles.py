@@ -6,6 +6,7 @@ from scipy.special import gammaln, lpmv
 
 from wulffstab.curvature import gauss_ricci
 from wulffstab.flatgraph import _D1, GridField
+from wulffstab import spectral
 from wulffstab.spectral import sh_index
 
 
@@ -74,6 +75,67 @@ def sh_analyze_reference(mesh, values, L):
     sw = np.sqrt(mesh.weights)
     coeffs, *_ = np.linalg.lstsq(B * sw[:, None], values * sw, rcond=None)
     return coeffs
+
+
+def stencil_basis_reference(mesh, L):
+    """Harmonics at the 13N stencil points: the vertices, then 4 geodesic
+    offsets along e1, e2 and their bisector."""
+    points = mesh.vertices
+    e1, e2 = mesh.frames
+    h = spectral._H_STEP
+    offs = np.array([-2 * h, -h, h, 2 * h])
+    dirs = [e1, e2, (e1 + e2) / np.sqrt(2.0)]
+    stacks = [points]
+    for d in dirs:
+        for t in offs:
+            stacks.append(np.cos(t) * points + np.sin(t) * d)
+    return spectral.real_sph_harm_matrix(np.concatenate(stacks), L)
+
+
+def spectral_derivatives_reference(stencil, coeffs):
+    """Value, gradient and Hessian by synthesizing the field at all 13N
+    stencil points (`stencil_basis_reference`) and combining the values."""
+    vals = (stencil @ coeffs).reshape(13, -1)
+    n = vals.shape[1]
+    h, w1, w2 = spectral._H_STEP, spectral._W1, spectral._W2
+    f0 = vals[0]
+    out_g = np.empty((n, 2))
+    d2 = np.empty((3, n))
+    for k in range(3):
+        block = vals[1 + 4 * k: 5 + 4 * k]  # rows: -2h, -h, h, 2h
+        d1 = (w1[0] * block[0] + w1[1] * block[1]
+              + w1[2] * block[2] + w1[3] * block[3]) / h
+        d2[k] = (w2[0] * block[0] + w2[1] * block[1] + w2[2] * f0
+                 + w2[3] * block[2] + w2[4] * block[3]) / h ** 2
+        if k < 2:
+            out_g[:, k] = d1
+    hess = np.empty((n, 2, 2))
+    hess[:, 0, 0] = d2[0]
+    hess[:, 1, 1] = d2[1]
+    hess[:, 0, 1] = hess[:, 1, 0] = d2[2] - 0.5 * (d2[0] + d2[1])
+    return f0, out_g, hess
+
+
+def recover_radius_spectral_reference(mesh, coeffs, kind, translation):
+    """The fixed point at every translation, zero included."""
+    c = np.asarray(translation, dtype=float)
+    x0 = mesh.vertices
+    s = np.ones(len(x0))
+    for _ in range(60):
+        y_new = s[:, None] * x0 + c
+        y_new /= np.linalg.norm(y_new, axis=1, keepdims=True)
+        val = spectral.sh_synthesize(coeffs, y_new)
+        rho = np.exp(val) if kind == "exp" else 1.0 + val
+        v = rho[:, None] * y_new - c
+        s_new = np.linalg.norm(v, axis=1)
+        delta = np.abs(s_new - s).max()
+        s = s_new
+        if delta < 1e-13:
+            break
+    resid = v / s[:, None] - x0
+    ok = np.abs(resid).max() < 1e-9
+    radius = np.log(s) if kind == "exp" else s - 1.0
+    return radius, bool(ok)
 
 
 def riemann_brute(h):

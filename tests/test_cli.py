@@ -218,11 +218,10 @@ def test_bad_mode_tokens_exit_2(tmp_path, capsys, integrand, family, where):
     tabulated harmonic polynomial; a zero kernel vector has no direction;
     l above band 8 of the level-3 sphere would be measured aliased."""
     command = "curvature" if where.startswith("curvature") else "sweep"
-    cfg = write_config(tmp_path, BASE.format(integrand=integrand) + f"""
-[{command}]
-family = {family}
-amplitudes = 1e-3,1e-2,4
-""")
+    body = BASE.format(integrand=integrand) + f"\n[{command}]\nfamily = {family}\n"
+    if command == "sweep":
+        body += "amplitudes = 1e-3,1e-2,4\n"
+    cfg = write_config(tmp_path, body)
     out = tmp_path / "bad"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert where in capsys.readouterr().err
@@ -356,3 +355,34 @@ def test_empty_out_exits_2(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["wulff", "--config", cfg, "--out", ""])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("body, where", [
+    ("[common]\nlevl = 3\n", "common.levl"),
+    ("[common]\nlevel = 3\n[sweeep]\nfamily = harmonic:2,0\n",
+     "sweeep.family"),
+    ("[common]\nlevel = 3\n[sweeep]\n", "sweeep"),
+    ("[Common]\nlevel = 3\n", "Common.level"),
+    ("[DEFAULT]\nlevel = 3\n", "DEFAULT.level"),
+    ("[common]\nlevel = 3\n[curvature]\namplitudes = 1e-3,1e-2,4\n",
+     "curvature.amplitudes"),
+    ("[common]\nlevel = 3\n[center]\ntranslation_nrom = 0.05\n",
+     "center.translation_nrom"),
+], ids=["key", "section-key", "empty-section", "section-case", "default",
+        "other-command-key", "misspelled-key"])
+def test_unknown_names_exit_2(tmp_path, capsys, body, where):
+    """A misspelled section or key is rejected before any command runs."""
+    cfg = write_config(tmp_path, body)
+    with pytest.raises(ConfigError, match=where):
+        ExperimentConfig(cfg)
+    out = tmp_path / "o"
+    assert main(["wulff", "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error: {where}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_example_config_names_are_known():
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "example.ini")
+    cfg = ExperimentConfig(path)
+    assert cfg.level == 5 and cfg.integrand.family == "quadratic"

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from oracles import (real_sph_harm_matrix_columns,
                      real_sph_harm_matrix_reference, sh_analyze_reference,
+                     spectral_derivatives_reference, stencil_basis_reference,
                      subdivide_reference)
 from wulffstab import build_sphere_mesh, build_wulff
 from wulffstab import spectral, spheremesh
@@ -136,6 +137,48 @@ def test_spectral_derivatives_of_linear_mode(sphere4):
     assert_allclose(grad[:, 0], e1 @ c, atol=1e-8)
     assert_allclose(grad[:, 1], e2 @ c, atol=1e-8)
     assert_allclose(hess, -u[:, None, None] * np.eye(2)[None], atol=1e-7)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+@pytest.mark.parametrize("band", [4, 8])
+def test_derivative_rows_match_13_point_stencil(level, band):
+    """Each harmonic's value, gradient and Hessian match the synthesis at
+    all 13N stencil points, so by linearity every field matches up to the
+    rounding of one product."""
+    mesh = build_sphere_mesh(level)
+    stencil = stencil_basis_reference(mesh, band)
+    got, want = [], []
+    for coeffs in np.eye((band + 1) ** 2):
+        got.append(spectral.spectral_derivatives(mesh, coeffs))
+        want.append(spectral_derivatives_reference(stencil, coeffs))
+    for g, w in zip(zip(*got), zip(*want)):
+        g, w = np.array(g), np.array(w)
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+def test_blocked_derivative_rows_match_unblocked(monkeypatch):
+    mesh = build_sphere_mesh(3)
+    coeffs = spectral.sh_analyze(mesh, np.exp(mesh.vertices[:, 0]), 8)
+    spectral.spectral_derivatives(mesh, coeffs)
+    monkeypatch.setattr(spectral, "_BLOCK_VERTICES", mesh.n_vertices)
+    whole = spectral._derivative_rows(mesh, 8)
+    monkeypatch.setattr(spectral, "_BLOCK_VERTICES", 5)
+    np.testing.assert_array_equal(spectral._derivative_rows(mesh, 8), whole)
+    np.testing.assert_array_equal(mesh._cache[("sh_stencil", 8)], whole)
+
+
+def test_derivative_cache_holds_only_the_folded_rows():
+    """Level 5, band 8: five derivative rows and the vertex basis (with its
+    Cholesky factor), and no 13N-row stencil basis."""
+    mesh = build_sphere_mesh(5)
+    n, k = mesh.n_vertices, 81
+    coeffs = spectral.sh_analyze(mesh, mesh.vertices[:, 2] ** 3, 8)
+    spectral.spectral_derivatives(mesh, coeffs)
+    assert set(mesh._cache) == {("sh_basis", 8), ("sh_stencil", 8)}
+    (basis, (factor, _)), rows = (mesh._cache[("sh_basis", 8)],
+                                  mesh._cache[("sh_stencil", 8)])
+    assert rows.shape == (5, n, k) and basis.shape == (n, k)
+    assert rows.size + basis.size + factor.size == 5 * n * k + n * k + k * k
 
 
 # --- norms and operators ----------------------------------------------------

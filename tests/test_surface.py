@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wulffstab import spectral
+from oracles import recover_radius_spectral_reference
+from wulffstab import build_sphere_mesh, spectral
 from wulffstab.operators import lp_norm
 from wulffstab.surface import (exp_graph, geometry_from_positions,
                                hausdorff_distance, project_to_wulff,
@@ -164,6 +165,46 @@ def test_recover_radius_spectral_translate(sphere5):
     rad, ok = recover_radius_spectral(sphere5, coeffs, "exp", t)
     assert ok
     assert np.abs(rad).max() < 1e-7
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_recover_radius_spectral_at_zero_reads_the_vertex_basis(level):
+    """At c = 0 the radius is the field at the vertices, and the graph
+    property holds exactly where rho > 0 at every node."""
+    mesh = build_sphere_mesh(level)
+    gen = np.random.default_rng(level)
+    lost = 0
+    for band in (4, 8, 10):
+        assert band <= spectral.band_limit(mesh.n_vertices)
+        for kind in ("exp", "radial"):
+            for amp in (1e-4, 1e-2, 0.3):
+                coeffs = amp * gen.normal(size=(band + 1) ** 2)
+                want, want_ok = recover_radius_spectral_reference(
+                    mesh, coeffs, kind, np.zeros(3))
+                got, ok = recover_radius_spectral(mesh, coeffs, kind,
+                                                  np.zeros(3))
+                assert ok == want_ok
+                if ok:
+                    bound = 1e-13 * max(1.0, np.abs(want).max())
+                    assert np.abs(got - want).max() <= bound
+                lost += not ok
+    assert lost > 0
+
+
+def test_recover_radius_spectral_fixed_point_paths():
+    """A band above the mesh limit, or any nonzero c, runs the fixed point."""
+    mesh = build_sphere_mesh(2)
+    over = spectral.band_limit(mesh.n_vertices) + 2
+    c = np.array([0.0, 1e-3, -2e-3])
+    gen = np.random.default_rng(2)
+    for band, t in ((over, np.zeros(3)), (over, c), (4, c)):
+        coeffs = 1e-2 * gen.normal(size=(band + 1) ** 2)
+        for kind in ("exp", "radial"):
+            got = recover_radius_spectral(mesh, coeffs, kind, t)
+            want = recover_radius_spectral_reference(mesh, coeffs, kind, t)
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1] == want[1]
+    assert not mesh._cache
 
 
 def test_recover_radius_mesh_translate(sphere4):
