@@ -365,8 +365,9 @@ def run_sweep(cfg, outdir, svg):
 def run_einstein(cfg, outdir, svg):
     sec = cfg.section("einstein")
     dims = cfg.ints("einstein", "dimensions", "3,4,5")
-    if min(dims) < 3:
-        raise ConfigError("einstein.dimensions must be 3 or more")
+    if min(dims) < 3 or max(dims) > es.DIMENSION_MAX:
+        raise ConfigError(f"einstein.dimensions must lie in [3, "
+                          f"{es.DIMENSION_MAX}]")
     kappas = cfg.floats("einstein", "kappas", "-1,0,1")
     if max(abs(k) for k in kappas) > es.KAPPA_MAX:
         raise ConfigError(f"einstein.kappas must lie in [-{es.KAPPA_MAX:g}, "

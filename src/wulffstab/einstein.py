@@ -27,8 +27,13 @@ def ricci_spectrum(spec):
     return lam * (lam.sum() - lam)
 
 
-def _pinching(spec, lambda_low, factor):
-    """|Ric_dev|^2 against factor(n) * Lambda^2 * |h_dev|^2; see pinching_check."""
+def pinching_check(spec, lambda_low):
+    """Evaluate |Ric_dev|^2 against (n-1) * Lambda^2 * |h_dev|^2.
+
+    Returns (lhs, rhs, pass); both sides use standard tensor norms
+    |T_dev|^2 = sum eig^2 - (sum eig)^2 / n. Not applicable (None flags)
+    when the spectrum violates min lambda >= Lambda > 0.
+    """
     s = spec if isinstance(spec, EigenSpectrum) else EigenSpectrum(spec)
     if lambda_low <= 0 or s.eigenvalues.min() < lambda_low:
         return None, None, None
@@ -37,28 +42,8 @@ def _pinching(spec, lambda_low, factor):
     Lam = ricci_spectrum(s)
     ric_dev2 = float(np.sum(Lam ** 2) - Lam.sum() ** 2 / n)
     h_dev2 = float(np.sum(lam ** 2) - lam.sum() ** 2 / n)
-    rhs = factor(n) * lambda_low ** 2 * h_dev2
+    rhs = (n - 1) * lambda_low ** 2 * h_dev2
     return ric_dev2, rhs, bool(ric_dev2 >= rhs - 1e-12 * max(1.0, rhs))
-
-
-def pinching_check(spec, lambda_low):
-    """Evaluate |Ric_dev|^2 against (n-1) * Lambda^2 * |h_dev|^2.
-
-    Returns (lhs, rhs, pass); both sides use standard tensor norms
-    |T_dev|^2 = sum eig^2 - (sum eig)^2 / n. Not applicable (None flags)
-    when the spectrum violates min lambda >= Lambda > 0.
-    """
-    return _pinching(spec, lambda_low, lambda n: n - 1)
-
-
-def pinching_check_provable(spec, lambda_low):
-    """Same comparison with the provable factor (n-2)^2 Lambda^2.
-
-    Pointwise, Lambda_i - Lambda_j = (lambda_i - lambda_j) sum_{k != i,j}
-    lambda_k and the inner sum has n-2 terms, each >= Lambda; squaring and
-    summing gives |Ric_dev|^2 >= (n-2)^2 Lambda^2 |h_dev|^2.
-    """
-    return _pinching(spec, lambda_low, lambda n: (n - 2) ** 2)
 
 
 def polys(spec):
@@ -217,6 +202,10 @@ def _sort_simplex(sim, fsim):
 
 
 KAPPA_MAX = 10.0  # bound on |kappa| for ratio_bounds and the CLI
+# bound on n for the CLI: polys_batch holds 2 x 8192 x n(n-1) floats, so
+# one cell at budget 200000 peaks near 0.9 GB and 20 s at n = 70 and
+# passes 1 GB at n = 75
+DIMENSION_MAX = 70
 
 
 def ratio_bounds(n, kappa, budget=10 ** 6, seed=0):
@@ -286,60 +275,154 @@ def ratio_bounds(n, kappa, budget=10 ** 6, seed=0):
     return RatioBound(n, kappa, float(c1), float(c2), total, argmin, argmax)
 
 
+def _p_residuals(lams, kappa):
+    """Residuals sqrt(2) (lambda_i lambda_j - kappa) over the pairs i < j,
+    whose squares sum to p, and their Jacobian (m, pairs, n)."""
+    n = lams.shape[1]
+    i, j = np.triu_indices(n, 1)
+    res = np.sqrt(2.0) * (lams[:, i] * lams[:, j] - kappa)
+    jac = np.zeros(res.shape + (n,))
+    pair = np.arange(len(i))
+    jac[:, pair, i] = np.sqrt(2.0) * lams[:, j]
+    jac[:, pair, j] = np.sqrt(2.0) * lams[:, i]
+    return res, jac
+
+
+def _q_residuals(lams, kappa):
+    """Residuals Lambda_i - (n-1) kappa, whose squares sum to q, and their
+    Jacobian dLambda_i / dlambda_k = lambda_i + delta_ik (P1 - 2 lambda_i)."""
+    n = lams.shape[1]
+    p1 = lams.sum(axis=1, keepdims=True)
+    res = lams * (p1 - lams) - (n - 1) * kappa
+    jac = np.repeat(lams[:, :, None], n, axis=2)
+    k = np.arange(n)
+    jac[:, k, k] += p1 - 2.0 * lams
+    return res, jac
+
+
+# a sum of squares this small is zero to rounding; p and q are homogeneous
+# at kappa = 0, so hunts near the origin only close in on it geometrically
+# and would never reach an exact 0 within the cap
+_HUNT_ZERO = 1e-30
+_HUNT_XTOL = 1e-14  # a step this small against |x| no longer moves x
+_HUNT_FTOL = 1e-14  # an accepted step lowering the value by less is a stall
+
+
+def _levenberg_marquardt(residuals, x0, maxiter):
+    """Minimize |r(x)|^2 from K starts together: K independent runs.
+
+    residuals(x (m, N)) returns r (m, M) and its Jacobian (m, M, N). Each
+    run solves (J^T J + mu I) step = -J^T r, keeps the step if it lowers
+    the value (mu / 3) or rejects it (mu * 4), and stops at a zero value,
+    a stall (a step too small to move x, or an accepted step that barely
+    lowers the value) or maxiter iterations. Runs that stop leave the batch.
+    Returns (x (K, N), nit (K,)).
+    """
+    x = np.array(x0, dtype=float)
+    K, N = x.shape
+    nit = np.full(K, maxiter)
+    run = np.arange(K)
+    res, jac = residuals(x)
+    val = np.einsum("km,km->k", res, res)
+    diag = np.arange(N)
+    mu = 1e-3 * np.einsum("kmi,kmi->ki", jac, jac).max(axis=1, initial=0.0)
+    xr = x.copy()
+    for it in range(1, maxiter + 1):
+        jac_t = jac.transpose(0, 2, 1)
+        a = jac_t @ jac
+        a[:, diag, diag] += mu[:, None]
+        step = -np.linalg.solve(a, jac_t @ res[..., None])[..., 0]
+        trial = xr + step
+        res_t, jac_trial = residuals(trial)
+        val_t = np.einsum("km,km->k", res_t, res_t)
+        ok = val_t < val
+        stall = ((np.linalg.norm(step, axis=1)
+                  <= _HUNT_XTOL * np.linalg.norm(xr, axis=1))
+                 | (ok & (val - val_t <= _HUNT_FTOL * val)))
+        xr[ok], res[ok], jac[ok] = trial[ok], res_t[ok], jac_trial[ok]
+        val[ok] = val_t[ok]
+        mu = np.where(ok, mu / 3.0, mu * 4.0)
+        done = (val <= _HUNT_ZERO) | stall | (it == maxiter)
+        x[run[done]] = xr[done]
+        nit[run[done]] = it
+        keep = ~done
+        if not keep.any():
+            break
+        run, xr, res, jac, val, mu = (run[keep], xr[keep], res[keep],
+                                      jac[keep], val[keep], mu[keep])
+    return x, nit
+
+
+def _lowest(values, k):
+    """Indices of the k smallest values in increasing order (all if fewer)."""
+    if len(values) <= k:
+        return np.argsort(values)
+    idx = np.argpartition(values, k - 1)[:k]
+    return idx[np.argsort(values[idx])]
+
+
+def _zero_distance2(lams, kappa):
+    """Squared distance of each row to the nearest analytic zero (kappa >= 0).
+
+    The zero set is invariant under permuting coordinates, so the nearest
+    of +-e_i lies at |lambda|^2 - 2 max|lambda_i| + 1 and the nearest of
+    +-sqrt(kappa) (1, ..., 1) at |lambda|^2 - 2 sqrt(kappa) |P1| + n kappa.
+    """
+    norm2 = np.einsum("ij,ij->i", lams, lams)
+    if kappa == 0:
+        return norm2 - 2.0 * np.abs(lams).max(axis=1) + 1.0
+    return (norm2 - 2.0 * np.sqrt(kappa) * np.abs(lams.sum(axis=1))
+            + lams.shape[1] * kappa)
+
+
 def zero_set_check(n, kappa, budget=10 ** 5, seed=0):
     """Verify the common-zero characterization of p and q numerically.
 
     Checks that p and q vanish at the analytic zeros, that min(p + q) over
     samples outside balls of radius 1e-3 around those zeros stays positive,
     and hunts for stray zeros of one polynomial where the other is bounded
-    away from zero by local minimization from the 8 lowest sampled values. A
-    found stray zero (reported with its location) fails the check; this
-    does happen for q when kappa < 0 and n >= 4.
+    away from zero: a batched Levenberg-Marquardt on p from the 8 lowest
+    sampled p, and one on q from the 8 lowest sampled q. A found stray zero
+    (reported with its location) fails the check; this does happen for q
+    when kappa < 0 and n >= 4. The hunts' end points, iteration counts and
+    the number that stopped at the iteration cap are reported too.
     """
-    ball, refine = 1e-3, 8
+    ball, refine, maxiter = 1e-3, 8, 100
     rng = np.random.default_rng((seed, n))
     zeros = analytic_zeros(n, kappa)
     at_zeros = 0.0
-    for z in zeros:
-        p, q = polys(EigenSpectrum(z, kappa))
-        at_zeros = max(at_zeros, p, q)
+    if len(zeros):
+        p, q = polys_batch(zeros, kappa)
+        at_zeros = float(max(p.max(), q.max()))
     scale = max(1.0, np.sqrt(abs(kappa)))
     lams = np.concatenate([
         rng.normal(size=(budget // 2, n)) * 2.0 * scale,
         rng.normal(size=(budget - budget // 2, n)) * 0.5 * scale,
     ])
+    off = lams
     if len(zeros):
-        ordered = np.sort(lams, axis=1)
-        d = np.min([np.linalg.norm(ordered - z, axis=1) for z in zeros], axis=0)
-        off = lams[d > ball]
-    else:
-        off = lams
+        off = lams[_zero_distance2(lams, kappa) > ball ** 2]
     p, q = polys_batch(off, kappa)
     min_off = float((p + q).min()) if len(off) else np.inf
-    # hunt: minimize p from the refine lowest sampled p, then q likewise
-    starts = np.concatenate([np.argsort(p)[:refine], np.argsort(q)[:refine]])
-    hunts_q = np.arange(len(starts)) >= min(refine, len(off))
-
-    def hunted(lams, start):
-        p, q = polys_batch(lams, kappa)
-        return np.where(hunts_q[start], q, p)
-
-    x, fx, _ = _nelder_mead(hunted, off[starts], maxiter=600, xatol=1e-12,
-                            fatol=1e-16)
+    x_p, nit_p = _levenberg_marquardt(lambda x: _p_residuals(x, kappa),
+                                      off[_lowest(p, refine)], maxiter)
+    x_q, nit_q = _levenberg_marquardt(lambda x: _q_residuals(x, kappa),
+                                      off[_lowest(q, refine)], maxiter)
+    x = np.concatenate([x_p, x_q])
+    nit = np.concatenate([nit_p, nit_q])
+    hunts_q = np.arange(len(x)) >= len(x_p)
     p_end, q_end = polys_batch(x, kappa)
+    val = np.where(hunts_q, q_end, p_end)
     other = np.where(hunts_q, p_end, q_end)
-    stray = []
-    for lam, val, oth in zip(x, fx, other):
-        if len(zeros):
-            dist = np.min(np.linalg.norm(np.sort(lam) - zeros, axis=1))
-            if dist <= ball:
-                continue
-        if val < 1e-14 and oth > 1e-6:
-            stray.append(lam)
-    passed = at_zeros < 1e-18 and min_off > 0 and not stray
+    stray = (val < 1e-14) & (other > 1e-6)
+    if len(zeros):
+        stray &= _zero_distance2(x, kappa) > ball ** 2
+    passed = at_zeros < 1e-18 and min_off > 0 and not stray.any()
     return {"passed": bool(passed), "max_at_zeros": at_zeros,
-            "min_off_zeros": min_off, "stray_zeros": len(stray),
-            "stray_points": stray, "n_zeros": len(zeros)}
+            "min_off_zeros": min_off, "stray_zeros": int(stray.sum()),
+            "stray_points": list(x[stray]), "n_zeros": len(zeros),
+            "hunt_points": x, "hunt_iterations": nit,
+            "hunts_capped": int((nit == maxiter).sum())}
 
 
 def alpha_exponent(p, q, n=3):

@@ -177,30 +177,6 @@ def exp_graph(mesh, values):
     return _spectral_sphere_graph(mesh, values, "exp")
 
 
-def geometry_from_positions(base, positions):
-    """Geometry of an arbitrary node-indexed surface, all from mesh stencils.
-
-    Used for surfaces that are not given as graphs (certificate
-    counterexamples). Orientation follows the face winding of the base.
-    """
-    ops = get_operators(base)
-    psi_d = ops.jacobian_ambient(positions)
-    nu = np.cross(psi_d[:, :, 0], psi_d[:, :, 1])
-    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
-    # orient against averaged face normals
-    p = positions[base.faces]
-    fn = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    ref = np.zeros_like(positions)
-    np.add.at(ref, base.faces.ravel(), np.repeat(fn, 3, axis=0))
-    flip = np.einsum("ni,ni->n", nu, ref) < 0
-    nu[flip] *= -1.0
-    jac_nu = ops.jacobian_ambient(nu)
-    h_chart = np.einsum("nki,nkj->nij", psi_d, jac_nu)
-    h_chart = 0.5 * (h_chart + np.swapaxes(h_chart, 1, 2))
-    return _finish_from_derivatives(base, positions, psi_d, nu, h_chart,
-                                    None, "mesh")
-
-
 # --- projection onto the base -------------------------------------------
 
 

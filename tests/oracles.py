@@ -1,13 +1,18 @@
-"""Slow, independent reference implementations that the tests compare against."""
+"""Slow, independent reference implementations that the tests compare
+against, and helpers only the tests use."""
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, lpmv
 
 from wulffstab.curvature import gauss_ricci
-from wulffstab.flatgraph import _D1, GridField
+from wulffstab.einstein import EigenSpectrum, ricci_spectrum
+from wulffstab.flatgraph import (_D1, GridField, _differences, _disk_mask,
+                                 grid_w2p_norm)
 from wulffstab import spectral
+from wulffstab.operators import get_operators
 from wulffstab.spectral import sh_index
+from wulffstab.surface import _finish_from_derivatives
 
 
 def real_sph_harm_matrix_reference(points, L):
@@ -244,17 +249,9 @@ def polys_batch_reference(lams, kappa, block_rows=8192):
     return p, q
 
 
-def cap_fit_reference(field, p=2):
-    """cap_fit_residual with the roll-based norm, its per-call disk and NaN
-    scan, and a polish that evaluates the objective afresh at every use,
-    the current lambda included."""
-    lam_max = 0.999 / (field.extent * np.sqrt(2.0))
-
-    def objective(lam):
-        diff = GridField(field.values - cap_reference(field.x, field.y, lam),
-                         field.extent)
-        return grid_w2p_norm_reference(diff, p)
-
+def _fit_cap_lambda(objective, lam_max):
+    """Brent on the squared objective over [0, lam_max], then the two
+    parabolic polish steps of cap_fit_residual; returns (residual, lam)."""
     res = minimize_scalar(lambda lam: objective(lam) ** 2,
                           bounds=(0.0, lam_max), method="bounded",
                           options={"xatol": 1e-14})
@@ -268,3 +265,84 @@ def cap_fit_reference(field, p=2):
             if 0 < cand < lam_max and objective(cand) < objective(lam):
                 lam = cand
     return float(objective(lam)), lam
+
+
+def cap_fit_reference(field, p=2):
+    """cap_fit_residual with the roll-based norm, its per-call disk and NaN
+    scan, and a polish that evaluates the objective afresh at every use,
+    the current lambda included."""
+    lam_max = 0.999 / (field.extent * np.sqrt(2.0))
+
+    def objective(lam):
+        diff = GridField(field.values - cap_reference(field.x, field.y, lam),
+                         field.extent)
+        return grid_w2p_norm_reference(diff, p)
+
+    return _fit_cap_lambda(objective, lam_max)
+
+
+def cap_fit_per_call(field, p=2):
+    """cap_fit_residual with a fresh u - cap grid and a grid_w2p_norm call
+    that allocates its own buffers for every lambda."""
+    lam_max = 0.999 / (field.extent * np.sqrt(2.0))
+    u, extent = field.values, field.extent
+    r2 = field.x ** 2 + field.y ** 2
+    mask = _disk_mask(r2, extent, _differences(u, field.spacing))
+    norms = {}
+
+    def objective(lam):
+        if lam not in norms:
+            diff = GridField(u - (1.0 - np.sqrt(1.0 - lam ** 2 * r2)), extent)
+            norms[lam] = grid_w2p_norm(diff, p,
+                                       mask if abs(lam) <= lam_max else None)
+        return norms[lam]
+
+    return _fit_cap_lambda(objective, lam_max)
+
+
+def zero_distance_sorted(lams, zeros):
+    """Distance of each row to the nearest analytic zero: the sorted row
+    against every zero, one norm per zero."""
+    ordered = np.sort(lams, axis=1)
+    return np.min([np.linalg.norm(ordered - z, axis=1) for z in zeros], axis=0)
+
+
+def pinching_check_provable(spec, lambda_low):
+    """|Ric_dev|^2 against the provable factor (n-2)^2 Lambda^2 |h_dev|^2.
+
+    Pointwise, Lambda_i - Lambda_j = (lambda_i - lambda_j) sum_{k != i,j}
+    lambda_k and the inner sum has n-2 terms, each >= Lambda; squaring and
+    summing gives |Ric_dev|^2 >= (n-2)^2 Lambda^2 |h_dev|^2. Returns
+    (lhs, rhs, pass).
+    """
+    s = spec if isinstance(spec, EigenSpectrum) else EigenSpectrum(spec)
+    lam, n = s.eigenvalues, s.n
+    Lam = ricci_spectrum(s)
+    ric_dev2 = float(np.sum(Lam ** 2) - Lam.sum() ** 2 / n)
+    rhs = (n - 2) ** 2 * lambda_low ** 2 * float(np.sum(lam ** 2)
+                                                 - lam.sum() ** 2 / n)
+    return ric_dev2, rhs, bool(ric_dev2 >= rhs - 1e-12 * max(1.0, rhs))
+
+
+def geometry_from_positions(base, positions):
+    """Geometry of an arbitrary node-indexed surface, all from mesh stencils.
+
+    Used for surfaces that are not given as graphs (certificate
+    counterexamples). Orientation follows the face winding of the base.
+    """
+    ops = get_operators(base)
+    psi_d = ops.jacobian_ambient(positions)
+    nu = np.cross(psi_d[:, :, 0], psi_d[:, :, 1])
+    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    # orient against averaged face normals
+    p = positions[base.faces]
+    fn = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    ref = np.zeros_like(positions)
+    np.add.at(ref, base.faces.ravel(), np.repeat(fn, 3, axis=0))
+    flip = np.einsum("ni,ni->n", nu, ref) < 0
+    nu[flip] *= -1.0
+    jac_nu = ops.jacobian_ambient(nu)
+    h_chart = np.einsum("nki,nkj->nij", psi_d, jac_nu)
+    h_chart = 0.5 * (h_chart + np.swapaxes(h_chart, 1, 2))
+    return _finish_from_derivatives(base, positions, psi_d, nu, h_chart,
+                                    None, "mesh")

@@ -286,6 +286,7 @@ def test_negative_seed_flag_exits_2(tmp_path):
     ("einstein", "einstein", "dimensions", "abc"),
     ("einstein", "einstein", "dimensions", "3.5"),
     ("einstein", "einstein", "dimensions", "1,3"),
+    ("einstein", "einstein", "dimensions", "3,71"),
     ("einstein", "einstein", "kappas", "-1,x"),
     ("einstein", "einstein", "kappas", "nan"),
     ("einstein", "einstein", "kappas", "20"),

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
-from oracles import polys_batch_reference, ricci_matrix_oracle, riemann_brute
+from oracles import (pinching_check_provable, polys_batch_reference,
+                     ricci_matrix_oracle, riemann_brute, zero_distance_sorted)
 from wulffstab import einstein as es
 
 rng = np.random.default_rng(41)
@@ -66,7 +67,7 @@ def test_pinching_112_counterexample():
     assert_allclose(lhs, 2 / 3, rtol=1e-12)
     assert_allclose(rhs, 4 / 3, rtol=1e-12)
     assert not ok
-    lhs2, rhs2, ok2 = es.pinching_check_provable(es.EigenSpectrum([1, 1, 2]), 1.0)
+    lhs2, rhs2, ok2 = pinching_check_provable(es.EigenSpectrum([1, 1, 2]), 1.0)
     assert_allclose(lhs2, rhs2, rtol=1e-12)
     assert ok2
 
@@ -76,7 +77,7 @@ def test_pinching_provable_monte_carlo():
         g = np.random.default_rng((7, n))
         lam = 0.4 + np.abs(g.normal(size=(20000, n))) * 2
         for row in lam[:200]:
-            _, _, ok = es.pinching_check_provable(es.EigenSpectrum(row), 0.4)
+            _, _, ok = pinching_check_provable(es.EigenSpectrum(row), 0.4)
             assert ok
 
 
@@ -233,16 +234,68 @@ def _assert_matches_scipy(fun, x0, options, x, fx, nit):
         assert abs(fx[k] - ref.fun) <= 4 * np.spacing(abs(ref.fun))
 
 
-@pytest.mark.parametrize("n, kappa", [(3, 0.0), (4, -1.0)])
-def test_zero_set_hunt_matches_scipy(monkeypatch, n, kappa):
-    """Both hunts' starts in one lockstep run follow scipy's Nelder-Mead to
-    the bit; at kappa = -1, n = 4 some starts stop at the iteration cap."""
-    runs = _lockstep_runs(
-        monkeypatch, lambda: es.zero_set_check(n, kappa, budget=10 ** 5, seed=1))
-    (fun, x0, options, x, fx, nit, _), = runs
-    assert x0.shape == (16, n)
-    assert (nit == options["maxiter"]).any() == (kappa < 0)
-    _assert_matches_scipy(fun, x0, options, x, fx, nit)
+def _permutation_distance(points, target):
+    """Distance of each point to the nearest permutation of +-target."""
+    ordered = np.sort(points, axis=1)
+    t = np.sort(target)
+    return np.minimum(np.linalg.norm(ordered - t, axis=1),
+                      np.linalg.norm(ordered + t[::-1], axis=1))
+
+
+@pytest.mark.parametrize("n, target", [
+    (4, np.sqrt(3.0) * np.array([-1.0, -1.0, 1.0, 1.0])),
+    (5, np.sqrt(2.0) * np.array([-1.0, -1.0, -1.0, 2.0, 2.0])),
+])
+def test_zero_set_q_hunts_end_at_stray_zeros(n, target):
+    """At kappa = -1 every q-hunt ends at a permutation of the stray zero
+    of q (the p-hunts come first, 8 of each)."""
+    out = es.zero_set_check(n, -1.0, budget=10 ** 5, seed=1)
+    ends = out["hunt_points"][8:]
+    assert len(ends) == 8
+    assert _permutation_distance(ends, target).max() <= 1e-6
+    assert out["stray_zeros"] == 8
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_zero_set_hunts_end_at_umbilics(n):
+    """At kappa = 1 every hunt of p and of q ends within 1e-6 of
+    +-(1, ..., 1) before the iteration cap."""
+    out = es.zero_set_check(n, 1.0, budget=10 ** 5, seed=1)
+    assert _permutation_distance(out["hunt_points"], np.ones(n)).max() <= 1e-6
+    assert out["hunts_capped"] == 0
+    assert (out["hunt_iterations"] < 100).all()
+
+
+def test_zero_set_hunts_do_not_mistake_infima_at_infinity():
+    """At n = 3, kappa = -1 neither polynomial vanishes: inf p = 2 and
+    inf q = 4/3 are reached only as |lambda| -> infinity. Hunts that run
+    off towards them stay above those values and find no stray zero."""
+    out = es.zero_set_check(3, -1.0, budget=10 ** 5, seed=1)
+    p, q = es.polys_batch(out["hunt_points"], -1.0)
+    assert p[:8].min() >= 2.0 - 1e-6
+    assert q[8:].min() >= 4.0 / 3.0 - 1e-6
+    assert (np.linalg.norm(out["hunt_points"], axis=1) > 10).all()
+    assert out["stray_zeros"] == 0 and out["passed"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 2.5])
+def test_closed_form_zero_distance_matches_sorted_norms(n, kappa):
+    """The closed-form squared distance to the nearest analytic zero keeps
+    the same samples off the 1e-3 balls as the sorted-row norms, also for
+    samples drawn close to the zeros."""
+    zeros = es.analytic_zeros(n, kappa)
+    for seed in range(20):
+        g = np.random.default_rng((seed, n))
+        near = zeros[g.integers(0, len(zeros), 2000)]
+        radius = 10.0 ** g.uniform(-4, -2, size=(2000, 1))
+        near = near + g.normal(size=near.shape) * radius
+        lams = np.concatenate([g.normal(size=(2000, n)) * 2.0, near])
+        closed = es._zero_distance2(lams, kappa)
+        sorted_norm = zero_distance_sorted(lams, zeros)
+        np.testing.assert_array_equal(closed > 1e-3 ** 2, sorted_norm > 1e-3)
+        assert_allclose(np.sqrt(np.maximum(closed, 0.0)), sorted_norm,
+                        atol=1e-7)
 
 
 @pytest.mark.parametrize("n, kappa", [(3, 1.0), (4, 1.0)])

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import recover_radius_spectral_reference
+from oracles import geometry_from_positions, recover_radius_spectral_reference
 from wulffstab import build_sphere_mesh, spectral
 from wulffstab.operators import lp_norm
-from wulffstab.surface import (exp_graph, geometry_from_positions,
-                               hausdorff_distance, project_to_wulff,
+from wulffstab.surface import (exp_graph, hausdorff_distance, project_to_wulff,
                                projection_certificate, radial_graph,
                                recover_radius_mesh, recover_radius_spectral)
 
