@@ -316,11 +316,13 @@ def _levenberg_marquardt(residuals, x0, maxiter):
     the value (mu / 3) or rejects it (mu * 4), and stops at a zero value,
     a stall (a step too small to move x, or an accepted step that barely
     lowers the value) or maxiter iterations. Runs that stop leave the batch.
-    Returns (x (K, N), nit (K,)).
+    Returns (x (K, N), nit (K,), capped (K,)); capped marks the runs that
+    stopped only because they reached maxiter.
     """
     x = np.array(x0, dtype=float)
     K, N = x.shape
     nit = np.full(K, maxiter)
+    capped = np.zeros(K, dtype=bool)
     run = np.arange(K)
     res, jac = residuals(x)
     val = np.einsum("km,km->k", res, res)
@@ -342,23 +344,17 @@ def _levenberg_marquardt(residuals, x0, maxiter):
         xr[ok], res[ok], jac[ok] = trial[ok], res_t[ok], jac_trial[ok]
         val[ok] = val_t[ok]
         mu = np.where(ok, mu / 3.0, mu * 4.0)
-        done = (val <= _HUNT_ZERO) | stall | (it == maxiter)
+        converged = (val <= _HUNT_ZERO) | stall
+        done = converged | (it == maxiter)
         x[run[done]] = xr[done]
         nit[run[done]] = it
+        capped[run[done]] = ~converged[done]
         keep = ~done
         if not keep.any():
             break
         run, xr, res, jac, val, mu = (run[keep], xr[keep], res[keep],
                                       jac[keep], val[keep], mu[keep])
-    return x, nit
-
-
-def _lowest(values, k):
-    """Indices of the k smallest values in increasing order (all if fewer)."""
-    if len(values) <= k:
-        return np.argsort(values)
-    idx = np.argpartition(values, k - 1)[:k]
-    return idx[np.argsort(values[idx])]
+    return x, nit, capped
 
 
 def _zero_distance2(lams, kappa):
@@ -385,7 +381,7 @@ def zero_set_check(n, kappa, budget=10 ** 5, seed=0):
     sampled p, and one on q from the 8 lowest sampled q. A found stray zero
     (reported with its location) fails the check; this does happen for q
     when kappa < 0 and n >= 4. The hunts' end points, iteration counts and
-    the number that stopped at the iteration cap are reported too.
+    the number that stopped only at the iteration cap are reported too.
     """
     ball, refine, maxiter = 1e-3, 8, 100
     rng = np.random.default_rng((seed, n))
@@ -404,10 +400,10 @@ def zero_set_check(n, kappa, budget=10 ** 5, seed=0):
         off = lams[_zero_distance2(lams, kappa) > ball ** 2]
     p, q = polys_batch(off, kappa)
     min_off = float((p + q).min()) if len(off) else np.inf
-    x_p, nit_p = _levenberg_marquardt(lambda x: _p_residuals(x, kappa),
-                                      off[_lowest(p, refine)], maxiter)
-    x_q, nit_q = _levenberg_marquardt(lambda x: _q_residuals(x, kappa),
-                                      off[_lowest(q, refine)], maxiter)
+    x_p, nit_p, cap_p = _levenberg_marquardt(
+        lambda x: _p_residuals(x, kappa), off[np.argsort(p)[:refine]], maxiter)
+    x_q, nit_q, cap_q = _levenberg_marquardt(
+        lambda x: _q_residuals(x, kappa), off[np.argsort(q)[:refine]], maxiter)
     x = np.concatenate([x_p, x_q])
     nit = np.concatenate([nit_p, nit_q])
     hunts_q = np.arange(len(x)) >= len(x_p)
@@ -422,7 +418,7 @@ def zero_set_check(n, kappa, budget=10 ** 5, seed=0):
             "min_off_zeros": min_off, "stray_zeros": int(stray.sum()),
             "stray_points": list(x[stray]), "n_zeros": len(zeros),
             "hunt_points": x, "hunt_iterations": nit,
-            "hunts_capped": int((nit == maxiter).sum())}
+            "hunts_capped": int(cap_p.sum() + cap_q.sum())}
 
 
 def alpha_exponent(p, q, n=3):

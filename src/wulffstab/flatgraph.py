@@ -52,7 +52,7 @@ class GridField:
         return cls(fn(X, Y), extent)
 
 
-def _diff4(values, axis, spacing, out=None):
+def _diff4(values, axis, spacing):
     """Fourth-order centered first derivative; edges are left as NaN.
 
     On the flattened C-ordered grid a shift along an axis is a shift by
@@ -60,25 +60,22 @@ def _diff4(values, axis, spacing, out=None):
     in stencil order (offsets -2, -1, 1, 2), in place in the output, then
     divided by the spacing. It is taken _CHUNK entries at a time, so each
     pass reads from cache. Points whose stencil wraps past a row end lie in
-    the edge band and are overwritten with NaN. out, when given, is a
-    C-contiguous float grid of values' shape that receives the result;
-    every entry of it is written.
+    the edge band and are overwritten with NaN.
     """
     flat = np.ascontiguousarray(values).ravel()
     step = int(np.prod(values.shape[axis + 1:]))
     span = max(flat.size - 4 * step, 0)
-    if out is None:
-        out = np.empty(values.shape)
-    res = out.reshape(-1)
+    out = np.empty_like(flat)
     term = np.empty(min(span, _CHUNK))
     for a in range(0, span, _CHUNK):
         b = min(a + _CHUNK, span)
-        core, tmp = res[2 * step + a:2 * step + b], term[:b - a]
+        core, tmp = out[2 * step + a:2 * step + b], term[:b - a]
         np.multiply(_D1[0], flat[a:b], out=core)
         for k in (1, 3, 4):
             np.multiply(_D1[k], flat[k * step + a:k * step + b], out=tmp)
             core += tmp
         core /= spacing
+    out = out.reshape(values.shape)
     edge = [slice(None)] * values.ndim
     for band in (slice(0, 2), slice(-2, None)):
         edge[axis] = band
@@ -111,14 +108,11 @@ def flat_graph_shape(field, slope_limit=4.5):
     return h, mask, warning
 
 
-def _differences(u, spacing, work=None):
-    """ux, uy, uxx, uxy, uyy by nested fourth-order differences, written
-    into the five grids of work when it is given."""
-    ux, uy, uxx, uxy, uyy = work if work is not None else (None,) * 5
-    ux = _diff4(u, 0, spacing, ux)
-    uy = _diff4(u, 1, spacing, uy)
-    return (ux, uy, _diff4(ux, 0, spacing, uxx), _diff4(ux, 1, spacing, uxy),
-            _diff4(uy, 1, spacing, uyy))
+def _differences(u, spacing):
+    """ux, uy, uxx, uxy, uyy by nested fourth-order differences."""
+    ux = _diff4(u, 0, spacing)
+    uy = _diff4(u, 1, spacing)
+    return ux, uy, _diff4(ux, 0, spacing), _diff4(ux, 1, spacing), _diff4(uy, 1, spacing)
 
 
 def _disk_mask(r2, extent, diffs):
@@ -129,19 +123,17 @@ def _disk_mask(r2, extent, diffs):
     return valid
 
 
-def grid_w2p_norm(field, p, mask=None, work=None):
+def grid_w2p_norm(field, p, mask=None):
     """W^{2,p} norm over the disk: value, gradient and Hessian L^p norms.
 
     mask, when given, is the boolean grid of points to integrate over, and
     the caller vouches that no difference of field.values is NaN there.
     Without it the norm runs over the points of the disk rho <= extent
-    where none of the five differences is NaN. work, when given, holds five
-    float grids of the field's shape that receive the differences, so a
-    caller evaluating many norms allocates them once.
+    where none of the five differences is NaN.
     """
     u = field.values
     hgrid = field.spacing
-    ux, uy, uxx, uxy, uyy = diffs = _differences(u, hgrid, work)
+    ux, uy, uxx, uxy, uyy = diffs = _differences(u, hgrid)
     valid = mask
     if valid is None:
         valid = _disk_mask(field.x ** 2 + field.y ** 2, field.extent, diffs)
@@ -162,28 +154,19 @@ def cap_fit_residual(field, p=2):
     1 - sqrt(1 - lambda^2 |z|^2) real on the whole grid square, so inside
     it a difference of u - cap is NaN exactly where that of u is: the
     integration mask is taken once per fit from u. A polish step past the
-    bracket falls back to the per-call NaN scan. The fit owns the grid of
-    u - cap and the five difference grids and reuses them for every lambda.
+    bracket falls back to the per-call NaN scan.
     """
     lam_max = 0.999 / (field.extent * np.sqrt(2.0))
     u, extent = field.values, field.extent
     r2 = field.x ** 2 + field.y ** 2
-    work = [np.empty(u.shape) for _ in range(5)]
-    mask = _disk_mask(r2, extent, _differences(u, field.spacing, work))
-    resid = np.empty(u.shape)
+    mask = _disk_mask(r2, extent, _differences(u, field.spacing))
     norms = {}  # lambda -> objective; Brent and the polish revisit lambdas
 
     def objective(lam):
         if lam not in norms:
-            # u - (1 - sqrt(1 - lam^2 r2)), one operation at a time in place
-            np.multiply(lam ** 2, r2, out=resid)
-            np.subtract(1.0, resid, out=resid)
-            np.sqrt(resid, out=resid)
-            np.subtract(1.0, resid, out=resid)
-            np.subtract(u, resid, out=resid)
-            norms[lam] = grid_w2p_norm(GridField(resid, extent), p,
-                                       mask if abs(lam) <= lam_max else None,
-                                       work=work)
+            diff = GridField(u - (1.0 - np.sqrt(1.0 - lam ** 2 * r2)), extent)
+            norms[lam] = grid_w2p_norm(diff, p,
+                                       mask if abs(lam) <= lam_max else None)
         return norms[lam]
 
     # the squared residual is smooth at the bottom, so Brent localizes the

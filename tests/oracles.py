@@ -7,8 +7,7 @@ from scipy.special import gammaln, lpmv
 
 from wulffstab.curvature import gauss_ricci
 from wulffstab.einstein import EigenSpectrum, ricci_spectrum
-from wulffstab.flatgraph import (_D1, GridField, _differences, _disk_mask,
-                                 grid_w2p_norm)
+from wulffstab.flatgraph import _D1, GridField
 from wulffstab import spectral
 from wulffstab.operators import get_operators
 from wulffstab.spectral import sh_index
@@ -249,9 +248,17 @@ def polys_batch_reference(lams, kappa, block_rows=8192):
     return p, q
 
 
-def _fit_cap_lambda(objective, lam_max):
-    """Brent on the squared objective over [0, lam_max], then the two
-    parabolic polish steps of cap_fit_residual; returns (residual, lam)."""
+def cap_fit_reference(field, p=2):
+    """cap_fit_residual with the roll-based norm, its per-call disk and NaN
+    scan, and a polish that evaluates the objective afresh at every use,
+    the current lambda included."""
+    lam_max = 0.999 / (field.extent * np.sqrt(2.0))
+
+    def objective(lam):
+        diff = GridField(field.values - cap_reference(field.x, field.y, lam),
+                         field.extent)
+        return grid_w2p_norm_reference(diff, p)
+
     res = minimize_scalar(lambda lam: objective(lam) ** 2,
                           bounds=(0.0, lam_max), method="bounded",
                           options={"xatol": 1e-14})
@@ -265,39 +272,6 @@ def _fit_cap_lambda(objective, lam_max):
             if 0 < cand < lam_max and objective(cand) < objective(lam):
                 lam = cand
     return float(objective(lam)), lam
-
-
-def cap_fit_reference(field, p=2):
-    """cap_fit_residual with the roll-based norm, its per-call disk and NaN
-    scan, and a polish that evaluates the objective afresh at every use,
-    the current lambda included."""
-    lam_max = 0.999 / (field.extent * np.sqrt(2.0))
-
-    def objective(lam):
-        diff = GridField(field.values - cap_reference(field.x, field.y, lam),
-                         field.extent)
-        return grid_w2p_norm_reference(diff, p)
-
-    return _fit_cap_lambda(objective, lam_max)
-
-
-def cap_fit_per_call(field, p=2):
-    """cap_fit_residual with a fresh u - cap grid and a grid_w2p_norm call
-    that allocates its own buffers for every lambda."""
-    lam_max = 0.999 / (field.extent * np.sqrt(2.0))
-    u, extent = field.values, field.extent
-    r2 = field.x ** 2 + field.y ** 2
-    mask = _disk_mask(r2, extent, _differences(u, field.spacing))
-    norms = {}
-
-    def objective(lam):
-        if lam not in norms:
-            diff = GridField(u - (1.0 - np.sqrt(1.0 - lam ** 2 * r2)), extent)
-            norms[lam] = grid_w2p_norm(diff, p,
-                                       mask if abs(lam) <= lam_max else None)
-        return norms[lam]
-
-    return _fit_cap_lambda(objective, lam_max)
 
 
 def zero_distance_sorted(lams, zeros):

@@ -256,6 +256,40 @@ def test_zero_set_q_hunts_end_at_stray_zeros(n, target):
     assert out["stray_zeros"] == 8
 
 
+@pytest.mark.parametrize("n", [8, 12])
+def test_zero_set_q_hunts_find_stray_zeros_in_higher_dimensions(n):
+    """At kappa = -1 and larger n every q-hunt still ends on a zero of q,
+    Lambda_i = lambda_i (P1 - lambda_i) = -(n - 1) for every i, so the cell
+    fails; the p-hunts run off towards the infimum of p at infinity."""
+    out = es.zero_set_check(n, -1.0, budget=10 ** 5, seed=1)
+    ends = out["hunt_points"][8:]
+    ricci = ends * (ends.sum(axis=1, keepdims=True) - ends)
+    assert np.abs(ricci + (n - 1)).max() <= 1e-9
+    assert out["stray_zeros"] == 8 and not out["passed"]
+    assert out["hunts_capped"] == 8
+    assert (out["hunt_iterations"][8:] < 100).all()
+
+
+def test_hunt_ending_on_its_last_iteration_is_not_capped():
+    """A run that reaches a zero or stalls on iteration maxiter stopped by
+    its own rule, not by the cap."""
+    starts = np.random.default_rng(5).normal(size=(6, 4)) + 1.0
+
+    def residuals(x):
+        return es._q_residuals(x, 1.0)
+
+    x, nit, capped = es._levenberg_marquardt(residuals, starts, 100)
+    assert not capped.any()
+    last = int(nit.max())
+    x_last, nit_last, capped_last = es._levenberg_marquardt(residuals,
+                                                            starts, last)
+    np.testing.assert_array_equal(nit_last, nit)
+    np.testing.assert_array_equal(x_last, x)
+    assert not capped_last.any()
+    _, _, capped_short = es._levenberg_marquardt(residuals, starts, last - 1)
+    assert capped_short.sum() == (nit == last).sum()
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_zero_set_hunts_end_at_umbilics(n):
     """At kappa = 1 every hunt of p and of q ends within 1e-6 of
