@@ -221,6 +221,8 @@ def run_kernel(cfg, outdir, svg):
     if n_vec < 1:
         raise ConfigError("kernel.n_vectors must be 1 or more")
     threshold = cfg._float(sec, "kernel", "threshold", 0.02)
+    if threshold <= 0:
+        raise ConfigError("kernel.threshold must be positive")
     rng = np.random.default_rng((cfg.seed, 2))
     cs = rng.normal(size=(n_vec, 3))
     cs /= np.linalg.norm(cs, axis=1, keepdims=True)
@@ -275,6 +277,8 @@ def run_center(cfg, outdir, svg):
                           "translated unit sphere must keep the origin inside")
     t *= norm / np.linalg.norm(t)
     recovery_tol = cfg._float(sec, "center", "recovery_tol", 1e-4)
+    if recovery_tol <= 0:
+        raise ConfigError("center.recovery_tol must be positive")
     epsilons = cfg.floats("center", "epsilons", "0.01,0.02,0.04")
     if (len(epsilons) < 2 or min(epsilons) <= 0
             or len(set(epsilons)) < len(epsilons)):

@@ -7,12 +7,11 @@ recurrence; analysis is a weighted least-squares projection, so the
 analyze/synthesize round trip is exact (up to conditioning) on band-limited
 fields regardless of quadrature error. The weighted Gram matrix of the basis
 on a mesh is well conditioned (cond(sqrt(w) B) stays near 1 up to the band
-limit), so analysis solves the normal equations with a Cholesky factor
-computed once per mesh and band.
+limit), so analysis solves the normal equations with the inverse of a
+Cholesky factor computed once per mesh and band.
 """
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 
 def band_limit(n_vertices):
@@ -37,24 +36,26 @@ def real_sph_harm_matrix(points, L):
     """Evaluate the real orthonormal harmonics Y_lm, l <= L, at unit points.
 
     Returns an (npoints, (L+1)^2) matrix; columns ordered (l, m) with
-    m = -l..l.
+    m = -l..l. cos(m phi) and sin(m phi) are stepped in m by angle
+    addition from one cos and sin of phi.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     ct = np.clip(z, -1.0, 1.0)
     st = np.sqrt(np.maximum(1.0 - ct * ct, 0.0))
     phi = np.arctan2(y, x)
+    c1, s1 = np.cos(phi), np.sin(phi)
     n = len(pts)
     # one contiguous row per harmonic; the caller gets the transpose
     out = np.empty(((L + 1) ** 2, n))
     sqrt2 = np.sqrt(2.0)
     # iterate over m; for each m walk l = m..L with the normalized recurrence
     pmm = np.full(n, np.sqrt(1.0 / (4.0 * np.pi)))
+    cm, sm = np.full(n, sqrt2), np.zeros(n)  # sqrt2 cos(m phi), sqrt2 sin(m phi)
     for m in range(L + 1):
         if m > 0:
             pmm = pmm * st * np.sqrt((2 * m + 1) / (2.0 * m))
-            cm = sqrt2 * np.cos(m * phi)
-            sm = sqrt2 * np.sin(m * phi)
+            cm, sm = cm * c1 - sm * s1, sm * c1 + cm * s1
         p_prev = np.zeros(n)   # P_{l-2}^m, seeded as 0
         p_curr = pmm           # P_m^m
         a_prev = 0.0
@@ -77,12 +78,18 @@ def real_sph_harm_matrix(points, L):
 
 
 def mesh_basis(mesh, L):
-    """Harmonics up to L at the mesh vertices and the Cholesky factor of
-    their weighted Gram matrix, built once per band and cached on the mesh.
+    """Harmonics up to L at the mesh vertices and the triangular factors
+    (C^-1, C^-T) of the inverse of their weighted Gram matrix C C^T, built
+    once per band and cached on the mesh.
+
+    The factors are inverted once so that each analysis is two
+    matrix-vector products; a numpy solve would refactor per call.
     """
     def build(mesh):
         B = real_sph_harm_matrix(mesh.vertices, L)
-        return B, cho_factor(B.T @ (mesh.weights[:, None] * B))
+        gram = B.T @ (mesh.weights[:, None] * B)
+        cinv = np.linalg.inv(np.linalg.cholesky(gram))
+        return B, (cinv, cinv.T)
     return mesh.cached(("sh_basis", L), build)
 
 
@@ -91,8 +98,8 @@ def sh_analyze(mesh, values, L):
     limit = band_limit(mesh.n_vertices)
     if L > limit:
         raise ValueError(f"band {L} exceeds mesh limit {limit}")
-    B, gram = mesh_basis(mesh, L)
-    return cho_solve(gram, B.T @ (mesh.weights * values))
+    B, (cinv, cinv_t) = mesh_basis(mesh, L)
+    return cinv_t @ (cinv @ (B.T @ (mesh.weights * values)))
 
 
 def sh_synthesize(coeffs, points):

@@ -51,7 +51,8 @@ class SurfaceGeometry:
                                      + np.swapaxes(shape_operator, 1, 2))
         self.shape_asymmetry = shape_asymmetry
         self.mean_curvature = np.einsum("nii->n", self.shape_operator)
-        self.area_element = np.sqrt(np.linalg.det(metric))
+        self.area_element = np.sqrt(metric[:, 0, 0] * metric[:, 1, 1]
+                                    - metric[:, 0, 1] * metric[:, 1, 0])
         self.weights = base.weights * self.area_element
         self.radius = radius
         self.kind = kind
@@ -67,17 +68,39 @@ def _finish_from_derivatives(base, positions, psi_d, nu, h_chart, radius,
 
     psi_d is (N, 3, 2); nu is the oriented unit normal the caller also used
     to build h_chart, the bilinear form <d nu[d_i], d_j> in the chart basis.
+
+    Gram-Schmidt on the two columns gives psi_d = q R with q orthonormal
+    and R upper triangular with a positive diagonal; the shape operator in
+    the basis q is the congruence R^-T h_chart R^-1, written out entrywise
+    with no symmetry of h_chart assumed.
     """
-    metric = np.einsum("nki,nkj->nij", psi_d, psi_d)
-    # QR of psi_d: orthonormal surface basis T and change of basis R
-    q, r = np.linalg.qr(psi_d)
-    sign = np.sign(np.einsum("nii->ni", r))
-    sign[sign == 0] = 1.0
-    q *= sign[:, None, :]
-    r *= sign[:, :, None]
-    rinv = np.linalg.inv(r)
-    s_tau = np.einsum("nki,nkl,nlj->nij", rinv, h_chart, rinv)
-    asym = float(np.abs(s_tau - np.swapaxes(s_tau, 1, 2)).max())
+    a, b = psi_d[:, :, 0], psi_d[:, :, 1]
+    g11 = np.einsum("ni,ni->n", a, a)
+    g12 = np.einsum("ni,ni->n", a, b)
+    g22 = np.einsum("ni,ni->n", b, b)
+    metric = np.empty((len(a), 2, 2))
+    metric[:, 0, 0] = g11
+    metric[:, 0, 1] = metric[:, 1, 0] = g12
+    metric[:, 1, 1] = g22
+    r11 = np.sqrt(g11)
+    q1 = a / r11[:, None]
+    r12 = g12 / r11
+    w = b - r12[:, None] * q1
+    r22 = np.sqrt(np.einsum("ni,ni->n", w, w))
+    q = np.stack((q1, w / r22[:, None]), axis=2)
+    # R^-1 = [[u, v], [0, d]]
+    u, d = 1.0 / r11, 1.0 / r22
+    v = -r12 * u * d
+    h11, h12 = h_chart[:, 0, 0], h_chart[:, 0, 1]
+    h21, h22 = h_chart[:, 1, 0], h_chart[:, 1, 1]
+    hv1 = v * h11 + d * h12     # (h R^-1)_{12}
+    hv2 = v * h21 + d * h22     # (h R^-1)_{22}
+    s_tau = np.empty_like(metric)
+    s_tau[:, 0, 0] = u * u * h11
+    s_tau[:, 0, 1] = u * hv1
+    s_tau[:, 1, 0] = u * (v * h11 + d * h21)
+    s_tau[:, 1, 1] = v * hv1 + d * hv2
+    asym = float(np.abs(s_tau[:, 0, 1] - s_tau[:, 1, 0]).max())
     return SurfaceGeometry(base, positions, metric, nu, q, s_tau,
                            radius, kind, shape_asymmetry=asym)
 

@@ -45,15 +45,16 @@ def real_sph_harm_matrix_columns(points, L):
     ct = np.clip(z, -1.0, 1.0)
     st = np.sqrt(np.maximum(1.0 - ct * ct, 0.0))
     phi = np.arctan2(y, x)
+    c1, s1 = np.cos(phi), np.sin(phi)
     n = len(pts)
     out = np.empty((n, (L + 1) ** 2))
     sqrt2 = np.sqrt(2.0)
     pmm = np.full(n, np.sqrt(1.0 / (4.0 * np.pi)))
+    cm, sm = np.full(n, sqrt2), np.zeros(n)  # sqrt2 cos(m phi), sqrt2 sin(m phi)
     for m in range(L + 1):
         if m > 0:
             pmm = pmm * st * np.sqrt((2 * m + 1) / (2.0 * m))
-            cm = sqrt2 * np.cos(m * phi)
-            sm = sqrt2 * np.sin(m * phi)
+            cm, sm = cm * c1 - sm * s1, sm * c1 + cm * s1
         p_prev, p_curr, a_prev = np.zeros(n), pmm, 0.0
         for ell in range(m, L + 1):
             if ell == m:
@@ -140,6 +141,22 @@ def recover_radius_spectral_reference(mesh, coeffs, kind, translation):
     ok = np.abs(resid).max() < 1e-9
     radius = np.log(s) if kind == "exp" else s - 1.0
     return radius, bool(ok)
+
+
+def finish_from_derivatives_reference(psi_d, h_chart):
+    """Metric, tangent basis, shape operator (before symmetrizing) and its
+    asymmetry through batched QR with a sign fix-up, the inverse of R and a
+    three-operand einsum."""
+    metric = np.einsum("nki,nkj->nij", psi_d, psi_d)
+    q, r = np.linalg.qr(psi_d)
+    sign = np.sign(np.einsum("nii->ni", r))
+    sign[sign == 0] = 1.0
+    q *= sign[:, None, :]
+    r *= sign[:, :, None]
+    rinv = np.linalg.inv(r)
+    s_tau = np.einsum("nki,nkl,nlj->nij", rinv, h_chart, rinv)
+    asym = float(np.abs(s_tau - np.swapaxes(s_tau, 1, 2)).max())
+    return metric, q, s_tau, asym
 
 
 def riemann_brute(h):

@@ -261,6 +261,10 @@ def test_harmonic_band_edges_run(tmp_path, integrand, family):
     ("curvature", "curvature", "epsilon", "inf"),
     ("kernel", "kernel", "threshold", "nan"),
     ("center", "center", "recovery_tol", "nan"),
+    ("kernel", "kernel", "threshold", "-1"),
+    ("kernel", "kernel", "threshold", "0"),
+    ("center", "center", "recovery_tol", "-1"),
+    ("center", "center", "recovery_tol", "0"),
 ])
 def test_bad_numeric_values_exit_2(tmp_path, capsys, command, section, key,
                                    value):

@@ -63,6 +63,20 @@ def test_recurrence_matches_lpmv_reference(sphere4):
     assert_allclose(fast, ref, atol=1e-13)
 
 
+@pytest.mark.parametrize("L", [25, 50])
+def test_angle_addition_matches_lpmv_at_edges(L):
+    """cos(m phi), sin(m phi) by angle addition up to m = L, at both poles,
+    at phi = +-pi (y = +0.0 and y = -0.0 with x < 0) and at random points."""
+    edges = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                      [-1.0, 0.0, 0.0], [-1.0, -0.0, 0.0],
+                      [-0.6, 0.0, 0.8], [-0.6, -0.0, -0.8]])
+    rand = np.random.default_rng(L).normal(size=(200, 3))
+    rand /= np.linalg.norm(rand, axis=1, keepdims=True)
+    pts = np.concatenate([edges, rand])
+    assert_allclose(spectral.real_sph_harm_matrix(pts, L),
+                    real_sph_harm_matrix_reference(pts, L), atol=1e-13)
+
+
 def test_row_fill_matches_per_column_fill(sphere4):
     for pts, L in ((sphere4.vertices, 10), (sphere4.vertices[::7], 25),
                    (np.array([0.0, 0.0, 1.0]), 3)):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import geometry_from_positions, recover_radius_spectral_reference
-from wulffstab import build_sphere_mesh, spectral
+from oracles import (finish_from_derivatives_reference,
+                     geometry_from_positions, recover_radius_spectral_reference)
+from wulffstab import Integrand, build_sphere_mesh, build_wulff, spectral
+from wulffstab import surface
 from wulffstab.operators import lp_norm
 from wulffstab.surface import (exp_graph, hausdorff_distance, project_to_wulff,
                                projection_certificate, radial_graph,
@@ -75,6 +77,58 @@ def test_geometry_invariants(sphere4, wulff4, ellipsoid_integrand):
                       - g.mean_curvature).max() == 0.0
         # g-self-adjointness of the shape operator before symmetrization
         assert g.shape_asymmetry < 0.05
+
+
+def test_closed_form_frames_match_qr_reference(sphere4, monkeypatch):
+    """Gram-Schmidt frames and the entrywise congruence against batched QR,
+    inv and einsum, on the chart derivatives each graph really produces: an
+    exp graph of a translated sphere plus a harmonic, a radial graph over
+    the same sphere, and a radial graph over the level-3 ellipsoid Wulff
+    mesh."""
+    t = np.array([0.03, -0.02, 0.028])
+    y31 = spectral.real_sph_harm_matrix(sphere4.vertices, 3)[
+        :, spectral.sh_index(3, 1)]
+    w3 = build_wulff(Integrand.quadratic_form(np.diag([1.0, 1.0, 4.0])), 3)
+    y20 = spectral.real_sph_harm_matrix(w3.normals, 2)[
+        :, spectral.sh_index(2, 0)]
+    cases = [
+        (exp_graph, sphere4,
+         np.log(translated_sphere_radius(sphere4, t)) + 0.05 * y31),
+        (radial_graph, sphere4, 0.05 * y31),
+        (radial_graph, w3, 0.05 * y20),
+    ]
+    seen = []
+    finish = surface._finish_from_derivatives
+
+    def spy(base, positions, psi_d, nu, h_chart, radius, kind):
+        seen.append((psi_d, h_chart))
+        return finish(base, positions, psi_d, nu, h_chart, radius, kind)
+
+    monkeypatch.setattr(surface, "_finish_from_derivatives", spy)
+    for build, base, values in cases:
+        g = build(base, values)
+        psi_d, h_chart = seen.pop()
+        # an antisymmetric part keeps the asymmetry away from rounding
+        skewed = h_chart.copy()
+        skewed[:, 0, 1] += 1e-3
+        skewed[:, 1, 0] -= 1e-3
+        for geom, h in ((g, h_chart),
+                        (finish(base, g.positions, psi_d, g.normal, skewed,
+                                None, "mesh"), skewed)):
+            metric, q, s_tau, asym = finish_from_derivatives_reference(psi_d, h)
+            s_sym = 0.5 * (s_tau + np.swapaxes(s_tau, 1, 2))
+            area = np.sqrt(np.linalg.det(metric))
+            for got, ref in ((geom.tangent_basis, q), (geom.metric, metric),
+                             (geom.shape_operator, s_sym),
+                             (geom.area_element, area)):
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert (abs(geom.shape_asymmetry - asym)
+                    <= 1e-13 * np.abs(s_tau).max())
+        # q is orthonormal and its first column is parallel to d_1 psi
+        gram = np.einsum("nki,nkj->nij", g.tangent_basis, g.tangent_basis)
+        assert np.abs(gram - np.eye(2)).max() < 1e-14
+        d1 = psi_d[:, :, 0] / np.linalg.norm(psi_d[:, :, 0], axis=1)[:, None]
+        assert np.abs(g.tangent_basis[:, :, 0] - d1).max() < 1e-15
 
 
 def test_tubular_violation_message(wulff4):
