@@ -367,22 +367,11 @@ def run_sweep(cfg, outdir, svg):
 
 
 def run_einstein(cfg, outdir, svg):
-    sec = cfg.section("einstein")
-    dims = cfg.ints("einstein", "dimensions", "3,4,5")
-    if min(dims) < 3 or max(dims) > es.DIMENSION_MAX:
-        raise ConfigError(f"einstein.dimensions must lie in [3, "
-                          f"{es.DIMENSION_MAX}]")
-    kappas = cfg.floats("einstein", "kappas", "-1,0,1")
-    if max(abs(k) for k in kappas) > es.KAPPA_MAX:
-        raise ConfigError(f"einstein.kappas must lie in [-{es.KAPPA_MAX:g}, "
-                          f"{es.KAPPA_MAX:g}]")
-    budget = cfg._int(sec, "einstein", "budget", 200000)
-    if budget <= 0:
-        raise ConfigError("einstein.budget must be positive")
+    budget = cfg.einstein_budget
     rows = []
     ok = True
-    for n in dims:
-        for kap in kappas:
+    for n in cfg.einstein_dimensions:
+        for kap in cfg.einstein_kappas:
             zs = es.zero_set_check(n, kap, budget=min(budget, 10 ** 5),
                                    seed=cfg.seed)
             rb = es.ratio_bounds(n, kap, budget=budget, seed=cfg.seed)

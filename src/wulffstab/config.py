@@ -8,6 +8,7 @@ import configparser
 
 import numpy as np
 
+from .einstein import DIMENSION_MAX, KAPPA_MAX
 from .integrand import HARMONIC_POLYNOMIALS, Integrand
 
 
@@ -130,6 +131,24 @@ class ExperimentConfig:
             raise ConfigError("common.p must lie in (1, inf)")
         if not 2 <= self.level <= 8:
             raise ConfigError("common.level must lie in [2, 8]")
+        self._read_einstein()
+
+    def _read_einstein(self):
+        """The [einstein] settings, range-checked with the rest of the file
+        so that every subcommand rejects a bad one."""
+        self.einstein_dimensions = self.ints("einstein", "dimensions", "3,4,5")
+        if (min(self.einstein_dimensions) < 3
+                or max(self.einstein_dimensions) > DIMENSION_MAX):
+            raise ConfigError(f"einstein.dimensions must lie in [3, "
+                              f"{DIMENSION_MAX}]")
+        self.einstein_kappas = self.floats("einstein", "kappas", "-1,0,1")
+        if max(abs(k) for k in self.einstein_kappas) > KAPPA_MAX:
+            raise ConfigError(f"einstein.kappas must lie in [-{KAPPA_MAX:g}, "
+                              f"{KAPPA_MAX:g}]")
+        self.einstein_budget = self._int(self.section("einstein"), "einstein",
+                                         "budget", 200000)
+        if self.einstein_budget <= 0:
+            raise ConfigError("einstein.budget must be positive")
 
     def _int(self, sec, name, key, default):
         try:

@@ -64,10 +64,12 @@ _PAIRS = {}  # n -> (i, j), the ordered index pairs i != j in row-major order
 def polys_batch(lams, kappa):
     """Vectorized p, q over a (m, n) batch of spectra.
 
-    A row's p and q do not depend on the other rows: its pair products are
-    one C-ordered row, summed alone. So the batch is taken in blocks of
-    _BLOCK_ROWS spectra, which bounds the temporaries without changing a
-    value.
+    The batch is taken in blocks of _BLOCK_ROWS spectra, each transposed to
+    (n, m): a pair's products over the block are then one contiguous row,
+    and the rows of terms are added in the order numpy's pairwise sum adds
+    one spectrum's terms (_pairwise_sum). So p and q equal np.sum over each
+    spectrum's own terms bit for bit, whatever the other rows of the batch
+    and wherever the block boundaries fall.
     """
     lams = np.asarray(lams, dtype=float)
     n = lams.shape[1]
@@ -76,21 +78,58 @@ def polys_batch(lams, kappa):
     p, q = np.empty(len(lams)), np.empty(len(lams))
     for a in range(0, len(lams), _BLOCK_ROWS):
         rows = slice(a, a + _BLOCK_ROWS)
-        p[rows], q[rows] = _polys_block(lams[rows], kappa, *_PAIRS[n])
+        p[rows], q[rows] = _polys_block(lams[rows].T.copy(), kappa,
+                                        *_PAIRS[n])
     return p, q
 
 
-def _polys_block(block, kappa, i, j):
-    """p, q of one block, squaring in place on the two temporaries."""
-    pairs = np.take(block, i, axis=1)
-    pairs *= np.take(block, j, axis=1)
-    pairs -= kappa
-    np.square(pairs, out=pairs)
-    Lam = block.sum(axis=1, keepdims=True) - block
-    Lam *= block
-    Lam -= (block.shape[1] - 1) * kappa
+def _polys_block(bt, kappa, i, j):
+    """p, q of one transposed (n, m) block; the pair terms of each leaf of
+    the pairwise sum are formed when it is added, squared in place."""
+    def pair_terms(a, b):
+        terms = bt[i[a:b]]
+        terms *= bt[j[a:b]]
+        terms -= kappa
+        return np.square(terms, out=terms)
+
+    n = len(bt)
+    p = _pairwise_sum(pair_terms, 0, len(i))
+    Lam = _pairwise_sum(lambda a, b: bt[a:b], 0, n) - bt
+    Lam *= bt
+    Lam -= (n - 1) * kappa
     np.square(Lam, out=Lam)
-    return pairs.sum(axis=1), Lam.sum(axis=1)
+    return p, _pairwise_sum(lambda a, b: Lam[a:b], 0, n)
+
+
+def _pairwise_sum(terms, lo, hi):
+    """Sum of the rows lo..hi of terms, where terms(a, b) returns rows a..b,
+    taken in numpy's pairwise order for a sum of hi - lo values: below 8
+    terms one after the other; up to 128 terms in 8 interleaved partial
+    sums, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+    then the remainder one after the other; above 128, the two halves split
+    at a multiple of 8, each summed the same way.
+    """
+    count = hi - lo
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return (_pairwise_sum(terms, lo, lo + half)
+                + _pairwise_sum(terms, lo + half, hi))
+    rows = terms(lo, hi)
+    if count < 8:
+        return _add_in_turn(rows[0].copy(), rows[1:])
+    whole = count - count % 8
+    r = rows[:8].copy()
+    for a in range(8, whole, 8):
+        r += rows[a:a + 8]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    return _add_in_turn(r[0] + r[1], rows[whole:])
+
+
+def _add_in_turn(total, rows):
+    for row in rows:
+        total += row
+    return total
 
 
 def analytic_zeros(n, kappa):
@@ -124,9 +163,11 @@ class RatioBound:
 
 
 def _ratio(lams, kappa, guard=1e-300):
+    """p/q over the rows of lams off the common zeros, and those rows'
+    indices into lams."""
     p, q = polys_batch(lams, kappa)
-    keep = (p + q) > 1e-24
-    return p[keep] / np.maximum(q[keep], guard), lams[keep]
+    kept = np.flatnonzero((p + q) > 1e-24)
+    return p[kept] / np.maximum(q[kept], guard), kept
 
 
 # trial points A * xbar - B * worst: reflection, expansion, outside and
@@ -202,9 +243,10 @@ def _sort_simplex(sim, fsim):
 
 
 KAPPA_MAX = 10.0  # bound on |kappa| for ratio_bounds and the CLI
-# bound on n for the CLI: polys_batch holds 2 x 8192 x n(n-1) floats, so
-# one cell at budget 200000 peaks near 0.9 GB and 20 s at n = 70 and
-# passes 1 GB at n = 75
+# bound on n for the CLI: a spectrum has n(n-1) pair terms, so the time
+# grows as n^2; one cell at budget 200000 and n = 70 takes 7-12 s and peaks
+# near 240 MB on a 2-core host (polys_batch holds one (n, 8192) block and
+# the terms of one leaf of its pairwise sum, at most 128 x 8192 floats)
 DIMENSION_MAX = 70
 
 
@@ -243,7 +285,9 @@ def ratio_bounds(n, kappa, budget=10 ** 6, seed=0):
         if r.size == 0:
             return None
         imin, imax = int(np.argmin(r)), int(np.argmax(r))
-        return (r[imin], kept[imin], r[imax], kept[imax], r.size)
+        # copies, so the extremizers do not keep the whole batch alive
+        return (r[imin], lams[kept[imin]].copy(), r[imax],
+                lams[kept[imax]].copy(), r.size)
 
     c1, c2 = np.inf, 0.0
     argmin = argmax = None
@@ -269,9 +313,9 @@ def ratio_bounds(n, kappa, budget=10 ** 6, seed=0):
     x, fx, _ = _nelder_mead(log_ratio, np.array([argmin, argmax]),
                             maxiter=400, xatol=1e-10, fatol=1e-12)
     if np.isfinite(fx[0]) and np.exp(fx[0]) < c1:
-        c1, argmin = np.exp(fx[0]), x[0]
+        c1, argmin = np.exp(fx[0]), x[0].copy()
     if np.isfinite(fx[1]) and np.exp(-fx[1]) > c2:
-        c2, argmax = np.exp(-fx[1]), x[1]
+        c2, argmax = np.exp(-fx[1]), x[1].copy()
     return RatioBound(n, kappa, float(c1), float(c2), total, argmin, argmax)
 
 
@@ -371,6 +415,15 @@ def _zero_distance2(lams, kappa):
             + lams.shape[1] * kappa)
 
 
+def _lowest(values, count):
+    """Indices of the count smallest values, smallest first: the head of
+    np.argsort(values) without sorting the rest."""
+    if len(values) <= count:
+        return np.argsort(values)
+    head = np.argpartition(values, count - 1)[:count]
+    return head[np.argsort(values[head])]
+
+
 def zero_set_check(n, kappa, budget=10 ** 5, seed=0):
     """Verify the common-zero characterization of p and q numerically.
 
@@ -401,9 +454,9 @@ def zero_set_check(n, kappa, budget=10 ** 5, seed=0):
     p, q = polys_batch(off, kappa)
     min_off = float((p + q).min()) if len(off) else np.inf
     x_p, nit_p, cap_p = _levenberg_marquardt(
-        lambda x: _p_residuals(x, kappa), off[np.argsort(p)[:refine]], maxiter)
+        lambda x: _p_residuals(x, kappa), off[_lowest(p, refine)], maxiter)
     x_q, nit_q, cap_q = _levenberg_marquardt(
-        lambda x: _q_residuals(x, kappa), off[np.argsort(q)[:refine]], maxiter)
+        lambda x: _q_residuals(x, kappa), off[_lowest(q, refine)], maxiter)
     x = np.concatenate([x_p, x_q])
     nit = np.concatenate([nit_p, nit_q])
     hunts_q = np.arange(len(x)) >= len(x_p)

@@ -249,8 +249,9 @@ def grid_w2p_norm_reference(field, p, mask=None):
 
 
 def polys_batch_reference(lams, kappa, block_rows=8192):
-    """p, q over a batch of spectra with the pair indices rebuilt per call
-    and out-of-place temporaries."""
+    """p, q over a batch of spectra, row by row: a spectrum's pair terms
+    are one row of a (m, n(n-1)) array, summed by np.sum, with the pair
+    indices rebuilt per call and out-of-place temporaries."""
     lams = np.asarray(lams, dtype=float)
     n = lams.shape[1]
     i, j = np.nonzero(~np.eye(n, dtype=bool))

@@ -278,6 +278,40 @@ def test_bad_numeric_values_exit_2(tmp_path, capsys, command, section, key,
     assert f"{section}.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["wulff", "einstein"])
+def test_bad_einstein_key_rejected_by_every_command(tmp_path, capsys,
+                                                    command):
+    """[einstein] is range-checked when the config is read, so a command
+    that never runs the Einstein cells still rejects it."""
+    cfg = write_config(tmp_path, BASE.format(integrand="constant")
+                       + "\n[einstein]\nbudget = 0\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "einstein.budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_einstein_csv_matches_golden_bytes(tmp_path):
+    """einstein.csv of a small run matches a stored fixture byte for byte,
+    so an edit of polys_batch that moves any value of p or q, and with it
+    the Monte Carlo extremizers or the polish, shows here."""
+    cfg = write_config(tmp_path, """
+[common]
+seed = 1
+
+[einstein]
+dimensions = 3,4,5
+kappas = -1,0,1
+budget = 20000
+""")
+    out = tmp_path / "e"
+    assert main(["einstein", "--config", cfg, "--out", str(out)]) == 1
+    golden = os.path.join(os.path.dirname(__file__), "fixtures",
+                          "einstein_small_seed1.csv")
+    with open(golden, "rb") as fh:
+        assert (out / "einstein.csv").read_bytes() == fh.read()
+
+
 def test_negative_seed_flag_exits_2(tmp_path):
     cfg = write_config(tmp_path, "[common]\nlevel = 3\n")
     with pytest.raises(SystemExit) as exc:
@@ -317,7 +351,10 @@ def test_bad_list_values_exit_2(tmp_path, capsys, command, section, key,
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    if section == "einstein":  # rejected with the config, before out is made
+        assert not out.exists()
+    else:  # rejected by the command, before it writes anything
+        assert not any(out.iterdir())
 
 
 def test_kernel_default_levels_stay_in_range(tmp_path):

@@ -167,22 +167,31 @@ def test_zero_set_q_defect_for_negative_kappa_n4():
 
 def test_polys_batch_rows_are_independent():
     """A row's p and q are bit-identical alone and inside a larger batch,
-    so a batched optimizer sees the values a one-point objective sees."""
-    for n in (3, 4, 5, 6):
-        lams = rng.normal(size=(200, n)) * 3
+    so a batched optimizer sees the values a one-point objective sees, on
+    both sides of numpy's 8- and 128-term pairwise thresholds."""
+    for n in (3, 4, 5, 6, 8, 11, 12, 20, 70):
+        lams = rng.normal(size=(200 if n < 70 else 40, n)) * 3
         p, q = es.polys_batch(lams, -1.0)
         single = np.array([es.polys_batch(lam[None, :], -1.0) for lam in lams])
         np.testing.assert_array_equal(p, single[:, 0, 0])
         np.testing.assert_array_equal(q, single[:, 1, 0])
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 11, 12, 20, 70])
 @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0, 2.5])
 def test_polys_batch_matches_reference_bit_for_bit(n, kappa):
-    """Cached pair indices and in-place squares change no value, on either
-    side of a block boundary."""
-    lams = rng.normal(size=(20000, n)) * 2
-    for m in (1, 8191, 8192, 8193, 20000):
+    """The transposed kernel adds in numpy's pairwise order, so it matches
+    the row-wise np.sum bit for bit, on either side of a block boundary:
+    below 8 terms (n = 3: 6 pairs; the Ricci sums up to n = 7), with 8
+    partial sums up to 128 terms (n = 8 on for the Ricci sums; n = 11: 110
+    pairs) and in halves above (n = 12: 132 pairs, n = 70: 4830)."""
+    if n < 70:
+        lams = rng.normal(size=(20000, n)) * 2
+        sizes = (1, 8191, 8192, 8193, 20000)
+    else:
+        lams = rng.normal(size=(200, n)) * 2
+        sizes = (1, 7, 200)
+    for m in sizes:
         p, q = es.polys_batch(lams[:m], kappa)
         p_ref, q_ref = polys_batch_reference(lams[:m], kappa)
         np.testing.assert_array_equal(p, p_ref)
@@ -346,6 +355,45 @@ def test_ratio_polish_matches_scipy(monkeypatch, n, kappa):
     if n == 3:
         assert any(m % 4 for m in rows)
     _assert_matches_scipy(fun, x0, options, x, fx, nit)
+
+
+def test_ratio_bound_extremizers_own_their_data(monkeypatch):
+    """The extremizers are copies: neither keeps a Monte Carlo batch or the
+    polish's simplex alive as long as the RatioBound lives. A polish that
+    finds nothing better leaves the Monte Carlo rows in place."""
+    for n, kappa in ((3, 1.0), (4, -1.0)):
+        rb = es.ratio_bounds(n, kappa, budget=20000, seed=1)
+        assert rb.argmin.base is None and rb.argmax.base is None
+        assert rb.argmin.shape == rb.argmax.shape == (n,)
+    monkeypatch.setattr(es, "_nelder_mead", lambda fun, x0, **options: (
+        x0, np.full(len(x0), np.inf), np.zeros(len(x0), dtype=int)))
+    rb = es.ratio_bounds(4, -1.0, budget=20000, seed=1)
+    assert rb.argmin.base is None and rb.argmax.base is None
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_hunt_starts_match_a_full_argsort(monkeypatch, seed):
+    """The 8 hunt starts picked by argpartition, ordered by value, are the
+    head of the full argsort: the hunts end where they did."""
+    cells = [(n, kappa) for n in (3, 4, 5) for kappa in (-1.0, 0.0, 1.0)]
+    fast = [es.zero_set_check(n, kappa, budget=10 ** 5, seed=seed)
+            for n, kappa in cells]
+    monkeypatch.setattr(es, "_lowest", lambda v, count: np.argsort(v)[:count])
+    for (n, kappa), out in zip(cells, fast):
+        ref = es.zero_set_check(n, kappa, budget=10 ** 5, seed=seed)
+        np.testing.assert_array_equal(out["hunt_points"], ref["hunt_points"])
+        np.testing.assert_array_equal(out["hunt_iterations"],
+                                      ref["hunt_iterations"])
+        assert out["hunts_capped"] == ref["hunts_capped"]
+        assert out["stray_zeros"] == ref["stray_zeros"]
+
+
+def test_lowest_handles_short_inputs():
+    """Fewer values than starts: all of them, smallest first."""
+    v = np.array([3.0, 1.0, 2.0])
+    np.testing.assert_array_equal(es._lowest(v, 8), [1, 2, 0])
+    np.testing.assert_array_equal(es._lowest(v, 3), [1, 2, 0])
+    np.testing.assert_array_equal(es._lowest(v, 2), [1, 2])
 
 
 def test_stray_zero_counts():
