@@ -110,19 +110,11 @@ def write_svg(path, series, xlabel="x", ylabel="y"):
     _atomic_write(path, "\n".join(parts) + "\n")
 
 
-def _sphere_or_wulff(cfg, name):
-    """Base mesh and family of [name]; the sphere's graph band bounds l."""
-    family = cfg.family(name)
-    if not (cfg.integrand.family == "constant"
-            and cfg.integrand.params["value"] == 1.0):
-        return build_wulff(cfg.integrand, cfg.level), family
-    base = build_sphere_mesh(cfg.level)
-    band = spectral.graph_band(base.n_vertices)
-    if family[0] == "harmonic" and family[1] > band:
-        raise ConfigError(f"{name}.family: harmonic degree {family[1]} "
-                          f"exceeds band {band} of the level-{cfg.level} "
-                          "sphere")
-    return base, family
+def _sphere_or_wulff(cfg):
+    """The unit sphere for the integrand constant:1, else its Wulff mesh."""
+    if cfg.unit_sphere:
+        return build_sphere_mesh(cfg.level)
+    return build_wulff(cfg.integrand, cfg.level)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -172,8 +164,9 @@ def run_wulff(cfg, outdir, svg):
 
 
 def run_curvature(cfg, outdir, svg):
-    eps = cfg._float(cfg.section("curvature"), "curvature", "epsilon", 1e-3)
-    base, family = _sphere_or_wulff(cfg, "curvature")
+    eps = cfg.curvature.epsilon
+    family = cfg.curvature.family
+    base = _sphere_or_wulff(cfg)
     from .stability import perturbation_field
     shape = perturbation_field(base, family)
     if base.integrand is None:
@@ -211,20 +204,9 @@ def run_curvature(cfg, outdir, svg):
 
 
 def run_kernel(cfg, outdir, svg):
-    sec = cfg.section("kernel")
-    levels = cfg.ints("kernel", "levels",
-                      ",".join(map(str, range(max(2, cfg.level - 2),
-                                              cfg.level + 1))))
-    if not all(2 <= lv <= 8 for lv in levels):
-        raise ConfigError("kernel.levels must lie in [2, 8]")
-    n_vec = cfg._int(sec, "kernel", "n_vectors", 5)
-    if n_vec < 1:
-        raise ConfigError("kernel.n_vectors must be 1 or more")
-    threshold = cfg._float(sec, "kernel", "threshold", 0.02)
-    if threshold <= 0:
-        raise ConfigError("kernel.threshold must be positive")
+    levels = cfg.kernel.levels
     rng = np.random.default_rng((cfg.seed, 2))
-    cs = rng.normal(size=(n_vec, 3))
+    cs = rng.normal(size=(cfg.kernel.n_vectors, 3))
     cs /= np.linalg.norm(cs, axis=1, keepdims=True)
     rows = []
     bases = [("sphere", build_sphere_mesh, Integrand.constant())]
@@ -262,28 +244,14 @@ def run_kernel(cfg, outdir, svg):
     header = ["surface", "level", "max_kernel_residual", "note"]
     write_csv(os.path.join(outdir, "kernel.csv"), header, rows)
     write_dat(os.path.join(outdir, "kernel.dat"), header, rows)
-    ok = worst_final <= threshold and decreasing
+    ok = worst_final <= cfg.kernel.threshold and decreasing
     return (0 if ok else 1), rows
 
 
 def run_center(cfg, outdir, svg):
-    sec = cfg.section("center")
-    t = np.array(cfg.floats("center", "translation", "0.03,-0.02,0.028"))
-    if t.shape != (3,) or not t.any():
-        raise ConfigError("center.translation must be a nonzero 3-vector")
-    norm = cfg._float(sec, "center", "translation_norm", 0.05)
-    if not 0 < norm < 1:
-        raise ConfigError("center.translation_norm must lie in (0, 1): the "
-                          "translated unit sphere must keep the origin inside")
-    t *= norm / np.linalg.norm(t)
-    recovery_tol = cfg._float(sec, "center", "recovery_tol", 1e-4)
-    if recovery_tol <= 0:
-        raise ConfigError("center.recovery_tol must be positive")
-    epsilons = cfg.floats("center", "epsilons", "0.01,0.02,0.04")
-    if (len(epsilons) < 2 or min(epsilons) <= 0
-            or len(set(epsilons)) < len(epsilons)):
-        raise ConfigError("center.epsilons must list two or more distinct "
-                          "positive amplitudes")
+    t = cfg.center.translation
+    t = t * (cfg.center.translation_norm / np.linalg.norm(t))
+    epsilons = cfg.center.epsilons
     mesh = build_sphere_mesh(cfg.level)
     rows = []
     # exact translated sphere re-read as an exponential graph
@@ -320,16 +288,16 @@ def run_center(cfg, outdir, svg):
         write_svg(os.path.join(outdir, "center.svg"),
                   [("one-step residual", epsilons, one_step)],
                   xlabel="epsilon", ylabel="residual")
-    ok = err <= recovery_tol and res.iterations <= 10 \
+    ok = err <= cfg.center.recovery_tol and res.iterations <= 10 \
         and abs(slope - 2.0) <= 0.2
     return (0 if ok else 1), rows
 
 
 def run_sweep(cfg, outdir, svg):
-    amps = cfg.amplitudes("sweep")
-    base, family = _sphere_or_wulff(cfg, "sweep")
+    family = cfg.sweep.family
     deficit_fit, distance_fit, rows = scaling_sweep(
-        base, cfg.integrand, family, amps, cfg.p, tolerance=cfg.tolerance)
+        _sphere_or_wulff(cfg), cfg.integrand, family, cfg.sweep.amplitudes,
+        cfg.p, tolerance=cfg.tolerance)
     fam_txt = (f"harmonic:{family[1]},{family[2]}" if family[0] == "harmonic"
                else "kernel:" + ",".join(FLOAT_FMT % v for v in family[1]))
     if deficit_fit is not None:
@@ -367,11 +335,11 @@ def run_sweep(cfg, outdir, svg):
 
 
 def run_einstein(cfg, outdir, svg):
-    budget = cfg.einstein_budget
+    budget = cfg.einstein.budget
     rows = []
     ok = True
-    for n in cfg.einstein_dimensions:
-        for kap in cfg.einstein_kappas:
+    for n in cfg.einstein.dimensions:
+        for kap in cfg.einstein.kappas:
             zs = es.zero_set_check(n, kap, budget=min(budget, 10 ** 5),
                                    seed=cfg.seed)
             rb = es.ratio_bounds(n, kap, budget=budget, seed=cfg.seed)
@@ -428,11 +396,7 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     os.makedirs(outdir, exist_ok=True)
-    try:
-        code, _ = COMMANDS[args.command](cfg, outdir, args.svg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    code, _ = COMMANDS[args.command](cfg, outdir, args.svg)
     if code != 0:
         print(f"checks failed; report in {outdir}", file=sys.stderr)
     return code

@@ -1,13 +1,19 @@
-"""Experiment configuration: a flat INI-style key-value file.
+"""Experiment configuration: a flat INI file checked against one schema.
 
-One section per subcommand plus a [common] section; every key is validated
-before any computation starts. See docs in README for the schema.
+One section per subcommand plus [common]. SCHEMA names every section and
+key with its parser, default and range. ExperimentConfig parses and checks
+the whole file when it is read, so every subcommand rejects a bad value in
+any section, with a ConfigError naming section.key, before it computes or
+writes anything. [common] values are attributes of the config (cfg.level);
+every other section is a namespace of typed values (cfg.kernel.levels).
 """
 
 import configparser
+from types import SimpleNamespace
 
 import numpy as np
 
+from . import spectral
 from .einstein import DIMENSION_MAX, KAPPA_MAX
 from .integrand import HARMONIC_POLYNOMIALS, Integrand
 
@@ -16,38 +22,40 @@ class ConfigError(Exception):
     """Invalid configuration; message carries section/key or line context."""
 
 
-# every section and key that a subcommand reads; any other name is rejected,
-# so a misspelled key cannot silently leave its default in force
-KEYS = {
-    "common": ("seed", "level", "out", "p", "integrand", "tolerance"),
-    "sweep": ("family", "amplitudes"),
-    "curvature": ("family", "epsilon"),
-    "kernel": ("levels", "n_vectors", "threshold"),
-    "center": ("translation", "translation_norm", "recovery_tol",
-               "epsilons"),
-    "einstein": ("dimensions", "kappas", "budget"),
-}
+def _number(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
 
 
-def _check_names(cp):
-    """Reject sections and keys outside KEYS, naming section.key."""
-    for key in cp.defaults():
-        raise ConfigError(f"{cp.default_section}.{key}: unknown section; "
-                          f"sections are {', '.join(KEYS)}")
-    for name in cp.sections():
-        keys = cp.options(name)
-        if name not in KEYS:
-            where = f"{name}.{keys[0]}" if keys else name
-            raise ConfigError(f"{where}: unknown section [{name}]; "
-                              f"sections are {', '.join(KEYS)}")
-        for key in keys:
-            if key not in KEYS[name]:
-                raise ConfigError(f"{name}.{key}: unknown key; [{name}] "
-                                  f"takes {', '.join(KEYS[name])}")
+def _numbers(text):
+    """Non-empty list of finite numbers separated by ',' or ';'."""
+    vals = [_number(t) for t in text.replace(";", ",").split(",")
+            if t.strip()]
+    if not vals:
+        raise ValueError("needs one or more numbers")
+    return vals
+
+
+def _integers(text):
+    vals = _numbers(text)
+    if any(v != int(v) for v in vals):
+        raise ValueError(f"{text!r} must list integers")
+    return [int(v) for v in vals]
+
+
+def _amplitudes(text):
+    """Explicit 'a,b,c,...' or geometric 'lo,hi,count' with count >= 4."""
+    vals = _numbers(text)
+    if (len(vals) == 3 and min(vals) > 0 and vals[2] == int(vals[2])
+            and vals[2] >= 4):
+        vals = np.geomspace(vals[0], vals[1], int(vals[2])).tolist()
+    return np.array(vals)
 
 
 def parse_integrand(text):
-    """Integrand from a config token.
+    """Elliptic integrand from a config token.
 
     Formats: 'constant' or 'constant:V'; 'quadratic:a,b,c' (diagonal) or
     nine comma-separated entries; 'fourier:base,amplitude,l,m'.
@@ -56,24 +64,30 @@ def parse_integrand(text):
     head = head.strip().lower()
     try:
         if head == "constant":
-            return Integrand.constant(float(rest) if rest else 1.0)
-        if head == "quadratic":
-            vals = [float(t) for t in rest.split(",")]
-            if len(vals) == 3:
-                return Integrand.quadratic_form(np.diag(vals))
-            if len(vals) == 9:
-                return Integrand.quadratic_form(np.array(vals).reshape(3, 3))
-            raise ConfigError("quadratic integrand needs 3 or 9 entries")
-        if head == "fourier":
+            integrand = Integrand.constant(_number(rest) if rest else 1.0)
+        elif head == "quadratic":
+            vals = [_number(t) for t in rest.split(",")]
+            if len(vals) not in (3, 9):
+                raise ConfigError("quadratic integrand needs 3 or 9 entries")
+            integrand = Integrand.quadratic_form(
+                np.diag(vals) if len(vals) == 3
+                else np.array(vals).reshape(3, 3))
+        elif head == "fourier":
             base, amp, ell, m = rest.split(",")
             mode = (int(ell), int(m))
             if mode not in HARMONIC_POLYNOMIALS:
                 raise ConfigError(f"fourier mode (l, m) = {mode} is not one "
                                   "of the tabulated harmonics (l <= 3)")
-            return Integrand.fourier_perturbed(float(base), float(amp), mode)
+            integrand = Integrand.fourier_perturbed(_number(base),
+                                                    _number(amp), mode)
+        else:
+            raise ConfigError(f"unknown integrand family {head!r}")
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad integrand spec {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown integrand family {head!r}")
+    if not integrand.is_elliptic:
+        raise ConfigError(f"integrand {text!r} is not elliptic (ellipticity "
+                          f"margin {integrand.ellipticity_margin:.3g})")
+    return integrand
 
 
 def parse_family(text):
@@ -98,107 +112,122 @@ def parse_family(text):
     raise ConfigError(f"unknown perturbation family {head!r}")
 
 
+# section -> key -> (parser, default token, range check, message); the only
+# names a config may use, so a misspelled key cannot leave its default in
+# force. A None default is worked out from [common] (kernel.levels).
+SCHEMA = {
+    "common": {
+        "seed": (int, "0", lambda v: v >= 0, "must be 0 or more"),
+        "level": (int, "5", lambda v: 2 <= v <= 8, "must lie in [2, 8]"),
+        "out": (str, "out", None, None),
+        "p": (_number, "4", lambda v: v > 1, "must lie in (1, inf)"),
+        "integrand": (parse_integrand, "constant", None, None),
+        "tolerance": (_number, "1e-8", lambda v: v > 0, "must be positive"),
+    },
+    "sweep": {
+        "family": (parse_family, "harmonic:2,0", None, None),
+        "amplitudes": (_amplitudes, "1e-4,1e-2,6",
+                       lambda a: (a > 0).all() and (np.diff(a) >= 0).all(),
+                       "must be positive and sorted"),
+    },
+    "curvature": {
+        "family": (parse_family, "harmonic:2,0", None, None),
+        "epsilon": (_number, "1e-3", None, None),
+    },
+    "kernel": {
+        "levels": (_integers, None, lambda v: all(2 <= lv <= 8 for lv in v),
+                   "must lie in [2, 8]"),
+        "n_vectors": (int, "5", lambda v: v >= 1, "must be 1 or more"),
+        "threshold": (_number, "0.02", lambda v: v > 0, "must be positive"),
+    },
+    "center": {
+        "translation": (lambda text: np.array(_numbers(text)),
+                        "0.03,-0.02,0.028",
+                        lambda t: t.shape == (3,) and t.any(),
+                        "must be a nonzero 3-vector"),
+        "translation_norm": (_number, "0.05", lambda v: 0 < v < 1,
+                             "must lie in (0, 1): the translated unit sphere "
+                             "must keep the origin inside"),
+        "recovery_tol": (_number, "1e-4", lambda v: v > 0,
+                         "must be positive"),
+        "epsilons": (_numbers, "0.01,0.02,0.04",
+                     lambda v: (len(v) >= 2 and min(v) > 0
+                                and len(set(v)) == len(v)),
+                     "must list two or more distinct positive amplitudes"),
+    },
+    "einstein": {
+        "dimensions": (_integers, "3,4,5",
+                       lambda v: 3 <= min(v) and max(v) <= DIMENSION_MAX,
+                       f"must lie in [3, {DIMENSION_MAX}]"),
+        "kappas": (_numbers, "-1,0,1",
+                   lambda v: max(abs(k) for k in v) <= KAPPA_MAX,
+                   f"must lie in [-{KAPPA_MAX:g}, {KAPPA_MAX:g}]"),
+        "budget": (int, "200000", lambda v: v > 0, "must be positive"),
+    },
+}
+
+
+def _check_names(cp):
+    """Reject sections and keys outside SCHEMA, naming section.key."""
+    for key in cp.defaults():
+        raise ConfigError(f"{cp.default_section}.{key}: unknown section; "
+                          f"sections are {', '.join(SCHEMA)}")
+    for name in cp.sections():
+        keys = cp.options(name)
+        if name not in SCHEMA:
+            where = f"{name}.{keys[0]}" if keys else name
+            raise ConfigError(f"{where}: unknown section [{name}]; "
+                              f"sections are {', '.join(SCHEMA)}")
+        for key in keys:
+            if key not in SCHEMA[name]:
+                raise ConfigError(f"{name}.{key}: unknown key; [{name}] "
+                                  f"takes {', '.join(SCHEMA[name])}")
+
+
 class ExperimentConfig:
-    """Validated experiment settings for one subcommand run."""
+    """Every SCHEMA value of one config file, parsed and range-checked."""
 
     def __init__(self, path):
-        cp = configparser.ConfigParser()
+        # no interpolation: a '%' in a value is a character, not a reference
+        cp = configparser.ConfigParser(interpolation=None)
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 cp.read_file(fh, source=str(path))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"parse error: {exc}") from exc
         _check_names(cp)
-        self._cp = cp
-        common = cp["common"] if cp.has_section("common") else {}
-        self.seed = self._int(common, "common", "seed", 0)
-        if self.seed < 0:
-            raise ConfigError("common.seed must be 0 or more")
-        self.level = self._int(common, "common", "level", 5)
-        self.out = common.get("out", "out")
-        self.p = self._float(common, "common", "p", 4.0)
-        self.integrand_spec = common.get("integrand", "constant")
-        try:
-            self.integrand = parse_integrand(self.integrand_spec)
-        except ConfigError as exc:
-            raise ConfigError(f"common.integrand: {exc}") from exc
-        self.tolerance = self._float(common, "common", "tolerance", 1e-8)
-        if not self.tolerance > 0:
-            raise ConfigError("common.tolerance must be positive")
-        if not 1 < self.p < np.inf:
-            raise ConfigError("common.p must lie in (1, inf)")
-        if not 2 <= self.level <= 8:
-            raise ConfigError("common.level must lie in [2, 8]")
-        self._read_einstein()
+        for name, keys in SCHEMA.items():
+            given = cp[name] if cp.has_section(name) else {}
+            values = {}
+            for key, (parse, default, ok, message) in keys.items():
+                text = given.get(key, default)
+                try:
+                    values[key] = None if text is None else parse(text)
+                except (ValueError, ConfigError) as exc:
+                    raise ConfigError(f"{name}.{key}: {exc}") from exc
+                if ok is not None and text is not None and not ok(values[key]):
+                    raise ConfigError(f"{name}.{key}: {message}")
+            if name == "common":
+                vars(self).update(values)
+            else:
+                setattr(self, name, SimpleNamespace(**values))
+        if self.kernel.levels is None:
+            self.kernel.levels = list(range(max(2, self.level - 2),
+                                            self.level + 1))
+        if self.unit_sphere:
+            # the graph band of the level's icosphere, 10 * 4^level + 2 nodes
+            band = spectral.graph_band(10 * 4 ** self.level + 2)
+            for name in ("sweep", "curvature"):
+                family = getattr(self, name).family
+                if family[0] == "harmonic" and family[1] > band:
+                    raise ConfigError(
+                        f"{name}.family: harmonic degree {family[1]} exceeds "
+                        f"band {band} of the level-{self.level} sphere")
 
-    def _read_einstein(self):
-        """The [einstein] settings, range-checked with the rest of the file
-        so that every subcommand rejects a bad one."""
-        self.einstein_dimensions = self.ints("einstein", "dimensions", "3,4,5")
-        if (min(self.einstein_dimensions) < 3
-                or max(self.einstein_dimensions) > DIMENSION_MAX):
-            raise ConfigError(f"einstein.dimensions must lie in [3, "
-                              f"{DIMENSION_MAX}]")
-        self.einstein_kappas = self.floats("einstein", "kappas", "-1,0,1")
-        if max(abs(k) for k in self.einstein_kappas) > KAPPA_MAX:
-            raise ConfigError(f"einstein.kappas must lie in [-{KAPPA_MAX:g}, "
-                              f"{KAPPA_MAX:g}]")
-        self.einstein_budget = self._int(self.section("einstein"), "einstein",
-                                         "budget", 200000)
-        if self.einstein_budget <= 0:
-            raise ConfigError("einstein.budget must be positive")
-
-    def _int(self, sec, name, key, default):
-        try:
-            return int(sec.get(key, default))
-        except ValueError as exc:
-            raise ConfigError(f"{name}.{key} must be an integer: {exc}") from exc
-
-    def _float(self, sec, name, key, default):
-        try:
-            value = float(sec.get(key, default))
-        except ValueError as exc:
-            raise ConfigError(f"{name}.{key} must be a number: {exc}") from exc
-        if not np.isfinite(value):
-            raise ConfigError(f"{name}.{key} must be finite")
-        return value
-
-    def section(self, name):
-        return self._cp[name] if self._cp.has_section(name) else {}
-
-    def amplitudes(self, name, default="1e-4,1e-2,6"):
-        """Amplitude list: explicit 'a,b,c,...' or geometric 'lo,hi,count'."""
-        vals = self.floats(name, "amplitudes", default)
-        if len(vals) == 3 and vals[2] == int(vals[2]) and vals[2] >= 4:
-            vals = np.geomspace(vals[0], vals[1], int(vals[2])).tolist()
-        if any(v <= 0 for v in vals) or sorted(vals) != vals:
-            raise ConfigError(f"{name}.amplitudes must be positive and sorted")
-        return np.array(vals)
-
-    def family(self, name, default="harmonic:2,0"):
-        try:
-            return parse_family(self.section(name).get("family", default))
-        except ConfigError as exc:
-            raise ConfigError(f"{name}.family: {exc}") from exc
-
-    def floats(self, name, key, default):
-        """Non-empty list of finite numbers separated by ',' or ';'."""
-        text = self.section(name).get(key, default)
-        try:
-            vals = [float(t) for t in text.replace(";", ",").split(",")
-                    if t.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"{name}.{key} must be a list of numbers: "
-                              f"{exc}") from exc
-        if not vals or not np.all(np.isfinite(vals)):
-            raise ConfigError(f"{name}.{key} must list one or more finite "
-                              "numbers")
-        return vals
-
-    def ints(self, name, key, default):
-        vals = self.floats(name, key, default)
-        if any(v != int(v) for v in vals):
-            raise ConfigError(f"{name}.{key} must list integers")
-        return [int(v) for v in vals]
+    @property
+    def unit_sphere(self):
+        """The integrand is constant:1, so the base is the unit sphere."""
+        return (self.integrand.family == "constant"
+                and self.integrand.params["value"] == 1.0)

@@ -169,7 +169,6 @@ def _wulff_graph(wmesh, values):
     nu[flip] *= -1.0
     jac_nu = ops.jacobian_ambient(nu)  # (N, 3, 2)
     h_chart = np.einsum("nki,nkj->nij", psi_d, jac_nu)
-    h_chart = 0.5 * (h_chart + np.swapaxes(h_chart, 1, 2))
     return _finish_from_derivatives(wmesh, positions, psi_d, nu, h_chart,
                                     values, "radial")
 

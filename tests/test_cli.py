@@ -46,7 +46,7 @@ def test_config_validation(tmp_path):
     path = write_config(tmp_path, BASE.format(integrand="constant")
                         + "\n[sweep]\namplitudes = 3e-3,1e-3,2e-3\n")
     with pytest.raises(ConfigError, match="sorted"):
-        ExperimentConfig(path).amplitudes("sweep")
+        ExperimentConfig(path)
     bad = write_config(tmp_path, "[common]\nlevel = 77\n", "bad.ini")
     with pytest.raises(ConfigError, match="level"):
         ExperimentConfig(bad)
@@ -208,6 +208,9 @@ amplitudes = 0.4,8.0,6
     ("constant", "harmonic:2,-3", "sweep.family"),
     ("constant", "harmonic:2,5", "sweep.family"),
     ("fourier:1,0.1,4,0", "harmonic:2,0", "common.integrand"),
+    ("fourier:1,0.9,2,0", "harmonic:2,0", "common.integrand"),
+    ("constant:nan", "harmonic:2,0", "common.integrand"),
+    ("quadratic:1,1,inf", "harmonic:2,0", "common.integrand"),
     ("constant", "kernel:0,0,0", "sweep.family"),
     ("constant", "kernel:0,0,0", "curvature.family"),
     ("constant", "harmonic:9,0", "sweep.family"),
@@ -216,7 +219,9 @@ amplitudes = 0.4,8.0,6
 def test_bad_mode_tokens_exit_2(tmp_path, capsys, integrand, family, where):
     """|m| > l would wrap into a lower band or index past it; l = 4 has no
     tabulated harmonic polynomial; a zero kernel vector has no direction;
-    l above band 8 of the level-3 sphere would be measured aliased."""
+    l above band 8 of the level-3 sphere would be measured aliased; an
+    integrand with a negative or undefined ellipticity margin has no Wulff
+    shape."""
     command = "curvature" if where.startswith("curvature") else "sweep"
     body = BASE.format(integrand=integrand) + f"\n[{command}]\nfamily = {family}\n"
     if command == "sweep":
@@ -281,14 +286,24 @@ def test_bad_numeric_values_exit_2(tmp_path, capsys, command, section, key,
 @pytest.mark.parametrize("command", ["wulff", "einstein"])
 def test_bad_einstein_key_rejected_by_every_command(tmp_path, capsys,
                                                     command):
-    """[einstein] is range-checked when the config is read, so a command
-    that never runs the Einstein cells still rejects it."""
-    cfg = write_config(tmp_path, BASE.format(integrand="constant")
-                       + "\n[einstein]\nbudget = 0\n")
-    out = tmp_path / "o"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    assert "einstein.budget" in capsys.readouterr().err
-    assert not out.exists()
+    """Every section is range-checked when the config is read, so a command
+    that never reads a section still rejects a bad value in it."""
+    for section, key, value in [("common", "tolerance", "0"),
+                                ("einstein", "budget", "0"),
+                                ("kernel", "threshold", "0"),
+                                ("center", "translation_norm", "2"),
+                                ("sweep", "amplitudes", "3,2,1"),
+                                ("curvature", "family", "harmonic:12,0")]:
+        body = BASE.format(integrand="constant")
+        if section == "common":
+            body += f"{key} = {value}\n"
+        else:
+            body += f"\n[{section}]\n{key} = {value}\n"
+        cfg = write_config(tmp_path, body)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_einstein_csv_matches_golden_bytes(tmp_path):
@@ -343,6 +358,7 @@ def test_negative_seed_flag_exits_2(tmp_path):
     ("center", "center", "epsilons", "0.01,0.02,0.01"),
     ("sweep", "sweep", "amplitudes", "1e-3,abc,4"),
     ("sweep", "sweep", "amplitudes", "inf"),
+    ("sweep", "sweep", "amplitudes", "0,1e-2,6"),
 ])
 def test_bad_list_values_exit_2(tmp_path, capsys, command, section, key,
                                 value):
@@ -351,10 +367,7 @@ def test_bad_list_values_exit_2(tmp_path, capsys, command, section, key,
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
-    if section == "einstein":  # rejected with the config, before out is made
-        assert not out.exists()
-    else:  # rejected by the command, before it writes anything
-        assert not any(out.iterdir())
+    assert not out.exists()  # rejected with the config, before out is made
 
 
 def test_kernel_default_levels_stay_in_range(tmp_path):

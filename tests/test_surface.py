@@ -79,6 +79,20 @@ def test_geometry_invariants(sphere4, wulff4, ellipsoid_integrand):
         assert g.shape_asymmetry < 0.05
 
 
+def test_wulff_graph_asymmetry_measures_the_stencil(wulff4,
+                                                    ellipsoid_integrand):
+    """Over a Wulff mesh the shape operator is taken from the stencil
+    derivative of the normal, whose asymmetry is a discretization error: it
+    reads well above rounding and falls under refinement."""
+    asym = []
+    for mesh in (build_wulff(ellipsoid_integrand, 3), wulff4):
+        y20 = spectral.real_sph_harm_matrix(mesh.normals, 2)[
+            :, spectral.sh_index(2, 0)]
+        asym.append(radial_graph(mesh, 0.05 * y20).shape_asymmetry)
+    assert asym[0] > 1e-4
+    assert asym[1] < asym[0]
+
+
 def test_closed_form_frames_match_qr_reference(sphere4, monkeypatch):
     """Gram-Schmidt frames and the entrywise congruence against batched QR,
     inv and einsum, on the chart derivatives each graph really produces: an
