@@ -1,14 +1,15 @@
 """Experiment runner: subcommand dispatch, CSV/dat emission, SVG plots.
 
-Every run is deterministic for a fixed config and seed: randomness flows
-from numpy Generators seeded per task, reductions are fixed-order, and
-files are written atomically (write then rename) so failures never leave
-partial CSVs behind.
+Each run_* returns (header, rows, checks); main alone writes the table and
+sets the exit code from the checks. Runs are deterministic for a fixed
+config and seed: Generators seeded per task, fixed-order reductions, and
+atomic writes (write then rename), so failures leave no partial CSVs.
 """
 
 import argparse
 import csv
 import io
+import operator
 import os
 import sys
 import tempfile
@@ -21,12 +22,14 @@ from .config import ConfigError, ExperimentConfig
 from .curvature import anisotropic_shape_operator, oscillation_deficit, trace_free
 from .integrand import Integrand, gauge
 from .spheremesh import build_sphere_mesh
-from .stability import (SpectralGraphSurface, center, scaling_sweep,
-                        stability_operator)
+from .stability import (SpectralGraphSurface, center, perturbation_field,
+                        scaling_sweep, stability_operator)
 from .surface import exp_graph, projection_certificate, radial_graph
-from .wulff import build_wulff
+from .wulff import build_wulff, write_mesh_text
 
 FLOAT_FMT = "%.17g"
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+              "==": operator.eq}
 
 
 def _fmt(v):
@@ -110,6 +113,11 @@ def write_svg(path, series, xlabel="x", ylabel="y"):
     _atomic_write(path, "\n".join(parts) + "\n")
 
 
+def check(name, value, relation, bound):
+    """A named check record: (name, value, relation, bound, passed)."""
+    return name, value, relation, bound, bool(_RELATIONS[relation](value, bound))
+
+
 def _sphere_or_wulff(cfg):
     """The unit sphere for the integrand constant:1, else its Wulff mesh."""
     if cfg.unit_sphere:
@@ -157,17 +165,15 @@ def run_wulff(cfg, outdir, svg):
                   / np.log(h[0] / h[1]))
     rows.append({"metric": "area_convergence_order", "value": order})
     rows.append({"metric": "vertex_count", "value": W.n_vertices})
-    write_csv(os.path.join(outdir, "wulff.csv"), ["metric", "value"], rows)
-    write_dat(os.path.join(outdir, "wulff.dat"), ["metric", "value"], rows)
-    ok = gauge_resid < 1e-8 and order > 1.5
-    return (0 if ok else 1), rows
+    return ["metric", "value"], rows, [
+        check("max_gauge_residual", gauge_resid, "<", 1e-8),
+        check("area_convergence_order", order, ">", 1.5)]
 
 
 def run_curvature(cfg, outdir, svg):
     eps = cfg.curvature.epsilon
     family = cfg.curvature.family
     base = _sphere_or_wulff(cfg)
-    from .stability import perturbation_field
     shape = perturbation_field(base, family)
     if base.integrand is None:
         geom = exp_graph(base, eps * shape)
@@ -188,10 +194,7 @@ def run_curvature(cfg, outdir, svg):
         {"metric": "max_trace_residual", "value": float(np.abs(np.einsum("nii->n", dev.values)).max())},
         {"metric": "eta_margin", "value": cert.margin},
     ]
-    write_csv(os.path.join(outdir, "curvature.csv"), ["metric", "value"], rows)
-    write_dat(os.path.join(outdir, "curvature.dat"), ["metric", "value"], rows)
     # per-node geometry dump in the shared mesh text format plus CSV
-    from .wulff import write_mesh_text
     write_mesh_text(os.path.join(outdir, "geometry.mesh"), geom.positions,
                     geom.normal, base.faces,
                     f"wulffstab surface level={cfg.level} family={family!r}")
@@ -200,7 +203,10 @@ def run_curvature(cfg, outdir, svg):
                  for i in range(geom.n_nodes)]
     write_csv(os.path.join(outdir, "geometry.csv"),
               ["node", "H", "eta", "radius"], node_rows)
-    return (0 if cert.passed else 1), rows
+    checks = [check("eta_margin", cert.margin, ">", cert.threshold)]
+    checks += [check(key, value, "==", 0)
+               for key, value in cert.diagnostics.items()]
+    return ["metric", "value"], rows, checks
 
 
 def run_kernel(cfg, outdir, svg):
@@ -208,13 +214,11 @@ def run_kernel(cfg, outdir, svg):
     rng = np.random.default_rng((cfg.seed, 2))
     cs = rng.normal(size=(cfg.kernel.n_vectors, 3))
     cs /= np.linalg.norm(cs, axis=1, keepdims=True)
-    rows = []
+    rows, checks = [], []
     bases = [("sphere", build_sphere_mesh, Integrand.constant())]
     if cfg.integrand.family != "constant":
         bases.append(("wulff", lambda lv: build_wulff(cfg.integrand, lv),
                       cfg.integrand))
-    worst_final = 0.0
-    decreasing = True
     for name, builder, integ in bases:
         prev = None
         for lv in levels:
@@ -229,11 +233,12 @@ def run_kernel(cfg, outdir, svg):
             worst = max(residuals)
             rows.append({"surface": name, "level": lv,
                          "max_kernel_residual": worst})
-            if prev is not None and worst >= prev:
-                decreasing = False
+            if prev is not None:
+                checks.append(check(f"refines[{name},level={lv}]", worst,
+                                    "<", prev))
             prev = worst
-            if lv == levels[-1]:
-                worst_final = max(worst_final, worst)
+        checks.append(check(f"threshold[{name},level={lv}]", worst, "<=",
+                            cfg.kernel.threshold))
         # eigenvalue check for the first nontrivial band on the top sphere
         if name == "sphere":
             y2 = spectral.real_sph_harm_matrix(base.vertices, 2)[:, spectral.sh_index(2, 0)]
@@ -241,11 +246,7 @@ def run_kernel(cfg, outdir, svg):
             ray = float(np.sum(base.weights * L * y2) / np.sum(base.weights * y2 ** 2))
             rows.append({"surface": "sphere", "level": levels[-1],
                          "max_kernel_residual": ray, "note": "y2_rayleigh"})
-    header = ["surface", "level", "max_kernel_residual", "note"]
-    write_csv(os.path.join(outdir, "kernel.csv"), header, rows)
-    write_dat(os.path.join(outdir, "kernel.dat"), header, rows)
-    ok = worst_final <= cfg.kernel.threshold and decreasing
-    return (0 if ok else 1), rows
+    return ["surface", "level", "max_kernel_residual", "note"], rows, checks
 
 
 def run_center(cfg, outdir, svg):
@@ -281,16 +282,14 @@ def run_center(cfg, outdir, svg):
     slope = float(np.polyfit(np.log(epsilons), np.log(one_step), 1)[0])
     rows.append({"case": "one_step_exponent", "epsilon": 0.0,
                  "residual": slope, "iterations": len(epsilons)})
-    header = ["case", "epsilon", "residual", "iterations"]
-    write_csv(os.path.join(outdir, "center.csv"), header, rows)
-    write_dat(os.path.join(outdir, "center.dat"), header, rows)
     if svg:
         write_svg(os.path.join(outdir, "center.svg"),
                   [("one-step residual", epsilons, one_step)],
                   xlabel="epsilon", ylabel="residual")
-    ok = err <= cfg.center.recovery_tol and res.iterations <= 10 \
-        and abs(slope - 2.0) <= 0.2
-    return (0 if ok else 1), rows
+    return ["case", "epsilon", "residual", "iterations"], rows, [
+        check("recovery_error", err, "<=", cfg.center.recovery_tol),
+        check("recovery_iterations", res.iterations, "<=", 10),
+        check("one_step_exponent_minus_2", abs(slope - 2.0), "<=", 0.2)]
 
 
 def run_sweep(cfg, outdir, svg):
@@ -305,11 +304,11 @@ def run_sweep(cfg, outdir, svg):
                  f"distance_slope={distance_fit.slope:.4f}")
     else:
         flags = "fit_unavailable"
-    out_rows = []
-    truncated = False
+    out_rows, checks = [], []
     for row in rows:
         if "warning" in row:
-            truncated = True
+            checks.append(check(f"gates[epsilon={float(row['epsilon'])}]",
+                                row["warning"], "==", "passed"))
             out_rows.append({"family": fam_txt, "epsilon": row["epsilon"],
                              "p": cfg.p, "slope_flags": row["warning"],
                              "eta_margin": row.get("eta", "")})
@@ -319,42 +318,39 @@ def run_sweep(cfg, outdir, svg):
                          "distance": row["distance"], "ratio": row["ratio"],
                          "slope_flags": flags, "eta_margin": row["eta"],
                          "iterations": row["iterations"]})
-    header = ["family", "epsilon", "p", "deficit", "distance", "ratio",
-              "slope_flags", "eta_margin", "iterations"]
-    write_csv(os.path.join(outdir, "sweep.csv"), header, out_rows)
-    write_dat(os.path.join(outdir, "sweep.dat"), header, out_rows)
     if svg:
         good = [r for r in rows if "deficit" in r]
+        eps = [r["epsilon"] for r in good]
         write_svg(os.path.join(outdir, "sweep.svg"),
-                  [("deficit", [r["epsilon"] for r in good],
-                    [r["deficit"] for r in good]),
-                   ("distance", [r["epsilon"] for r in good],
-                    [r["distance"] for r in good])],
+                  [(key, eps, [r[key] for r in good])
+                   for key in ("deficit", "distance")],
                   xlabel="epsilon", ylabel="measure")
-    return (1 if truncated else 0), out_rows
+    return ["family", "epsilon", "p", "deficit", "distance", "ratio",
+            "slope_flags", "eta_margin", "iterations"], out_rows, checks
 
 
 def run_einstein(cfg, outdir, svg):
     budget = cfg.einstein.budget
-    rows = []
-    ok = True
+    rows, checks = [], []
     for n in cfg.einstein.dimensions:
         for kap in cfg.einstein.kappas:
             zs = es.zero_set_check(n, kap, budget=min(budget, 10 ** 5),
                                    seed=cfg.seed)
             rb = es.ratio_bounds(n, kap, budget=budget, seed=cfg.seed)
-            ok = ok and zs["passed"] and rb.c1 > 0 and np.isfinite(rb.c2)
+            zero_set = "PASS" if zs["passed"] else "FAIL"
             rows.append({
                 "n": n, "kappa": kap, "c1_est": rb.c1, "c2_est": rb.c2,
-                "samples": rb.samples,
                 "extremizer": "|".join(FLOAT_FMT % v for v in rb.argmax),
-                "zero_set": "PASS" if zs["passed"] else "FAIL",
+                "samples": rb.samples, "zero_set": zero_set,
             })
-    header = ["n", "kappa", "c1_est", "c2_est", "samples", "extremizer",
-              "zero_set"]
-    write_csv(os.path.join(outdir, "einstein.csv"), header, rows)
-    write_dat(os.path.join(outdir, "einstein.dat"), header, rows)
-    return (0 if ok else 1), rows
+            # a zero of q where p > 0 makes sup p/q infinite
+            c2 = np.inf if zs["stray_q_zeros"] else rb.c2
+            cell = f"n={n},kappa={kap:g}"
+            checks += [check(f"zero_set[{cell}]", zero_set, "==", "PASS"),
+                       check(f"c1_est[{cell}]", rb.c1, ">", 0),
+                       check(f"c2_est[{cell}]", c2, "<", np.inf)]
+    return ["n", "kappa", "c1_est", "c2_est", "samples", "extremizer",
+            "zero_set"], rows, checks
 
 
 COMMANDS = {
@@ -396,10 +392,14 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     os.makedirs(outdir, exist_ok=True)
-    code, _ = COMMANDS[args.command](cfg, outdir, args.svg)
-    if code != 0:
-        print(f"checks failed; report in {outdir}", file=sys.stderr)
-    return code
+    header, rows, checks = COMMANDS[args.command](cfg, outdir, args.svg)
+    write_csv(os.path.join(outdir, args.command + ".csv"), header, rows)
+    write_dat(os.path.join(outdir, args.command + ".dat"), header, rows)
+    failed = [c for c in checks if not c[4]]
+    for name, value, relation, bound, _ in failed:
+        print(f"{args.command}: check {name} failed: measured {value}, "
+              f"needs {relation} {bound}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

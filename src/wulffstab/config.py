@@ -46,10 +46,12 @@ def _integers(text):
 
 
 def _amplitudes(text):
-    """Explicit 'a,b,c,...' or geometric 'lo,hi,count' with count >= 4."""
+    """Explicit 'a,b,...' or geometric 'lo,hi,count', 4 <= count <= 100."""
     vals = _numbers(text)
     if (len(vals) == 3 and min(vals) > 0 and vals[2] == int(vals[2])
             and vals[2] >= 4):
+        if vals[2] > 100:
+            raise ValueError(f"geometric count {vals[2]:g} exceeds 100")
         vals = np.geomspace(vals[0], vals[1], int(vals[2])).tolist()
     return np.array(vals)
 
@@ -132,7 +134,9 @@ SCHEMA = {
     },
     "curvature": {
         "family": (parse_family, "harmonic:2,0", None, None),
-        "epsilon": (_number, "1e-3", None, None),
+        "epsilon": (_number, "1e-3", lambda v: 0 < v <= 0.45,
+                    "must lie in (0, 0.45], the smallness gate of "
+                    "stability.center"),
     },
     "kernel": {
         "levels": (_integers, None, lambda v: all(2 <= lv <= 8 for lv in v),

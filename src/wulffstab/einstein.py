@@ -433,8 +433,9 @@ def zero_set_check(n, kappa, budget=10 ** 5, seed=0):
     away from zero: a batched Levenberg-Marquardt on p from the 8 lowest
     sampled p, and one on q from the 8 lowest sampled q. A found stray zero
     (reported with its location) fails the check; this does happen for q
-    when kappa < 0 and n >= 4. The hunts' end points, iteration counts and
-    the number that stopped only at the iteration cap are reported too.
+    when kappa < 0 and n >= 4, and stray_q_zeros counts those of q, where
+    sup p/q is infinite. The hunts' end points, iteration counts and the
+    number that stopped only at the iteration cap are reported too.
     """
     ball, refine, maxiter = 1e-3, 8, 100
     rng = np.random.default_rng((seed, n))
@@ -469,6 +470,7 @@ def zero_set_check(n, kappa, budget=10 ** 5, seed=0):
     passed = at_zeros < 1e-18 and min_off > 0 and not stray.any()
     return {"passed": bool(passed), "max_at_zeros": at_zeros,
             "min_off_zeros": min_off, "stray_zeros": int(stray.sum()),
+            "stray_q_zeros": int((stray & hunts_q).sum()),
             "stray_points": list(x[stray]), "n_zeros": len(zeros),
             "hunt_points": x, "hunt_iterations": nit,
             "hunts_capped": int(cap_p.sum() + cap_q.sum())}

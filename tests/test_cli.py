@@ -62,16 +62,17 @@ def test_missing_config_exit_code(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-def test_wulff_subcommand(tmp_path):
+def test_wulff_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.format(integrand="quadratic:1,1,4"))
     out = tmp_path / "out"
     assert main(["wulff", "--config", cfg, "--out", str(out)]) == 0
     text = (out / "wulff.csv").read_text()
     assert "max_gauge_residual" in text
     assert "ellipsoid_closed_form_residual" in text
+    assert capsys.readouterr().err == ""
 
 
-def test_sweep_deterministic_byte_identical(tmp_path):
+def test_sweep_deterministic_byte_identical(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.format(integrand="constant") + """
 [sweep]
 family = harmonic:2,0
@@ -81,9 +82,10 @@ amplitudes = 1e-3,1e-2,5
     assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    assert capsys.readouterr().err == ""
 
 
-def test_sweep_csv_schema(tmp_path):
+def test_sweep_csv_schema(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.format(integrand="constant") + """
 [sweep]
 family = kernel:0.6,-0.48,0.64
@@ -96,9 +98,10 @@ amplitudes = 1e-3,1e-2,5
                         "slope_flags,eta_margin,iterations")
     assert len(lines) == 6
     assert (out / "sweep.svg").exists()
+    assert capsys.readouterr().err == ""
 
 
-def test_sweep_csv_quotes_kernel_family(tmp_path):
+def test_sweep_csv_quotes_kernel_family(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.format(integrand="constant") + """
 [sweep]
 family = kernel:0.6,-0.48,0.64
@@ -117,9 +120,10 @@ amplitudes = 1e-3,1e-2,4
         assert np.allclose([float(c) for c in comps.split(",")],
                            [0.6, -0.48, 0.64])
         assert float(row["eta_margin"]) > 0 and row["iterations"].isdigit()
+    assert capsys.readouterr().err == ""
 
 
-def test_kernel_subcommand(tmp_path):
+def test_kernel_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.format(integrand="constant") + """
 [kernel]
 levels = 2,3
@@ -128,9 +132,28 @@ n_vectors = 2
     out = tmp_path / "k"
     assert main(["kernel", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "kernel.csv").exists()
+    assert capsys.readouterr().err == ""
 
 
-def test_center_subcommand(tmp_path):
+def test_kernel_threshold_failure_names_check(tmp_path, capsys):
+    """A threshold no residual meets fails the run, and stderr names the
+    check with the surface, the level, the residual and the bound."""
+    cfg = write_config(tmp_path, BASE.format(integrand="constant") + """
+[kernel]
+levels = 2,3
+n_vectors = 2
+threshold = 1e-12
+""")
+    out = tmp_path / "k"
+    assert main(["kernel", "--config", cfg, "--out", str(out)]) == 1
+    rows = list(csv.DictReader((out / "kernel.csv").read_text().splitlines()))
+    worst = float(rows[1]["max_kernel_residual"])
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"kernel: check threshold[sphere,level=3] failed: "
+                   f"measured {worst}, needs <= 1e-12"]
+
+
+def test_center_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.format(integrand="constant").replace(
         "level = 3", "level = 4"))
     out = tmp_path / "c"
@@ -138,9 +161,10 @@ def test_center_subcommand(tmp_path):
     text = (out / "center.csv").read_text()
     assert "translate_recovery" in text
     assert "one_step_exponent" in text
+    assert capsys.readouterr().err == ""
 
 
-def test_curvature_subcommand(tmp_path):
+def test_curvature_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.format(integrand="constant") + """
 [curvature]
 family = harmonic:2,0
@@ -149,9 +173,10 @@ epsilon = 1e-3
     out = tmp_path / "cv"
     assert main(["curvature", "--config", cfg, "--out", str(out)]) == 0
     assert "c_osc" in (out / "curvature.csv").read_text()
+    assert capsys.readouterr().err == ""
 
 
-def test_einstein_subcommand_passes_on_sound_cells(tmp_path):
+def test_einstein_subcommand_passes_on_sound_cells(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.format(integrand="constant") + """
 [einstein]
 dimensions = 3
@@ -162,10 +187,13 @@ budget = 20000
     assert main(["einstein", "--config", cfg, "--out", str(out)]) == 0
     text = (out / "einstein.csv").read_text()
     assert text.count("PASS") == 3
+    assert capsys.readouterr().err == ""
 
 
-def test_einstein_subcommand_flags_defective_cell(tmp_path):
-    """kappa = -1, n = 4 has a genuine stray zero of q; the run reports it."""
+def test_einstein_subcommand_flags_defective_cell(tmp_path, capsys):
+    """kappa = -1, n = 4 has a genuine stray zero of q; the run reports it,
+    and stderr names the failed zero-set check and the unbounded c2 (a
+    zero of q where p > 0), whatever c2_est the Monte Carlo wrote."""
     cfg = write_config(tmp_path, BASE.format(integrand="constant") + """
 [einstein]
 dimensions = 4
@@ -175,6 +203,12 @@ budget = 20000
     out = tmp_path / "e2"
     assert main(["einstein", "--config", cfg, "--out", str(out)]) == 1
     assert "FAIL" in (out / "einstein.csv").read_text()
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "einstein: check zero_set[n=4,kappa=-1] failed: measured FAIL, "
+        "needs == PASS",
+        "einstein: check c2_est[n=4,kappa=-1] failed: measured inf, "
+        "needs < inf"]
 
 
 def test_atomic_csv_write(tmp_path):
@@ -191,8 +225,9 @@ def test_svg_writer(tmp_path):
     assert body.startswith("<svg") and "polyline" in body
 
 
-def test_sweep_truncates_on_gate_failure(tmp_path):
-    """Amplitudes beyond the smallness gates truncate the sweep with exit 1."""
+def test_sweep_truncates_on_gate_failure(tmp_path, capsys):
+    """Amplitudes beyond the smallness gates truncate the sweep with exit 1,
+    and stderr names the amplitude where it stopped."""
     cfg = write_config(tmp_path, BASE.format(integrand="constant") + """
 [sweep]
 family = harmonic:3,3
@@ -202,6 +237,10 @@ amplitudes = 0.4,8.0,6
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
     body = (out / "sweep.csv").read_text()
     assert "_failed" in body and "fit_unavailable" in body
+    last = list(csv.DictReader(body.splitlines()))[-1]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"sweep: check gates[epsilon={float(last['epsilon'])}] "
+                   f"failed: measured {last['slope_flags']}, needs == passed"]
 
 
 @pytest.mark.parametrize("integrand, family, where", [
@@ -237,13 +276,14 @@ def test_bad_mode_tokens_exit_2(tmp_path, capsys, integrand, family, where):
     ("constant", "harmonic:8,0"),
     ("quadratic:1,1,4", "harmonic:9,0"),
 ])
-def test_harmonic_band_edges_run(tmp_path, integrand, family):
+def test_harmonic_band_edges_run(tmp_path, capsys, integrand, family):
     """l = 8 is the graph band of the level-3 sphere; Wulff bases take any l."""
     cfg = write_config(tmp_path, BASE.format(integrand=integrand)
                        + f"\n[curvature]\nfamily = {family}\n")
     out = tmp_path / "c"
     assert main(["curvature", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "curvature.csv").exists()
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command, section, key, value", [
@@ -264,6 +304,9 @@ def test_harmonic_band_edges_run(tmp_path, integrand, family):
     ("kernel", "kernel", "n_vectors", "-2"),
     ("curvature", "curvature", "epsilon", "nan"),
     ("curvature", "curvature", "epsilon", "inf"),
+    ("curvature", "curvature", "epsilon", "0"),
+    ("curvature", "curvature", "epsilon", "-1e-3"),
+    ("curvature", "curvature", "epsilon", "10"),
     ("kernel", "kernel", "threshold", "nan"),
     ("center", "center", "recovery_tol", "nan"),
     ("kernel", "kernel", "threshold", "-1"),
@@ -359,6 +402,7 @@ def test_negative_seed_flag_exits_2(tmp_path):
     ("sweep", "sweep", "amplitudes", "1e-3,abc,4"),
     ("sweep", "sweep", "amplitudes", "inf"),
     ("sweep", "sweep", "amplitudes", "0,1e-2,6"),
+    ("sweep", "sweep", "amplitudes", "1e-4,1e-2,1000000"),
 ])
 def test_bad_list_values_exit_2(tmp_path, capsys, command, section, key,
                                 value):
@@ -370,13 +414,14 @@ def test_bad_list_values_exit_2(tmp_path, capsys, command, section, key,
     assert not out.exists()  # rejected with the config, before out is made
 
 
-def test_kernel_default_levels_stay_in_range(tmp_path):
+def test_kernel_default_levels_stay_in_range(tmp_path, capsys):
     """At level 3 the default levels are 2, 3 (level 1 is not buildable)."""
     cfg = write_config(tmp_path, "[common]\nlevel = 3\n")
     out = tmp_path / "k"
     assert main(["kernel", "--config", cfg, "--out", str(out)]) == 0
     rows = csv.DictReader((out / "kernel.csv").read_text().splitlines())
     assert [row["level"] for row in rows if not row["note"]] == ["2", "3"]
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan"])

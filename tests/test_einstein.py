@@ -262,7 +262,7 @@ def test_zero_set_q_hunts_end_at_stray_zeros(n, target):
     ends = out["hunt_points"][8:]
     assert len(ends) == 8
     assert _permutation_distance(ends, target).max() <= 1e-6
-    assert out["stray_zeros"] == 8
+    assert out["stray_zeros"] == out["stray_q_zeros"] == 8
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -318,7 +318,7 @@ def test_zero_set_hunts_do_not_mistake_infima_at_infinity():
     assert p[:8].min() >= 2.0 - 1e-6
     assert q[8:].min() >= 4.0 / 3.0 - 1e-6
     assert (np.linalg.norm(out["hunt_points"], axis=1) > 10).all()
-    assert out["stray_zeros"] == 0 and out["passed"]
+    assert out["stray_zeros"] == out["stray_q_zeros"] == 0 and out["passed"]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
