@@ -3,7 +3,8 @@
 Everything here operates on principal-curvature spectra: Ricci eigenvalues,
 the pinching inequality between trace-free norms, the quartic polynomials
 comparing Riemann and Ricci deviations from the constant-curvature model,
-Monte Carlo bounds on their ratio, and the Sobolev interpolation exponent.
+their zero sets in closed form, Monte Carlo bounds on their ratio, and the
+Sobolev interpolation exponent.
 """
 
 import numpy as np
@@ -133,20 +134,15 @@ def _add_in_turn(total, rows):
 
 
 def analytic_zeros(n, kappa):
-    """The common zero set of p and q: empty for kappa < 0, the curvature
-    axes for kappa = 0, the two umbilic points for kappa > 0."""
+    """The common zero set of p and q, which is Z(p) (zero_set_check): empty
+    for kappa < 0, the axis points e_1, -e_1, ..., e_n, -e_n for kappa = 0
+    (p and q vanish on the lines through them), the two umbilics
+    +-sqrt(kappa) (1, ..., 1) for kappa > 0."""
     if kappa < 0:
         return np.empty((0, n))
     if kappa == 0:
-        out = []
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            out.extend([e, -e])
-        return np.array(out)
-    r = np.sqrt(kappa)
-    ones = np.ones(n)
-    return np.array([r * ones, -r * ones])
+        return np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
+    return np.sqrt(kappa) * np.array([np.ones(n), -np.ones(n)])
 
 
 class RatioBound:
@@ -243,10 +239,11 @@ def _sort_simplex(sim, fsim):
 
 
 KAPPA_MAX = 10.0  # bound on |kappa| for ratio_bounds and the CLI
-# bound on n for the CLI: a spectrum has n(n-1) pair terms, so the time
-# grows as n^2; one cell at budget 200000 and n = 70 takes 7-12 s and peaks
-# near 240 MB on a 2-core host (polys_batch holds one (n, 8192) block and
-# the terms of one leaf of its pairwise sum, at most 128 x 8192 floats)
+# bound on n for the CLI: a spectrum has n(n-1) pair terms, so the Monte
+# Carlo time grows as n^2; one n = 70 cell is ratio_bounds alone (the zero
+# sets take milliseconds), 6.9-7.3 s at budget 200000 and a 210-240 MB peak
+# on a 2-core host (polys_batch holds one (n, 8192) block and the terms of
+# one leaf of its pairwise sum, at most 128 x 8192 floats)
 DIMENSION_MAX = 70
 
 
@@ -319,161 +316,81 @@ def ratio_bounds(n, kappa, budget=10 ** 6, seed=0):
     return RatioBound(n, kappa, float(c1), float(c2), total, argmin, argmax)
 
 
-def _p_residuals(lams, kappa):
-    """Residuals sqrt(2) (lambda_i lambda_j - kappa) over the pairs i < j,
-    whose squares sum to p, and their Jacobian (m, pairs, n)."""
+def _q_only_zeros(n):
+    """The n - 3 spectra where q vanishes and p does not at kappa = -1,
+    one per split a = 2, ..., n - 2: a copies of x < 0 and b = n - a copies
+    of y > 0, with y^2 = (n - 1)(a - 1) / (b - 1) and x = -(b - 1) y / (a - 1).
+    """
+    rows = []
+    for a in range(2, n - 1):
+        b = n - a
+        y = np.sqrt((n - 1) * (a - 1) / (b - 1))
+        rows.append(np.repeat([-(b - 1) * y / (a - 1), y], [a, b]))
+    return np.array(rows).reshape(-1, n)
+
+
+def _vanishes(values, lams):
+    """Whether p or q at the rows of lams (unit scale) is zero to rounding.
+
+    Each of q's n residuals Lambda_i - (n - 1) kappa carries a rounding
+    error of order eps n (max|lambda|^2 + 1), and each of p's n(n - 1)
+    residuals one of order eps (max|lambda|^2 + 1); so both sums of squares
+    stay below n^3 (16 eps (max|lambda|^2 + 1))^2 at an exact zero.
+    """
     n = lams.shape[1]
-    i, j = np.triu_indices(n, 1)
-    res = np.sqrt(2.0) * (lams[:, i] * lams[:, j] - kappa)
-    jac = np.zeros(res.shape + (n,))
-    pair = np.arange(len(i))
-    jac[:, pair, i] = np.sqrt(2.0) * lams[:, j]
-    jac[:, pair, j] = np.sqrt(2.0) * lams[:, i]
-    return res, jac
+    m2 = np.square(lams).max(axis=1, initial=0.0)
+    return values <= n ** 3 * (16 * np.finfo(float).eps * (m2 + 1.0)) ** 2
 
 
-def _q_residuals(lams, kappa):
-    """Residuals Lambda_i - (n-1) kappa, whose squares sum to q, and their
-    Jacobian dLambda_i / dlambda_k = lambda_i + delta_ik (P1 - 2 lambda_i)."""
-    n = lams.shape[1]
-    p1 = lams.sum(axis=1, keepdims=True)
-    res = lams * (p1 - lams) - (n - 1) * kappa
-    jac = np.repeat(lams[:, :, None], n, axis=2)
-    k = np.arange(n)
-    jac[:, k, k] += p1 - 2.0 * lams
-    return res, jac
+def zero_set_check(n, kappa):
+    """Check the zero sets of p and q against their closed form (n >= 3).
 
+    Z(p): p = 0 forces lambda_i lambda_j = kappa for all i != j. For
+    kappa > 0 no lambda vanishes and lambda_i lambda_j = lambda_i lambda_k
+    makes all of them equal, so Z(p) is the two umbilics
+    +-sqrt(kappa) (1, ..., 1); for kappa = 0 at most one lambda is nonzero
+    (the axis lines); for kappa < 0 any three lambdas would need pairwise
+    opposite signs, so Z(p) is empty. Z(p) is analytic_zeros(n, kappa),
+    and q vanishes there too.
 
-# a sum of squares this small is zero to rounding; p and q are homogeneous
-# at kappa = 0, so hunts near the origin only close in on it geometrically
-# and would never reach an exact 0 within the cap
-_HUNT_ZERO = 1e-30
-_HUNT_XTOL = 1e-14  # a step this small against |x| no longer moves x
-_HUNT_FTOL = 1e-14  # an accepted step lowering the value by less is a stall
+    Z(q): q = 0 means Lambda_i = (n - 1) kappa for every i, i.e. every
+    lambda_i is a root of t^2 - P1 t + (n - 1) kappa, so a zero of q takes
+    at most two values. One value t gives (n - 1)(kappa - t^2) = 0: an
+    umbilic. Two values, a copies of x and b = n - a copies of y, need
+    x + y = P1, i.e. (a - 1) x + (b - 1) y = 0, and x y = (n - 1) kappa.
+    a = 1 (or b = 1) forces y = 0 (or x = 0) and kappa = 0: an axis line.
+    Otherwise 2 <= a <= n - 2, x = -(b - 1) y / (a - 1) and
+    y^2 = -(n - 1)(a - 1) kappa / (b - 1), which needs kappa < 0 and n >= 4.
+    Flipping the sign of y gives the spectrum of the split n - a, so taking
+    y > 0 leaves exactly n - 3 spectra, and every zero of q off Z(p) is a
+    permutation of one of them (_q_only_zeros): sqrt(3) (-1, -1, 1, 1) at
+    n = 4, and also sqrt(2) (-1, -1, -1, 2, 2) at n = 5.
 
-
-def _levenberg_marquardt(residuals, x0, maxiter):
-    """Minimize |r(x)|^2 from K starts together: K independent runs.
-
-    residuals(x (m, N)) returns r (m, M) and its Jacobian (m, M, N). Each
-    run solves (J^T J + mu I) step = -J^T r, keeps the step if it lowers
-    the value (mu / 3) or rejects it (mu * 4), and stops at a zero value,
-    a stall (a step too small to move x, or an accepted step that barely
-    lowers the value) or maxiter iterations. Runs that stop leave the batch.
-    Returns (x (K, N), nit (K,), capped (K,)); capped marks the runs that
-    stopped only because they reached maxiter.
+    p and q are homogeneous of degree 4 under lambda -> s lambda,
+    kappa -> s^2 kappa, so both are evaluated at unit scale, lambda /
+    sqrt|kappa| against sign(kappa): kappa = -1e-300 gets the verdict of
+    kappa = -1. As numerical evidence, p and q must vanish to rounding at
+    each analytic zero, and a spectrum of _q_only_zeros where q vanishes to
+    rounding and p does not is a stray zero, where sup p/q is infinite.
+    passed is true iff the analytic zeros vanish and there is no stray
+    zero. Also returned: max_at_zeros (the largest p or q at the analytic
+    zeros, at unit scale), n_zeros, stray_zeros (the number of stray
+    spectra) and stray_points (those spectra at the given kappa).
     """
-    x = np.array(x0, dtype=float)
-    K, N = x.shape
-    nit = np.full(K, maxiter)
-    capped = np.zeros(K, dtype=bool)
-    run = np.arange(K)
-    res, jac = residuals(x)
-    val = np.einsum("km,km->k", res, res)
-    diag = np.arange(N)
-    mu = 1e-3 * np.einsum("kmi,kmi->ki", jac, jac).max(axis=1, initial=0.0)
-    xr = x.copy()
-    for it in range(1, maxiter + 1):
-        jac_t = jac.transpose(0, 2, 1)
-        a = jac_t @ jac
-        a[:, diag, diag] += mu[:, None]
-        step = -np.linalg.solve(a, jac_t @ res[..., None])[..., 0]
-        trial = xr + step
-        res_t, jac_trial = residuals(trial)
-        val_t = np.einsum("km,km->k", res_t, res_t)
-        ok = val_t < val
-        stall = ((np.linalg.norm(step, axis=1)
-                  <= _HUNT_XTOL * np.linalg.norm(xr, axis=1))
-                 | (ok & (val - val_t <= _HUNT_FTOL * val)))
-        xr[ok], res[ok], jac[ok] = trial[ok], res_t[ok], jac_trial[ok]
-        val[ok] = val_t[ok]
-        mu = np.where(ok, mu / 3.0, mu * 4.0)
-        converged = (val <= _HUNT_ZERO) | stall
-        done = converged | (it == maxiter)
-        x[run[done]] = xr[done]
-        nit[run[done]] = it
-        capped[run[done]] = ~converged[done]
-        keep = ~done
-        if not keep.any():
-            break
-        run, xr, res, jac, val, mu = (run[keep], xr[keep], res[keep],
-                                      jac[keep], val[keep], mu[keep])
-    return x, nit, capped
-
-
-def _zero_distance2(lams, kappa):
-    """Squared distance of each row to the nearest analytic zero (kappa >= 0).
-
-    The zero set is invariant under permuting coordinates, so the nearest
-    of +-e_i lies at |lambda|^2 - 2 max|lambda_i| + 1 and the nearest of
-    +-sqrt(kappa) (1, ..., 1) at |lambda|^2 - 2 sqrt(kappa) |P1| + n kappa.
-    """
-    norm2 = np.einsum("ij,ij->i", lams, lams)
-    if kappa == 0:
-        return norm2 - 2.0 * np.abs(lams).max(axis=1) + 1.0
-    return (norm2 - 2.0 * np.sqrt(kappa) * np.abs(lams.sum(axis=1))
-            + lams.shape[1] * kappa)
-
-
-def _lowest(values, count):
-    """Indices of the count smallest values, smallest first: the head of
-    np.argsort(values) without sorting the rest."""
-    if len(values) <= count:
-        return np.argsort(values)
-    head = np.argpartition(values, count - 1)[:count]
-    return head[np.argsort(values[head])]
-
-
-def zero_set_check(n, kappa, budget=10 ** 5, seed=0):
-    """Verify the common-zero characterization of p and q numerically.
-
-    Checks that p and q vanish at the analytic zeros, that min(p + q) over
-    samples outside balls of radius 1e-3 around those zeros stays positive,
-    and hunts for stray zeros of one polynomial where the other is bounded
-    away from zero: a batched Levenberg-Marquardt on p from the 8 lowest
-    sampled p, and one on q from the 8 lowest sampled q. A found stray zero
-    (reported with its location) fails the check; this does happen for q
-    when kappa < 0 and n >= 4, and stray_q_zeros counts those of q, where
-    sup p/q is infinite. The hunts' end points, iteration counts and the
-    number that stopped only at the iteration cap are reported too.
-    """
-    ball, refine, maxiter = 1e-3, 8, 100
-    rng = np.random.default_rng((seed, n))
-    zeros = analytic_zeros(n, kappa)
-    at_zeros = 0.0
-    if len(zeros):
-        p, q = polys_batch(zeros, kappa)
-        at_zeros = float(max(p.max(), q.max()))
-    scale = max(1.0, np.sqrt(abs(kappa)))
-    lams = np.concatenate([
-        rng.normal(size=(budget // 2, n)) * 2.0 * scale,
-        rng.normal(size=(budget - budget // 2, n)) * 0.5 * scale,
-    ])
-    off = lams
-    if len(zeros):
-        off = lams[_zero_distance2(lams, kappa) > ball ** 2]
-    p, q = polys_batch(off, kappa)
-    min_off = float((p + q).min()) if len(off) else np.inf
-    x_p, nit_p, cap_p = _levenberg_marquardt(
-        lambda x: _p_residuals(x, kappa), off[_lowest(p, refine)], maxiter)
-    x_q, nit_q, cap_q = _levenberg_marquardt(
-        lambda x: _q_residuals(x, kappa), off[_lowest(q, refine)], maxiter)
-    x = np.concatenate([x_p, x_q])
-    nit = np.concatenate([nit_p, nit_q])
-    hunts_q = np.arange(len(x)) >= len(x_p)
-    p_end, q_end = polys_batch(x, kappa)
-    val = np.where(hunts_q, q_end, p_end)
-    other = np.where(hunts_q, p_end, q_end)
-    stray = (val < 1e-14) & (other > 1e-6)
-    if len(zeros):
-        stray &= _zero_distance2(x, kappa) > ball ** 2
-    passed = at_zeros < 1e-18 and min_off > 0 and not stray.any()
-    return {"passed": bool(passed), "max_at_zeros": at_zeros,
-            "min_off_zeros": min_off, "stray_zeros": int(stray.sum()),
-            "stray_q_zeros": int((stray & hunts_q).sum()),
-            "stray_points": list(x[stray]), "n_zeros": len(zeros),
-            "hunt_points": x, "hunt_iterations": nit,
-            "hunts_capped": int(cap_p.sum() + cap_q.sum())}
+    if n < 3:
+        raise ValueError("need dimension n >= 3")
+    unit = float(np.sign(kappa))
+    zeros = analytic_zeros(n, unit)
+    p, q = polys_batch(zeros, unit)
+    at_zeros = float(np.max(np.concatenate([p, q]), initial=0.0))
+    zeros_vanish = bool((_vanishes(p, zeros) & _vanishes(q, zeros)).all())
+    spectra = _q_only_zeros(n) if unit < 0 else np.empty((0, n))
+    p, q = polys_batch(spectra, unit)
+    stray = spectra[_vanishes(q, spectra) & ~_vanishes(p, spectra)]
+    return {"passed": zeros_vanish and not len(stray),
+            "max_at_zeros": at_zeros, "n_zeros": len(zeros),
+            "stray_zeros": len(stray),
+            "stray_points": list(stray * np.sqrt(abs(kappa)))}
 
 
 def alpha_exponent(p, q, n=3):

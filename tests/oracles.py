@@ -292,13 +292,6 @@ def cap_fit_reference(field, p=2):
     return float(objective(lam)), lam
 
 
-def zero_distance_sorted(lams, zeros):
-    """Distance of each row to the nearest analytic zero: the sorted row
-    against every zero, one norm per zero."""
-    ordered = np.sort(lams, axis=1)
-    return np.min([np.linalg.norm(ordered - z, axis=1) for z in zeros], axis=0)
-
-
 def pinching_check_provable(spec, lambda_low):
     """|Ric_dev|^2 against the provable factor (n-2)^2 Lambda^2 |h_dev|^2.
 

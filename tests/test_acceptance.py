@@ -205,7 +205,7 @@ def test_criterion_7_einstein_algebra():
     sound = [(3, -1.0), (3, 0.0), (3, 1.0), (4, 0.0), (4, 1.0),
              (5, 0.0), (5, 1.0)]
     for n, kap in sound:
-        out = es.zero_set_check(n, kap, budget=30000, seed=7)
+        out = es.zero_set_check(n, kap)
         assert out["passed"], (n, kap, out)
     # pinching with the (n-1) factor: sound for n in {4, 5}
     violations = {}
@@ -251,7 +251,7 @@ def test_criterion_7_pinching_literal_n3():
                    "sqrt(-2 kappa)(-1,-1,-1,2,2) while p does not")
 def test_criterion_7_zero_sets_literal_negative_kappa():
     for n in (4, 5):
-        out = es.zero_set_check(n, -1.0, budget=30000, seed=7)
+        out = es.zero_set_check(n, -1.0)
         assert out["passed"], (n, out)
 
 

@@ -211,6 +211,28 @@ budget = 20000
         "needs < inf"]
 
 
+def test_einstein_flags_stray_zero_at_small_kappa(tmp_path, capsys):
+    """p and q are homogeneous of degree 4 under lambda -> s lambda,
+    kappa -> s^2 kappa, so the stray zero of q at n = 4 is there at every
+    kappa < 0; at kappa = -1e-4, where p is only 9.6e-7 at the stray
+    point, the run still fails the zero-set and c2 checks."""
+    cfg = write_config(tmp_path, BASE.format(integrand="constant") + """
+[einstein]
+dimensions = 4
+kappas = -0.0001
+budget = 20000
+""")
+    out = tmp_path / "e3"
+    assert main(["einstein", "--config", cfg, "--out", str(out)]) == 1
+    assert "FAIL" in (out / "einstein.csv").read_text()
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "einstein: check zero_set[n=4,kappa=-0.0001] failed: measured FAIL, "
+        "needs == PASS",
+        "einstein: check c2_est[n=4,kappa=-0.0001] failed: measured inf, "
+        "needs < inf"]
+
+
 def test_atomic_csv_write(tmp_path):
     path = tmp_path / "nested" / "x.csv"
     write_csv(str(path), ["a", "b"], [{"a": 1.5, "b": "x"}])

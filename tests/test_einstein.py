@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import minimize
+from scipy.optimize import least_squares, minimize
 
 from oracles import (pinching_check_provable, polys_batch_reference,
-                     ricci_matrix_oracle, riemann_brute, zero_distance_sorted)
+                     ricci_matrix_oracle, riemann_brute)
 from wulffstab import einstein as es
 
 rng = np.random.default_rng(41)
@@ -148,23 +148,6 @@ def test_ratio_bounds_kappa_guard():
         es.ratio_bounds(3, 25.0, budget=1000)
 
 
-def test_zero_set_check_true_cells():
-    for kap in (-1.0, 0.0, 1.0):
-        assert es.zero_set_check(3, kap, budget=20000, seed=1)["passed"]
-    assert es.zero_set_check(4, 1.0, budget=20000, seed=1)["passed"]
-
-
-def test_zero_set_q_defect_for_negative_kappa_n4():
-    """q vanishes at sqrt(3)(-1,-1,1,1) while p does not (kappa = -1)."""
-    lam = np.sqrt(3.0) * np.array([-1.0, -1.0, 1.0, 1.0])
-    p, q = es.polys(es.EigenSpectrum(lam, kappa=-1.0))
-    assert q < 1e-24
-    assert p > 1.0
-    out = es.zero_set_check(4, -1.0, budget=20000, seed=1)
-    assert not out["passed"]
-    assert out["stray_zeros"] > 0
-
-
 def test_polys_batch_rows_are_independent():
     """A row's p and q are bit-identical alone and inside a larger batch,
     so a batched optimizer sees the values a one-point objective sees, on
@@ -243,104 +226,6 @@ def _assert_matches_scipy(fun, x0, options, x, fx, nit):
         assert abs(fx[k] - ref.fun) <= 4 * np.spacing(abs(ref.fun))
 
 
-def _permutation_distance(points, target):
-    """Distance of each point to the nearest permutation of +-target."""
-    ordered = np.sort(points, axis=1)
-    t = np.sort(target)
-    return np.minimum(np.linalg.norm(ordered - t, axis=1),
-                      np.linalg.norm(ordered + t[::-1], axis=1))
-
-
-@pytest.mark.parametrize("n, target", [
-    (4, np.sqrt(3.0) * np.array([-1.0, -1.0, 1.0, 1.0])),
-    (5, np.sqrt(2.0) * np.array([-1.0, -1.0, -1.0, 2.0, 2.0])),
-])
-def test_zero_set_q_hunts_end_at_stray_zeros(n, target):
-    """At kappa = -1 every q-hunt ends at a permutation of the stray zero
-    of q (the p-hunts come first, 8 of each)."""
-    out = es.zero_set_check(n, -1.0, budget=10 ** 5, seed=1)
-    ends = out["hunt_points"][8:]
-    assert len(ends) == 8
-    assert _permutation_distance(ends, target).max() <= 1e-6
-    assert out["stray_zeros"] == out["stray_q_zeros"] == 8
-
-
-@pytest.mark.parametrize("n", [8, 12])
-def test_zero_set_q_hunts_find_stray_zeros_in_higher_dimensions(n):
-    """At kappa = -1 and larger n every q-hunt still ends on a zero of q,
-    Lambda_i = lambda_i (P1 - lambda_i) = -(n - 1) for every i, so the cell
-    fails; the p-hunts run off towards the infimum of p at infinity."""
-    out = es.zero_set_check(n, -1.0, budget=10 ** 5, seed=1)
-    ends = out["hunt_points"][8:]
-    ricci = ends * (ends.sum(axis=1, keepdims=True) - ends)
-    assert np.abs(ricci + (n - 1)).max() <= 1e-9
-    assert out["stray_zeros"] == 8 and not out["passed"]
-    assert out["hunts_capped"] == 8
-    assert (out["hunt_iterations"][8:] < 100).all()
-
-
-def test_hunt_ending_on_its_last_iteration_is_not_capped():
-    """A run that reaches a zero or stalls on iteration maxiter stopped by
-    its own rule, not by the cap."""
-    starts = np.random.default_rng(5).normal(size=(6, 4)) + 1.0
-
-    def residuals(x):
-        return es._q_residuals(x, 1.0)
-
-    x, nit, capped = es._levenberg_marquardt(residuals, starts, 100)
-    assert not capped.any()
-    last = int(nit.max())
-    x_last, nit_last, capped_last = es._levenberg_marquardt(residuals,
-                                                            starts, last)
-    np.testing.assert_array_equal(nit_last, nit)
-    np.testing.assert_array_equal(x_last, x)
-    assert not capped_last.any()
-    _, _, capped_short = es._levenberg_marquardt(residuals, starts, last - 1)
-    assert capped_short.sum() == (nit == last).sum()
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_zero_set_hunts_end_at_umbilics(n):
-    """At kappa = 1 every hunt of p and of q ends within 1e-6 of
-    +-(1, ..., 1) before the iteration cap."""
-    out = es.zero_set_check(n, 1.0, budget=10 ** 5, seed=1)
-    assert _permutation_distance(out["hunt_points"], np.ones(n)).max() <= 1e-6
-    assert out["hunts_capped"] == 0
-    assert (out["hunt_iterations"] < 100).all()
-
-
-def test_zero_set_hunts_do_not_mistake_infima_at_infinity():
-    """At n = 3, kappa = -1 neither polynomial vanishes: inf p = 2 and
-    inf q = 4/3 are reached only as |lambda| -> infinity. Hunts that run
-    off towards them stay above those values and find no stray zero."""
-    out = es.zero_set_check(3, -1.0, budget=10 ** 5, seed=1)
-    p, q = es.polys_batch(out["hunt_points"], -1.0)
-    assert p[:8].min() >= 2.0 - 1e-6
-    assert q[8:].min() >= 4.0 / 3.0 - 1e-6
-    assert (np.linalg.norm(out["hunt_points"], axis=1) > 10).all()
-    assert out["stray_zeros"] == out["stray_q_zeros"] == 0 and out["passed"]
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-@pytest.mark.parametrize("kappa", [0.0, 1.0, 2.5])
-def test_closed_form_zero_distance_matches_sorted_norms(n, kappa):
-    """The closed-form squared distance to the nearest analytic zero keeps
-    the same samples off the 1e-3 balls as the sorted-row norms, also for
-    samples drawn close to the zeros."""
-    zeros = es.analytic_zeros(n, kappa)
-    for seed in range(20):
-        g = np.random.default_rng((seed, n))
-        near = zeros[g.integers(0, len(zeros), 2000)]
-        radius = 10.0 ** g.uniform(-4, -2, size=(2000, 1))
-        near = near + g.normal(size=near.shape) * radius
-        lams = np.concatenate([g.normal(size=(2000, n)) * 2.0, near])
-        closed = es._zero_distance2(lams, kappa)
-        sorted_norm = zero_distance_sorted(lams, zeros)
-        np.testing.assert_array_equal(closed > 1e-3 ** 2, sorted_norm > 1e-3)
-        assert_allclose(np.sqrt(np.maximum(closed, 0.0)), sorted_norm,
-                        atol=1e-7)
-
-
 @pytest.mark.parametrize("n, kappa", [(3, 1.0), (4, 1.0)])
 def test_ratio_polish_matches_scipy(monkeypatch, n, kappa):
     """The min and max polish of log(p/q) as one two-start run. At n = 3
@@ -371,39 +256,183 @@ def test_ratio_bound_extremizers_own_their_data(monkeypatch):
     assert rb.argmin.base is None and rb.argmax.base is None
 
 
-@pytest.mark.parametrize("seed", [1, 7, 42])
-def test_hunt_starts_match_a_full_argsort(monkeypatch, seed):
-    """The 8 hunt starts picked by argpartition, ordered by value, are the
-    head of the full argsort: the hunts end where they did."""
-    cells = [(n, kappa) for n in (3, 4, 5) for kappa in (-1.0, 0.0, 1.0)]
-    fast = [es.zero_set_check(n, kappa, budget=10 ** 5, seed=seed)
-            for n, kappa in cells]
-    monkeypatch.setattr(es, "_lowest", lambda v, count: np.argsort(v)[:count])
-    for (n, kappa), out in zip(cells, fast):
-        ref = es.zero_set_check(n, kappa, budget=10 ** 5, seed=seed)
-        np.testing.assert_array_equal(out["hunt_points"], ref["hunt_points"])
-        np.testing.assert_array_equal(out["hunt_iterations"],
-                                      ref["hunt_iterations"])
-        assert out["hunts_capped"] == ref["hunts_capped"]
-        assert out["stray_zeros"] == ref["stray_zeros"]
+# --- zero sets --------------------------------------------------------------
 
 
-def test_lowest_handles_short_inputs():
-    """Fewer values than starts: all of them, smallest first."""
-    v = np.array([3.0, 1.0, 2.0])
-    np.testing.assert_array_equal(es._lowest(v, 8), [1, 2, 0])
-    np.testing.assert_array_equal(es._lowest(v, 3), [1, 2, 0])
-    np.testing.assert_array_equal(es._lowest(v, 2), [1, 2])
+def _permutation_distance(points, target):
+    """Distance of each point to the nearest permutation of +-target."""
+    ordered = np.sort(points, axis=1)
+    t = np.sort(target)
+    return np.minimum(np.linalg.norm(ordered - t, axis=1),
+                      np.linalg.norm(ordered + t[::-1], axis=1))
+
+
+def _q_hunt_ends(n, kappa, starts=16):
+    """End points of scipy's Levenberg-Marquardt on the residuals
+    Lambda_i - (n - 1) kappa, whose squares sum to q, from seeded Gaussian
+    starts: an independent reference for the closed-form zero sets. At
+    kappa = 0, where q is homogeneous and the origin would attract every
+    run, a residual |lambda|^2 - 1 holds the runs to the unit sphere.
+    Returns the ends and p, q there."""
+    def residuals(lam):
+        r = lam * (lam.sum() - lam) - (n - 1) * kappa
+        return np.append(r, lam @ lam - 1.0) if kappa == 0 else r
+
+    def jacobian(lam):
+        jac = np.tile(lam[:, None], (1, n))
+        jac[np.diag_indices(n)] += lam.sum() - 2.0 * lam
+        return np.vstack([jac, 2.0 * lam]) if kappa == 0 else jac
+
+    x0 = np.random.default_rng((3, n)).normal(size=(starts, n)) * 2.0
+    ends = np.array([least_squares(residuals, x, jac=jacobian, method="lm",
+                                   xtol=1e-12, ftol=1e-12, max_nfev=100).x
+                     for x in x0])
+    return (ends, *es.polys_batch(ends, kappa))
+
+
+def _assert_q_hunts_end_at(n, stray):
+    """At kappa = -1 at least half the q-hunts reach q = 0, and each of
+    those ends at a permutation of one of the stray spectra, up to a
+    global sign."""
+    ends, p, q = _q_hunt_ends(n, -1.0)
+    zero = q <= 1e-20
+    assert zero.sum() >= len(ends) // 2
+    assert (p[zero] > 1.0).all()
+    dist = np.min([_permutation_distance(ends[zero], s) for s in stray],
+                  axis=0)
+    assert dist.max() <= 1e-6
+
+
+def test_zero_set_check_true_cells():
+    for kap in (-1.0, 0.0, 1.0):
+        assert es.zero_set_check(3, kap)["passed"]
+    assert es.zero_set_check(4, 1.0)["passed"]
+
+
+def test_zero_set_q_defect_for_negative_kappa_n4():
+    """q vanishes at sqrt(3)(-1,-1,1,1) while p does not (kappa = -1)."""
+    lam = np.sqrt(3.0) * np.array([-1.0, -1.0, 1.0, 1.0])
+    p, q = es.polys(es.EigenSpectrum(lam, kappa=-1.0))
+    assert q < 1e-24
+    assert p > 1.0
+    out = es.zero_set_check(4, -1.0)
+    assert not out["passed"]
+    assert out["stray_zeros"] == 1
+    assert _permutation_distance(np.array(out["stray_points"]),
+                                 lam).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kappa", [-10.0, -1e-4, -1e-6, -1e-300])
+@pytest.mark.parametrize("n", [4, 70])
+def test_stray_zeros_are_found_at_every_scale(n, kappa):
+    """p and q are homogeneous of degree 4 under lambda -> s lambda,
+    kappa -> s^2 kappa, so the n - 3 stray spectra of kappa = -1 are found
+    at every negative kappa, scaled by sqrt|kappa|: at unit scale each has
+    q = 0 to rounding and p far from 0."""
+    out = es.zero_set_check(n, kappa)
+    assert not out["passed"] and out["stray_zeros"] == n - 3
+    unit = np.array(out["stray_points"]) / np.sqrt(-kappa)
+    p, q = es.polys_batch(unit, -1.0)
+    assert q.max() <= 1e-20 and p.min() >= 95.0
+    assert_allclose(unit, es.zero_set_check(n, -1.0)["stray_points"],
+                    rtol=1e-14)
+
+
+@pytest.mark.parametrize("n, kappa", [(3, -10.0), (3, -1e-300), (3, 1.0),
+                                      (4, 0.0), (4, 1e-300), (70, 0.0),
+                                      (70, 10.0)])
+def test_no_stray_zeros_at_n3_or_nonnegative_kappa(n, kappa):
+    """For n = 3 or kappa >= 0 every zero of q is a zero of p: the check
+    passes, and p and q vanish exactly at the 2n axis points (kappa = 0)
+    or the two umbilics (kappa > 0)."""
+    out = es.zero_set_check(n, kappa)
+    assert out["passed"] and out["stray_zeros"] == 0
+    assert out["stray_points"] == [] and out["max_at_zeros"] == 0.0
+    assert out["n_zeros"] == (0 if kappa < 0 else 2 * n if kappa == 0 else 2)
+
+
+@pytest.mark.parametrize("n, target", [
+    (4, np.sqrt(3.0) * np.array([-1.0, -1.0, 1.0, 1.0])),
+    (5, np.sqrt(2.0) * np.array([-1.0, -1.0, -1.0, 2.0, 2.0])),
+])
+def test_zero_set_q_hunts_end_at_stray_zeros(n, target):
+    """At kappa = -1 target is one of the n - 3 stray spectra, and every
+    scipy q-hunt that reaches q = 0 ends at one of them."""
+    out = es.zero_set_check(n, -1.0)
+    stray = np.array(out["stray_points"])
+    assert out["stray_zeros"] == n - 3
+    assert _permutation_distance(stray, target).min() <= 1e-12
+    _assert_q_hunts_end_at(n, stray)
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_zero_set_q_hunts_find_stray_zeros_in_higher_dimensions(n):
+    """At kappa = -1 and larger n each stray spectrum has
+    Lambda_i = lambda_i (P1 - lambda_i) = -(n - 1) for every i, so the cell
+    fails, and every scipy q-hunt that reaches q = 0 ends at one of them."""
+    out = es.zero_set_check(n, -1.0)
+    stray = np.array(out["stray_points"])
+    ricci = stray * (stray.sum(axis=1, keepdims=True) - stray)
+    assert np.abs(ricci + (n - 1)).max() <= 1e-9
+    assert out["stray_zeros"] == n - 3 and not out["passed"]
+    _assert_q_hunts_end_at(n, stray)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_zero_set_hunts_end_at_umbilics(n):
+    """At kappa = 1 every scipy q-hunt reaches q = 0 within 1e-6 of the
+    umbilics +-(1, ..., 1), where p vanishes too: q has no zero of its
+    own, as the closed form says."""
+    ends, p, q = _q_hunt_ends(n, 1.0)
+    assert q.max() <= 1e-20 and p.max() <= 1e-20
+    assert _permutation_distance(ends, np.ones(n)).max() <= 1e-6
+    out = es.zero_set_check(n, 1.0)
+    assert out["passed"] and out["stray_zeros"] == 0
+
+
+def test_zero_set_hunts_end_on_axes_at_kappa_zero():
+    """At kappa = 0 (n = 5) the q-hunts held to the unit sphere that reach
+    q = 0 end within 1e-6 of an axis point +-e_i, where p vanishes too."""
+    ends, p, q = _q_hunt_ends(5, 0.0)
+    zero = q <= 1e-20
+    assert zero.sum() >= 8 and p[zero].max() <= 1e-20
+    assert _permutation_distance(ends[zero], np.eye(5)[0]).max() <= 1e-6
+    assert es.zero_set_check(5, 0.0)["passed"]
+
+
+def test_zero_set_hunts_do_not_mistake_infima_at_infinity():
+    """At n = 3, kappa = -1 q does not vanish: inf q = 4/3 is reached only
+    as |lambda| -> infinity. The scipy q-hunts run off towards it, stay
+    above it and find no zero of q; the closed form finds none either."""
+    ends, p, q = _q_hunt_ends(3, -1.0)
+    assert q.min() >= 4.0 / 3.0 - 1e-6
+    assert (np.linalg.norm(ends, axis=1) > 10).all()
+    out = es.zero_set_check(3, -1.0)
+    assert out["stray_zeros"] == 0 and out["passed"]
 
 
 def test_stray_zero_counts():
-    """Stray zeros of q exist only for kappa = -1, n >= 4 (seed 1)."""
-    counts = {(n, kappa): es.zero_set_check(n, kappa, budget=10 ** 5,
-                                            seed=1)["stray_zeros"]
+    """Stray zeros of q exist only for kappa < 0 and n >= 4: n - 3 spectra."""
+    counts = {(n, kappa): es.zero_set_check(n, kappa)["stray_zeros"]
               for n in (3, 4, 5) for kappa in (-1.0, 0.0, 1.0)}
     expected = {key: 0 for key in counts}
-    expected[4, -1.0] = expected[5, -1.0] = 8
+    expected[4, -1.0] = 1
+    expected[5, -1.0] = 2
     assert counts == expected
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 12, 70])
+def test_q_at_most_n_minus_1_times_p(n):
+    """Lambda_i - (n - 1) kappa = sum_{j != i} (lambda_i lambda_j - kappa),
+    so Cauchy-Schwarz gives q <= (n - 1) p at every spectrum, with equality
+    on the diagonal: inf p/q = 1/(n - 1), the bound the CLI checks c1_est
+    against."""
+    lams = np.random.default_rng((11, n)).normal(size=(2000, n)) * 2.0
+    for kappa in (-1.0, 0.0, 1.0, 2.5):
+        p, q = es.polys_batch(lams, kappa)
+        assert (q <= (n - 1) * p * (1 + 1e-12)).all()
+        p, q = es.polys_batch(np.full((1, n), 0.7), kappa)
+        assert_allclose(q, (n - 1) * p, rtol=1e-12)
 
 
 def test_alpha_exponent():
