@@ -9,6 +9,8 @@ Sobolev interpolation exponent.
 
 import numpy as np
 
+from .minimize import nelder_mead
+
 
 class EigenSpectrum:
     """Sorted principal curvatures of h plus the model constant kappa."""
@@ -166,78 +168,6 @@ def _ratio(lams, kappa, guard=1e-300):
     return p[kept] / np.maximum(q[kept], guard), kept
 
 
-# trial points A * xbar - B * worst: reflection, expansion, outside and
-# inside contraction (0.5 xbar + 0.5 worst, bit for bit)
-_NM_A = np.array([[2.0], [3.0], [1.5], [0.5]])
-_NM_B = np.array([[1.0], [2.0], [0.5], [-0.5]])
-
-
-def _nelder_mead(fun, x0, maxiter, xatol, fatol):
-    """Nelder-Mead from K starts in lockstep: K independent minimizations.
-
-    x0 is (K, N); fun(points (m, N), start (m,)) returns the (m,) objective
-    values of points that belong to the given start indices. Each start
-    follows scipy's minimize(method="Nelder-Mead") step for step (standard
-    coefficients, initial simplex 1.05 x_k or 0.00025 where x_k = 0, no
-    evaluation cap, the same xatol/fatol test), but one fun call covers
-    every running start and all four trial points; starts that shrink take
-    a second call. Each simplex is sorted by numpy's default argsort, as
-    scipy sorts it: log(p/q) is flat enough to tie vertex values exactly,
-    and a stable sort would take a different path there. Returns
-    (x (K, N), fun (K,), nit (K,)).
-    """
-    x0 = np.asarray(x0, dtype=float)
-    K, N = x0.shape
-    sim = np.repeat(x0[:, None, :], N + 1, axis=1)
-    k = np.arange(N)
-    sim[:, k + 1, k] = np.where(x0 != 0, 1.05 * x0, 0.00025)
-    fsim = fun(sim.reshape(-1, N), np.repeat(np.arange(K), N + 1)).reshape(K, N + 1)
-    sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))  # scipy sorts twice
-    x, fx, nit = np.empty((K, N)), np.empty(K), np.empty(K, dtype=int)
-    running = np.arange(K)
-    iterations = 1
-    while True:
-        done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
-                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
-        if iterations >= maxiter:
-            done[:] = True
-        if done.any():
-            x[running[done]] = sim[done, 0]
-            fx[running[done]] = fsim[done].min(axis=1)
-            nit[running[done]] = iterations
-            running, sim, fsim = running[~done], sim[~done], fsim[~done]
-        if not running.size:
-            return x, fx, nit
-        xbar = np.add.reduce(sim[:, :-1], 1) / N
-        trial = _NM_A * xbar[:, None] - _NM_B * sim[:, -1:]
-        ft = fun(trial.reshape(-1, N), np.repeat(running, 4)).reshape(-1, 4)
-        fr, fe, fc, fcc = ft.T
-        best, second, worst = fsim[:, 0], fsim[:, -2], fsim[:, -1]
-        pick = np.where(fr < best, np.where(fe < fr, 1, 0),   # expand
-                        np.where(fr < second, 0,               # reflect
-                                 np.where(fr < worst,          # contract
-                                          np.where(fc <= fr, 2, -1),
-                                          np.where(fcc < worst, 3, -1))))
-        step = np.flatnonzero(pick >= 0)
-        sim[step, -1] = trial[step, pick[step]]
-        fsim[step, -1] = ft[step, pick[step]]
-        shrink = np.flatnonzero(pick < 0)
-        if shrink.size:
-            low = sim[shrink, :1]
-            sim[shrink, 1:] = low + 0.5 * (sim[shrink, 1:] - low)
-            fsim[shrink, 1:] = fun(sim[shrink, 1:].reshape(-1, N),
-                                   np.repeat(running[shrink], N)).reshape(-1, N)
-        iterations += 1
-        sim, fsim = _sort_simplex(sim, fsim)
-
-
-def _sort_simplex(sim, fsim):
-    """Order each start's vertices by value with numpy's default argsort."""
-    rows = np.arange(len(fsim))[:, None]
-    order = np.argsort(fsim, axis=1)
-    return sim[rows, order], fsim[rows, order]
-
-
 KAPPA_MAX = 10.0  # bound on |kappa| for ratio_bounds and the CLI
 # bound on n for the CLI: a spectrum has n(n-1) pair terms, so the Monte
 # Carlo time grows as n^2; one n = 70 cell is ratio_bounds alone (the zero
@@ -307,8 +237,8 @@ def ratio_bounds(n, kappa, budget=10 ** 6, seed=0):
             val = sign[start] * np.log(p / q)
         return np.where((p + q < 1e-20) | (q <= 0), np.inf, val)
 
-    x, fx, _ = _nelder_mead(log_ratio, np.array([argmin, argmax]),
-                            maxiter=400, xatol=1e-10, fatol=1e-12)
+    x, fx, _ = nelder_mead(log_ratio, np.array([argmin, argmax]),
+                           maxiter=400, xatol=1e-10, fatol=1e-12)
     if np.isfinite(fx[0]) and np.exp(fx[0]) < c1:
         c1, argmin = np.exp(fx[0]), x[0].copy()
     if np.isfinite(fx[1]) and np.exp(-fx[1]) > c2:

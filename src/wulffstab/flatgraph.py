@@ -10,7 +10,8 @@ family 1 - sqrt(1 - lambda^2 |z|^2), minimized over lambda.
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+
+from .minimize import bounded_brent
 
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0  # offsets -2..2
 _CHUNK = 1 << 15  # grid entries per difference pass
@@ -171,10 +172,8 @@ def cap_fit_residual(field, p=2):
 
     # the squared residual is smooth at the bottom, so Brent localizes the
     # minimizer even when the norm itself has a kink
-    res = minimize_scalar(lambda lam: objective(lam) ** 2,
-                          bounds=(0.0, lam_max), method="bounded",
-                          options={"xatol": 1e-14})
-    lam = float(res.x)
+    lam = float(bounded_brent(lambda lam: objective(lam) ** 2, 0.0, lam_max,
+                              xatol=1e-14)[0])
     # parabolic polish on the squared objective
     for delta in (1e-5, 1e-8):
         f0, fm, fp = (objective(lam) ** 2, objective(lam - delta) ** 2,

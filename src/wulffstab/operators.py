@@ -4,15 +4,16 @@ Derivatives come from weighted least-squares polynomial fits over the
 one- and two-ring of each vertex, in tangent-plane projection coordinates.
 The projection chart agrees with normal coordinates to second order, so the
 fitted gradient and Hessian are the covariant ones at the vertex. Fits are
-precomputed once per mesh as sparse stencil matrices; each is solved by
-normal equations in chart coordinates scaled by the mean ring radius, or by
-SVD where the normal equations would lose accuracy.
+precomputed once per mesh as one padded table of stencil nodes and their
+weights; each is solved by normal equations in chart coordinates scaled by
+the mean ring radius, or by SVD where the normal equations would lose
+accuracy.
 """
 
 import numpy as np
-from scipy import sparse
 
 from . import spectral
+from .spheremesh import expand_rows, stack_rows, unique_rows
 
 
 class TensorField:
@@ -103,14 +104,39 @@ def _fit_rows(y):
     return rows, ok
 
 
-class DerivativeOperators:
-    """Sparse stencil matrices for gradient and Hessian in vertex frames.
+def _two_rings(adjacency):
+    """Two-ring of each vertex without the vertex, ascending, as an
+    (N, width) table padded with -1; built in blocks of _BLOCK_VERTICES."""
+    parts = []
+    for lo in range(0, len(adjacency), _BLOCK_VERTICES):
+        one = adjacency[lo:lo + _BLOCK_VERTICES]
+        ring = expand_rows(adjacency, one)
+        verts = np.arange(lo, lo + len(one))
+        parts.append(unique_rows(np.where(ring == verts[:, None], -1, ring)))
+    return stack_rows(parts)
 
-    Built from any mesh exposing vertices, frames and a CSR adjacency. Each
-    vertex gets a weighted cubic fit over itself and its two-ring; vertices
-    with equally large rings are fitted together, in blocks of at most
-    _BLOCK_VERTICES, by batched normal equations or SVD (`_fit_rows`). A
-    two-ring too small or too degenerate for a cubic fit raises ValueError.
+
+class DerivativeOperators:
+    """Stencils for gradient and Hessian in vertex frames.
+
+    Built from any mesh exposing vertices, frames and a padded neighbour
+    table (`spheremesh.vertex_adjacency`). Each vertex gets a weighted
+    cubic fit over itself and its two-ring; vertices with equally large
+    rings are fitted together, in blocks of at most _BLOCK_VERTICES, by
+    batched normal equations or SVD (`_fit_rows`). A two-ring too small or
+    too degenerate for a cubic fit raises ValueError.
+
+    Attributes
+    ----------
+    nodes : (K, N) int table; column i holds the stencil nodes of vertex i
+        in ascending order, K the largest stencil. A vertex with fewer
+        nodes repeats its own index, with weight 0.
+    weights : (5, K, N) the weights of the channels g1, g2, h11, h12, h22
+        on those nodes.
+
+    A channel applied to values adds weight times value over k = 0..K-1,
+    starting from 0, in the order a CSR matrix-vector product adds its
+    row, so for finite values the result equals that product bit for bit.
     """
 
     def __init__(self, mesh):
@@ -118,51 +144,60 @@ class DerivativeOperators:
         n = mesh.n_vertices
         e1, e2 = mesh.frames
         adj = mesh.adjacency
-        degenerate = np.flatnonzero(np.diff(adj.indptr) < 3)
+        degenerate = np.flatnonzero((adj >= 0).sum(axis=1) < 3)
         if degenerate.size:
             raise ValueError(f"degenerate one-ring at vertex {degenerate[0]}")
-        ring = (adj + adj @ adj).tocsr()
-        ring.setdiag(0)
-        ring.eliminate_zeros()
-        ring.sort_indices()
+        ring = _two_rings(adj)
         # stencil nodes: the vertex itself, then its two-ring in index order
-        sizes = np.diff(ring.indptr) + 1
+        sizes = (ring >= 0).sum(axis=1) + 1
         if sizes.min() < len(_FACTORS):
             i = int(np.argmin(sizes))
             raise ValueError(f"two-ring of vertex {i} has {sizes[i]} nodes; "
                              f"the cubic fit needs {len(_FACTORS)}")
-        rows, cols, data, bad = [], [], [], []
+        self.nodes = np.broadcast_to(np.arange(n), (sizes.max(), n)).copy()
+        self.weights = np.zeros((5,) + self.nodes.shape)
+        bad = []
         for size in np.unique(sizes):
             group = np.flatnonzero(sizes == size)
             for lo in range(0, len(group), _BLOCK_VERTICES):
                 verts = group[lo:lo + _BLOCK_VERTICES]
-                idx = np.empty((len(verts), size), dtype=np.int64)
+                idx = np.empty((len(verts), size), dtype=np.intp)
                 idx[:, 0] = verts
-                idx[:, 1:] = ring.indices[ring.indptr[verts][:, None]
-                                          + np.arange(size - 1)]
+                idx[:, 1:] = ring[verts, :size - 1]
                 d = mesh.vertices[idx] - mesh.vertices[verts][:, None, :]
                 y = np.stack((np.einsum("gki,gi->gk", d, e1[verts]),
                               np.einsum("gki,gi->gk", d, e2[verts])), axis=2)
                 fit, ok = _fit_rows(y)
                 bad.append(verts[~ok])
-                rows.append(np.repeat(verts, size))
-                cols.append(idx.ravel())
-                data.append(fit.transpose(1, 0, 2).reshape(5, -1))
+                order = np.argsort(idx, axis=1)
+                self.nodes[:size, verts] = np.take_along_axis(idx, order, 1).T
+                self.weights[:, :size, verts] = np.take_along_axis(
+                    fit, order[:, None, :], 2).transpose(1, 2, 0)
         bad = np.concatenate(bad)
         if bad.size:
             raise ValueError(f"rank-deficient cubic fit over the two-ring "
                              f"of vertex {bad.min()}")
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        data = np.concatenate(data, axis=1)
-        # channels: g1, g2, h11, h12, h22
-        self.g1, self.g2, self.h11, self.h12, self.h22 = [
-            sparse.csr_matrix((data[ch], (rows, cols)), shape=(n, n))
-            for ch in range(5)]
+
+    def _apply(self, channels, fields):
+        """Channels (a slice of weights) applied to fields (c, N); returns
+        (channels, c, N). Gathers the values at all nodes of a block of
+        vertices at once, then adds the weighted columns in order."""
+        weights = self.weights[channels, :, None, :]
+        out = np.zeros((len(weights),) + fields.shape)
+        for lo in range(0, fields.shape[1], _BLOCK_VERTICES):
+            cols = slice(lo, lo + _BLOCK_VERTICES)
+            values = np.take(fields, self.nodes[:, cols], axis=1)
+            w, acc = weights[..., cols], out[..., cols]
+            term = np.empty_like(acc)
+            for k in range(len(self.nodes)):
+                np.multiply(w[:, k], values[:, k], out=term)
+                acc += term
+        return out
 
     def gradient(self, values):
         """Covariant gradient, (N, 2) components in the vertex frames."""
-        values = np.asarray(values, dtype=float)
-        return np.column_stack((self.g1 @ values, self.g2 @ values))
+        g1, g2 = self._apply(slice(0, 2), _fields(values))[:, 0]
+        return np.column_stack((g1, g2))
 
     def gradient_ambient(self, values):
         """Covariant gradient as tangent vectors in ambient coordinates."""
@@ -176,20 +211,16 @@ class DerivativeOperators:
         Returns (N, 3, 2): columns are derivatives along the frame
         directions e1 and e2.
         """
-        vectors = np.asarray(vectors, dtype=float)
-        out = np.empty((len(vectors), 3, 2))
-        for k in range(3):
-            out[:, k, 0] = self.g1 @ vectors[:, k]
-            out[:, k, 1] = self.g2 @ vectors[:, k]
-        return out
+        g = self._apply(slice(0, 2), _fields(vectors))
+        return np.ascontiguousarray(g.transpose(2, 1, 0))
 
     def hessian(self, values):
         """Covariant Hessian, (N, 2, 2) in the vertex frames (symmetric)."""
-        values = np.asarray(values, dtype=float)
-        H = np.empty((len(values), 2, 2))
-        H[:, 0, 0] = self.h11 @ values
-        H[:, 1, 1] = self.h22 @ values
-        H[:, 0, 1] = H[:, 1, 0] = self.h12 @ values
+        h11, h12, h22 = self._apply(slice(2, 5), _fields(values))[:, 0]
+        H = np.empty((len(h11), 2, 2))
+        H[:, 0, 0] = h11
+        H[:, 1, 1] = h22
+        H[:, 0, 1] = H[:, 1, 0] = h12
         return H
 
     def divergence(self, vectors):
@@ -203,15 +234,22 @@ class DerivativeOperators:
         e1, e2 = self.mesh.frames
         if vectors.shape[1] == 2:
             vectors = vectors[:, 0:1] * e1 + vectors[:, 1:2] * e2
+        g1, g2 = self._apply(slice(0, 2), _fields(vectors))
         div = np.zeros(len(vectors))
         for k in range(3):
-            div += (self.g1 @ vectors[:, k]) * e1[:, k]
-            div += (self.g2 @ vectors[:, k]) * e2[:, k]
+            div += g1[k] * e1[:, k]
+            div += g2[k] * e2[:, k]
         return div
 
     def laplacian(self, values):
         """Laplace-Beltrami via divergence of the gradient."""
         return self.divergence(self.gradient_ambient(values))
+
+
+def _fields(values):
+    """Values (N,) or (N, c) as c contiguous rows of length N."""
+    values = np.asarray(values, dtype=float)
+    return np.ascontiguousarray(values.reshape(len(values), -1).T)
 
 
 def lp_norm(values, p, weights):

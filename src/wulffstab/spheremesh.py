@@ -7,7 +7,6 @@ every other Wulff shape (see wulff.py).
 """
 
 import numpy as np
-from scipy import sparse
 
 MIN_LEVEL = 2
 MAX_LEVEL = 8
@@ -70,14 +69,63 @@ def vertex_area_weights(vertices, faces):
 
 
 def vertex_adjacency(n_vertices, faces):
-    """Sparse 0/1 one-ring adjacency (CSR), column indices sorted per row."""
+    """One-ring neighbour table: (N, max valence) int32, each row's
+    neighbours in ascending order, padded with -1."""
     n = n_vertices
     pairs = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     key = np.sort(pairs[:, 0] * n + pairs[:, 1])
     i, j = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
     rows, cols = np.divmod(np.sort(np.concatenate((i * n + j, j * n + i))), n)
-    bounds = np.searchsorted(rows, np.arange(n + 1))
-    return sparse.csr_matrix((np.ones(len(cols)), cols, bounds), shape=(n, n))
+    return _padded_rows(rows, cols, n)
+
+
+def vertex_faces(n_vertices, faces):
+    """Vertex-to-face table: (N, max faces per vertex) int32, each row's
+    faces in ascending order, padded with -1."""
+    order = np.argsort(faces.ravel(), kind="stable")
+    return _padded_rows(faces.ravel()[order], order // 3, n_vertices)
+
+
+def _padded_rows(rows, cols, n_rows):
+    """(n_rows, width) int32 table of cols grouped by rows, padded with -1.
+
+    rows is ascending, and cols keeps its order within each row. int32
+    halves the memory and the sorting time of the row-set operations.
+    """
+    counts = np.bincount(rows, minlength=n_rows)
+    out = np.full((n_rows, counts.max(initial=0)), -1, dtype=np.int32)
+    out[np.arange(out.shape[1]) < counts[:, None]] = cols
+    return out
+
+
+def unique_rows(table):
+    """Each row's distinct entries other than -1, ascending, as a table of
+    the same dtype padded with -1."""
+    x = np.sort(table, axis=1)
+    keep = x >= 0
+    keep[:, 1:] &= x[:, 1:] != x[:, :-1]
+    counts = keep.sum(axis=1)
+    out = np.full((len(x), counts.max(initial=0)), -1, dtype=x.dtype)
+    out[np.arange(out.shape[1]) < counts[:, None]] = x[keep]
+    return out
+
+
+def expand_rows(table, sets):
+    """Each row of sets (B, w), padded with -1, joined with the rows of
+    table (N, V) at its entries: ascending, padded with -1."""
+    more = table[sets]
+    more[sets < 0] = -1
+    return unique_rows(np.concatenate((sets, more.reshape(len(sets), -1)),
+                                      axis=1))
+
+
+def stack_rows(parts):
+    """Padded tables stacked row-wise, each widened with -1 to the widest."""
+    if len(parts) == 1:
+        return parts[0]
+    width = max(p.shape[1] for p in parts)
+    return np.concatenate([np.pad(p, ((0, 0), (0, width - p.shape[1])),
+                                  constant_values=-1) for p in parts])
 
 
 def tangent_frames(normals):
@@ -192,7 +240,7 @@ class WulffMesh:
 
     @property
     def adjacency(self):
-        """Sparse 0/1 vertex adjacency (CSR)."""
+        """One-ring neighbour table, padded with -1 (`vertex_adjacency`)."""
         return self.cached("adjacency",
                            lambda m: vertex_adjacency(m.n_vertices, m.faces))
 

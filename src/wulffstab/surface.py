@@ -13,13 +13,13 @@ derivatives and differentiated with the mesh stencils.
 """
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import minimize
-from scipy.spatial import cKDTree
 
 from . import spectral
+from .minimize import nelder_mead
+from .nearest import SiteGrid
 from .operators import get_operators
-from .spheremesh import frame_restriction, sphere_newton
+from .spheremesh import (expand_rows, frame_restriction, sphere_newton,
+                         stack_rows, unique_rows, vertex_faces)
 
 
 class SurfaceGeometry:
@@ -202,12 +202,14 @@ def exp_graph(mesh, values):
 # --- projection onto the base -------------------------------------------
 
 
-def project_to_wulff(wmesh, points, n_newton=30):
+def project_to_wulff(wmesh, points, seeds, n_newton=30):
     """Foot points on a Wulff shape along its normal lines.
 
     Solves the nearest-point condition P_nu(q - x(nu)) = 0 for the
-    construction direction nu by a damped Newton iteration; the Newton
-    matrix is A_F + t Id with t the signed normal offset.
+    construction direction nu by a damped Newton iteration started at
+    seeds, one unit direction per point; the Newton matrix is A_F + t Id
+    with t the signed normal offset. A point already on the normal line of
+    its seed stops at step 0, with the foot x(seed).
 
     Returns (feet, directions, offsets, converged); converged is measured
     at the returned feet.
@@ -229,9 +231,8 @@ def project_to_wulff(wmesh, points, n_newton=30):
         A2 += t[:, None, None] * np.eye(2)[None]
         return A2, np.einsum("nik,ni->nk", np.stack((e1, e2), axis=2), res)
 
-    # seed with the nearest construction direction by actual distance
-    nearest = cKDTree(wmesh.vertices[::4]).query(points)[1]
-    nu = sphere_newton(wmesh.normals[::4][nearest], foot_point, n_newton, 0.3)
+    nu = sphere_newton(np.asarray(seeds, dtype=float), foot_point, n_newton,
+                       0.3)
     x, t, _, converged = residual(nu)
     return x, nu, t, converged
 
@@ -255,12 +256,19 @@ class GraphCertificate:
 
 
 def projection_certificate(geom, base=None):
-    """Project surface nodes to the base and certify the graph property."""
+    """Project surface nodes to the base and certify the graph property.
+
+    Node i of the surface is taken to be a graph over base vertex i, so on
+    a Wulff base its projection starts from that vertex's normal.
+    """
     base = base if base is not None else geom.base
     q = geom.positions
     diagnostics = {}
     if base.integrand is not None:
-        feet, dirs, t, conv = project_to_wulff(base, q)
+        if len(q) != base.n_vertices:
+            raise ValueError(f"the surface has {len(q)} nodes but the Wulff "
+                             f"base has {base.n_vertices} vertices")
+        feet, dirs, t, conv = project_to_wulff(base, q, base.normals)
         if not conv.all():
             diagnostics["unconverged_feet"] = int((~conv).sum())
         radius = t
@@ -324,23 +332,23 @@ def _faces_near_nodes(mesh, k=4):
     return mesh.cached(("near_faces", k), lambda m: _near_faces(m, k))
 
 
+# vertices whose near faces are gathered per batch
+_NEAR_BLOCK = 4096
+
+
 def _near_faces(mesh, k):
-    n = mesh.n_vertices
-    step = mesh.adjacency + sparse.identity(n, format="csr")
-    reach = step
-    for _ in range(k - 1):
-        reach = reach @ step
-    n_faces = len(mesh.faces)
-    incidence = sparse.csr_matrix(
-        (np.ones(3 * n_faces), (mesh.faces.ravel(),
-                                np.repeat(np.arange(n_faces), 3))),
-        shape=(n, n_faces))
-    near = (reach @ incidence).tocsr()
-    near.sort_indices()
-    counts = np.diff(near.indptr)
-    out = np.full((n, counts.max()), -1, dtype=np.int32)
-    out[np.arange(out.shape[1]) < counts[:, None]] = near.indices
-    return out
+    adj = mesh.adjacency
+    incident = vertex_faces(mesh.n_vertices, mesh.faces)
+    parts = []
+    for lo in range(0, mesh.n_vertices, _NEAR_BLOCK):
+        reach = np.arange(lo, min(lo + _NEAR_BLOCK, mesh.n_vertices),
+                          dtype=adj.dtype)[:, None]
+        for _ in range(k):
+            reach = expand_rows(adj, reach)
+        faces = incident[reach]
+        faces[reach < 0] = -1
+        parts.append(unique_rows(faces.reshape(len(reach), -1)))
+    return stack_rows(parts)
 
 
 # candidate (ray, face) pairs tested per batch
@@ -454,22 +462,28 @@ def recover_radius_mesh(base, positions, translation):
 # --- distances ------------------------------------------------------------
 
 
-def _directed_max_min(tree, points):
-    """Largest distance from a point of `points` to its nearest tree point."""
-    return float(tree.query(points)[0].max())
+def _directed_max_min(grid, points):
+    """Largest distance from a point of `points` to its nearest grid site."""
+    return float(grid.distances(points).max())
 
 
 def symmetric_point_distance(a, b):
-    return max(_directed_max_min(cKDTree(b), a),
-               _directed_max_min(cKDTree(a), b))
+    return max(_directed_max_min(SiteGrid(b), a),
+               _directed_max_min(SiteGrid(a), b))
 
 
 def hausdorff_distance(geom, base, optimize_translation=True):
     """Node-sampled symmetric Hausdorff distance, minimized over translations.
 
-    The translation search is a Nelder-Mead descent started at the centroid
-    offset, run on strided subsets of about 800 nodes; the reported value
-    re-evaluates the full node sets at the optimum.
+    The translation search is scipy's Nelder-Mead (`minimize.nelder_mead`,
+    its steps bit for bit) started at the centroid offset t0, run on
+    strided subsets of about 800 nodes; the reported value re-evaluates the
+    full node sets at the optimum, or at t0 where the search found nothing
+    lower. Its start simplex steps 5% of each nonzero coordinate of t0 and
+    0.00025 along a zero one. So when the two sets share their centroid up
+    to rounding (t0 ~ 1e-16), the simplex spans ~1e-17 and the search
+    stops at its first convergence test: the value is then the distance
+    at t0, not a minimum over translations.
     """
     a = geom.positions if isinstance(geom, SurfaceGeometry) else np.asarray(geom)
     b = base.vertices if hasattr(base, "vertices") else np.asarray(base)
@@ -479,14 +493,15 @@ def hausdorff_distance(geom, base, optimize_translation=True):
     stride_b = max(1, len(b) // 800)
     asub, bsub = a[::stride_a], b[::stride_b]
     t0 = a.mean(axis=0) - b.mean(axis=0)
-    tree_a, tree_b = cKDTree(asub), cKDTree(bsub)
+    grid_a, grid_b = SiteGrid(asub), SiteGrid(bsub)
 
     def objective(t):
-        # d(bsub, asub - t) = d(bsub + t, asub), so both trees are reused
-        return max(_directed_max_min(tree_b, asub - t),
-                   _directed_max_min(tree_a, bsub + t))
+        # d(bsub, asub - t) = d(bsub + t, asub), so both grids are reused
+        return max(_directed_max_min(grid_b, asub - t),
+                   _directed_max_min(grid_a, bsub + t))
 
-    res = minimize(objective, t0, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 300})
-    t = res.x if res.fun <= objective(t0) else t0
+    x, fx, _ = nelder_mead(
+        lambda ts, start: np.array([objective(t) for t in ts]), t0[None],
+        maxiter=300, xatol=1e-10, fatol=1e-14)
+    t = x[0] if fx[0] <= objective(t0) else t0
     return symmetric_point_distance(a - t, b)

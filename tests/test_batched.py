@@ -124,16 +124,43 @@ def wulff3(ellipsoid_integrand):
     return build_wulff(ellipsoid_integrand, 3)
 
 
+def stencil_table_reference(matrices, n_vertices):
+    """Per-vertex CSR rows of the reference stencils as the padded table of
+    DerivativeOperators: nodes (K, N) ascending per vertex, padded with the
+    vertex itself, and weights (5, K, N), padded with 0."""
+    sizes = np.diff(matrices[0].indptr)
+    width = sizes.max()
+    nodes = np.tile(np.arange(n_vertices), (width, 1))
+    weights = np.zeros((5, width, n_vertices))
+    for i in range(n_vertices):
+        span = slice(matrices[0].indptr[i], matrices[0].indptr[i + 1])
+        nodes[:sizes[i], i] = matrices[0].indices[span]
+        for ch, m in enumerate(matrices):
+            np.testing.assert_array_equal(m.indices[span],
+                                          nodes[:sizes[i], i])
+            weights[ch, :sizes[i], i] = m.data[span]
+    return nodes, weights
+
+
+def stencil_matrices(ops):
+    """The five stencil channels of DerivativeOperators as CSR matrices."""
+    n = ops.nodes.shape[1]
+    rows = np.broadcast_to(np.arange(n), ops.nodes.shape).ravel()
+    # a padding entry repeats its vertex with weight 0 and is summed away
+    return [sparse.csr_matrix((w.ravel(), (rows, ops.nodes.ravel())),
+                              shape=(n, n)) for w in ops.weights]
+
+
 def test_vertex_adjacency_matches_sets():
     for level in (2, 4):
         mesh = build_sphere_mesh(level)
         got = vertex_adjacency(mesh.n_vertices, mesh.faces)
         want = vertex_adjacency_reference(mesh.n_vertices, mesh.faces)
-        assert got.shape == (len(want), len(want))
-        assert (got.data == 1).all()
-        for i, w in enumerate(want):
-            np.testing.assert_array_equal(
-                got.indices[got.indptr[i]:got.indptr[i + 1]], w)
+        assert got.shape == (len(want), max(len(w) for w in want)) \
+            == (len(want), 6)
+        for row, w in zip(got, want):
+            np.testing.assert_array_equal(row[:len(w)], w)
+            assert (row[len(w):] == -1).all()
         assert mesh.adjacency is mesh.adjacency
 
 
@@ -141,12 +168,39 @@ def test_vertex_adjacency_matches_sets():
 def test_stencils_match_per_vertex_fits(which, wulff3):
     mesh = build_sphere_mesh(3) if which == "sphere" else wulff3
     ops = get_operators(mesh)
-    for got, want in zip((ops.g1, ops.g2, ops.h11, ops.h12, ops.h22),
-                         stencils_reference(mesh)):
-        np.testing.assert_array_equal(got.indptr, want.indptr)
-        np.testing.assert_array_equal(got.indices, want.indices)
-        scale = np.abs(want.data).max()
-        assert np.abs(got.data - want.data).max() <= 1e-11 * scale
+    nodes, weights = stencil_table_reference(stencils_reference(mesh),
+                                             mesh.n_vertices)
+    np.testing.assert_array_equal(ops.nodes, nodes)
+    scale = np.abs(weights).max(axis=(1, 2), keepdims=True)
+    assert (np.abs(ops.weights - weights) <= 1e-11 * scale).all()
+
+
+@pytest.mark.parametrize("which", ["sphere", "wulff"])
+def test_stencil_apply_matches_csr_products(which, sphere4, wulff4):
+    """Each channel, applied column by column, equals scipy's CSR product
+    bit for bit on scalar and vector fields."""
+    mesh = sphere4 if which == "sphere" else wulff4
+    ops = get_operators(mesh)
+    g1, g2, h11, h12, h22 = stencil_matrices(ops)
+    rng = np.random.default_rng(4)
+    u = rng.normal(size=mesh.n_vertices)
+    vec = rng.normal(size=(mesh.n_vertices, 3))
+    np.testing.assert_array_equal(ops.gradient(u),
+                                  np.column_stack((g1 @ u, g2 @ u)))
+    H = ops.hessian(u)
+    np.testing.assert_array_equal(H[:, 0, 0], h11 @ u)
+    np.testing.assert_array_equal(H[:, 0, 1], h12 @ u)
+    np.testing.assert_array_equal(H[:, 1, 0], h12 @ u)
+    np.testing.assert_array_equal(H[:, 1, 1], h22 @ u)
+    J = ops.jacobian_ambient(vec)
+    np.testing.assert_array_equal(J[:, :, 0], (g1 @ vec))
+    np.testing.assert_array_equal(J[:, :, 1], (g2 @ vec))
+    e1, e2 = mesh.frames
+    div = np.zeros(mesh.n_vertices)
+    for k in range(3):
+        div += (g1 @ vec[:, k]) * e1[:, k]
+        div += (g2 @ vec[:, k]) * e2[:, k]
+    np.testing.assert_array_equal(ops.divergence(vec), div)
 
 
 def test_stencil_rejects_small_rings():
@@ -165,15 +219,13 @@ def test_blocked_stencils_match_unblocked(wulff3, monkeypatch):
     import wulffstab.operators as operators
     want = operators.DerivativeOperators(wulff3)
     block = 5
-    _, group_sizes = np.unique(np.diff(want.g1.indptr), return_counts=True)
+    sizes = np.diff(stencil_matrices(want)[0].indptr)
+    _, group_sizes = np.unique(sizes, return_counts=True)
     assert group_sizes.min() > 2 * block
     monkeypatch.setattr(operators, "_BLOCK_VERTICES", block)
     got = operators.DerivativeOperators(wulff3)
-    for ch in ("g1", "g2", "h11", "h12", "h22"):
-        a, b = getattr(got, ch), getattr(want, ch)
-        np.testing.assert_array_equal(a.indptr, b.indptr)
-        np.testing.assert_array_equal(a.indices, b.indices)
-        np.testing.assert_array_equal(a.data, b.data)
+    np.testing.assert_array_equal(got.nodes, want.nodes)
+    np.testing.assert_array_equal(got.weights, want.weights)
 
 
 @pytest.mark.parametrize("scale", [1e-3, 0.05, 1.0])
@@ -248,7 +300,7 @@ def chart_cubic_errors(mesh, ops):
     e1, e2 = mesh.frames
     c = np.random.default_rng(7).normal(size=(mesh.n_vertices, 10))
     out = []
-    for k, ch in enumerate((ops.g1, ops.g2, ops.h11, ops.h12, ops.h22)):
+    for k, ch in enumerate(stencil_matrices(ops)):
         m = ch.tocoo()
         d = mesh.vertices[m.col] - mesh.vertices[m.row]
         y = np.column_stack((np.einsum("ki,ki->k", d, e1[m.row]),

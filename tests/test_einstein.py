@@ -200,7 +200,7 @@ def _lockstep_runs(monkeypatch, call):
     """Run call() and record every lockstep Nelder-Mead it makes as
     (fun, x0, options, x, fun values, nit, rows per objective call)."""
     runs = []
-    lockstep = es._nelder_mead
+    lockstep = es.nelder_mead
 
     def spy(fun, x0, **options):
         rows = []
@@ -212,7 +212,7 @@ def _lockstep_runs(monkeypatch, call):
         runs.append((fun, x0, options, *lockstep(counted, x0, **options), rows))
         return runs[-1][3:6]
 
-    monkeypatch.setattr(es, "_nelder_mead", spy)
+    monkeypatch.setattr(es, "nelder_mead", spy)
     call()
     return runs
 
@@ -250,7 +250,7 @@ def test_ratio_bound_extremizers_own_their_data(monkeypatch):
         rb = es.ratio_bounds(n, kappa, budget=20000, seed=1)
         assert rb.argmin.base is None and rb.argmax.base is None
         assert rb.argmin.shape == rb.argmax.shape == (n,)
-    monkeypatch.setattr(es, "_nelder_mead", lambda fun, x0, **options: (
+    monkeypatch.setattr(es, "nelder_mead", lambda fun, x0, **options: (
         x0, np.full(len(x0), np.inf), np.zeros(len(x0), dtype=int)))
     rb = es.ratio_bounds(4, -1.0, budget=20000, seed=1)
     assert rb.argmin.base is None and rb.argmax.base is None

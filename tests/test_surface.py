@@ -204,21 +204,43 @@ def test_project_to_wulff_feet(wulff4):
     # points offset along stored normals project back to their feet
     offs = 0.05 * np.sin(np.arange(wulff4.n_vertices))[::97]
     pts = wulff4.vertices[::97] + offs[:, None] * wulff4.normals[::97]
-    feet, dirs, t, conv = project_to_wulff(wulff4, pts)
+    feet, dirs, t, conv = project_to_wulff(wulff4, pts, wulff4.normals[::97])
     assert conv.all()
     assert np.abs(feet - wulff4.vertices[::97]).max() < 1e-9
     assert np.abs(t - offs).max() < 1e-9
 
 
 def test_project_to_wulff_flags_convergence_at_returned_feet(wulff4):
-    """This point reaches the tolerance on its fourth Newton step, so four
-    allowed steps must report it converged."""
+    """Seeded at the normal of the nearest of every fourth vertex, this
+    point reaches the tolerance on its fourth Newton step, so four allowed
+    steps must report it converged."""
     pts = np.array([[0.3, 0.2, 0.9]])
-    assert not project_to_wulff(wulff4, pts, n_newton=3)[3][0]
-    feet, dirs, t, conv = project_to_wulff(wulff4, pts, n_newton=4)
+    d = np.linalg.norm(wulff4.vertices[::4] - pts[0], axis=1)
+    seed = wulff4.normals[::4][[np.argmin(d)]]
+    assert not project_to_wulff(wulff4, pts, seed, n_newton=3)[3][0]
+    feet, dirs, t, conv = project_to_wulff(wulff4, pts, seed, n_newton=4)
     assert conv[0]
     resid = pts - feet - t[:, None] * dirs
     assert np.linalg.norm(resid) < 1e-12
+
+
+def test_projection_seeds_at_own_base_vertex(wulff4):
+    """A radial graph over a Wulff base projects each node to its own base
+    vertex at step 0: the feet are the vertices and t is u."""
+    u = 0.05 * (wulff4.normals @ np.array([0.3, -0.1, 0.2]))
+    geom = radial_graph(wulff4, u)
+    feet, dirs, t, conv = project_to_wulff(wulff4, geom.positions,
+                                           wulff4.normals, n_newton=0)
+    assert conv.all()
+    np.testing.assert_array_equal(feet, wulff4.vertices)
+    assert np.abs(t - u).max() <= 1e-15
+
+
+def test_certificate_rejects_a_surface_of_another_size(wulff4):
+    geom = radial_graph(wulff4, np.zeros(wulff4.n_vertices))
+    other = build_wulff(wulff4.integrand, 3)
+    with pytest.raises(ValueError, match="2562 nodes .* 642 vertices"):
+        projection_certificate(geom, other)
 
 
 # --- radius recovery --------------------------------------------------------
