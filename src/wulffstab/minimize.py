@@ -16,18 +16,22 @@ _NM_A = np.array([[2.0], [3.0], [1.5], [0.5]])
 _NM_B = np.array([[1.0], [2.0], [0.5], [-0.5]])
 
 
-def nelder_mead(fun, x0, maxiter, xatol, fatol):
+def nelder_mead(fun, x0, maxiter, xatol, fatol, lazy=False):
     """Nelder-Mead from K starts in lockstep: K independent minimizations.
 
     x0 is (K, N); fun(points (m, N), start (m,)) returns the (m,) objective
     values of points that belong to the given start indices. Each start
     follows scipy's minimize(method="Nelder-Mead") step for step (standard
     coefficients, initial simplex 1.05 x_k or 0.00025 where x_k = 0, no
-    evaluation cap, the same xatol/fatol test), but one fun call covers
-    every running start and all four trial points; starts that shrink take
-    a second call. Each simplex is sorted by numpy's default argsort, as
-    scipy sorts it: log(p/q) is flat enough to tie vertex values exactly,
-    and a stable sort would take a different path there. Returns
+    evaluation cap, the same xatol/fatol test). One fun call covers every
+    running start and all four trial points, for an objective that costs
+    per call; starts that shrink take a second call. With lazy=True, for
+    an objective that costs per point, each start evaluates only the
+    points scipy evaluates: the reflection, then the expansion or one
+    contraction where the reflection calls for it, in two calls. Each
+    simplex is sorted by numpy's default argsort, as scipy sorts it:
+    log(p/q) is flat enough to tie vertex values exactly, and a stable
+    sort would take a different path there. Returns
     (x (K, N), fun (K,), nit (K,)).
     """
     x0 = np.asarray(x0, dtype=float)
@@ -54,9 +58,21 @@ def nelder_mead(fun, x0, maxiter, xatol, fatol):
             return x, fx, nit
         xbar = np.add.reduce(sim[:, :-1], 1) / N
         trial = _NM_A * xbar[:, None] - _NM_B * sim[:, -1:]
-        ft = fun(trial.reshape(-1, N), np.repeat(running, 4)).reshape(-1, 4)
-        fr, fe, fc, fcc = ft.T
         best, second, worst = fsim[:, 0], fsim[:, -2], fsim[:, -1]
+        if lazy:
+            # points left NaN are those the pick below never reads
+            ft = np.full((len(running), 4), np.nan)
+            ft[:, 0] = fr = fun(trial[:, 0], running)
+            need = np.where(fr < best, 1, np.where(
+                fr < second, 0, np.where(fr < worst, 2, 3)))
+            more = np.flatnonzero(need)
+            if more.size:
+                ft[more, need[more]] = fun(trial[more, need[more]],
+                                           running[more])
+        else:
+            ft = fun(trial.reshape(-1, N),
+                     np.repeat(running, 4)).reshape(-1, 4)
+        fr, fe, fc, fcc = ft.T
         pick = np.where(fr < best, np.where(fe < fr, 1, 0),   # expand
                         np.where(fr < second, 0,               # reflect
                                  np.where(fr < worst,          # contract
@@ -89,7 +105,11 @@ _SQRT_EPS = np.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
 
 
-def bounded_brent(func, lo, hi, xatol=1e-5, maxiter=500):
+# scipy's default evaluation cap for the bounded Brent search
+_BRENT_MAXFUN = 500
+
+
+def bounded_brent(func, lo, hi, xatol):
     """Minimize a scalar function on [lo, hi]: scipy's
     minimize_scalar(method="bounded"), step for step.
 
@@ -97,8 +117,8 @@ def bounded_brent(func, lo, hi, xatol=1e-5, maxiter=500):
     when the parabola's minimum lies inside the bracket and the step
     shrinks, a golden-section step otherwise; no step is shorter than
     sqrt(2.2e-16) |x| + xatol / 3. Stops when the bracket around the best
-    point is within twice that, or after maxiter evaluations. Returns
-    (x, f(x), evaluations).
+    point is within twice that, or after scipy's default of 500
+    evaluations. Returns (x, f(x), evaluations).
     """
     lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -164,7 +184,7 @@ def bounded_brent(func, lo, hi, xatol=1e-5, maxiter=500):
         xm = 0.5 * (a + b)
         tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
-        if num >= maxiter:
+        if num >= _BRENT_MAXFUN:
             break
     return xf, fx, num
 

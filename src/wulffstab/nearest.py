@@ -1,11 +1,10 @@
-"""Exact nearest-site search on a uniform grid of cells, in numpy.
+"""Exact nearest-site distances on a uniform grid of cells, in numpy.
 
 The sites are bucketed in cubic cells and sorted by cell, so the sites of
-a run of cells along the last axis are one contiguous slice. A query looks
-at the cells around its own and takes the minimum over those candidates;
-when that minimum may exceed the distance to the nearest cell it did not
-look at, it looks wider, and the few queries left after that are compared
-with every site. So every distance is exact. A squared distance is
+a run of cells along the last axis are one contiguous slice. A query takes
+the minimum over the 27 cells around its own; when that minimum may exceed
+the distance to the nearest cell it did not look at, it is compared with
+every site instead. So every distance is exact. A squared distance is
 dx^2 + dy^2 + dz^2 added in that order, as scipy's cKDTree adds it, so the
 distances equal cKDTree's bit for bit.
 """
@@ -15,8 +14,6 @@ import numpy as np
 # cells per site, about the sample spacing on surface-like sets at the sizes
 # the Hausdorff search uses; the cell table stays linear in the site count
 _CELLS_PER_SITE = 16
-# empty cells around the grid, so the widest search stays inside the table
-_PAD = 2
 # a search sure of its minimum only below the distance to the nearest
 # unsearched cell, shrunk by this factor against rounding in the cell index
 _MARGIN_SLACK = 1.0 - 1e-9
@@ -27,7 +24,7 @@ _BRUTE_BLOCK = 1 << 16
 
 
 class SiteGrid:
-    """Sites (M, 3) bucketed for exact nearest-site queries.
+    """Sites (M, 3) bucketed for exact nearest-site distances.
 
     Built once and queried many times; the sites must be finite.
     """
@@ -42,78 +39,62 @@ class SiteGrid:
         self.lo = sites.min(axis=0)
         span = sites.max(axis=0) - self.lo
         extent = max(span.max(), 1e-300)
-        # flat or collinear sets get a volume as if 1e-3 of their extent deep
+        # flat or collinear sets get a volume as if 1e-3 of their extent
+        # deep, so the cell size stays positive
         volume = np.prod(np.maximum(span, 1e-3 * extent))
         self.h = max((volume / (_CELLS_PER_SITE * self.n_sites)) ** (1 / 3),
                      1e-6 * extent)
         self.inner = (span // self.h).astype(np.intp) + 1
-        dims = self.inner + 2 * _PAD
+        # one empty cell on each side, so the 27 cells of a query stay
+        # inside the table
+        dims = self.inner + 2
         self.stride = np.array([dims[1] * dims[2], dims[2], 1])
         cell = np.minimum(((sites - self.lo) // self.h).astype(np.intp),
                           self.inner - 1)
-        key = (cell + _PAD) @ self.stride
-        # stable, so the sites of one cell stay in index order
-        self.order = np.argsort(key, kind="stable")
-        self.xyz = np.ascontiguousarray(sites[self.order].T)
+        key = (cell + 1) @ self.stride
+        self.xyz = np.ascontiguousarray(sites[np.argsort(key)].T)
         # sites of cell k are xyz[:, start[k]:start[k + 1]]
         self.start = np.zeros(np.prod(dims) + 1, dtype=np.intp)
         np.cumsum(np.bincount(key, minlength=np.prod(dims)),
                   out=self.start[1:])
 
-    def query(self, points):
-        """Distance to the nearest site and its index, per point (N, 3).
-
-        Of several sites at the same distance the lowest index is returned.
-        """
-        return self._nearest(points, True)
-
     def distances(self, points):
-        """Distance to the nearest site per point, without its index."""
-        return self._nearest(points, False)[0]
-
-    def _nearest(self, points, with_index):
+        """Distance to the nearest site per point (N, 3)."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 3:
             raise ValueError("query points must be an (N, 3) array")
         if not np.isfinite(points).all():
             raise ValueError("query points must be finite")
-        d2 = np.full(len(points), np.inf)
-        index = np.full(len(points), -1, dtype=np.intp)
-        todo = np.arange(len(points))
-        for reach in (1, _PAD):
-            sure = np.zeros(len(todo), dtype=bool)
-            for a in range(0, len(todo), _QUERY_BLOCK):
-                rows = todo[a:a + _QUERY_BLOCK]
-                sure[a:a + _QUERY_BLOCK] = self._search(
-                    points[rows], reach, rows, d2, index, with_index)
-            todo = todo[~sure]
+        d2 = np.empty(len(points))
+        sure = np.empty(len(points), dtype=bool)
+        for a in range(0, len(points), _QUERY_BLOCK):
+            block = slice(a, a + _QUERY_BLOCK)
+            d2[block], sure[block] = self._search(points[block])
+        todo = np.flatnonzero(~sure)
         if todo.size:
-            self._brute(points[todo], todo, d2, index)
-        return np.sqrt(d2), index
+            d2[todo] = self._brute(points[todo])
+        return np.sqrt(d2)
 
-    def _search(self, pts, reach, rows, d2_out, index_out, with_index):
-        """Minimum over the (2 reach + 1)^3 cells around each point's cell.
-
-        Writes the minima into rows of the outputs and returns the mask of
-        points for which no unsearched site can be closer.
-        """
+    def _search(self, pts):
+        """Minimum squared distance over the 27 cells around each point's
+        cell, and the mask of points for which no other site is closer."""
         u = (pts - self.lo) / self.h
         cell = np.clip(np.floor(u), 0, self.inner - 1)
         # distance to the nearest face of the searched block that has grid
         # cells beyond it (a point outside the grid has no cell of its own)
-        low, high = cell - reach, cell + reach + 1
+        low, high = cell - 1, cell + 2
         gap = np.minimum(np.where(low > 0, u - low, np.inf),
                          np.where(high < self.inner, high - u, np.inf))
         margin = self.h * np.maximum(gap.min(axis=1), 0.0) * _MARGIN_SLACK
-        # the block is (2 reach + 1)^2 runs of 2 reach + 1 cells along z
-        r = np.arange(-reach, reach + 1)
+        # the block is 3 x 3 runs of 3 cells along z
+        r = np.arange(-1, 2)
         runs = (r[:, None] * self.stride[0] + r * self.stride[1]).ravel()
-        first_key = ((cell.astype(np.intp) + _PAD) @ self.stride)[:, None] \
-            + (runs - reach)
+        first_key = ((cell.astype(np.intp) + 1) @ self.stride)[:, None] \
+            + (runs - 1)
         first = self.start[first_key].ravel()
-        count = self.start[first_key + 2 * reach + 1].ravel() - first
+        count = self.start[first_key + 3].ravel() - first
         per_point = count.reshape(len(pts), -1).sum(axis=1)
-        # one entry per candidate: its run, its position in xyz, its point
+        # one entry per candidate: its position in xyz and its point
         full = np.flatnonzero(count)
         count = count[full]
         run = np.repeat(np.arange(len(full)), count)
@@ -131,16 +112,13 @@ class SiteGrid:
         if has.any():
             seg = (np.cumsum(per_point) - per_point)[has]
             best[has] = np.minimum.reduceat(d2, seg)
-            if with_index:
-                site = np.where(d2 == best[point], self.order[pos],
-                                self.n_sites)
-                index_out[rows[has]] = np.minimum.reduceat(site, seg)
-        d2_out[rows] = best
-        return best <= margin * margin
+        return best, best <= margin * margin
 
-    def _brute(self, pts, rows, d2_out, index_out):
-        """Nearest site by comparing each point with every site."""
+    def _brute(self, pts):
+        """Minimum squared distance by comparing each point with every
+        site."""
         step = max(1, _BRUTE_BLOCK // self.n_sites)
+        best = np.empty(len(pts))
         for a in range(0, len(pts), step):
             block = pts[a:a + step]
             d = block[:, 0, None] - self.xyz[0]
@@ -149,7 +127,5 @@ class SiteGrid:
             d2 += d * d
             d = block[:, 2, None] - self.xyz[2]
             d2 += d * d
-            best = d2.min(axis=1)
-            d2_out[rows[a:a + step]] = best
-            index_out[rows[a:a + step]] = np.where(
-                d2 == best[:, None], self.order, self.n_sites).min(axis=1)
+            best[a:a + step] = d2.min(axis=1)
+        return best

@@ -476,10 +476,10 @@ def hausdorff_distance(geom, base, optimize_translation=True):
     """Node-sampled symmetric Hausdorff distance, minimized over translations.
 
     The translation search is scipy's Nelder-Mead (`minimize.nelder_mead`,
-    its steps bit for bit) started at the centroid offset t0, run on
-    strided subsets of about 800 nodes; the reported value re-evaluates the
-    full node sets at the optimum, or at t0 where the search found nothing
-    lower. Its start simplex steps 5% of each nonzero coordinate of t0 and
+    its steps and evaluations bit for bit) started at the centroid offset
+    t0, run on strided subsets of about 800 nodes; the reported value
+    re-evaluates the full node sets at the optimum, or at t0 where the
+    search found nothing lower. Its start simplex steps 5% of each nonzero coordinate of t0 and
     0.00025 along a zero one. So when the two sets share their centroid up
     to rounding (t0 ~ 1e-16), the simplex spans ~1e-17 and the search
     stops at its first convergence test: the value is then the distance
@@ -502,6 +502,6 @@ def hausdorff_distance(geom, base, optimize_translation=True):
 
     x, fx, _ = nelder_mead(
         lambda ts, start: np.array([objective(t) for t in ts]), t0[None],
-        maxiter=300, xatol=1e-10, fatol=1e-14)
+        maxiter=300, xatol=1e-10, fatol=1e-14, lazy=True)
     t = x[0] if fx[0] <= objective(t0) else t0
     return symmetric_point_distance(a - t, b)

@@ -58,9 +58,11 @@ def test_brent_matches_scipy_on_smooth_functions(fun, lo, hi, xatol):
     assert_brent_matches_scipy(fun, lo, hi, xatol)
 
 
-def test_brent_stops_at_maxiter():
+def test_brent_stops_at_its_evaluation_cap(monkeypatch):
+    import wulffstab.minimize
+    monkeypatch.setattr(wulffstab.minimize, "_BRENT_MAXFUN", 5)
     x, fx, nfev = bounded_brent(lambda x: (x - 0.3) ** 2, -1.0, 2.0,
-                                xatol=1e-14, maxiter=5)
+                                xatol=1e-14)
     ref = minimize_scalar(lambda x: (x - 0.3) ** 2, bounds=(-1.0, 2.0),
                           method="bounded",
                           options={"xatol": 1e-14, "maxiter": 5})
@@ -69,15 +71,17 @@ def test_brent_stops_at_maxiter():
 
 def test_brent_rejects_bad_bounds():
     with pytest.raises(ValueError, match="lower bound"):
-        bounded_brent(abs, 1.0, 0.0)
+        bounded_brent(abs, 1.0, 0.0, 1e-5)
     with pytest.raises(ValueError, match="finite"):
-        bounded_brent(abs, 0.0, np.inf)
+        bounded_brent(abs, 0.0, np.inf, 1e-5)
 
 
+@pytest.mark.parametrize("lazy", [False, True])
 @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (0.04, -0.02, 0.05)])
-def test_nelder_mead_matches_scipy_on_the_hausdorff_objective(offset):
+def test_nelder_mead_matches_scipy_on_the_hausdorff_objective(offset, lazy):
     """The translation search of hausdorff_distance on the bench's W3
-    graph, centred and translated: the same end point, value and steps."""
+    graph, centred and translated: the same end point, value and steps,
+    and with lazy=True the same evaluations."""
     from wulffstab import Integrand
     base = build_wulff(Integrand.quadratic_form(np.diag([1.0, 1.0, 4.0])), 3)
     u = 0.05 * spectral.real_sph_harm_matrix(base.normals, 2)[
@@ -92,11 +96,21 @@ def test_nelder_mead_matches_scipy_on_the_hausdorff_objective(offset):
 
     t0 = a.mean(axis=0) - b.mean(axis=0)
     options = {"xatol": 1e-10, "fatol": 1e-14, "maxiter": 300}
-    x, fx, nit = nelder_mead(
-        lambda ts, start: np.array([objective(t) for t in ts]), t0[None],
-        **options)
-    ref = minimize(objective, t0, method="Nelder-Mead", options=options)
+    evaluated = []
+
+    def batch(ts, start):
+        evaluated.extend(map(tuple, ts))
+        return np.array([objective(t) for t in ts])
+
+    x, fx, nit = nelder_mead(batch, t0[None], lazy=lazy, **options)
+    seen = []
+    ref = minimize(lambda t: seen.append(tuple(t)) or objective(t), t0,
+                   method="Nelder-Mead", options=options)
     np.testing.assert_array_equal(x[0], ref.x)
     assert fx[0] == ref.fun and nit[0] == ref.nit
+    if lazy:
+        assert evaluated == seen and len(seen) == ref.nfev
+    else:
+        assert set(seen) <= set(evaluated)
     if any(offset):
         assert ref.nit > 20

@@ -1,4 +1,4 @@
-"""The grid nearest-site search against scipy's cKDTree."""
+"""The grid nearest-site distances against scipy's cKDTree."""
 
 import numpy as np
 import pytest
@@ -9,18 +9,9 @@ from wulffstab.nearest import SiteGrid
 
 
 def assert_matches_kdtree(sites, points):
-    """Distances equal bit for bit; an index differs only where another
-    site lies at exactly the same distance, and is then the lowest one."""
-    want_d, want_i = cKDTree(sites).query(points)
-    got_d, got_i = SiteGrid(sites).query(points)
-    np.testing.assert_array_equal(got_d, want_d)
-    np.testing.assert_array_equal(SiteGrid(sites).distances(points), want_d)
-    differ = np.flatnonzero(got_i != want_i)
-    for k in differ:
-        d = np.sqrt(((sites - points[k]) ** 2).sum(axis=1))
-        assert d[want_i[k]] == d[got_i[k]] == d.min()
-        assert got_i[k] == np.flatnonzero(d == d.min())[0]
-    return len(differ)
+    """Distances equal to cKDTree's bit for bit."""
+    np.testing.assert_array_equal(SiteGrid(sites).distances(points),
+                                  cKDTree(sites).query(points)[0])
 
 
 @pytest.mark.parametrize("level", [2, 3, 4, 5])
@@ -41,47 +32,40 @@ def test_wulff_graph_and_its_base(ellipsoid_integrand):
     assert_matches_kdtree(graph[::3], base.vertices[::3])
 
 
-def test_ties_take_the_lowest_index(wulff4):
-    """Every vertex against every fourth one, on the symmetric ellipsoid:
-    several sites often lie at exactly the same distance, and cKDTree then
-    does not always return the lowest index."""
-    assert assert_matches_kdtree(wulff4.vertices[::4], wulff4.vertices) > 0
-
-
-def test_far_queries_widen_and_fall_back(monkeypatch):
-    """Queries outside the sites' box, near it and far from it, run the
-    wider search and the brute-force fallback, in small blocks."""
+def test_queries_off_the_sites_fall_back_to_brute_force(monkeypatch):
+    """Queries outside the sites' box, near it and far from it, and one
+    inside an empty stretch of the box, in small blocks."""
     import wulffstab.nearest as nearest
     sites = build_sphere_mesh(3).vertices
     rng = np.random.default_rng(7)
     points = np.concatenate((rng.normal(size=(200, 3)) * 40,
-                             rng.normal(size=(200, 3)) * 1.3))
+                             rng.normal(size=(200, 3)) * 1.3,
+                             [[0.0, 0.0, 0.0]]))
     calls = {"search": [], "brute": 0}
     search, brute = nearest.SiteGrid._search, nearest.SiteGrid._brute
 
-    def spy_search(self, pts, reach, *args):
-        calls["search"].append((reach, len(pts)))
-        return search(self, pts, reach, *args)
+    def spy_search(self, pts):
+        calls["search"].append(len(pts))
+        return search(self, pts)
 
-    def spy_brute(self, pts, *args):
+    def spy_brute(self, pts):
         calls["brute"] += len(pts)
-        return brute(self, pts, *args)
+        return brute(self, pts)
 
     monkeypatch.setattr(nearest.SiteGrid, "_search", spy_search)
     monkeypatch.setattr(nearest.SiteGrid, "_brute", spy_brute)
     monkeypatch.setattr(nearest, "_BRUTE_BLOCK", 1000)
     monkeypatch.setattr(nearest, "_QUERY_BLOCK", 64)
     assert_matches_kdtree(sites, points)
-    assert {r for r, _ in calls["search"]} == {1, 2}
-    assert max(n for _, n in calls["search"]) == 64
-    assert calls["brute"] >= 200
+    assert max(calls["search"]) == 64 and sum(calls["search"]) == 401
+    assert 201 <= calls["brute"] < 401
 
 
 def test_duplicate_and_degenerate_sites():
     rng = np.random.default_rng(8)
     points = rng.normal(size=(300, 3))
     clustered = np.repeat(rng.normal(size=(15, 3)), 20, axis=0)
-    assert assert_matches_kdtree(clustered, points) > 0
+    assert_matches_kdtree(clustered, points)
     assert_matches_kdtree(np.ones((1, 3)), points)
     flat = np.column_stack((rng.normal(size=(200, 2)), np.zeros(200)))
     assert_matches_kdtree(flat, points)
@@ -95,6 +79,6 @@ def test_rejects_empty_or_non_finite_input():
     with pytest.raises(ValueError, match="finite"):
         SiteGrid([[0.0, np.nan, 0.0]])
     with pytest.raises(ValueError, match="finite"):
-        SiteGrid(np.zeros((2, 3))).query([[np.inf, 0.0, 0.0]])
+        SiteGrid(np.zeros((2, 3))).distances([[np.inf, 0.0, 0.0]])
     with pytest.raises(ValueError, match=r"\(N, 3\)"):
         SiteGrid(np.zeros((2, 3))).distances(np.zeros((6, 2)))

@@ -201,10 +201,15 @@ def test_radius_round_trip(sphere4, wulff4):
 
 
 def test_project_to_wulff_feet(wulff4):
-    # points offset along stored normals project back to their feet
+    # points offset along stored normals project back to their feet, from
+    # the normal of the nearest of every fourth vertex: most need three or
+    # four Newton steps
     offs = 0.05 * np.sin(np.arange(wulff4.n_vertices))[::97]
     pts = wulff4.vertices[::97] + offs[:, None] * wulff4.normals[::97]
-    feet, dirs, t, conv = project_to_wulff(wulff4, pts, wulff4.normals[::97])
+    d = np.linalg.norm(pts[:, None] - wulff4.vertices[::4], axis=2)
+    seed = wulff4.normals[::4][np.argmin(d, axis=1)]
+    assert not project_to_wulff(wulff4, pts, seed, n_newton=2)[3].all()
+    feet, dirs, t, conv = project_to_wulff(wulff4, pts, seed)
     assert conv.all()
     assert np.abs(feet - wulff4.vertices[::97]).max() < 1e-9
     assert np.abs(t - offs).max() < 1e-9
