@@ -8,7 +8,8 @@ analyze/synthesize round trip is exact (up to conditioning) on band-limited
 fields regardless of quadrature error. The weighted Gram matrix of the basis
 on a mesh is well conditioned (cond(sqrt(w) B) stays near 1 up to the band
 limit), so analysis solves the normal equations with the inverse of a
-Cholesky factor computed once per mesh and band.
+Cholesky factor computed once per mesh and band. Derivatives act on the
+coefficients through three ladder matrices per band, exact up to rounding.
 """
 
 import numpy as np
@@ -83,8 +84,13 @@ def mesh_basis(mesh, L):
     once per band and cached on the mesh.
 
     The factors are inverted once so that each analysis is two
-    matrix-vector products; a numpy solve would refactor per call.
+    matrix-vector products; a numpy solve would refactor per call. A band
+    above `band_limit` is rejected: its Gram matrix is not trusted.
     """
+    limit = band_limit(mesh.n_vertices)
+    if L > limit:
+        raise ValueError(f"band {L} exceeds mesh limit {limit}")
+
     def build(mesh):
         B = real_sph_harm_matrix(mesh.vertices, L)
         gram = B.T @ (mesh.weights[:, None] * B)
@@ -95,91 +101,85 @@ def mesh_basis(mesh, L):
 
 def sh_analyze(mesh, values, L):
     """Least-squares projection of per-vertex values onto harmonics up to L."""
-    limit = band_limit(mesh.n_vertices)
-    if L > limit:
-        raise ValueError(f"band {L} exceeds mesh limit {limit}")
     B, (cinv, cinv_t) = mesh_basis(mesh, L)
     return cinv_t @ (cinv @ (B.T @ (mesh.weights * values)))
 
 
+def _band(coeffs):
+    """Band L of a coefficient vector of length (L+1)^2."""
+    L = int(np.sqrt(len(coeffs))) - 1
+    if L < 0 or (L + 1) ** 2 != len(coeffs):
+        raise ValueError("coefficient vector length must be a nonzero "
+                         f"perfect square, got {len(coeffs)}")
+    return L
+
+
 def sh_synthesize(coeffs, points):
     """Evaluate the harmonic expansion at arbitrary unit points."""
-    L = int(np.sqrt(len(coeffs))) - 1
-    if (L + 1) ** 2 != len(coeffs):
-        raise ValueError("coefficient vector length must be a perfect square")
-    return real_sph_harm_matrix(points, L) @ coeffs
+    return real_sph_harm_matrix(points, _band(coeffs)) @ coeffs
 
 
-# Fourth-order centered stencils on geodesic circles. The second derivative
-# along a unit-speed great circle equals the covariant Hessian in that
-# direction because the geodesic acceleration is purely normal.
-_H_STEP = 1e-2
-_W1 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0          # offsets -2h,-h,h,2h
-_W2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # offsets -2h,-h,0,h,2h
-# vertices whose stencil harmonics are evaluated at once; each vertex's rows
-# depend on its own points only, so the block size bounds the temporaries
-# without changing an entry
-_BLOCK_VERTICES = 2048
+# Write a field as the restriction of the harmonic P = sum c_lm r^l Y_lm.
+# For P_l harmonic of degree l, x_a P_l = h_{l+1} + r^2 d_a P_l / (2l + 1)
+# with h_{l+1} harmonic, so d_a maps band l to band l - 1 with
+# D_a[(l-1, m'), (l, m)] = (2l + 1) * integral of x_a Y_lm Y_{l-1,m'} over S^2.
+_LADDERS = {}  # L -> read-only (3, (L+1)^2, (L+1)^2) stack of D_x, D_y, D_z
 
 
-def _stencil_weights():
-    """(5, 12) weights of the rows (g1, g2, h11, h22, h12) on the field at
-    -2h, -h, h, 2h along e1, e2 and their bisector, less its vertex value.
+def ladders(L):
+    """The matrices D_a taking the coefficients of P to those of d_a P.
 
-    Every row's weights, the vertex's included, sum to 0, so acting on the
-    differences from the vertex value gives the same rows with much less
-    left to cancel.
+    The integrals are products of degree <= 2L, which Gauss-Legendre in
+    cos(theta) with L + 1 nodes times 2L + 2 equispaced phi integrates
+    exactly; only the l -> l - 1 blocks are kept.
     """
-    w = np.zeros((5, 3, 4))
-    w[0, 0] = w[1, 1] = _W1 / _H_STEP
-    w2 = _W2[[0, 1, 3, 4]] / _H_STEP ** 2
-    w[2, 0] = w[3, 1] = w[4, 2] = w2
-    w[4, :2] = -0.5 * w2
-    return w.reshape(5, 12)
-
-
-def _derivative_rows(mesh, L):
-    """Stencil combinations of the harmonics: rows (g1, g2, h11, h22, h12).
-
-    Returns a (5, N, (L+1)^2) array; row k times a coefficient vector is
-    that derivative at the vertices. The harmonics at the 12 off-vertex
-    stencil points are evaluated one vertex block at a time.
-    """
-    n = mesh.n_vertices
-    f0 = mesh_basis(mesh, L)[0]
-    e1, e2 = mesh.frames
-    dirs = (e1, e2, (e1 + e2) / np.sqrt(2.0))
-    offs = np.array([-2 * _H_STEP, -_H_STEP, _H_STEP, 2 * _H_STEP])
-    weights = _stencil_weights()
-    rows = np.empty((5, n, (L + 1) ** 2))
-    for lo in range(0, n, _BLOCK_VERTICES):
-        sl = slice(lo, lo + _BLOCK_VERTICES)
-        x = mesh.vertices[sl]
-        pts = np.concatenate([np.cos(t) * x + np.sin(t) * d[sl]
-                              for d in dirs for t in offs])
-        # (harmonic, point, vertex) view with the points ordered as pts
-        vals = real_sph_harm_matrix(pts, L).T.reshape(-1, 12, len(x))
-        vals -= f0[sl].T[:, None]
-        out = weights @ vals                     # (harmonic, row, vertex)
-        rows[:, sl] = out.transpose(1, 2, 0)
-    return rows
+    if L not in _LADDERS:
+        from numpy.polynomial.legendre import leggauss
+        ct, wt = leggauss(L + 1)
+        nphi = 2 * L + 2
+        ct, w = np.repeat(ct, nphi), np.repeat(wt * 2 * np.pi / nphi, nphi)
+        phi = np.tile(2 * np.pi * np.arange(nphi) / nphi, L + 1)
+        st = np.sqrt(1.0 - ct * ct)
+        pts = np.column_stack((st * np.cos(phi), st * np.sin(phi), ct))
+        B = real_sph_harm_matrix(pts, L)
+        ell = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+        scale = (2 * ell + 1) * (ell[:, None] == ell - 1)
+        d = np.array([B.T @ ((w * x)[:, None] * B) * scale for x in pts.T])
+        d.flags.writeable = False
+        _LADDERS[L] = d
+    return _LADDERS[L]
 
 
 def spectral_derivatives(mesh, coeffs):
     """Covariant gradient and Hessian of a band-limited field at the vertices.
 
-    The stencil combinations of the harmonics are built once per band and
-    cached on the mesh, so each call is one product with the coefficients.
+    On the unit sphere the covariant gradient is e_i . grad P and the
+    covariant Hessian e_i^T (grad^2 P) e_j - (x . grad P) delta_ij, where
+    x . grad P = sum l c_lm Y_lm. The coefficients of grad P and grad^2 P
+    come from `ladders`, so the value, the degree-weighted field, the three
+    partials and the six second partials are one product with the cached
+    vertex basis, and exact up to rounding.
 
     Returns (value (N,), grad (N, 2) in the frame, hess (N, 2, 2)).
     """
-    n = mesh.n_vertices
-    L = int(np.sqrt(len(coeffs))) - 1
-    rows = mesh.cached(("sh_stencil", L), lambda m: _derivative_rows(m, L))
-    g1, g2, h11, h22, h12 = (rows.reshape(5 * n, -1) @ coeffs).reshape(5, n)
-    grad = np.stack((g1, g2), axis=1)
-    hess = np.empty((n, 2, 2))
-    hess[:, 0, 0] = h11
-    hess[:, 1, 1] = h22
-    hess[:, 0, 1] = hess[:, 1, 0] = h12
-    return mesh_basis(mesh, L)[0] @ coeffs, grad, hess
+    L = _band(coeffs)
+    basis = mesh_basis(mesh, L)[0]
+    d = ladders(L)
+    ell = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    g = d @ coeffs                               # (3, K): D_a c
+    h = (d @ g.T).transpose(0, 2, 1)             # (3, 3, K): D_a D_b c
+    rows = np.concatenate(([coeffs, ell * coeffs], g, h[np.triu_indices(3)]))
+    val, radial, *grad_p, sxx, sxy, sxz, syy, syz, szz = rows @ basis.T
+    hess_p = ((sxx, sxy, sxz), (sxy, syy, syz), (sxz, syz, szz))
+    e1, e2 = np.array(mesh.frames).transpose(0, 2, 1).copy()  # rows x, y, z
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    s1, s2 = ([dot(row, e) for row in hess_p] for e in (e1, e2))
+    grad = np.stack((dot(e1, grad_p), dot(e2, grad_p)), axis=1)
+    hess = np.empty((len(val), 2, 2))
+    hess[:, 0, 0] = dot(e1, s1) - radial
+    hess[:, 0, 1] = hess[:, 1, 0] = dot(e2, s1)   # one entry: symmetric
+    hess[:, 1, 1] = dot(e2, s2) - radial
+    return val, grad, hess

@@ -120,12 +120,23 @@ def expand_rows(table, sets):
 
 
 def stack_rows(parts):
-    """Padded tables stacked row-wise, each widened with -1 to the widest."""
+    """Padded tables stacked row-wise, each widened with -1 to the widest.
+
+    Empties the list: each part is written into its slice of one table and
+    dropped, so the parts and the table are not all held at once.
+    """
     if len(parts) == 1:
-        return parts[0]
+        return parts.pop()
     width = max(p.shape[1] for p in parts)
-    return np.concatenate([np.pad(p, ((0, 0), (0, width - p.shape[1])),
-                                  constant_values=-1) for p in parts])
+    out = np.empty((sum(map(len, parts)), width), dtype=parts[0].dtype)
+    lo = 0
+    parts.reverse()
+    while parts:
+        p = parts.pop()
+        out[lo:lo + len(p), :p.shape[1]] = p
+        out[lo:lo + len(p), p.shape[1]:] = -1
+        lo += len(p)
+    return out
 
 
 def tangent_frames(normals):

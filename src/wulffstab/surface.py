@@ -6,7 +6,8 @@ Surfaces are graphs over a base (the unit sphere or a Wulff mesh):
 * psi(x) = e^{f(x)} x        over the sphere (exponential graph).
 
 On the sphere the radius is carried spectrally, so first and second
-derivatives of the parametrization are available to near-machine accuracy
+derivatives of the parametrization are exact up to rounding (ladder
+matrices on the harmonic coefficients; 1e-13 on the linear modes and Y20)
 and curvature deficits remain resolvable down to amplitudes of 1e-4. On a
 general Wulff base the normal field is assembled from analytic first
 derivatives and differentiated with the mesh stencils.

@@ -74,6 +74,13 @@ def real_sph_harm_matrix_columns(points, L):
     return out
 
 
+def stack_rows_reference(parts):
+    """Each padded table widened with -1 to the widest, then concatenated."""
+    width = max(p.shape[1] for p in parts)
+    return np.concatenate([np.pad(p, ((0, 0), (0, width - p.shape[1])),
+                                  constant_values=-1) for p in parts])
+
+
 def sh_analyze_reference(mesh, values, L):
     """Weighted least squares through lstsq on sqrt(w) B, no factor reuse."""
     B = real_sph_harm_matrix_columns(mesh.vertices, L)
@@ -82,12 +89,18 @@ def sh_analyze_reference(mesh, values, L):
     return coeffs
 
 
-def stencil_basis_reference(mesh, L):
-    """Harmonics at the 13N stencil points: the vertices, then 4 geodesic
-    offsets along e1, e2 and their bisector."""
+# Fourth-order centered stencils on geodesic circles. The second derivative
+# along a unit-speed great circle equals the covariant Hessian in that
+# direction because the geodesic acceleration is purely normal.
+STENCIL_W1 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0          # -2h,-h,h,2h
+STENCIL_W2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # -2h..2h
+
+
+def stencil_basis_reference(mesh, L, h):
+    """Harmonics at the 13N stencil points of step h: the vertices, then 4
+    geodesic offsets along e1, e2 and their bisector."""
     points = mesh.vertices
     e1, e2 = mesh.frames
-    h = spectral._H_STEP
     offs = np.array([-2 * h, -h, h, 2 * h])
     dirs = [e1, e2, (e1 + e2) / np.sqrt(2.0)]
     stacks = [points]
@@ -97,12 +110,13 @@ def stencil_basis_reference(mesh, L):
     return spectral.real_sph_harm_matrix(np.concatenate(stacks), L)
 
 
-def spectral_derivatives_reference(stencil, coeffs):
+def spectral_derivatives_reference(stencil, coeffs, h):
     """Value, gradient and Hessian by synthesizing the field at all 13N
-    stencil points (`stencil_basis_reference`) and combining the values."""
+    stencil points of step h (`stencil_basis_reference`) and combining the
+    values; the truncation error is O(h^4)."""
     vals = (stencil @ coeffs).reshape(13, -1)
     n = vals.shape[1]
-    h, w1, w2 = spectral._H_STEP, spectral._W1, spectral._W2
+    w1, w2 = STENCIL_W1, STENCIL_W2
     f0 = vals[0]
     out_g = np.empty((n, 2))
     d2 = np.empty((3, n))

@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 from oracles import (real_sph_harm_matrix_columns,
                      real_sph_harm_matrix_reference, sh_analyze_reference,
-                     spectral_derivatives_reference, stencil_basis_reference,
-                     subdivide_reference)
+                     spectral_derivatives_reference, stack_rows_reference,
+                     stencil_basis_reference, subdivide_reference)
 from wulffstab import build_sphere_mesh, build_wulff
 from wulffstab import spectral, spheremesh
 from wulffstab.operators import (DerivativeOperators, TensorField,
@@ -146,53 +146,116 @@ def test_spectral_derivatives_of_linear_mode(sphere4):
     coeffs[spectral.sh_index(1, 0)] = c[2] / c1
     val, grad, hess = spectral.spectral_derivatives(sphere4, coeffs)
     u = sphere4.vertices @ c
-    assert_allclose(val, u, atol=1e-10)
+    assert_allclose(val, u, atol=1e-13)
     e1, e2 = sphere4.frames
-    assert_allclose(grad[:, 0], e1 @ c, atol=1e-8)
-    assert_allclose(grad[:, 1], e2 @ c, atol=1e-8)
-    assert_allclose(hess, -u[:, None, None] * np.eye(2)[None], atol=1e-7)
+    assert_allclose(grad[:, 0], e1 @ c, atol=1e-13)
+    assert_allclose(grad[:, 1], e2 @ c, atol=1e-13)
+    assert_allclose(hess, -u[:, None, None] * np.eye(2)[None], atol=1e-13)
+
+
+def test_spectral_derivatives_of_y20(sphere4):
+    """P20 = k (2z^2 - x^2 - y^2) with k = sqrt(5 / 16 pi): grad P20 =
+    k (-2x, -2y, 4z), its Hessian is k diag(-2, -2, 4), and the covariant
+    Hessian is e_i^T grad^2 P20 e_j - 2 Y20 delta_ij."""
+    k = np.sqrt(5 / (16 * np.pi))
+    coeffs = np.zeros(9)
+    coeffs[spectral.sh_index(2, 0)] = 1.0
+    val, grad, hess = spectral.spectral_derivatives(sphere4, coeffs)
+    x = sphere4.vertices
+    y20 = k * (3 * x[:, 2] ** 2 - 1)
+    frames = np.stack(sphere4.frames, axis=1)          # (N, 2, 3)
+    want_grad = np.einsum("nia,na->ni", frames, k * x * [-2, -2, 4])
+    want_hess = (np.einsum("nia,a,nja->nij", frames, k * np.array([-2, -2, 4]),
+                           frames)
+                 - 2 * y20[:, None, None] * np.eye(2))
+    assert_allclose(val, y20, atol=1e-13)
+    assert_allclose(grad, want_grad, atol=1e-13)
+    assert_allclose(hess, want_hess, atol=1e-13)
 
 
 @pytest.mark.parametrize("level", [3, 4, 5])
 @pytest.mark.parametrize("band", [4, 8])
 def test_derivative_rows_match_13_point_stencil(level, band):
-    """Each harmonic's value, gradient and Hessian match the synthesis at
-    all 13N stencil points, so by linearity every field matches up to the
-    rounding of one product."""
+    """Every harmonic's exact gradient and Hessian against the 13-point
+    geodesic stencil at steps h and h/2: the gap shrinks 16x, so it is the
+    stencil's h^4 truncation and not an error of the ladders. At h = 1e-2
+    the l = 1 Hessian gap at h/2 (7e-12) sits under the stencil's rounding,
+    so the steps are 4e-2 and 2e-2, where every gap is 5e-11 or more."""
     mesh = build_sphere_mesh(level)
-    stencil = stencil_basis_reference(mesh, band)
-    got, want = [], []
+    h = 4e-2
+    stencils = [stencil_basis_reference(mesh, band, t) for t in (h, h / 2)]
     for coeffs in np.eye((band + 1) ** 2):
-        got.append(spectral.spectral_derivatives(mesh, coeffs))
-        want.append(spectral_derivatives_reference(stencil, coeffs))
-    for g, w in zip(zip(*got), zip(*want)):
-        g, w = np.array(g), np.array(w)
-        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+        val, grad, hess = spectral.spectral_derivatives(mesh, coeffs)
+        gaps = []
+        for stencil, t in zip(stencils, (h, h / 2)):
+            f0, g, H = spectral_derivatives_reference(stencil, coeffs, t)
+            assert_allclose(val, f0, rtol=0, atol=1e-14 * np.abs(f0).max())
+            gaps.append([np.abs(grad - g).max(), np.abs(hess - H).max()])
+        if coeffs[0]:                  # Y00: the ladders give exactly 0
+            assert not grad.any() and not hess.any()
+            continue
+        ratio = np.divide(*gaps)
+        assert np.all(np.abs(ratio / 16 - 1) <= 0.05), ratio
 
 
-def test_blocked_derivative_rows_match_unblocked(monkeypatch):
+@pytest.mark.parametrize("band", [4, 8])
+def test_ladders_commute_and_are_harmonic(band):
+    """D_a D_b = D_b D_a, sum_a D_a^2 = 0 (P is harmonic), only the
+    l -> l - 1 blocks are nonzero, and D_z takes Y_lm to
+    sqrt((2l + 1)(l^2 - m^2) / (2l - 1)) Y_{l-1,m}."""
+    d = spectral.ladders(band)
+    for a in range(3):
+        for b in range(3):
+            assert np.abs(d[a] @ d[b] - d[b] @ d[a]).max() <= 1e-12
+    assert np.abs(sum(x @ x for x in d)).max() <= 1e-12
+    ell = np.repeat(np.arange(band + 1), 2 * np.arange(band + 1) + 1)
+    assert not d[:, ell[:, None] != ell - 1].any()
+    dz = np.zeros_like(d[2])
+    for l in range(1, band + 1):
+        for m in range(1 - l, l):
+            dz[spectral.sh_index(l - 1, m), spectral.sh_index(l, m)] = \
+                np.sqrt((2 * l + 1) * (l * l - m * m) / (2 * l - 1))
+    assert np.abs(d[2] - dz).max() <= 1e-13
+    assert spectral.ladders(band) is d and not d.flags.writeable
+
+
+def test_spectral_derivatives_reject_bad_coefficients():
+    """A length that is not a nonzero square, or a band above the mesh
+    limit, is refused as by sh_synthesize and sh_analyze, and nothing is
+    cached."""
     mesh = build_sphere_mesh(3)
-    coeffs = spectral.sh_analyze(mesh, np.exp(mesh.vertices[:, 0]), 8)
-    spectral.spectral_derivatives(mesh, coeffs)
-    monkeypatch.setattr(spectral, "_BLOCK_VERTICES", mesh.n_vertices)
-    whole = spectral._derivative_rows(mesh, 8)
-    monkeypatch.setattr(spectral, "_BLOCK_VERTICES", 5)
-    np.testing.assert_array_equal(spectral._derivative_rows(mesh, 8), whole)
-    np.testing.assert_array_equal(mesh._cache[("sh_stencil", 8)], whole)
+    for n in (80, 0):
+        for call in (lambda c: spectral.spectral_derivatives(mesh, c),
+                     lambda c: spectral.sh_synthesize(c, mesh.vertices)):
+            with pytest.raises(ValueError, match=f"perfect square, got {n}"):
+                call(np.ones(n))
+    over = spectral.band_limit(mesh.n_vertices) + 2
+    with pytest.raises(ValueError, match=f"band {over} exceeds mesh limit"):
+        spectral.spectral_derivatives(mesh, np.ones((over + 1) ** 2))
+    assert not mesh._cache
 
 
-def test_derivative_cache_holds_only_the_folded_rows():
-    """Level 5, band 8: five derivative rows and the vertex basis (with its
-    Cholesky factor), and no 13N-row stencil basis."""
+def test_derivative_cache_holds_only_the_vertex_basis():
+    """Level 5, band 8: the vertex basis with its Cholesky factor, and no
+    per-vertex derivative rows."""
     mesh = build_sphere_mesh(5)
     n, k = mesh.n_vertices, 81
     coeffs = spectral.sh_analyze(mesh, mesh.vertices[:, 2] ** 3, 8)
     spectral.spectral_derivatives(mesh, coeffs)
-    assert set(mesh._cache) == {("sh_basis", 8), ("sh_stencil", 8)}
-    (basis, (factor, _)), rows = (mesh._cache[("sh_basis", 8)],
-                                  mesh._cache[("sh_stencil", 8)])
-    assert rows.shape == (5, n, k) and basis.shape == (n, k)
-    assert rows.size + basis.size + factor.size == 5 * n * k + n * k + k * k
+    assert set(mesh._cache) == {("sh_basis", 8)}
+    basis, (factor, _) = mesh._cache[("sh_basis", 8)]
+    assert basis.shape == (n, k) and factor.shape == (k, k)
+
+
+@pytest.mark.parametrize("widths", [[3, 5, 2], [4], [0, 2, 0], [0, 0]])
+def test_stack_rows_matches_pad_and_concatenate(widths):
+    gen = np.random.default_rng(len(widths))
+    parts = [gen.integers(-1, 50, size=(gen.integers(1, 6), w), dtype=np.int32)
+             for w in widths]
+    want = stack_rows_reference(parts)
+    got = spheremesh.stack_rows(list(parts))
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
 
 
 # --- norms and operators ----------------------------------------------------
@@ -261,7 +324,7 @@ def test_spectral_caches_do_not_keep_mesh_alive():
     mesh = build_sphere_mesh(2)
     coeffs = spectral.sh_analyze(mesh, mesh.vertices[:, 2], 4)
     spectral.spectral_derivatives(mesh, coeffs)
-    assert set(mesh._cache) == {("sh_basis", 4), ("sh_stencil", 4)}
+    assert set(mesh._cache) == {("sh_basis", 4)}
     ref = weakref.ref(mesh)
     del mesh
     gc.collect()

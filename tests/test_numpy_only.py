@@ -37,6 +37,7 @@ from wulffstab.cli import COMMANDS, main
 
 codes = [main([c, "--config", sys.argv[1], "--out", sys.argv[2]])
          for c in sorted(COMMANDS)]
+codes.append(main(["sweep", "--config", sys.argv[3], "--out", sys.argv[2]]))
 base = wulffstab.build_wulff(wulffstab.Integrand.quadratic_form(
     np.diag([1.0, 1.0, 4.0])), 2)
 u = 0.05 * base.normals[:, 2] ** 2
@@ -48,14 +49,17 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 
 def test_no_scipy_after_every_subcommand(tmp_path):
-    """Import wulffstab.cli, run all six subcommands at level 2 and the
-    Hausdorff search in one fresh process: a lazy import that only fires
-    at run time shows up in sys.modules too."""
+    """Import wulffstab.cli, run all six subcommands at level 2, a sweep on
+    the round sphere (the spectral derivatives) and the Hausdorff search in
+    one fresh process: a lazy import that only fires at run time shows up
+    in sys.modules too."""
     config = tmp_path / "guard.ini"
     config.write_text(CONFIG)
+    sphere = tmp_path / "sphere.ini"
+    sphere.write_text(CONFIG.replace("quadratic:1,1,4", "constant"))
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(SCRIPT), str(config),
-         str(tmp_path / "out")],
+         str(tmp_path / "out"), str(sphere)],
         env={"PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-4000:]
