@@ -57,12 +57,18 @@ _NORMAL_TOL = 1e-11
 _RCOND = 1e-10
 
 
-def _design_matrix(y):
+def _design_matrix(y, w):
+    """Weighted design matrices A (B, m, 10) of charts y (B, m, 2) with node
+    weights w (B, m): the transposed view of fit-major rows (B, 10, m),
+    written in place."""
     a, b = y[..., 0], y[..., 1]
     aa, bb = a * a, b * b
-    m = np.stack((np.ones_like(a), a, b, aa, a * b, bb,
-                  aa * a, aa * b, a * bb, bb * b), axis=-1)
-    return m * _FACTORS
+    rows = np.empty((len(y), len(_FACTORS), y.shape[1]))
+    for k, mono in enumerate((np.ones_like(a), a, b, aa, a * b, bb,
+                              aa * a, aa * b, a * bb, bb * b)):
+        np.multiply(mono, _FACTORS[k], out=rows[:, k])
+    rows *= w[:, None, :]
+    return rows.transpose(0, 2, 1)
 
 
 def _fit_rows(y):
@@ -84,7 +90,7 @@ def _fit_rows(y):
     rbar = r[:, 1:].mean(axis=1, keepdims=True)
     rbar[rbar == 0] = 1.0    # a ring collapsed onto its vertex: rank 1
     w = np.exp(-((r / rbar) ** 2))
-    A = _design_matrix(y / rbar[..., None]) * w[..., None]
+    A = _design_matrix(y / rbar[..., None], w)
     At = A.transpose(0, 2, 1)
     try:
         X = np.linalg.solve(At @ A, At)
@@ -99,7 +105,8 @@ def _fit_rows(y):
         s = np.linalg.svd(A[redo], compute_uv=False)
         ok[redo] = s[:, -1] > _RCOND * s[:, 0]
     # rbar^deg of the gradient and Hessian monomials
-    scale = _design_matrix(np.repeat(rbar, 2, axis=1))[:, 1:6] / _FACTORS[1:6]
+    r2 = rbar * rbar
+    scale = np.concatenate((rbar, rbar, r2, r2, r2), axis=1)
     rows = X[:, 1:6] / scale[..., None] * w[:, None, :]
     return rows, ok
 

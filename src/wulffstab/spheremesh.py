@@ -255,6 +255,18 @@ class WulffMesh:
         return self.cached("adjacency",
                            lambda m: vertex_adjacency(m.n_vertices, m.faces))
 
+    def faces_near(self, nodes, k):
+        """Faces with a corner within graph distance k of each of nodes: an
+        (R, K) int32 table, ascending along each row and padded with -1.
+        The vertex-to-face table (`vertex_faces`) is cached."""
+        ring = np.asarray(nodes, dtype=np.int32)[:, None]
+        for _ in range(k):
+            ring = expand_rows(self.adjacency, ring)
+        faces = self.cached("vertex_faces", lambda m: vertex_faces(
+            m.n_vertices, m.faces))[ring]
+        faces[ring < 0] = -1
+        return unique_rows(faces.reshape(len(ring), -1))
+
     @property
     def n_vertices(self):
         return len(self.vertices)

@@ -98,17 +98,27 @@ class SpectralGraphSurface:
 
 
 class MeshGraphSurface:
-    """Surface given by node positions over a base mesh; rays recover radii."""
+    """Surface given by node positions over a base mesh.
 
-    def __init__(self, base, positions):
+    radius is the graph's own radius over the base, if known: it is the
+    field at translation 0, where a ray from x_i along nu_i meets
+    x_i + u_i nu_i at t = u_i exactly. Other translations are read by ray
+    casting (`recover_radius_mesh`).
+    """
+
+    def __init__(self, base, positions, radius=None):
         self.base = base
         self.positions = positions
+        self.radius = radius
 
     @classmethod
     def from_geometry(cls, geom):
-        return cls(geom.base, geom.positions)
+        radius = geom.radius if geom.kind == "radial" else None
+        return cls(geom.base, geom.positions, radius)
 
     def radius_field(self, c):
+        if self.radius is not None and not np.any(c):
+            return self.radius
         radius, ok = recover_radius_mesh(self.base, self.positions, c)
         if not ok:
             raise RuntimeError(

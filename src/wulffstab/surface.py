@@ -19,8 +19,7 @@ from . import spectral
 from .minimize import nelder_mead
 from .nearest import SiteGrid
 from .operators import get_operators
-from .spheremesh import (expand_rows, frame_restriction, sphere_newton,
-                         stack_rows, unique_rows, vertex_faces)
+from .spheremesh import frame_restriction, sphere_newton
 
 
 class SurfaceGeometry:
@@ -324,36 +323,10 @@ def recover_radius_spectral(mesh, coeffs, kind, translation):
     return radius, bool(ok)
 
 
-def _faces_near_nodes(mesh, k=4):
-    """Faces with a vertex within graph distance k of each vertex (cached).
-
-    Returns an (N, K) int32 array of face indices, ascending along each row
-    and padded with -1 after the last face.
-    """
-    return mesh.cached(("near_faces", k), lambda m: _near_faces(m, k))
-
-
-# vertices whose near faces are gathered per batch
-_NEAR_BLOCK = 4096
-
-
-def _near_faces(mesh, k):
-    adj = mesh.adjacency
-    incident = vertex_faces(mesh.n_vertices, mesh.faces)
-    parts = []
-    for lo in range(0, mesh.n_vertices, _NEAR_BLOCK):
-        reach = np.arange(lo, min(lo + _NEAR_BLOCK, mesh.n_vertices),
-                          dtype=adj.dtype)[:, None]
-        for _ in range(k):
-            reach = expand_rows(adj, reach)
-        faces = incident[reach]
-        faces[reach < 0] = -1
-        parts.append(unique_rows(faces.reshape(len(reach), -1)))
-    return stack_rows(parts)
-
-
 # candidate (ray, face) pairs tested per batch
 _RAY_BLOCK = 1 << 15
+# rings grown around a walk's end before a ray is cast against every face
+_RINGS = 4
 
 
 def _cast_rays(origins, dirs, cand, p0, e1, e2):
@@ -397,27 +370,31 @@ def _cast_rays(origins, dirs, cand, p0, e1, e2):
     return out
 
 
-def _prune_candidates(origins, frames, cand, centres, reach2):
-    """Candidate faces whose bounding sphere each ray line passes through.
+def _line_dist2(px, py, pz, origins, frames):
+    """Squared distances of points (R, K), by component, from the lines
+    through origins (R, 3) normal to frames (e1, e2): (w.e1)^2 + (w.e2)^2,
+    free of the cancellation in |w|^2 - (w.d)^2."""
+    ox, oy, oz = origins.T[:, :, None]
+    wx, wy, wz = px - ox, py - oy, pz - oz
+    dist2 = 0.0
+    for e in frames:
+        ex, ey, ez = e.T[:, :, None]
+        dist2 = dist2 + (wx * ex + wy * ey + wz * ez) ** 2
+    return dist2
 
-    centres is (3, T) face centroids and reach2 (T,) squared bounding
-    radii. frames (e1, e2) span the plane normal to each ray, so the
-    squared distance of the line from a centroid offset w is
-    (w.e1)^2 + (w.e2)^2, free of the cancellation in |w|^2 - (w.d)^2.
-    Returns the survivors of each row in their original order as an
-    (R, K') table padded with -1.
-    """
+
+def _prune_candidates(origins, frames, cand, centres, reach2):
+    """The candidate faces, in order, whose bounding sphere (centres (3, T),
+    squared radii reach2 (T,)) each ray line passes through, as an (R, K')
+    table padded with -1; frames (e1, e2) span the plane normal to each
+    ray."""
     cx, cy, cz = centres
     keep = np.empty(cand.shape, dtype=bool)
     step = max(1, _RAY_BLOCK // cand.shape[1])
     for lo in range(0, len(cand), step):
         c = cand[lo:lo + step].astype(np.intp)  # native-width gathers
-        ox, oy, oz = origins[lo:lo + step].T[:, :, None]
-        wx, wy, wz = cx[c] - ox, cy[c] - oy, cz[c] - oz
-        dist2 = 0.0
-        for e in frames:
-            ex, ey, ez = e[lo:lo + step].T[:, :, None]
-            dist2 = dist2 + (wx * ex + wy * ey + wz * ez) ** 2
+        dist2 = _line_dist2(cx[c], cy[c], cz[c], origins[lo:lo + step],
+                            [e[lo:lo + step] for e in frames])
         keep[lo:lo + step] = (c >= 0) & (dist2 <= reach2[c])
     counts = keep.sum(axis=1)
     out = np.full((len(cand), max(1, counts.max())), -1, dtype=cand.dtype)
@@ -425,39 +402,62 @@ def _prune_candidates(origins, frames, cand, centres, reach2):
     return out
 
 
+def _walk_to_lines(base, verts):
+    """End node per ray i (from base.vertices[i] along base.normals[i]) of
+    a greedy walk from node i of verts that moves to the neighbour nearest
+    the ray line while that one is strictly nearer."""
+    px, py, pz = np.ascontiguousarray(verts.T)
+    node, rays = np.arange(base.n_vertices), np.arange(base.n_vertices)
+    while rays.size:
+        # the node itself comes first, so argmin stays on ties
+        near = np.column_stack((node[rays], base.adjacency[node[rays]]))
+        d = _line_dist2(px[near], py[near], pz[near], base.vertices[rays],
+                        [e[rays] for e in base.frames])
+        j = np.where(near < 0, np.inf, d).argmin(axis=1)
+        moved = j > 0    # only rays that moved take another step
+        rays = rays[moved]
+        node[rays] = near[moved, j[moved]]
+    return node
+
+
 def recover_radius_mesh(base, positions, translation):
     """Radius over the base of a translated triangle mesh, by ray casting.
 
-    Rays start at the base nodes along the base normals (radially for the
-    sphere) and are intersected with the faces near the matching node of
-    the surface mesh; rays that miss all of those are cast against every
-    face. Before intersecting, a near face is dropped when the ray line
-    passes farther from its centroid than its largest centroid-to-corner
-    distance, inflated by a factor 1 + 1e-6 plus 1e-9 so that no face a
-    hit within the barycentric slack of `_cast_rays` could lie on is
-    dropped; the radii are the same bit for bit as without the test.
+    Rays run from the base nodes along the base normals (radially for the
+    sphere). Each is cast against the faces with a corner within graph
+    distance k = 1 of the surface node its walk towards its line ends at
+    (`_walk_to_lines`), then, if it missed, k = 2, ..., _RINGS, and against
+    every face after that. A face is dropped when the ray line passes
+    farther from its centroid than its largest centroid-to-corner distance
+    times 1 + 1e-6, plus 1e-9, so no face a hit within the barycentric
+    slack of `_cast_rays` could lie on is dropped; rows stay ascending, so
+    ties go to the lowest face index.
     """
     c = np.asarray(translation, dtype=float)
     verts = positions - c
     tri = verts[base.faces]
-    p0 = np.ascontiguousarray(tri[:, 0].T)
-    e1 = np.ascontiguousarray((tri[:, 1] - tri[:, 0]).T)
-    e2 = np.ascontiguousarray((tri[:, 2] - tri[:, 0]).T)
+    p0, e1, e2 = (np.ascontiguousarray(a.T) for a in
+                  (tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]))
     centres = tri.mean(axis=1)
     reach = np.sqrt(((tri - centres[:, None]) ** 2).sum(axis=2).max(axis=1))
     reach2 = (reach * (1 + 1e-6) + 1e-9) ** 2
+    centres = np.ascontiguousarray(centres.T)
     origins, dirs = base.vertices, base.normals
-    near = _prune_candidates(origins, base.frames, _faces_near_nodes(base),
-                             np.ascontiguousarray(centres.T), reach2)
-    radius = _cast_rays(origins, dirs, near, p0, e1, e2)
-    missing = np.flatnonzero(np.isnan(radius))
-    if missing.size:
+    ends = _walk_to_lines(base, verts)
+    radius = np.full(base.n_vertices, np.nan)
+    todo, k = np.arange(base.n_vertices), 1
+    while todo.size and k <= _RINGS:
+        near = _prune_candidates(origins[todo], [e[todo] for e in base.frames],
+                                 base.faces_near(ends[todo], k), centres,
+                                 reach2)
+        radius[todo] = _cast_rays(origins[todo], dirs[todo], near, p0, e1, e2)
+        todo, k = todo[np.isnan(radius[todo])], k + 1
+    if todo.size:
         every = np.broadcast_to(np.arange(len(base.faces)),
-                                (missing.size, len(base.faces)))
-        radius[missing] = _cast_rays(origins[missing], dirs[missing], every,
-                                     p0, e1, e2)
-    ok = not np.isnan(radius).any()
-    return radius, ok
+                                (todo.size, len(base.faces)))
+        radius[todo] = _cast_rays(origins[todo], dirs[todo], every,
+                                  p0, e1, e2)
+    return radius, not np.isnan(radius).any()
 
 
 # --- distances ------------------------------------------------------------

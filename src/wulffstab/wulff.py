@@ -42,10 +42,9 @@ def integrand_hash(integrand):
 def write_mesh_text(path, vertices, normals, faces, header):
     """Plain-text mesh format: header, `v x y z nx ny nz`, `f i j k`."""
     lines = [f"# {header}"]
-    for v, n in zip(vertices, normals):
-        lines.append("v " + " ".join(f"{c:.17g}" for c in (*v, *n)))
-    for f in faces:
-        lines.append(f"f {f[0]} {f[1]} {f[2]}")
+    lines += ["v" + " %.17g" * 6 % tuple(row)
+              for row in np.hstack((vertices, normals)).tolist()]
+    lines += ["f %d %d %d" % tuple(f) for f in np.asarray(faces).tolist()]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -11,9 +11,8 @@ from scipy import sparse
 
 from wulffstab import build_sphere_mesh, build_wulff, spectral
 from wulffstab.operators import get_operators
-from wulffstab.spheremesh import vertex_adjacency
-from wulffstab.surface import (_faces_near_nodes, recover_radius_mesh,
-                               symmetric_point_distance)
+from wulffstab.spheremesh import WulffMesh, vertex_adjacency
+from wulffstab.surface import recover_radius_mesh, symmetric_point_distance
 
 
 def vertex_adjacency_reference(n_vertices, faces):
@@ -66,6 +65,8 @@ def stencils_reference(mesh):
 
 
 def faces_near_reference(mesh, k):
+    """Faces with a corner within graph distance k of each vertex, by
+    breadth-first search: one ascending list per vertex."""
     nbrs = vertex_adjacency_reference(mesh.n_vertices, mesh.faces)
     vert_faces = [[] for _ in range(mesh.n_vertices)]
     for fi, f in enumerate(mesh.faces):
@@ -335,13 +336,18 @@ def test_stencils_reproduce_cubics_on_stretched_rings(monkeypatch):
 @pytest.mark.parametrize("k", [1, 4])
 def test_near_faces_match_k_ring_search(k):
     mesh = build_sphere_mesh(3)
-    near = _faces_near_nodes(mesh, k)
+    near = mesh.faces_near(np.arange(mesh.n_vertices), k)
     want = faces_near_reference(mesh, k)
     assert near.dtype == np.int32
     assert near.shape == (mesh.n_vertices, max(len(w) for w in want))
     for row, w in zip(near, want):
         np.testing.assert_array_equal(row[:len(w)], w)
         assert (row[len(w):] == -1).all()
+    # any subset of nodes, in any order, gets the same rows
+    nodes = np.random.default_rng(k).permutation(mesh.n_vertices)[:50]
+    part = mesh.faces_near(nodes, k)
+    np.testing.assert_array_equal(part, near[nodes][:, :part.shape[1]])
+    assert (near[nodes][:, part.shape[1]:] == -1).all()
 
 
 @pytest.fixture(scope="module")
@@ -351,10 +357,12 @@ def translated_wulff4(wulff4):
     return wulff4.vertices + u[:, None] * wulff4.normals
 
 
-def test_batched_rays_match_per_ray_loop(wulff4, translated_wulff4):
+def test_batched_rays_match_per_ray_loop(wulff4, translated_wulff4,
+                                        monkeypatch):
+    """A small _RAY_BLOCK splits every cast and prune into many batches."""
     import wulffstab.surface as surface
-    rays_per_batch = surface._RAY_BLOCK // _faces_near_nodes(wulff4).shape[1]
-    assert wulff4.n_vertices == 2562 > rays_per_batch
+    monkeypatch.setattr(surface, "_RAY_BLOCK", 1 << 12)
+    assert wulff4.n_vertices > 10 * (surface._RAY_BLOCK // 24)
     c = np.array([0.03, -0.02, 0.04])
     radius, ok = recover_radius_mesh(wulff4, translated_wulff4, c)
     want = radius_reference(wulff4, translated_wulff4, c)
@@ -362,42 +370,71 @@ def test_batched_rays_match_per_ray_loop(wulff4, translated_wulff4):
     assert np.abs(radius - want).max() <= 1e-15
 
 
+def spy_cast_rays(monkeypatch):
+    """Record the candidate table of every _cast_rays call."""
+    import wulffstab.surface as surface
+    calls = []
+    cast_rays = surface._cast_rays
+
+    def spy(origins, dirs, cand, *faces):
+        calls.append(cand)
+        return cast_rays(origins, dirs, cand, *faces)
+
+    monkeypatch.setattr(surface, "_cast_rays", spy)
+    return calls
+
+
 def test_missed_rays_fall_back_to_all_faces(wulff4, translated_wulff4,
                                             monkeypatch):
+    """Rays whose walk ends at a node with no faces near it in any ring are
+    cast against every face, once, and read the same radius."""
     import wulffstab.surface as surface
     c = np.array([0.03, -0.02, 0.04])
     want, _ = recover_radius_mesh(wulff4, translated_wulff4, c)
-    near = _faces_near_nodes(wulff4).copy()
-    near[:5] = -1        # the first five rays have no candidate faces
-    calls, dtypes = [], []
+    ends = surface._walk_to_lines(wulff4, translated_wulff4 - c)
+    blocked = ends[:5]
+    lost = np.flatnonzero(np.isin(ends, blocked))
+    faces_near = WulffMesh.faces_near
 
-    def spy(origins, dirs, cand, *faces):
-        calls.append(cand.shape)
-        dtypes.append(cand.dtype)
-        return cast_rays(origins, dirs, cand, *faces)
+    def no_faces(mesh, nodes, k):
+        near = faces_near(mesh, nodes, k)
+        near[np.isin(nodes, blocked)] = -1
+        return near
 
-    cast_rays = surface._cast_rays
-    monkeypatch.setattr(surface, "_faces_near_nodes", lambda mesh: near)
-    monkeypatch.setattr(surface, "_cast_rays", spy)
+    monkeypatch.setattr(WulffMesh, "faces_near", no_faces)
+    calls = spy_cast_rays(monkeypatch)
     radius, ok = recover_radius_mesh(wulff4, translated_wulff4, c)
-    # the first cast gets the bounding-sphere survivors of the near table
-    assert len(calls) == 2
-    assert calls[0][0] == len(near) and calls[0][1] <= near.shape[1]
-    assert calls[1] == (5, len(wulff4.faces))
-    assert dtypes[0] == near.dtype == np.int32
     assert ok
     np.testing.assert_array_equal(radius, want)
+    # one cast per ring (the first for every ray), then one of every face
+    assert len(calls) == surface._RINGS + 1
+    assert calls[0].shape[0] == wulff4.n_vertices
+    assert calls[0].dtype == np.int32
+    for cand in calls[1:-1]:
+        assert cand.shape[0] == len(lost) and (cand == -1).all()
+    every = calls[-1]
+    assert every.shape == (len(lost), len(wulff4.faces))
+    assert (every == np.arange(len(wulff4.faces))).all()
 
 
-def unpruned_radius(base, positions, translation):
-    """recover_radius_mesh without the bounding-sphere test: every near
-    face is cast against, then every face for the rays that missed."""
+def padded(rows):
+    """Lists of face indices as an int32 table padded with -1."""
+    out = np.full((len(rows), max(map(len, rows))), -1, dtype=np.int32)
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = r
+    return out
+
+
+def unpruned_radius(base, positions, translation, near):
+    """The 4-ring search: every face of the 4-ring of each ray's own node
+    (near, padded) is cast against, then every face for the rays that
+    missed; no walk and no bounding-sphere test."""
     from wulffstab.surface import _cast_rays
     tri = (positions - translation)[base.faces]
     faces = [np.ascontiguousarray(a.T)
              for a in (tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])]
     o, d = base.vertices, base.normals
-    radius = _cast_rays(o, d, _faces_near_nodes(base), *faces)
+    radius = _cast_rays(o, d, near, *faces)
     miss = np.flatnonzero(np.isnan(radius))
     every = np.broadcast_to(np.arange(len(base.faces)),
                             (miss.size, len(base.faces)))
@@ -410,9 +447,38 @@ def sphere3():
     return build_sphere_mesh(3)
 
 
+@pytest.fixture(scope="module")
+def wulff5(ellipsoid_integrand):
+    return build_wulff(ellipsoid_integrand, 5)
+
+
+@pytest.fixture(scope="module")
+def four_rings():
+    """The reference 4-ring face table of a mesh, built once per mesh."""
+    tables = {}
+
+    def get(mesh):
+        if id(mesh) not in tables:
+            tables[id(mesh)] = padded(faces_near_reference(mesh, 4))
+        return tables[id(mesh)]
+
+    return get
+
+
+def random_graph(base, seed, u_max, c_lo, c_hi):
+    """Band-limited u with max |u| = u_max and a translation of norm in
+    [c_lo, c_hi) drawn from the seed: (positions, c)."""
+    rng = np.random.default_rng(seed)
+    u = spectral.sh_synthesize(rng.uniform(-1, 1, 16), base.normals)
+    u *= u_max / np.abs(u).max()
+    direction = rng.standard_normal(3)
+    c = direction * (rng.uniform(c_lo, c_hi) / np.linalg.norm(direction))
+    return base.vertices + u[:, None] * base.normals, c
+
+
 @pytest.mark.parametrize("seed", [None, *range(16)])
 @pytest.mark.parametrize("which", ["sphere", "wulff"])
-def test_pruned_rays_match_unpruned(which, seed, sphere3, wulff3):
+def test_pruned_rays_match_unpruned(which, seed, sphere3, wulff3, four_rings):
     """Band-limited |u| <= 0.1 and |c| <= 0.1. Even seeds and the seed-less
     case (u = 0) keep c = 0, where every ray passes through its own node, a
     corner of several faces (a tie in |t|)."""
@@ -428,8 +494,40 @@ def test_pruned_rays_match_unpruned(which, seed, sphere3, wulff3):
             c = direction * (rng.uniform(0, 0.1) / np.linalg.norm(direction))
     positions = base.vertices + u[:, None] * base.normals
     radius, _ = recover_radius_mesh(base, positions, c)
-    np.testing.assert_array_equal(radius,
-                                  unpruned_radius(base, positions, c))
+    np.testing.assert_array_equal(
+        radius, unpruned_radius(base, positions, c, four_rings(base)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("which", ["sphere", "wulff"])
+def test_far_translations_match_unpruned(which, seed, sphere3, wulff3,
+                                         four_rings):
+    """|c| in [0.1, 0.15], |u| = 0.1: the hits move a ring or more away
+    from the rays' own nodes."""
+    base = sphere3 if which == "sphere" else wulff3
+    positions, c = random_graph(base, seed, 0.1, 0.1, 0.15)
+    radius, ok = recover_radius_mesh(base, positions, c)
+    assert ok
+    np.testing.assert_array_equal(
+        radius, unpruned_radius(base, positions, c, four_rings(base)))
+
+
+def test_level5_walk_needs_no_all_faces_cast(wulff5, four_rings,
+                                             monkeypatch):
+    """On the level-5 Wulff mesh at |c| = 0.15 the one-ring misses hundreds
+    of rays and the two-ring some; grown rings catch them all, and the
+    radii match the 4-ring search with its all-faces fallback."""
+    from wulffstab.surface import _RINGS
+    positions, c = random_graph(wulff5, 0, 0.1, 0.15, 0.15)
+    calls = spy_cast_rays(monkeypatch)
+    radius, ok = recover_radius_mesh(wulff5, positions, c)
+    assert ok
+    assert calls[0].shape[0] == wulff5.n_vertices
+    assert len(calls[1]) > 100 and len(calls[2]) > 0
+    assert 2 < len(calls) <= _RINGS
+    assert max(cand.shape[1] for cand in calls) < 30
+    np.testing.assert_array_equal(
+        radius, unpruned_radius(wulff5, positions, c, four_rings(wulff5)))
 
 
 def test_cast_rays_padding_and_ties():

@@ -9,7 +9,7 @@ from wulffstab.stability import (MeshGraphSurface, ScalingFit,
                                  kernel_component, kernel_frame,
                                  perturbation_field, stability_operator,
                                  stability_ratio, _distance_norm)
-from wulffstab.surface import exp_graph, radial_graph
+from wulffstab.surface import exp_graph, radial_graph, recover_radius_mesh
 
 rng = np.random.default_rng(23)
 
@@ -110,6 +110,30 @@ def test_center_returns_radius_at_final_translation(sphere4, wulff4, shift):
         res = center(surf)
         assert (res.iterations == 1) == (shift == 0.0)
         np.testing.assert_array_equal(res.radius, surf.radius_field(res.c))
+
+
+def test_mesh_graph_radius_at_zero_is_the_graph_radius(sphere4, wulff4):
+    """At c = 0 a ray from x_i along nu_i meets x_i + u_i nu_i at t = u_i:
+    the field is u itself, and the cast reads it up to rounding."""
+    u = (0.05 * perturbation_field(wulff4, ("harmonic", 2, 0))
+         + 0.03 * (wulff4.normals @ np.array([0.6, -0.48, 0.64])))
+    geom = radial_graph(wulff4, u)
+    surf = MeshGraphSurface.from_geometry(geom)
+    for c in (0, np.zeros(3), [0.0, -0.0, 0.0]):
+        np.testing.assert_array_equal(surf.radius_field(c), u)
+    cast, ok = recover_radius_mesh(wulff4, geom.positions, np.zeros(3))
+    assert ok
+    assert np.abs(cast - u).max() <= 1e-15
+    # any other translation is cast
+    c = np.array([1e-3, 0.0, 0.0])
+    np.testing.assert_array_equal(
+        surf.radius_field(c), recover_radius_mesh(wulff4, geom.positions, c)[0])
+    # a surface with no radius, or an exponential one, is cast at c = 0 too
+    for other in (MeshGraphSurface(wulff4, geom.positions),
+                  MeshGraphSurface.from_geometry(exp_graph(sphere4, 0.1 * u))):
+        np.testing.assert_array_equal(
+            other.radius_field(0),
+            recover_radius_mesh(other.base, other.positions, 0)[0])
 
 
 def test_center_translated_sphere(sphere5):
