@@ -316,13 +316,18 @@ class AnisotropyMatrix:
         self.min_eigenvalue = min_eigenvalue
 
 
+# points whose seed ratios against the dense sample are formed at once:
+# 10.5 MB per block for the level-4 sample
+_GAUGE_BLOCK = 512
+
+
 def gauge(integrand, x):
     """Gauge function F* and its gradient at ambient points.
 
     F*(x) = sup over unit nu of <x, nu>/F(nu), located by a coarse
-    icosphere sample followed by ten damped Newton ascent steps on the
-    sphere. The envelope rule gives grad F*(x) = nu*/F(nu*) at the
-    maximizer.
+    icosphere sample, searched _GAUGE_BLOCK points at a time, followed by
+    ten damped Newton ascent steps on the sphere. The envelope rule gives
+    grad F*(x) = nu*/F(nu*) at the maximizer.
     """
     pts, single = _as_points(x)
     norms = np.linalg.norm(pts, axis=1)
@@ -331,8 +336,15 @@ def gauge(integrand, x):
 
     sample = _dense_sample()
     fs = integrand.value(sample)
-    ratios = pts @ sample.T / fs[None, :]
-    seed = sample[np.argmax(ratios, axis=1)]
+    seed = np.empty_like(pts)
+    lo = 0
+    # a lone last point joins the block before it: numpy takes a one-row
+    # product through gemv, which can round unlike the gemm of the rows
+    for hi in (*range(_GAUGE_BLOCK, len(pts) - 1, _GAUGE_BLOCK), len(pts)):
+        ratios = pts[lo:hi] @ sample.T
+        ratios /= fs
+        seed[lo:hi] = sample[np.argmax(ratios, axis=1)]
+        lo = hi
 
     def ascent(nu, e1, e2):
         F = integrand.value(nu)

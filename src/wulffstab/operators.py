@@ -47,9 +47,12 @@ class TensorField:
 # 1, a, b, a^2, ab, b^2, a^3, a^2 b, a b^2, b^3; coefficients of the
 # quadratic block are the Hessian entries thanks to the 1/2 factors
 _FACTORS = np.array([1.0, 1, 1, 0.5, 1, 0.5, 1 / 6, 0.5, 0.5, 1 / 6])
-# stencils fitted per batch; each fit is solved on its own, so the block
-# size bounds the temporaries without changing an entry
+# vertices per block of the two-ring build and of `_apply`'s gathers
 _BLOCK_VERTICES = 8192
+# stencils fitted per batch: a fit holds about 7 KB per vertex (charts,
+# design matrix, normal equations, rows), so a block stays near 1 MB; each
+# fit is solved on its own, so the block size changes no entry
+_FIT_BLOCK = 128
 # largest entry of |X A - I| accepted from the normal equations; their error
 # grows with cond(A)^2, so fits beyond it are refitted by SVD
 _NORMAL_TOL = 1e-11
@@ -129,13 +132,14 @@ class DerivativeOperators:
     Built from any mesh exposing vertices, frames and a padded neighbour
     table (`spheremesh.vertex_adjacency`). Each vertex gets a weighted
     cubic fit over itself and its two-ring; vertices with equally large
-    rings are fitted together, in blocks of at most _BLOCK_VERTICES, by
-    batched normal equations or SVD (`_fit_rows`). A two-ring too small or
-    too degenerate for a cubic fit raises ValueError.
+    rings are fitted together, in blocks of at most _FIT_BLOCK, by batched
+    normal equations or SVD (`_fit_rows`), so the build's temporaries do
+    not grow with the mesh. A two-ring too small or too degenerate for a
+    cubic fit raises ValueError.
 
     Attributes
     ----------
-    nodes : (K, N) int table; column i holds the stencil nodes of vertex i
+    nodes : (K, N) int32 table; column i holds the stencil nodes of vertex i
         in ascending order, K the largest stencil. A vertex with fewer
         nodes repeats its own index, with weight 0.
     weights : (5, K, N) the weights of the channels g1, g2, h11, h12, h22
@@ -161,13 +165,14 @@ class DerivativeOperators:
             i = int(np.argmin(sizes))
             raise ValueError(f"two-ring of vertex {i} has {sizes[i]} nodes; "
                              f"the cubic fit needs {len(_FACTORS)}")
-        self.nodes = np.broadcast_to(np.arange(n), (sizes.max(), n)).copy()
+        self.nodes = np.broadcast_to(np.arange(n, dtype=np.int32),
+                                     (sizes.max(), n)).copy()
         self.weights = np.zeros((5,) + self.nodes.shape)
         bad = []
         for size in np.unique(sizes):
             group = np.flatnonzero(sizes == size)
-            for lo in range(0, len(group), _BLOCK_VERTICES):
-                verts = group[lo:lo + _BLOCK_VERTICES]
+            for lo in range(0, len(group), _FIT_BLOCK):
+                verts = group[lo:lo + _FIT_BLOCK]
                 idx = np.empty((len(verts), size), dtype=np.intp)
                 idx[:, 0] = verts
                 idx[:, 1:] = ring[verts, :size - 1]

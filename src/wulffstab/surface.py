@@ -325,6 +325,8 @@ def recover_radius_spectral(mesh, coeffs, kind, translation):
 
 # candidate (ray, face) pairs tested per batch
 _RAY_BLOCK = 1 << 15
+# rays walked and cast per block of `recover_radius_mesh`
+_RAY_ROWS = 1 << 14
 # rings grown around a walk's end before a ray is cast against every face
 _RINGS = 4
 
@@ -402,21 +404,22 @@ def _prune_candidates(origins, frames, cand, centres, reach2):
     return out
 
 
-def _walk_to_lines(base, verts):
-    """End node per ray i (from base.vertices[i] along base.normals[i]) of
-    a greedy walk from node i of verts that moves to the neighbour nearest
-    the ray line while that one is strictly nearer."""
+def _walk_to_lines(base, verts, rays):
+    """End node per ray i of rays (from base.vertices[i] along
+    base.normals[i]) of a greedy walk from node i of verts that moves to
+    the neighbour nearest the ray line while that one is strictly nearer."""
     px, py, pz = np.ascontiguousarray(verts.T)
-    node, rays = np.arange(base.n_vertices), np.arange(base.n_vertices)
-    while rays.size:
+    node, moving = rays.copy(), np.arange(len(rays))
+    while moving.size:
         # the node itself comes first, so argmin stays on ties
-        near = np.column_stack((node[rays], base.adjacency[node[rays]]))
-        d = _line_dist2(px[near], py[near], pz[near], base.vertices[rays],
-                        [e[rays] for e in base.frames])
+        near = np.column_stack((node[moving], base.adjacency[node[moving]]))
+        r = rays[moving]
+        d = _line_dist2(px[near], py[near], pz[near], base.vertices[r],
+                        [e[r] for e in base.frames])
         j = np.where(near < 0, np.inf, d).argmin(axis=1)
         moved = j > 0    # only rays that moved take another step
-        rays = rays[moved]
-        node[rays] = near[moved, j[moved]]
+        moving = moving[moved]
+        node[moving] = near[moved, j[moved]]
     return node
 
 
@@ -431,7 +434,9 @@ def recover_radius_mesh(base, positions, translation):
     farther from its centroid than its largest centroid-to-corner distance
     times 1 + 1e-6, plus 1e-9, so no face a hit within the barycentric
     slack of `_cast_rays` could lie on is dropped; rows stay ascending, so
-    ties go to the lowest face index.
+    ties go to the lowest face index. Rays are walked and cast _RAY_ROWS at
+    a time, each on its own, so the per-ray temporaries stay bounded and
+    the radii do not depend on the block.
     """
     c = np.asarray(translation, dtype=float)
     verts = positions - c
@@ -443,15 +448,19 @@ def recover_radius_mesh(base, positions, translation):
     reach2 = (reach * (1 + 1e-6) + 1e-9) ** 2
     centres = np.ascontiguousarray(centres.T)
     origins, dirs = base.vertices, base.normals
-    ends = _walk_to_lines(base, verts)
     radius = np.full(base.n_vertices, np.nan)
-    todo, k = np.arange(base.n_vertices), 1
-    while todo.size and k <= _RINGS:
-        near = _prune_candidates(origins[todo], [e[todo] for e in base.frames],
-                                 base.faces_near(ends[todo], k), centres,
-                                 reach2)
-        radius[todo] = _cast_rays(origins[todo], dirs[todo], near, p0, e1, e2)
-        todo, k = todo[np.isnan(radius[todo])], k + 1
+    for lo in range(0, base.n_vertices, _RAY_ROWS):
+        todo = np.arange(lo, min(lo + _RAY_ROWS, base.n_vertices))
+        ends, k = _walk_to_lines(base, verts, todo), 1
+        while todo.size and k <= _RINGS:
+            near = _prune_candidates(origins[todo],
+                                     [e[todo] for e in base.frames],
+                                     base.faces_near(ends, k), centres, reach2)
+            radius[todo] = _cast_rays(origins[todo], dirs[todo], near,
+                                      p0, e1, e2)
+            missed = np.isnan(radius[todo])
+            todo, ends, k = todo[missed], ends[missed], k + 1
+    todo = np.flatnonzero(np.isnan(radius))
     if todo.size:
         every = np.broadcast_to(np.arange(len(base.faces)),
                                 (todo.size, len(base.faces)))

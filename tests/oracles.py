@@ -8,9 +8,11 @@ from scipy.special import gammaln, lpmv
 from wulffstab.curvature import gauss_ricci
 from wulffstab.einstein import EigenSpectrum, ricci_spectrum
 from wulffstab.flatgraph import _D1, GridField
+from wulffstab.integrand import _as_points, _dense_sample
 from wulffstab import spectral
 from wulffstab.operators import get_operators
 from wulffstab.spectral import sh_index
+from wulffstab.spheremesh import frame_restriction, sphere_newton
 from wulffstab.surface import _finish_from_derivatives
 
 
@@ -155,6 +157,50 @@ def recover_radius_spectral_reference(mesh, coeffs, kind, translation):
     ok = np.abs(resid).max() < 1e-9
     radius = np.log(s) if kind == "exp" else s - 1.0
     return radius, bool(ok)
+
+
+def gauge_reference(integrand, x):
+    """`integrand.gauge` with the seed search over all points at once:
+    one dense (points, sample) ratio matrix."""
+    pts, single = _as_points(x)
+    norms = np.linalg.norm(pts, axis=1)
+    if np.any(norms == 0):
+        raise ValueError("gauge is undefined at the origin")
+
+    sample = _dense_sample()
+    fs = integrand.value(sample)
+    ratios = pts @ sample.T / fs[None, :]
+    seed = sample[np.argmax(ratios, axis=1)]
+
+    def ascent(nu, e1, e2):
+        F = integrand.value(nu)
+        DF = integrand.fbar_grad(nu) - F[:, None] * nu
+        u = np.einsum("ni,ni->n", pts, nu)
+        P = np.eye(3)[None] - nu[:, :, None] * nu[:, None, :]
+        Du = np.einsum("nij,nj->ni", P, pts)
+        E = np.stack((e1, e2), axis=2)  # (n, 3, 2)
+        Du2 = np.einsum("nik,ni->nk", E, Du)
+        DF2 = np.einsum("nik,ni->nk", E, DF)
+        D2F = frame_restriction(integrand.anisotropy_ambient(nu), e1, e2)
+        D2F -= F[:, None, None] * np.eye(2)[None]
+        # derivatives of g = u/F on the sphere; Hess of a linear restriction
+        # is -u * Id
+        Dg = (F[:, None] * Du2 - u[:, None] * DF2) / F[:, None] ** 2
+        D2g = (-u[:, None, None] * np.eye(2)[None] / F[:, None, None]
+               - (Du2[:, :, None] * DF2[:, None, :]
+                  + DF2[:, :, None] * Du2[:, None, :]) / F[:, None, None] ** 2
+               - u[:, None, None] * D2F / F[:, None, None] ** 2
+               + 2 * u[:, None, None] * DF2[:, :, None] * DF2[:, None, :]
+               / F[:, None, None] ** 3)
+        return D2g, -Dg
+
+    nu = sphere_newton(seed, ascent, 10, 0.5)
+    F = integrand.value(nu)
+    vals = np.einsum("ni,ni->n", pts, nu) / F
+    grads = nu / F[:, None]
+    if single:
+        return float(vals[0]), grads[0]
+    return vals, grads
 
 
 def finish_from_derivatives_reference(psi_d, h_chart):

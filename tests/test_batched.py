@@ -217,16 +217,43 @@ def test_stencil_rejects_small_rings():
 
 
 def test_blocked_stencils_match_unblocked(wulff3, monkeypatch):
+    """Fit blocks (_FIT_BLOCK) and two-ring blocks (_BLOCK_VERTICES) of 5
+    vertices: every stencil-size group spans more than two fit blocks."""
     import wulffstab.operators as operators
     want = operators.DerivativeOperators(wulff3)
     block = 5
     sizes = np.diff(stencil_matrices(want)[0].indptr)
     _, group_sizes = np.unique(sizes, return_counts=True)
     assert group_sizes.min() > 2 * block
+    monkeypatch.setattr(operators, "_FIT_BLOCK", block)
     monkeypatch.setattr(operators, "_BLOCK_VERTICES", block)
     got = operators.DerivativeOperators(wulff3)
+    assert got.nodes.dtype == np.int32
     np.testing.assert_array_equal(got.nodes, want.nodes)
     np.testing.assert_array_equal(got.weights, want.weights)
+
+
+def test_stencil_build_working_set_stays_bounded(wulff4, wulff5):
+    """The traced peak of a stencil build, less the nodes and weights it
+    keeps, grows from level 4 to level 5 only by the per-vertex tables the
+    build reads (the two-ring, 72 bytes a vertex, and the stencil sizes),
+    not by its fits: they run in fixed blocks. With one fit block per
+    stencil-size group it grew by about 4 KB a vertex."""
+    import tracemalloc
+    from wulffstab.operators import DerivativeOperators
+    transient = []
+    for mesh in (wulff4, wulff5):
+        mesh.adjacency    # cached on the mesh, not part of the build
+        tracemalloc.start()
+        try:
+            ops = DerivativeOperators(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        transient.append(peak - ops.nodes.nbytes - ops.weights.nbytes)
+    per_vertex = ((transient[1] - transient[0])
+                  / (wulff5.n_vertices - wulff4.n_vertices))
+    assert per_vertex < 128
 
 
 @pytest.mark.parametrize("scale", [1e-3, 0.05, 1.0])
@@ -359,15 +386,33 @@ def translated_wulff4(wulff4):
 
 def test_batched_rays_match_per_ray_loop(wulff4, translated_wulff4,
                                         monkeypatch):
-    """A small _RAY_BLOCK splits every cast and prune into many batches."""
+    """A small _RAY_BLOCK splits every cast and prune into many batches, and
+    a small _RAY_ROWS every walk and ring search into blocks of rays. On
+    the second surface (|c| = 0.15) some rays miss their one-ring and go on
+    to the two-ring. The radii equal those of one block bit for bit."""
     import wulffstab.surface as surface
+    cases = [(translated_wulff4, np.array([0.03, -0.02, 0.04])),
+             random_graph(wulff4, 4, 0.1, 0.15, 0.15)]
+    unblocked = [recover_radius_mesh(wulff4, *case)[0] for case in cases]
+    rings = []
+    faces_near = WulffMesh.faces_near
+
+    def spy(mesh, nodes, k):
+        rings.append(k)
+        return faces_near(mesh, nodes, k)
+
+    monkeypatch.setattr(WulffMesh, "faces_near", spy)
     monkeypatch.setattr(surface, "_RAY_BLOCK", 1 << 12)
+    monkeypatch.setattr(surface, "_RAY_ROWS", 100)
     assert wulff4.n_vertices > 10 * (surface._RAY_BLOCK // 24)
-    c = np.array([0.03, -0.02, 0.04])
-    radius, ok = recover_radius_mesh(wulff4, translated_wulff4, c)
-    want = radius_reference(wulff4, translated_wulff4, c)
-    assert ok and not np.isnan(want).any()
-    assert np.abs(radius - want).max() <= 1e-15
+    assert wulff4.n_vertices > 20 * surface._RAY_ROWS
+    for case, want in zip(cases, unblocked):
+        radius, ok = recover_radius_mesh(wulff4, *case)
+        reference = radius_reference(wulff4, *case)
+        assert ok and not np.isnan(reference).any()
+        np.testing.assert_array_equal(radius, want)
+        assert np.abs(radius - reference).max() <= 1e-15
+    assert 2 in rings
 
 
 def spy_cast_rays(monkeypatch):
@@ -391,7 +436,8 @@ def test_missed_rays_fall_back_to_all_faces(wulff4, translated_wulff4,
     import wulffstab.surface as surface
     c = np.array([0.03, -0.02, 0.04])
     want, _ = recover_radius_mesh(wulff4, translated_wulff4, c)
-    ends = surface._walk_to_lines(wulff4, translated_wulff4 - c)
+    ends = surface._walk_to_lines(wulff4, translated_wulff4 - c,
+                                  np.arange(wulff4.n_vertices))
     blocked = ends[:5]
     lost = np.flatnonzero(np.isin(ends, blocked))
     faces_near = WulffMesh.faces_near

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import gauge_reference
 from wulffstab import Integrand, gauge
-from wulffstab.integrand import HARMONIC_POLYNOMIALS, HomogeneousPolynomial
+from wulffstab.integrand import (_GAUGE_BLOCK, HARMONIC_POLYNOMIALS,
+                                 HomogeneousPolynomial)
 from wulffstab import spectral
 from wulffstab.spheremesh import tangent_frames
 
@@ -136,6 +138,21 @@ def test_gauge_closed_form_ellipsoid():
     assert_allclose(vals, exact, rtol=1e-10)
     gex = pts @ Minv / exact[:, None]
     assert_allclose(grads, gex, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1500, 1025])
+def test_blocked_gauge_matches_dense_seed_search(n):
+    """The seed search runs in blocks of _GAUGE_BLOCK points: 1,500 points
+    make three blocks, and at 1,025 the lone last point joins the second.
+    Values and gradients equal the one-block search bit for bit."""
+    assert n > 2 * _GAUGE_BLOCK
+    pts = np.random.default_rng(n).normal(size=(n, 3))
+    for I in (Integrand.quadratic_form(np.diag([1.0, 1.0, 4.0])),
+              Integrand.fourier_perturbed(1.0, 0.1, (3, 1))):
+        vals, grads = gauge(I, pts)
+        want_vals, want_grads = gauge_reference(I, pts)
+        np.testing.assert_array_equal(vals, want_vals)
+        np.testing.assert_array_equal(grads, want_grads)
 
 
 def test_robin_identity_at_wulff_vertices(wulff4, ellipsoid_integrand):
