@@ -24,7 +24,8 @@ from .integrand import Integrand, gauge
 from .spheremesh import build_sphere_mesh
 from .stability import (SpectralGraphSurface, center, perturbation_field,
                         scaling_sweep, stability_operator)
-from .surface import exp_graph, projection_certificate, radial_graph
+from .surface import (exp_graph, projection_certificate, radial_graph,
+                      reach_violation)
 from .wulff import build_wulff, write_mesh_text
 
 FLOAT_FMT = "%.17g"
@@ -178,6 +179,10 @@ def run_curvature(cfg, outdir, svg):
     if base.integrand is None:
         geom = exp_graph(base, eps * shape)
     else:
+        violation = reach_violation(base, eps * shape)
+        if violation:
+            raise ConfigError(f"curvature.epsilon = {eps:g} leaves the "
+                              f"tubular neighborhood: {violation}")
         geom = radial_graph(base, eps * shape)
     cert = projection_certificate(geom)
     s_field, hf = anisotropic_shape_operator(geom, cfg.integrand)
@@ -394,7 +399,11 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     os.makedirs(outdir, exist_ok=True)
-    header, rows, checks = COMMANDS[args.command](cfg, outdir, args.svg)
+    try:
+        header, rows, checks = COMMANDS[args.command](cfg, outdir, args.svg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     write_csv(os.path.join(outdir, args.command + ".csv"), header, rows)
     write_dat(os.path.join(outdir, args.command + ".dat"), header, rows)
     failed = [c for c in checks if not c[4]]

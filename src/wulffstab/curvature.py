@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from .minimize import bounded_brent
 from .operators import TensorField, lp_norm
 from .spheremesh import frame_restriction
 
@@ -52,28 +53,10 @@ class DeficitReport:
         self.c_osc = oscillation / deficit if deficit > 1e-14 else np.nan
 
 
-def _golden_min(fn, lo, hi, iters=80):
-    invphi = (np.sqrt(5.0) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return (a + b) / 2
-
-
 def oscillation_deficit(s_field, hf, weights, p):
     """Minimal oscillation min_lambda ||S_F - lambda Id||_{L^p} and deficit.
 
-    The map lambda -> norm is convex for p > 1, so a golden-section search
+    The map lambda -> norm is convex for p > 1, so a bounded Brent search
     over the eigenvalue range suffices.
     """
     if not 1 < p < np.inf:
@@ -85,12 +68,12 @@ def oscillation_deficit(s_field, hf, weights, p):
 
     eigs = np.linalg.eigvals(vals).real
     lo, hi = float(eigs.min()) - 1e-6, float(eigs.max()) + 1e-6
-    lam = _golden_min(osc, lo, hi)
+    lam, oscillation, _ = bounded_brent(osc, lo, hi, xatol=1e-12)
     dev, _ = trace_free(s_field)
     deficit = lp_norm(dev, p, weights)
     area = float(weights.sum())
     h_mean_over_n = float(np.sum(weights * hf) / area) / 2.0
-    return DeficitReport(p, deficit, float(lam), osc(lam), h_mean_over_n)
+    return DeficitReport(p, deficit, float(lam), oscillation, h_mean_over_n)
 
 
 # --- pointwise Gauss-equation algebra (any dimension) ----------------------

@@ -3,8 +3,8 @@
 Everything here operates on principal-curvature spectra: Ricci eigenvalues,
 the pinching inequality between trace-free norms, the quartic polynomials
 comparing Riemann and Ricci deviations from the constant-curvature model,
-their zero sets in closed form, Monte Carlo bounds on their ratio, and the
-Sobolev interpolation exponent.
+their zero sets in closed form, the bounds c1 (exact) and c2 (Monte Carlo)
+on their ratio, and the Sobolev interpolation exponent.
 """
 
 import numpy as np
@@ -148,7 +148,7 @@ def analytic_zeros(n, kappa):
 
 
 class RatioBound:
-    """Monte Carlo estimate of inf and sup of p/q off the common zeros."""
+    """c1 = inf p/q (exact) and a Monte Carlo estimate of c2 = sup p/q."""
 
     def __init__(self, n, kappa, c1, c2, samples, argmin, argmax):
         self.n = n
@@ -178,12 +178,16 @@ DIMENSION_MAX = 70
 
 
 def ratio_bounds(n, kappa, budget=10 ** 6, seed=0):
-    """Estimate c1 = inf p/q and c2 = sup p/q over three sampling regimes.
+    """c1 = inf p/q in closed form and c2 = sup p/q by Monte Carlo.
 
-    Regimes: uniform directions on the spectrum sphere (covers kappa = 0
-    and the |lambda| -> infinity limit), Gaussian bulk at the kappa scale,
-    and shrinking balls around the analytic zeros; extremizer candidates
-    are polished by local search. Deterministic for a fixed seed.
+    Lambda_i - (n - 1) kappa = sum_{j != i} (lambda_i lambda_j - kappa), so
+    Cauchy-Schwarz gives q <= (n - 1) p, with equality on the diagonal: c1
+    = 1/(n - 1), attained at argmin = (1 + sqrt|kappa|) (1, ..., 1), which
+    lies off Z(p). The sup is sampled over three regimes: uniform
+    directions on the spectrum sphere (covers kappa = 0 and the |lambda| ->
+    infinity limit), Gaussian bulk at the kappa scale, and shrinking balls
+    around the analytic zeros; the largest sample is polished by local
+    search. Deterministic for a fixed seed.
     """
     if abs(kappa) > KAPPA_MAX:
         raise ValueError(f"|kappa| exceeds the configured bound {KAPPA_MAX}")
@@ -211,39 +215,33 @@ def ratio_bounds(n, kappa, budget=10 ** 6, seed=0):
         r, kept = _ratio(lams, kappa)
         if r.size == 0:
             return None
-        imin, imax = int(np.argmin(r)), int(np.argmax(r))
-        # copies, so the extremizers do not keep the whole batch alive
-        return (r[imin], lams[kept[imin]].copy(), r[imax],
-                lams[kept[imax]].copy(), r.size)
+        imax = int(np.argmax(r))
+        # a copy, so the extremizer does not keep the whole batch alive
+        return r[imax], lams[kept[imax]].copy(), r.size
 
-    c1, c2 = np.inf, 0.0
-    argmin = argmax = None
+    c2, argmax = 0.0, None
     total = 0
     for res in map(run_batch, range(batches)):
         if res is None:
             continue
-        rmin, lmin, rmax, lmax, cnt = res
+        rmax, lmax, cnt = res
         total += cnt
-        if rmin < c1:
-            c1, argmin = rmin, lmin
         if rmax > c2:
             c2, argmax = rmax, lmax
-    # polish both extremizers of log(p/q): sign +1 for the inf, -1 for the sup
-    sign = np.array([1.0, -1.0])
 
-    def log_ratio(lams, start):
+    def neg_log_ratio(lams):
         p, q = polys_batch(lams, kappa)
         with np.errstate(divide="ignore", invalid="ignore"):
-            val = sign[start] * np.log(p / q)
+            val = -np.log(p / q)
         return np.where((p + q < 1e-20) | (q <= 0), np.inf, val)
 
-    x, fx, _ = nelder_mead(log_ratio, np.array([argmin, argmax]),
-                           maxiter=400, xatol=1e-10, fatol=1e-12)
-    if np.isfinite(fx[0]) and np.exp(fx[0]) < c1:
-        c1, argmin = np.exp(fx[0]), x[0].copy()
-    if np.isfinite(fx[1]) and np.exp(-fx[1]) > c2:
-        c2, argmax = np.exp(-fx[1]), x[1].copy()
-    return RatioBound(n, kappa, float(c1), float(c2), total, argmin, argmax)
+    x, fx, _ = nelder_mead(neg_log_ratio, argmax, maxiter=400, xatol=1e-10,
+                           fatol=1e-12)
+    if np.isfinite(fx) and np.exp(-fx) > c2:
+        c2, argmax = np.exp(-fx), x.copy()
+    argmin = np.full(n, 1.0 + np.sqrt(abs(kappa)))
+    return RatioBound(n, kappa, 1.0 / (n - 1), float(c2), total, argmin,
+                      argmax)
 
 
 def _q_only_zeros(n):

@@ -1,9 +1,8 @@
 """Derivative-free minimizers that reproduce scipy's steps bit for bit.
 
-`nelder_mead` runs scipy's minimize(method="Nelder-Mead") from several
-starts in lockstep; `bounded_brent` is scipy's
-minimize_scalar(method="bounded"). Both use numpy and the standard library
-only, so the package imports without scipy.
+`nelder_mead` is scipy's minimize(method="Nelder-Mead") and `bounded_brent`
+scipy's minimize_scalar(method="bounded"). Both use numpy and the standard
+library only, so the package imports without scipy.
 """
 
 import math
@@ -16,86 +15,55 @@ _NM_A = np.array([[2.0], [3.0], [1.5], [0.5]])
 _NM_B = np.array([[1.0], [2.0], [0.5], [-0.5]])
 
 
-def nelder_mead(fun, x0, maxiter, xatol, fatol, lazy=False):
-    """Nelder-Mead from K starts in lockstep: K independent minimizations.
+def nelder_mead(fun, x0, maxiter, xatol, fatol):
+    """scipy's minimize(method="Nelder-Mead"), step for step.
 
-    x0 is (K, N); fun(points (m, N), start (m,)) returns the (m,) objective
-    values of points that belong to the given start indices. Each start
-    follows scipy's minimize(method="Nelder-Mead") step for step (standard
-    coefficients, initial simplex 1.05 x_k or 0.00025 where x_k = 0, no
-    evaluation cap, the same xatol/fatol test). One fun call covers every
-    running start and all four trial points, for an objective that costs
-    per call; starts that shrink take a second call. With lazy=True, for
-    an objective that costs per point, each start evaluates only the
-    points scipy evaluates: the reflection, then the expansion or one
-    contraction where the reflection calls for it, in two calls. Each
+    fun(points (m, N)) returns the (m,) objective values. The run follows
+    scipy's steps (standard coefficients, initial simplex 1.05 x0_k or
+    0.00025 where x0_k = 0, no evaluation cap, the same xatol/fatol test),
+    but one fun call covers all four trial points of a step, for an
+    objective that costs per call; a shrink takes a second call. The
     simplex is sorted by numpy's default argsort, as scipy sorts it:
-    log(p/q) is flat enough to tie vertex values exactly, and a stable
-    sort would take a different path there. Returns
-    (x (K, N), fun (K,), nit (K,)).
+    log(p/q) is flat enough to tie vertex values exactly, and a stable sort
+    would take a different path there. Returns (x (N,), fun, nit).
     """
     x0 = np.asarray(x0, dtype=float)
-    K, N = x0.shape
-    sim = np.repeat(x0[:, None, :], N + 1, axis=1)
+    N = len(x0)
+    sim = np.repeat(x0[None], N + 1, axis=0)
     k = np.arange(N)
-    sim[:, k + 1, k] = np.where(x0 != 0, 1.05 * x0, 0.00025)
-    fsim = fun(sim.reshape(-1, N), np.repeat(np.arange(K), N + 1)).reshape(K, N + 1)
+    sim[k + 1, k] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = fun(sim)
     sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))  # scipy sorts twice
-    x, fx, nit = np.empty((K, N)), np.empty(K), np.empty(K, dtype=int)
-    running = np.arange(K)
-    iterations = 1
-    while True:
-        done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
-                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
-        if iterations >= maxiter:
-            done[:] = True
-        if done.any():
-            x[running[done]] = sim[done, 0]
-            fx[running[done]] = fsim[done].min(axis=1)
-            nit[running[done]] = iterations
-            running, sim, fsim = running[~done], sim[~done], fsim[~done]
-        if not running.size:
-            return x, fx, nit
-        xbar = np.add.reduce(sim[:, :-1], 1) / N
-        trial = _NM_A * xbar[:, None] - _NM_B * sim[:, -1:]
-        best, second, worst = fsim[:, 0], fsim[:, -2], fsim[:, -1]
-        if lazy:
-            # points left NaN are those the pick below never reads
-            ft = np.full((len(running), 4), np.nan)
-            ft[:, 0] = fr = fun(trial[:, 0], running)
-            need = np.where(fr < best, 1, np.where(
-                fr < second, 0, np.where(fr < worst, 2, 3)))
-            more = np.flatnonzero(need)
-            if more.size:
-                ft[more, need[more]] = fun(trial[more, need[more]],
-                                           running[more])
+    nit = 1
+    while (nit < maxiter
+           and not (np.abs(sim[1:] - sim[0]).max() <= xatol
+                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol)):
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        trial = _NM_A * xbar - _NM_B * sim[-1]
+        fr, fe, fc, fcc = ft = fun(trial)
+        best, second, worst = fsim[0], fsim[-2], fsim[-1]
+        if fr < best:
+            pick = 1 if fe < fr else 0            # expand
+        elif fr < second:
+            pick = 0                               # reflect
+        elif fr < worst:
+            pick = 2 if fc <= fr else -1           # contract outside
         else:
-            ft = fun(trial.reshape(-1, N),
-                     np.repeat(running, 4)).reshape(-1, 4)
-        fr, fe, fc, fcc = ft.T
-        pick = np.where(fr < best, np.where(fe < fr, 1, 0),   # expand
-                        np.where(fr < second, 0,               # reflect
-                                 np.where(fr < worst,          # contract
-                                          np.where(fc <= fr, 2, -1),
-                                          np.where(fcc < worst, 3, -1))))
-        step = np.flatnonzero(pick >= 0)
-        sim[step, -1] = trial[step, pick[step]]
-        fsim[step, -1] = ft[step, pick[step]]
-        shrink = np.flatnonzero(pick < 0)
-        if shrink.size:
-            low = sim[shrink, :1]
-            sim[shrink, 1:] = low + 0.5 * (sim[shrink, 1:] - low)
-            fsim[shrink, 1:] = fun(sim[shrink, 1:].reshape(-1, N),
-                                   np.repeat(running[shrink], N)).reshape(-1, N)
-        iterations += 1
+            pick = 3 if fcc < worst else -1        # contract inside
+        if pick >= 0:
+            sim[-1], fsim[-1] = trial[pick], ft[pick]
+        else:
+            sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+            fsim[1:] = fun(sim[1:])
+        nit += 1
         sim, fsim = _sort_simplex(sim, fsim)
+    return sim[0], fsim.min(), nit
 
 
 def _sort_simplex(sim, fsim):
-    """Order each start's vertices by value with numpy's default argsort."""
-    rows = np.arange(len(fsim))[:, None]
-    order = np.argsort(fsim, axis=1)
-    return sim[rows, order], fsim[rows, order]
+    """Order the vertices by value with numpy's default argsort."""
+    order = np.argsort(fsim)
+    return sim[order], fsim[order]
 
 
 # numpy scalars, as in scipy: every point derived from them is a float64

@@ -12,7 +12,7 @@ distances equal cKDTree's bit for bit.
 import numpy as np
 
 # cells per site, about the sample spacing on surface-like sets at the sizes
-# the Hausdorff search uses; the cell table stays linear in the site count
+# the Hausdorff distances use; the cell table stays linear in the site count
 _CELLS_PER_SITE = 16
 # a search sure of its minimum only below the distance to the nearest
 # unsearched cell, shrunk by this factor against rounding in the cell index

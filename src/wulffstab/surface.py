@@ -16,7 +16,6 @@ derivatives and differentiated with the mesh stencils.
 import numpy as np
 
 from . import spectral
-from .minimize import nelder_mead
 from .nearest import SiteGrid
 from .operators import get_operators
 from .spheremesh import frame_restriction, sphere_newton
@@ -173,6 +172,15 @@ def _wulff_graph(wmesh, values):
                                     values, "radial")
 
 
+def reach_violation(base, values):
+    """'max |u| = ... >= reach ...' if the radius values leave the tubular
+    neighborhood of base, else the empty string."""
+    umax = float(np.abs(values).max())
+    if umax < base.reach:
+        return ""
+    return f"max |u| = {umax:g} >= reach {base.reach:g}"
+
+
 def radial_graph(base, values):
     """Geometry of the radial graph psi(x) = x + u(x) nu_base(x).
 
@@ -181,11 +189,10 @@ def radial_graph(base, values):
     tubular neighborhood of the base.
     """
     values = np.asarray(values, dtype=float)
-    umax = float(np.abs(values).max())
-    if umax >= base.reach:
+    violation = reach_violation(base, values)
+    if violation:
         raise ValueError(
-            f"radius leaves the tubular neighborhood: max |u| = {umax:g} "
-            f">= reach {base.reach:g}")
+            f"radius leaves the tubular neighborhood: {violation}")
     if base.integrand is not None:
         return _wulff_graph(base, values)
     return _spectral_sphere_graph(base, values, "radial")
@@ -472,46 +479,20 @@ def recover_radius_mesh(base, positions, translation):
 # --- distances ------------------------------------------------------------
 
 
-def _directed_max_min(grid, points):
-    """Largest distance from a point of `points` to its nearest grid site."""
-    return float(grid.distances(points).max())
-
-
 def symmetric_point_distance(a, b):
-    return max(_directed_max_min(SiteGrid(b), a),
-               _directed_max_min(SiteGrid(a), b))
+    """Largest distance from a point of either set to the nearest point of
+    the other."""
+    return float(max(SiteGrid(b).distances(a).max(),
+                     SiteGrid(a).distances(b).max()))
 
 
-def hausdorff_distance(geom, base, optimize_translation=True):
-    """Node-sampled symmetric Hausdorff distance, minimized over translations.
+def hausdorff_distance(geom, base):
+    """Node-sampled symmetric Hausdorff distance at the centroid offset.
 
-    The translation search is scipy's Nelder-Mead (`minimize.nelder_mead`,
-    its steps and evaluations bit for bit) started at the centroid offset
-    t0, run on strided subsets of about 800 nodes; the reported value
-    re-evaluates the full node sets at the optimum, or at t0 where the
-    search found nothing lower. Its start simplex steps 5% of each nonzero coordinate of t0 and
-    0.00025 along a zero one. So when the two sets share their centroid up
-    to rounding (t0 ~ 1e-16), the simplex spans ~1e-17 and the search
-    stops at its first convergence test: the value is then the distance
-    at t0, not a minimum over translations.
+    The node sets are compared after translating geom by t0 = mean(geom) -
+    mean(base), so the value is an upper bound on the minimum over
+    translations, and exact for a translate of the base.
     """
     a = geom.positions if isinstance(geom, SurfaceGeometry) else np.asarray(geom)
     b = base.vertices if hasattr(base, "vertices") else np.asarray(base)
-    if not optimize_translation:
-        return symmetric_point_distance(a, b)
-    stride_a = max(1, len(a) // 800)
-    stride_b = max(1, len(b) // 800)
-    asub, bsub = a[::stride_a], b[::stride_b]
-    t0 = a.mean(axis=0) - b.mean(axis=0)
-    grid_a, grid_b = SiteGrid(asub), SiteGrid(bsub)
-
-    def objective(t):
-        # d(bsub, asub - t) = d(bsub + t, asub), so both grids are reused
-        return max(_directed_max_min(grid_b, asub - t),
-                   _directed_max_min(grid_a, bsub + t))
-
-    x, fx, _ = nelder_mead(
-        lambda ts, start: np.array([objective(t) for t in ts]), t0[None],
-        maxiter=300, xatol=1e-10, fatol=1e-14, lazy=True)
-    t = x[0] if fx[0] <= objective(t0) else t0
-    return symmetric_point_distance(a - t, b)
+    return symmetric_point_distance(a - (a.mean(axis=0) - b.mean(axis=0)), b)

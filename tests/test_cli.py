@@ -265,6 +265,46 @@ amplitudes = 0.4,8.0,6
                    f"failed: measured {last['slope_flags']}, needs == passed"]
 
 
+REACH_CONFIG = BASE.format(integrand="fourier:1,0.265,3,0").replace(
+    "level = 3", "level = 2") + """
+[sweep]
+family = harmonic:2,0
+amplitudes = 2e-2,2e-1,6
+
+[curvature]
+family = harmonic:2,0
+epsilon = 2e-2
+"""
+
+
+def test_sweep_truncates_outside_the_reach(tmp_path, capsys):
+    """On fourier:1,0.265,3,0 the Wulff mesh's reach is 0.00997, below
+    max |2e-2 Y20| = 0.0126: the sweep ends at its first amplitude with an
+    outside_reach row and exit 1, and writes a complete sweep.csv."""
+    cfg = write_config(tmp_path, REACH_CONFIG)
+    out = tmp_path / "reach"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["epsilon"], r["slope_flags"]) for r in rows] == [
+        ("0.02", "outside_reach")]
+    assert capsys.readouterr().err.splitlines() == [
+        "sweep: check gates[epsilon=0.02] failed: measured outside_reach, "
+        "needs == passed"]
+
+
+def test_curvature_outside_the_reach_exits_2(tmp_path, capsys):
+    """The same amplitude as a curvature.epsilon is a config error that
+    names the key, max |u| and the reach; no output is written."""
+    cfg = write_config(tmp_path, REACH_CONFIG)
+    out = tmp_path / "reach"
+    assert main(["curvature", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "curvature.epsilon" in err and "max |u| = 0.0126157" in err
+    assert "reach 0.00997445" in err and "Traceback" not in err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("integrand, family, where", [
     ("constant", "harmonic:2,-3", "sweep.family"),
     ("constant", "harmonic:2,5", "sweep.family"),

@@ -94,6 +94,21 @@ def test_oscillation_optimality(sphere4):
     assert abs(rep.lambda_star - rep.h_mean_over_n) / rep.h_mean_over_n < 0.05
 
 
+def test_oscillation_lambda_star_at_p2(sphere4, wulff4, ellipsoid_integrand):
+    """At p = 2, ||S_F - lambda Id||^2 = sum w (|S_F|^2 - 2 lambda tr S_F
+    + 2 lambda^2) is least at lambda* = sum w tr S_F / (2 sum w)."""
+    for base, integ in ((sphere4, Integrand.constant()),
+                        (wulff4, ellipsoid_integrand)):
+        Y = spectral.real_sph_harm_matrix(base.normals, 2)
+        u = (0.04 * Y[:, spectral.sh_index(2, 0)]
+             + 0.02 * Y[:, spectral.sh_index(2, 1)])
+        g = radial_graph(base, u)
+        S, HF = anisotropic_shape_operator(g, integ)
+        rep = oscillation_deficit(S, HF, g.weights, 2.0)
+        exact = np.sum(g.weights * HF) / (2 * g.weights.sum())
+        assert abs(rep.lambda_star - exact) <= 2e-8 * abs(exact)
+
+
 def test_oscillation_rejects_bad_p(sphere4):
     S = TensorField(np.tile(np.eye(2), (sphere4.n_vertices, 1, 1)), "operator")
     with pytest.raises(ValueError):

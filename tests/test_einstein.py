@@ -196,20 +196,20 @@ def test_polys_batch_counts_one_call_per_batch(monkeypatch):
     assert calls == [3 * es._BLOCK_ROWS + 5]
 
 
-def _lockstep_runs(monkeypatch, call):
-    """Run call() and record every lockstep Nelder-Mead it makes as
-    (fun, x0, options, x, fun values, nit, rows per objective call)."""
+def _polish_runs(monkeypatch, call):
+    """Run call() and record every Nelder-Mead it makes as
+    (fun, x0, options, x, fun value, nit, rows per objective call)."""
     runs = []
-    lockstep = es.nelder_mead
+    polish = es.nelder_mead
 
     def spy(fun, x0, **options):
         rows = []
 
-        def counted(points, start):
+        def counted(points):
             rows.append(len(points))
-            return fun(points, start)
+            return fun(points)
 
-        runs.append((fun, x0, options, *lockstep(counted, x0, **options), rows))
+        runs.append((fun, x0, options, *polish(counted, x0, **options), rows))
         return runs[-1][3:6]
 
     monkeypatch.setattr(es, "nelder_mead", spy)
@@ -217,41 +217,49 @@ def _lockstep_runs(monkeypatch, call):
     return runs
 
 
-def _assert_matches_scipy(fun, x0, options, x, fx, nit):
-    for k, start in enumerate(x0):
-        ref = minimize(lambda lam: fun(lam[None, :], np.array([k]))[0], start,
-                       method="Nelder-Mead", options=options)
-        np.testing.assert_array_equal(x[k], ref.x)
-        assert nit[k] == ref.nit
-        assert abs(fx[k] - ref.fun) <= 4 * np.spacing(abs(ref.fun))
-
-
 @pytest.mark.parametrize("n, kappa", [(3, 1.0), (4, 1.0)])
 def test_ratio_polish_matches_scipy(monkeypatch, n, kappa):
-    """The min and max polish of log(p/q) as one two-start run. At n = 3
-    the simplex shrinks (the only calls whose row count is not a multiple
-    of 4); at n = 4, kappa = 1 the max drifts along a ray where log(p/q)
-    ties vertex values exactly, so the simplex order must be scipy's."""
-    runs = _lockstep_runs(
+    """The sup polish of log(p/q), started at the Monte Carlo's largest
+    sample. At n = 3 the simplex shrinks (the only calls whose row count is
+    not a multiple of 4); at n = 4, kappa = 1 it drifts along a ray where
+    log(p/q) ties vertex values exactly, so the simplex order must be
+    scipy's."""
+    runs = _polish_runs(
         monkeypatch, lambda: es.ratio_bounds(n, kappa, budget=2 * 10 ** 5,
                                              seed=42))
     (fun, x0, options, x, fx, nit, rows), = runs
-    assert x0.shape == (2, n)
+    assert x0.shape == (n,)
     if n == 3:
         assert any(m % 4 for m in rows)
-    _assert_matches_scipy(fun, x0, options, x, fx, nit)
+    ref = minimize(lambda lam: fun(lam[None, :])[0], x0,
+                   method="Nelder-Mead", options=options)
+    np.testing.assert_array_equal(x, ref.x)
+    assert nit == ref.nit
+    assert abs(fx - ref.fun) <= 4 * np.spacing(abs(ref.fun))
+
+
+@pytest.mark.parametrize("n", [3, 8, 20, 70])
+@pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0, 10.0])
+def test_ratio_bounds_c1_is_exact(n, kappa):
+    """c1 = 1/(n - 1), attained at argmin: a diagonal spectrum off Z(p)
+    where p/q is 1/(n - 1) to rounding."""
+    rb = es.ratio_bounds(n, kappa, budget=300, seed=1)
+    assert rb.c1 == 1.0 / (n - 1)
+    p, q = es.polys_batch(rb.argmin[None, :], kappa)
+    assert p[0] > 0
+    assert abs(p[0] / q[0] - rb.c1) <= 1e-14 * rb.c1
 
 
 def test_ratio_bound_extremizers_own_their_data(monkeypatch):
     """The extremizers are copies: neither keeps a Monte Carlo batch or the
     polish's simplex alive as long as the RatioBound lives. A polish that
-    finds nothing better leaves the Monte Carlo rows in place."""
+    finds nothing better leaves the Monte Carlo row in place."""
     for n, kappa in ((3, 1.0), (4, -1.0)):
         rb = es.ratio_bounds(n, kappa, budget=20000, seed=1)
         assert rb.argmin.base is None and rb.argmax.base is None
         assert rb.argmin.shape == rb.argmax.shape == (n,)
-    monkeypatch.setattr(es, "nelder_mead", lambda fun, x0, **options: (
-        x0, np.full(len(x0), np.inf), np.zeros(len(x0), dtype=int)))
+    monkeypatch.setattr(es, "nelder_mead",
+                        lambda fun, x0, **options: (x0, np.inf, 0))
     rb = es.ratio_bounds(4, -1.0, budget=20000, seed=1)
     assert rb.argmin.base is None and rb.argmax.base is None
 

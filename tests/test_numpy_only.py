@@ -53,7 +53,7 @@ def test_no_scipy_after_every_subcommand(tmp_path):
     """Import wulffstab.cli, run all six subcommands at level 2, a sweep on
     the round sphere (the spectral derivatives), a kernel sweep on the
     Wulff shape (ray casting: centering translates it) and the Hausdorff
-    search in one fresh process: a lazy import that only fires at run time
+    distance in one fresh process: a lazy import that only fires at run time
     shows up in sys.modules too."""
     config = tmp_path / "guard.ini"
     config.write_text(CONFIG)

@@ -150,14 +150,18 @@ def test_tubular_violation_message(wulff4):
         radial_graph(wulff4, np.full(wulff4.n_vertices, 10.0))
 
 
-def test_translation_equivariance(sphere4):
-    u = 0.02 * (sphere4.vertices @ np.array([0.2, -0.5, 0.1]))
-    g = radial_graph(sphere4, u)
+def test_translation_equivariance(sphere4, ellipsoid_integrand):
+    """The Hausdorff distance is taken at the centroid offset, so
+    translating the surface leaves it unchanged up to rounding."""
     t = np.array([0.3, 0.1, -0.2])
-    assert np.abs((g.positions + t) - (g.positions + t)).max() == 0.0
-    moved = g.positions + t
-    d = np.abs(moved - t - g.positions).max()
-    assert d < 1e-10
+    for base in (sphere4, build_wulff(ellipsoid_integrand, 3)):
+        u = 0.02 * (base.normals @ np.array([0.2, -0.5, 0.1]))
+        u += 0.01 * spectral.real_sph_harm_matrix(base.normals, 2)[
+            :, spectral.sh_index(2, 0)]
+        positions = radial_graph(base, u).positions
+        d = hausdorff_distance(positions, base)
+        assert d > 1e-3
+        assert abs(hausdorff_distance(positions + t, base) - d) <= 1e-14
 
 
 # --- projection certificates ------------------------------------------------
@@ -315,20 +319,22 @@ def test_recover_radius_mesh_translate(sphere4):
 def test_hausdorff_concentric(sphere4):
     delta = 0.07
     pts = (1 + delta) * sphere4.vertices
-    d = hausdorff_distance(pts, sphere4, optimize_translation=False)
+    d = hausdorff_distance(pts, sphere4)
     assert abs(d - delta) < 1e-12
 
 
 def test_hausdorff_translate_optimized(sphere4):
+    """A translate of the base is at distance 0 up to rounding: the centroid
+    offset is the translation."""
     t = np.array([0.04, -0.02, 0.05])
     d = hausdorff_distance(sphere4.vertices + t, sphere4)
-    assert d < 1e-6
+    assert d < 1e-14
 
 
 def test_hausdorff_exp_graph_matches_radial_formula(sphere4):
     col = spectral.sh_index(2, 0)
     f = 0.01 * spectral.real_sph_harm_matrix(sphere4.vertices, 2)[:, col]
     g = exp_graph(sphere4, f)
-    d = hausdorff_distance(g, sphere4, optimize_translation=False)
+    d = hausdorff_distance(g, sphere4)
     expected = np.abs(np.exp(f) - 1).max()
     assert abs(d - expected) / expected < 0.1
