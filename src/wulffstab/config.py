@@ -220,15 +220,15 @@ class ExperimentConfig:
         if self.kernel.levels is None:
             self.kernel.levels = list(range(max(2, self.level - 2),
                                             self.level + 1))
-        if self.unit_sphere:
-            # the graph band of the level's icosphere, 10 * 4^level + 2 nodes
-            band = spectral.graph_band(10 * 4 ** self.level + 2)
-            for name in ("sweep", "curvature"):
-                family = getattr(self, name).family
-                if family[0] == "harmonic" and family[1] > band:
-                    raise ConfigError(
-                        f"{name}.family: harmonic degree {family[1]} exceeds "
-                        f"band {band} of the level-{self.level} sphere")
+        # both bases carry a radius in the graph band of the level's
+        # icosphere, 10 * 4^level + 2 nodes
+        band = spectral.graph_band(10 * 4 ** self.level + 2)
+        for name in ("sweep", "curvature"):
+            family = getattr(self, name).family
+            if family[0] == "harmonic" and family[1] > band:
+                raise ConfigError(
+                    f"{name}.family: harmonic degree {family[1]} exceeds "
+                    f"band {band} of the level-{self.level} directions")
 
     @property
     def unit_sphere(self):

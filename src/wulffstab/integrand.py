@@ -7,7 +7,8 @@ for every family. This gives all derived quantities directly:
 * intrinsic gradient  DF(nu) = grad Fbar(nu) - F(nu) nu
 * anisotropy matrix   A_F(nu) = hess Fbar(nu) restricted to the tangent plane
   (the normal direction is annihilated by 1-homogeneity)
-* normal map onto the Wulff shape  x(nu) = grad Fbar(nu) = DF(nu) + F(nu) nu
+* normal map onto the Wulff shape  x(nu) = grad Fbar(nu) = DF(nu) + F(nu) nu,
+  with dx = A_F and d^2 x[v, w] = T_v w, T_v = D^3 Fbar[v] (`fbar_hess_deriv`)
 """
 
 import numpy as np
@@ -107,6 +108,21 @@ class HomogeneousPolynomial:
                                      * pts[:, 1] ** d[1] * pts[:, 2] ** d[2])
         return out
 
+    def hess_deriv(self, pts, v):
+        """Third derivatives contracted with v: sum_c v_c hess(d_c P)."""
+        pts = np.atleast_2d(pts)
+        out = np.zeros((len(pts), 3, 3))
+        for c in range(3):
+            partial = {}
+            for e, coef in self.coeffs.items():
+                if e[c]:
+                    d = tuple(n - (ax == c) for ax, n in enumerate(e))
+                    partial[d] = partial.get(d, 0.0) + coef * e[c]
+            if partial:
+                out += (HomogeneousPolynomial(partial).hess(pts)
+                        * np.asarray(v)[:, c, None, None])
+        return out
+
 
 def _num(v):
     """Descriptor token of a number, the same under every numpy version."""
@@ -125,6 +141,10 @@ class Integrand:
     Construct through the classmethods constant, quadratic_form or
     fourier_perturbed. The ellipticity margin (smallest eigenvalue of
     A_F over a dense direction sample) is computed once at construction.
+    Fbar, its gradient and Hessian, and the directional derivative of the
+    Hessian (`fbar_hess_deriv`, the third derivative that the second
+    derivatives of the Wulff map x(nu) = grad Fbar(nu) need) are closed-form
+    for every family.
     """
 
     def __init__(self, family, params, descriptor):
@@ -232,6 +252,57 @@ class Integrand:
                           + k * cross * r ** (k - 2)
                           + k * pv * eye * r ** (k - 2)
                           + k * (k - 2) * pv * outer * r ** (k - 4)))
+        return out[0] if single else out
+
+    def fbar_hess_deriv(self, x, v):
+        """T_v = d/dt hess Fbar(x + t v) at t = 0, per point, (N, 3, 3).
+
+        Closed form for every family; T_v[a, b] = D^3 Fbar(x)[e_a, e_b, v]
+        is symmetric in all three slots. At a unit x, T_x = -hess Fbar(x)
+        by (-1)-homogeneity of the Hessian.
+        """
+        pts, single = _as_points(x)
+        v = np.atleast_2d(np.asarray(v, dtype=float))
+        r = np.linalg.norm(pts, axis=1)[:, None, None]
+        s = np.einsum("ni,ni->n", pts, v)[:, None, None]
+        eye = np.eye(3)[None]
+        outer = pts[:, :, None] * pts[:, None, :]
+        sym = v[:, :, None] * pts[:, None, :] + pts[:, :, None] * v[:, None, :]
+
+        def radial(c):
+            # T_v of c |x|
+            return c * (-(s * eye + sym) / r ** 3 + 3 * s * outer / r ** 5)
+
+        if self.family == "constant":
+            out = radial(self.params["value"])
+        elif self.family == "quadratic":
+            M = self.params["M"]
+            m, mv = pts @ M, v @ M
+            S = np.sqrt(np.einsum("ni,ni->n", m, pts))[:, None, None]
+            q = np.einsum("ni,ni->n", m, v)[:, None, None]
+            out = (-(q * M[None] + mv[:, :, None] * m[:, None, :]
+                     + m[:, :, None] * mv[:, None, :]) / S ** 3
+                   + 3 * q * m[:, :, None] * m[:, None, :] / S ** 5)
+        else:
+            p = self.params["poly"]
+            k = 1 - p.degree
+            pv = p.value(pts)[:, None, None]
+            pg = p.grad(pts)
+            ph = p.hess(pts)
+            gv = np.einsum("ni,ni->n", pg, v)[:, None, None]
+            hv = np.einsum("nij,nj->ni", ph, v)
+            cross = pg[:, :, None] * pts[:, None, :] + pts[:, :, None] * pg[:, None, :]
+            dcross = (hv[:, :, None] * pts[:, None, :] + pg[:, :, None] * v[:, None, :]
+                      + v[:, :, None] * pg[:, None, :] + pts[:, :, None] * hv[:, None, :])
+            # d/dt of each term of fbar_hess's perturbation, r^j -> j s r^(j-2)
+            pert = (p.hess_deriv(pts, v) * r ** k + k * s * ph * r ** (k - 2)
+                    + k * dcross * r ** (k - 2)
+                    + k * (k - 2) * s * cross * r ** (k - 4)
+                    + k * gv * eye * r ** (k - 2)
+                    + k * (k - 2) * s * pv * eye * r ** (k - 4)
+                    + k * (k - 2) * (gv * outer + pv * sym) * r ** (k - 4)
+                    + k * (k - 2) * (k - 4) * s * pv * outer * r ** (k - 6))
+            out = radial(self.params["base"]) + self.params["amplitude"] * pert
         return out[0] if single else out
 
     # derived quantities ----------------------------------------------------

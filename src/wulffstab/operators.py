@@ -1,9 +1,15 @@
 """Covariant differential operators and norms on triangulated surfaces.
 
-Derivatives come from weighted least-squares polynomial fits over the
-one- and two-ring of each vertex, in tangent-plane projection coordinates.
-The projection chart agrees with normal coordinates to second order, so the
-fitted gradient and Hessian are the covariant ones at the vertex. Fits are
+On the sphere and on Wulff meshes, fields are fields of the construction
+direction nu, so their covariant derivatives are exact ones of their
+harmonic expansion over the directions, pulled to the Wulff shape by the
+chain rule (`covariant_derivatives`); the W^{2,p} norm uses them.
+
+For any other triangulated surface, `DerivativeOperators` fits derivatives
+by weighted least-squares polynomials over the one- and two-ring of each
+vertex, in tangent-plane projection coordinates. The projection chart
+agrees with normal coordinates to second order, so the fitted gradient and
+Hessian are the covariant ones at the vertex, up to O(h^2). Fits are
 precomputed once per mesh as one padded table of stencil nodes and their
 weights; each is solved by normal equations in chart coordinates scaled by
 the mean ring radius, or by SVD where the normal equations would lose
@@ -13,7 +19,8 @@ accuracy.
 import numpy as np
 
 from . import spectral
-from .spheremesh import expand_rows, stack_rows, unique_rows
+from .spheremesh import (expand_rows, frame_restriction, stack_rows,
+                         unique_rows)
 
 
 class TensorField:
@@ -283,19 +290,44 @@ def lp_norm(values, p, weights):
     return float(np.sum(weights * mag ** p) ** (1.0 / p))
 
 
+def covariant_derivatives(mesh, values, coeffs=None):
+    """Covariant gradient (N, 2) and Hessian (N, 2, 2) of a field on the
+    sphere or a Wulff mesh, in the mesh frames, through the directions.
+
+    The field is analysed at `spectral.graph_band` (or given by its
+    harmonic coefficients) and differentiated exactly on the direction
+    sphere (`spectral.spectral_derivatives`). Over a Wulff mesh, with
+    dx = A over the directions and A^-1 its shape operator:
+        grad_W f = A^-1 grad_S f,
+        Hess_W f = A^-1 (Hess_S f - T_G) A^-1,  G = grad_W f,
+    where T_G = D^3 Fbar[G] restricted to the frame
+    (`Integrand.fbar_hess_deriv`) carries the Christoffel symbols of the
+    metric A^2 in the direction chart.
+    """
+    if coeffs is None:
+        band = spectral.graph_band(mesh.n_vertices)
+        coeffs = spectral.sh_analyze(mesh, values, band)
+    _, grad, hess = spectral.spectral_derivatives(mesh, coeffs)
+    if mesh.integrand is None:
+        return grad, hess
+    sw = mesh.shape_operator
+    grad = np.einsum("nij,nj->ni", sw, grad)
+    e1, e2 = mesh.frames
+    tangent = grad[:, 0:1] * e1 + grad[:, 1:2] * e2
+    christoffel = frame_restriction(
+        mesh.integrand.fbar_hess_deriv(mesh.normals, tangent), e1, e2)
+    return grad, sw @ (hess - christoffel) @ sw
+
+
 def w2p_norm(values, p, mesh, coeffs=None):
     """Sobolev W^{2,p} norm: ||u||_p + ||grad u||_p + ||Hess u||_p.
 
-    If harmonic coefficients are supplied the derivatives are spectral
-    (round sphere only); otherwise they come from the mesh stencils.
+    The derivatives are exact ones of the field's harmonic expansion over
+    the directions (`covariant_derivatives`): the supplied coefficients,
+    or an analysis at `spectral.graph_band` on either base.
     """
     values = np.asarray(values, dtype=float)
-    if coeffs is not None:
-        _, grad, hess = spectral.spectral_derivatives(mesh, coeffs)
-    else:
-        ops = get_operators(mesh)
-        grad = ops.gradient(values)
-        hess = ops.hessian(values)
+    grad, hess = covariant_derivatives(mesh, values, coeffs)
     w = mesh.weights
     return lp_norm(values, p, w) + lp_norm(grad, p, w) + lp_norm(hess, p, w)
 

@@ -10,9 +10,17 @@ on a mesh is well conditioned (cond(sqrt(w) B) stays near 1 up to the band
 limit), so analysis solves the normal equations with the inverse of a
 Cholesky factor computed once per mesh and band. Derivatives act on the
 coefficients through three ladder matrices per band, exact up to rounding.
+A mesh is analysed at its normals: a Wulff mesh's vertex i sits over the
+icosphere direction nu_i, so its fields are fields on the direction sphere,
+and this module's derivatives reach it by the chain rule
+(`operators.covariant_derivatives`, `surface._spectral_graph`).
 """
 
 import numpy as np
+
+
+# vertex rows per block of the Gram matrix sum in `mesh_basis`
+_GRAM_ROWS = 2048
 
 
 def band_limit(n_vertices):
@@ -33,30 +41,29 @@ def sh_index(ell, m):
     return ell * ell + ell + m
 
 
-def real_sph_harm_matrix(points, L):
-    """Evaluate the real orthonormal harmonics Y_lm, l <= L, at unit points.
-
-    Returns an (npoints, (L+1)^2) matrix; columns ordered (l, m) with
-    m = -l..l. cos(m phi) and sin(m phi) are stepped in m by angle
-    addition from one cos and sin of phi.
-    """
+def _angles(points):
+    """cos theta, sin theta, cos phi and sin phi of unit points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     ct = np.clip(z, -1.0, 1.0)
     st = np.sqrt(np.maximum(1.0 - ct * ct, 0.0))
     phi = np.arctan2(y, x)
-    c1, s1 = np.cos(phi), np.sin(phi)
-    n = len(pts)
-    # one contiguous row per harmonic; the caller gets the transpose
-    out = np.empty(((L + 1) ** 2, n))
-    sqrt2 = np.sqrt(2.0)
+    return ct, st, np.cos(phi), np.sin(phi)
+
+
+def _legendre(ct, st, L):
+    """Fully normalized associated Legendre values at cos theta = ct.
+
+    Yields (m, ell, P) for m = 0..L and ell = m..L in that order, P the
+    values of the normalized P_l^m, so that Y_lm is sqrt2 cos(m phi) P for
+    m > 0, sqrt2 sin(m phi) P for -m, and P for m = 0.
+    """
+    n = len(ct)
     # iterate over m; for each m walk l = m..L with the normalized recurrence
     pmm = np.full(n, np.sqrt(1.0 / (4.0 * np.pi)))
-    cm, sm = np.full(n, sqrt2), np.zeros(n)  # sqrt2 cos(m phi), sqrt2 sin(m phi)
     for m in range(L + 1):
         if m > 0:
             pmm = pmm * st * np.sqrt((2 * m + 1) / (2.0 * m))
-            cm, sm = cm * c1 - sm * s1, sm * c1 + cm * s1
         p_prev = np.zeros(n)   # P_{l-2}^m, seeded as 0
         p_curr = pmm           # P_m^m
         a_prev = 0.0
@@ -70,30 +77,57 @@ def real_sph_harm_matrix(points, L):
                 else:
                     p = a * (ct * p_curr - p_prev / a_prev)
                 p_prev, p_curr, a_prev = p_curr, p, a
-            if m == 0:
-                out[sh_index(ell, 0)] = p
-            else:
-                np.multiply(p, cm, out=out[sh_index(ell, m)])
-                np.multiply(p, sm, out=out[sh_index(ell, -m)])
+            yield m, ell, p
+
+
+def real_sph_harm_matrix(points, L):
+    """Evaluate the real orthonormal harmonics Y_lm, l <= L, at unit points.
+
+    Returns an (npoints, (L+1)^2) matrix; columns ordered (l, m) with
+    m = -l..l. cos(m phi) and sin(m phi) are stepped in m by angle
+    addition from one cos and sin of phi.
+    """
+    ct, st, c1, s1 = _angles(points)
+    # one contiguous row per harmonic; the caller gets the transpose
+    out = np.empty(((L + 1) ** 2, len(ct)))
+    sqrt2 = np.sqrt(2.0)
+    cm, sm = np.full(len(ct), sqrt2), np.zeros(len(ct))  # sqrt2 cos, sin(m phi)
+    for m, ell, p in _legendre(ct, st, L):
+        if m == 0:
+            out[sh_index(ell, 0)] = p
+            continue
+        if ell == m:
+            cm, sm = cm * c1 - sm * s1, sm * c1 + cm * s1
+        np.multiply(p, cm, out=out[sh_index(ell, m)])
+        np.multiply(p, sm, out=out[sh_index(ell, -m)])
     return out.T
 
 
 def mesh_basis(mesh, L):
-    """Harmonics up to L at the mesh vertices and the triangular factors
+    """Harmonics up to L at the mesh's normals and the triangular factors
     (C^-1, C^-T) of the inverse of their weighted Gram matrix C C^T, built
     once per band and cached on the mesh.
 
-    The factors are inverted once so that each analysis is two
-    matrix-vector products; a numpy solve would refactor per call. A band
-    above `band_limit` is rejected: its Gram matrix is not trusted.
+    The normals are the construction directions (the vertices on the
+    sphere), and the Gram matrix is weighted by `direction_weights`, the
+    icosphere's areas, so it stays near the identity on every Wulff mesh.
+    It is summed over blocks of _GRAM_ROWS vertices, so no weighted copy
+    of the basis is made. The factors are inverted once so that each
+    analysis is two matrix-vector products; a numpy solve would refactor
+    per call. A band above `band_limit` is rejected: its Gram matrix is not
+    trusted.
     """
     limit = band_limit(mesh.n_vertices)
     if L > limit:
         raise ValueError(f"band {L} exceeds mesh limit {limit}")
 
     def build(mesh):
-        B = real_sph_harm_matrix(mesh.vertices, L)
-        gram = B.T @ (mesh.weights[:, None] * B)
+        B = real_sph_harm_matrix(mesh.normals, L)
+        gram = np.zeros((B.shape[1],) * 2)
+        for lo in range(0, len(B), _GRAM_ROWS):
+            rows = B[lo:lo + _GRAM_ROWS]
+            w = mesh.direction_weights[lo:lo + _GRAM_ROWS, None]
+            gram += rows.T @ (w * rows)
         cinv = np.linalg.inv(np.linalg.cholesky(gram))
         return B, (cinv, cinv.T)
     return mesh.cached(("sh_basis", L), build)
@@ -102,7 +136,7 @@ def mesh_basis(mesh, L):
 def sh_analyze(mesh, values, L):
     """Least-squares projection of per-vertex values onto harmonics up to L."""
     B, (cinv, cinv_t) = mesh_basis(mesh, L)
-    return cinv_t @ (cinv @ (B.T @ (mesh.weights * values)))
+    return cinv_t @ (cinv @ (B.T @ (mesh.direction_weights * values)))
 
 
 def _band(coeffs):
@@ -115,8 +149,31 @@ def _band(coeffs):
 
 
 def sh_synthesize(coeffs, points):
-    """Evaluate the harmonic expansion at arbitrary unit points."""
-    return real_sph_harm_matrix(points, _band(coeffs)) @ coeffs
+    """Evaluate the harmonic expansion at arbitrary unit points.
+
+    For each m the sums over l of c_lm P_l^m and c_l,-m P_l^m are taken
+    inside the Legendre recurrence and then multiplied by sqrt2 cos(m phi)
+    and sqrt2 sin(m phi), so no (npoints, (L+1)^2) matrix is formed.
+    """
+    L = _band(coeffs)
+    ct, st, c1, s1 = _angles(points)
+    n = len(ct)
+    out = np.zeros(n)
+    cm, sm = np.full(n, np.sqrt(2.0)), np.zeros(n)
+    acc_c, acc_s = np.zeros(n), np.zeros(n)
+    for m, ell, p in _legendre(ct, st, L):
+        if m == 0:
+            out += coeffs[sh_index(ell, 0)] * p
+            continue
+        if ell == m:
+            acc_c[:] = acc_s[:] = 0.0
+        acc_c += coeffs[sh_index(ell, m)] * p
+        acc_s += coeffs[sh_index(ell, -m)] * p
+        if ell == L:
+            cm, sm = cm * c1 - sm * s1, sm * c1 + cm * s1
+            out += acc_c * cm
+            out += acc_s * sm
+    return out
 
 
 # Write a field as the restriction of the harmonic P = sum c_lm r^l Y_lm.

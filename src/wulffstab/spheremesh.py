@@ -208,6 +208,9 @@ class WulffMesh:
     integrand : the Integrand whose Wulff shape this is, or None for the
         unit sphere
     weights : (N,) barycentric vertex area weights, summing to the mesh area
+    direction_weights : (N,) the same weights of the icosphere of the
+        normals, the quadrature of harmonic analysis over the directions
+        (`spectral.mesh_basis`); the array weights itself on the sphere
     frames : (e1, e2) pair of (N, 3) orthonormal tangent frames of the normals
     anisotropy, shape_operator : (N, 2, 2) A_F and its inverse in the frames
     mean_curvature : (N,) trace of the shape operator
@@ -228,18 +231,21 @@ class WulffMesh:
         self._cache = {}
         n = len(vertices)
         if integrand is None:
+            self.direction_weights = self.weights
             self.anisotropy = self.shape_operator = np.broadcast_to(
                 np.eye(2), (n, 2, 2))
             self.mean_curvature = np.full(n, 2.0)
             self.reach = 0.9
         else:
+            self.direction_weights = vertex_area_weights(normals, faces)
             A3 = integrand.anisotropy_ambient(normals)
             self.anisotropy = frame_restriction(A3, *self.frames)
             self.shape_operator = np.linalg.inv(self.anisotropy)
             self.mean_curvature = np.einsum("nii->n", self.shape_operator)
             kappa_max = np.linalg.eigvalsh(self.shape_operator)[:, 1].max()
             self.reach = 0.9 / kappa_max
-        for a in (vertices, faces, normals, self.weights, *self.frames,
+        for a in (vertices, faces, normals, self.weights,
+                  self.direction_weights, *self.frames,
                   self.anisotropy, self.shape_operator, self.mean_curvature):
             a.flags.writeable = False
 

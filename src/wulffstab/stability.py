@@ -1,16 +1,19 @@
 """Stability operator, kernel projections, centering and scaling experiments.
 
 The translation modes phi_c(x) = <c, nu_W(x)> span the kernel of the
-stability operator L[u] = div(A_F grad u) + H u on the Wulff shape. The
-kernel component v_u of a radius field is its L2 projection onto these
-modes; centering translates the surface until v vanishes, a fixed point
-that contracts linearly (`center`).
+stability operator L[u] = div(A_F grad u) + H u on the Wulff shape. Fields
+on a Wulff mesh are fields of the construction direction nu, so L, like
+the W^{2,p} distance, is taken in closed form through the direction
+sphere, exact up to rounding on band-limited fields. The kernel component
+v_u of a radius field is its L2 projection onto these modes; centering
+translates the surface until v vanishes, a fixed point that contracts
+linearly (`center`).
 """
 
 import numpy as np
 
 from . import spectral
-from .operators import get_operators, lp_norm, w2p_norm
+from .operators import lp_norm, w2p_norm
 from .curvature import anisotropic_shape_operator, trace_free
 from .spheremesh import frame_restriction
 from .surface import (exp_graph, radial_graph, projection_certificate,
@@ -49,19 +52,33 @@ def kernel_component(frame, values, weights):
 
 
 def stability_operator(base, integrand, values):
-    """L[u] = div(A_F grad u) + H u on the base mesh.
+    """L[u] = div(A_F grad u) + H u on the base, through the directions.
 
-    A_F is evaluated at the base normals and H is the classical mean
-    curvature of the base (2 on the unit sphere, tr A_F^{-1} on a Wulff
-    mesh); derivatives use the mesh stencils.
+    H is the classical mean curvature of the base (2 on the unit sphere,
+    tr A_W^-1 on a Wulff mesh). With dx = A_W over the directions,
+    grad_W u = A_W^-1 grad_S u and div_W V = tr(A_W^-1 grad_S V), so for an
+    integrand with A_F = lam A_W, lam constant (the base's own, or any
+    constant integrand over the sphere),
+        L[u] = lam tr(A_W^-1 Hess_S u) + tr(A_W^-1) u,
+    with Hess_S exact on the field's expansion at `spectral.graph_band`.
+    For lam = 1 it vanishes pointwise on the translation modes <c, nu>,
+    whose Hess_S is -<c, nu> Id. Another integrand raises ValueError.
     """
-    ops = get_operators(base)
-    grad = ops.gradient(values)
+    band = spectral.graph_band(base.n_vertices)
+    coeffs = spectral.sh_analyze(base, values, band)
+    val, _, hess = spectral.spectral_derivatives(base, coeffs)
     A2 = frame_restriction(integrand.anisotropy_ambient(base.normals),
                            *base.frames)
-    H = base.mean_curvature
-    flux = np.einsum("nij,nj->ni", A2, grad)
-    return ops.divergence(flux) + H * values
+    sw = base.shape_operator
+    ratio = A2 @ sw
+    lam = 0.5 * np.einsum("nii->n", ratio)
+    spread = np.abs(ratio - lam[:, None, None] * np.eye(2)).max() \
+        + np.ptp(lam)
+    if spread > 1e-9 * lam.max():
+        raise ValueError(f"stability_operator needs A_F proportional to the "
+                         f"base's A_W; A_F A_W^-1 varies by {spread:g}")
+    return lam * np.einsum("nij,nji->n", sw, hess) \
+        + base.mean_curvature * val
 
 
 class CenteringResult:
@@ -169,13 +186,7 @@ def center(surf, tolerance=1e-8, max_iter=25):
 
 def _distance_norm(base, values, v, p):
     """||u - phi_v||_{W^{2,p}} over the base."""
-    frame_field = base.normals @ v
-    resid = values - frame_field
-    if base.integrand is None:
-        band = spectral.graph_band(base.n_vertices)
-        coeffs = spectral.sh_analyze(base, resid, band)
-        return w2p_norm(resid, p, base, coeffs=coeffs)
-    return w2p_norm(resid, p, base)
+    return w2p_norm(values - base.normals @ v, p, base)
 
 
 class StabilityRatio:

@@ -5,19 +5,24 @@ Surfaces are graphs over a base (the unit sphere or a Wulff mesh):
 * psi(x) = x + u(x) nu_W(x)  over a Wulff shape (radial graph),
 * psi(x) = e^{f(x)} x        over the sphere (exponential graph).
 
-On the sphere the radius is carried spectrally, so first and second
-derivatives of the parametrization are exact up to rounding (ladder
-matrices on the harmonic coefficients; 1e-13 on the linear modes and Y20)
-and curvature deficits remain resolvable down to amplitudes of 1e-4. On a
-general Wulff base the normal field is assembled from analytic first
-derivatives and differentiated with the mesh stencils.
+Both bases are parametrized by the direction sphere: vertex i of a Wulff
+mesh is x(nu_i) = grad Fbar(nu_i) over the icosphere direction nu_i, and
+its normal and frame are the icosphere's. The radius is therefore carried
+spectrally over the directions on both, so first and second derivatives of
+the parametrization are exact up to rounding (ladder matrices on the
+harmonic coefficients; 1e-13 on the linear modes and Y20), and the second
+derivatives of x(nu) come in closed form from the integrand. Curvature
+deficits remain resolvable down to amplitudes of 1e-4, and the unperturbed
+Wulff shape reads a deficit at rounding level.
 """
 
 import numpy as np
 
 from . import spectral
 from .nearest import SiteGrid
-from .operators import get_operators
+# bound here too: bench/selftest.py checks that its tracer wraps
+# surface.get_operators
+from .operators import get_operators  # noqa: F401
 from .spheremesh import frame_restriction, sphere_newton
 
 
@@ -104,27 +109,45 @@ def _finish_from_derivatives(base, positions, psi_d, nu, h_chart, radius,
                            radius, kind, shape_asymmetry=asym)
 
 
-def _spectral_sphere_graph(mesh, values, kind):
-    """Geometry of {rho(x) x} on the sphere with spectrally carried radius."""
+def _spectral_graph(mesh, values, kind):
+    """Geometry of a graph over the sphere or a Wulff mesh, spectrally.
+
+    The radius is analysed at `graph_band` over the construction
+    directions nu and differentiated exactly on the direction sphere. Over
+    the sphere the surface is {rho(nu) nu}, with rho = e^f ('exp') or
+    1 + u ('radial'):
+        Psi_i = rho_i nu + rho e_i,
+        Psi_ij = rho_ij nu + rho_i e_j + rho_j e_i - rho delta_ij nu.
+    Over a Wulff mesh it is {x(nu) + u(nu) nu} with x = grad Fbar, dx = A
+    and d^2 x[e_i, e_j] = T_{e_i} e_j (`Integrand.fbar_hess_deriv`):
+        Psi_i = (A + u) e_i + u_i nu,
+        Psi_ij = T_{e_i} e_j + u_ij nu + u_i e_j + u_j e_i - u delta_ij nu,
+    and <T_{e_i} e_j, nu_Sigma> = e_i . T_{nu_Sigma} e_j by the symmetry of
+    D^3 Fbar. The chart is then taken to W arclength (Psi_d A^-1 and
+    A^-1 h A^-1), so the weights are W's areas times the area element.
+    """
     band = spectral.graph_band(mesh.n_vertices)
     coeffs = spectral.sh_analyze(mesh, values, band)
     val, grad, hess = spectral.spectral_derivatives(mesh, coeffs)
+    wulff = mesh.integrand is not None
     if kind == "exp":
         rho = np.exp(val)
         rho_d = rho[:, None] * grad
         rho_dd = rho[:, None, None] * (hess
                                        + grad[:, :, None] * grad[:, None, :])
     else:
-        rho = 1.0 + val
+        rho = val if wulff else 1.0 + val
         rho_d = grad
         rho_dd = hess
-    x = mesh.vertices
+    x = mesh.normals   # on the sphere the same array as mesh.vertices
     e1, e2 = mesh.frames
     frames = np.stack((e1, e2), axis=2)  # (N, 3, 2)
-    # Psi_i = rho_i x + rho e_i ;  Psi_ij = rho_ij x + rho_i e_j + rho_j e_i
-    #                                        - rho delta_ij x
     psi_d = rho_d[:, None, :] * x[:, :, None] + rho[:, None, None] * frames
-    positions = rho[:, None] * x
+    if wulff:
+        psi_d += frames @ mesh.anisotropy
+        positions = mesh.vertices + values[:, None] * x
+    else:
+        positions = rho[:, None] * x
     nu = np.cross(psi_d[:, :, 0], psi_d[:, :, 1])
     nu /= np.linalg.norm(nu, axis=1, keepdims=True)
     h_chart = np.empty((len(x), 2, 2))
@@ -137,39 +160,17 @@ def _spectral_sphere_graph(mesh, values, kind):
             if i == j:
                 val_ij -= rho * nx
             h_chart[:, i, j] = -val_ij
+    if wulff:
+        h_chart -= frame_restriction(
+            mesh.integrand.fbar_hess_deriv(x, nu), e1, e2)
+        sw = mesh.shape_operator
+        psi_d = psi_d @ sw
+        h_chart = sw @ h_chart @ sw
     geom = _finish_from_derivatives(mesh, positions, psi_d, nu, h_chart,
                                     values, kind)
     geom.radius_coeffs = coeffs
     geom.band_residual = float(np.abs(val - values).max())
     return geom
-
-
-def _wulff_graph(wmesh, values):
-    """Geometry of {x + u(x) nu_W(x)} over a Wulff mesh.
-
-    First derivatives use the analytic Gauss map of W (d nu_W = A_F^{-1});
-    the normal field is then differentiated with the mesh stencils.
-    """
-    ops = get_operators(wmesh)
-    grad = ops.gradient(values)
-    e1, e2 = wmesh.frames
-    frames = np.stack((e1, e2), axis=2)
-    sw = wmesh.shape_operator  # (N, 2, 2) in frame
-    nu_w = wmesh.normals
-    positions = wmesh.vertices + values[:, None] * nu_w
-    psi_d = np.empty((len(values), 3, 2))
-    for i in range(2):
-        dn = np.einsum("nk,nak->na", sw[:, :, i], frames)  # d nu_W[e_i]
-        psi_d[:, :, i] = (frames[:, :, i] + values[:, None] * dn
-                          + grad[:, i:i + 1] * nu_w)
-    nu = np.cross(psi_d[:, :, 0], psi_d[:, :, 1])
-    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
-    flip = np.einsum("ni,ni->n", nu, nu_w) < 0
-    nu[flip] *= -1.0
-    jac_nu = ops.jacobian_ambient(nu)  # (N, 3, 2)
-    h_chart = np.einsum("nki,nkj->nij", psi_d, jac_nu)
-    return _finish_from_derivatives(wmesh, positions, psi_d, nu, h_chart,
-                                    values, "radial")
 
 
 def reach_violation(base, values):
@@ -184,26 +185,27 @@ def reach_violation(base, values):
 def radial_graph(base, values):
     """Geometry of the radial graph psi(x) = x + u(x) nu_base(x).
 
-    Over the unit sphere the radius is carried spectrally; over a Wulff
-    mesh the derivative stencils are used. Nodes must stay inside the
-    tubular neighborhood of the base.
+    The radius is carried spectrally over the construction directions of
+    either base (`_spectral_graph`). Nodes must stay inside the tubular
+    neighborhood of the base.
     """
     values = np.asarray(values, dtype=float)
     violation = reach_violation(base, values)
     if violation:
         raise ValueError(
             f"radius leaves the tubular neighborhood: {violation}")
-    if base.integrand is not None:
-        return _wulff_graph(base, values)
-    return _spectral_sphere_graph(base, values, "radial")
+    return _spectral_graph(base, values, "radial")
 
 
 def exp_graph(mesh, values):
     """Geometry of the isotropic graph psi(x) = e^{f(x)} x over the sphere."""
+    if mesh.integrand is not None:
+        raise ValueError("exp_graph is a graph over the unit sphere; use "
+                         "radial_graph over a Wulff mesh")
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("radius field must be finite")
-    return _spectral_sphere_graph(mesh, values, "exp")
+    return _spectral_graph(mesh, values, "exp")
 
 
 # --- projection onto the base -------------------------------------------

@@ -391,3 +391,32 @@ def geometry_from_positions(base, positions):
     h_chart = 0.5 * (h_chart + np.swapaxes(h_chart, 1, 2))
     return _finish_from_derivatives(base, positions, psi_d, nu, h_chart,
                                     None, "mesh")
+
+
+def wulff_graph_stencil(wmesh, values):
+    """Geometry of {x + u(x) nu_W(x)} over a Wulff mesh, from mesh stencils.
+
+    The Gauss map of W gives the first derivatives (d nu_W = A_F^-1); the
+    normal field is differentiated with the cubic stencils of
+    `DerivativeOperators`, so the result carries their O(h^2) error.
+    """
+    ops = get_operators(wmesh)
+    grad = ops.gradient(values)
+    e1, e2 = wmesh.frames
+    frames = np.stack((e1, e2), axis=2)
+    sw = wmesh.shape_operator  # (N, 2, 2) in frame
+    nu_w = wmesh.normals
+    positions = wmesh.vertices + values[:, None] * nu_w
+    psi_d = np.empty((len(values), 3, 2))
+    for i in range(2):
+        dn = np.einsum("nk,nak->na", sw[:, :, i], frames)  # d nu_W[e_i]
+        psi_d[:, :, i] = (frames[:, :, i] + values[:, None] * dn
+                          + grad[:, i:i + 1] * nu_w)
+    nu = np.cross(psi_d[:, :, 0], psi_d[:, :, 1])
+    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    flip = np.einsum("ni,ni->n", nu, nu_w) < 0
+    nu[flip] *= -1.0
+    jac_nu = ops.jacobian_ambient(nu)  # (N, 3, 2)
+    h_chart = np.einsum("nki,nkj->nij", psi_d, jac_nu)
+    return _finish_from_derivatives(wmesh, positions, psi_d, nu, h_chart,
+                                    values, "radial")

@@ -68,20 +68,26 @@ def test_criterion_1_wulff_correctness(ellipsoid):
           f"<= 1e-12, {elapsed:.1f}s < 5s)")
 
 
+def rounding_bound(base):
+    """Rounding-level bound on a quantity that is exactly 0: 1e-12, scaled
+    by the base's largest principal curvature 0.9 / reach where it is > 1."""
+    return 1e-12 * max(1.0, 0.9 / base.reach)
+
+
 def test_criterion_2_anisotropic_rigidity(ellipsoid):
-    errs, hs = [], []
+    """S_F = Id on the unperturbed Wulff shape: the graph geometry is exact
+    in the directions, so the error sits at rounding on every level."""
+    errs, bounds = [], []
     for level in (3, 4, 5, 6):
         W = build_wulff(ellipsoid, level)
         geom = radial_graph(W, np.zeros(W.n_vertices))
         S, _ = anisotropic_shape_operator(geom, ellipsoid)
         errs.append(np.abs(S.values - np.eye(2)[None]).max())
-        hs.append(W.edge_length())
-    assert all(b < a for a, b in zip(errs, errs[1:]))
-    order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-    assert order >= 1.5
+        bounds.append(rounding_bound(W))
+    assert all(e <= b for e, b in zip(errs, bounds)), (errs, bounds)
     print(f"\nACCEPTANCE 2 anisotropic-rigidity: PASS (errors "
-          + " > ".join(f"{e:.1e}" for e in errs)
-          + f", fitted order {order:.2f} >= 1.5)")
+          + ", ".join(f"{e:.1e}" for e in errs)
+          + f" <= {max(bounds):.0e} at levels 3-6)")
 
 
 def test_criterion_3_kernel_characterization(ellipsoid):
@@ -102,8 +108,8 @@ def test_criterion_3_kernel_characterization(ellipsoid):
                 res.append(float(np.sqrt(np.sum(base.weights * L ** 2)
                                          / np.sum(base.weights * phi ** 2))))
             worst.append(max(res))
+            assert worst[-1] <= rounding_bound(base), f"{name}: {worst}"
         assert worst[-1] <= 0.02, f"{name}: {worst[-1]}"
-        assert worst[0] > worst[1] > worst[2], f"{name}: {worst}"
         results[name] = worst
     mesh = build_sphere_mesh(5)
     col = spectral.sh_index(2, 0)
@@ -113,8 +119,8 @@ def test_criterion_3_kernel_characterization(ellipsoid):
     assert abs(ray + 4.0) / 4.0 <= 0.02
     print("\nACCEPTANCE 3 kernel-characterization: PASS "
           f"(level-5 residuals sphere {results['sphere'][-1]:.1e}, "
-          f"ellipsoid {results['ellipsoid'][-1]:.1e} <= 0.02, both "
-          f"decreasing; Y2 eigenvalue {ray:.3f} within 2% of -4)")
+          f"ellipsoid {results['ellipsoid'][-1]:.1e} <= 0.02, at rounding "
+          f"on levels 3-5; Y2 eigenvalue {ray:.3f} within 2% of -4)")
 
 
 def test_criterion_4_stability_scaling(sphere5, y20_sweep):

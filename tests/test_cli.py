@@ -142,7 +142,7 @@ def test_kernel_threshold_failure_names_check(tmp_path, capsys):
 [kernel]
 levels = 2,3
 n_vectors = 2
-threshold = 1e-12
+threshold = 1e-20
 """)
     out = tmp_path / "k"
     assert main(["kernel", "--config", cfg, "--out", str(out)]) == 1
@@ -150,7 +150,54 @@ threshold = 1e-12
     worst = float(rows[1]["max_kernel_residual"])
     err = capsys.readouterr().err.splitlines()
     assert err == [f"kernel: check threshold[sphere,level=3] failed: "
-                   f"measured {worst}, needs <= 1e-12"]
+                   f"measured {worst}, needs <= 1e-20"]
+
+
+def test_kernel_on_the_fourier_integrand_passes(tmp_path, capsys):
+    """Near its ellipticity margin (reach 0.00997) the Fourier integrand's
+    translation modes are still annihilated to rounding at every level."""
+    cfg = write_config(tmp_path, BASE.format(integrand="fourier:1,0.265,3,0")
+                       + "\n[kernel]\nlevels = 3,4,5\nn_vectors = 3\n")
+    out = tmp_path / "kf"
+    assert main(["kernel", "--config", cfg, "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "kernel.csv").read_text().splitlines()))
+    wulff = [float(r["max_kernel_residual"]) for r in rows
+             if r["surface"] == "wulff"]
+    assert len(wulff) == 3 and max(wulff) < 1e-12
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["wulff", "curvature", "kernel", "center",
+                                     "sweep", "einstein"])
+def test_no_subcommand_builds_stencils(tmp_path, monkeypatch, command):
+    """Every field on a Wulff mesh is differentiated through the direction
+    sphere, so no subcommand fits a DerivativeOperators stencil."""
+    from wulffstab.operators import DerivativeOperators
+    builds = []
+    init = DerivativeOperators.__init__
+
+    def spy(self, mesh):
+        builds.append(mesh.n_vertices)
+        init(self, mesh)
+
+    monkeypatch.setattr(DerivativeOperators, "__init__", spy)
+    cfg = write_config(tmp_path, BASE.format(integrand="quadratic:1,1,4") + """
+[sweep]
+family = harmonic:2,0
+amplitudes = 1e-3,1e-2,4
+
+[kernel]
+levels = 2,3
+n_vectors = 2
+
+[einstein]
+dimensions = 3
+kappas = 0
+budget = 2000
+""")
+    assert main([command, "--config", cfg, "--out",
+                 str(tmp_path / command)]) == 0
+    assert builds == []
 
 
 def test_center_subcommand(tmp_path, capsys):
@@ -249,7 +296,8 @@ def test_svg_writer(tmp_path):
 
 def test_sweep_truncates_on_gate_failure(tmp_path, capsys):
     """Amplitudes beyond the smallness gates truncate the sweep with exit 1,
-    and stderr names the amplitude where it stopped."""
+    and stderr names the amplitude where it stopped and why; sweep.csv
+    keeps the bare flag."""
     cfg = write_config(tmp_path, BASE.format(integrand="constant") + """
 [sweep]
 family = harmonic:3,3
@@ -260,9 +308,11 @@ amplitudes = 0.4,8.0,6
     body = (out / "sweep.csv").read_text()
     assert "_failed" in body and "fit_unavailable" in body
     last = list(csv.DictReader(body.splitlines()))[-1]
+    assert last["slope_flags"] == "centering_failed"
     err = capsys.readouterr().err.splitlines()
     assert err == [f"sweep: check gates[epsilon={float(last['epsilon'])}] "
-                   f"failed: measured {last['slope_flags']}, needs == passed"]
+                   f"failed: measured centering_failed: radius too large for "
+                   f"centering: max |u| = 0.782269, needs == passed"]
 
 
 REACH_CONFIG = BASE.format(integrand="fourier:1,0.265,3,0").replace(
@@ -280,7 +330,8 @@ epsilon = 2e-2
 def test_sweep_truncates_outside_the_reach(tmp_path, capsys):
     """On fourier:1,0.265,3,0 the Wulff mesh's reach is 0.00997, below
     max |2e-2 Y20| = 0.0126: the sweep ends at its first amplitude with an
-    outside_reach row and exit 1, and writes a complete sweep.csv."""
+    outside_reach row and exit 1, and writes a complete sweep.csv. The
+    failed gate carries the row's reason; the CSV keeps the bare flag."""
     cfg = write_config(tmp_path, REACH_CONFIG)
     out = tmp_path / "reach"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
@@ -289,8 +340,8 @@ def test_sweep_truncates_outside_the_reach(tmp_path, capsys):
     assert [(r["epsilon"], r["slope_flags"]) for r in rows] == [
         ("0.02", "outside_reach")]
     assert capsys.readouterr().err.splitlines() == [
-        "sweep: check gates[epsilon=0.02] failed: measured outside_reach, "
-        "needs == passed"]
+        "sweep: check gates[epsilon=0.02] failed: measured outside_reach: "
+        "max |u| = 0.0126157 >= reach 0.00997445, needs == passed"]
 
 
 def test_curvature_outside_the_reach_exits_2(tmp_path, capsys):
@@ -316,11 +367,13 @@ def test_curvature_outside_the_reach_exits_2(tmp_path, capsys):
     ("constant", "kernel:0,0,0", "curvature.family"),
     ("constant", "harmonic:9,0", "sweep.family"),
     ("constant", "harmonic:12,0", "curvature.family"),
+    ("quadratic:1,1,4", "harmonic:9,0", "curvature.family"),
 ])
 def test_bad_mode_tokens_exit_2(tmp_path, capsys, integrand, family, where):
     """|m| > l would wrap into a lower band or index past it; l = 4 has no
     tabulated harmonic polynomial; a zero kernel vector has no direction;
-    l above band 8 of the level-3 sphere would be measured aliased; an
+    l above band 8 of the level-3 directions would be measured aliased,
+    over the sphere and a Wulff mesh alike; an
     integrand with a negative or undefined ellipticity margin has no Wulff
     shape."""
     command = "curvature" if where.startswith("curvature") else "sweep"
@@ -336,10 +389,10 @@ def test_bad_mode_tokens_exit_2(tmp_path, capsys, integrand, family, where):
 
 @pytest.mark.parametrize("integrand, family", [
     ("constant", "harmonic:8,0"),
-    ("quadratic:1,1,4", "harmonic:9,0"),
+    ("quadratic:1,1,4", "harmonic:8,0"),
 ])
 def test_harmonic_band_edges_run(tmp_path, capsys, integrand, family):
-    """l = 8 is the graph band of the level-3 sphere; Wulff bases take any l."""
+    """l = 8 is the graph band of the level-3 directions, on both bases."""
     cfg = write_config(tmp_path, BASE.format(integrand=integrand)
                        + f"\n[curvature]\nfamily = {family}\n")
     out = tmp_path / "c"

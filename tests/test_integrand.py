@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from oracles import gauge_reference
 from wulffstab import Integrand, gauge
+from wulffstab.config import parse_integrand
 from wulffstab.integrand import (_GAUGE_BLOCK, HARMONIC_POLYNOMIALS,
                                  HomogeneousPolynomial)
 from wulffstab import spectral
@@ -200,6 +201,36 @@ def test_homogeneous_polynomial_derivatives():
             assert_allclose(g[ax], fd, rtol=1e-7, atol=1e-9)
         H = poly.hess(p[None])[0]
         assert_allclose(H, H.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("descriptor", [
+    "constant:2", "quadratic:1,1,4",
+    "quadratic:2,0.3,0.1,0.3,1,0.2,0.1,0.2,3",
+    "fourier:1,0.265,3,0", "fourier:1,0.05,2,0", "fourier:1,0.1,3,2"])
+def test_hess_deriv_matches_central_differences(descriptor):
+    """T_v = d/dt hess Fbar(x + t v) against central differences of
+    fbar_hess at points off the sphere, and symmetric in all three slots."""
+    integ = parse_integrand(descriptor)
+    gen = np.random.default_rng(5)
+    x = random_units(40) * gen.uniform(0.5, 2.0, size=(40, 1))
+    v = gen.normal(size=(40, 3))
+    h = 1e-5
+    fd = (integ.fbar_hess(x + h * v) - integ.fbar_hess(x - h * v)) / (2 * h)
+    T = integ.fbar_hess_deriv(x, v)
+    assert np.abs(T - fd).max() <= 1e-7 * np.abs(T).max()
+    # D^3 Fbar[e_a, e_b, v] is symmetric: e_c . T_{e_a} v = e_a . T_{e_c} v
+    axes = [integ.fbar_hess_deriv(x, np.tile(e, (40, 1))) for e in np.eye(3)]
+    slots = np.einsum("anbk,nk->nab", np.array(axes), v)
+    assert_allclose(slots, T, atol=1e-12 * np.abs(T).max())
+
+
+def test_hess_deriv_along_the_point_is_minus_the_hessian():
+    """hess Fbar is (-1)-homogeneous, so T_x = -hess Fbar(x)."""
+    x = random_units(20)
+    for integ in (Integrand.quadratic_form(np.diag([1.0, 2.0, 5.0])),
+                  Integrand.fourier_perturbed(1.0, 0.2, (3, 1))):
+        assert_allclose(integ.fbar_hess_deriv(x, x), -integ.fbar_hess(x),
+                        atol=1e-13)
 
 
 def test_fourier_explicit_polynomial_mode():

@@ -74,16 +74,32 @@ def test_y2_eigenvalue(sphere4):
     assert abs(ray + 4.0) < 0.08
 
 
-def test_ellipsoid_kernel_residual_decreases(ellipsoid_integrand):
+def test_ellipsoid_kernel_residual_at_rounding(ellipsoid_integrand):
+    """L_F annihilates <c, nu> pointwise, so the residual is rounding at
+    every level."""
     c = np.array([0.5, -0.3, 0.8])
-    res = []
     for level in (3, 4):
         W = build_wulff(ellipsoid_integrand, level)
         phi = W.normals @ c
         L = stability_operator(W, ellipsoid_integrand, phi)
-        res.append(np.sqrt(np.sum(W.weights * L ** 2)
-                           / np.sum(W.weights * phi ** 2)))
-    assert res[1] < res[0]
+        res = np.sqrt(np.sum(W.weights * L ** 2)
+                      / np.sum(W.weights * phi ** 2))
+        assert res <= 1e-12 * max(1.0, 0.9 / W.reach)
+
+
+def test_stability_operator_rejects_a_foreign_integrand(wulff4):
+    """Only an integrand with A_F proportional to the base's A_W gives the
+    closed form; another one is refused rather than misread."""
+    other = Integrand.quadratic_form(np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="proportional"):
+        stability_operator(wulff4, other, wulff4.normals[:, 0])
+
+
+def test_stability_operator_scales_with_a_constant_integrand(sphere4):
+    """F = 2 over the unit sphere: L = 2 Delta + 2, so Y2 reads -10."""
+    u = harmonic(sphere4, 2, 0)
+    L = stability_operator(sphere4, Integrand.constant(2.0), u)
+    assert np.abs(L + 10 * u).max() < 1e-12
 
 
 # --- centering --------------------------------------------------------------

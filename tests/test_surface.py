@@ -3,10 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import (finish_from_derivatives_reference,
-                     geometry_from_positions, recover_radius_spectral_reference)
+                     geometry_from_positions, recover_radius_spectral_reference,
+                     wulff_graph_stencil)
 from wulffstab import Integrand, build_sphere_mesh, build_wulff, spectral
 from wulffstab import surface
-from wulffstab.operators import lp_norm
+from wulffstab.config import parse_integrand
+from wulffstab.curvature import anisotropic_shape_operator, trace_free
+from wulffstab.operators import covariant_derivatives, get_operators, lp_norm
 from wulffstab.surface import (exp_graph, hausdorff_distance, project_to_wulff,
                                projection_certificate, radial_graph,
                                recover_radius_mesh, recover_radius_spectral)
@@ -81,16 +84,77 @@ def test_geometry_invariants(sphere4, wulff4, ellipsoid_integrand):
 
 def test_wulff_graph_asymmetry_measures_the_stencil(wulff4,
                                                     ellipsoid_integrand):
-    """Over a Wulff mesh the shape operator is taken from the stencil
-    derivative of the normal, whose asymmetry is a discretization error: it
-    reads well above rounding and falls under refinement."""
-    asym = []
+    """The shape operator's asymmetry measures the error of the derivatives
+    it is taken from. Over a Wulff mesh they are exact in the directions
+    (h_ij = e_i . T_{nu_Sigma} e_j + ...), so it is rounding on every
+    level."""
     for mesh in (build_wulff(ellipsoid_integrand, 3), wulff4):
         y20 = spectral.real_sph_harm_matrix(mesh.normals, 2)[
             :, spectral.sh_index(2, 0)]
-        asym.append(radial_graph(mesh, 0.05 * y20).shape_asymmetry)
-    assert asym[0] > 1e-4
-    assert asym[1] < asym[0]
+        assert radial_graph(mesh, 0.05 * y20).shape_asymmetry <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def ellipsoid_levels():
+    """quadratic:1,1,4 Wulff meshes at levels 3-6 with their edge lengths."""
+    integ = Integrand.quadratic_form(np.diag([1.0, 1.0, 4.0]))
+    meshes = [build_wulff(integ, level) for level in (3, 4, 5, 6)]
+    return meshes, [m.edge_length() for m in meshes]
+
+
+def _converges(gaps, hs):
+    """Gaps fall level by level with a fitted order of at least 1.5."""
+    assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
+    assert np.polyfit(np.log(hs), np.log(gaps), 1)[0] >= 1.5, gaps
+
+
+def test_stencil_graph_converges_to_the_closed_form(ellipsoid_levels):
+    """The stencil shape operator of 0.05 Y20 over the ellipsoid approaches
+    the direction-chart closed form under refinement."""
+    meshes, hs = ellipsoid_levels
+    gaps = []
+    for mesh in meshes:
+        u = 0.05 * spectral.real_sph_harm_matrix(mesh.normals, 2)[
+            :, spectral.sh_index(2, 0)]
+        exact = radial_graph(mesh, u).shape_operator
+        fitted = wulff_graph_stencil(mesh, u).shape_operator
+        gaps.append(np.abs(fitted - exact).max() / np.abs(exact).max())
+    _converges(gaps, hs)
+
+
+def test_stencil_hessian_converges_to_the_closed_form(ellipsoid_levels):
+    """The stencil Hessian of Y31(nu) on the ellipsoid approaches
+    A^-1 (Hess_S f - T_G) A^-1 under refinement."""
+    meshes, hs = ellipsoid_levels
+    gaps = []
+    for mesh in meshes:
+        f = spectral.real_sph_harm_matrix(mesh.normals, 3)[
+            :, spectral.sh_index(3, 1)]
+        _, exact = covariant_derivatives(mesh, f)
+        fitted = get_operators(mesh).hessian(f)
+        gaps.append(np.abs(fitted - exact).max() / np.abs(exact).max())
+    _converges(gaps, hs)
+
+
+@pytest.mark.parametrize("descriptor",
+                         ["quadratic:1,1,4", "fourier:1,0.265,3,0"])
+def test_unperturbed_wulff_deficit_is_rounding(descriptor):
+    """The Wulff shape itself has S_F = Id, so its trace-free deficit
+    (p = 4) is rounding at every level, on the ellipsoid and on the Fourier
+    integrand near its ellipticity margin alike."""
+    integ = parse_integrand(descriptor)
+    for level in (3, 4, 5, 6):
+        mesh = build_wulff(integ, level)
+        geom = radial_graph(mesh, np.zeros(mesh.n_vertices))
+        dev, _ = trace_free(anisotropic_shape_operator(geom, integ)[0])
+        assert lp_norm(dev, 4, geom.weights) <= 1e-11, level
+
+
+def test_exp_graph_refuses_a_wulff_base(wulff4):
+    """e^f x is a graph over the unit sphere; over a Wulff mesh the radial
+    graph is the one that follows the base's normals."""
+    with pytest.raises(ValueError, match="unit sphere"):
+        exp_graph(wulff4, np.zeros(wulff4.n_vertices))
 
 
 def test_closed_form_frames_match_qr_reference(sphere4, monkeypatch):
