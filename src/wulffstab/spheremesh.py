@@ -119,26 +119,6 @@ def expand_rows(table, sets):
                                       axis=1))
 
 
-def stack_rows(parts):
-    """Padded tables stacked row-wise, each widened with -1 to the widest.
-
-    Empties the list: each part is written into its slice of one table and
-    dropped, so the parts and the table are not all held at once.
-    """
-    if len(parts) == 1:
-        return parts.pop()
-    width = max(p.shape[1] for p in parts)
-    out = np.empty((sum(map(len, parts)), width), dtype=parts[0].dtype)
-    lo = 0
-    parts.reverse()
-    while parts:
-        p = parts.pop()
-        out[lo:lo + len(p), :p.shape[1]] = p
-        out[lo:lo + len(p), p.shape[1]:] = -1
-        lo += len(p)
-    return out
-
-
 def tangent_frames(normals):
     """Deterministic orthonormal tangent frame (e1, e2) per unit normal.
 
@@ -217,7 +197,7 @@ class WulffMesh:
     reach : tubular reach estimate, 0.9 / max principal curvature
 
     The arrays are read-only, so values derived from them and kept by
-    `cached` (adjacency, stencils, harmonic bases) cannot go stale.
+    `cached` (adjacency, vertex-to-face table, harmonic bases) cannot go stale.
     """
 
     def __init__(self, vertices, faces, normals, level, integrand=None):

@@ -2,6 +2,7 @@
 against, and helpers only the tests use."""
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, lpmv
 
@@ -74,13 +75,6 @@ def real_sph_harm_matrix_columns(points, L):
                 out[:, sh_index(ell, m)] = p * cm
                 out[:, sh_index(ell, -m)] = p * sm
     return out
-
-
-def stack_rows_reference(parts):
-    """Each padded table widened with -1 to the widest, then concatenated."""
-    width = max(p.shape[1] for p in parts)
-    return np.concatenate([np.pad(p, ((0, 0), (0, width - p.shape[1])),
-                                  constant_values=-1) for p in parts])
 
 
 def sh_analyze_reference(mesh, values, L):
@@ -370,7 +364,9 @@ def pinching_check_provable(spec, lambda_low):
 
 
 def geometry_from_positions(base, positions):
-    """Geometry of an arbitrary node-indexed surface, all from mesh stencils.
+    """Geometry of an arbitrary node-indexed surface over the sphere or a
+    Wulff mesh, its derivatives taken through the directions
+    (`get_operators`), so the positions are read at `graph_band`.
 
     Used for surfaces that are not given as graphs (certificate
     counterexamples). Orientation follows the face winding of the base.
@@ -393,15 +389,15 @@ def geometry_from_positions(base, positions):
                                     None, "mesh")
 
 
-def wulff_graph_stencil(wmesh, values):
+def wulff_graph_stencil(wmesh, stencils, values):
     """Geometry of {x + u(x) nu_W(x)} over a Wulff mesh, from mesh stencils.
 
     The Gauss map of W gives the first derivatives (d nu_W = A_F^-1); the
-    normal field is differentiated with the cubic stencils of
-    `DerivativeOperators`, so the result carries their O(h^2) error.
+    values and the normal field are differentiated with the cubic fits of
+    `stencils_reference(wmesh)`, so the result carries their O(h^2) error.
     """
-    ops = get_operators(wmesh)
-    grad = ops.gradient(values)
+    g1, g2 = stencils[:2]
+    grad = np.column_stack((g1 @ values, g2 @ values))
     e1, e2 = wmesh.frames
     frames = np.stack((e1, e2), axis=2)
     sw = wmesh.shape_operator  # (N, 2, 2) in frame
@@ -416,7 +412,72 @@ def wulff_graph_stencil(wmesh, values):
     nu /= np.linalg.norm(nu, axis=1, keepdims=True)
     flip = np.einsum("ni,ni->n", nu, nu_w) < 0
     nu[flip] *= -1.0
-    jac_nu = ops.jacobian_ambient(nu)  # (N, 3, 2)
+    jac_nu = np.stack((g1 @ nu, g2 @ nu), axis=2)  # (N, 3, 2)
     h_chart = np.einsum("nki,nkj->nij", psi_d, jac_nu)
     return _finish_from_derivatives(wmesh, positions, psi_d, nu, h_chart,
                                     values, "radial")
+
+
+def vertex_adjacency_reference(n_vertices, faces):
+    nbrs = [set() for _ in range(n_vertices)]
+    for a, b, c in faces:
+        nbrs[a].update((b, c))
+        nbrs[b].update((a, c))
+        nbrs[c].update((a, b))
+    return [np.array(sorted(s), dtype=np.int64) for s in nbrs]
+
+
+def two_ring_reference(nbrs, i):
+    out = set(nbrs[i].tolist())
+    for j in nbrs[i]:
+        out.update(nbrs[j].tolist())
+    out.discard(i)
+    return np.array(sorted(out), dtype=np.int64)
+
+
+# monomials of the cubic fit in chart coordinates (a, b); the 1/2 and 1/6
+# factors make the quadratic coefficients the Hessian entries
+EXPONENTS = np.array([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+                      (3, 0), (2, 1), (1, 2), (0, 3)])
+FACTORS = np.array([1.0, 1, 1, 0.5, 1, 0.5, 1 / 6, 0.5, 0.5, 1 / 6])
+
+
+def design_matrix_reference(y):
+    """Cubic monomials (..., m, 10) of chart points y (..., m, 2)."""
+    m = y[..., 0:1] ** EXPONENTS[:, 0] * y[..., 1:2] ** EXPONENTS[:, 1]
+    return m * FACTORS
+
+
+def stencils_reference(mesh):
+    """g1, g2, h11, h12, h22 as CSR matrices, from one weighted cubic fit
+    per vertex over itself and its two-ring in tangent-plane projection
+    coordinates, with weights exp(-(r / mean ring radius)^2).
+
+    The projection chart agrees with normal coordinates to second order,
+    so the fitted gradient and Hessian are the covariant ones up to
+    O(h^2). The fits of equally large stencils share one stacked pinv.
+    """
+    e1, e2 = mesh.frames
+    nbrs = vertex_adjacency_reference(mesh.n_vertices, mesh.faces)
+    stencils = [np.concatenate(([i], two_ring_reference(nbrs, i)))
+                for i in range(mesh.n_vertices)]
+    sizes = np.array([len(s) for s in stencils])
+    rows, cols, data = [], [], []
+    for size in np.unique(sizes):
+        verts = np.flatnonzero(sizes == size)
+        idx = np.array([stencils[i] for i in verts])
+        d = mesh.vertices[idx] - mesh.vertices[verts][:, None, :]
+        y = np.stack((np.einsum("bmk,bk->bm", d, e1[verts]),
+                      np.einsum("bmk,bk->bm", d, e2[verts])), axis=2)
+        r = np.linalg.norm(y, axis=2)
+        w = np.exp(-((r / r[:, 1:].mean(axis=1, keepdims=True)) ** 2))
+        pinv = np.linalg.pinv(design_matrix_reference(y) * w[..., None],
+                              rcond=1e-10)
+        pinv *= w[:, None, :]
+        rows.append(np.repeat(verts, size))
+        cols.append(idx.ravel())
+        data.append(pinv[:, 1:6].transpose(1, 0, 2).reshape(5, -1))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    n = mesh.n_vertices
+    return [sparse.csr_matrix((d, (rows, cols)), shape=(n, n))
+            for d in np.concatenate(data, axis=1)]

@@ -1,67 +1,17 @@
 """Batched mesh kernels against their per-vertex and per-ray definitions.
 
-The reference implementations below are the straightforward loops: sets
-for adjacency and rings, one pinv per vertex, one Moller-Trumbore call per
-ray and brute-force point distances.
+The reference implementations are the straightforward loops: sets for
+adjacency and rings, one Moller-Trumbore call per ray and brute-force
+point distances.
 """
 
 import numpy as np
 import pytest
-from scipy import sparse
 
+from oracles import vertex_adjacency_reference
 from wulffstab import build_sphere_mesh, build_wulff, spectral
-from wulffstab.operators import get_operators
 from wulffstab.spheremesh import WulffMesh, vertex_adjacency
 from wulffstab.surface import recover_radius_mesh, symmetric_point_distance
-
-
-def vertex_adjacency_reference(n_vertices, faces):
-    nbrs = [set() for _ in range(n_vertices)]
-    for a, b, c in faces:
-        nbrs[a].update((b, c))
-        nbrs[b].update((a, c))
-        nbrs[c].update((a, b))
-    return [np.array(sorted(s), dtype=np.int64) for s in nbrs]
-
-
-def two_ring_reference(nbrs, i):
-    out = set(nbrs[i].tolist())
-    for j in nbrs[i]:
-        out.update(nbrs[j].tolist())
-    out.discard(i)
-    return np.array(sorted(out), dtype=np.int64)
-
-
-EXPONENTS = np.array([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
-                      (3, 0), (2, 1), (1, 2), (0, 3)])
-FACTORS = np.array([1.0, 1, 1, 0.5, 1, 0.5, 1 / 6, 0.5, 0.5, 1 / 6])
-
-
-def design_matrix_reference(y):
-    m = y[:, 0:1] ** EXPONENTS[:, 0] * y[:, 1:2] ** EXPONENTS[:, 1]
-    return m * FACTORS
-
-
-def stencils_reference(mesh):
-    """g1, g2, h11, h12, h22 from one weighted cubic fit per vertex."""
-    e1, e2 = mesh.frames
-    nbrs = vertex_adjacency_reference(mesh.n_vertices, mesh.faces)
-    rows, cols, data = [], [], [[] for _ in range(5)]
-    for i in range(mesh.n_vertices):
-        idx = np.concatenate(([i], two_ring_reference(nbrs, i)))
-        d = mesh.vertices[idx] - mesh.vertices[i]
-        y = np.column_stack((d @ e1[i], d @ e2[i]))
-        r = np.linalg.norm(y, axis=1)
-        w = np.exp(-((r / r[1:].mean()) ** 2))
-        pinv = np.linalg.pinv(design_matrix_reference(y) * w[:, None],
-                              rcond=1e-10)
-        pinv *= w[None, :]
-        rows.extend([i] * len(idx))
-        cols.extend(idx.tolist())
-        for ch in range(5):
-            data[ch].extend(pinv[ch + 1].tolist())
-    n = mesh.n_vertices
-    return [sparse.csr_matrix((d, (rows, cols)), shape=(n, n)) for d in data]
 
 
 def faces_near_reference(mesh, k):
@@ -125,33 +75,6 @@ def wulff3(ellipsoid_integrand):
     return build_wulff(ellipsoid_integrand, 3)
 
 
-def stencil_table_reference(matrices, n_vertices):
-    """Per-vertex CSR rows of the reference stencils as the padded table of
-    DerivativeOperators: nodes (K, N) ascending per vertex, padded with the
-    vertex itself, and weights (5, K, N), padded with 0."""
-    sizes = np.diff(matrices[0].indptr)
-    width = sizes.max()
-    nodes = np.tile(np.arange(n_vertices), (width, 1))
-    weights = np.zeros((5, width, n_vertices))
-    for i in range(n_vertices):
-        span = slice(matrices[0].indptr[i], matrices[0].indptr[i + 1])
-        nodes[:sizes[i], i] = matrices[0].indices[span]
-        for ch, m in enumerate(matrices):
-            np.testing.assert_array_equal(m.indices[span],
-                                          nodes[:sizes[i], i])
-            weights[ch, :sizes[i], i] = m.data[span]
-    return nodes, weights
-
-
-def stencil_matrices(ops):
-    """The five stencil channels of DerivativeOperators as CSR matrices."""
-    n = ops.nodes.shape[1]
-    rows = np.broadcast_to(np.arange(n), ops.nodes.shape).ravel()
-    # a padding entry repeats its vertex with weight 0 and is summed away
-    return [sparse.csr_matrix((w.ravel(), (rows, ops.nodes.ravel())),
-                              shape=(n, n)) for w in ops.weights]
-
-
 def test_vertex_adjacency_matches_sets():
     for level in (2, 4):
         mesh = build_sphere_mesh(level)
@@ -163,201 +86,6 @@ def test_vertex_adjacency_matches_sets():
             np.testing.assert_array_equal(row[:len(w)], w)
             assert (row[len(w):] == -1).all()
         assert mesh.adjacency is mesh.adjacency
-
-
-@pytest.mark.parametrize("which", ["sphere", "wulff"])
-def test_stencils_match_per_vertex_fits(which, wulff3):
-    mesh = build_sphere_mesh(3) if which == "sphere" else wulff3
-    ops = get_operators(mesh)
-    nodes, weights = stencil_table_reference(stencils_reference(mesh),
-                                             mesh.n_vertices)
-    np.testing.assert_array_equal(ops.nodes, nodes)
-    scale = np.abs(weights).max(axis=(1, 2), keepdims=True)
-    assert (np.abs(ops.weights - weights) <= 1e-11 * scale).all()
-
-
-@pytest.mark.parametrize("which", ["sphere", "wulff"])
-def test_stencil_apply_matches_csr_products(which, sphere4, wulff4):
-    """Each channel, applied column by column, equals scipy's CSR product
-    bit for bit on scalar and vector fields."""
-    mesh = sphere4 if which == "sphere" else wulff4
-    ops = get_operators(mesh)
-    g1, g2, h11, h12, h22 = stencil_matrices(ops)
-    rng = np.random.default_rng(4)
-    u = rng.normal(size=mesh.n_vertices)
-    vec = rng.normal(size=(mesh.n_vertices, 3))
-    np.testing.assert_array_equal(ops.gradient(u),
-                                  np.column_stack((g1 @ u, g2 @ u)))
-    H = ops.hessian(u)
-    np.testing.assert_array_equal(H[:, 0, 0], h11 @ u)
-    np.testing.assert_array_equal(H[:, 0, 1], h12 @ u)
-    np.testing.assert_array_equal(H[:, 1, 0], h12 @ u)
-    np.testing.assert_array_equal(H[:, 1, 1], h22 @ u)
-    J = ops.jacobian_ambient(vec)
-    np.testing.assert_array_equal(J[:, :, 0], (g1 @ vec))
-    np.testing.assert_array_equal(J[:, :, 1], (g2 @ vec))
-    e1, e2 = mesh.frames
-    div = np.zeros(mesh.n_vertices)
-    for k in range(3):
-        div += (g1 @ vec[:, k]) * e1[:, k]
-        div += (g2 @ vec[:, k]) * e2[:, k]
-    np.testing.assert_array_equal(ops.divergence(vec), div)
-
-
-def test_stencil_rejects_small_rings():
-    """An octahedron's two-rings hold 6 nodes, too few for a cubic fit."""
-    from wulffstab.operators import DerivativeOperators
-    from wulffstab.spheremesh import WulffMesh
-    v = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
-                  [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float)
-    f = np.array([[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4],
-                  [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]])
-    with pytest.raises(ValueError, match="6 nodes"):
-        DerivativeOperators(WulffMesh(v, f, v, 0))
-
-
-def test_blocked_stencils_match_unblocked(wulff3, monkeypatch):
-    """Fit blocks (_FIT_BLOCK) and two-ring blocks (_BLOCK_VERTICES) of 5
-    vertices: every stencil-size group spans more than two fit blocks."""
-    import wulffstab.operators as operators
-    want = operators.DerivativeOperators(wulff3)
-    block = 5
-    sizes = np.diff(stencil_matrices(want)[0].indptr)
-    _, group_sizes = np.unique(sizes, return_counts=True)
-    assert group_sizes.min() > 2 * block
-    monkeypatch.setattr(operators, "_FIT_BLOCK", block)
-    monkeypatch.setattr(operators, "_BLOCK_VERTICES", block)
-    got = operators.DerivativeOperators(wulff3)
-    assert got.nodes.dtype == np.int32
-    np.testing.assert_array_equal(got.nodes, want.nodes)
-    np.testing.assert_array_equal(got.weights, want.weights)
-
-
-def test_stencil_build_working_set_stays_bounded(wulff4, wulff5):
-    """The traced peak of a stencil build, less the nodes and weights it
-    keeps, grows from level 4 to level 5 only by the per-vertex tables the
-    build reads (the two-ring, 72 bytes a vertex, and the stencil sizes),
-    not by its fits: they run in fixed blocks. With one fit block per
-    stencil-size group it grew by about 4 KB a vertex."""
-    import tracemalloc
-    from wulffstab.operators import DerivativeOperators
-    transient = []
-    for mesh in (wulff4, wulff5):
-        mesh.adjacency    # cached on the mesh, not part of the build
-        tracemalloc.start()
-        try:
-            ops = DerivativeOperators(mesh)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        transient.append(peak - ops.nodes.nbytes - ops.weights.nbytes)
-    per_vertex = ((transient[1] - transient[0])
-                  / (wulff5.n_vertices - wulff4.n_vertices))
-    assert per_vertex < 128
-
-
-@pytest.mark.parametrize("scale", [1e-3, 0.05, 1.0])
-def test_fit_rows_reproduce_cubics(scale):
-    """Gradient and Hessian of random cubics at random chart points, with
-    coefficients drawn for the chart scaled to unit size."""
-    from wulffstab.operators import _fit_rows
-    rng = np.random.default_rng(5)
-    y = scale * rng.uniform(-1, 1, (200, 19, 2))
-    y[:, 0] = 0.0
-    c = rng.normal(size=(200, 10))
-    unit = y / scale
-    monomials = (unit[..., :1] ** EXPONENTS[:, 0]
-                 * unit[..., 1:] ** EXPONENTS[:, 1] * FACTORS)
-    values = np.einsum("bmk,bk->bm", monomials, c)
-    rows, ok = _fit_rows(y)
-    assert ok.all()
-    got = np.einsum("bkm,bm->bk", rows, values)
-    got *= scale ** EXPONENTS[1:6].sum(axis=1)
-    assert np.abs(got - c[:, 1:6]).max() <= 1e-11 * np.abs(c).max()
-
-
-def test_fit_rows_flag_rank_deficient_rings():
-    """Collinear chart points (exactly, off the axes and nearly) and points
-    on three lines, where a cubic vanishes, leave the fit rank-deficient."""
-    from wulffstab.operators import _fit_rows
-    rng = np.random.default_rng(6)
-    y = 0.05 * rng.uniform(-1, 1, (6, 19, 2))
-    y[1, :, 1] = 0.0
-    y[2, :, 1] = 2.0 * y[2, :, 0]
-    y[3, :, 1] = 0.3 * y[3, :, 0] + 1e-10 * rng.normal(size=19)
-    angle = np.repeat([0.3, 1.4, 2.5], 7)[:19]
-    y[4] = y[4, :, :1] * np.column_stack((np.cos(angle), np.sin(angle)))
-    y[:, 0] = 0.0
-    rows, ok = _fit_rows(y)
-    np.testing.assert_array_equal(ok, [True, False, False, False, False,
-                                       True])
-    assert np.isfinite(rows[ok]).all()
-
-
-def test_stencil_rejects_rank_deficient_rings():
-    """A sphere mesh squashed onto a line keeps its rings but not a chart
-    in which a cubic can be fitted."""
-    from wulffstab.operators import DerivativeOperators
-    from wulffstab.spheremesh import WulffMesh
-    sphere = build_sphere_mesh(2)
-    u = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
-    line = (sphere.vertices @ u)[:, None] * u
-    with pytest.raises(ValueError, match="rank-deficient .* vertex 0$"):
-        DerivativeOperators(WulffMesh(line, sphere.faces, sphere.normals, 2))
-
-
-def test_stencil_rejects_collapsed_rings_without_warnings():
-    """A mesh squashed onto the x axis collapses some two-rings onto their
-    vertex in the chart (mean ring radius 0)."""
-    import warnings
-    from wulffstab.operators import DerivativeOperators
-    from wulffstab.spheremesh import WulffMesh
-    sphere = build_sphere_mesh(2)
-    squashed = WulffMesh(sphere.vertices * [1.0, 0.0, 0.0], sphere.faces,
-                         sphere.normals, 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="rank-deficient"):
-            DerivativeOperators(squashed)
-
-
-def chart_cubic_errors(mesh, ops):
-    """Largest error of each stencil channel on random cubics, one per
-    vertex, in that vertex's chart scaled to unit RMS ring radius; relative
-    to the largest coefficient."""
-    e1, e2 = mesh.frames
-    c = np.random.default_rng(7).normal(size=(mesh.n_vertices, 10))
-    out = []
-    for k, ch in enumerate(stencil_matrices(ops)):
-        m = ch.tocoo()
-        d = mesh.vertices[m.col] - mesh.vertices[m.row]
-        y = np.column_stack((np.einsum("ki,ki->k", d, e1[m.row]),
-                             np.einsum("ki,ki->k", d, e2[m.row])))
-        h = np.sqrt(np.bincount(m.row, (y ** 2).sum(axis=1))
-                    / np.bincount(m.row))
-        u = y / h[m.row, None]
-        monomials = (u[:, :1] ** EXPONENTS[:, 0] * u[:, 1:] ** EXPONENTS[:, 1]
-                     * FACTORS)
-        values = np.einsum("kj,kj->k", monomials, c[m.row])
-        got = np.bincount(m.row, m.data * values, minlength=mesh.n_vertices)
-        got *= h ** EXPONENTS[k + 1].sum()
-        out.append(np.abs(got - c[:, k + 1]).max() / np.abs(c).max())
-    return np.array(out)
-
-
-def test_stencils_reproduce_cubics_on_stretched_rings(monkeypatch):
-    """quadratic:1,1,400 stretches two-rings up to ~280-fold, so cond(A)
-    reaches 2.5e8 even in scaled coordinates. The normal equations alone
-    lose accuracy there (errors ~1e-9); the SVD refit restores it."""
-    import wulffstab.operators as operators
-    from wulffstab import Integrand
-    mesh = build_wulff(Integrand.quadratic_form(np.diag([1.0, 1.0, 400.0])),
-                       3)
-    errors = chart_cubic_errors(mesh, operators.DerivativeOperators(mesh))
-    assert errors.max() <= 1e-10
-    monkeypatch.setattr(operators, "_NORMAL_TOL", np.inf)
-    errors = chart_cubic_errors(mesh, operators.DerivativeOperators(mesh))
-    assert errors.max() > 1e-10
 
 
 @pytest.mark.parametrize("k", [1, 4])

@@ -167,39 +167,6 @@ def test_kernel_on_the_fourier_integrand_passes(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("command", ["wulff", "curvature", "kernel", "center",
-                                     "sweep", "einstein"])
-def test_no_subcommand_builds_stencils(tmp_path, monkeypatch, command):
-    """Every field on a Wulff mesh is differentiated through the direction
-    sphere, so no subcommand fits a DerivativeOperators stencil."""
-    from wulffstab.operators import DerivativeOperators
-    builds = []
-    init = DerivativeOperators.__init__
-
-    def spy(self, mesh):
-        builds.append(mesh.n_vertices)
-        init(self, mesh)
-
-    monkeypatch.setattr(DerivativeOperators, "__init__", spy)
-    cfg = write_config(tmp_path, BASE.format(integrand="quadratic:1,1,4") + """
-[sweep]
-family = harmonic:2,0
-amplitudes = 1e-3,1e-2,4
-
-[kernel]
-levels = 2,3
-n_vectors = 2
-
-[einstein]
-dimensions = 3
-kappas = 0
-budget = 2000
-""")
-    assert main([command, "--config", cfg, "--out",
-                 str(tmp_path / command)]) == 0
-    assert builds == []
-
-
 def test_center_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.format(integrand="constant").replace(
         "level = 3", "level = 4"))

@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 from oracles import (real_sph_harm_matrix_columns,
                      real_sph_harm_matrix_reference, sh_analyze_reference,
-                     spectral_derivatives_reference, stack_rows_reference,
-                     stencil_basis_reference, subdivide_reference)
+                     spectral_derivatives_reference, stencil_basis_reference,
+                     subdivide_reference)
 from wulffstab import build_sphere_mesh, build_wulff
 from wulffstab import spectral, spheremesh
 from wulffstab.operators import (DerivativeOperators, TensorField,
@@ -247,17 +247,6 @@ def test_derivative_cache_holds_only_the_vertex_basis():
     assert basis.shape == (n, k) and factor.shape == (k, k)
 
 
-@pytest.mark.parametrize("widths", [[3, 5, 2], [4], [0, 2, 0], [0, 0]])
-def test_stack_rows_matches_pad_and_concatenate(widths):
-    gen = np.random.default_rng(len(widths))
-    parts = [gen.integers(-1, 50, size=(gen.integers(1, 6), w), dtype=np.int32)
-             for w in widths]
-    want = stack_rows_reference(parts)
-    got = spheremesh.stack_rows(list(parts))
-    assert got.dtype == want.dtype
-    np.testing.assert_array_equal(got, want)
-
-
 # --- norms and operators ----------------------------------------------------
 
 
@@ -283,10 +272,8 @@ def test_w22_of_y20_against_eigenvalue_identity(sphere5):
     coeffs[spectral.sh_index(2, 0)] = 1.0
     f = spectral.sh_synthesize(coeffs, sphere5.vertices)
     exact = 1 + np.sqrt(6) + np.sqrt(30)
-    got = w2p_norm(f, 2, sphere5, coeffs=coeffs)
+    got = w2p_norm(f, 2, sphere5)
     assert abs(got - exact) / exact < 0.02
-    got_mesh = w2p_norm(f, 2, sphere5)
-    assert abs(got_mesh - exact) / exact < 0.02
 
 
 def test_gradient_exact_on_constants(sphere4):
@@ -297,7 +284,7 @@ def test_gradient_exact_on_constants(sphere4):
 
 @pytest.mark.parametrize("which", ["sphere", "wulff"])
 def test_mesh_arrays_are_read_only(which, ellipsoid_integrand):
-    """Cached stencils and bases would go stale if the arrays could change."""
+    """Cached tables and bases would go stale if the arrays could change."""
     mesh = (build_sphere_mesh(2) if which == "sphere"
             else build_wulff(ellipsoid_integrand, 2))
     for a in (mesh.vertices, mesh.faces, mesh.normals, mesh.weights,
@@ -353,8 +340,9 @@ def test_divergence_adjointness(sphere5):
 
 
 def test_laplacian_eigenvalue_refinement():
-    errs = []
-    hs = []
+    """Delta Y31 = -12 Y31 on every level: the Laplacian is the trace of
+    the exact Hessian, so the error is rounding (about 1e-15) and a fitted
+    order would compare noise."""
     for level in (3, 4):
         m = build_sphere_mesh(level)
         ops = DerivativeOperators(m)
@@ -362,10 +350,7 @@ def test_laplacian_eigenvalue_refinement():
         lap = ops.laplacian(f)
         err = np.sqrt(np.sum(m.weights * (lap + 12 * f) ** 2)
                       / np.sum(m.weights * (12 * f) ** 2))
-        errs.append(err)
-        hs.append(m.edge_length())
-    order = np.log(errs[0] / errs[1]) / np.log(hs[0] / hs[1])
-    assert order >= 1.0
+        assert err <= 1e-12, level
 
 
 def test_tensor_norms_frame_invariant(sphere4):

@@ -4,12 +4,12 @@ from numpy.testing import assert_allclose
 
 from oracles import (finish_from_derivatives_reference,
                      geometry_from_positions, recover_radius_spectral_reference,
-                     wulff_graph_stencil)
+                     stencils_reference, wulff_graph_stencil)
 from wulffstab import Integrand, build_sphere_mesh, build_wulff, spectral
 from wulffstab import surface
 from wulffstab.config import parse_integrand
 from wulffstab.curvature import anisotropic_shape_operator, trace_free
-from wulffstab.operators import covariant_derivatives, get_operators, lp_norm
+from wulffstab.operators import covariant_derivatives, lp_norm
 from wulffstab.surface import (exp_graph, hausdorff_distance, project_to_wulff,
                                projection_certificate, radial_graph,
                                recover_radius_mesh, recover_radius_spectral)
@@ -96,10 +96,12 @@ def test_wulff_graph_asymmetry_measures_the_stencil(wulff4,
 
 @pytest.fixture(scope="module")
 def ellipsoid_levels():
-    """quadratic:1,1,4 Wulff meshes at levels 3-6 with their edge lengths."""
+    """quadratic:1,1,4 Wulff meshes at levels 3-6 with their edge lengths
+    and the per-vertex cubic fits of `stencils_reference`."""
     integ = Integrand.quadratic_form(np.diag([1.0, 1.0, 4.0]))
     meshes = [build_wulff(integ, level) for level in (3, 4, 5, 6)]
-    return meshes, [m.edge_length() for m in meshes]
+    return (meshes, [m.edge_length() for m in meshes],
+            [stencils_reference(m) for m in meshes])
 
 
 def _converges(gaps, hs):
@@ -111,13 +113,13 @@ def _converges(gaps, hs):
 def test_stencil_graph_converges_to_the_closed_form(ellipsoid_levels):
     """The stencil shape operator of 0.05 Y20 over the ellipsoid approaches
     the direction-chart closed form under refinement."""
-    meshes, hs = ellipsoid_levels
+    meshes, hs, stencils = ellipsoid_levels
     gaps = []
-    for mesh in meshes:
+    for mesh, fits in zip(meshes, stencils):
         u = 0.05 * spectral.real_sph_harm_matrix(mesh.normals, 2)[
             :, spectral.sh_index(2, 0)]
         exact = radial_graph(mesh, u).shape_operator
-        fitted = wulff_graph_stencil(mesh, u).shape_operator
+        fitted = wulff_graph_stencil(mesh, fits, u).shape_operator
         gaps.append(np.abs(fitted - exact).max() / np.abs(exact).max())
     _converges(gaps, hs)
 
@@ -125,13 +127,14 @@ def test_stencil_graph_converges_to_the_closed_form(ellipsoid_levels):
 def test_stencil_hessian_converges_to_the_closed_form(ellipsoid_levels):
     """The stencil Hessian of Y31(nu) on the ellipsoid approaches
     A^-1 (Hess_S f - T_G) A^-1 under refinement."""
-    meshes, hs = ellipsoid_levels
+    meshes, hs, stencils = ellipsoid_levels
     gaps = []
-    for mesh in meshes:
+    for mesh, fits in zip(meshes, stencils):
         f = spectral.real_sph_harm_matrix(mesh.normals, 3)[
             :, spectral.sh_index(3, 1)]
         _, exact = covariant_derivatives(mesh, f)
-        fitted = get_operators(mesh).hessian(f)
+        h11, h12, h22 = (ch @ f for ch in fits[2:])
+        fitted = np.stack((h11, h12, h12, h22), axis=1).reshape(-1, 2, 2)
         gaps.append(np.abs(fitted - exact).max() / np.abs(exact).max())
     _converges(gaps, hs)
 

@@ -17,7 +17,7 @@ def test_unit_sphere_wulff():
 
 def test_sphere_mesh_is_the_constant_wulff_mesh(sphere4):
     """The icosphere carries the closed-form curvature of the F = 1 Wulff
-    shape, which build_wulff computes through the stencil-path integrand."""
+    shape, which build_wulff computes from the integrand's anisotropy."""
     W = build_wulff(Integrand.constant(), 4)
     assert sphere4.integrand is None and W.integrand is not None
     assert_allclose(sphere4.normals, sphere4.vertices, atol=0)
