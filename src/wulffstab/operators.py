@@ -106,9 +106,17 @@ class DerivativeOperators:
     the vertex frames, all taken from `covariant_derivatives`.
 
     Each field is analysed at `spectral.graph_band` over the directions and
-    differentiated exactly, so every result is exact up to rounding for
-    fields up to that band; the analysis drops higher modes. Vector fields
-    are differentiated one ambient component at a time.
+    differentiated exactly; the analysis drops higher modes. The gradient,
+    Hessian and Laplacian are therefore exact up to rounding for fields up
+    to that band, on either base. Vector fields are differentiated one
+    ambient component at a time, so `jacobian_ambient` and `divergence`
+    are exact only where those components lie in the band too: on the
+    sphere the gradient of a field of band at most graph_band - 1 does, and
+    divergence(gradient f) is the Laplacian up to rounding; on a Wulff mesh
+    grad_W f = A^-1 grad_S f carries A^-1 of Fbar, which is not
+    band-limited, and the dropped modes stay at any level (for Y31 on
+    quadratic:1,1,4 the two Laplacians differ by about 2e-3 relative at
+    levels 3-5).
     """
 
     def __init__(self, mesh):

@@ -68,57 +68,6 @@ def vertex_area_weights(vertices, faces):
     return w
 
 
-def vertex_adjacency(n_vertices, faces):
-    """One-ring neighbour table: (N, max valence) int32, each row's
-    neighbours in ascending order, padded with -1."""
-    n = n_vertices
-    pairs = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    key = np.sort(pairs[:, 0] * n + pairs[:, 1])
-    i, j = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
-    rows, cols = np.divmod(np.sort(np.concatenate((i * n + j, j * n + i))), n)
-    return _padded_rows(rows, cols, n)
-
-
-def vertex_faces(n_vertices, faces):
-    """Vertex-to-face table: (N, max faces per vertex) int32, each row's
-    faces in ascending order, padded with -1."""
-    order = np.argsort(faces.ravel(), kind="stable")
-    return _padded_rows(faces.ravel()[order], order // 3, n_vertices)
-
-
-def _padded_rows(rows, cols, n_rows):
-    """(n_rows, width) int32 table of cols grouped by rows, padded with -1.
-
-    rows is ascending, and cols keeps its order within each row. int32
-    halves the memory and the sorting time of the row-set operations.
-    """
-    counts = np.bincount(rows, minlength=n_rows)
-    out = np.full((n_rows, counts.max(initial=0)), -1, dtype=np.int32)
-    out[np.arange(out.shape[1]) < counts[:, None]] = cols
-    return out
-
-
-def unique_rows(table):
-    """Each row's distinct entries other than -1, ascending, as a table of
-    the same dtype padded with -1."""
-    x = np.sort(table, axis=1)
-    keep = x >= 0
-    keep[:, 1:] &= x[:, 1:] != x[:, :-1]
-    counts = keep.sum(axis=1)
-    out = np.full((len(x), counts.max(initial=0)), -1, dtype=x.dtype)
-    out[np.arange(out.shape[1]) < counts[:, None]] = x[keep]
-    return out
-
-
-def expand_rows(table, sets):
-    """Each row of sets (B, w), padded with -1, joined with the rows of
-    table (N, V) at its entries: ascending, padded with -1."""
-    more = table[sets]
-    more[sets < 0] = -1
-    return unique_rows(np.concatenate((sets, more.reshape(len(sets), -1)),
-                                      axis=1))
-
-
 def tangent_frames(normals):
     """Deterministic orthonormal tangent frame (e1, e2) per unit normal.
 
@@ -197,7 +146,7 @@ class WulffMesh:
     reach : tubular reach estimate, 0.9 / max principal curvature
 
     The arrays are read-only, so values derived from them and kept by
-    `cached` (adjacency, vertex-to-face table, harmonic bases) cannot go stale.
+    `cached` (harmonic bases, derivative operators) cannot go stale.
     """
 
     def __init__(self, vertices, faces, normals, level, integrand=None):
@@ -234,24 +183,6 @@ class WulffMesh:
         if key not in self._cache:
             self._cache[key] = build(self)
         return self._cache[key]
-
-    @property
-    def adjacency(self):
-        """One-ring neighbour table, padded with -1 (`vertex_adjacency`)."""
-        return self.cached("adjacency",
-                           lambda m: vertex_adjacency(m.n_vertices, m.faces))
-
-    def faces_near(self, nodes, k):
-        """Faces with a corner within graph distance k of each of nodes: an
-        (R, K) int32 table, ascending along each row and padded with -1.
-        The vertex-to-face table (`vertex_faces`) is cached."""
-        ring = np.asarray(nodes, dtype=np.int32)[:, None]
-        for _ in range(k):
-            ring = expand_rows(self.adjacency, ring)
-        faces = self.cached("vertex_faces", lambda m: vertex_faces(
-            m.n_vertices, m.faces))[ring]
-        faces[ring < 0] = -1
-        return unique_rows(faces.reshape(len(ring), -1))
 
     @property
     def n_vertices(self):

@@ -7,7 +7,8 @@ the W^{2,p} distance, is taken in closed form through the direction
 sphere, exact up to rounding on band-limited fields. The kernel component
 v_u of a radius field is its L2 projection onto these modes; centering
 translates the surface until v vanishes, a fixed point that contracts
-linearly (`center`).
+linearly (`center`). The radius of a translate is recovered from its
+harmonic expansion on both bases, so it carries no mesh error.
 """
 
 import numpy as np
@@ -95,7 +96,13 @@ class CenteringResult:
 
 
 class SpectralGraphSurface:
-    """Surface {rho(y) y} over the sphere with spectrally carried radius."""
+    """Graph over the sphere or a Wulff mesh with spectrally carried radius.
+
+    coeffs is the radius's harmonic expansion over the directions and kind
+    its convention ('exp' or 'radial', always 'radial' over a Wulff mesh).
+    A translate's radius comes from `recover_radius_spectral` over the
+    sphere and from `recover_radius_mesh` over a Wulff mesh.
+    """
 
     def __init__(self, mesh, coeffs, kind):
         self.base = mesh
@@ -107,37 +114,11 @@ class SpectralGraphSurface:
         return cls(geom.base, geom.radius_coeffs, geom.kind)
 
     def radius_field(self, c):
-        radius, ok = recover_radius_spectral(self.base, self.coeffs,
-                                             self.kind, c)
-        if not ok:
-            raise RuntimeError(
-                f"graph property lost at translation c = {c}")
-        return radius
-
-
-class MeshGraphSurface:
-    """Surface given by node positions over a base mesh.
-
-    radius is the graph's own radius over the base, if known: it is the
-    field at translation 0, where a ray from x_i along nu_i meets
-    x_i + u_i nu_i at t = u_i exactly. Other translations are read by ray
-    casting (`recover_radius_mesh`).
-    """
-
-    def __init__(self, base, positions, radius=None):
-        self.base = base
-        self.positions = positions
-        self.radius = radius
-
-    @classmethod
-    def from_geometry(cls, geom):
-        radius = geom.radius if geom.kind == "radial" else None
-        return cls(geom.base, geom.positions, radius)
-
-    def radius_field(self, c):
-        if self.radius is not None and not np.any(c):
-            return self.radius
-        radius, ok = recover_radius_mesh(self.base, self.positions, c)
+        if self.base.integrand is None:
+            radius, ok = recover_radius_spectral(self.base, self.coeffs,
+                                                 self.kind, c)
+        else:
+            radius, ok = recover_radius_mesh(self.base, self.coeffs, c)
         if not ok:
             raise RuntimeError(
                 f"graph property lost at translation c = {c}")
@@ -149,9 +130,11 @@ def center(surf, tolerance=1e-8, max_iter=25):
 
     Each step translates by the current kernel component (Sigma_c = Sigma - c
     convention), re-reads the radius over the base and recomputes v. The
-    contraction is linear: the residual falls by a factor of about
-    0.4 eps^2 per step on the sphere (eps the amplitude of the radius), and
-    of 1e-3 to 3e-3 on a level-4 Wulff mesh. A non-decreasing residual
+    contraction is linear: for a translation mode of amplitude eps the
+    residual falls by a factor of about 0.4 eps^2 per step, on the sphere
+    and on a Wulff mesh alike (quadratic:1,1,4 reads 0.25-0.42 eps^2 at
+    levels 4 and 5, independent of the level), and by about 0.5 eps for a
+    Y21 mode of amplitude eps beside one. A non-decreasing residual
     above tolerance is recorded as a sign-convention diagnostic. A starting
     radius above 0.45 in absolute value is rejected.
     """
@@ -284,12 +267,9 @@ def scaling_sweep(base, integrand, family, amplitudes, p, tolerance=1e-8):
             rows.append({"epsilon": eps, "warning": "certificate_failed",
                          "eta": cert.margin})
             break
-        if base.integrand is not None:
-            surf = MeshGraphSurface.from_geometry(geom)
-        else:
-            surf = SpectralGraphSurface.from_geometry(geom)
         try:
-            res = center(surf, tolerance=tolerance)
+            res = center(SpectralGraphSurface.from_geometry(geom),
+                         tolerance=tolerance)
         except (ValueError, RuntimeError) as exc:
             rows.append({"epsilon": eps, "warning": "centering_failed",
                          "eta": cert.margin, "detail": str(exc)})

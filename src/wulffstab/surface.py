@@ -41,7 +41,7 @@ class SurfaceGeometry:
     area_element : (N,) sqrt(det metric)
     weights : (N,) quadrature weights on the surface
     radius : the defining radius field (u or f), or None
-    kind : 'radial', 'exp' or 'mesh'
+    kind : 'radial' or 'exp'
     """
 
     def __init__(self, base, positions, metric, normal, tangent_basis,
@@ -332,150 +332,81 @@ def recover_radius_spectral(mesh, coeffs, kind, translation):
     return radius, bool(ok)
 
 
-# candidate (ray, face) pairs tested per batch
-_RAY_BLOCK = 1 << 15
-# rays walked and cast per block of `recover_radius_mesh`
-_RAY_ROWS = 1 << 14
-# rings grown around a walk's end before a ray is cast against every face
-_RINGS = 4
+# nodes per row block of `recover_radius_mesh`
+_NEWTON_ROWS = 1 << 13
+# evaluations per node in `recover_radius_mesh`, the last one only a check
+_NEWTON_STEPS = 30
 
 
-def _cast_rays(origins, dirs, cand, p0, e1, e2):
-    """Signed hit parameter of each ray against its candidate faces.
-
-    Moller-Trumbore, written out per component: origins and dirs are (R, 3),
-    cand is (R, K) face indices padded with -1, and p0, e1, e2 are (3, T)
-    first corners and edge vectors of the faces. A hit may lie 1e-10 outside
-    the triangle in barycentric terms. Each ray keeps the hit of smallest
-    |t|, the first candidate on ties; rays without a hit get NaN. Dropping
-    candidates that cannot be hit, in any order-preserving way, leaves the
-    result unchanged bit for bit.
-    """
-    out = np.full(len(cand), np.nan)
-    step = max(1, _RAY_BLOCK // cand.shape[1])
-    for lo in range(0, len(cand), step):
-        c = cand[lo:lo + step].astype(np.intp)  # native-width gathers
-        ox, oy, oz = origins[lo:lo + step].T[:, :, None]
-        dx, dy, dz = dirs[lo:lo + step].T[:, :, None]
-        ax, ay, az = e1[:, c]
-        bx, by, bz = e2[:, c]
-        px, py, pz = p0[:, c]
-        hx = dy * bz - dz * by
-        hy = dz * bx - dx * bz
-        hz = dx * by - dy * bx
-        det = ax * hx + ay * hy + az * hz
-        ok = (np.abs(det) > 1e-14) & (c >= 0)
-        inv = np.divide(1.0, det, out=np.zeros_like(det), where=ok)
-        sx, sy, sz = ox - px, oy - py, oz - pz
-        u = (sx * hx + sy * hy + sz * hz) * inv
-        qx = sy * az - sz * ay
-        qy = sz * ax - sx * az
-        qz = sx * ay - sy * ax
-        v = (dx * qx + dy * qy + dz * qz) * inv
-        t = (bx * qx + by * qy + bz * qz) * inv
-        eps = 1e-10
-        hit = ok & (u >= -eps) & (v >= -eps) & (u + v <= 1 + eps)
-        best = np.argmin(np.where(hit, np.abs(t), np.inf), axis=1)
-        rows = np.arange(len(c))
-        out[lo:lo + step] = np.where(hit[rows, best], t[rows, best], np.nan)
-    return out
+def _dot(a, b):
+    return np.einsum("ni,ni->n", a, b)
 
 
-def _line_dist2(px, py, pz, origins, frames):
-    """Squared distances of points (R, K), by component, from the lines
-    through origins (R, 3) normal to frames (e1, e2): (w.e1)^2 + (w.e2)^2,
-    free of the cancellation in |w|^2 - (w.d)^2."""
-    ox, oy, oz = origins.T[:, :, None]
-    wx, wy, wz = px - ox, py - oy, pz - oz
-    dist2 = 0.0
-    for e in frames:
-        ex, ey, ez = e.T[:, :, None]
-        dist2 = dist2 + (wx * ex + wy * ey + wz * ez) ** 2
-    return dist2
+def recover_radius_mesh(base, coeffs, translation):
+    """Radius over a Wulff mesh of the translated graph {x + u nu} - c,
+    with x = grad Fbar and u the harmonic expansion coeffs over the
+    directions nu.
 
-
-def _prune_candidates(origins, frames, cand, centres, reach2):
-    """The candidate faces, in order, whose bounding sphere (centres (3, T),
-    squared radii reach2 (T,)) each ray line passes through, as an (R, K')
-    table padded with -1; frames (e1, e2) span the plane normal to each
-    ray."""
-    cx, cy, cz = centres
-    keep = np.empty(cand.shape, dtype=bool)
-    step = max(1, _RAY_BLOCK // cand.shape[1])
-    for lo in range(0, len(cand), step):
-        c = cand[lo:lo + step].astype(np.intp)  # native-width gathers
-        dist2 = _line_dist2(cx[c], cy[c], cz[c], origins[lo:lo + step],
-                            [e[lo:lo + step] for e in frames])
-        keep[lo:lo + step] = (c >= 0) & (dist2 <= reach2[c])
-    counts = keep.sum(axis=1)
-    out = np.full((len(cand), max(1, counts.max())), -1, dtype=cand.dtype)
-    out[np.arange(out.shape[1]) < counts[:, None]] = cand[keep]
-    return out
-
-
-def _walk_to_lines(base, verts, rays):
-    """End node per ray i of rays (from base.vertices[i] along
-    base.normals[i]) of a greedy walk from node i of verts that moves to
-    the neighbour nearest the ray line while that one is strictly nearer."""
-    px, py, pz = np.ascontiguousarray(verts.T)
-    node, moving = rays.copy(), np.arange(len(rays))
-    while moving.size:
-        # the node itself comes first, so argmin stays on ties
-        near = np.column_stack((node[moving], base.adjacency[node[moving]]))
-        r = rays[moving]
-        d = _line_dist2(px[near], py[near], pz[near], base.vertices[r],
-                        [e[r] for e in base.frames])
-        j = np.where(near < 0, np.inf, d).argmin(axis=1)
-        moved = j > 0    # only rays that moved take another step
-        moving = moving[moved]
-        node[moving] = near[moved, j[moved]]
-    return node
-
-
-def recover_radius_mesh(base, positions, translation):
-    """Radius over the base of a translated triangle mesh, by ray casting.
-
-    Rays run from the base nodes along the base normals (radially for the
-    sphere). Each is cast against the faces with a corner within graph
-    distance k = 1 of the surface node its walk towards its line ends at
-    (`_walk_to_lines`), then, if it missed, k = 2, ..., _RINGS, and against
-    every face after that. A face is dropped when the ray line passes
-    farther from its centroid than its largest centroid-to-corner distance
-    times 1 + 1e-6, plus 1e-9, so no face a hit within the barycentric
-    slack of `_cast_rays` could lie on is dropped; rows stay ascending, so
-    ties go to the lowest face index. Rays are walked and cast _RAY_ROWS at
-    a time, each on its own, so the per-ray temporaries stay bounded and
-    the radii do not depend on the block.
+    For base node i, Newton in (eta, s) solves
+    x(eta) + u(eta) eta - c = x(nu_i) + s nu_i, starting at eta = nu_i and
+    s = u(nu_i). Its Jacobian columns are j_k = (A_F(eta) + u) t_k
+    + (d_k u) eta along the frame of nu_i projected to eta's tangent plane
+    (t_k), and -nu_i; the frame components give a 2x2 solve for the move
+    of eta, and the normal component the s-update. u and its three ladder
+    partials (`spectral.ladders`) come from one product with the harmonics
+    at eta, read off the cached vertex basis at the start. A node stops,
+    without taking the step, once it moves neither eta nor s by 1e-13 (s
+    alone does not move at first wherever c is tangent to the base), or at
+    its _NEWTON_STEPS-th evaluation; ok is false if any node's residual
+    there exceeds 1e-9. Nodes are solved _NEWTON_ROWS at a time, each on
+    its own, so the working set stays bounded and the radii do not depend
+    on the block. At c = 0 the field is read off the vertex basis.
     """
     c = np.asarray(translation, dtype=float)
-    verts = positions - c
-    tri = verts[base.faces]
-    p0, e1, e2 = (np.ascontiguousarray(a.T) for a in
-                  (tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]))
-    centres = tri.mean(axis=1)
-    reach = np.sqrt(((tri - centres[:, None]) ** 2).sum(axis=2).max(axis=1))
-    reach2 = (reach * (1 + 1e-6) + 1e-9) ** 2
-    centres = np.ascontiguousarray(centres.T)
-    origins, dirs = base.vertices, base.normals
-    radius = np.full(base.n_vertices, np.nan)
-    for lo in range(0, base.n_vertices, _RAY_ROWS):
-        todo = np.arange(lo, min(lo + _RAY_ROWS, base.n_vertices))
-        ends, k = _walk_to_lines(base, verts, todo), 1
-        while todo.size and k <= _RINGS:
-            near = _prune_candidates(origins[todo],
-                                     [e[todo] for e in base.frames],
-                                     base.faces_near(ends, k), centres, reach2)
-            radius[todo] = _cast_rays(origins[todo], dirs[todo], near,
-                                      p0, e1, e2)
-            missed = np.isnan(radius[todo])
-            todo, ends, k = todo[missed], ends[missed], k + 1
-    todo = np.flatnonzero(np.isnan(radius))
-    if todo.size:
-        every = np.broadcast_to(np.arange(len(base.faces)),
-                                (todo.size, len(base.faces)))
-        radius[todo] = _cast_rays(origins[todo], dirs[todo], every,
-                                  p0, e1, e2)
-    return radius, not np.isnan(radius).any()
+    band = int(np.sqrt(len(coeffs))) - 1
+    basis = spectral.mesh_basis(base, band)[0]
+    if not c.any():
+        return basis @ coeffs, True
+    integ = base.integrand
+    partials = np.column_stack((coeffs, *(spectral.ladders(band) @ coeffs)))
+    radius, resid = np.empty((2, base.n_vertices))
+    for lo in range(0, base.n_vertices, _NEWTON_ROWS):
+        rows = slice(lo, lo + _NEWTON_ROWS)
+        x0, nu, f1, f2 = (a[rows] for a in (base.vertices, base.normals,
+                                            *base.frames))
+        syn = basis[rows] @ partials
+        eta, s = nu, syn[:, 0]
+        live = np.arange(len(x0))
+        for step in range(_NEWTON_STEPS):
+            if step:
+                syn = spectral.real_sph_harm_matrix(eta, band) @ partials
+            t1, t2 = (f - _dot(f, eta)[:, None] * eta for f in (f1, f2))
+            u, g = syn[:, 0], np.einsum("na,nak->nk", syn[:, 1:],
+                                        np.stack((t1, t2), axis=2))
+            res = (integ.fbar_grad(eta) + u[:, None] * eta - c - x0
+                   - s[:, None] * nu)
+            hess = integ.fbar_hess(eta)
+            j1, j2 = (np.einsum("nij,nj->ni", hess, t) + u[:, None] * t
+                      + g[:, k, None] * eta for k, t in enumerate((t1, t2)))
+            m11, m12, m21, m22 = (_dot(f, j) for f in (f1, f2)
+                                  for j in (j1, j2))
+            r1, r2 = _dot(f1, res), _dot(f2, res)
+            det = m11 * m22 - m12 * m21
+            d1 = (m12 * r2 - m22 * r1) / det
+            d2 = (m21 * r1 - m11 * r2) / det
+            ds = _dot(nu, res + d1[:, None] * j1 + d2[:, None] * j2)
+            stop = ((np.maximum(np.hypot(d1, d2), np.abs(ds)) < 1e-13)
+                    | (step == _NEWTON_STEPS - 1))
+            radius[lo + live[stop]] = s[stop]
+            resid[lo + live[stop]] = np.linalg.norm(res[stop], axis=1)
+            go = ~stop
+            if not go.any():
+                break
+            live, x0, nu, f1, f2 = (a[go] for a in (live, x0, nu, f1, f2))
+            eta = eta[go] + d1[go, None] * t1[go] + d2[go, None] * t2[go]
+            eta /= np.linalg.norm(eta, axis=1, keepdims=True)
+            s = s[go] + ds[go]
+    return radius, bool(resid.max() < 1e-9)
 
 
 # --- distances ------------------------------------------------------------

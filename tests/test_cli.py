@@ -311,6 +311,35 @@ def test_sweep_truncates_outside_the_reach(tmp_path, capsys):
         "max |u| = 0.0126157 >= reach 0.00997445, needs == passed"]
 
 
+def test_sweep_exits_1_when_centering_passes_the_graph_property(
+        tmp_path, capsys, monkeypatch):
+    """A centering step past the graph property (forced by scaling the
+    kernel component, so the first step moves the surface 2.5 along the
+    long axis of the quadratic:1,1,4 Wulff shape, past its pole at z = 2)
+    makes `recover_radius_mesh` report not ok: `scaling_sweep` ends at its
+    first amplitude with a centering_failed row, and the command exits 1
+    with a complete sweep.csv."""
+    import wulffstab.stability as stability
+    kernel_component = stability.kernel_component
+    monkeypatch.setattr(stability, "kernel_component",
+                        lambda *a: 250.0 * kernel_component(*a))
+    cfg = write_config(tmp_path, BASE.format(integrand="quadratic:1,1,4") + """
+[sweep]
+family = kernel:0,0,1
+amplitudes = 1e-2,1e-1,5
+""")
+    out = tmp_path / "lost"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["epsilon"], r["slope_flags"]) for r in rows] == [
+        ("0.01", "centering_failed")]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "sweep: check gates[epsilon=0.01] failed: measured centering_failed: "
+        "graph property lost at translation")
+
+
 def test_curvature_outside_the_reach_exits_2(tmp_path, capsys):
     """The same amplitude as a curvature.epsilon is a config error that
     names the key, max |u| and the reach; no output is written."""

@@ -353,6 +353,20 @@ def test_laplacian_eigenvalue_refinement():
         assert err <= 1e-12, level
 
 
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_divergence_of_gradient_is_the_laplacian_on_the_sphere(level):
+    """The ambient components of the gradient of a band-3 field have band
+    4, inside `graph_band`, so the component-wise divergence is exact."""
+    from wulffstab import surface_divergence, surface_gradient
+    m = build_sphere_mesh(level)
+    Y = spectral.real_sph_harm_matrix(m.vertices, 3)
+    for f in (Y[:, spectral.sh_index(3, 1)], Y[:, spectral.sh_index(2, 0)],
+              Y @ np.random.default_rng(level).normal(size=16)):
+        div_grad = surface_divergence(m, surface_gradient(m, f))
+        lap = get_operators(m).laplacian(f)
+        assert np.abs(div_grad - lap).max() <= 1e-13
+
+
 def test_tensor_norms_frame_invariant(sphere4):
     vals = rng.normal(size=(sphere4.n_vertices, 2, 2))
     field = TensorField(vals)

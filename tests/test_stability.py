@@ -4,11 +4,11 @@ from scipy.optimize import minimize
 
 from wulffstab import Integrand, build_wulff
 from wulffstab import spectral
-from wulffstab.stability import (MeshGraphSurface, ScalingFit,
-                                 SpectralGraphSurface, center,
+from wulffstab.stability import (ScalingFit, SpectralGraphSurface, center,
                                  kernel_component, kernel_frame,
-                                 perturbation_field, stability_operator,
-                                 stability_ratio, _distance_norm)
+                                 perturbation_field, scaling_sweep,
+                                 stability_operator, stability_ratio,
+                                 _distance_norm)
 from wulffstab.surface import exp_graph, radial_graph, recover_radius_mesh
 
 rng = np.random.default_rng(23)
@@ -118,38 +118,50 @@ def test_center_already_centered(sphere4):
 def test_center_returns_radius_at_final_translation(sphere4, wulff4, shift):
     """shift = 0 is already centred: one radius evaluation, c = 0."""
     c = np.array([0.6, -0.48, 0.64])
-    for base, surface in ((sphere4, SpectralGraphSurface),
-                          (wulff4, MeshGraphSurface)):
+    for base in (sphere4, wulff4):
         u = (1e-2 * perturbation_field(base, ("harmonic", 2, 0))
              + shift * (base.normals @ c))
-        surf = surface.from_geometry(radial_graph(base, u))
+        surf = SpectralGraphSurface.from_geometry(radial_graph(base, u))
         res = center(surf)
         assert (res.iterations == 1) == (shift == 0.0)
         np.testing.assert_array_equal(res.radius, surf.radius_field(res.c))
 
 
-def test_mesh_graph_radius_at_zero_is_the_graph_radius(sphere4, wulff4):
-    """At c = 0 a ray from x_i along nu_i meets x_i + u_i nu_i at t = u_i:
-    the field is u itself, and the cast reads it up to rounding."""
+def test_mesh_graph_radius_at_zero_is_the_graph_radius(wulff4):
+    """Over a Wulff mesh, the radius at c = 0 is read off the cached vertex
+    basis: the band-limited u itself, up to rounding. Any other
+    translation runs the Newton solve of `recover_radius_mesh`."""
     u = (0.05 * perturbation_field(wulff4, ("harmonic", 2, 0))
          + 0.03 * (wulff4.normals @ np.array([0.6, -0.48, 0.64])))
     geom = radial_graph(wulff4, u)
-    surf = MeshGraphSurface.from_geometry(geom)
+    surf = SpectralGraphSurface.from_geometry(geom)
+    basis = spectral.mesh_basis(wulff4, spectral.graph_band(wulff4.n_vertices))
     for c in (0, np.zeros(3), [0.0, -0.0, 0.0]):
-        np.testing.assert_array_equal(surf.radius_field(c), u)
-    cast, ok = recover_radius_mesh(wulff4, geom.positions, np.zeros(3))
-    assert ok
-    assert np.abs(cast - u).max() <= 1e-15
-    # any other translation is cast
+        np.testing.assert_array_equal(surf.radius_field(c),
+                                      basis[0] @ geom.radius_coeffs)
+    assert np.abs(surf.radius_field(0) - u).max() <= 1e-15
     c = np.array([1e-3, 0.0, 0.0])
-    np.testing.assert_array_equal(
-        surf.radius_field(c), recover_radius_mesh(wulff4, geom.positions, c)[0])
-    # a surface with no radius, or an exponential one, is cast at c = 0 too
-    for other in (MeshGraphSurface(wulff4, geom.positions),
-                  MeshGraphSurface.from_geometry(exp_graph(sphere4, 0.1 * u))):
-        np.testing.assert_array_equal(
-            other.radius_field(0),
-            recover_radius_mesh(other.base, other.positions, 0)[0])
+    radius, ok = recover_radius_mesh(wulff4, geom.radius_coeffs, c)
+    assert ok and np.abs(radius - u).max() > 1e-5
+    np.testing.assert_array_equal(surf.radius_field(c), radius)
+
+
+def test_wulff_kernel_sweep_distance_has_no_floor(ellipsoid_integrand):
+    """The post-centering W^{2,p} distance of a kernel sweep on a Wulff
+    base is O(eps^2), like the deficit, and does not depend on the level:
+    the centred radius is exact on the graph, with no mesh error in it."""
+    c = np.array([0.003, 0.737, -0.676])
+    amplitudes = [0.01, 0.02, 0.04, 0.08, 0.16]
+    fits, distances = [], []
+    for level in (3, 4):
+        base = build_wulff(ellipsoid_integrand, level)
+        _, fit, rows = scaling_sweep(base, ellipsoid_integrand,
+                                     ("kernel", c / np.linalg.norm(c)),
+                                     amplitudes, 4)
+        fits.append(fit.slope)
+        distances.append([r["distance"] for r in rows])
+    np.testing.assert_allclose(distances[0], distances[1], rtol=0.02)
+    assert all(abs(slope - 2.0) <= 0.1 for slope in fits), fits
 
 
 def test_center_translated_sphere(sphere5):

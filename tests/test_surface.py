@@ -372,12 +372,17 @@ def test_recover_radius_spectral_fixed_point_paths():
     assert not mesh._cache
 
 
-def test_recover_radius_mesh_translate(sphere4):
+def test_recover_radius_mesh_translate():
+    """The Wulff shape of F = 2|nu| is the sphere of radius 2, and its
+    translate by -t meets the normal line of node nu at offset s with
+    |(2 + s) nu + t| = 2, in closed form."""
+    base = build_wulff(Integrand.constant(2.0), 4)
     t = np.array([0.015, 0.02, -0.01])
-    pos = sphere4.vertices + t
-    rad, ok = recover_radius_mesh(sphere4, pos, t)
+    rad, ok = recover_radius_mesh(base, np.zeros(81), t)
     assert ok
-    assert np.abs(rad).max() < 1e-12
+    b = base.normals @ t
+    want = -b + np.sqrt(b * b + 4.0 - t @ t) - 2.0
+    assert np.abs(rad - want).max() < 1e-12
 
 
 # --- hausdorff --------------------------------------------------------------
