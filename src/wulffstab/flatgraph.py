@@ -32,6 +32,7 @@ class GridField:
         self.extent = float(extent)
         self.n = values.shape[0]
         self.spacing = 2.0 * extent / (self.n - 1)
+        self._diffs = (None,) * 5  # difference grids a cap fit reuses
 
     @cached_property
     def _coords(self):
@@ -53,7 +54,7 @@ class GridField:
         return cls(fn(X, Y), extent)
 
 
-def _diff4(values, axis, spacing):
+def _diff4(values, axis, spacing, out=None):
     """Fourth-order centered first derivative; edges are left as NaN.
 
     On the flattened C-ordered grid a shift along an axis is a shift by
@@ -61,22 +62,23 @@ def _diff4(values, axis, spacing):
     in stencil order (offsets -2, -1, 1, 2), in place in the output, then
     divided by the spacing. It is taken _CHUNK entries at a time, so each
     pass reads from cache. Points whose stencil wraps past a row end lie in
-    the edge band and are overwritten with NaN.
+    the edge band and are overwritten with NaN. out, if given, is a
+    C-contiguous grid of values' shape.
     """
     flat = np.ascontiguousarray(values).ravel()
     step = int(np.prod(values.shape[axis + 1:]))
     span = max(flat.size - 4 * step, 0)
-    out = np.empty_like(flat)
+    out = np.empty(values.shape) if out is None else out
+    out_flat = out.reshape(-1)
     term = np.empty(min(span, _CHUNK))
     for a in range(0, span, _CHUNK):
         b = min(a + _CHUNK, span)
-        core, tmp = out[2 * step + a:2 * step + b], term[:b - a]
+        core, tmp = out_flat[2 * step + a:2 * step + b], term[:b - a]
         np.multiply(_D1[0], flat[a:b], out=core)
         for k in (1, 3, 4):
             np.multiply(_D1[k], flat[k * step + a:k * step + b], out=tmp)
             core += tmp
         core /= spacing
-    out = out.reshape(values.shape)
     edge = [slice(None)] * values.ndim
     for band in (slice(0, 2), slice(-2, None)):
         edge[axis] = band
@@ -90,30 +92,35 @@ def flat_graph_shape(field, slope_limit=4.5):
     Returns (h, mask, warning): h is (n, n, 2, 2) with NaN outside the
     mask, which excludes stencil margins and any rim region where the
     gradient exceeds slope_limit (graph turning vertical); a trimmed rim
-    sets the warning flag.
+    sets the warning flag. h is a view of one (2, 2, n, n) grid.
     """
     u = field.values
     hgrid = field.spacing
-    du = np.stack([_diff4(u, 0, hgrid), _diff4(u, 1, hgrid)], axis=-1)
-    gamma = np.sqrt(1.0 + np.sum(du ** 2, axis=-1))
-    W = du / gamma[..., None]
-    h = np.empty(u.shape + (2, 2))
+    du = np.empty((2,) + u.shape)
+    for i in range(2):
+        _diff4(u, i, hgrid, out=du[i])
+    slope = np.square(du[0])
+    slope += np.square(du[1])
+    gamma = np.sqrt(1.0 + slope)
+    np.sqrt(slope, out=slope)
+    du /= gamma
+    h = np.empty((2, 2) + u.shape)
     for i in range(2):
         for j in range(2):
-            h[..., i, j] = _diff4(W[..., i], j, hgrid)
-    mask = ~np.isnan(h).any(axis=(2, 3))
-    slope = np.sqrt(np.sum(du ** 2, axis=-1))
+            _diff4(du[i], j, hgrid, out=h[i, j])
+    mask = ~np.isnan(h).any(axis=(0, 1))
     steep = mask & (slope > slope_limit)
     warning = bool(steep.any())
     mask &= ~steep
-    return h, mask, warning
+    return h.transpose(2, 3, 0, 1), mask, warning
 
 
-def _differences(u, spacing):
-    """ux, uy, uxx, uxy, uyy by nested fourth-order differences."""
-    ux = _diff4(u, 0, spacing)
-    uy = _diff4(u, 1, spacing)
-    return ux, uy, _diff4(ux, 0, spacing), _diff4(ux, 1, spacing), _diff4(uy, 1, spacing)
+def _differences(u, spacing, out=(None,) * 5):
+    """ux, uy, uxx, uxy, uyy by nested fourth-order differences (into out)."""
+    ux = _diff4(u, 0, spacing, out[0])
+    uy = _diff4(u, 1, spacing, out[1])
+    return (ux, uy, _diff4(ux, 0, spacing, out[2]),
+            _diff4(ux, 1, spacing, out[3]), _diff4(uy, 1, spacing, out[4]))
 
 
 def _disk_mask(r2, extent, diffs):
@@ -130,21 +137,34 @@ def grid_w2p_norm(field, p, mask=None):
     mask, when given, is the boolean grid of points to integrate over, and
     the caller vouches that no difference of field.values is NaN there.
     Without it the norm runs over the points of the disk rho <= extent
-    where none of the five differences is NaN.
+    where none of the five differences is NaN. There is no gather: the
+    squared magnitudes are formed in place in the difference grids (a cap
+    fit's field brings its own), raised to p/2 unless p = 2, zeroed outside
+    the mask and summed. Raises ValueError if p < 1 or the mask is empty.
     """
+    if not p >= 1:
+        raise ValueError(f"the W^{{2,p}} norm needs p >= 1, got p = {p}")
     u = field.values
-    hgrid = field.spacing
-    ux, uy, uxx, uxy, uyy = diffs = _differences(u, hgrid)
+    ux, uy, uxx, uxy, uyy = diffs = _differences(u, field.spacing, field._diffs)
     valid = mask
     if valid is None:
         valid = _disk_mask(field.x ** 2 + field.y ** 2, field.extent, diffs)
-    area = hgrid ** 2
-    vals = np.abs(u[valid])
-    grad = np.sqrt(ux[valid] ** 2 + uy[valid] ** 2)
-    hess = np.sqrt(uxx[valid] ** 2 + 2 * uxy[valid] ** 2 + uyy[valid] ** 2)
+    if not valid.any():
+        raise ValueError("the W^{2,p} integration mask is empty")
+    for arr in diffs:
+        np.square(arr, out=arr)
+    ux += uy                        # |Du|^2
+    uxy += uxy
+    uxx += uxy
+    uxx += uyy                      # |D^2 u|^2
+    np.square(u, out=uy)            # u^2, in the spent uy grid
+    outside = ~valid
     norm = 0.0
-    for mag in (vals, grad, hess):
-        norm += float(np.sum(area * mag ** p) ** (1.0 / p))
+    for sq in (uy, ux, uxx):
+        if p != 2:
+            np.power(sq, 0.5 * p, out=sq)
+        np.copyto(sq, 0.0, where=outside)
+        norm += float((field.spacing ** 2 * np.sum(sq)) ** (1.0 / p))
     return norm
 
 
@@ -155,18 +175,24 @@ def cap_fit_residual(field, p=2):
     1 - sqrt(1 - lambda^2 |z|^2) real on the whole grid square, so inside
     it a difference of u - cap is NaN exactly where that of u is: the
     integration mask is taken once per fit from u. A polish step past the
-    bracket falls back to the per-call NaN scan.
+    bracket falls back to the per-call NaN scan. u - cap goes into one grid
+    per fit, and its differences into the five grids that set the mask.
+    Raises ValueError if p < 1 or the mask is empty (u all NaN, n <= 8).
     """
     lam_max = 0.999 / (field.extent * np.sqrt(2.0))
     u, extent = field.values, field.extent
     r2 = field.x ** 2 + field.y ** 2
-    mask = _disk_mask(r2, extent, _differences(u, field.spacing))
+    work = GridField(np.empty(u.shape), extent)
+    work._diffs = _differences(u, field.spacing)
+    mask = _disk_mask(r2, extent, work._diffs)
     norms = {}  # lambda -> objective; Brent and the polish revisit lambdas
 
     def objective(lam):
         if lam not in norms:
-            diff = GridField(u - (1.0 - np.sqrt(1.0 - lam ** 2 * r2)), extent)
-            norms[lam] = grid_w2p_norm(diff, p,
+            cap = np.multiply(lam ** 2, r2, out=work.values)
+            np.sqrt(np.subtract(1.0, cap, out=cap), out=cap)
+            np.subtract(u, np.subtract(1.0, cap, out=cap), out=cap)
+            norms[lam] = grid_w2p_norm(work, p,
                                        mask if abs(lam) <= lam_max else None)
         return norms[lam]
 

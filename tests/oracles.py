@@ -272,6 +272,26 @@ def diff4_roll(values, axis, spacing):
     return out
 
 
+def flat_graph_shape_reference(field, slope_limit=4.5):
+    """flat_graph_shape with Du stacked as (n, n, 2), out-of-place squares
+    and h written one (i, j) slice of an (n, n, 2, 2) array at a time."""
+    u = field.values
+    hgrid = field.spacing
+    du = np.stack([diff4_roll(u, 0, hgrid), diff4_roll(u, 1, hgrid)], axis=-1)
+    gamma = np.sqrt(1.0 + np.sum(du ** 2, axis=-1))
+    W = du / gamma[..., None]
+    h = np.empty(u.shape + (2, 2))
+    for i in range(2):
+        for j in range(2):
+            h[..., i, j] = diff4_roll(W[..., i], j, hgrid)
+    mask = ~np.isnan(h).any(axis=(2, 3))
+    slope = np.sqrt(np.sum(du ** 2, axis=-1))
+    steep = mask & (slope > slope_limit)
+    warning = bool(steep.any())
+    mask &= ~steep
+    return h, mask, warning
+
+
 def cap_reference(x, y, lam):
     return 1.0 - np.sqrt(1.0 - lam ** 2 * (x ** 2 + y ** 2))
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import cap_fit_reference, diff4_roll, grid_w2p_norm_reference
+from oracles import (cap_fit_reference, diff4_roll, flat_graph_shape_reference,
+                     grid_w2p_norm_reference)
 from wulffstab.flatgraph import (GridField, _diff4, _differences, _disk_mask,
                                  cap_fit_residual, flat_graph_shape,
                                  grid_w2p_norm)
@@ -77,9 +78,16 @@ def test_cap_fit_finds_lambda():
     assert resid < 1e-8
 
 
+def assert_fit_close(fit, expected, lam_tol=1e-11):
+    """(residual, lambda*) within the drift of summing on the grid in
+    another order than the gathering oracle."""
+    assert_allclose(fit[0], expected[0], rtol=1e-12, atol=0)
+    assert abs(fit[1] - expected[1]) <= lam_tol
+
+
 def test_cap_fit_evaluates_each_lambda_once(monkeypatch):
-    """No W^{2,p} norm is computed twice for one lambda, and the result is
-    bit-identical to a polish that recomputes them (the oracle)."""
+    """No W^{2,p} norm is computed twice for one lambda, and the result
+    matches a polish that recomputes them (the oracle)."""
     from wulffstab import flatgraph
     lam = 0.52
     g = GridField.from_function(
@@ -92,7 +100,7 @@ def test_cap_fit_evaluates_each_lambda_once(monkeypatch):
         return grid_w2p_norm(field, p, mask)
 
     monkeypatch.setattr(flatgraph, "grid_w2p_norm", counted)
-    assert cap_fit_residual(g) == expected
+    assert_fit_close(cap_fit_residual(g), expected)
     assert len(set(fields)) == len(fields)
 
 
@@ -135,27 +143,94 @@ def test_diff4_matches_roll_oracle(n, nan):
 def test_w2p_norm_matches_roll_oracle(n, nan, p):
     """Without a mask the norm scans the disk for NaN as before; the
     mask it would build, or any subset of it, integrates over exactly
-    those points."""
+    those points. The oracle gathers first and sums in another order."""
     g = _wavy(n, nan)
-    assert grid_w2p_norm(g, p) == grid_w2p_norm_reference(g, p)
+    ref = grid_w2p_norm_reference(g, p)
+    assert_allclose(grid_w2p_norm(g, p), ref, rtol=1e-14, atol=0)
     mask = _disk_mask(g.x ** 2 + g.y ** 2, g.extent,
                       _differences(g.values, g.spacing))
-    assert grid_w2p_norm(g, p, mask) == grid_w2p_norm_reference(g, p)
+    assert_allclose(grid_w2p_norm(g, p, mask), ref, rtol=1e-14, atol=0)
     half = mask & (g.x < 0.1)
-    assert grid_w2p_norm(g, p, half) == grid_w2p_norm_reference(g, p, half)
+    assert_allclose(grid_w2p_norm(g, p, half),
+                    grid_w2p_norm_reference(g, p, half), rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("n, nan, lam", [
-    (60, False, 0.41), (61, True, 0.41),
-    (60, False, 0.999 / (0.85 * np.sqrt(2.0)) - 3e-6),  # polish past lam_max
+LAM_PAST = 0.999 / (0.85 * np.sqrt(2.0)) - 3e-6  # a polish step past lam_max
+
+
+@pytest.mark.parametrize("n, nan, lam, p, lam_tol", [
+    pytest.param(60, False, 0.41, 2, 1e-11, id="60-False-0.41"),
+    pytest.param(61, True, 0.41, 2, 1e-11, id="61-True-0.41"),
+    pytest.param(60, False, LAM_PAST, 2, 1e-11, id=f"60-False-{LAM_PAST}"),
+    # lambda* moves 2.3e-10 and 2.9e-10 against the oracle here
+    pytest.param(60, False, 0.41, 4, 1e-9, id="60-False-0.41-p4"),
+    pytest.param(61, True, 0.41, 4, 1e-9, id="61-True-0.41-p4"),
 ])
-def test_cap_fit_matches_roll_oracle(n, nan, lam):
-    """The once-per-fit mask and r^2 leave (residual, lambda*) bit-identical
-    to the per-call scan, also when u has NaN entries and when a polish
-    step leaves the search bracket."""
+def test_cap_fit_matches_roll_oracle(n, nan, lam, p, lam_tol):
+    """The once-per-fit mask, r^2 and grids leave (residual, lambda*)
+    where the per-call scan puts them, also when u has NaN entries and
+    when a polish step leaves the search bracket. The residual is flat at
+    its minimizer, so rounding moves lambda* by more than the residual."""
     g = GridField.from_function(
         lambda x, y: 1 - np.sqrt(1 - lam ** 2 * (x ** 2 + y ** 2))
         + 0.01 * np.sin(3 * x), 0.85, n)
     if nan:
         g.values[n // 4, n // 3] = np.nan
-    assert cap_fit_residual(g) == cap_fit_reference(g)
+    assert_fit_close(cap_fit_residual(g, p), cap_fit_reference(g, p), lam_tol)
+
+
+def _steep_rim(n):
+    """A cap steeper than slope_limit 2 near the rim, with a NaN inside."""
+    g = GridField.from_function(
+        lambda x, y: 1 - np.sqrt(np.maximum(1 - 1.05 ** 2 * (x ** 2 + y ** 2),
+                                            1e-6)), 0.92, n)
+    g.values[n // 2, n // 3] = np.nan
+    return g
+
+
+@pytest.mark.parametrize("n", [40, 41, 200])
+@pytest.mark.parametrize("case", ["smooth", "nan", "steep"])
+def test_shape_matches_stack_oracle(n, case):
+    """The (2, n, n) and (2, 2, n, n) grids give h, its NaN, the mask and
+    the warning bit for bit as the stacked (n, n, 2) version does."""
+    g = _steep_rim(n) if case == "steep" else _wavy(n, case == "nan")
+    limit = 2.0 if case == "steep" else 4.5
+    got = flat_graph_shape(g, limit)
+    expected = flat_graph_shape_reference(g, limit)
+    assert got[0].shape == (n, n, 2, 2)
+    assert_array_equal(got[0], expected[0])
+    assert_array_equal(got[1], expected[1])
+    assert got[2] == expected[2] == (case == "steep")
+
+
+@pytest.mark.parametrize("fill, n", [(np.nan, 41), (1.0, 8)])
+def test_empty_mask_raises(fill, n):
+    """No point to integrate over is an error, not a perfect fit: an
+    all-NaN u, an empty mask, or 8 points a side, where the nested
+    differences leave no interior."""
+    g = GridField(np.full((n, n), fill), 0.8)
+    with pytest.raises(ValueError, match="empty"):
+        grid_w2p_norm(g, 2)
+    with pytest.raises(ValueError, match="empty"):
+        grid_w2p_norm(g, 2, np.zeros((n, n), bool))
+    with pytest.raises(ValueError, match="empty"):
+        cap_fit_residual(g)
+
+
+def test_nine_points_leave_the_center():
+    """u = 1 on 9 x 9 points: only the center cell (side 0.2) is left."""
+    g = GridField(np.ones((9, 9)), 0.8)
+    assert grid_w2p_norm(g, 2) == pytest.approx(0.2, rel=1e-12)
+    assert cap_fit_residual(g)[0] == pytest.approx(0.2, rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [np.nextafter(1.0, 0.0), 0, -1, np.nan])
+def test_p_below_one_raises(p):
+    """W^{2,p} is a norm for p >= 1 only; p = 1 itself is accepted."""
+    g = GridField.from_function(lambda x, y: 0 * x + 1.0, 1.0, 41)
+    with pytest.raises(ValueError, match="p >= 1"):
+        grid_w2p_norm(g, p)
+    with pytest.raises(ValueError, match="p >= 1"):
+        cap_fit_residual(g, p)
+    assert grid_w2p_norm(g, 1) > 0
+    assert cap_fit_residual(g, 1)[0] > 0

@@ -43,6 +43,11 @@ base = wulffstab.build_wulff(wulffstab.Integrand.quadratic_form(
     np.diag([1.0, 1.0, 4.0])), 2)
 u = 0.05 * base.normals[:, 2] ** 2
 wulffstab.hausdorff_distance(wulffstab.radial_graph(base, u), base)
+# the algebra bench's flat-graph calls, on a small grid
+grid = wulffstab.GridField.from_function(
+    lambda x, y: 1 - np.sqrt(1 - 0.25 * (x ** 2 + y ** 2)), 0.9, 41)
+wulffstab.flat_graph_shape(grid)
+wulffstab.cap_fit_residual(grid)
 print(len(COMMANDS))
 print(codes)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
@@ -52,9 +57,10 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 def test_no_scipy_after_every_subcommand(tmp_path):
     """Import wulffstab.cli, run all six subcommands at level 2, a sweep on
     the round sphere (the spectral derivatives), a kernel sweep on the
-    Wulff shape (ray casting: centering translates it) and the Hausdorff
-    distance in one fresh process: a lazy import that only fires at run time
-    shows up in sys.modules too."""
+    Wulff shape (the per-node Newton radius solve: centering translates
+    it), the Hausdorff distance and the flat-graph shape and cap fit in one
+    fresh process: a lazy import that only fires at run time shows up in
+    sys.modules too."""
     config = tmp_path / "guard.ini"
     config.write_text(CONFIG)
     sphere = tmp_path / "sphere.ini"
@@ -72,6 +78,6 @@ def test_no_scipy_after_every_subcommand(tmp_path):
     assert set(eval(codes)) <= {0, 1}
     assert modules == "[]"
     # the kernel sweep ran last: every amplitude took centering steps at
-    # c != 0, each a ray cast
+    # c != 0, each a Newton radius solve
     rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
     assert rows and all(int(r.rsplit(",", 1)[1]) > 1 for r in rows)
