@@ -141,8 +141,6 @@ SCHEMA = {
     "kernel": {
         "levels": (_integers, None, lambda v: all(2 <= lv <= 8 for lv in v),
                    "must lie in [2, 8]"),
-        "n_vectors": (int, "5", lambda v: v >= 1, "must be 1 or more"),
-        "threshold": (_number, "0.02", lambda v: v > 0, "must be positive"),
     },
     "center": {
         "translation": (lambda text: np.array(_numbers(text)),
@@ -152,8 +150,6 @@ SCHEMA = {
         "translation_norm": (_number, "0.05", lambda v: 0 < v < 1,
                              "must lie in (0, 1): the translated unit sphere "
                              "must keep the origin inside"),
-        "recovery_tol": (_number, "1e-4", lambda v: v > 0,
-                         "must be positive"),
         "epsilons": (_numbers, "0.01,0.02,0.04",
                      lambda v: (len(v) >= 2 and min(v) > 0
                                 and len(set(v)) == len(v)),

@@ -112,11 +112,11 @@ class DerivativeOperators:
     ambient component at a time, so `jacobian_ambient` and `divergence`
     are exact only where those components lie in the band too: on the
     sphere the gradient of a field of band at most graph_band - 1 does, and
-    divergence(gradient f) is the Laplacian up to rounding; on a Wulff mesh
+    divergence(gradient f) is the Laplacian up to rounding. On a Wulff mesh
     grad_W f = A^-1 grad_S f carries A^-1 of Fbar, which is not
     band-limited, and the dropped modes stay at any level (for Y31 on
     quadratic:1,1,4 the two Laplacians differ by about 2e-3 relative at
-    levels 3-5).
+    levels 3-5), so both raise ValueError there.
     """
 
     def __init__(self, mesh):
@@ -139,6 +139,10 @@ class DerivativeOperators:
         Returns (N, 3, 2): row k is the gradient of the component X^k, so
         the columns are derivatives along the frame directions e1 and e2.
         """
+        if self.mesh.integrand is not None:
+            raise ValueError("jacobian_ambient and divergence run on the "
+                             "sphere only: on a Wulff mesh A^-1 grad_S f is "
+                             "not band-limited")
         vectors = np.asarray(vectors, dtype=float)
         return np.stack([self.gradient(x) for x in vectors.T], axis=1)
 
@@ -177,5 +181,6 @@ def surface_gradient(mesh, values):
 
 
 def surface_divergence(mesh, vectors):
-    """Surface divergence of a tangent vector field ((N, 2) frame or (N, 3))."""
+    """Surface divergence of a tangent vector field ((N, 2) frame or (N, 3))
+    on the sphere; a Wulff mesh raises ValueError."""
     return get_operators(mesh).divergence(vectors)

@@ -236,32 +236,40 @@ def perturbation_field(base, family):
     raise ValueError(f"unknown perturbation family {family!r}")
 
 
+def perturbed_graph(base, family, values):
+    """(geometry, "") of a family's perturbation values over base, or
+    (None, violation) if they leave its tubular reach (`reach_violation`).
+
+    A harmonic family over the sphere takes the exponential graph, any other
+    the radial graph: the exponential graph of a translation mode agrees
+    with an exact translate to third order, hiding the quadratic deficit.
+    """
+    if base.integrand is None and family[0] == "harmonic":
+        return exp_graph(base, values), ""
+    violation = reach_violation(base, values)
+    if violation:
+        return None, violation
+    return radial_graph(base, values), ""
+
+
 def scaling_sweep(base, integrand, family, amplitudes, p, tolerance=1e-8):
     """Sweep amplitudes, measure deficit and post-centering distance, fit slopes.
 
-    Harmonic families over the sphere use the exponential graph; kernel
-    families use the radial graph (the exponential graph of a translation
-    mode agrees with an exact translate to third order, which would hide
-    the quadratic deficit response). Returns (deficit_fit, distance_fit,
-    rows); a radius outside the base's tubular reach, a certificate failure
-    or a centering failure truncates the sweep with a warning entry in the
-    last row.
+    Each amplitude's surface is `perturbed_graph` of the family. Returns
+    (deficit_fit, distance_fit, rows); a radius outside the base's tubular
+    reach, a certificate failure or a centering failure truncates the sweep
+    with a warning entry in the last row.
     """
     shape = perturbation_field(base, family)
     frame = kernel_frame(base)
     rows = []
     deficits, distances, used = [], [], []
     for eps in amplitudes:
-        values = eps * shape
-        if base.integrand is not None or family[0] == "kernel":
-            violation = reach_violation(base, values)
-            if violation:
-                rows.append({"epsilon": eps, "warning": "outside_reach",
-                             "detail": violation})
-                break
-            geom = radial_graph(base, values)
-        else:
-            geom = exp_graph(base, values)
+        geom, violation = perturbed_graph(base, family, eps * shape)
+        if violation:
+            rows.append({"epsilon": eps, "warning": "outside_reach",
+                         "detail": violation})
+            break
         cert = projection_certificate(geom)
         if not cert.passed:
             rows.append({"epsilon": eps, "warning": "certificate_failed",

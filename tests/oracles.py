@@ -384,9 +384,10 @@ def pinching_check_provable(spec, lambda_low):
 
 
 def geometry_from_positions(base, positions):
-    """Geometry of an arbitrary node-indexed surface over the sphere or a
-    Wulff mesh, its derivatives taken through the directions
-    (`get_operators`), so the positions are read at `graph_band`.
+    """Geometry of an arbitrary node-indexed surface over the sphere, its
+    derivatives taken through the directions (`get_operators`, whose
+    `jacobian_ambient` refuses a Wulff mesh), so the positions are read at
+    `graph_band`.
 
     Used for surfaces that are not given as graphs (certificate
     counterexamples). Orientation follows the face winding of the base.

@@ -367,6 +367,26 @@ def test_divergence_of_gradient_is_the_laplacian_on_the_sphere(level):
         assert np.abs(div_grad - lap).max() <= 1e-13
 
 
+def test_divergence_refuses_a_wulff_mesh(ellipsoid_integrand):
+    """On a Wulff mesh A^-1 grad_S f is not band-limited, so the
+    component-wise divergence would miss the Laplacian (by about 2e-3 for
+    Y31 on quadratic:1,1,4): divergence, jacobian_ambient and
+    surface_divergence raise at level 3 and name the reason, while the
+    gradient and the Laplacian still run."""
+    from wulffstab import surface_divergence, surface_gradient
+    m = build_wulff(ellipsoid_integrand, 3)
+    ops = get_operators(m)
+    f = spectral.real_sph_harm_matrix(m.normals, 3)[:, spectral.sh_index(3, 1)]
+    X = surface_gradient(m, f)
+    for call in (lambda: ops.divergence(X),
+                 lambda: ops.divergence(ops.gradient(f)),
+                 lambda: ops.jacobian_ambient(X),
+                 lambda: surface_divergence(m, X)):
+        with pytest.raises(ValueError, match="not band-limited"):
+            call()
+    assert np.isfinite(ops.laplacian(f)).all()
+
+
 def test_tensor_norms_frame_invariant(sphere4):
     vals = rng.normal(size=(sphere4.n_vertices, 2, 2))
     field = TensorField(vals)
