@@ -4,7 +4,6 @@ import numpy as np
 
 from .minimize import bounded_brent
 from .operators import TensorField, lp_norm
-from .spheremesh import frame_restriction
 
 
 def anisotropic_shape_operator(geom, integrand):
@@ -19,9 +18,8 @@ def anisotropic_shape_operator(geom, integrand):
     if not integrand.is_elliptic:
         raise ValueError(
             f"integrand is not elliptic (margin {integrand.ellipticity_margin:g})")
-    A3 = integrand.anisotropy_ambient(geom.normal)
     tau = geom.tangent_basis  # (N, 3, 2)
-    A2 = frame_restriction(A3, tau[:, :, 0], tau[:, :, 1])
+    A2 = integrand.anisotropy_form(geom.normal, tau[:, :, 0], tau[:, :, 1])
     vals = A2 @ geom.shape_operator
     field = TensorField(vals, kind="operator")
     return field, field.trace()

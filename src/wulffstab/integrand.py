@@ -6,7 +6,8 @@ for every family. This gives all derived quantities directly:
 
 * intrinsic gradient  DF(nu) = grad Fbar(nu) - F(nu) nu
 * anisotropy matrix   A_F(nu) = hess Fbar(nu) restricted to the tangent plane
-  (the normal direction is annihilated by 1-homogeneity)
+  (the normal direction is annihilated by 1-homogeneity), formed in a
+  tangent frame from Hessian-vector products (`anisotropy_form`)
 * normal map onto the Wulff shape  x(nu) = grad Fbar(nu) = DF(nu) + F(nu) nu,
   with dx = A_F and d^2 x[v, w] = T_v w, T_v = D^3 Fbar[v] (`fbar_hess_deriv`)
 """
@@ -14,7 +15,7 @@ for every family. This gives all derived quantities directly:
 import numpy as np
 
 from . import spheremesh
-from .spheremesh import frame_restriction, sphere_newton, tangent_frames
+from .spheremesh import sphere_newton, tangent_frames
 
 UNIT_TOL = 1e-12
 
@@ -129,6 +130,10 @@ def _num(v):
     return repr(float(v))
 
 
+def _dot(a, b):
+    return np.einsum("ni,ni->n", a, b)
+
+
 def _as_points(nu):
     nu = np.asarray(nu, dtype=float)
     single = nu.ndim == 1
@@ -141,10 +146,18 @@ class Integrand:
     Construct through the classmethods constant, quadratic_form or
     fourier_perturbed. The ellipticity margin (smallest eigenvalue of
     A_F over a dense direction sample) is computed once at construction.
-    Fbar, its gradient and Hessian, and the directional derivative of the
-    Hessian (`fbar_hess_deriv`, the third derivative that the second
-    derivatives of the Wulff map x(nu) = grad Fbar(nu) need) are closed-form
-    for every family.
+    Fbar, its gradient and Hessian, the Hessian-vector product
+    (`fbar_hess_vec`, which every 2x2 form of A_F and the Newton Jacobian
+    of `surface.recover_radius_mesh` use), and the directional derivative
+    of the Hessian (`fbar_hess_deriv`, the third derivative that the second
+    derivatives of the Wulff map x(nu) = grad Fbar(nu) need) are
+    closed-form for every family:
+
+    * constant V:    Fbar = V r,  hess Fbar v = V (v - x (x.v)/r^2)/r
+    * quadratic M:   Fbar = s = sqrt(x.Mx),
+                     hess Fbar v = (Mv - Mx (Mx.v)/s^2)/s
+    * fourier:       Fbar = b r + a P(x) r^(1-d) for a harmonic polynomial
+                     P of degree d, differentiated term by term
     """
 
     def __init__(self, family, params, descriptor):
@@ -254,6 +267,38 @@ class Integrand:
                           + k * (k - 2) * pv * outer * r ** (k - 4)))
         return out[0] if single else out
 
+    def fbar_hess_vec(self, x, v):
+        """hess Fbar(x) v per point, (N, 3), without forming the Hessian.
+
+        The same terms as `fbar_hess`, each applied to v: V (v - x (x.v)/r^2)/r
+        for a constant, (Mv - Mx (Mx.v)/s^2)/s for a quadratic form.
+        """
+        pts, single = _as_points(x)
+        v = np.atleast_2d(np.asarray(v, dtype=float))
+        if self.family == "quadratic":
+            M = self.params["M"]
+            Mx = pts @ M
+            s = np.sqrt(_dot(pts, Mx))[:, None]
+            out = (v @ M - Mx * (_dot(Mx, v)[:, None] / s ** 2)) / s
+            return out[0] if single else out
+        r = np.sqrt(_dot(pts, pts))[:, None]
+        xv = _dot(pts, v)[:, None]
+        # hess of c |x| applied to v, c the constant or the Fourier base
+        c = self.params["value" if self.family == "constant" else "base"]
+        out = c * (v - pts * (xv / r ** 2)) / r
+        if self.family == "fourier":
+            p = self.params["poly"]
+            k = 1 - p.degree
+            pv = p.value(pts)[:, None]
+            pg = p.grad(pts)
+            hv = np.einsum("nij,nj->ni", p.hess(pts), v)
+            out += self.params["amplitude"] * (
+                hv * r ** k
+                + k * (pg * xv + pts * _dot(pg, v)[:, None]) * r ** (k - 2)
+                + k * pv * v * r ** (k - 2)
+                + k * (k - 2) * pv * pts * xv * r ** (k - 4))
+        return out[0] if single else out
+
     def fbar_hess_deriv(self, x, v):
         """T_v = d/dt hess Fbar(x + t v) at t = 0, per point, (N, 3, 3).
 
@@ -330,6 +375,20 @@ class Integrand:
             return F[0], DF[0], D2F[0]
         return F, DF, D2F
 
+    def anisotropy_form(self, nu, e1, e2):
+        """A_F(nu) in the tangent frames (e1, e2): the (N, 2, 2) forms
+        e_k . hess Fbar(nu) e_l from two Hessian-vector products.
+
+        The off-diagonal entry is computed once, so each form is exactly
+        symmetric.
+        """
+        h1, h2 = self.fbar_hess_vec(nu, e1), self.fbar_hess_vec(nu, e2)
+        A = np.empty((len(h1), 2, 2))
+        A[:, 0, 0] = _dot(e1, h1)
+        A[:, 0, 1] = A[:, 1, 0] = _dot(e1, h2)
+        A[:, 1, 1] = _dot(e2, h2)
+        return A
+
     def anisotropy_ambient(self, nu):
         """A_F(nu) as an ambient 3x3 matrix with nu in its kernel."""
         pts, single = _as_points(nu)
@@ -345,7 +404,7 @@ class Integrand:
         """AnisotropyMatrix at a unit direction; raises if not positive definite."""
         pts, single = _as_points(nu)
         e1, e2 = tangent_frames(pts)
-        A = frame_restriction(self.anisotropy_ambient(pts), e1, e2)
+        A = self.anisotropy_form(pts, e1, e2)
         mins = np.linalg.eigvalsh(A)[:, 0]
         if np.any(mins <= 0):
             bad = pts[int(np.argmin(mins))]
@@ -357,8 +416,7 @@ class Integrand:
 
     def _compute_margin(self):
         sample = _dense_sample()
-        A = frame_restriction(self.anisotropy_ambient(sample),
-                              *tangent_frames(sample))
+        A = self.anisotropy_form(sample, *tangent_frames(sample))
         return float(np.linalg.eigvalsh(A)[:, 0].min())
 
     @property
@@ -426,7 +484,7 @@ def gauge(integrand, x):
         E = np.stack((e1, e2), axis=2)  # (n, 3, 2)
         Du2 = np.einsum("nik,ni->nk", E, Du)
         DF2 = np.einsum("nik,ni->nk", E, DF)
-        D2F = frame_restriction(integrand.anisotropy_ambient(nu), e1, e2)
+        D2F = integrand.anisotropy_form(nu, e1, e2)
         D2F -= F[:, None, None] * np.eye(2)[None]
         # derivatives of g = u/F on the sphere; Hess of a linear restriction
         # is -u * Id

@@ -157,7 +157,6 @@ class WulffMesh:
         self.integrand = integrand
         self.weights = vertex_area_weights(vertices, faces)
         self.frames = tangent_frames(normals)
-        self._cache = {}
         n = len(vertices)
         if integrand is None:
             self.direction_weights = self.weights
@@ -167,8 +166,7 @@ class WulffMesh:
             self.reach = 0.9
         else:
             self.direction_weights = vertex_area_weights(normals, faces)
-            A3 = integrand.anisotropy_ambient(normals)
-            self.anisotropy = frame_restriction(A3, *self.frames)
+            self.anisotropy = integrand.anisotropy_form(normals, *self.frames)
             self.shape_operator = np.linalg.inv(self.anisotropy)
             self.mean_curvature = np.einsum("nii->n", self.shape_operator)
             kappa_max = np.linalg.eigvalsh(self.shape_operator)[:, 1].max()
@@ -177,11 +175,19 @@ class WulffMesh:
                   self.direction_weights, *self.frames,
                   self.anisotropy, self.shape_operator, self.mean_curvature):
             a.flags.writeable = False
+        self._cache = {}
 
     def cached(self, key, build):
-        """build(self), computed on the first call for key and kept."""
+        """build(self), computed on the first call for key and kept.
+
+        The arrays it returns, directly, inside a tuple or as attributes of
+        the returned object, are made read-only, since every later caller
+        shares them.
+        """
         if key not in self._cache:
-            self._cache[key] = build(self)
+            value = build(self)
+            _freeze(value)
+            self._cache[key] = value
         return self._cache[key]
 
     @property
@@ -197,6 +203,19 @@ class WulffMesh:
 
     def area(self):
         return float(self.weights.sum())
+
+
+def _freeze(value):
+    """Make the arrays of a cached value read-only (see WulffMesh.cached)."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze(item)
+    elif hasattr(value, "__dict__"):
+        for item in vars(value).values():
+            if isinstance(item, np.ndarray):
+                item.flags.writeable = False
 
 
 def _icosphere(level):

@@ -16,7 +16,6 @@ import numpy as np
 from . import spectral
 from .operators import lp_norm, w2p_norm
 from .curvature import anisotropic_shape_operator, trace_free
-from .spheremesh import frame_restriction
 from .surface import (exp_graph, radial_graph, projection_certificate,
                       reach_violation, recover_radius_spectral,
                       recover_radius_mesh)
@@ -32,7 +31,12 @@ class KernelFrame:
 
 
 def kernel_frame(base):
-    """Orthonormalize {<e_k, nu_W>} in the discrete L2 inner product."""
+    """Orthonormalize {<e_k, nu_W>} in the discrete L2 inner product;
+    built once per mesh and cached on it."""
+    return base.cached("kernel_frame", _kernel_frame)
+
+
+def _kernel_frame(base):
     nu = base.normals
     w = base.weights
     gram = np.einsum("n,ni,nj->ij", w, nu, nu)
@@ -68,8 +72,7 @@ def stability_operator(base, integrand, values):
     band = spectral.graph_band(base.n_vertices)
     coeffs = spectral.sh_analyze(base, values, band)
     val, _, hess = spectral.spectral_derivatives(base, coeffs)
-    A2 = frame_restriction(integrand.anisotropy_ambient(base.normals),
-                           *base.frames)
+    A2 = integrand.anisotropy_form(base.normals, *base.frames)
     sw = base.shape_operator
     ratio = A2 @ sw
     lam = 0.5 * np.einsum("nii->n", ratio)

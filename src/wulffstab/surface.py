@@ -236,7 +236,7 @@ def project_to_wulff(wmesh, points, seeds, n_newton=30):
         _, t, res, converged = residual(nu)
         if converged.all():
             return None
-        A2 = frame_restriction(integ.anisotropy_ambient(nu), e1, e2)
+        A2 = integ.anisotropy_form(nu, e1, e2)
         A2 += t[:, None, None] * np.eye(2)[None]
         return A2, np.einsum("nik,ni->nk", np.stack((e1, e2), axis=2), res)
 
@@ -385,8 +385,7 @@ def recover_radius_mesh(base, coeffs, translation):
                                         np.stack((t1, t2), axis=2))
             res = (integ.fbar_grad(eta) + u[:, None] * eta - c - x0
                    - s[:, None] * nu)
-            hess = integ.fbar_hess(eta)
-            j1, j2 = (np.einsum("nij,nj->ni", hess, t) + u[:, None] * t
+            j1, j2 = (integ.fbar_hess_vec(eta, t) + u[:, None] * t
                       + g[:, k, None] * eta for k, t in enumerate((t1, t2)))
             m11, m12, m21, m22 = (_dot(f, j) for f in (f1, f2)
                                   for j in (j1, j2))

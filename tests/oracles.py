@@ -153,6 +153,13 @@ def recover_radius_spectral_reference(mesh, coeffs, kind, translation):
     return radius, bool(ok)
 
 
+def anisotropy_form_reference(integrand, nu, e1, e2):
+    """A_F(nu) in the frames (e1, e2) through the full Hessian: P H P
+    (`anisotropy_ambient`), symmetrized and restricted by three 3-operand
+    einsums (`frame_restriction`)."""
+    return frame_restriction(integrand.anisotropy_ambient(nu), e1, e2)
+
+
 def gauge_reference(integrand, x):
     """`integrand.gauge` with the seed search over all points at once:
     one dense (points, sample) ratio matrix."""
@@ -175,7 +182,7 @@ def gauge_reference(integrand, x):
         E = np.stack((e1, e2), axis=2)  # (n, 3, 2)
         Du2 = np.einsum("nik,ni->nk", E, Du)
         DF2 = np.einsum("nik,ni->nk", E, DF)
-        D2F = frame_restriction(integrand.anisotropy_ambient(nu), e1, e2)
+        D2F = integrand.anisotropy_form(nu, e1, e2)
         D2F -= F[:, None, None] * np.eye(2)[None]
         # derivatives of g = u/F on the sphere; Hess of a linear restriction
         # is -u * Id

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import gauge_reference
-from wulffstab import Integrand, gauge
+from oracles import anisotropy_form_reference, gauge_reference
+from wulffstab import Integrand, build_wulff, gauge
+from wulffstab import integrand as integrand_module
+from wulffstab import surface
 from wulffstab.config import parse_integrand
+from wulffstab.curvature import anisotropic_shape_operator
 from wulffstab.integrand import (_GAUGE_BLOCK, HARMONIC_POLYNOMIALS,
-                                 HomogeneousPolynomial)
+                                 HomogeneousPolynomial, _dense_sample)
 from wulffstab import spectral
 from wulffstab.spheremesh import tangent_frames
+from wulffstab.stability import stability_operator
 
 rng = np.random.default_rng(100)
 
@@ -231,6 +235,130 @@ def test_hess_deriv_along_the_point_is_minus_the_hessian():
                   Integrand.fourier_perturbed(1.0, 0.2, (3, 1))):
         assert_allclose(integ.fbar_hess_deriv(x, x), -integ.fbar_hess(x),
                         atol=1e-13)
+
+
+@pytest.mark.parametrize("descriptor", [
+    "constant:1", "constant:2.5", "quadratic:1,1,4",
+    "quadratic:2,0.3,0.1,0.3,1.5,-0.2,0.1,-0.2,3", "fourier:1,0.265,3,0"])
+def test_hess_vec_is_the_contracted_hessian(descriptor):
+    """fbar_hess_vec(x, v) = fbar_hess(x) v at random points off the sphere,
+    to 1e-13 relative; hess Fbar(x) x = 0 (Euler, Fbar is 1-homogeneous)
+    and hess Fbar(s x) v = hess Fbar(x) v / s."""
+    integ = parse_integrand(descriptor)
+    gen = np.random.default_rng(11)
+    x = random_units(60) * gen.uniform(0.3, 3.0, size=(60, 1))
+    v = gen.normal(size=(60, 3))
+    want = np.einsum("nij,nj->ni", integ.fbar_hess(x), v)
+    got = integ.fbar_hess_vec(x, v)
+    scale = np.linalg.norm(want, axis=1)
+    assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-13 * scale)
+    euler = np.linalg.norm(integ.fbar_hess_vec(x, x), axis=1)
+    assert np.all(euler <= 1e-13 * scale / np.linalg.norm(v, axis=1)
+                  * np.linalg.norm(x, axis=1))
+    for s in (0.25, 7.0):
+        scaled = integ.fbar_hess_vec(s * x, v)
+        assert np.all(np.linalg.norm(s * scaled - got, axis=1)
+                      <= 1e-13 * scale)
+    assert np.array_equal(integ.fbar_hess_vec(x[0], v[0]), got[0])
+
+
+FORM_FAMILIES = ["constant:2.5", "quadratic:1,1,4", "fourier:1,0.265,3,0"]
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+@pytest.mark.parametrize("descriptor", FORM_FAMILIES)
+def test_frame_forms_match_the_projected_hessian(descriptor, level,
+                                                  monkeypatch):
+    """Every site's 2x2 form of A_F, taken by Hessian-vector products, is
+    exactly symmetric and within 1e-14 of P H P restricted to the frame
+    (`anisotropy_form_reference`): the Wulff mesh's A_F and shape
+    operator, anisotropic_shape_operator, stability_operator,
+    Integrand.anisotropy, the ellipticity margin, and the Newton matrices
+    of project_to_wulff and gauge, evaluated at every visited direction."""
+    integ = parse_integrand(descriptor)
+    forms = []
+    closed_form = Integrand.anisotropy_form
+
+    def recording(self, nu, e1, e2):
+        A = closed_form(self, nu, e1, e2)
+        forms.append((nu, e1, e2, A.copy()))
+        return A
+
+    monkeypatch.setattr(Integrand, "anisotropy_form", recording)
+
+    def checked():
+        """The forms recorded since the last call, each checked."""
+        assert forms
+        for nu, e1, e2, A in forms:
+            assert np.abs(A - anisotropy_form_reference(integ, nu, e1, e2)
+                          ).max() <= 1e-14
+            assert np.array_equal(A, np.swapaxes(A, 1, 2))
+        out = forms[:]
+        forms.clear()
+        return out
+
+    mesh = build_wulff(integ, level)
+    (_, _, _, A), = checked()
+    assert np.array_equal(mesh.anisotropy, A)
+    # inversion magnifies a change dA of A by up to |S|^2: fourier:1,0.265,3,0
+    # has |S| up to 90 near its margin and reads 1.8e-12 there
+    ref = np.linalg.inv(anisotropy_form_reference(integ, mesh.normals,
+                                                  *mesh.frames))
+    size = np.abs(mesh.shape_operator).max(axis=(1, 2))
+    assert np.all(np.abs(mesh.shape_operator - ref).max(axis=(1, 2))
+                  <= 1e-14 * np.maximum(size, 1.0) ** 2)
+
+    mats = integ.anisotropy(mesh.normals)
+    (_, _, _, A), = checked()
+    assert np.array_equal(np.array([m.matrix for m in mats]), A)
+
+    sample = _dense_sample()
+    ref = anisotropy_form_reference(integ, sample, *tangent_frames(sample))
+    assert abs(integ._compute_margin()
+               - np.linalg.eigvalsh(ref)[:, 0].min()) <= 1e-14
+    checked()
+
+    y20 = spectral.real_sph_harm_matrix(mesh.normals, 2)[
+        :, spectral.sh_index(2, 0)]
+    geom = surface.radial_graph(mesh, 1e-3 * y20)
+    field, _ = anisotropic_shape_operator(geom, integ)
+    (nu, e1, e2, _), = checked()
+    assert nu is geom.normal
+    ref = anisotropy_form_reference(integ, nu, e1, e2) @ geom.shape_operator
+    size = np.abs(geom.shape_operator).max(axis=(1, 2))
+    assert np.all(np.abs(field.values - ref).max(axis=(1, 2))
+                  <= 1e-14 * np.maximum(size, 1.0))
+
+    stability_operator(mesh, integ, y20)
+    checked()
+
+    systems = []
+
+    def spy(real):
+        def newton(nu, system, n_steps, max_step):
+            def recorded(nu, e1, e2):
+                eqs = system(nu, e1, e2)
+                if eqs is not None:
+                    systems.append((system, nu, e1, e2, eqs[0]))
+                return eqs
+            return real(nu, recorded, n_steps, max_step)
+        return newton
+
+    for module in (surface, integrand_module):
+        monkeypatch.setattr(module, "sphere_newton", spy(module.sphere_newton))
+    e1, _ = mesh.frames
+    surface.project_to_wulff(mesh, mesh.vertices + 0.01 * e1
+                             + 0.005 * mesh.normals, mesh.normals)
+    gauge(integ, mesh.vertices[::7] * 1.1 + 0.02 * e1[::7])
+    assert {s[0].__name__ for s in systems} == {"foot_point", "ascent"}
+    checked()
+    monkeypatch.setattr(Integrand, "anisotropy_form",
+                        lambda self, nu, e1, e2:
+                        anisotropy_form_reference(self, nu, e1, e2))
+    for system, nu, e1, e2, matrix in systems:
+        assert np.abs(matrix - system(nu, e1, e2)[0]).max() <= 1e-14
+        if system.__name__ == "foot_point":
+            assert np.array_equal(matrix, np.swapaxes(matrix, 1, 2))
 
 
 def test_fourier_explicit_polynomial_mode():

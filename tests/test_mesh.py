@@ -6,11 +6,11 @@ from oracles import (real_sph_harm_matrix_columns,
                      real_sph_harm_matrix_reference, sh_analyze_reference,
                      spectral_derivatives_reference, stencil_basis_reference,
                      subdivide_reference)
-from wulffstab import build_sphere_mesh, build_wulff
+from wulffstab import Integrand, build_sphere_mesh, build_wulff
 from wulffstab import spectral, spheremesh
 from wulffstab.operators import (DerivativeOperators, TensorField,
                                  get_operators, lp_norm, w2p_norm)
-from wulffstab.stability import perturbation_field
+from wulffstab.stability import kernel_frame, perturbation_field
 
 rng = np.random.default_rng(7)
 
@@ -233,6 +233,22 @@ def test_spectral_derivatives_reject_bad_coefficients():
     with pytest.raises(ValueError, match=f"band {over} exceeds mesh limit"):
         spectral.spectral_derivatives(mesh, np.ones((over + 1) ** 2))
     assert not mesh._cache
+
+
+@pytest.mark.parametrize("wulff", [False, True])
+def test_cached_arrays_are_read_only(wulff):
+    """Every array a mesh caches is shared by every later caller, so an
+    in-place write to the vertex basis, its Cholesky factors or the kernel
+    frame raises instead of corrupting the next analysis."""
+    mesh = (build_wulff(Integrand.quadratic_form(np.diag([1.0, 1.0, 4.0])), 3)
+            if wulff else build_sphere_mesh(3))
+    basis, factors = spectral.mesh_basis(mesh, 6)
+    frame = kernel_frame(mesh)
+    for a in (basis, *factors, frame.vectors, frame.fields):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
 
 
 def test_derivative_cache_holds_only_the_vertex_basis():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from wulffstab import Integrand, build_wulff
-from wulffstab import spectral
+from wulffstab import Integrand, build_sphere_mesh, build_wulff
+from wulffstab import spectral, stability
 from wulffstab.stability import (ScalingFit, SpectralGraphSurface, center,
                                  kernel_component, kernel_frame,
                                  perturbation_field, scaling_sweep,
@@ -31,6 +31,26 @@ def test_frame_orthonormal(sphere4, wulff4):
     for base in (sphere4, wulff4):
         fr = kernel_frame(base)
         assert fr.gram_residual < 1e-8
+
+
+def test_sweep_builds_the_kernel_frame_once(monkeypatch):
+    """A 6-amplitude sphere sweep asks for the frame at every centering but
+    builds it once; the cached frame is the one built fresh, bit for bit,
+    and read-only."""
+    builds = []
+    build = stability._kernel_frame
+    monkeypatch.setattr(stability, "_kernel_frame",
+                        lambda base: builds.append(base) or build(base))
+    base = build_sphere_mesh(3)
+    *_, rows = scaling_sweep(base, Integrand.constant(), ("harmonic", 2, 0),
+                             np.geomspace(1e-4, 1e-2, 6), 4)
+    assert len(rows) == 6 and "warning" not in rows[-1]
+    assert builds == [base]
+    frame, fresh = kernel_frame(base), build(base)
+    for a, b in ((frame.vectors, fresh.vectors), (frame.fields, fresh.fields)):
+        assert np.array_equal(a, b)
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
 
 
 def test_kernel_component_recovers_vector(sphere4):
