@@ -8,6 +8,7 @@ atomic writes (write then rename), so failures leave no partial CSVs.
 
 import argparse
 import csv
+import ctypes
 import io
 import operator
 import os
@@ -361,6 +362,17 @@ COMMANDS = {
 }
 
 
+def _release_freed_memory():
+    """Hand the heap memory a command freed back to the system (glibc's
+    malloc_trim; elsewhere nothing), so commands run one after another in
+    one process do not carry each other's freed heap into their peaks."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return
+    trim(0)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="wulffstab",
@@ -395,6 +407,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    _release_freed_memory()
     write_csv(os.path.join(outdir, args.command + ".csv"), header, rows)
     write_dat(os.path.join(outdir, args.command + ".dat"), header, rows)
     failed = [c for c in checks if not c[4]]

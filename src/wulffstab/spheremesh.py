@@ -157,6 +157,7 @@ class WulffMesh:
         self.integrand = integrand
         self.weights = vertex_area_weights(vertices, faces)
         self.frames = tangent_frames(normals)
+        self._cache = {}
         n = len(vertices)
         if integrand is None:
             self.direction_weights = self.weights
@@ -175,7 +176,6 @@ class WulffMesh:
                   self.direction_weights, *self.frames,
                   self.anisotropy, self.shape_operator, self.mean_curvature):
             a.flags.writeable = False
-        self._cache = {}
 
     def cached(self, key, build):
         """build(self), computed on the first call for key and kept.

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from wulffstab import cli
 from wulffstab.cli import main, write_csv, write_svg
 from wulffstab.config import (ConfigError, ExperimentConfig, parse_family,
                               parse_integrand)
@@ -70,6 +71,23 @@ def test_wulff_subcommand(tmp_path, capsys):
     assert "max_gauge_residual" in text
     assert "ellipsoid_closed_form_residual" in text
     assert capsys.readouterr().err == ""
+
+
+def test_commands_hand_freed_heap_back(tmp_path, monkeypatch):
+    """A command ends by trimming the heap through the C library's
+    malloc_trim, and skips that where the library has none."""
+    calls = []
+
+    class Libc:
+        def malloc_trim(self, pad):
+            calls.append(pad)
+
+    cfg = write_config(tmp_path, BASE.format(integrand="quadratic:1,1,4"))
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+    assert main(["wulff", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert calls == [0]
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    assert main(["wulff", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
 
 
 def test_sweep_deterministic_byte_identical(tmp_path, capsys):
