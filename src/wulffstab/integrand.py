@@ -1,15 +1,16 @@
 """Anisotropic surface-energy densities on the sphere.
 
 An integrand F > 0 on S^2 is represented through its 1-homogeneous extension
-Fbar(x) = |x| F(x/|x|), whose ambient gradient and Hessian are closed-form
-for every family. This gives all derived quantities directly:
+Fbar(x) = |x| F(x/|x|), whose ambient derivatives up to the third are
+closed-form for every family. This gives all derived quantities directly:
 
 * intrinsic gradient  DF(nu) = grad Fbar(nu) - F(nu) nu
 * anisotropy matrix   A_F(nu) = hess Fbar(nu) restricted to the tangent plane
   (the normal direction is annihilated by 1-homogeneity), formed in a
   tangent frame from Hessian-vector products (`anisotropy_form`)
 * normal map onto the Wulff shape  x(nu) = grad Fbar(nu) = DF(nu) + F(nu) nu,
-  with dx = A_F and d^2 x[v, w] = T_v w, T_v = D^3 Fbar[v] (`fbar_hess_deriv`)
+  with dx = A_F and d^2 x[v, w] = T_v w, T_v = D^3 Fbar[v], a product in
+  closed form (`fbar_hess_deriv_vec`) and in a frame (`hess_deriv_form`)
 """
 
 import numpy as np
@@ -60,14 +61,17 @@ HARMONIC_POLYNOMIALS = {
 
 
 class HomogeneousPolynomial:
-    """Homogeneous polynomial in (x, y, z) with closed-form derivatives."""
+    """Homogeneous polynomial in (x, y, z). Its partial derivatives are
+    polynomials too (`partial`), and every derivative is composed of them.
+    The zero polynomial has no terms and no degree."""
 
     def __init__(self, coeffs):
         degs = {sum(k) for k in coeffs}
-        if len(degs) != 1:
+        if len(degs) > 1:
             raise ValueError("coefficients must share one total degree")
-        self.degree = degs.pop()
+        self.degree = degs.pop() if degs else None
         self.coeffs = dict(coeffs)
+        self._partials = {}
 
     def value(self, pts):
         pts = np.atleast_2d(pts)
@@ -76,53 +80,28 @@ class HomogeneousPolynomial:
             out += c * pts[:, 0] ** i * pts[:, 1] ** j * pts[:, 2] ** k
         return out
 
+    def partial(self, axis):
+        """dP/dx_axis as a polynomial, built once and kept."""
+        if axis not in self._partials:
+            terms = {tuple(n - (a == axis) for a, n in enumerate(e)): c * e[axis]
+                     for e, c in self.coeffs.items() if e[axis]}
+            self._partials[axis] = HomogeneousPolynomial(terms)
+        return self._partials[axis]
+
     def grad(self, pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros((len(pts), 3))
-        for (i, j, k), c in self.coeffs.items():
-            e = np.array([i, j, k])
-            for ax in range(3):
-                if e[ax] == 0:
-                    continue
-                d = e.copy()
-                d[ax] -= 1
-                out[:, ax] += (c * e[ax] * pts[:, 0] ** d[0]
-                               * pts[:, 1] ** d[1] * pts[:, 2] ** d[2])
-        return out
+        return np.stack([self.partial(a).value(pts) for a in range(3)], axis=1)
 
     def hess(self, pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros((len(pts), 3, 3))
-        for (i, j, k), c in self.coeffs.items():
-            e0 = np.array([i, j, k])
-            for a in range(3):
-                if e0[a] == 0:
-                    continue
-                e1 = e0.copy()
-                e1[a] -= 1
-                for b in range(3):
-                    if e1[b] == 0:
-                        continue
-                    d = e1.copy()
-                    d[b] -= 1
-                    out[:, a, b] += (c * e0[a] * e1[b] * pts[:, 0] ** d[0]
-                                     * pts[:, 1] ** d[1] * pts[:, 2] ** d[2])
-        return out
+        return np.stack([self.partial(a).grad(pts) for a in range(3)], axis=1)
 
-    def hess_deriv(self, pts, v):
-        """Third derivatives contracted with v: sum_c v_c hess(d_c P)."""
-        pts = np.atleast_2d(pts)
-        out = np.zeros((len(pts), 3, 3))
-        for c in range(3):
-            partial = {}
-            for e, coef in self.coeffs.items():
-                if e[c]:
-                    d = tuple(n - (ax == c) for ax, n in enumerate(e))
-                    partial[d] = partial.get(d, 0.0) + coef * e[c]
-            if partial:
-                out += (HomogeneousPolynomial(partial).hess(pts)
-                        * np.asarray(v)[:, c, None, None])
-        return out
+    def hess_vec(self, pts, v):
+        """hess P v = sum_b v_b grad(dP/dx_b), without forming hess P."""
+        return sum(self.partial(b).grad(pts) * v[:, b, None] for b in range(3))
+
+    def hess_deriv_vec(self, pts, v, w):
+        """D^3 P[v, w, .] = sum_c v_c hess(dP/dx_c) w."""
+        return sum(self.partial(c).hess_vec(pts, w) * v[:, c, None]
+                   for c in range(3))
 
 
 def _num(v):
@@ -140,24 +119,37 @@ def _as_points(nu):
     return np.atleast_2d(nu), single
 
 
+def _frame_form(e1, e2, h1, h2):
+    """(N, 2, 2) forms e_k . B e_l of a symmetric B from its products
+    h1 = B e1, h2 = B e2; the off-diagonal entry is computed once, so each
+    form is exactly symmetric."""
+    A = np.empty((len(h1), 2, 2))
+    A[:, 0, 0] = _dot(e1, h1)
+    A[:, 0, 1] = A[:, 1, 0] = _dot(e1, h2)
+    A[:, 1, 1] = _dot(e2, h2)
+    return A
+
+
 class Integrand:
     """Anisotropic integrand on S^2 with closed-form derived quantities.
 
     Construct through the classmethods constant, quadratic_form or
     fourier_perturbed. The ellipticity margin (smallest eigenvalue of
     A_F over a dense direction sample) is computed once at construction.
-    Fbar, its gradient and Hessian, the Hessian-vector product
-    (`fbar_hess_vec`, which every 2x2 form of A_F and the Newton Jacobian
-    of `surface.recover_radius_mesh` use), and the directional derivative
-    of the Hessian (`fbar_hess_deriv`, the third derivative that the second
-    derivatives of the Wulff map x(nu) = grad Fbar(nu) need) are
-    closed-form for every family:
+    Fbar, its gradient, its Hessian as a matrix (`fbar_hess`) and as a
+    product (`fbar_hess_vec`), and its third derivative as a product
+    (`fbar_hess_deriv_vec`, T_v w, which the second derivatives of the
+    Wulff map x(nu) = grad Fbar(nu) need) have one closed form per family:
 
-    * constant V:    Fbar = V r,  hess Fbar v = V (v - x (x.v)/r^2)/r
+    * constant V:    Fbar = V r, the radial term c |x| with c = V
     * quadratic M:   Fbar = s = sqrt(x.Mx),
                      hess Fbar v = (Mv - Mx (Mx.v)/s^2)/s
-    * fourier:       Fbar = b r + a P(x) r^(1-d) for a harmonic polynomial
-                     P of degree d, differentiated term by term
+    * fourier:       Fbar = c r + a P(x) r^(1-d) for a harmonic polynomial
+                     P of degree d: the radial term with c = b, plus the
+                     perturbation differentiated term by term
+
+    Every 2x2 frame form (`anisotropy_form`, `hess_deriv_form`) is taken
+    from two such products.
     """
 
     def __init__(self, family, params, descriptor):
@@ -197,6 +189,8 @@ class Integrand:
             mdesc = f"lm{int(mode[0])},{int(mode[1])}"
         else:
             poly = HomogeneousPolynomial(mode)
+            if poly.degree is None:
+                raise ValueError("mode must have at least one term")
             mdesc = ";".join(f"{tuple(map(int, k))}:{_num(v)}"
                              for k, v in sorted(poly.coeffs.items()))
         self = cls("fourier", {"base": float(base), "amplitude": float(amplitude),
@@ -209,66 +203,69 @@ class Integrand:
 
     # 1-homogeneous extension ----------------------------------------------
 
+    @property
+    def _radial(self):
+        """c of the radial term c |x|: the constant, or the Fourier base."""
+        return self.params["value" if self.family == "constant" else "base"]
+
+    def _perturbation(self):
+        """(a, P, k) of the Fourier term a P(x) r^k, k = 1 - deg P."""
+        p = self.params["poly"]
+        return self.params["amplitude"], p, 1 - p.degree
+
     def fbar(self, x):
         pts, single = _as_points(x)
-        r = np.linalg.norm(pts, axis=1)
-        if self.family == "constant":
-            out = self.params["value"] * r
-        elif self.family == "quadratic":
-            M = self.params["M"]
-            out = np.sqrt(np.einsum("ni,ij,nj->n", pts, M, pts))
+        if self.family == "quadratic":
+            out = np.sqrt(np.einsum("ni,ij,nj->n", pts, self.params["M"], pts))
         else:
-            p = self.params["poly"]
-            k = 1 - p.degree
-            out = self.params["base"] * r + self.params["amplitude"] * p.value(pts) * r ** k
+            r = np.linalg.norm(pts, axis=1)
+            out = self._radial * r
+            if self.family == "fourier":
+                a, p, k = self._perturbation()
+                out += a * p.value(pts) * r ** k
         return out[0] if single else out
 
     def fbar_grad(self, x):
         pts, single = _as_points(x)
-        r = np.linalg.norm(pts, axis=1)[:, None]
-        if self.family == "constant":
-            out = self.params["value"] * pts / r
-        elif self.family == "quadratic":
+        if self.family == "quadratic":
             M = self.params["M"]
             s = np.sqrt(np.einsum("ni,ij,nj->n", pts, M, pts))[:, None]
             out = pts @ M / s
         else:
-            p = self.params["poly"]
-            k = 1 - p.degree
-            a = self.params["amplitude"]
-            pv = p.value(pts)[:, None]
-            out = (self.params["base"] * pts / r
-                   + a * (p.grad(pts) * r ** k + k * pv * pts * r ** (k - 2)))
+            r = np.linalg.norm(pts, axis=1)[:, None]
+            out = self._radial * pts / r
+            if self.family == "fourier":
+                a, p, k = self._perturbation()
+                pv = p.value(pts)[:, None]
+                out += a * (p.grad(pts) * r ** k + k * pv * pts * r ** (k - 2))
         return out[0] if single else out
 
     def fbar_hess(self, x):
         pts, single = _as_points(x)
-        r = np.linalg.norm(pts, axis=1)[:, None, None]
-        eye = np.eye(3)[None]
-        outer = pts[:, :, None] * pts[:, None, :]
-        if self.family == "constant":
-            out = self.params["value"] * (eye - outer / r[:, :, 0][..., None] ** 2) / r
-        elif self.family == "quadratic":
+        if self.family == "quadratic":
             M = self.params["M"]
             s = np.sqrt(np.einsum("ni,ij,nj->n", pts, M, pts))[:, None, None]
             Mx = pts @ M
             out = M[None] / s - Mx[:, :, None] * Mx[:, None, :] / s ** 3
         else:
-            p = self.params["poly"]
-            k = 1 - p.degree
-            a = self.params["amplitude"]
-            pv = p.value(pts)[:, None, None]
-            pg = p.grad(pts)
-            cross = pg[:, :, None] * pts[:, None, :] + pts[:, :, None] * pg[:, None, :]
-            out = (self.params["base"] * (eye - outer / r ** 2) / r
-                   + a * (p.hess(pts) * r ** k
-                          + k * cross * r ** (k - 2)
-                          + k * pv * eye * r ** (k - 2)
-                          + k * (k - 2) * pv * outer * r ** (k - 4)))
+            r = np.linalg.norm(pts, axis=1)[:, None, None]
+            eye = np.eye(3)[None]
+            outer = pts[:, :, None] * pts[:, None, :]
+            out = self._radial * (eye - outer / r ** 2) / r
+            if self.family == "fourier":
+                a, p, k = self._perturbation()
+                pv = p.value(pts)[:, None, None]
+                pg = p.grad(pts)
+                cross = (pg[:, :, None] * pts[:, None, :]
+                         + pts[:, :, None] * pg[:, None, :])
+                out += a * (p.hess(pts) * r ** k
+                            + k * cross * r ** (k - 2)
+                            + k * pv * eye * r ** (k - 2)
+                            + k * (k - 2) * pv * outer * r ** (k - 4))
         return out[0] if single else out
 
     def fbar_hess_vec(self, x, v):
-        """hess Fbar(x) v per point, (N, 3), without forming the Hessian.
+        """hess Fbar(x) v per point, (N, 3), without forming a Hessian.
 
         The same terms as `fbar_hess`, each applied to v: V (v - x (x.v)/r^2)/r
         for a constant, (Mv - Mx (Mx.v)/s^2)/s for a quadratic form.
@@ -283,71 +280,59 @@ class Integrand:
             return out[0] if single else out
         r = np.sqrt(_dot(pts, pts))[:, None]
         xv = _dot(pts, v)[:, None]
-        # hess of c |x| applied to v, c the constant or the Fourier base
-        c = self.params["value" if self.family == "constant" else "base"]
-        out = c * (v - pts * (xv / r ** 2)) / r
+        out = self._radial * (v - pts * (xv / r ** 2)) / r
         if self.family == "fourier":
-            p = self.params["poly"]
-            k = 1 - p.degree
+            a, p, k = self._perturbation()
             pv = p.value(pts)[:, None]
             pg = p.grad(pts)
-            hv = np.einsum("nij,nj->ni", p.hess(pts), v)
-            out += self.params["amplitude"] * (
-                hv * r ** k
-                + k * (pg * xv + pts * _dot(pg, v)[:, None]) * r ** (k - 2)
-                + k * pv * v * r ** (k - 2)
-                + k * (k - 2) * pv * pts * xv * r ** (k - 4))
+            out += a * (p.hess_vec(pts, v) * r ** k
+                        + k * (pg * xv + pts * _dot(pg, v)[:, None] + pv * v)
+                        * r ** (k - 2)
+                        + k * (k - 2) * pv * pts * xv * r ** (k - 4))
         return out[0] if single else out
 
-    def fbar_hess_deriv(self, x, v):
-        """T_v = d/dt hess Fbar(x + t v) at t = 0, per point, (N, 3, 3).
+    def fbar_hess_deriv_vec(self, x, v, w):
+        """T_v w per point, (N, 3), T_v = d/dt hess Fbar(x + t v) at t = 0,
+        without forming T_v.
 
-        Closed form for every family; T_v[a, b] = D^3 Fbar(x)[e_a, e_b, v]
-        is symmetric in all three slots. At a unit x, T_x = -hess Fbar(x)
-        by (-1)-homogeneity of the Hessian.
+        D^3 Fbar is symmetric in its three slots, so T_v w = T_w v, and at a
+        unit x, T_x w = -hess Fbar(x) w by (-1)-homogeneity of the Hessian.
+        With s = x.v, q = x.w: c |x| gives
+        c (3 s q x/r^2 - (s w + q v + (v.w) x))/r^3, and a quadratic form
+        (3 (m.v)(m.w) m/S^2 - ((m.v) Mw + (m.w) Mv + (v.Mw) m))/S^3 with
+        m = Mx, S^2 = x.Mx.
         """
         pts, single = _as_points(x)
         v = np.atleast_2d(np.asarray(v, dtype=float))
-        r = np.linalg.norm(pts, axis=1)[:, None, None]
-        s = np.einsum("ni,ni->n", pts, v)[:, None, None]
-        eye = np.eye(3)[None]
-        outer = pts[:, :, None] * pts[:, None, :]
-        sym = v[:, :, None] * pts[:, None, :] + pts[:, :, None] * v[:, None, :]
-
-        def radial(c):
-            # T_v of c |x|
-            return c * (-(s * eye + sym) / r ** 3 + 3 * s * outer / r ** 5)
-
-        if self.family == "constant":
-            out = radial(self.params["value"])
-        elif self.family == "quadratic":
+        w = np.atleast_2d(np.asarray(w, dtype=float))
+        if self.family == "quadratic":
             M = self.params["M"]
-            m, mv = pts @ M, v @ M
-            S = np.sqrt(np.einsum("ni,ni->n", m, pts))[:, None, None]
-            q = np.einsum("ni,ni->n", m, v)[:, None, None]
-            out = (-(q * M[None] + mv[:, :, None] * m[:, None, :]
-                     + m[:, :, None] * mv[:, None, :]) / S ** 3
-                   + 3 * q * m[:, :, None] * m[:, None, :] / S ** 5)
-        else:
-            p = self.params["poly"]
-            k = 1 - p.degree
-            pv = p.value(pts)[:, None, None]
+            m, mv, mw = pts @ M, v @ M, w @ M
+            S = np.sqrt(_dot(m, pts))[:, None]
+            qv, qw = _dot(m, v)[:, None], _dot(m, w)[:, None]
+            out = (3 * qv * qw * m / S ** 2
+                   - (qv * mw + qw * mv + _dot(mv, w)[:, None] * m)) / S ** 3
+            return out[0] if single else out
+        r = np.sqrt(_dot(pts, pts))[:, None]
+        s, q, vw = (_dot(pts, v)[:, None], _dot(pts, w)[:, None],
+                    _dot(v, w)[:, None])
+        sym = s * w + q * v + vw * pts
+        out = self._radial * (3 * s * q * pts / r ** 2 - sym) / r ** 3
+        if self.family == "fourier":
+            # d/dt of each term of fbar_hess_vec's perturbation along v
+            a, p, k = self._perturbation()
+            pv = p.value(pts)[:, None]
             pg = p.grad(pts)
-            ph = p.hess(pts)
-            gv = np.einsum("ni,ni->n", pg, v)[:, None, None]
-            hv = np.einsum("nij,nj->ni", ph, v)
-            cross = pg[:, :, None] * pts[:, None, :] + pts[:, :, None] * pg[:, None, :]
-            dcross = (hv[:, :, None] * pts[:, None, :] + pg[:, :, None] * v[:, None, :]
-                      + v[:, :, None] * pg[:, None, :] + pts[:, :, None] * hv[:, None, :])
-            # d/dt of each term of fbar_hess's perturbation, r^j -> j s r^(j-2)
-            pert = (p.hess_deriv(pts, v) * r ** k + k * s * ph * r ** (k - 2)
-                    + k * dcross * r ** (k - 2)
-                    + k * (k - 2) * s * cross * r ** (k - 4)
-                    + k * gv * eye * r ** (k - 2)
-                    + k * (k - 2) * s * pv * eye * r ** (k - 4)
-                    + k * (k - 2) * (gv * outer + pv * sym) * r ** (k - 4)
-                    + k * (k - 2) * (k - 4) * s * pv * outer * r ** (k - 6))
-            out = radial(self.params["base"]) + self.params["amplitude"] * pert
+            gv, gw = _dot(pg, v)[:, None], _dot(pg, w)[:, None]
+            hv, hw = p.hess_vec(pts, v), p.hess_vec(pts, w)
+            out += a * (p.hess_deriv_vec(pts, v, w) * r ** k
+                        + k * (s * hw + q * hv + vw * pg
+                               + gw * v + gv * w + _dot(hv, w)[:, None] * pts)
+                        * r ** (k - 2)
+                        + k * (k - 2) * (s * q * pg + (s * gw + q * gv) * pts
+                                         + pv * sym) * r ** (k - 4)
+                        + k * (k - 2) * (k - 4) * s * q * pv * pts
+                        * r ** (k - 6))
         return out[0] if single else out
 
     # derived quantities ----------------------------------------------------
@@ -377,17 +362,17 @@ class Integrand:
 
     def anisotropy_form(self, nu, e1, e2):
         """A_F(nu) in the tangent frames (e1, e2): the (N, 2, 2) forms
-        e_k . hess Fbar(nu) e_l from two Hessian-vector products.
+        e_k . hess Fbar(nu) e_l from two Hessian-vector products, exactly
+        symmetric."""
+        return _frame_form(e1, e2, self.fbar_hess_vec(nu, e1),
+                           self.fbar_hess_vec(nu, e2))
 
-        The off-diagonal entry is computed once, so each form is exactly
-        symmetric.
-        """
-        h1, h2 = self.fbar_hess_vec(nu, e1), self.fbar_hess_vec(nu, e2)
-        A = np.empty((len(h1), 2, 2))
-        A[:, 0, 0] = _dot(e1, h1)
-        A[:, 0, 1] = A[:, 1, 0] = _dot(e1, h2)
-        A[:, 1, 1] = _dot(e2, h2)
-        return A
+    def hess_deriv_form(self, x, v, e1, e2):
+        """T_v at x in the tangent frames (e1, e2): the (N, 2, 2) forms
+        e_k . T_v e_l from two products `fbar_hess_deriv_vec`, exactly
+        symmetric."""
+        return _frame_form(e1, e2, self.fbar_hess_deriv_vec(x, v, e1),
+                           self.fbar_hess_deriv_vec(x, v, e2))
 
     def anisotropy_ambient(self, nu):
         """A_F(nu) as an ambient 3x3 matrix with nu in its kernel."""

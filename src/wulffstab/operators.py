@@ -10,7 +10,6 @@ over the directions, pulled to the Wulff shape by the chain rule
 import numpy as np
 
 from . import spectral
-from .spheremesh import frame_restriction
 
 
 class TensorField:
@@ -70,9 +69,9 @@ def covariant_derivatives(mesh, values):
     directions and A^-1 its shape operator:
         grad_W f = A^-1 grad_S f,
         Hess_W f = A^-1 (Hess_S f - T_G) A^-1,  G = grad_W f,
-    where T_G = D^3 Fbar[G] restricted to the frame
-    (`Integrand.fbar_hess_deriv`) carries the Christoffel symbols of the
-    metric A^2 in the direction chart.
+    where T_G = D^3 Fbar[G] in the frame (`Integrand.hess_deriv_form`)
+    carries the Christoffel symbols of the metric A^2 in the direction
+    chart.
     """
     band = spectral.graph_band(mesh.n_vertices)
     coeffs = spectral.sh_analyze(mesh, values, band)
@@ -83,8 +82,7 @@ def covariant_derivatives(mesh, values):
     grad = np.einsum("nij,nj->ni", sw, grad)
     e1, e2 = mesh.frames
     tangent = grad[:, 0:1] * e1 + grad[:, 1:2] * e2
-    christoffel = frame_restriction(
-        mesh.integrand.fbar_hess_deriv(mesh.normals, tangent), e1, e2)
+    christoffel = mesh.integrand.hess_deriv_form(mesh.normals, tangent, e1, e2)
     return grad, sw @ (hess - christoffel) @ sw
 
 

@@ -85,19 +85,6 @@ def tangent_frames(normals):
     return e1, e2
 
 
-def frame_restriction(A3, e1, e2):
-    """2x2 restrictions A[k, l] = e_k . A3 e_l of symmetric ambient matrices.
-
-    A3 is (N, 3, 3) and e1, e2 are (N, 3) tangent frames; the off-diagonal
-    entry is computed once, so the result is exactly symmetric.
-    """
-    A = np.empty((len(A3), 2, 2))
-    A[:, 0, 0] = np.einsum("ni,nij,nj->n", e1, A3, e1)
-    A[:, 0, 1] = A[:, 1, 0] = np.einsum("ni,nij,nj->n", e1, A3, e2)
-    A[:, 1, 1] = np.einsum("ni,nij,nj->n", e2, A3, e2)
-    return A
-
-
 def sphere_newton(nu, system, n_steps, max_step):
     """Damped Newton iteration for unit vectors nu (N, 3) on S^2.
 

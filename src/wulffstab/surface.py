@@ -23,7 +23,7 @@ from .nearest import SiteGrid
 # bound here too: bench/selftest.py checks that its tracer wraps
 # surface.get_operators
 from .operators import get_operators  # noqa: F401
-from .spheremesh import frame_restriction, sphere_newton
+from .spheremesh import sphere_newton
 
 
 class SurfaceGeometry:
@@ -119,11 +119,11 @@ def _spectral_graph(mesh, values, kind):
         Psi_i = rho_i nu + rho e_i,
         Psi_ij = rho_ij nu + rho_i e_j + rho_j e_i - rho delta_ij nu.
     Over a Wulff mesh it is {x(nu) + u(nu) nu} with x = grad Fbar, dx = A
-    and d^2 x[e_i, e_j] = T_{e_i} e_j (`Integrand.fbar_hess_deriv`):
+    and d^2 x[e_i, e_j] = T_{e_i} e_j (`Integrand.fbar_hess_deriv_vec`):
         Psi_i = (A + u) e_i + u_i nu,
         Psi_ij = T_{e_i} e_j + u_ij nu + u_i e_j + u_j e_i - u delta_ij nu,
     and <T_{e_i} e_j, nu_Sigma> = e_i . T_{nu_Sigma} e_j by the symmetry of
-    D^3 Fbar. The chart is then taken to W arclength (Psi_d A^-1 and
+    D^3 Fbar (`Integrand.hess_deriv_form`). The chart is then taken to W arclength (Psi_d A^-1 and
     A^-1 h A^-1), so the weights are W's areas times the area element.
     """
     band = spectral.graph_band(mesh.n_vertices)
@@ -161,8 +161,7 @@ def _spectral_graph(mesh, values, kind):
                 val_ij -= rho * nx
             h_chart[:, i, j] = -val_ij
     if wulff:
-        h_chart -= frame_restriction(
-            mesh.integrand.fbar_hess_deriv(x, nu), e1, e2)
+        h_chart -= mesh.integrand.hess_deriv_form(x, nu, e1, e2)
         sw = mesh.shape_operator
         psi_d = psi_d @ sw
         h_chart = sw @ h_chart @ sw

@@ -13,7 +13,7 @@ from wulffstab.integrand import _as_points, _dense_sample
 from wulffstab import spectral
 from wulffstab.operators import get_operators
 from wulffstab.spectral import sh_index
-from wulffstab.spheremesh import frame_restriction, sphere_newton
+from wulffstab.spheremesh import sphere_newton
 from wulffstab.surface import _finish_from_derivatives
 
 
@@ -151,6 +151,20 @@ def recover_radius_spectral_reference(mesh, coeffs, kind, translation):
     ok = np.abs(resid).max() < 1e-9
     radius = np.log(s) if kind == "exp" else s - 1.0
     return radius, bool(ok)
+
+
+def frame_restriction(A3, e1, e2):
+    """2x2 restrictions A[k, l] = e_k . A3 e_l of symmetric ambient matrices.
+
+    A3 is (N, 3, 3) and e1, e2 are (N, 3) tangent frames; three 3-operand
+    einsums, the off-diagonal entry computed once, so the result is exactly
+    symmetric.
+    """
+    A = np.empty((len(A3), 2, 2))
+    A[:, 0, 0] = np.einsum("ni,nij,nj->n", e1, A3, e1)
+    A[:, 0, 1] = A[:, 1, 0] = np.einsum("ni,nij,nj->n", e1, A3, e2)
+    A[:, 1, 1] = np.einsum("ni,nij,nj->n", e2, A3, e2)
+    return A
 
 
 def anisotropy_form_reference(integrand, nu, e1, e2):

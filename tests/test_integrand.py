@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import anisotropy_form_reference, gauge_reference
+from oracles import (anisotropy_form_reference, frame_restriction,
+                     gauge_reference)
 from wulffstab import Integrand, build_wulff, gauge
 from wulffstab import integrand as integrand_module
 from wulffstab import surface
@@ -207,34 +208,118 @@ def test_homogeneous_polynomial_derivatives():
         assert_allclose(H, H.T, atol=1e-12)
 
 
+def hessian_difference(integ, x, v, h=1e-5):
+    """Central difference of fbar_hess along v: T_v to O(h^2)."""
+    return (integ.fbar_hess(x + h * v) - integ.fbar_hess(x - h * v)) / (2 * h)
+
+
 @pytest.mark.parametrize("descriptor", [
     "constant:2", "quadratic:1,1,4",
     "quadratic:2,0.3,0.1,0.3,1,0.2,0.1,0.2,3",
     "fourier:1,0.265,3,0", "fourier:1,0.05,2,0", "fourier:1,0.1,3,2"])
 def test_hess_deriv_matches_central_differences(descriptor):
-    """T_v = d/dt hess Fbar(x + t v) against central differences of
-    fbar_hess at points off the sphere, and symmetric in all three slots."""
+    """T_v w = d/dt hess Fbar(x + t v) w against central differences of
+    fbar_hess at points off the sphere, and T_v w = T_w v."""
     integ = parse_integrand(descriptor)
     gen = np.random.default_rng(5)
     x = random_units(40) * gen.uniform(0.5, 2.0, size=(40, 1))
-    v = gen.normal(size=(40, 3))
-    h = 1e-5
-    fd = (integ.fbar_hess(x + h * v) - integ.fbar_hess(x - h * v)) / (2 * h)
-    T = integ.fbar_hess_deriv(x, v)
-    assert np.abs(T - fd).max() <= 1e-7 * np.abs(T).max()
-    # D^3 Fbar[e_a, e_b, v] is symmetric: e_c . T_{e_a} v = e_a . T_{e_c} v
-    axes = [integ.fbar_hess_deriv(x, np.tile(e, (40, 1))) for e in np.eye(3)]
-    slots = np.einsum("anbk,nk->nab", np.array(axes), v)
-    assert_allclose(slots, T, atol=1e-12 * np.abs(T).max())
+    v, w = gen.normal(size=(2, 40, 3))
+    fd = np.einsum("nij,nj->ni", hessian_difference(integ, x, v), w)
+    Tvw = integ.fbar_hess_deriv_vec(x, v, w)
+    assert np.abs(Tvw - fd).max() <= 1e-7 * np.abs(Tvw).max()
+    assert_allclose(integ.fbar_hess_deriv_vec(x, w, v), Tvw,
+                    atol=1e-13 * np.abs(Tvw).max())
 
 
 def test_hess_deriv_along_the_point_is_minus_the_hessian():
-    """hess Fbar is (-1)-homogeneous, so T_x = -hess Fbar(x)."""
+    """hess Fbar is (-1)-homogeneous, so T_x w = -hess Fbar(x) w."""
     x = random_units(20)
+    w = rng.normal(size=(20, 3))
     for integ in (Integrand.quadratic_form(np.diag([1.0, 2.0, 5.0])),
                   Integrand.fourier_perturbed(1.0, 0.2, (3, 1))):
-        assert_allclose(integ.fbar_hess_deriv(x, x), -integ.fbar_hess(x),
+        assert_allclose(integ.fbar_hess_deriv_vec(x, x, w),
+                        -integ.fbar_hess_vec(x, w), atol=1e-13)
+
+
+def _spd_descriptor(gen):
+    A = gen.normal(size=(3, 3))
+    M = A @ A.T + 0.5 * np.eye(3)
+    return "quadratic:" + ",".join(repr(float(c)) for c in (M + M.T).ravel() / 2)
+
+
+PRODUCT_FAMILIES = (
+    ["constant:0.7"]
+    + [_spd_descriptor(np.random.default_rng(seed)) for seed in range(4)]
+    + [f"fourier:1,0.05,{ell},{m}" for ell, m in HARMONIC_POLYNOMIALS])
+
+
+@pytest.mark.parametrize("descriptor", PRODUCT_FAMILIES)
+def test_products_match_the_dense_hessian(descriptor):
+    """Over every family, random SPD quadratic forms and every tabulated
+    Fourier mode (degree 0 and 1 modes have vanishing second partials,
+    degree 2 ones vanishing third partials): fbar_hess_vec is fbar_hess
+    applied to v, fbar_hess_deriv_vec the central difference of fbar_hess
+    applied to w, T_v w = T_w v, and hess_deriv_form is exactly symmetric
+    and the frame restriction of the difference tensor."""
+    integ = parse_integrand(descriptor)
+    gen = np.random.default_rng(17)
+    nu = random_units(50)
+    x = nu * gen.uniform(0.5, 2.0, size=(50, 1))
+    v, w = gen.normal(size=(2, 50, 3))
+    H = integ.fbar_hess(x)
+    Hv = np.einsum("nij,nj->ni", H, v)
+    assert np.abs(integ.fbar_hess_vec(x, v) - Hv).max() \
+        <= 1e-13 * np.abs(Hv).max()
+    fd = hessian_difference(integ, x, v)
+    scale = np.abs(fd).max()
+    Tvw = integ.fbar_hess_deriv_vec(x, v, w)
+    assert np.abs(Tvw - np.einsum("nij,nj->ni", fd, w)).max() \
+        <= 1e-7 * scale * np.abs(w).max()
+    assert np.abs(integ.fbar_hess_deriv_vec(x, w, v) - Tvw).max() \
+        <= 1e-13 * scale * np.abs(w).max()
+    e1, e2 = tangent_frames(nu)
+    form = integ.hess_deriv_form(x, v, e1, e2)
+    assert np.array_equal(form, np.swapaxes(form, 1, 2))
+    assert np.abs(form - frame_restriction(fd, e1, e2)).max() <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("mode", [(0, 0), (1, -1), (2, 2), (3, 1)])
+def test_constant_is_the_fourier_radial_term(mode):
+    """constant:V and fourier:V,0,l,m share the radial term c |x|, so every
+    product and value agrees bit for bit."""
+    const = parse_integrand("constant:1.7")
+    radial = parse_integrand(f"fourier:1.7,0,{mode[0]},{mode[1]}")
+    gen = np.random.default_rng(23)
+    x = random_units(30) * gen.uniform(0.5, 2.0, size=(30, 1))
+    v, w = gen.normal(size=(2, 30, 3))
+    for name, args in (("fbar", (x,)), ("fbar_grad", (x,)),
+                       ("fbar_hess_vec", (x, v)),
+                       ("fbar_hess_deriv_vec", (x, v, w))):
+        assert np.array_equal(getattr(const, name)(*args),
+                              getattr(radial, name)(*args)), name
+
+
+def test_polynomial_partials_are_polynomials():
+    """partial(axis) is dP/dx_axis, built once; l + 1 partials of a
+    degree-l mode give the zero polynomial, which evaluates to 0; the
+    products are the contracted derivatives."""
+    pts = rng.normal(size=(8, 3))
+    v, w = rng.normal(size=(2, 8, 3))
+    for (ell, m), coeffs in HARMONIC_POLYNOMIALS.items():
+        poly = HomogeneousPolynomial(coeffs)
+        assert poly.partial(0) is poly.partial(0)
+        zero = poly
+        for i in range(ell + 1):
+            zero = zero.partial(i % 3)
+        assert zero.coeffs == {} and zero.degree is None
+        assert np.array_equal(zero.value(pts), np.zeros(8))
+        assert np.array_equal(zero.hess_vec(pts, v), np.zeros((8, 3)))
+        H = poly.hess(pts)
+        assert_allclose(poly.hess_vec(pts, v), np.einsum("nij,nj->ni", H, v),
                         atol=1e-13)
+        third = np.stack([poly.partial(c).hess(pts) for c in range(3)], axis=1)
+        assert_allclose(poly.hess_deriv_vec(pts, v, w),
+                        np.einsum("ncij,nc,nj->ni", third, v, w), atol=1e-13)
 
 
 @pytest.mark.parametrize("descriptor", [

@@ -10,9 +10,11 @@ from wulffstab import surface
 from wulffstab.config import parse_integrand
 from wulffstab.curvature import anisotropic_shape_operator, trace_free
 from wulffstab.operators import covariant_derivatives, lp_norm
+from wulffstab.stability import perturbation_field, perturbed_graph
 from wulffstab.surface import (exp_graph, hausdorff_distance, project_to_wulff,
                                projection_certificate, radial_graph,
-                               recover_radius_mesh, recover_radius_spectral)
+                               reach_violation, recover_radius_mesh,
+                               recover_radius_spectral)
 
 rng = np.random.default_rng(31)
 
@@ -215,6 +217,31 @@ def test_closed_form_frames_match_qr_reference(sphere4, monkeypatch):
 def test_tubular_violation_message(wulff4):
     with pytest.raises(ValueError, match="max "):
         radial_graph(wulff4, np.full(wulff4.n_vertices, 10.0))
+
+
+@pytest.mark.parametrize("base_name", ["sphere4", "wulff4"])
+def test_reach_guard_at_its_edge(base_name, request):
+    """A radius is kept only while max |u| < reach: at max |u| = reach
+    radial_graph raises and perturbed_graph returns (None, violation); one
+    ulp below, both build the graph. On the sphere (reach 0.9) and the
+    quadratic:1,1,4 Wulff mesh."""
+    base = request.getfixturevalue(base_name)
+    family = ("kernel", (0.3, -0.5, 0.8))
+    shape = perturbation_field(base, family)
+    shape = shape / np.abs(shape).max()
+    at_reach = base.reach * shape
+    assert np.abs(at_reach).max() == base.reach
+    violation = reach_violation(base, at_reach)
+    assert violation.startswith("max |u| = ")
+    with pytest.raises(ValueError, match="tubular neighborhood"):
+        radial_graph(base, at_reach)
+    assert perturbed_graph(base, family, at_reach) == (None, violation)
+    below = np.nextafter(base.reach, 0.0) * shape
+    assert np.abs(below).max() == np.nextafter(base.reach, 0.0)
+    assert reach_violation(base, below) == ""
+    assert np.isfinite(radial_graph(base, below).positions).all()
+    geom, violation = perturbed_graph(base, family, below)
+    assert violation == "" and np.isfinite(geom.positions).all()
 
 
 def test_translation_equivariance(sphere4, ellipsoid_integrand):
