@@ -60,6 +60,7 @@ def polys(spec):
     return float(p[0]), float(q[0])
 
 
+_ROW_LAYOUT_MAX = 128  # batches below this many rows are summed row by row
 _BLOCK_ROWS = 8192
 _PAIRS = {}  # n -> (i, j), the ordered index pairs i != j in row-major order
 
@@ -67,23 +68,47 @@ _PAIRS = {}  # n -> (i, j), the ordered index pairs i != j in row-major order
 def polys_batch(lams, kappa):
     """Vectorized p, q over a (m, n) batch of spectra.
 
-    The batch is taken in blocks of _BLOCK_ROWS spectra, each transposed to
-    (n, m): a pair's products over the block are then one contiguous row,
-    and the rows of terms are added in the order numpy's pairwise sum adds
-    one spectrum's terms (_pairwise_sum). So p and q equal np.sum over each
-    spectrum's own terms bit for bit, whatever the other rows of the batch
-    and wherever the block boundaries fall.
+    Each spectrum's n(n - 1) pair terms and n Ricci terms are added in the
+    order of numpy's pairwise sum over that spectrum alone, so p and q equal
+    np.sum over each spectrum's own terms bit for bit, whatever the other
+    rows of the batch. Two layouts give that order:
+
+    - below _ROW_LAYOUT_MAX rows, the terms are a C-ordered (m, n(n - 1))
+      array whose rows np.sum(axis=1) adds one by one (_polys_rows); a
+      small batch then costs a few numpy calls;
+    - from _ROW_LAYOUT_MAX rows on, blocks of _BLOCK_ROWS spectra are
+      transposed to (n, m), so a pair's products over the block are one
+      contiguous row, and the rows of terms are added in numpy's pairwise
+      order (_polys_block, _pairwise_sum); a large batch then costs one
+      numpy call per leaf of the pairwise sum, however many rows it has.
     """
     lams = np.asarray(lams, dtype=float)
     n = lams.shape[1]
     if n not in _PAIRS:
         _PAIRS[n] = np.nonzero(~np.eye(n, dtype=bool))
+    if len(lams) < _ROW_LAYOUT_MAX:
+        return _polys_rows(np.ascontiguousarray(lams), kappa, *_PAIRS[n])
     p, q = np.empty(len(lams)), np.empty(len(lams))
     for a in range(0, len(lams), _BLOCK_ROWS):
         rows = slice(a, a + _BLOCK_ROWS)
         p[rows], q[rows] = _polys_block(lams[rows].T.copy(), kappa,
                                         *_PAIRS[n])
     return p, q
+
+
+def _polys_rows(lams, kappa, i, j):
+    """p, q of a C-ordered (m, n) batch, each row's terms summed as one
+    contiguous row. np.take keeps the terms C-ordered; lams[:, i] would
+    return them F-ordered, and np.sum would then add across rows."""
+    terms = np.take(lams, i, axis=1)
+    terms *= np.take(lams, j, axis=1)
+    terms -= kappa
+    np.square(terms, out=terms)
+    Lam = lams.sum(axis=1, keepdims=True) - lams
+    Lam *= lams
+    Lam -= (lams.shape[1] - 1) * kappa
+    np.square(Lam, out=Lam)
+    return terms.sum(axis=1), Lam.sum(axis=1)
 
 
 def _polys_block(bt, kappa, i, j):
@@ -171,9 +196,10 @@ def _ratio(lams, kappa, guard=1e-300):
 KAPPA_MAX = 10.0  # bound on |kappa| for ratio_bounds and the CLI
 # bound on n for the CLI: a spectrum has n(n-1) pair terms, so the Monte
 # Carlo time grows as n^2; one n = 70 cell is ratio_bounds alone (the zero
-# sets take milliseconds), 6.9-7.3 s at budget 200000 and a 210-240 MB peak
-# on a 2-core host (polys_batch holds one (n, 8192) block and the terms of
-# one leaf of its pairwise sum, at most 128 x 8192 floats)
+# sets take milliseconds), 4.4-4.8 s at budget 200000 and a 110 MB peak on
+# a 2-vCPU Xeon host (ratio_bounds holds one (100000, n) sample buffer, 56 MB
+# at n = 70, and polys_batch one (n, 8192) block and the terms of one leaf
+# of its pairwise sum, at most 128 x 8192 floats)
 DIMENSION_MAX = 70
 
 
@@ -188,6 +214,13 @@ def ratio_bounds(n, kappa, budget=10 ** 6, seed=0):
     infinity limit), Gaussian bulk at the kappa scale, and shrinking balls
     around the analytic zeros; the largest sample is polished by local
     search. Deterministic for a fixed seed.
+
+    The budget is drawn in max(1, budget // 100000) equal batches of
+    fewer than 200000 spectra, batch b from default_rng((seed, b)): a third
+    on the sphere, a third in the bulk, the rest in the balls (or a
+    narrower Gaussian when there are no zeros). Every batch is drawn into
+    the same (per, n) buffer, each regime in place in its own rows, so a
+    call holds one batch of samples however large the budget.
     """
     if abs(kappa) > KAPPA_MAX:
         raise ValueError(f"|kappa| exceeds the configured bound {KAPPA_MAX}")
@@ -195,39 +228,39 @@ def ratio_bounds(n, kappa, budget=10 ** 6, seed=0):
     zeros = analytic_zeros(n, kappa)
     batches = max(1, budget // 100_000)
     per = budget // batches
-
-    def run_batch(b):
-        rng = np.random.default_rng((seed, b))
-        third = per // 3
-        sphere = rng.normal(size=(third, n))
-        sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
-        bulk = rng.normal(size=(third, n)) * 2.0 * scale
-        chunks = [sphere, bulk]
-        if len(zeros):
-            radii = 10.0 ** rng.uniform(-6, 0, size=per - 2 * third)
-            centers = zeros[rng.integers(0, len(zeros), size=per - 2 * third)]
-            dirs = rng.normal(size=(per - 2 * third, n))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            chunks.append(centers + radii[:, None] * dirs * scale)
-        else:
-            chunks.append(rng.normal(size=(per - 2 * third, n)) * 0.5 * scale)
-        lams = np.concatenate(chunks)
-        r, kept = _ratio(lams, kappa)
-        if r.size == 0:
-            return None
-        imax = int(np.argmax(r))
-        # a copy, so the extremizer does not keep the whole batch alive
-        return r[imax], lams[kept[imax]].copy(), r.size
+    third = per // 3
+    lams = np.empty((per, n))
+    sphere, bulk, ball = lams[:third], lams[third:2 * third], lams[2 * third:]
 
     c2, argmax = 0.0, None
     total = 0
-    for res in map(run_batch, range(batches)):
-        if res is None:
+    for b in range(batches):
+        rng = np.random.default_rng((seed, b))
+        rng.standard_normal(out=sphere)
+        sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+        rng.standard_normal(out=bulk)
+        bulk *= 2.0
+        bulk *= scale
+        if len(zeros):
+            radii = 10.0 ** rng.uniform(-6, 0, size=len(ball))
+            centers = rng.integers(0, len(zeros), size=len(ball))
+            rng.standard_normal(out=ball)
+            ball /= np.linalg.norm(ball, axis=1, keepdims=True)
+            ball *= radii[:, None]
+            ball *= scale
+            ball += zeros[centers]
+        else:
+            rng.standard_normal(out=ball)
+            ball *= 0.5
+            ball *= scale
+        r, kept = _ratio(lams, kappa)
+        if r.size == 0:
             continue
-        rmax, lmax, cnt = res
-        total += cnt
-        if rmax > c2:
-            c2, argmax = rmax, lmax
+        total += r.size
+        imax = int(np.argmax(r))
+        if r[imax] > c2:
+            # a copy: the next batch overwrites lams
+            c2, argmax = r[imax], lams[kept[imax]].copy()
 
     def neg_log_ratio(lams):
         p, q = polys_batch(lams, kappa)

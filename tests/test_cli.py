@@ -583,6 +583,28 @@ budget = 20000
         assert (out / "einstein.csv").read_bytes() == fh.read()
 
 
+def test_einstein_example_csv_matches_golden_bytes(tmp_path):
+    """einstein.csv of the example grid (seed 42, budget 200000) matches a
+    stored fixture byte for byte. Each cell draws two Monte Carlo batches
+    into one reused buffer, so a row of the first batch that reached the
+    second batch's extremizer would show here."""
+    cfg = write_config(tmp_path, """
+[common]
+seed = 42
+
+[einstein]
+dimensions = 3,4,5
+kappas = -1,0,1
+budget = 200000
+""")
+    out = tmp_path / "e"
+    assert main(["einstein", "--config", cfg, "--out", str(out)]) == 1
+    golden = os.path.join(os.path.dirname(__file__), "fixtures",
+                          "einstein_example_seed42.csv")
+    with open(golden, "rb") as fh:
+        assert (out / "einstein.csv").read_bytes() == fh.read()
+
+
 def test_negative_seed_flag_exits_2(tmp_path):
     cfg = write_config(tmp_path, "[common]\nlevel = 3\n")
     with pytest.raises(SystemExit) as exc:

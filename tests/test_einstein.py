@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -151,9 +154,10 @@ def test_ratio_bounds_kappa_guard():
 def test_polys_batch_rows_are_independent():
     """A row's p and q are bit-identical alone and inside a larger batch,
     so a batched optimizer sees the values a one-point objective sees, on
-    both sides of numpy's 8- and 128-term pairwise thresholds."""
+    both sides of numpy's 8- and 128-term pairwise thresholds. The batch
+    takes the transposed layout and each single row the row layout."""
     for n in (3, 4, 5, 6, 8, 11, 12, 20, 70):
-        lams = rng.normal(size=(200 if n < 70 else 40, n)) * 3
+        lams = rng.normal(size=(200 if n < 70 else es._ROW_LAYOUT_MAX, n)) * 3
         p, q = es.polys_batch(lams, -1.0)
         single = np.array([es.polys_batch(lam[None, :], -1.0) for lam in lams])
         np.testing.assert_array_equal(p, single[:, 0, 0])
@@ -163,22 +167,25 @@ def test_polys_batch_rows_are_independent():
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 11, 12, 20, 70])
 @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0, 2.5])
 def test_polys_batch_matches_reference_bit_for_bit(n, kappa):
-    """The transposed kernel adds in numpy's pairwise order, so it matches
-    the row-wise np.sum bit for bit, on either side of a block boundary:
-    below 8 terms (n = 3: 6 pairs; the Ricci sums up to n = 7), with 8
-    partial sums up to 128 terms (n = 8 on for the Ricci sums; n = 11: 110
-    pairs) and in halves above (n = 12: 132 pairs, n = 70: 4830)."""
+    """Both layouts match the row-wise np.sum bit for bit: the row layout
+    below 128 rows, whatever the memory order of the batch, and the
+    transposed kernel, which adds in numpy's pairwise order, from 128 rows
+    on and on either side of a block boundary: below 8 terms (n = 3: 6
+    pairs; the Ricci sums up to n = 7), with 8 partial sums up to 128
+    terms (n = 8 on for the Ricci sums; n = 11: 110 pairs) and in halves
+    above (n = 12: 132 pairs, n = 70: 4830)."""
     if n < 70:
         lams = rng.normal(size=(20000, n)) * 2
-        sizes = (1, 8191, 8192, 8193, 20000)
+        sizes = (1, 127, 128, 129, 8191, 8192, 8193, 20000)
     else:
         lams = rng.normal(size=(200, n)) * 2
-        sizes = (1, 7, 200)
+        sizes = (1, 7, 127, 128, 129, 200)
     for m in sizes:
-        p, q = es.polys_batch(lams[:m], kappa)
         p_ref, q_ref = polys_batch_reference(lams[:m], kappa)
-        np.testing.assert_array_equal(p, p_ref)
-        np.testing.assert_array_equal(q, q_ref)
+        for batch in (lams[:m], np.asfortranarray(lams[:m])):
+            p, q = es.polys_batch(batch, kappa)
+            np.testing.assert_array_equal(p, p_ref)
+            np.testing.assert_array_equal(q, q_ref)
 
 
 def test_polys_batch_counts_one_call_per_batch(monkeypatch):
@@ -262,6 +269,27 @@ def test_ratio_bound_extremizers_own_their_data(monkeypatch):
                         lambda fun, x0, **options: (x0, np.inf, 0))
     rb = es.ratio_bounds(4, -1.0, budget=20000, seed=1)
     assert rb.argmin.base is None and rb.argmax.base is None
+
+
+def _pins():
+    path = os.path.join(os.path.dirname(__file__), "fixtures",
+                        "ratio_bounds_pins.json")
+    with open(path) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("pin", _pins(),
+                         ids=lambda pin: f"n{pin['n']}-k{pin['kappa']}")
+def test_ratio_bounds_matches_pinned_cells(pin):
+    """c2, its extremizer and the sample count, bit for bit, on cells whose
+    batches do not split into three equal regimes, at scale sqrt(kappa) > 1;
+    the n = 8 cells draw two and three batches into one reused buffer, so a
+    row of one batch that reached the next batch's extremizer shows here."""
+    rb = es.ratio_bounds(pin["n"], pin["kappa"], budget=pin["budget"],
+                         seed=pin["seed"])
+    assert rb.c2.hex() == pin["c2"]
+    assert [v.hex() for v in rb.argmax.tolist()] == pin["argmax"]
+    assert rb.samples == pin["samples"]
 
 
 # --- zero sets --------------------------------------------------------------
