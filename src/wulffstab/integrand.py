@@ -74,10 +74,15 @@ class HomogeneousPolynomial:
         self._partials = {}
 
     def value(self, pts):
+        """P at each point. The monomials are read from per-axis tables of
+        powers built by repeated products, since x ** 3 through pow is
+        slow on negative entries."""
         pts = np.atleast_2d(pts)
+        px, py, pz = (_powers(pts[:, a], max((e[a] for e in self.coeffs),
+                                             default=0)) for a in range(3))
         out = np.zeros(len(pts))
         for (i, j, k), c in self.coeffs.items():
-            out += c * pts[:, 0] ** i * pts[:, 1] ** j * pts[:, 2] ** k
+            out += c * px[i] * py[j] * pz[k]
         return out
 
     def partial(self, axis):
@@ -102,6 +107,14 @@ class HomogeneousPolynomial:
         """D^3 P[v, w, .] = sum_c v_c hess(dP/dx_c) w."""
         return sum(self.partial(c).hess_vec(pts, w) * v[:, c, None]
                    for c in range(3))
+
+
+def _powers(x, top):
+    """[x^0, x^1, ..., x^top] of an array, each the last times x."""
+    table = [np.ones_like(x), x]
+    for _ in range(top - 1):
+        table.append(table[-1] * x)
+    return table
 
 
 def _num(v):

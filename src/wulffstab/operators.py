@@ -43,10 +43,11 @@ def lp_norm(values, p, weights):
     """(integral |v|^p dV)^(1/p) with vertex quadrature weights.
 
     values may be scalar (N,), vector (N, d), matrix (N, 2, 2) or a
-    TensorField; the pointwise magnitude is the Frobenius norm.
+    TensorField; the pointwise magnitude is the Frobenius norm. Raises
+    ValueError unless 1 < p < inf.
     """
-    if p <= 1:
-        raise ValueError("p must be > 1")
+    if not 1 < p < np.inf:
+        raise ValueError("p must lie in (1, inf)")
     if isinstance(values, TensorField):
         mag = values.pointwise_norm()
     else:

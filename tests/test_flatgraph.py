@@ -78,30 +78,67 @@ def test_cap_fit_finds_lambda():
     assert resid < 1e-8
 
 
-def assert_fit_close(fit, expected, lam_tol=1e-11):
+def assert_fit_close(fit, expected, lam_tol=1e-11, floor=0):
     """(residual, lambda*) within the drift of summing on the grid in
-    another order than the gathering oracle."""
-    assert_allclose(fit[0], expected[0], rtol=1e-12, atol=0)
+    another order than the gathering oracle. A literal cap's residual is
+    rounding noise that moves with the last bit of lambda*; once the two
+    searches take different paths it is held to the floor instead."""
+    assert_allclose(fit[0], expected[0], rtol=1e-12, atol=floor)
     assert abs(fit[1] - expected[1]) <= lam_tol
 
 
-def test_cap_fit_evaluates_each_lambda_once(monkeypatch):
-    """No W^{2,p} norm is computed twice for one lambda, and the result
-    matches a polish that recomputes them (the oracle)."""
+def spy_norms(monkeypatch):
+    """The fields of every W^{2,p} norm a cap fit computes, in call order."""
     from wulffstab import flatgraph
-    lam = 0.52
-    g = GridField.from_function(
-        lambda x, y: 1 - np.sqrt(1 - lam ** 2 * (x ** 2 + y ** 2)), 0.9, 121)
-    expected = cap_fit_reference(g)
     fields = []
 
     def counted(field, p, mask=None):
-        fields.append(field.values.tobytes())
+        fields.append(field.values.copy())
         return grid_w2p_norm(field, p, mask)
 
     monkeypatch.setattr(flatgraph, "grid_w2p_norm", counted)
-    assert_fit_close(cap_fit_residual(g), expected)
-    assert len(set(fields)) == len(fields)
+    return fields
+
+
+def literal_cap(lam, extent, n):
+    return GridField.from_function(
+        lambda x, y: 1 - np.sqrt(1 - lam ** 2 * (x ** 2 + y ** 2)), extent, n)
+
+
+def assert_each_lambda_once(monkeypatch, n, lam_tol=1e-11, floor=0):
+    """No W^{2,p} norm is computed twice for one lambda on one grid, and
+    the result matches a polish that recomputes them (the oracle)."""
+    g = literal_cap(0.52, 0.9, n)
+    expected = cap_fit_reference(g)
+    fields = spy_norms(monkeypatch)
+    assert_fit_close(cap_fit_residual(g), expected, lam_tol, floor)
+    keys = [f.tobytes() for f in fields]
+    assert len(set(keys)) == len(keys)
+    return fields
+
+
+def test_cap_fit_evaluates_each_lambda_once(monkeypatch):
+    assert_each_lambda_once(monkeypatch, 121)
+
+
+def test_cap_fit_on_subgrid_evaluates_each_lambda_once(monkeypatch):
+    """The same on 161^2, where Brent runs on the 41^2 subgrid."""
+    fields = assert_each_lambda_once(monkeypatch, 161, 1e-8, floor=1e-11)
+    shapes = {f.shape for f in fields}
+    assert shapes == {(41, 41), (161, 161)}
+
+
+def test_cap_fit_on_401_polishes_with_few_full_norms(monkeypatch):
+    """A literal cap needs one delta = 1e-5 and one delta = 1e-8 polish
+    step on the full grid: 7 norms there (at most 8 pinned), the rest of
+    the search on the 101^2 subgrid."""
+    lam = 0.48
+    fields = spy_norms(monkeypatch)
+    resid, lstar = cap_fit_residual(literal_cap(lam, 0.9, 401))
+    full = sum(f.shape == (401, 401) for f in fields)
+    assert full <= 8
+    assert {f.shape for f in fields} == {(101, 101), (401, 401)}
+    assert resid <= 1e-11 and abs(lstar - lam) <= 1e-14
 
 
 def test_w2p_norm_of_plane():
@@ -179,6 +216,46 @@ def test_cap_fit_matches_roll_oracle(n, nan, lam, p, lam_tol):
     assert_fit_close(cap_fit_residual(g, p), cap_fit_reference(g, p), lam_tol)
 
 
+def _cap_wave(lam, n, nan_at=None):
+    """The cap of curvature lam plus 0.01 sin 3x on [-0.85, 0.85]^2, with
+    NaN at the points nan_at picks out."""
+    g = GridField.from_function(
+        lambda x, y: 1 - np.sqrt(1 - lam ** 2 * (x ** 2 + y ** 2))
+        + 0.01 * np.sin(3 * x), 0.85, n)
+    if nan_at is not None:
+        g.values[nan_at] = np.nan
+    return g
+
+
+@pytest.mark.parametrize("field, p, floor", [
+    pytest.param(_cap_wave(0.41, 161), 2, 0, id="wave-p2"),
+    pytest.param(_cap_wave(0.41, 161), 4.0, 0, id="wave-p4"),
+    pytest.param(_cap_wave(0.41, 161, (40, 53)), 2, 0, id="wave-nan-p2"),
+    pytest.param(_cap_wave(0.41, 161, (40, 53)), 4.0, 0, id="wave-nan-p4"),
+    pytest.param(literal_cap(0.6, 0.85, 161), 2, 1e-11, id="cap-p2"),
+])
+def test_cap_fit_on_subgrid_matches_roll_oracle(monkeypatch, field, p, floor):
+    """On 161^2 Brent searches the 41^2 subgrid and the polish finishes on
+    the full grid; (residual, lambda*) land where the full-grid search of
+    the oracle puts them. The minimum is flat, so lambda* agrees to 1e-8
+    (2.9e-10 read here) while the residual agrees to rounding."""
+    expected = cap_fit_reference(field, p)
+    fields = spy_norms(monkeypatch)
+    assert_fit_close(cap_fit_residual(field, p), expected, 1e-8, floor)
+    assert (41, 41) in {f.shape for f in fields}
+
+
+def test_cap_fit_falls_back_when_the_subgrid_mask_is_empty(monkeypatch):
+    """NaN on every 4th row of the subgrid (every 16th of the grid) leaves
+    the subgrid no point whose differences are all finite, but the full
+    grid keeps rows between them: Brent then runs on the full grid."""
+    field = _cap_wave(0.41, 161, (slice(None, None, 16), slice(None)))
+    expected = cap_fit_reference(field)
+    fields = spy_norms(monkeypatch)
+    assert_fit_close(cap_fit_residual(field), expected, 1e-8)
+    assert {f.shape for f in fields} == {(161, 161)}
+
+
 def _steep_rim(n):
     """A cap steeper than slope_limit 2 near the rim, with a NaN inside."""
     g = GridField.from_function(
@@ -222,6 +299,17 @@ def test_nine_points_leave_the_center():
     g = GridField(np.ones((9, 9)), 0.8)
     assert grid_w2p_norm(g, 2) == pytest.approx(0.2, rel=1e-12)
     assert cap_fit_residual(g)[0] == pytest.approx(0.2, rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [np.inf, -np.inf])
+def test_infinite_p_raises(p):
+    """p = inf is no W^{2,p} norm these sums compute; it is rejected, not
+    summed as if finite."""
+    g = GridField.from_function(lambda x, y: 0 * x + 1.0, 1.0, 41)
+    with pytest.raises(ValueError, match="finite p >= 1"):
+        grid_w2p_norm(g, p)
+    with pytest.raises(ValueError, match="finite p >= 1"):
+        cap_fit_residual(g, p)
 
 
 @pytest.mark.parametrize("p", [np.nextafter(1.0, 0.0), 0, -1, np.nan])

@@ -282,6 +282,13 @@ def test_lp_rejects_small_p(sphere4):
         lp_norm(np.ones(sphere4.n_vertices), 1.0, sphere4.weights)
 
 
+@pytest.mark.parametrize("p", [np.inf, np.nan])
+def test_lp_rejects_non_finite_p(sphere4, p):
+    """Not the sup norm (1.0 here) nor a NaN norm: the sum has no meaning."""
+    with pytest.raises(ValueError, match="inf"):
+        lp_norm(np.ones(sphere4.n_vertices), p, sphere4.weights)
+
+
 def test_w22_of_y20_against_eigenvalue_identity(sphere5):
     """Delta Y2 = -6 Y2 gives ||Y2||=1, ||grad||=sqrt(6), ||Hess||=sqrt(30)."""
     coeffs = np.zeros(9)

@@ -25,20 +25,15 @@ def assert_brent_matches_scipy(fun, lo, hi, xatol):
 
 
 def cap_objective(lam):
-    """The squared W^{2,p} objective of cap_fit_residual on the bench's
-    401^2 literal cap of curvature lam, as a function of the cap's lambda."""
-    from wulffstab.flatgraph import _differences, _disk_mask, grid_w2p_norm
+    """The squared W^{2,p} objective that cap_fit_residual's Brent search
+    minimizes on the bench's 401^2 literal cap of curvature lam: the one on
+    its 101^2 stride-4 subgrid, as a function of the cap's lambda."""
+    from wulffstab.flatgraph import _cap_objective, _lam_max
     field = GridField.from_function(
         lambda x, y: 1 - np.sqrt(1 - lam ** 2 * (x ** 2 + y ** 2)), 0.9, 401)
-    r2 = field.x ** 2 + field.y ** 2
-    mask = _disk_mask(r2, field.extent,
-                      _differences(field.values, field.spacing))
-
-    def objective(t):
-        diff = GridField(field.values - (1.0 - np.sqrt(1.0 - t ** 2 * r2)),
-                         field.extent)
-        return grid_w2p_norm(diff, 2, mask) ** 2
-    return objective, 0.999 / (field.extent * np.sqrt(2.0))
+    objective, mask = _cap_objective(field.values[::4, ::4], field.extent, 2)
+    assert mask.shape == (101, 101) and mask.any()
+    return lambda t: objective(t) ** 2, _lam_max(field.extent)
 
 
 @pytest.mark.parametrize("lam", np.random.default_rng(1).uniform(0.2, 0.75, 3))
