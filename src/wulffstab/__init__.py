@@ -6,9 +6,8 @@ from .einstein import (EigenSpectrum, RatioBound, alpha_exponent,
                        pinching_check, polys, ratio_bounds, ricci_spectrum,
                        zero_set_check)
 from .flatgraph import GridField, cap_fit_residual, flat_graph_shape
-from .integrand import AnisotropyMatrix, EllipticityError, Integrand, gauge
-from .operators import (TensorField, get_operators, lp_norm,
-                        surface_divergence, surface_gradient, w2p_norm)
+from .integrand import EllipticityError, Integrand, gauge
+from .operators import get_operators, lp_norm, w2p_norm
 from .spectral import sh_analyze, sh_synthesize
 from .spheremesh import build_sphere_mesh
 from .stability import (CenteringResult, KernelFrame, ScalingFit, center,
@@ -19,7 +18,6 @@ from .surface import (GraphCertificate, SurfaceGeometry, exp_graph,
 from .wulff import WulffMesh, build_wulff, load_mesh, save_mesh
 
 __all__ = [
-    "AnisotropyMatrix",
     "CenteringResult",
     "DeficitReport",
     "EigenSpectrum",
@@ -31,7 +29,6 @@ __all__ = [
     "RatioBound",
     "ScalingFit",
     "SurfaceGeometry",
-    "TensorField",
     "WulffMesh",
     "alpha_exponent",
     "anisotropic_shape_operator",
@@ -62,8 +59,6 @@ __all__ = [
     "sh_synthesize",
     "stability_operator",
     "stability_ratio",
-    "surface_divergence",
-    "surface_gradient",
     "trace_free",
     "w2p_norm",
     "zero_set_check",

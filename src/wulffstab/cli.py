@@ -73,7 +73,7 @@ def write_dat(path, header, rows):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_svg(path, series, xlabel="x", ylabel="y"):
+def write_svg(path, series, xlabel, ylabel):
     """Log-log polyline plot of the positive points of (name, xs, ys)."""
     W, H, pad = 640, 480, 60
     pts_all = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)
@@ -181,7 +181,7 @@ def run_curvature(cfg, outdir, svg):
                           f"tubular neighborhood: {violation}")
     cert = projection_certificate(geom)
     s_field, hf = anisotropic_shape_operator(geom, cfg.integrand)
-    dev, tr = trace_free(s_field)
+    dev = trace_free(s_field)
     report = oscillation_deficit(s_field, hf, geom.weights, cfg.p)
     rows = [
         {"metric": "epsilon", "value": eps},
@@ -191,7 +191,7 @@ def run_curvature(cfg, outdir, svg):
         {"metric": "oscillation", "value": report.oscillation},
         {"metric": "h_mean_over_n", "value": report.h_mean_over_n},
         {"metric": "c_osc", "value": report.c_osc},
-        {"metric": "max_trace_residual", "value": float(np.abs(np.einsum("nii->n", dev.values)).max())},
+        {"metric": "max_trace_residual", "value": float(np.abs(np.einsum("nii->n", dev)).max())},
         {"metric": "eta_margin", "value": cert.margin},
     ]
     # per-node geometry dump in the shared mesh text format plus CSV

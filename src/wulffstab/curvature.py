@@ -3,7 +3,7 @@
 import numpy as np
 
 from .minimize import bounded_brent
-from .operators import TensorField, lp_norm
+from .operators import lp_norm
 
 
 def anisotropic_shape_operator(geom, integrand):
@@ -13,25 +13,23 @@ def anisotropic_shape_operator(geom, integrand):
     plane of the sphere at nu_Sigma), so the composition is a 2x2 product
     in the node's orthonormal surface basis.
 
-    Returns (TensorField of kind 'operator', H_F array).
+    Returns S_F as an (N, 2, 2) array in the bases `geom.tangent_basis`
+    (a mixed (1,1) tensor, not symmetric in general) and H_F as (N,).
     """
     if not integrand.is_elliptic:
         raise ValueError(
             f"integrand is not elliptic (margin {integrand.ellipticity_margin:g})")
     tau = geom.tangent_basis  # (N, 3, 2)
     A2 = integrand.anisotropy_form(geom.normal, tau[:, :, 0], tau[:, :, 1])
-    vals = A2 @ geom.shape_operator
-    field = TensorField(vals, kind="operator")
-    return field, field.trace()
+    s_f = A2 @ geom.shape_operator
+    return s_f, np.einsum("nii->n", s_f)
 
 
-def trace_free(field):
-    """Trace-free part and trace of a per-node 2x2 tensor field."""
-    values = field.values if isinstance(field, TensorField) else np.asarray(field)
+def trace_free(values):
+    """Trace-free part T - (tr T / 2) Id of a per-node 2x2 tensor, as an
+    (N, 2, 2) array; its `lp_norm` is the deficit when T is S_F."""
     tr = np.einsum("nii->n", values)
-    dev = values - 0.5 * tr[:, None, None] * np.eye(2)[None]
-    kind = field.kind if isinstance(field, TensorField) else "bilinear"
-    return TensorField(dev, kind=kind), tr
+    return values - 0.5 * tr[:, None, None] * np.eye(2)[None]
 
 
 class DeficitReport:
@@ -52,23 +50,22 @@ class DeficitReport:
 
 
 def oscillation_deficit(s_field, hf, weights, p):
-    """Minimal oscillation min_lambda ||S_F - lambda Id||_{L^p} and deficit.
+    """Minimal oscillation min_lambda ||S_F - lambda Id||_{L^p} and deficit
+    of S_F, an (N, 2, 2) array, with hf = tr S_F.
 
     The map lambda -> norm is convex for p > 1, so a bounded Brent search
     over the eigenvalue range suffices.
     """
     if not 1 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
-    vals = s_field.values
 
     def osc(lam):
-        return lp_norm(vals - lam * np.eye(2)[None], p, weights)
+        return lp_norm(s_field - lam * np.eye(2)[None], p, weights)
 
-    eigs = np.linalg.eigvals(vals).real
+    eigs = np.linalg.eigvals(s_field).real
     lo, hi = float(eigs.min()) - 1e-6, float(eigs.max()) + 1e-6
     lam, oscillation, _ = bounded_brent(osc, lo, hi, xatol=1e-12)
-    dev, _ = trace_free(s_field)
-    deficit = lp_norm(dev, p, weights)
+    deficit = lp_norm(trace_free(s_field), p, weights)
     area = float(weights.sum())
     h_mean_over_n = float(np.sum(weights * hf) / area) / 2.0
     return DeficitReport(p, deficit, float(lam), oscillation, h_mean_over_n)

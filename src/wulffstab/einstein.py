@@ -185,12 +185,12 @@ class RatioBound:
         self.argmax = argmax
 
 
-def _ratio(lams, kappa, guard=1e-300):
+def _ratio(lams, kappa):
     """p/q over the rows of lams off the common zeros, and those rows'
     indices into lams."""
     p, q = polys_batch(lams, kappa)
     kept = np.flatnonzero((p + q) > 1e-24)
-    return p[kept] / np.maximum(q[kept], guard), kept
+    return p[kept] / np.maximum(q[kept], 1e-300), kept
 
 
 KAPPA_MAX = 10.0  # bound on |kappa| for ratio_bounds and the CLI

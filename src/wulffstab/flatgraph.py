@@ -17,6 +17,7 @@ _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0  # offsets -2..2
 _CHUNK = 1 << 15  # grid entries per difference pass
 _STRIDE, _MIN_SUB = 4, 41  # cap fit search subgrid: stride, fewest points a side
 _POLISH_STEPS = 6  # most delta = 1e-5 steps of the cap fit's polish
+_SLOPE_LIMIT = 4.5  # |Du| past which flat_graph_shape trims the rim
 
 
 class GridField:
@@ -88,12 +89,12 @@ def _diff4(values, axis, spacing, out=None):
     return out
 
 
-def flat_graph_shape(field, slope_limit=4.5):
+def flat_graph_shape(field):
     """h(u)^i_j by nested fourth-order differences.
 
     Returns (h, mask, warning): h is (n, n, 2, 2) with NaN outside the
-    mask, which excludes stencil margins and any rim region where the
-    gradient exceeds slope_limit (graph turning vertical); a trimmed rim
+    mask, which excludes stencil margins and any rim region where |Du|
+    exceeds _SLOPE_LIMIT = 4.5 (graph turning vertical); a trimmed rim
     sets the warning flag. h is a view of one (2, 2, n, n) grid.
     """
     u = field.values
@@ -111,7 +112,7 @@ def flat_graph_shape(field, slope_limit=4.5):
         for j in range(2):
             _diff4(du[i], j, hgrid, out=h[i, j])
     mask = ~np.isnan(h).any(axis=(0, 1))
-    steep = mask & (slope > slope_limit)
+    steep = mask & (slope > _SLOPE_LIMIT)
     warning = bool(steep.any())
     mask &= ~steep
     return h.transpose(2, 3, 0, 1), mask, warning

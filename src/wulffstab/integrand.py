@@ -13,6 +13,8 @@ closed-form for every family. This gives all derived quantities directly:
   closed form (`fbar_hess_deriv_vec`) and in a frame (`hess_deriv_form`)
 """
 
+import functools
+
 import numpy as np
 
 from . import spheremesh
@@ -126,12 +128,6 @@ def _dot(a, b):
     return np.einsum("ni,ni->n", a, b)
 
 
-def _as_points(nu):
-    nu = np.asarray(nu, dtype=float)
-    single = nu.ndim == 1
-    return np.atleast_2d(nu), single
-
-
 def _frame_form(e1, e2, h1, h2):
     """(N, 2, 2) forms e_k . B e_l of a symmetric B from its products
     h1 = B e1, h2 = B e2; the off-diagonal entry is computed once, so each
@@ -227,55 +223,49 @@ class Integrand:
         return self.params["amplitude"], p, 1 - p.degree
 
     def fbar(self, x):
-        pts, single = _as_points(x)
         if self.family == "quadratic":
-            out = np.sqrt(np.einsum("ni,ij,nj->n", pts, self.params["M"], pts))
-        else:
-            r = np.linalg.norm(pts, axis=1)
-            out = self._radial * r
-            if self.family == "fourier":
-                a, p, k = self._perturbation()
-                out += a * p.value(pts) * r ** k
-        return out[0] if single else out
+            return np.sqrt(np.einsum("ni,ij,nj->n", x, self.params["M"], x))
+        r = np.linalg.norm(x, axis=1)
+        out = self._radial * r
+        if self.family == "fourier":
+            a, p, k = self._perturbation()
+            out += a * p.value(x) * r ** k
+        return out
 
     def fbar_grad(self, x):
-        pts, single = _as_points(x)
         if self.family == "quadratic":
             M = self.params["M"]
-            s = np.sqrt(np.einsum("ni,ij,nj->n", pts, M, pts))[:, None]
-            out = pts @ M / s
-        else:
-            r = np.linalg.norm(pts, axis=1)[:, None]
-            out = self._radial * pts / r
-            if self.family == "fourier":
-                a, p, k = self._perturbation()
-                pv = p.value(pts)[:, None]
-                out += a * (p.grad(pts) * r ** k + k * pv * pts * r ** (k - 2))
-        return out[0] if single else out
+            s = np.sqrt(np.einsum("ni,ij,nj->n", x, M, x))[:, None]
+            return x @ M / s
+        r = np.linalg.norm(x, axis=1)[:, None]
+        out = self._radial * x / r
+        if self.family == "fourier":
+            a, p, k = self._perturbation()
+            pv = p.value(x)[:, None]
+            out += a * (p.grad(x) * r ** k + k * pv * x * r ** (k - 2))
+        return out
 
     def fbar_hess(self, x):
-        pts, single = _as_points(x)
         if self.family == "quadratic":
             M = self.params["M"]
-            s = np.sqrt(np.einsum("ni,ij,nj->n", pts, M, pts))[:, None, None]
-            Mx = pts @ M
-            out = M[None] / s - Mx[:, :, None] * Mx[:, None, :] / s ** 3
-        else:
-            r = np.linalg.norm(pts, axis=1)[:, None, None]
-            eye = np.eye(3)[None]
-            outer = pts[:, :, None] * pts[:, None, :]
-            out = self._radial * (eye - outer / r ** 2) / r
-            if self.family == "fourier":
-                a, p, k = self._perturbation()
-                pv = p.value(pts)[:, None, None]
-                pg = p.grad(pts)
-                cross = (pg[:, :, None] * pts[:, None, :]
-                         + pts[:, :, None] * pg[:, None, :])
-                out += a * (p.hess(pts) * r ** k
-                            + k * cross * r ** (k - 2)
-                            + k * pv * eye * r ** (k - 2)
-                            + k * (k - 2) * pv * outer * r ** (k - 4))
-        return out[0] if single else out
+            s = np.sqrt(np.einsum("ni,ij,nj->n", x, M, x))[:, None, None]
+            Mx = x @ M
+            return M[None] / s - Mx[:, :, None] * Mx[:, None, :] / s ** 3
+        r = np.linalg.norm(x, axis=1)[:, None, None]
+        eye = np.eye(3)[None]
+        outer = x[:, :, None] * x[:, None, :]
+        out = self._radial * (eye - outer / r ** 2) / r
+        if self.family == "fourier":
+            a, p, k = self._perturbation()
+            pv = p.value(x)[:, None, None]
+            pg = p.grad(x)
+            cross = (pg[:, :, None] * x[:, None, :]
+                     + x[:, :, None] * pg[:, None, :])
+            out += a * (p.hess(x) * r ** k
+                        + k * cross * r ** (k - 2)
+                        + k * pv * eye * r ** (k - 2)
+                        + k * (k - 2) * pv * outer * r ** (k - 4))
+        return out
 
     def fbar_hess_vec(self, x, v):
         """hess Fbar(x) v per point, (N, 3), without forming a Hessian.
@@ -283,26 +273,23 @@ class Integrand:
         The same terms as `fbar_hess`, each applied to v: V (v - x (x.v)/r^2)/r
         for a constant, (Mv - Mx (Mx.v)/s^2)/s for a quadratic form.
         """
-        pts, single = _as_points(x)
-        v = np.atleast_2d(np.asarray(v, dtype=float))
         if self.family == "quadratic":
             M = self.params["M"]
-            Mx = pts @ M
-            s = np.sqrt(_dot(pts, Mx))[:, None]
-            out = (v @ M - Mx * (_dot(Mx, v)[:, None] / s ** 2)) / s
-            return out[0] if single else out
-        r = np.sqrt(_dot(pts, pts))[:, None]
-        xv = _dot(pts, v)[:, None]
-        out = self._radial * (v - pts * (xv / r ** 2)) / r
+            Mx = x @ M
+            s = np.sqrt(_dot(x, Mx))[:, None]
+            return (v @ M - Mx * (_dot(Mx, v)[:, None] / s ** 2)) / s
+        r = np.sqrt(_dot(x, x))[:, None]
+        xv = _dot(x, v)[:, None]
+        out = self._radial * (v - x * (xv / r ** 2)) / r
         if self.family == "fourier":
             a, p, k = self._perturbation()
-            pv = p.value(pts)[:, None]
-            pg = p.grad(pts)
-            out += a * (p.hess_vec(pts, v) * r ** k
-                        + k * (pg * xv + pts * _dot(pg, v)[:, None] + pv * v)
+            pv = p.value(x)[:, None]
+            pg = p.grad(x)
+            out += a * (p.hess_vec(x, v) * r ** k
+                        + k * (pg * xv + x * _dot(pg, v)[:, None] + pv * v)
                         * r ** (k - 2)
-                        + k * (k - 2) * pv * pts * xv * r ** (k - 4))
-        return out[0] if single else out
+                        + k * (k - 2) * pv * x * xv * r ** (k - 4))
+        return out
 
     def fbar_hess_deriv_vec(self, x, v, w):
         """T_v w per point, (N, 3), T_v = d/dt hess Fbar(x + t v) at t = 0,
@@ -315,38 +302,34 @@ class Integrand:
         (3 (m.v)(m.w) m/S^2 - ((m.v) Mw + (m.w) Mv + (v.Mw) m))/S^3 with
         m = Mx, S^2 = x.Mx.
         """
-        pts, single = _as_points(x)
-        v = np.atleast_2d(np.asarray(v, dtype=float))
-        w = np.atleast_2d(np.asarray(w, dtype=float))
         if self.family == "quadratic":
             M = self.params["M"]
-            m, mv, mw = pts @ M, v @ M, w @ M
-            S = np.sqrt(_dot(m, pts))[:, None]
+            m, mv, mw = x @ M, v @ M, w @ M
+            S = np.sqrt(_dot(m, x))[:, None]
             qv, qw = _dot(m, v)[:, None], _dot(m, w)[:, None]
-            out = (3 * qv * qw * m / S ** 2
-                   - (qv * mw + qw * mv + _dot(mv, w)[:, None] * m)) / S ** 3
-            return out[0] if single else out
-        r = np.sqrt(_dot(pts, pts))[:, None]
-        s, q, vw = (_dot(pts, v)[:, None], _dot(pts, w)[:, None],
+            return (3 * qv * qw * m / S ** 2
+                    - (qv * mw + qw * mv + _dot(mv, w)[:, None] * m)) / S ** 3
+        r = np.sqrt(_dot(x, x))[:, None]
+        s, q, vw = (_dot(x, v)[:, None], _dot(x, w)[:, None],
                     _dot(v, w)[:, None])
-        sym = s * w + q * v + vw * pts
-        out = self._radial * (3 * s * q * pts / r ** 2 - sym) / r ** 3
+        sym = s * w + q * v + vw * x
+        out = self._radial * (3 * s * q * x / r ** 2 - sym) / r ** 3
         if self.family == "fourier":
             # d/dt of each term of fbar_hess_vec's perturbation along v
             a, p, k = self._perturbation()
-            pv = p.value(pts)[:, None]
-            pg = p.grad(pts)
+            pv = p.value(x)[:, None]
+            pg = p.grad(x)
             gv, gw = _dot(pg, v)[:, None], _dot(pg, w)[:, None]
-            hv, hw = p.hess_vec(pts, v), p.hess_vec(pts, w)
-            out += a * (p.hess_deriv_vec(pts, v, w) * r ** k
+            hv, hw = p.hess_vec(x, v), p.hess_vec(x, w)
+            out += a * (p.hess_deriv_vec(x, v, w) * r ** k
                         + k * (s * hw + q * hv + vw * pg
-                               + gw * v + gv * w + _dot(hv, w)[:, None] * pts)
+                               + gw * v + gv * w + _dot(hv, w)[:, None] * x)
                         * r ** (k - 2)
-                        + k * (k - 2) * (s * q * pg + (s * gw + q * gv) * pts
+                        + k * (k - 2) * (s * q * pg + (s * gw + q * gv) * x
                                          + pv * sym) * r ** (k - 4)
-                        + k * (k - 2) * (k - 4) * s * q * pv * pts
+                        + k * (k - 2) * (k - 4) * s * q * pv * x
                         * r ** (k - 6))
-        return out[0] if single else out
+        return out
 
     # derived quantities ----------------------------------------------------
 
@@ -355,22 +338,19 @@ class Integrand:
         return self.fbar(nu)
 
     def evaluate(self, nu):
-        """F, intrinsic gradient DF and intrinsic Hessian D2F at a unit nu.
+        """F (N,), intrinsic gradient DF (N, 3) and intrinsic Hessian D2F
+        (N, 3, 3) at unit directions nu (N, 3).
 
-        DF is returned as a tangent 3-vector and D2F as an ambient 3x3
-        matrix that annihilates nu (rows and columns tangent).
+        DF is a tangent 3-vector and D2F an ambient 3x3 matrix that
+        annihilates nu (rows and columns tangent).
         """
-        pts, single = _as_points(nu)
-        r = np.linalg.norm(pts, axis=1)
+        r = np.linalg.norm(nu, axis=1)
         if np.any(np.abs(r - 1.0) > UNIT_TOL):
             raise ValueError("evaluate expects unit directions (|nu| = 1)")
-        F = self.fbar(pts)
-        DF = self.fbar_grad(pts) - F[:, None] * pts
-        P = np.eye(3)[None] - pts[:, :, None] * pts[:, None, :]
-        AF = self.anisotropy_ambient(pts)
-        D2F = AF - F[:, None, None] * P
-        if single:
-            return F[0], DF[0], D2F[0]
+        F = self.fbar(nu)
+        DF = self.fbar_grad(nu) - F[:, None] * nu
+        P = np.eye(3)[None] - nu[:, :, None] * nu[:, None, :]
+        D2F = self.anisotropy_ambient(nu) - F[:, None, None] * P
         return F, DF, D2F
 
     def anisotropy_form(self, nu, e1, e2):
@@ -388,29 +368,27 @@ class Integrand:
                            self.fbar_hess_deriv_vec(x, v, e2))
 
     def anisotropy_ambient(self, nu):
-        """A_F(nu) as an ambient 3x3 matrix with nu in its kernel."""
-        pts, single = _as_points(nu)
-        H = self.fbar_hess(pts)
+        """A_F(nu) as ambient (N, 3, 3) matrices with nu in their kernel."""
+        H = self.fbar_hess(nu)
         # project out the numerically nonzero normal component; the exact
         # matrix is symmetric, so symmetrize away matmul round-off
-        P = np.eye(3)[None] - pts[:, :, None] * pts[:, None, :]
+        P = np.eye(3)[None] - nu[:, :, None] * nu[:, None, :]
         out = P @ H @ P
-        out = 0.5 * (out + np.swapaxes(out, 1, 2))
-        return out[0] if single else out
+        return 0.5 * (out + np.swapaxes(out, 1, 2))
 
     def anisotropy(self, nu):
-        """AnisotropyMatrix at a unit direction; raises if not positive definite."""
-        pts, single = _as_points(nu)
-        e1, e2 = tangent_frames(pts)
-        A = self.anisotropy_form(pts, e1, e2)
+        """A_F at unit directions nu (N, 3): the (N, 2, 2) forms in the
+        frames `tangent_frames(nu)`, as `anisotropy_form` gives them.
+
+        Raises EllipticityError, naming the worst direction, unless every
+        form is positive definite.
+        """
+        A = self.anisotropy_form(nu, *tangent_frames(nu))
         mins = np.linalg.eigvalsh(A)[:, 0]
         if np.any(mins <= 0):
-            bad = pts[int(np.argmin(mins))]
+            bad = nu[int(np.argmin(mins))]
             raise EllipticityError(f"A_F not positive definite at nu = {bad}")
-        if single:
-            return AnisotropyMatrix(pts[0], A[0], (e1[0], e2[0]), float(mins[0]))
-        return [AnisotropyMatrix(pts[i], A[i], (e1[i], e2[i]), float(mins[i]))
-                for i in range(len(pts))]
+        return A
 
     def _compute_margin(self):
         sample = _dense_sample()
@@ -422,25 +400,13 @@ class Integrand:
         return self.ellipticity_margin > 0
 
 
-_SAMPLE_CACHE = {}
-
-
-def _dense_sample(level=4):
-    if level not in _SAMPLE_CACHE:
-        sample = spheremesh._icosphere(level)[0]
-        sample.flags.writeable = False
-        _SAMPLE_CACHE[level] = sample
-    return _SAMPLE_CACHE[level]
-
-
-class AnisotropyMatrix:
-    """A_F at one direction: SPD form on the tangent plane of the sphere."""
-
-    def __init__(self, base_point, matrix, frame, min_eigenvalue):
-        self.base_point = base_point
-        self.matrix = matrix
-        self.frame = frame
-        self.min_eigenvalue = min_eigenvalue
+@functools.cache
+def _dense_sample():
+    """The level-4 icosphere's 2562 vertices, read-only: the directions of
+    the ellipticity margin, the positivity check and the gauge's seeds."""
+    sample = spheremesh._icosphere(4)[0]
+    sample.flags.writeable = False
+    return sample
 
 
 # points whose seed ratios against the dense sample are formed at once:
@@ -449,26 +415,25 @@ _GAUGE_BLOCK = 512
 
 
 def gauge(integrand, x):
-    """Gauge function F* and its gradient at ambient points.
+    """Gauge function F* (N,) and its gradient (N, 3) at ambient points x
+    (N, 3).
 
     F*(x) = sup over unit nu of <x, nu>/F(nu), located by a coarse
     icosphere sample, searched _GAUGE_BLOCK points at a time, followed by
     ten damped Newton ascent steps on the sphere. The envelope rule gives
     grad F*(x) = nu*/F(nu*) at the maximizer.
     """
-    pts, single = _as_points(x)
-    norms = np.linalg.norm(pts, axis=1)
-    if np.any(norms == 0):
+    if np.any(np.linalg.norm(x, axis=1) == 0):
         raise ValueError("gauge is undefined at the origin")
 
     sample = _dense_sample()
     fs = integrand.value(sample)
-    seed = np.empty_like(pts)
+    seed = np.empty_like(x)
     lo = 0
     # a lone last point joins the block before it: numpy takes a one-row
     # product through gemv, which can round unlike the gemm of the rows
-    for hi in (*range(_GAUGE_BLOCK, len(pts) - 1, _GAUGE_BLOCK), len(pts)):
-        ratios = pts[lo:hi] @ sample.T
+    for hi in (*range(_GAUGE_BLOCK, len(x) - 1, _GAUGE_BLOCK), len(x)):
+        ratios = x[lo:hi] @ sample.T
         ratios /= fs
         seed[lo:hi] = sample[np.argmax(ratios, axis=1)]
         lo = hi
@@ -476,9 +441,9 @@ def gauge(integrand, x):
     def ascent(nu, e1, e2):
         F = integrand.value(nu)
         DF = integrand.fbar_grad(nu) - F[:, None] * nu
-        u = np.einsum("ni,ni->n", pts, nu)
+        u = np.einsum("ni,ni->n", x, nu)
         P = np.eye(3)[None] - nu[:, :, None] * nu[:, None, :]
-        Du = np.einsum("nij,nj->ni", P, pts)
+        Du = np.einsum("nij,nj->ni", P, x)
         E = np.stack((e1, e2), axis=2)  # (n, 3, 2)
         Du2 = np.einsum("nik,ni->nk", E, Du)
         DF2 = np.einsum("nik,ni->nk", E, DF)
@@ -497,8 +462,5 @@ def gauge(integrand, x):
 
     nu = sphere_newton(seed, ascent, 10, 0.5)
     F = integrand.value(nu)
-    vals = np.einsum("ni,ni->n", pts, nu) / F
-    grads = nu / F[:, None]
-    if single:
-        return float(vals[0]), grads[0]
-    return vals, grads
+    vals = np.einsum("ni,ni->n", x, nu) / F
+    return vals, nu / F[:, None]

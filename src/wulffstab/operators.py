@@ -12,50 +12,21 @@ import numpy as np
 from . import spectral
 
 
-class TensorField:
-    """Per-vertex 2x2 tensor in the local tangent frame.
-
-    kind is 'bilinear' for symmetric second-order forms and 'operator' for
-    mixed (1,1) tensors such as shape operators. Norms use the Frobenius
-    norm pointwise, which is invariant under per-vertex frame rotations.
-    """
-
-    def __init__(self, values, kind="bilinear"):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 3 or values.shape[1:] != (2, 2):
-            raise ValueError("TensorField expects (N, 2, 2) values")
-        if kind not in ("bilinear", "operator"):
-            raise ValueError(f"unknown tensor kind {kind!r}")
-        self.values = values
-        self.kind = kind
-
-    def __len__(self):
-        return len(self.values)
-
-    def pointwise_norm(self):
-        return np.linalg.norm(self.values, axis=(1, 2))
-
-    def trace(self):
-        return np.einsum("nii->n", self.values)
-
-
 def lp_norm(values, p, weights):
     """(integral |v|^p dV)^(1/p) with vertex quadrature weights.
 
-    values may be scalar (N,), vector (N, d), matrix (N, 2, 2) or a
-    TensorField; the pointwise magnitude is the Frobenius norm. Raises
-    ValueError unless 1 < p < inf.
+    values is a per-node array: scalar (N,), vector (N, d) or a 2x2 tensor
+    per node (N, 2, 2). The pointwise magnitude is the absolute value or
+    the Euclidean / Frobenius norm, which is invariant under per-node
+    rotations of the frame. Raises ValueError unless 1 < p < inf.
     """
     if not 1 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
-    if isinstance(values, TensorField):
-        mag = values.pointwise_norm()
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        mag = np.abs(values)
     else:
-        values = np.asarray(values, dtype=float)
-        if values.ndim == 1:
-            mag = np.abs(values)
-        else:
-            mag = np.sqrt(np.sum(values.reshape(len(values), -1) ** 2, axis=1))
+        mag = np.sqrt(np.sum(values.reshape(len(values), -1) ** 2, axis=1))
     return float(np.sum(weights * mag ** p) ** (1.0 / p))
 
 
@@ -173,13 +144,3 @@ def get_operators(mesh):
     """DerivativeOperators of a mesh, built once and cached on it."""
     return mesh.cached("operators", DerivativeOperators)
 
-
-def surface_gradient(mesh, values):
-    """Covariant gradient as ambient tangent vectors, (N, 3)."""
-    return get_operators(mesh).gradient_ambient(values)
-
-
-def surface_divergence(mesh, vectors):
-    """Surface divergence of a tangent vector field ((N, 2) frame or (N, 3))
-    on the sphere; a Wulff mesh raises ValueError."""
-    return get_operators(mesh).divergence(vectors)

@@ -193,8 +193,7 @@ def stability_ratio(geom, integrand, p):
 def _ratio(geom, integrand, p, radius, frame):
     """Deficit of geom against the W^{2,p} distance of radius over its base."""
     s_field, _ = anisotropic_shape_operator(geom, integrand)
-    dev, _ = trace_free(s_field)
-    deficit = lp_norm(dev, p, geom.weights)
+    deficit = lp_norm(trace_free(s_field), p, geom.weights)
     v_u = kernel_component(frame, radius, geom.base.weights)
     distance = _distance_norm(geom.base, radius, v_u, p)
     ratio = distance / deficit if deficit > 1e-14 else np.nan

@@ -42,10 +42,12 @@ class SurfaceGeometry:
     weights : (N,) quadrature weights on the surface
     radius : the defining radius field (u or f), or None
     kind : 'radial' or 'exp'
+    shape_asymmetry : largest |S_12 - S_21| of the shape operator before
+        it is symmetrized
     """
 
     def __init__(self, base, positions, metric, normal, tangent_basis,
-                 shape_operator, radius, kind, shape_asymmetry=0.0):
+                 shape_operator, radius, kind, shape_asymmetry):
         self.base = base
         self.positions = positions
         self.metric = metric
@@ -106,7 +108,7 @@ def _finish_from_derivatives(base, positions, psi_d, nu, h_chart, radius,
     s_tau[:, 1, 1] = v * hv1 + d * hv2
     asym = float(np.abs(s_tau[:, 0, 1] - s_tau[:, 1, 0]).max())
     return SurfaceGeometry(base, positions, metric, nu, q, s_tau,
-                           radius, kind, shape_asymmetry=asym)
+                           radius, kind, asym)
 
 
 def _spectral_graph(mesh, values, kind):
@@ -263,19 +265,17 @@ class GraphCertificate:
         self.passed = self.margin > self.threshold and not self.diagnostics
 
 
-def projection_certificate(geom, base=None):
-    """Project surface nodes to the base and certify the graph property.
+def projection_certificate(geom):
+    """Project surface nodes to their base, `geom.base`, and certify the
+    graph property.
 
     Node i of the surface is taken to be a graph over base vertex i, so on
     a Wulff base its projection starts from that vertex's normal.
     """
-    base = base if base is not None else geom.base
+    base = geom.base
     q = geom.positions
     diagnostics = {}
     if base.integrand is not None:
-        if len(q) != base.n_vertices:
-            raise ValueError(f"the surface has {len(q)} nodes but the Wulff "
-                             f"base has {base.n_vertices} vertices")
         feet, dirs, t, conv = project_to_wulff(base, q, base.normals)
         if not conv.all():
             diagnostics["unconverged_feet"] = int((~conv).sum())

@@ -8,8 +8,8 @@ from scipy.special import gammaln, lpmv
 
 from wulffstab.curvature import gauss_ricci
 from wulffstab.einstein import EigenSpectrum, ricci_spectrum
-from wulffstab.flatgraph import _D1, GridField
-from wulffstab.integrand import _as_points, _dense_sample
+from wulffstab.flatgraph import _D1, _SLOPE_LIMIT, GridField
+from wulffstab.integrand import _dense_sample
 from wulffstab import spectral
 from wulffstab.operators import get_operators
 from wulffstab.spectral import sh_index
@@ -177,22 +177,20 @@ def anisotropy_form_reference(integrand, nu, e1, e2):
 def gauge_reference(integrand, x):
     """`integrand.gauge` with the seed search over all points at once:
     one dense (points, sample) ratio matrix."""
-    pts, single = _as_points(x)
-    norms = np.linalg.norm(pts, axis=1)
-    if np.any(norms == 0):
+    if np.any(np.linalg.norm(x, axis=1) == 0):
         raise ValueError("gauge is undefined at the origin")
 
     sample = _dense_sample()
     fs = integrand.value(sample)
-    ratios = pts @ sample.T / fs[None, :]
+    ratios = x @ sample.T / fs[None, :]
     seed = sample[np.argmax(ratios, axis=1)]
 
     def ascent(nu, e1, e2):
         F = integrand.value(nu)
         DF = integrand.fbar_grad(nu) - F[:, None] * nu
-        u = np.einsum("ni,ni->n", pts, nu)
+        u = np.einsum("ni,ni->n", x, nu)
         P = np.eye(3)[None] - nu[:, :, None] * nu[:, None, :]
-        Du = np.einsum("nij,nj->ni", P, pts)
+        Du = np.einsum("nij,nj->ni", P, x)
         E = np.stack((e1, e2), axis=2)  # (n, 3, 2)
         Du2 = np.einsum("nik,ni->nk", E, Du)
         DF2 = np.einsum("nik,ni->nk", E, DF)
@@ -211,11 +209,8 @@ def gauge_reference(integrand, x):
 
     nu = sphere_newton(seed, ascent, 10, 0.5)
     F = integrand.value(nu)
-    vals = np.einsum("ni,ni->n", pts, nu) / F
-    grads = nu / F[:, None]
-    if single:
-        return float(vals[0]), grads[0]
-    return vals, grads
+    vals = np.einsum("ni,ni->n", x, nu) / F
+    return vals, nu / F[:, None]
 
 
 def finish_from_derivatives_reference(psi_d, h_chart):
@@ -293,7 +288,7 @@ def diff4_roll(values, axis, spacing):
     return out
 
 
-def flat_graph_shape_reference(field, slope_limit=4.5):
+def flat_graph_shape_reference(field):
     """flat_graph_shape with Du stacked as (n, n, 2), out-of-place squares
     and h written one (i, j) slice of an (n, n, 2, 2) array at a time."""
     u = field.values
@@ -307,7 +302,7 @@ def flat_graph_shape_reference(field, slope_limit=4.5):
             h[..., i, j] = diff4_roll(W[..., i], j, hgrid)
     mask = ~np.isnan(h).any(axis=(2, 3))
     slope = np.sqrt(np.sum(du ** 2, axis=-1))
-    steep = mask & (slope > slope_limit)
+    steep = mask & (slope > _SLOPE_LIMIT)
     warning = bool(steep.any())
     mask &= ~steep
     return h, mask, warning

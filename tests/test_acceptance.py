@@ -82,7 +82,7 @@ def test_criterion_2_anisotropic_rigidity(ellipsoid):
         W = build_wulff(ellipsoid, level)
         geom = radial_graph(W, np.zeros(W.n_vertices))
         S, _ = anisotropic_shape_operator(geom, ellipsoid)
-        errs.append(np.abs(S.values - np.eye(2)[None]).max())
+        errs.append(np.abs(S - np.eye(2)[None]).max())
         bounds.append(rounding_bound(W))
     assert all(e <= b for e, b in zip(errs, bounds)), (errs, bounds)
     print(f"\nACCEPTANCE 2 anisotropic-rigidity: PASS (errors "

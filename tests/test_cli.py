@@ -357,7 +357,8 @@ def test_atomic_csv_write(tmp_path):
 
 def test_svg_writer(tmp_path):
     path = tmp_path / "p.svg"
-    write_svg(str(path), [("s", [1e-3, 1e-2, 1e-1], [2e-3, 2e-2, 2e-1])])
+    write_svg(str(path), [("s", [1e-3, 1e-2, 1e-1], [2e-3, 2e-2, 2e-1])],
+              "x", "y")
     body = path.read_text()
     assert body.startswith("<svg") and "polyline" in body
 

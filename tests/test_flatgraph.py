@@ -64,7 +64,7 @@ def test_steep_rim_trimmed_with_warning():
     g = GridField.from_function(
         lambda x, y: 1 - np.sqrt(np.maximum(1 - lam ** 2 * (x ** 2 + y ** 2),
                                             1e-6)), 0.92, 201)
-    h, mask, warn = flat_graph_shape(g, slope_limit=2.0)
+    h, mask, warn = flat_graph_shape(g)
     assert warn
     assert mask.sum() > 0
 
@@ -257,7 +257,8 @@ def test_cap_fit_falls_back_when_the_subgrid_mask_is_empty(monkeypatch):
 
 
 def _steep_rim(n):
-    """A cap steeper than slope_limit 2 near the rim, with a NaN inside."""
+    """A cap steeper than the slope limit 4.5 near the rim, with a NaN
+    inside."""
     g = GridField.from_function(
         lambda x, y: 1 - np.sqrt(np.maximum(1 - 1.05 ** 2 * (x ** 2 + y ** 2),
                                             1e-6)), 0.92, n)
@@ -271,9 +272,8 @@ def test_shape_matches_stack_oracle(n, case):
     """The (2, n, n) and (2, 2, n, n) grids give h, its NaN, the mask and
     the warning bit for bit as the stacked (n, n, 2) version does."""
     g = _steep_rim(n) if case == "steep" else _wavy(n, case == "nan")
-    limit = 2.0 if case == "steep" else 4.5
-    got = flat_graph_shape(g, limit)
-    expected = flat_graph_shape_reference(g, limit)
+    got = flat_graph_shape(g)
+    expected = flat_graph_shape_reference(g)
     assert got[0].shape == (n, n, 2, 2)
     assert_array_equal(got[0], expected[0])
     assert_array_equal(got[1], expected[1])

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from oracles import (anisotropy_form_reference, frame_restriction,
                      gauge_reference)
-from wulffstab import Integrand, build_wulff, gauge
+from wulffstab import EllipticityError, Integrand, build_wulff, gauge
 from wulffstab import integrand as integrand_module
 from wulffstab import surface
 from wulffstab.config import parse_integrand
@@ -41,9 +41,14 @@ def geodesic_hessian(integrand, nu, h=1e-4):
     return out, (e1, e2)
 
 
+def evaluate_one(integrand, nu):
+    """F, DF and D2F at one direction, through the (N, 3) call."""
+    return (a[0] for a in integrand.evaluate(nu[None]))
+
+
 def test_constant_evaluate():
     I = Integrand.constant()
-    F, DF, D2F = I.evaluate(np.array([0.0, 0.0, 1.0]))
+    F, DF, D2F = evaluate_one(I, np.array([0.0, 0.0, 1.0]))
     assert F == 1.0
     assert_allclose(DF, 0.0, atol=1e-15)
     assert_allclose(D2F, 0.0, atol=1e-15)
@@ -51,7 +56,7 @@ def test_constant_evaluate():
 
 def test_quadratic_value_at_pole():
     I = Integrand.quadratic_form(np.diag([1.0, 1.0, 4.0]))
-    F, _, _ = I.evaluate(np.array([0.0, 0.0, 1.0]))
+    F, _, _ = evaluate_one(I, np.array([0.0, 0.0, 1.0]))
     assert_allclose(F, 2.0, rtol=1e-15)
 
 
@@ -64,7 +69,7 @@ def test_intrinsic_hessian_matches_geodesic_differences(family):
         I = Integrand.fourier_perturbed(1.0, 0.08, (3, 2))
     for nu in random_units(20):
         Hfd, (e1, e2) = geodesic_hessian(I, nu)
-        _, _, D2F = I.evaluate(nu)
+        _, _, D2F = evaluate_one(I, nu)
         Hcl = np.array([[e1 @ D2F @ e1, e1 @ D2F @ e2],
                         [e2 @ D2F @ e1, e2 @ D2F @ e2]])
         assert_allclose(Hcl, Hfd, atol=1e-6)
@@ -73,7 +78,7 @@ def test_intrinsic_hessian_matches_geodesic_differences(family):
 def test_tangency_invariants():
     I = Integrand.fourier_perturbed(1.0, 0.05, (2, 1))
     for nu in random_units(10):
-        F, DF, D2F = I.evaluate(nu)
+        F, DF, D2F = evaluate_one(I, nu)
         assert F > 0
         assert abs(DF @ nu) < 1e-13
         assert np.abs(D2F @ nu).max() < 1e-13
@@ -83,34 +88,45 @@ def test_tangency_invariants():
 def test_evaluate_rejects_non_unit():
     I = Integrand.constant()
     with pytest.raises(ValueError):
-        I.evaluate(np.array([0.0, 0.0, 1.1]))
+        I.evaluate(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.1]]))
 
 
 def test_anisotropy_constant_is_identity():
-    A = Integrand.constant().anisotropy(np.array([0.0, 1.0, 0.0]))
-    assert_allclose(A.matrix, np.eye(2), atol=1e-14)
-    assert_allclose(A.min_eigenvalue, 1.0, rtol=1e-12)
+    A = Integrand.constant().anisotropy(random_units(6))
+    assert A.shape == (6, 2, 2)
+    assert_allclose(A, np.tile(np.eye(2), (6, 1, 1)), atol=1e-14)
+
+
+def test_anisotropy_names_the_direction_that_is_not_elliptic():
+    """A_F of fourier:1,1.2,2,0 is positive definite on the equator but not
+    near the poles, so anisotropy raises EllipticityError there, naming the
+    direction with the smallest eigenvalue."""
+    bad = Integrand.fourier_perturbed(1.0, 1.2, (2, 0))
+    assert not bad.is_elliptic
+    assert bad.anisotropy(np.array([[1.0, 0.0, 0.0]])).shape == (1, 2, 2)
+    poles = np.array([[0.6, 0.0, 0.8], [0.0, 0.0, 1.0]])
+    with pytest.raises(EllipticityError, match=r"nu = \[0\. 0\. 1\.\]"):
+        bad.anisotropy(poles)
 
 
 def test_anisotropy_matches_fd_hessian_plus_f():
     I = Integrand.quadratic_form(np.diag([1.0, 1.0, 4.0]))
     nu = np.array([0.0, 0.0, 1.0])
     Hfd, (e1, e2) = geodesic_hessian(I, nu)
-    A = I.anisotropy(nu)
+    A = I.anisotropy(nu[None])[0]
     frame_fd = Hfd + I.value(nu[None])[0] * np.eye(2)
     # express the computed matrix in the FD frame for comparison
     E = np.stack((e1, e2), axis=1)
-    A3 = I.anisotropy_ambient(nu)
+    A3 = I.anisotropy_ambient(nu[None])[0]
     assert_allclose(E.T @ A3 @ E, frame_fd, atol=1e-6)
-    assert_allclose(A.matrix, A.matrix.T, atol=0)
-    assert A.min_eigenvalue > 0
+    assert_allclose(A, A.T, atol=0)
+    assert np.linalg.eigvalsh(A)[0] > 0
 
 
 def test_anisotropy_symmetric_exactly():
     I = Integrand.fourier_perturbed(1.0, 0.1, (2, 2))
-    for nu in random_units(5):
-        A3 = I.anisotropy_ambient(nu)
-        assert np.abs(A3 - A3.T).max() == 0.0
+    A3 = I.anisotropy_ambient(random_units(5))
+    assert np.abs(A3 - np.swapaxes(A3, 1, 2)).max() == 0.0
 
 
 def test_ellipticity_margin_positive_and_violation_detected():
@@ -124,14 +140,14 @@ def test_ellipticity_margin_positive_and_violation_detected():
 
 def test_gauge_euclidean_and_homogeneity():
     I = Integrand.constant()
-    x = np.array([0.3, -1.2, 0.4])
+    x = np.array([[0.3, -1.2, 0.4]])
     v, g = gauge(I, x)
-    assert_allclose(v, np.linalg.norm(x), rtol=1e-12)
+    assert_allclose(v, np.linalg.norm(x, axis=1), rtol=1e-12)
     assert_allclose(g, x / np.linalg.norm(x), atol=1e-12)
     v2, _ = gauge(I, 2 * x)
     assert_allclose(v2, 2 * v, rtol=1e-12)
     with pytest.raises(ValueError):
-        gauge(I, np.zeros(3))
+        gauge(I, np.vstack((x, np.zeros(3))))
 
 
 def test_gauge_closed_form_ellipsoid():
@@ -344,7 +360,7 @@ def test_hess_vec_is_the_contracted_hessian(descriptor):
         scaled = integ.fbar_hess_vec(s * x, v)
         assert np.all(np.linalg.norm(s * scaled - got, axis=1)
                       <= 1e-13 * scale)
-    assert np.array_equal(integ.fbar_hess_vec(x[0], v[0]), got[0])
+    assert np.array_equal(integ.fbar_hess_vec(x[:1], v[:1]), got[:1])
 
 
 FORM_FAMILIES = ["constant:2.5", "quadratic:1,1,4", "fourier:1,0.265,3,0"]
@@ -393,9 +409,9 @@ def test_frame_forms_match_the_projected_hessian(descriptor, level,
     assert np.all(np.abs(mesh.shape_operator - ref).max(axis=(1, 2))
                   <= 1e-14 * np.maximum(size, 1.0) ** 2)
 
-    mats = integ.anisotropy(mesh.normals)
+    got = integ.anisotropy(mesh.normals)
     (_, _, _, A), = checked()
-    assert np.array_equal(np.array([m.matrix for m in mats]), A)
+    assert np.array_equal(got, A)
 
     sample = _dense_sample()
     ref = anisotropy_form_reference(integ, sample, *tangent_frames(sample))
@@ -406,12 +422,12 @@ def test_frame_forms_match_the_projected_hessian(descriptor, level,
     y20 = spectral.real_sph_harm_matrix(mesh.normals, 2)[
         :, spectral.sh_index(2, 0)]
     geom = surface.radial_graph(mesh, 1e-3 * y20)
-    field, _ = anisotropic_shape_operator(geom, integ)
+    s_f, _ = anisotropic_shape_operator(geom, integ)
     (nu, e1, e2, _), = checked()
     assert nu is geom.normal
     ref = anisotropy_form_reference(integ, nu, e1, e2) @ geom.shape_operator
     size = np.abs(geom.shape_operator).max(axis=(1, 2))
-    assert np.all(np.abs(field.values - ref).max(axis=(1, 2))
+    assert np.all(np.abs(s_f - ref).max(axis=(1, 2))
                   <= 1e-14 * np.maximum(size, 1.0))
 
     stability_operator(mesh, integ, y20)
@@ -451,7 +467,7 @@ def test_fourier_explicit_polynomial_mode():
     mode = {(2, 0, 1): 1.0, (0, 2, 1): -1.0}
     I = Integrand.fourier_perturbed(1.0, 0.05, mode)
     nu = np.array([0.6, 0.0, 0.8])
-    F, DF, D2F = I.evaluate(nu)
+    F, DF, D2F = evaluate_one(I, nu)
     assert_allclose(F, 1.0 + 0.05 * (0.36 * 0.8), rtol=1e-14)
     assert abs(DF @ nu) < 1e-13
     Hfd, (e1, e2) = geodesic_hessian(I, nu)

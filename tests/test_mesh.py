@@ -8,8 +8,8 @@ from oracles import (real_sph_harm_matrix_columns,
                      subdivide_reference)
 from wulffstab import Integrand, build_sphere_mesh, build_wulff
 from wulffstab import spectral, spheremesh
-from wulffstab.operators import (DerivativeOperators, TensorField,
-                                 get_operators, lp_norm, w2p_norm)
+from wulffstab.operators import (DerivativeOperators, get_operators, lp_norm,
+                                 w2p_norm)
 from wulffstab.stability import kernel_frame, perturbation_field
 
 rng = np.random.default_rng(7)
@@ -380,31 +380,29 @@ def test_laplacian_eigenvalue_refinement():
 def test_divergence_of_gradient_is_the_laplacian_on_the_sphere(level):
     """The ambient components of the gradient of a band-3 field have band
     4, inside `graph_band`, so the component-wise divergence is exact."""
-    from wulffstab import surface_divergence, surface_gradient
     m = build_sphere_mesh(level)
+    ops = get_operators(m)
     Y = spectral.real_sph_harm_matrix(m.vertices, 3)
     for f in (Y[:, spectral.sh_index(3, 1)], Y[:, spectral.sh_index(2, 0)],
               Y @ np.random.default_rng(level).normal(size=16)):
-        div_grad = surface_divergence(m, surface_gradient(m, f))
-        lap = get_operators(m).laplacian(f)
+        div_grad = ops.divergence(ops.gradient_ambient(f))
+        lap = ops.laplacian(f)
         assert np.abs(div_grad - lap).max() <= 1e-13
 
 
 def test_divergence_refuses_a_wulff_mesh(ellipsoid_integrand):
     """On a Wulff mesh A^-1 grad_S f is not band-limited, so the
     component-wise divergence would miss the Laplacian (by about 2e-3 for
-    Y31 on quadratic:1,1,4): divergence, jacobian_ambient and
-    surface_divergence raise at level 3 and name the reason, while the
+    Y31 on quadratic:1,1,4): divergence of ambient or frame components
+    and jacobian_ambient raise at level 3 and name the reason, while the
     gradient and the Laplacian still run."""
-    from wulffstab import surface_divergence, surface_gradient
     m = build_wulff(ellipsoid_integrand, 3)
     ops = get_operators(m)
     f = spectral.real_sph_harm_matrix(m.normals, 3)[:, spectral.sh_index(3, 1)]
-    X = surface_gradient(m, f)
+    X = ops.gradient_ambient(f)
     for call in (lambda: ops.divergence(X),
                  lambda: ops.divergence(ops.gradient(f)),
-                 lambda: ops.jacobian_ambient(X),
-                 lambda: surface_divergence(m, X)):
+                 lambda: ops.jacobian_ambient(X)):
         with pytest.raises(ValueError, match="not band-limited"):
             call()
     assert np.isfinite(ops.laplacian(f)).all()
@@ -412,34 +410,26 @@ def test_divergence_refuses_a_wulff_mesh(ellipsoid_integrand):
 
 def test_tensor_norms_frame_invariant(sphere4):
     vals = rng.normal(size=(sphere4.n_vertices, 2, 2))
-    field = TensorField(vals)
     theta = rng.uniform(0, 2 * np.pi, size=sphere4.n_vertices)
     R = np.zeros((sphere4.n_vertices, 2, 2))
     R[:, 0, 0] = np.cos(theta)
     R[:, 0, 1] = -np.sin(theta)
     R[:, 1, 0] = np.sin(theta)
     R[:, 1, 1] = np.cos(theta)
-    rotated = TensorField(np.einsum("nki,nkl,nlj->nij", R, vals, R))
+    rotated = np.einsum("nki,nkl,nlj->nij", R, vals, R)
     for p in (2, 4):
-        a = lp_norm(field, p, sphere4.weights)
+        a = lp_norm(vals, p, sphere4.weights)
         b = lp_norm(rotated, p, sphere4.weights)
         assert abs(a - b) < 1e-12 * max(1, a)
 
 
-def test_tensor_field_validation():
-    with pytest.raises(ValueError):
-        TensorField(np.zeros((5, 3, 3)))
-    with pytest.raises(ValueError):
-        TensorField(np.zeros((5, 2, 2)), kind="weird")
-
-
-def test_surface_gradient_divergence_wrappers(sphere4):
-    from wulffstab import surface_divergence, surface_gradient
-    c = np.array([0.2, 0.4, -0.3])
-    f = sphere4.vertices @ c
-    X = surface_gradient(sphere4, f)
-    lap = surface_divergence(sphere4, X)
-    # Laplace-Beltrami of an l=1 mode is -2 times the mode
-    rel = np.sqrt(np.sum(sphere4.weights * (lap + 2 * f) ** 2)
-                  / np.sum(sphere4.weights * (2 * f) ** 2))
-    assert rel < 0.01
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e3])
+def test_tensor_lp_norm_is_the_frobenius_norm(scale):
+    """On an (N, 2, 2) array lp_norm takes the pointwise Frobenius norm
+    exactly as np.linalg.norm over the last two axes does, bit for bit."""
+    gen = np.random.default_rng(31)
+    vals = scale * gen.normal(size=(200_000, 2, 2))
+    w = gen.uniform(size=len(vals))
+    frob = np.linalg.norm(vals, axis=(1, 2))
+    for p in (2, 3.3, 4):
+        assert lp_norm(vals, p, w) == float(np.sum(w * frob ** p) ** (1 / p))

@@ -201,6 +201,25 @@ def test_center_smallness_gate(sphere4):
         center(SpectralGraphSurface(sphere4, coeffs, "radial"))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_center_smallness_gate_edge(sphere4, sign):
+    """The gate admits a starting radius with max |u| = 0.45 exactly and
+    rejects the next float above it, of either sign."""
+    def spike(umax):
+        class SpikeSurface:
+            base = sphere4
+
+            def radius_field(self, c):
+                u = np.zeros(sphere4.n_vertices)
+                u[7] = sign * umax
+                return u
+        return SpikeSurface()
+
+    assert center(spike(0.45)).iterations >= 1
+    with pytest.raises(ValueError, match="too large for centering"):
+        center(spike(np.nextafter(0.45, 1)))
+
+
 def test_center_sign_diagnostic(sphere4):
     class StuckSurface:
         base = sphere4

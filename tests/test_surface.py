@@ -11,10 +11,10 @@ from wulffstab.config import parse_integrand
 from wulffstab.curvature import anisotropic_shape_operator, trace_free
 from wulffstab.operators import covariant_derivatives, lp_norm
 from wulffstab.stability import perturbation_field, perturbed_graph
-from wulffstab.surface import (exp_graph, hausdorff_distance, project_to_wulff,
-                               projection_certificate, radial_graph,
-                               reach_violation, recover_radius_mesh,
-                               recover_radius_spectral)
+from wulffstab.surface import (GraphCertificate, exp_graph, hausdorff_distance,
+                               project_to_wulff, projection_certificate,
+                               radial_graph, reach_violation,
+                               recover_radius_mesh, recover_radius_spectral)
 
 rng = np.random.default_rng(31)
 
@@ -151,7 +151,7 @@ def test_unperturbed_wulff_deficit_is_rounding(descriptor):
     for level in (3, 4, 5, 6):
         mesh = build_wulff(integ, level)
         geom = radial_graph(mesh, np.zeros(mesh.n_vertices))
-        dev, _ = trace_free(anisotropic_shape_operator(geom, integ)[0])
+        dev = trace_free(anisotropic_shape_operator(geom, integ)[0])
         assert lp_norm(dev, 4, geom.weights) <= 1e-11, level
 
 
@@ -284,9 +284,24 @@ def test_certificate_dumbbell_fails(sphere4):
     rho = np.sin(theta) * (1.0 - 0.92 * np.sin(theta) ** 2)
     pos = np.column_stack([rho * np.cos(phi), rho * np.sin(phi),
                            0.85 * np.cos(theta)])
-    cert = projection_certificate(geometry_from_positions(sphere4, pos), sphere4)
+    cert = projection_certificate(geometry_from_positions(sphere4, pos))
     assert not cert.passed
     assert cert.margin <= 0.0
+
+
+def test_certificate_margin_edge():
+    """The certificate passes only on a smallest margin strictly above its
+    threshold 0.1, and never with a diagnostic."""
+    def certificate(margin, diagnostics=None):
+        margins = margin + np.array([0.3, 0.0, 0.7])
+        return GraphCertificate(margins, np.zeros(3), np.zeros((3, 3)),
+                                diagnostics)
+
+    assert GraphCertificate.threshold == 0.1
+    assert not certificate(0.1).passed
+    assert certificate(np.nextafter(0.1, 1)).passed
+    failed = certificate(1.0, {"unconverged_feet": 1})
+    assert failed.margin == 1.0 and not failed.passed
 
 
 def test_radius_round_trip(sphere4, wulff4):
@@ -337,13 +352,6 @@ def test_projection_seeds_at_own_base_vertex(wulff4):
     assert conv.all()
     np.testing.assert_array_equal(feet, wulff4.vertices)
     assert np.abs(t - u).max() <= 1e-15
-
-
-def test_certificate_rejects_a_surface_of_another_size(wulff4):
-    geom = radial_graph(wulff4, np.zeros(wulff4.n_vertices))
-    other = build_wulff(wulff4.integrand, 3)
-    with pytest.raises(ValueError, match="2562 nodes .* 642 vertices"):
-        projection_certificate(geom, other)
 
 
 # --- radius recovery --------------------------------------------------------
