@@ -2,9 +2,8 @@
 
 from .curvature import (DeficitReport, anisotropic_shape_operator, gauss_ricci,
                         oscillation_deficit, trace_free)
-from .einstein import (EigenSpectrum, RatioBound, alpha_exponent,
-                       pinching_check, polys, ratio_bounds, ricci_spectrum,
-                       zero_set_check)
+from .einstein import (RatioBound, alpha_exponent, pinching_check,
+                       ratio_bounds, ricci_spectrum, zero_set_check)
 from .flatgraph import GridField, cap_fit_residual, flat_graph_shape
 from .integrand import EllipticityError, Integrand, gauge
 from .operators import get_operators, lp_norm, w2p_norm
@@ -15,12 +14,11 @@ from .stability import (CenteringResult, KernelFrame, ScalingFit, center,
                         stability_operator, stability_ratio)
 from .surface import (GraphCertificate, SurfaceGeometry, exp_graph,
                       hausdorff_distance, projection_certificate, radial_graph)
-from .wulff import WulffMesh, build_wulff, load_mesh, save_mesh
+from .wulff import WulffMesh, build_wulff, load_mesh
 
 __all__ = [
     "CenteringResult",
     "DeficitReport",
-    "EigenSpectrum",
     "EllipticityError",
     "GraphCertificate",
     "GridField",
@@ -48,12 +46,10 @@ __all__ = [
     "lp_norm",
     "oscillation_deficit",
     "pinching_check",
-    "polys",
     "projection_certificate",
     "radial_graph",
     "ratio_bounds",
     "ricci_spectrum",
-    "save_mesh",
     "scaling_sweep",
     "sh_analyze",
     "sh_synthesize",

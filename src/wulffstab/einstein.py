@@ -1,10 +1,12 @@
 """Pointwise eigenvalue algebra for quasi-Einstein hypersurfaces (any n >= 3).
 
-Everything here operates on principal-curvature spectra: Ricci eigenvalues,
-the pinching inequality between trace-free norms, the quartic polynomials
-comparing Riemann and Ricci deviations from the constant-curvature model,
-their zero sets in closed form, the bounds c1 (exact) and c2 (Monte Carlo)
-on their ratio, and the Sobolev interpolation exponent.
+Everything here operates on principal-curvature spectra, passed as float
+arrays: one (n,) spectrum or an (m, n) batch, one spectrum per row. It
+covers Ricci eigenvalues, the pinching inequality between trace-free norms,
+the quartic polynomials p and q comparing Riemann and Ricci deviations from
+the constant-curvature model (polys_batch), their zero sets in closed form,
+the bounds c1 (exact) and c2 (Monte Carlo) on their ratio, and the Sobolev
+interpolation exponent.
 """
 
 import numpy as np
@@ -12,52 +14,32 @@ import numpy as np
 from .minimize import nelder_mead
 
 
-class EigenSpectrum:
-    """Sorted principal curvatures of h plus the model constant kappa."""
-
-    def __init__(self, eigenvalues, kappa=0.0):
-        lam = np.sort(np.asarray(eigenvalues, dtype=float))
-        if lam.size < 3:
-            raise ValueError("need dimension n >= 3")
-        self.eigenvalues = lam
-        self.n = lam.size
-        self.kappa = float(kappa)
+def ricci_spectrum(lams):
+    """Ricci eigenvalues Lambda_j = lambda_j * sum_{k != j} lambda_k of an
+    (n,) spectrum or of each row of an (m, n) batch."""
+    lams = np.asarray(lams, dtype=float)
+    return lams * (lams.sum(axis=-1, keepdims=True) - lams)
 
 
-def ricci_spectrum(spec):
-    """Ricci eigenvalues Lambda_j = lambda_j * sum_{k != j} lambda_k."""
-    lam = spec.eigenvalues if isinstance(spec, EigenSpectrum) else np.asarray(spec)
-    return lam * (lam.sum() - lam)
-
-
-def pinching_check(spec, lambda_low):
-    """Evaluate |Ric_dev|^2 against (n-1) * Lambda^2 * |h_dev|^2.
+def pinching_check(lam, lambda_low):
+    """Evaluate |Ric_dev|^2 against (n-1) * Lambda^2 * |h_dev|^2 for one
+    (n,) spectrum lam, n >= 3.
 
     Returns (lhs, rhs, pass); both sides use standard tensor norms
     |T_dev|^2 = sum eig^2 - (sum eig)^2 / n. Not applicable (None flags)
     when the spectrum violates min lambda >= Lambda > 0.
     """
-    s = spec if isinstance(spec, EigenSpectrum) else EigenSpectrum(spec)
-    if lambda_low <= 0 or s.eigenvalues.min() < lambda_low:
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 1 or lam.size < 3:
+        raise ValueError("need dimension n >= 3")
+    if lambda_low <= 0 or lam.min() < lambda_low:
         return None, None, None
-    lam = s.eigenvalues
-    n = s.n
-    Lam = ricci_spectrum(s)
+    n = lam.size
+    Lam = ricci_spectrum(lam)
     ric_dev2 = float(np.sum(Lam ** 2) - Lam.sum() ** 2 / n)
     h_dev2 = float(np.sum(lam ** 2) - lam.sum() ** 2 / n)
     rhs = (n - 1) * lambda_low ** 2 * h_dev2
     return ric_dev2, rhs, bool(ric_dev2 >= rhs - 1e-12 * max(1.0, rhs))
-
-
-def polys(spec):
-    """The quartic polynomials p and q of the spectrum.
-
-    p = sum over ordered pairs i != j of (lambda_i lambda_j - kappa)^2,
-    q = sum_i (Lambda_i - (n-1) kappa)^2.
-    """
-    s = spec if isinstance(spec, EigenSpectrum) else EigenSpectrum(spec)
-    p, q = polys_batch(s.eigenvalues[None, :], s.kappa)
-    return float(p[0]), float(q[0])
 
 
 _ROW_LAYOUT_MAX = 128  # batches below this many rows are summed row by row
@@ -66,7 +48,10 @@ _PAIRS = {}  # n -> (i, j), the ordered index pairs i != j in row-major order
 
 
 def polys_batch(lams, kappa):
-    """Vectorized p, q over a (m, n) batch of spectra.
+    """The quartic polynomials p and q of each spectrum of an (m, n) batch:
+
+    p = sum over ordered pairs i != j of (lambda_i lambda_j - kappa)^2,
+    q = sum_i (Lambda_i - (n-1) kappa)^2.
 
     Each spectrum's n(n - 1) pair terms and n Ricci terms are added in the
     order of numpy's pairwise sum over that spectrum alone, so p and q equal
@@ -204,7 +189,7 @@ DIMENSION_MAX = 70
 
 
 def ratio_bounds(n, kappa, budget=10 ** 6, seed=0):
-    """c1 = inf p/q in closed form and c2 = sup p/q by Monte Carlo.
+    """c1 = inf p/q in closed form and c2 = sup p/q by Monte Carlo (n >= 3).
 
     Lambda_i - (n - 1) kappa = sum_{j != i} (lambda_i lambda_j - kappa), so
     Cauchy-Schwarz gives q <= (n - 1) p, with equality on the diagonal: c1
@@ -222,6 +207,8 @@ def ratio_bounds(n, kappa, budget=10 ** 6, seed=0):
     the same (per, n) buffer, each regime in place in its own rows, so a
     call holds one batch of samples however large the budget.
     """
+    if n < 3:
+        raise ValueError("need dimension n >= 3")
     if abs(kappa) > KAPPA_MAX:
         raise ValueError(f"|kappa| exceeds the configured bound {KAPPA_MAX}")
     scale = max(1.0, np.sqrt(abs(kappa)))

@@ -21,7 +21,8 @@ _SLOPE_LIMIT = 4.5  # |Du| past which flat_graph_shape trims the rim
 
 
 class GridField:
-    """Scalar samples on a uniform square grid covering [-R, R]^2.
+    """Scalar samples on a uniform n x n grid covering [-R, R]^2, n >= 2
+    and R finite and positive.
 
     The coordinate grids x and y are built on first use, so a field made
     inside an optimizer loop costs no meshgrid.
@@ -31,8 +32,15 @@ class GridField:
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("grid values must be square")
+        if values.shape[0] < 2:
+            raise ValueError(f"grid needs n >= 2 points a side, got n = "
+                             f"{values.shape[0]}")
+        extent = float(extent)
+        if not 0.0 < extent < np.inf:
+            raise ValueError(f"grid extent must be finite and positive, got "
+                             f"{extent!r}")
         self.values = values
-        self.extent = float(extent)
+        self.extent = extent
         self.n = values.shape[0]
         self.spacing = 2.0 * extent / (self.n - 1)
         self._diffs = (None,) * 5  # difference grids a cap fit reuses

@@ -76,10 +76,9 @@ class HomogeneousPolynomial:
         self._partials = {}
 
     def value(self, pts):
-        """P at each point. The monomials are read from per-axis tables of
-        powers built by repeated products, since x ** 3 through pow is
-        slow on negative entries."""
-        pts = np.atleast_2d(pts)
+        """P at each row of the (n, 3) array pts. The monomials are read
+        from per-axis tables of powers built by repeated products, since
+        x ** 3 through pow is slow on negative entries."""
         px, py, pz = (_powers(pts[:, a], max((e[a] for e in self.coeffs),
                                              default=0)) for a in range(3))
         out = np.zeros(len(pts))

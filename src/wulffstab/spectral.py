@@ -42,8 +42,8 @@ def sh_index(ell, m):
 
 
 def _angles(points):
-    """cos theta, sin theta, cos phi and sin phi of unit points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    """cos theta, sin theta, cos phi and sin phi of (n, 3) unit points."""
+    pts = np.asarray(points, dtype=float)
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     ct = np.clip(z, -1.0, 1.0)
     st = np.sqrt(np.maximum(1.0 - ct * ct, 0.0))

@@ -256,11 +256,10 @@ class GraphCertificate:
 
     threshold = 0.1
 
-    def __init__(self, margins, radius, feet, diagnostics=None):
+    def __init__(self, margins, radius, diagnostics=None):
         self.margins = margins
         self.margin = float(margins.min())
         self.radius = radius
-        self.feet = feet
         self.diagnostics = diagnostics or {}
         self.passed = self.margin > self.threshold and not self.diagnostics
 
@@ -276,7 +275,7 @@ def projection_certificate(geom):
     q = geom.positions
     diagnostics = {}
     if base.integrand is not None:
-        feet, dirs, t, conv = project_to_wulff(base, q, base.normals)
+        _, dirs, t, conv = project_to_wulff(base, q, base.normals)
         if not conv.all():
             diagnostics["unconverged_feet"] = int((~conv).sum())
         radius = t
@@ -285,10 +284,10 @@ def projection_certificate(geom):
         r = np.linalg.norm(q, axis=1)
         if r.min() < 1e-8:
             diagnostics["node_at_origin"] = True
-        feet = q / np.maximum(r, 1e-300)[:, None]
+        dirs = q / np.maximum(r, 1e-300)[:, None]
         radius = r - 1.0
-        margins = np.einsum("ni,ni->n", geom.normal, feet)
-    return GraphCertificate(margins, radius, feet, diagnostics)
+        margins = np.einsum("ni,ni->n", geom.normal, dirs)
+    return GraphCertificate(margins, radius, diagnostics)
 
 
 # --- radius recovery for translated surfaces ----------------------------

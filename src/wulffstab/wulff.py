@@ -5,10 +5,9 @@ stored normal at x(nu) is nu itself and the gauge identity F*(x(nu)) = 1
 holds by construction. The shape operator of the Wulff shape is the
 inverse anisotropy matrix, which is available in closed form. The mesh
 type, WulffMesh, lives in spheremesh so that build_sphere_mesh can return
-one without an import cycle; this module also has a plain-text format.
+one without an import cycle. This module also writes and reads the
+plain-text mesh format of the `curvature` command's geometry dump.
 """
-
-import hashlib
 
 import numpy as np
 
@@ -32,13 +31,6 @@ def build_wulff(integrand, level):
                      integrand)
 
 
-def integrand_hash(integrand):
-    """Short header token for an integrand; 'none' for the unit sphere."""
-    if integrand is None:
-        return "none"
-    return hashlib.sha256(integrand.descriptor.encode()).hexdigest()[:16]
-
-
 def write_mesh_text(path, vertices, normals, faces, header):
     """Plain-text mesh format: header, `v x y z nx ny nz`, `f i j k`."""
     lines = [f"# {header}"]
@@ -47,12 +39,6 @@ def write_mesh_text(path, vertices, normals, faces, header):
     lines += ["f %d %d %d" % tuple(f) for f in np.asarray(faces).tolist()]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def save_mesh(path, mesh):
-    write_mesh_text(path, mesh.vertices, mesh.normals, mesh.faces,
-                    f"wulffstab mesh level={mesh.level} "
-                    f"integrand={integrand_hash(mesh.integrand)}")
 
 
 def load_mesh(path):

@@ -7,7 +7,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, lpmv
 
 from wulffstab.curvature import gauss_ricci
-from wulffstab.einstein import EigenSpectrum, ricci_spectrum
+from wulffstab.einstein import ricci_spectrum
 from wulffstab.flatgraph import _D1, _SLOPE_LIMIT, GridField
 from wulffstab.integrand import _dense_sample
 from wulffstab import spectral
@@ -382,7 +382,7 @@ def cap_fit_reference(field, p=2):
     return float(objective(lam)), lam
 
 
-def pinching_check_provable(spec, lambda_low):
+def pinching_check_provable(lam, lambda_low):
     """|Ric_dev|^2 against the provable factor (n-2)^2 Lambda^2 |h_dev|^2.
 
     Pointwise, Lambda_i - Lambda_j = (lambda_i - lambda_j) sum_{k != i,j}
@@ -390,9 +390,9 @@ def pinching_check_provable(spec, lambda_low):
     summing gives |Ric_dev|^2 >= (n-2)^2 Lambda^2 |h_dev|^2. Returns
     (lhs, rhs, pass).
     """
-    s = spec if isinstance(spec, EigenSpectrum) else EigenSpectrum(spec)
-    lam, n = s.eigenvalues, s.n
-    Lam = ricci_spectrum(s)
+    lam = np.asarray(lam, dtype=float)
+    n = lam.size
+    Lam = ricci_spectrum(lam)
     ric_dev2 = float(np.sum(Lam ** 2) - Lam.sum() ** 2 / n)
     rhs = (n - 2) ** 2 * lambda_low ** 2 * float(np.sum(lam ** 2)
                                                  - lam.sum() ** 2 / n)

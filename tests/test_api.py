@@ -5,11 +5,13 @@ import inspect
 import pytest
 
 import wulffstab
-from wulffstab import flatgraph, integrand, operators, surface
+from wulffstab import einstein, flatgraph, integrand, operators, surface, wulff
 
 # names taken out of the public API, and the modules that held them
 REMOVED = [("AnisotropyMatrix", integrand), ("TensorField", operators),
-           ("surface_divergence", operators), ("surface_gradient", operators)]
+           ("surface_divergence", operators), ("surface_gradient", operators),
+           ("EigenSpectrum", einstein), ("polys", einstein),
+           ("save_mesh", wulff), ("integrand_hash", wulff)]
 
 
 def test_all_is_sorted_without_duplicates():
@@ -36,3 +38,8 @@ def test_removed_parameters_are_gone(fn):
     """projection_certificate takes no base and flat_graph_shape no slope
     limit: a surface's own base and the limit 4.5 are the only ones."""
     assert len(inspect.signature(fn).parameters) == 1
+
+
+def test_graph_certificate_keeps_no_feet():
+    """The projection feet were stored and never read."""
+    assert "feet" not in inspect.signature(surface.GraphCertificate).parameters

@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from wulffstab import cli
+from wulffstab import build_sphere_mesh, build_wulff, cli, load_mesh
 from wulffstab.cli import main, write_csv, write_svg
 from wulffstab.config import (ConfigError, ExperimentConfig, parse_family,
                               parse_integrand)
+from wulffstab.stability import perturbation_field, perturbed_graph
 
 
 def write_config(tmp_path, body, name="exp.ini"):
@@ -289,6 +290,29 @@ epsilon = 1e-3
     assert main(["curvature", "--config", cfg, "--out", str(out)]) == 0
     assert "c_osc" in (out / "curvature.csv").read_text()
     assert capsys.readouterr().err == ""
+
+
+def test_curvature_geometry_mesh_reads_back(tmp_path):
+    """The geometry.mesh dump of `curvature` holds the perturbed surface's
+    positions and normals bit for bit over the icosphere's faces, and its
+    header names the level."""
+    cfg = write_config(tmp_path, BASE.format(integrand="quadratic:1,1,4") + """
+[curvature]
+family = harmonic:2,0
+epsilon = 1e-2
+""")
+    out = tmp_path / "mesh"
+    assert main(["curvature", "--config", cfg, "--out", str(out)]) == 0
+    verts, norms, faces, header = load_mesh(out / "geometry.mesh")
+    base = build_wulff(parse_integrand("quadratic:1,1,4"), 3)
+    family = ("harmonic", 2, 0)
+    geom, violation = perturbed_graph(
+        base, family, 1e-2 * perturbation_field(base, family))
+    assert not violation
+    np.testing.assert_array_equal(verts, geom.positions)
+    np.testing.assert_array_equal(norms, geom.normal)
+    np.testing.assert_array_equal(faces, build_sphere_mesh(3).faces)
+    assert "level=3" in header.split()
 
 
 def test_einstein_subcommand_passes_on_sound_cells(tmp_path, capsys):

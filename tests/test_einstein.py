@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import least_squares, minimize
 
 from oracles import (pinching_check_provable, polys_batch_reference,
@@ -14,12 +14,12 @@ rng = np.random.default_rng(41)
 
 
 def test_unit_three_sphere_spectrum():
-    assert_allclose(es.ricci_spectrum(es.EigenSpectrum([1, 1, 1])), [2, 2, 2])
+    assert_allclose(es.ricci_spectrum([1, 1, 1]), [2, 2, 2])
 
 
 def test_degenerate_spectrum_matches_matrix_oracle():
     lam = [0.0, 1.0, 1.0]
-    direct = np.sort(es.ricci_spectrum(es.EigenSpectrum(lam)))
+    direct = np.sort(es.ricci_spectrum(lam))
     assert_allclose(direct, [0.0, 1.0, 1.0], atol=1e-15)
     assert_allclose(direct, ricci_matrix_oracle(lam), atol=1e-12)
 
@@ -28,19 +28,37 @@ def test_random_spectra_match_matrix_route():
     for n in (3, 4, 5):
         for _ in range(100):
             lam = rng.normal(size=n) * 2
-            direct = np.sort(es.ricci_spectrum(es.EigenSpectrum(lam)))
+            direct = np.sort(es.ricci_spectrum(lam))
             assert np.abs(direct - ricci_matrix_oracle(lam)).max() < 1e-12
 
 
+def test_ricci_spectrum_of_a_batch_is_row_by_row():
+    """Each row of a batch gets the Ricci spectrum it has alone, bit for
+    bit; the sum runs along the last axis only."""
+    assert_array_equal(es.ricci_spectrum([[1, 2, 3], [1, 1, 1]]),
+                       [[5, 8, 9], [2, 2, 2]])
+    g = np.random.default_rng(5)
+    for n in (3, 4, 5, 6):
+        lams = g.normal(size=(50, n))
+        rows = np.array([es.ricci_spectrum(lam) for lam in lams])
+        assert_array_equal(es.ricci_spectrum(lams), rows)
+
+
 def test_dimension_guard():
-    with pytest.raises(ValueError):
-        es.EigenSpectrum([1.0, 2.0])
+    """pinching_check takes one spectrum of dimension n >= 3, and
+    ratio_bounds a dimension n >= 3."""
+    for spectrum in ([1.0, 2.0], [1.0], [[1.0, 2.0, 3.0]]):
+        with pytest.raises(ValueError, match="need dimension n >= 3"):
+            es.pinching_check(spectrum, 0.5)
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="need dimension n >= 3"):
+            es.ratio_bounds(n, 0.0, budget=300)
 
 
 def test_trace_consistency():
     for n in (3, 4, 5):
         lam = rng.normal(size=n)
-        Lam = es.ricci_spectrum(es.EigenSpectrum(lam))
+        Lam = es.ricci_spectrum(lam)
         r1 = Lam.sum()
         r2 = lam.sum() ** 2 - np.sum(lam ** 2)
         assert abs(r1 - r2) < 1e-12
@@ -50,13 +68,13 @@ def test_trace_consistency():
 
 
 def test_pinching_umbilic_trivial():
-    lhs, rhs, ok = es.pinching_check(es.EigenSpectrum([1, 1, 1]), 0.5)
+    lhs, rhs, ok = es.pinching_check([1, 1, 1], 0.5)
     assert lhs == rhs == 0.0
     assert ok
 
 
 def test_pinching_not_applicable():
-    lhs, rhs, ok = es.pinching_check(es.EigenSpectrum([-1, 1, 1]), 0.5)
+    lhs, rhs, ok = es.pinching_check([-1, 1, 1], 0.5)
     assert lhs is None and rhs is None and ok is None
 
 
@@ -66,11 +84,11 @@ def test_pinching_112_counterexample():
     |Ric_dev|^2 = 2/3 while (n-1) Lambda^2 |h_dev|^2 = 4/3; the provable
     (n-2)^2 bound holds with equality.
     """
-    lhs, rhs, ok = es.pinching_check(es.EigenSpectrum([1, 1, 2]), 1.0)
+    lhs, rhs, ok = es.pinching_check([1, 1, 2], 1.0)
     assert_allclose(lhs, 2 / 3, rtol=1e-12)
     assert_allclose(rhs, 4 / 3, rtol=1e-12)
     assert not ok
-    lhs2, rhs2, ok2 = pinching_check_provable(es.EigenSpectrum([1, 1, 2]), 1.0)
+    lhs2, rhs2, ok2 = pinching_check_provable([1, 1, 2], 1.0)
     assert_allclose(lhs2, rhs2, rtol=1e-12)
     assert ok2
 
@@ -80,7 +98,7 @@ def test_pinching_provable_monte_carlo():
         g = np.random.default_rng((7, n))
         lam = 0.4 + np.abs(g.normal(size=(20000, n))) * 2
         for row in lam[:200]:
-            _, _, ok = pinching_check_provable(es.EigenSpectrum(row), 0.4)
+            _, _, ok = pinching_check_provable(row, 0.4)
             assert ok
 
 
@@ -88,10 +106,10 @@ def test_pinching_provable_monte_carlo():
 
 
 def test_polys_vanish_at_characterized_zeros():
-    p, q = es.polys(es.EigenSpectrum([1, 1, 1], kappa=1.0))
-    assert p == q == 0.0
-    p, q = es.polys(es.EigenSpectrum([1, 0, 0], kappa=0.0))
-    assert p == q == 0.0
+    p, q = es.polys_batch([[1.0, 1.0, 1.0]], 1.0)
+    assert p[0] == q[0] == 0.0
+    p, q = es.polys_batch([[1.0, 0.0, 0.0]], 0.0)
+    assert p[0] == q[0] == 0.0
 
 
 def test_p_matches_tensor_norm_oracle():
@@ -112,7 +130,7 @@ def test_p_matches_tensor_norm_oracle():
                     KN[i, j, i, j] += kap
                     KN[i, j, j, i] -= kap
             oracle = float(np.sum((R4 - KN) ** 2)) / 2.0
-            p, q = es.polys(es.EigenSpectrum(lam, kappa=kap))
+            (p,), (q,) = es.polys_batch(lam[None], kap)
             assert abs(p - oracle) < 1e-10 * max(1.0, oracle)
             # q against the dense Ricci deviation norm
             ric = ricci_matrix_oracle(lam)
@@ -122,8 +140,8 @@ def test_p_matches_tensor_norm_oracle():
 
 def test_homogeneity_at_kappa_zero():
     lam = rng.normal(size=4)
-    p1, q1 = es.polys(es.EigenSpectrum(lam, 0.0))
-    p2, q2 = es.polys(es.EigenSpectrum(3.0 * lam, 0.0))
+    p1, q1 = es.polys_batch(lam[None], 0.0)
+    p2, q2 = es.polys_batch(3.0 * lam[None], 0.0)
     assert_allclose(p2, 81 * p1, rtol=1e-12)
     assert_allclose(q2, 81 * q1, rtol=1e-12)
 
@@ -348,7 +366,7 @@ def test_zero_set_check_true_cells():
 def test_zero_set_q_defect_for_negative_kappa_n4():
     """q vanishes at sqrt(3)(-1,-1,1,1) while p does not (kappa = -1)."""
     lam = np.sqrt(3.0) * np.array([-1.0, -1.0, 1.0, 1.0])
-    p, q = es.polys(es.EigenSpectrum(lam, kappa=-1.0))
+    (p,), (q,) = es.polys_batch(lam[None], -1.0)
     assert q < 1e-24
     assert p > 1.0
     out = es.zero_set_check(4, -1.0)

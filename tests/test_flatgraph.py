@@ -16,6 +16,17 @@ def test_grid_field_validation():
         GridField(np.zeros((4, 5)), 1.0)
 
 
+@pytest.mark.parametrize("extent, n, named", [
+    (0.8, 1, "n = 1"), (0.8, 0, "n = 0"), (0.0, 41, "0.0"),
+    (-0.9, 41, "-0.9"), (np.nan, 41, "nan"), (np.inf, 41, "inf")])
+def test_grid_field_rejects_degenerate_grids(extent, n, named):
+    """A grid of fewer than 2 points a side, or whose extent is not finite
+    and positive, is refused by name rather than differenced into inf,
+    NaN or a mirrored disk."""
+    with pytest.raises(ValueError, match=named):
+        GridField(np.zeros((n, n)), extent)
+
+
 def test_quadratic_graph_shape_at_origin():
     """u = z^T Q z / 2 has Du(0) = 0, so h(0) = Q to stencil accuracy."""
     Q = np.array([[0.7, 0.2], [0.2, -0.4]])

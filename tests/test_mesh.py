@@ -79,7 +79,7 @@ def test_angle_addition_matches_lpmv_at_edges(L):
 
 def test_row_fill_matches_per_column_fill(sphere4):
     for pts, L in ((sphere4.vertices, 10), (sphere4.vertices[::7], 25),
-                   (np.array([0.0, 0.0, 1.0]), 3)):
+                   (np.array([[0.0, 0.0, 1.0]]), 3)):
         np.testing.assert_array_equal(spectral.real_sph_harm_matrix(pts, L),
                                       real_sph_harm_matrix_columns(pts, L))
 

@@ -294,8 +294,7 @@ def test_certificate_margin_edge():
     threshold 0.1, and never with a diagnostic."""
     def certificate(margin, diagnostics=None):
         margins = margin + np.array([0.3, 0.0, 0.7])
-        return GraphCertificate(margins, np.zeros(3), np.zeros((3, 3)),
-                                diagnostics)
+        return GraphCertificate(margins, np.zeros(3), diagnostics)
 
     assert GraphCertificate.threshold == 0.1
     assert not certificate(0.1).passed
