@@ -160,9 +160,11 @@ def run_wulff(cfg, outdir, svg):
               for lv in (top - 2, top - 1, top)]
     areas = [m.area() for m in meshes]
     h = [m.edge_length() for m in meshes]
-    # Richardson: area(h) = A - C h^order
-    order = float(np.log((areas[1] - areas[0]) / (areas[2] - areas[1]))
-                  / np.log(h[0] / h[1]))
+    # Richardson: area(h) = A - C h^order, which needs the two area
+    # differences to share a sign
+    d0, d1 = areas[1] - areas[0], areas[2] - areas[1]
+    order = (float(np.log(d0 / d1) / np.log(h[0] / h[1])) if d0 * d1 > 0
+             else np.nan)
     rows.append({"metric": "area_convergence_order", "value": order})
     rows.append({"metric": "vertex_count", "value": W.n_vertices})
     return ["metric", "value"], rows, [

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import spectral
 from .einstein import DIMENSION_MAX, KAPPA_MAX
-from .integrand import HARMONIC_POLYNOMIALS, Integrand
+from .integrand import Integrand
 
 
 class ConfigError(Exception):
@@ -76,12 +76,8 @@ def parse_integrand(text):
                 else np.array(vals).reshape(3, 3))
         elif head == "fourier":
             base, amp, ell, m = rest.split(",")
-            mode = (int(ell), int(m))
-            if mode not in HARMONIC_POLYNOMIALS:
-                raise ConfigError(f"fourier mode (l, m) = {mode} is not one "
-                                  "of the tabulated harmonics (l <= 3)")
-            integrand = Integrand.fourier_perturbed(_number(base),
-                                                    _number(amp), mode)
+            integrand = Integrand.fourier_perturbed(_number(base), _number(amp),
+                                                    (int(ell), int(m)))
         else:
             raise ConfigError(f"unknown integrand family {head!r}")
     except (ValueError, KeyError) as exc:

@@ -40,8 +40,7 @@ class DeficitReport:
     oscillation / deficit.
     """
 
-    def __init__(self, p, deficit, lambda_star, oscillation, h_mean_over_n):
-        self.p = p
+    def __init__(self, deficit, lambda_star, oscillation, h_mean_over_n):
         self.deficit = deficit
         self.lambda_star = lambda_star
         self.oscillation = oscillation
@@ -68,7 +67,7 @@ def oscillation_deficit(s_field, hf, weights, p):
     deficit = lp_norm(trace_free(s_field), p, weights)
     area = float(weights.sum())
     h_mean_over_n = float(np.sum(weights * hf) / area) / 2.0
-    return DeficitReport(p, deficit, float(lam), oscillation, h_mean_over_n)
+    return DeficitReport(deficit, float(lam), oscillation, h_mean_over_n)
 
 
 # --- pointwise Gauss-equation algebra (any dimension) ----------------------

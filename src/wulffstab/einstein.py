@@ -160,9 +160,7 @@ def analytic_zeros(n, kappa):
 class RatioBound:
     """c1 = inf p/q (exact) and a Monte Carlo estimate of c2 = sup p/q."""
 
-    def __init__(self, n, kappa, c1, c2, samples, argmin, argmax):
-        self.n = n
-        self.kappa = kappa
+    def __init__(self, c1, c2, samples, argmin, argmax):
         self.c1 = c1
         self.c2 = c2
         self.samples = samples
@@ -209,8 +207,12 @@ def ratio_bounds(n, kappa, budget=10 ** 6, seed=0):
     """
     if n < 3:
         raise ValueError("need dimension n >= 3")
-    if abs(kappa) > KAPPA_MAX:
-        raise ValueError(f"|kappa| exceeds the configured bound {KAPPA_MAX}")
+    if not abs(kappa) <= KAPPA_MAX:
+        raise ValueError(f"kappa = {kappa!r} must be finite with |kappa| <= "
+                         f"the configured bound {KAPPA_MAX}")
+    if not budget >= 1:
+        raise ValueError(f"budget must be a positive sample count, got "
+                         f"{budget!r}")
     scale = max(1.0, np.sqrt(abs(kappa)))
     zeros = analytic_zeros(n, kappa)
     batches = max(1, budget // 100_000)
@@ -260,8 +262,7 @@ def ratio_bounds(n, kappa, budget=10 ** 6, seed=0):
     if np.isfinite(fx) and np.exp(-fx) > c2:
         c2, argmax = np.exp(-fx), x.copy()
     argmin = np.full(n, 1.0 + np.sqrt(abs(kappa)))
-    return RatioBound(n, kappa, 1.0 / (n - 1), float(c2), total, argmin,
-                      argmax)
+    return RatioBound(1.0 / (n - 1), float(c2), total, argmin, argmax)
 
 
 def _q_only_zeros(n):
@@ -327,6 +328,8 @@ def zero_set_check(n, kappa):
     """
     if n < 3:
         raise ValueError("need dimension n >= 3")
+    if not np.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa!r}")
     unit = float(np.sign(kappa))
     zeros = analytic_zeros(n, unit)
     p, q = polys_batch(zeros, unit)

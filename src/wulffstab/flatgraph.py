@@ -32,17 +32,10 @@ class GridField:
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("grid values must be square")
-        if values.shape[0] < 2:
-            raise ValueError(f"grid needs n >= 2 points a side, got n = "
-                             f"{values.shape[0]}")
-        extent = float(extent)
-        if not 0.0 < extent < np.inf:
-            raise ValueError(f"grid extent must be finite and positive, got "
-                             f"{extent!r}")
         self.values = values
-        self.extent = extent
+        self.extent = _checked_extent(extent, values.shape[0])
         self.n = values.shape[0]
-        self.spacing = 2.0 * extent / (self.n - 1)
+        self.spacing = 2.0 * self.extent / (self.n - 1)
         self._diffs = (None,) * 5  # difference grids a cap fit reuses
 
     @cached_property
@@ -60,9 +53,22 @@ class GridField:
 
     @classmethod
     def from_function(cls, fn, extent, n):
+        """fn(x, y) on the grid, called only once n and extent pass."""
+        extent = _checked_extent(extent, n)
         axis = np.linspace(-extent, extent, n)
         X, Y = np.meshgrid(axis, axis, indexing="ij")
         return cls(fn(X, Y), extent)
+
+
+def _checked_extent(extent, n):
+    """extent as a float, once n >= 2 and extent is finite and positive."""
+    if not n >= 2:
+        raise ValueError(f"grid needs n >= 2 points a side, got n = {n}")
+    extent = float(extent)
+    if not 0.0 < extent < np.inf:
+        raise ValueError(f"grid extent must be finite and positive, got "
+                         f"{extent!r}")
+    return extent
 
 
 def _diff4(values, axis, spacing, out=None):

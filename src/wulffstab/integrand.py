@@ -63,16 +63,14 @@ HARMONIC_POLYNOMIALS = {
 
 
 class HomogeneousPolynomial:
-    """Homogeneous polynomial in (x, y, z). Its partial derivatives are
+    """Homogeneous polynomial in (x, y, z), given as an exponent ->
+    coefficient dict of one total degree. Its partial derivatives are
     polynomials too (`partial`), and every derivative is composed of them.
     The zero polynomial has no terms and no degree."""
 
     def __init__(self, coeffs):
-        degs = {sum(k) for k in coeffs}
-        if len(degs) > 1:
-            raise ValueError("coefficients must share one total degree")
-        self.degree = degs.pop() if degs else None
         self.coeffs = dict(coeffs)
+        self.degree = sum(next(iter(self.coeffs))) if self.coeffs else None
         self._partials = {}
 
     def value(self, pts):
@@ -118,11 +116,6 @@ def _powers(x, top):
     return table
 
 
-def _num(v):
-    """Descriptor token of a number, the same under every numpy version."""
-    return repr(float(v))
-
-
 def _dot(a, b):
     return np.einsum("ni,ni->n", a, b)
 
@@ -160,50 +153,48 @@ class Integrand:
     from two such products.
     """
 
-    def __init__(self, family, params, descriptor):
+    def __init__(self, family, params):
         self.family = family
         self.params = params
-        self.descriptor = descriptor
         self.ellipticity_margin = self._compute_margin()
 
     # families -------------------------------------------------------------
 
     @classmethod
     def constant(cls, value=1.0):
-        if value <= 0:
-            raise ValueError("constant integrand must be positive")
-        return cls("constant", {"value": float(value)},
-                   f"constant:{_num(value)}")
+        if not 0 < value < np.inf:
+            raise ValueError(f"constant integrand value must be finite and "
+                             f"positive, got {value!r}")
+        return cls("constant", {"value": float(value)})
 
     @classmethod
     def quadratic_form(cls, matrix):
         M = np.asarray(matrix, dtype=float)
+        if not np.isfinite(M).all():
+            raise ValueError("matrix entries must be finite")
         if M.shape != (3, 3) or not np.allclose(M, M.T, atol=1e-14):
             raise ValueError("matrix must be symmetric 3x3")
         if np.linalg.eigvalsh(M).min() <= 0:
             raise ValueError("matrix must be positive definite")
-        desc = "quadratic:" + ",".join(map(_num, M.ravel()))
-        return cls("quadratic", {"M": M}, desc)
+        return cls("quadratic", {"M": M})
 
     @classmethod
     def fourier_perturbed(cls, base, amplitude, mode):
         """base + amplitude * (harmonic polynomial mode restricted to S^2).
 
-        mode is an (l, m) pair naming a real spherical harmonic, or an
-        explicit exponent->coefficient dict of one homogeneous degree.
+        mode is an (l, m) key of HARMONIC_POLYNOMIALS, a real spherical
+        harmonic of degree l <= 3.
         """
-        if isinstance(mode, tuple) and len(mode) == 2 and mode in HARMONIC_POLYNOMIALS:
-            poly = HomogeneousPolynomial(HARMONIC_POLYNOMIALS[mode])
-            mdesc = f"lm{int(mode[0])},{int(mode[1])}"
-        else:
-            poly = HomogeneousPolynomial(mode)
-            if poly.degree is None:
-                raise ValueError("mode must have at least one term")
-            mdesc = ";".join(f"{tuple(map(int, k))}:{_num(v)}"
-                             for k, v in sorted(poly.coeffs.items()))
+        for name, v in (("base", base), ("amplitude", amplitude)):
+            if not np.isfinite(v):
+                raise ValueError(f"fourier {name} must be finite, got {v!r}")
+        try:
+            coeffs = HARMONIC_POLYNOMIALS[mode]
+        except (KeyError, TypeError):
+            raise ValueError(f"fourier mode (l, m) = {mode!r} is not one of "
+                             "the tabulated harmonics (|m| <= l <= 3)") from None
         self = cls("fourier", {"base": float(base), "amplitude": float(amplitude),
-                               "poly": poly},
-                   f"fourier:{_num(base)},{_num(amplitude)},{mdesc}")
+                               "poly": HomogeneousPolynomial(coeffs)})
         sample = _dense_sample()
         if self.value(sample).min() <= 0:
             raise ValueError("perturbed integrand is not positive on the sphere")

@@ -88,12 +88,10 @@ def stability_operator(base, integrand, values):
 class CenteringResult:
     """Outcome of the centering fixed point; radius is the field at c."""
 
-    def __init__(self, c, radius, iterations, final_residual, trace,
-                 diagnostics=None):
+    def __init__(self, c, radius, iterations, trace, diagnostics=None):
         self.c = c
         self.radius = radius
         self.iterations = iterations
-        self.final_residual = final_residual
         self.trace = trace
         self.diagnostics = diagnostics or {}
 
@@ -167,7 +165,7 @@ def center(surf, tolerance=1e-8, max_iter=25):
                 "kernel residual did not decrease; check the Sigma_c = "
                 "Sigma - c convention")
             break
-    return CenteringResult(c, u, len(trace), trace[-1], trace, diagnostics)
+    return CenteringResult(c, u, len(trace), trace, diagnostics)
 
 
 def _distance_norm(base, values, v, p):
@@ -214,7 +212,7 @@ class ScalingFit:
         A = np.column_stack((lx, np.ones_like(lx)))
         (self.slope, self.intercept), res, *_ = np.linalg.lstsq(A, ly, rcond=None)
         ss_tot = float(((ly - ly.mean()) ** 2).sum())
-        ss_res = float(res[0]) if res.size else float(((A @ [self.slope, self.intercept] - ly) ** 2).sum())
+        ss_res = float(res[0])
         self.r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
         self.amplitudes = amplitudes
         self.values = values

@@ -5,7 +5,8 @@ import inspect
 import pytest
 
 import wulffstab
-from wulffstab import einstein, flatgraph, integrand, operators, surface, wulff
+from wulffstab import (curvature, einstein, flatgraph, integrand, operators,
+                       stability, surface, wulff)
 
 # names taken out of the public API, and the modules that held them
 REMOVED = [("AnisotropyMatrix", integrand), ("TensorField", operators),
@@ -43,3 +44,20 @@ def test_removed_parameters_are_gone(fn):
 def test_graph_certificate_keeps_no_feet():
     """The projection feet were stored and never read."""
     assert "feet" not in inspect.signature(surface.GraphCertificate).parameters
+
+
+def test_integrand_keeps_no_descriptor():
+    """The descriptor strings were read only by the mesh-file hash, which
+    is gone; a Fourier mode is a key of HARMONIC_POLYNOMIALS, with no
+    exponent-dict form to describe."""
+    assert "descriptor" not in inspect.signature(integrand.Integrand).parameters
+    assert not hasattr(integrand.Integrand.constant(), "descriptor")
+
+
+@pytest.mark.parametrize("cls, name", [
+    (einstein.RatioBound, "n"), (einstein.RatioBound, "kappa"),
+    (curvature.DeficitReport, "p"),
+    (stability.CenteringResult, "final_residual")])
+def test_echoed_result_fields_are_gone(cls, name):
+    """Fields that repeated an argument of the call, or trace[-1]."""
+    assert name not in inspect.signature(cls).parameters

@@ -1,13 +1,17 @@
+import contextlib
 import csv
+import io
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wulffstab import build_sphere_mesh, build_wulff, cli, load_mesh
 from wulffstab.cli import main, write_csv, write_svg
-from wulffstab.config import (ConfigError, ExperimentConfig, parse_family,
-                              parse_integrand)
+from wulffstab.config import (SCHEMA, ConfigError, ExperimentConfig,
+                              parse_family, parse_integrand)
 from wulffstab.stability import perturbation_field, perturbed_graph
 
 
@@ -72,6 +76,75 @@ def test_wulff_subcommand(tmp_path, capsys):
     assert "max_gauge_residual" in text
     assert "ellipsoid_closed_form_residual" in text
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("integrand, level", [
+    ("quadratic:3.00732,0.2,0.2", 2), ("quadratic:4.48199,0.402701,0.2", 3)])
+def test_wulff_area_order_is_nan_when_the_areas_turn(tmp_path, capsys,
+                                                     integrand, level):
+    """The mesh areas of these ellipsoids are not monotone in the level,
+    so the Richardson order has no logarithm: it reads nan, without a numpy
+    warning, and its check fails."""
+    cfg = write_config(tmp_path, f"[common]\nlevel = {level}\n"
+                       f"integrand = {integrand}\n")
+    out = tmp_path / "out"
+    assert main(["wulff", "--config", cfg, "--out", str(out)]) == 1
+    rows = dict(csv.reader((out / "wulff.csv").read_text().splitlines()))
+    assert rows["area_convergence_order"] == "nan"
+    assert "check area_convergence_order failed" in capsys.readouterr().err
+
+
+def _fuzz_integrand(family, a, b, c, mode):
+    """An elliptic integrand token of each family from draws a, b, c in
+    [0.1, 10]; a Fourier amplitude of at most 0.2 of the base keeps every
+    tabulated mode elliptic."""
+    if family == "constant":
+        return f"constant:{a}"
+    if family == "quadratic":
+        return f"quadratic:{a},{b},{c}"
+    return f"fourier:{a},{a * np.log10(b) / 5:.6g},{mode[0]},{mode[1]}"
+
+
+MODES = [(ell, m) for ell in range(4) for m in range(-ell, ell + 1)]
+SIDES = st.floats(-1, 1).map(lambda t: float(f"{10 ** t:.6g}"))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(command=st.sampled_from(["wulff", "kernel", "curvature", "sweep"]),
+       level=st.sampled_from([2, 3]),
+       integrand=st.builds(_fuzz_integrand,
+                           st.sampled_from(["constant", "quadratic",
+                                            "fourier"]),
+                           SIDES, SIDES, SIDES, st.sampled_from(MODES)),
+       family=st.one_of(
+           st.builds(lambda ell, m: f"harmonic:{ell},{m % (2 * ell + 1) - ell}",
+                     st.integers(0, 9), st.integers(0, 18)),
+           st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+           .filter(any).map(lambda c: "kernel:" + ",".join(map(str, c)))),
+       epsilon=st.floats(0, 0.45, exclude_min=True))
+def test_accepted_configs_run_or_exit_2_by_name(tmp_path_factory, command,
+                                                level, integrand, family,
+                                                epsilon):
+    """An accepted config either runs (exit 0 or 1, CSV and .dat written)
+    or is refused with exit 2 by a message naming section.key and no CSV;
+    no exception, numpy warnings included, escapes."""
+    tmp = tmp_path_factory.mktemp("run")
+    cfg = write_config(tmp, f"[common]\nlevel = {level}\n"
+                       f"integrand = {integrand}\n"
+                       f"[sweep]\nfamily = {family}\n"
+                       f"[curvature]\nfamily = {family}\n"
+                       f"epsilon = {epsilon!r}\n")
+    out = tmp / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", cfg, "--out", str(out)])
+    written = [(out / f"{command}{ext}").exists() for ext in (".csv", ".dat")]
+    if code == 2:
+        named = re.match(r"config error: (\w+)\.(\w+)\b", err.getvalue())
+        assert named and named[2] in SCHEMA.get(named[1], ()), err.getvalue()
+        assert not any(written)
+    else:
+        assert code in (0, 1) and all(written), (code, err.getvalue())
 
 
 def test_commands_hand_freed_heap_back(tmp_path, monkeypatch):

@@ -1,11 +1,16 @@
 import configparser
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wulffstab
 from wulffstab.config import SCHEMA, ConfigError, ExperimentConfig
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 KEYS = [(section, key) for section, keys in SCHEMA.items() for key in keys]
 
@@ -54,8 +59,7 @@ def test_readme_config_block_matches_schema(tmp_path):
     """The ini block under README's "Config format", written verbatim,
     loads through ExperimentConfig and names exactly the sections and keys
     of SCHEMA."""
-    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
-    with open(readme, encoding="utf-8") as fh:
+    with open(README, encoding="utf-8") as fh:
         text = fh.read().split("## Config format", 1)[1]
     block = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
     path = tmp_path / "readme.ini"
@@ -65,3 +69,17 @@ def test_readme_config_block_matches_schema(tmp_path):
     cp.read_string(block)
     assert {name: set(cp[name]) for name in cp.sections()} == {
         name: set(keys) for name, keys in SCHEMA.items()}
+
+
+def test_readme_library_tour_runs():
+    """The python block under README's "Library tour" runs as written, in
+    a fresh interpreter that turns every warning into an error."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read().split("## Library tour", 1)[1]
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    src = os.path.dirname(os.path.dirname(wulffstab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-W", "error", "-c", block],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

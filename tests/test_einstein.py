@@ -169,6 +169,25 @@ def test_ratio_bounds_kappa_guard():
         es.ratio_bounds(3, 25.0, budget=1000)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"kappa": np.nan}, "kappa"), ({"kappa": np.inf}, "kappa"),
+    ({"kappa": -np.inf}, "kappa"), ({"kappa": 0.0, "budget": 0}, "budget"),
+    ({"kappa": 0.0, "budget": -5}, "budget"),
+    ({"kappa": 0.0, "budget": np.nan}, "budget"),
+])
+def test_ratio_bounds_refuses_non_finite_kappa_and_empty_budget(kwargs, name):
+    """A nan kappa or a budget of no samples is refused by name, before a
+    sample buffer is sized or a polish starts from no sample."""
+    with pytest.raises(ValueError, match=name):
+        es.ratio_bounds(3, **kwargs)
+
+
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf])
+def test_zero_set_check_refuses_non_finite_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa"):
+        es.zero_set_check(4, kappa)
+
+
 def test_polys_batch_rows_are_independent():
     """A row's p and q are bit-identical alone and inside a larger batch,
     so a batched optimizer sees the values a one-point objective sees, on

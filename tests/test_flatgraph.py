@@ -27,6 +27,20 @@ def test_grid_field_rejects_degenerate_grids(extent, n, named):
         GridField(np.zeros((n, n)), extent)
 
 
+@pytest.mark.parametrize("extent, n, named", [
+    (np.inf, 41, "inf"), (-np.inf, 41, "-inf"), (np.nan, 41, "nan"),
+    (0.0, 41, "0.0"), (-0.9, 41, "-0.9"), (0.8, 0, "n = 0"),
+    (0.8, 1, "n = 1")])
+def test_from_function_checks_the_grid_before_it_calls_fn(extent, n, named):
+    """from_function refuses a degenerate grid by name without evaluating
+    fn on it."""
+    def fn(x, y):
+        pytest.fail("fn was called on a refused grid")
+
+    with pytest.raises(ValueError, match=named):
+        GridField.from_function(fn, extent, n)
+
+
 def test_quadratic_graph_shape_at_origin():
     """u = z^T Q z / 2 has Du(0) = 0, so h(0) = Q to stencil accuracy."""
     Q = np.array([[0.7, 0.2], [0.2, -0.4]])

@@ -463,9 +463,10 @@ def test_frame_forms_match_the_projected_hessian(descriptor, level,
 
 
 def test_fourier_explicit_polynomial_mode():
-    """Explicit exponent dict: F = 1 + a (x^2 z - y^2 z) restricted to S^2."""
-    mode = {(2, 0, 1): 1.0, (0, 2, 1): -1.0}
-    I = Integrand.fourier_perturbed(1.0, 0.05, mode)
+    """The tabulated (3, 2) mode is C (x^2 z - y^2 z), C = sqrt(105/(16 pi)),
+    so amplitude 0.05 / C gives F = 1 + 0.05 (x^2 z - y^2 z) on S^2."""
+    I = Integrand.fourier_perturbed(1.0, 0.05 / np.sqrt(105 / (16 * np.pi)),
+                                    (3, 2))
     nu = np.array([0.6, 0.0, 0.8])
     F, DF, D2F = evaluate_one(I, nu)
     assert_allclose(F, 1.0 + 0.05 * (0.36 * 0.8), rtol=1e-14)
@@ -476,29 +477,30 @@ def test_fourier_explicit_polynomial_mode():
     assert_allclose(Hcl, Hfd, atol=1e-6)
 
 
-def test_fourier_rejects_mixed_degree():
-    with pytest.raises(ValueError):
-        Integrand.fourier_perturbed(1.0, 0.1, {(1, 0, 0): 1.0, (2, 0, 0): 1.0})
+def test_fourier_refuses_untabulated_modes():
+    """A mode is a key of HARMONIC_POLYNOMIALS; any other value, an
+    exponent dict included, is refused by name."""
+    for mode in [(4, 0), (2, 5), (2,), (2, 0, 1), [2, 0], "2,0",
+                 {(1, 0, 0): 1.0, (2, 0, 0): 1.0}, {(2, 0, 1): 1.0}]:
+        with pytest.raises(ValueError, match="fourier mode"):
+            Integrand.fourier_perturbed(1.0, 0.1, mode)
+    assert Integrand.fourier_perturbed(
+        1.0, 0.1, (np.int64(2), np.int64(0))).is_elliptic
 
 
-def test_descriptors_are_plain_and_input_independent():
-    """Descriptors feed the mesh-file integrand hash, so they must not
-    depend on the numpy version or the input container."""
-    M = np.diag([1.0, 1.0, 4.0])
-    groups = [
-        [Integrand.constant(2), Integrand.constant(2.0),
-         Integrand.constant(np.float64(2.0))],
-        [Integrand.quadratic_form(M), Integrand.quadratic_form(M.tolist()),
-         Integrand.quadratic_form([[1, 0, 0], [0, 1, 0], [0, 0, 4]])],
-        [Integrand.fourier_perturbed(1.0, 0.1, (2, 0)),
-         Integrand.fourier_perturbed(np.float64(1.0), np.float64(0.1),
-                                     (np.int64(2), np.int64(0)))],
-        [Integrand.fourier_perturbed(1.0, 0.05, {(0, 0, 2): 1.0}),
-         Integrand.fourier_perturbed(1, np.float64(0.05),
-                                     {(np.int64(0), 0, 2): np.float64(1)})],
-    ]
-    for group in groups:
-        assert len({integ.descriptor for integ in group}) == 1
-        assert "np." not in group[0].descriptor
-    assert groups[1][0].descriptor == "quadratic:" + ",".join(
-        repr(float(v)) for v in M.ravel())
+@pytest.mark.parametrize("make, name", [
+    (lambda: Integrand.constant(np.nan), "value"),
+    (lambda: Integrand.constant(np.inf), "value"),
+    (lambda: Integrand.constant(-1.0), "value"),
+    (lambda: Integrand.quadratic_form(np.diag([1.0, 1.0, np.inf])), "matrix"),
+    (lambda: Integrand.quadratic_form(np.diag([1.0, np.nan, 4.0])), "matrix"),
+    (lambda: Integrand.fourier_perturbed(1.0, np.nan, (2, 0)), "amplitude"),
+    (lambda: Integrand.fourier_perturbed(1.0, np.inf, (2, 0)), "amplitude"),
+    (lambda: Integrand.fourier_perturbed(np.inf, 0.1, (2, 0)), "base"),
+    (lambda: Integrand.fourier_perturbed(np.nan, 0.1, (2, 0)), "base"),
+])
+def test_non_finite_parameters_are_refused_by_name(make, name):
+    """The families refuse what the config refuses, before any ellipticity
+    margin is formed from a nan or inf."""
+    with pytest.raises(ValueError, match=rf"{name}\b.*\bfinite"):
+        make()
