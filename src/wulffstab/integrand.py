@@ -13,8 +13,6 @@ closed-form for every family. This gives all derived quantities directly:
   closed form (`fbar_hess_deriv_vec`) and in a frame (`hess_deriv_form`)
 """
 
-import functools
-
 import numpy as np
 
 from . import spheremesh
@@ -195,7 +193,7 @@ class Integrand:
                              "the tabulated harmonics (|m| <= l <= 3)") from None
         self = cls("fourier", {"base": float(base), "amplitude": float(amplitude),
                                "poly": HomogeneousPolynomial(coeffs)})
-        sample = _dense_sample()
+        sample = _dense_sample().vertices
         if self.value(sample).min() <= 0:
             raise ValueError("perturbed integrand is not positive on the sphere")
         return self
@@ -382,7 +380,7 @@ class Integrand:
 
     def _compute_margin(self):
         sample = _dense_sample()
-        A = self.anisotropy_form(sample, *tangent_frames(sample))
+        A = self.anisotropy_form(sample.vertices, *sample.frames)
         return float(np.linalg.eigvalsh(A)[:, 0].min())
 
     @property
@@ -390,13 +388,10 @@ class Integrand:
         return self.ellipticity_margin > 0
 
 
-@functools.cache
 def _dense_sample():
-    """The level-4 icosphere's 2562 vertices, read-only: the directions of
-    the ellipticity margin, the positivity check and the gauge's seeds."""
-    sample = spheremesh._icosphere(4)[0]
-    sample.flags.writeable = False
-    return sample
+    """The level-4 direction sphere, whose 2562 vertices are the directions
+    of the ellipticity margin, the positivity check and the gauge's seeds."""
+    return spheremesh.direction_sphere(4)
 
 
 # points whose seed ratios against the dense sample are formed at once:
@@ -416,7 +411,7 @@ def gauge(integrand, x):
     if np.any(np.linalg.norm(x, axis=1) == 0):
         raise ValueError("gauge is undefined at the origin")
 
-    sample = _dense_sample()
+    sample = _dense_sample().vertices
     fs = integrand.value(sample)
     seed = np.empty_like(x)
     lo = 0

@@ -8,8 +8,9 @@ analyze/synthesize round trip is exact (up to conditioning) on band-limited
 fields regardless of quadrature error. The weighted Gram matrix of the basis
 on a mesh is well conditioned (cond(sqrt(w) B) stays near 1 up to the band
 limit), so analysis solves the normal equations with the inverse of a
-Cholesky factor computed once per mesh and band. Derivatives act on the
-coefficients through three ladder matrices per band, exact up to rounding.
+Cholesky factor, kept with the basis by the level's direction sphere.
+Derivatives act on the coefficients through three ladder matrices per band,
+exact up to rounding.
 A mesh is analysed at its normals: a Wulff mesh's vertex i sits over the
 icosphere direction nu_i, so its fields are fields on the direction sphere,
 and this module's derivatives reach it by the chain rule
@@ -105,38 +106,38 @@ def real_sph_harm_matrix(points, L):
 
 def mesh_basis(mesh, L):
     """Harmonics up to L at the mesh's normals and the triangular factors
-    (C^-1, C^-T) of the inverse of their weighted Gram matrix C C^T, built
-    once per band and cached on the mesh.
+    (C^-1, C^-T) of the inverse of their weighted Gram matrix C C^T, kept
+    by the mesh's direction sphere for one band, the most recent.
 
     The normals are the construction directions (the vertices on the
-    sphere), and the Gram matrix is weighted by `direction_weights`, the
-    icosphere's areas, so it stays near the identity on every Wulff mesh.
-    It is summed over blocks of _GRAM_ROWS vertices, so no weighted copy
-    of the basis is made. The factors are inverted once so that each
-    analysis is two matrix-vector products; a numpy solve would refactor
-    per call. A band above `band_limit` is rejected: its Gram matrix is not
-    trusted.
+    sphere), shared by every mesh of the level, and the Gram matrix is
+    weighted by the icosphere's areas, so it stays near the identity on
+    every Wulff mesh. It is summed over blocks of _GRAM_ROWS vertices, so
+    no weighted copy of the basis is made. The factors are inverted once so
+    that each analysis is two matrix-vector products; a numpy solve would
+    refactor per call. A band above `band_limit` is rejected: its Gram
+    matrix is not trusted.
     """
     limit = band_limit(mesh.n_vertices)
     if L > limit:
         raise ValueError(f"band {L} exceeds mesh limit {limit}")
 
-    def build(mesh):
-        B = real_sph_harm_matrix(mesh.normals, L)
+    def build(sphere):
+        B = real_sph_harm_matrix(sphere.vertices, L)
         gram = np.zeros((B.shape[1],) * 2)
         for lo in range(0, len(B), _GRAM_ROWS):
             rows = B[lo:lo + _GRAM_ROWS]
-            w = mesh.direction_weights[lo:lo + _GRAM_ROWS, None]
+            w = sphere.weights[lo:lo + _GRAM_ROWS, None]
             gram += rows.T @ (w * rows)
         cinv = np.linalg.inv(np.linalg.cholesky(gram))
         return B, (cinv, cinv.T)
-    return mesh.cached(("sh_basis", L), build)
+    return mesh.directions.cached(L, build)
 
 
 def sh_analyze(mesh, values, L):
     """Least-squares projection of per-vertex values onto harmonics up to L."""
     B, (cinv, cinv_t) = mesh_basis(mesh, L)
-    return cinv_t @ (cinv @ (B.T @ (mesh.direction_weights * values)))
+    return cinv_t @ (cinv @ (B.T @ (mesh.directions.weights * values)))
 
 
 def _band(coeffs):
@@ -228,7 +229,7 @@ def spectral_derivatives(mesh, coeffs):
     rows = np.concatenate(([coeffs, ell * coeffs], g, h[np.triu_indices(3)]))
     val, radial, *grad_p, sxx, sxy, sxz, syy, syz, szz = rows @ basis.T
     hess_p = ((sxx, sxy, sxz), (sxy, syy, syz), (sxz, syz, szz))
-    e1, e2 = np.array(mesh.frames).transpose(0, 2, 1).copy()  # rows x, y, z
+    e1, e2 = (e.T for e in mesh.frames)          # rows x, y, z, no copy
 
     def dot(u, v):
         return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]

@@ -1,9 +1,13 @@
-"""The mesh type, icospheres, and tangent-plane tools on S^2.
+"""The mesh type, direction spheres, icospheres, and tangent-plane tools
+on S^2.
 
-WulffMesh is the one mesh type. The icosphere built here is the unit
-sphere, the Wulff shape of F = 1, with integrand=None, which selects the
-spectral round-sphere paths; its vertex directions also parametrize
-every other Wulff shape (see wulff.py).
+WulffMesh is the one mesh type. Every mesh of a level is built over that
+level's DirectionSphere, the icosphere of unit directions with its area
+weights, tangent frames and the harmonic basis of one band, built once per
+process (`direction_sphere`). The unit sphere is the Wulff shape of F = 1,
+with integrand=None, which selects the spectral round-sphere paths; its
+vertices are the directions, which also parametrize every other Wulff
+shape (see wulff.py).
 """
 
 import numpy as np
@@ -107,62 +111,117 @@ def sphere_newton(nu, system, n_steps, max_step):
     return nu
 
 
+class DirectionSphere:
+    """The icosphere of one level: the unit directions every sphere and Wulff
+    mesh of that level is built over, shared through `direction_sphere`.
+
+    Attributes
+    ----------
+    level : subdivision level
+    vertices : (N, 3) unit directions
+    faces : (T, 3) int array, counter-clockwise seen from outside
+    weights : (N,) barycentric vertex area weights, the quadrature of
+        harmonic analysis over the directions (`spectral.mesh_basis`)
+    frames : (e1, e2) pair of (N, 3) orthonormal tangent frames
+
+    The arrays are read-only. One slot, `cached`, keeps the harmonic basis
+    of the most recent band.
+    """
+
+    def __init__(self, level):
+        if not MIN_LEVEL <= level <= MAX_LEVEL:
+            raise ValueError(
+                f"level must be in [{MIN_LEVEL}, {MAX_LEVEL}], got {level}")
+        v, f = _icosahedron()
+        for _ in range(level):
+            v, f = _subdivide(v, f)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        self.level, self.vertices, self.faces = level, v, f
+        self.weights = vertex_area_weights(self.vertices, self.faces)
+        self.frames = tangent_frames(self.vertices)
+        self._slot = (None, None)
+        _freeze((self.vertices, self.faces, self.weights, *self.frames))
+
+    def cached(self, key, build):
+        """build(self), kept until a call with another key replaces it.
+
+        The arrays it returns are made read-only (see WulffMesh.cached).
+        """
+        if self._slot[0] != key:
+            self._slot = (None, None)   # free the old value before the build
+            value = build(self)
+            _freeze(value)
+            self._slot = (key, value)
+        return self._slot[1]
+
+
+_SPHERES = {}  # level -> DirectionSphere, built on first use and kept
+
+
+def direction_sphere(level):
+    """The DirectionSphere of the given level, built on first use."""
+    if level not in _SPHERES:
+        _SPHERES[level] = DirectionSphere(level)
+    return _SPHERES[level]
+
+
 class WulffMesh:
     """Triangulated Wulff shape with per-vertex normals, frames and curvature.
 
-    The unit sphere is the Wulff shape of F = 1 and is stored with
-    integrand=None: its normals are its vertices and its curvature is in
-    closed form (A = S = Id, H = 2). Any other Wulff shape carries its
-    integrand, and its shape operator at x(nu) is A_F(nu)^{-1}.
+    WulffMesh(directions, integrand) places a vertex at x(nu) = grad Fbar(nu)
+    over each direction nu of the DirectionSphere `directions`, whose
+    arrays the mesh shares. The unit sphere is the Wulff shape of F = 1 and
+    is stored with integrand=None: its vertices are its directions and its
+    curvature is in closed form (A = S = Id, H = 2). Any other Wulff shape
+    carries its integrand, and its shape operator at x(nu) is A_F(nu)^{-1}.
 
     Attributes
     ----------
     vertices : (N, 3) array
-    faces : (T, 3) int array, counter-clockwise seen from outside
-    normals : (N, 3) outward unit normals (the construction directions)
+    directions : the DirectionSphere of the construction directions
+    faces : (T, 3) int array, the faces of the directions
+    normals : (N, 3) outward unit normals, the directions' vertices
     level : subdivision level
     integrand : the Integrand whose Wulff shape this is, or None for the
         unit sphere
     weights : (N,) barycentric vertex area weights, summing to the mesh area
-    direction_weights : (N,) the same weights of the icosphere of the
-        normals, the quadrature of harmonic analysis over the directions
-        (`spectral.mesh_basis`); the array weights itself on the sphere
-    frames : (e1, e2) pair of (N, 3) orthonormal tangent frames of the normals
+        (the directions' own weights on the sphere)
+    frames : (e1, e2) the directions' tangent frames
     anisotropy, shape_operator : (N, 2, 2) A_F and its inverse in the frames
     mean_curvature : (N,) trace of the shape operator
     reach : tubular reach estimate, 0.9 / max principal curvature
 
     The arrays are read-only, so values derived from them and kept by
-    `cached` (harmonic bases, derivative operators) cannot go stale.
+    `cached` (derivative operators, the kernel frame) or by the directions
+    (harmonic bases) cannot go stale.
     """
 
-    def __init__(self, vertices, faces, normals, level, integrand=None):
-        self.vertices = vertices
-        self.faces = faces
-        self.normals = normals
-        self.level = level
+    def __init__(self, directions, integrand=None):
+        self.directions = directions
+        self.faces = directions.faces
+        self.normals = normals = directions.vertices
+        self.level = directions.level
         self.integrand = integrand
-        self.weights = vertex_area_weights(vertices, faces)
-        self.frames = tangent_frames(normals)
+        self.frames = directions.frames
         self._cache = {}
-        n = len(vertices)
+        n = len(normals)
         if integrand is None:
-            self.direction_weights = self.weights
+            self.vertices = normals
+            self.weights = directions.weights
             self.anisotropy = self.shape_operator = np.broadcast_to(
                 np.eye(2), (n, 2, 2))
             self.mean_curvature = np.full(n, 2.0)
             self.reach = 0.9
         else:
-            self.direction_weights = vertex_area_weights(normals, faces)
+            self.vertices = integrand.fbar_grad(normals)
+            self.weights = vertex_area_weights(self.vertices, self.faces)
             self.anisotropy = integrand.anisotropy_form(normals, *self.frames)
             self.shape_operator = np.linalg.inv(self.anisotropy)
             self.mean_curvature = np.einsum("nii->n", self.shape_operator)
             kappa_max = np.linalg.eigvalsh(self.shape_operator)[:, 1].max()
             self.reach = 0.9 / kappa_max
-        for a in (vertices, faces, normals, self.weights,
-                  self.direction_weights, *self.frames,
-                  self.anisotropy, self.shape_operator, self.mean_curvature):
-            a.flags.writeable = False
+        _freeze((self.vertices, self.weights, self.anisotropy,
+                 self.shape_operator, self.mean_curvature))
 
     def cached(self, key, build):
         """build(self), computed on the first call for key and kept.
@@ -193,7 +252,8 @@ class WulffMesh:
 
 
 def _freeze(value):
-    """Make the arrays of a cached value read-only (see WulffMesh.cached)."""
+    """Make an array, the arrays in a tuple or an object's array attributes
+    read-only."""
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
     elif isinstance(value, tuple):
@@ -205,18 +265,6 @@ def _freeze(value):
                 item.flags.writeable = False
 
 
-def _icosphere(level):
-    """Unit vertices and faces of the icosphere at the given level."""
-    if not MIN_LEVEL <= level <= MAX_LEVEL:
-        raise ValueError(f"level must be in [{MIN_LEVEL}, {MAX_LEVEL}], got {level}")
-    v, f = _icosahedron()
-    for _ in range(level):
-        v, f = _subdivide(v, f)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return v, f
-
-
 def build_sphere_mesh(level):
     """Icosphere at the given subdivision level; 10*4^level + 2 vertices."""
-    v, f = _icosphere(level)
-    return WulffMesh(v, f, v, level)
+    return WulffMesh(direction_sphere(level))

@@ -5,8 +5,10 @@ stored normal at x(nu) is nu itself and the gauge identity F*(x(nu)) = 1
 holds by construction. The shape operator of the Wulff shape is the
 inverse anisotropy matrix, which is available in closed form. The mesh
 type, WulffMesh, lives in spheremesh so that build_sphere_mesh can return
-one without an import cycle. This module also writes and reads the
-plain-text mesh format of the `curvature` command's geometry dump.
+one without an import cycle; every mesh of a level shares that level's
+direction sphere (`spheremesh.direction_sphere`). This module also writes
+and reads the plain-text mesh format of the `curvature` command's geometry
+dump.
 """
 
 import numpy as np
@@ -16,19 +18,15 @@ from .spheremesh import WulffMesh
 
 
 def build_wulff(integrand, level):
-    """Wulff shape mesh from icosphere directions at the given level.
+    """Wulff shape mesh over the level's direction sphere.
 
     The vertices are grad Fbar over the unit icosphere directions, which
     are also the stored normals; no sphere mesh is built on the way.
     """
-    if level < 2:
-        raise ValueError("level must be at least 2")
     if not integrand.is_elliptic:
         raise ValueError(
             f"integrand is not elliptic (margin {integrand.ellipticity_margin:g})")
-    directions, faces = spheremesh._icosphere(level)
-    return WulffMesh(integrand.fbar_grad(directions), faces, directions, level,
-                     integrand)
+    return WulffMesh(spheremesh.direction_sphere(level), integrand)
 
 
 def write_mesh_text(path, vertices, normals, faces, header):

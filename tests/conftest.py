@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wulffstab import Integrand, build_sphere_mesh, build_wulff
+from wulffstab import Integrand, build_sphere_mesh, build_wulff, spheremesh
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +27,10 @@ def ellipsoid_integrand():
 @pytest.fixture(scope="session")
 def wulff4(ellipsoid_integrand):
     return build_wulff(ellipsoid_integrand, 4)
+
+
+@pytest.fixture
+def fresh_spheres(monkeypatch):
+    """An empty direction-sphere cache for one test; the shared one is put
+    back afterwards."""
+    monkeypatch.setattr(spheremesh, "_SPHERES", {})

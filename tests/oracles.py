@@ -9,11 +9,10 @@ from scipy.special import gammaln, lpmv
 from wulffstab.curvature import gauss_ricci
 from wulffstab.einstein import ricci_spectrum
 from wulffstab.flatgraph import _D1, _SLOPE_LIMIT, GridField
-from wulffstab.integrand import _dense_sample
 from wulffstab import spectral
 from wulffstab.operators import get_operators
 from wulffstab.spectral import sh_index
-from wulffstab.spheremesh import sphere_newton
+from wulffstab.spheremesh import direction_sphere, sphere_newton
 from wulffstab.surface import _finish_from_derivatives
 
 
@@ -180,7 +179,7 @@ def gauge_reference(integrand, x):
     if np.any(np.linalg.norm(x, axis=1) == 0):
         raise ValueError("gauge is undefined at the origin")
 
-    sample = _dense_sample()
+    sample = direction_sphere(4).vertices
     fs = integrand.value(sample)
     ratios = x @ sample.T / fs[None, :]
     seed = sample[np.argmax(ratios, axis=1)]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wulffstab import build_sphere_mesh, build_wulff, cli, load_mesh
+from wulffstab import build_sphere_mesh, build_wulff, cli, load_mesh, spheremesh
 from wulffstab.cli import main, write_csv, write_svg
 from wulffstab.config import (SCHEMA, ConfigError, ExperimentConfig,
                               parse_family, parse_integrand)
@@ -174,6 +174,33 @@ amplitudes = 1e-3,1e-2,5
     assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+def test_sweep_bytes_do_not_depend_on_the_cached_band(tmp_path, capsys,
+                                                     fresh_spheres):
+    """sweep, then center at the same level (whose band 10 replaces the
+    sweep's band 8 in the level's basis slot), then sweep again: both
+    sweep.csv files match byte for byte, and match a run on a cleared
+    direction-sphere cache."""
+    cfg = write_config(tmp_path, BASE.format(integrand="constant") + """
+[sweep]
+family = harmonic:2,0
+amplitudes = 1e-3,1e-2,5
+""")
+
+    def run(command, name):
+        assert main([command, "--config", cfg, "--out",
+                     str(tmp_path / name)]) == 0
+        return tmp_path / name / f"{command}.csv"
+
+    first = run("sweep", "a").read_bytes()
+    run("center", "c")
+    assert spheremesh.direction_sphere(3)._slot[0] == 10
+    second = run("sweep", "b").read_bytes()
+    spheremesh._SPHERES.clear()
+    cleared = run("sweep", "d").read_bytes()
+    assert first == second == cleared
     assert capsys.readouterr().err == ""
 
 

@@ -10,9 +10,9 @@ from wulffstab import surface
 from wulffstab.config import parse_integrand
 from wulffstab.curvature import anisotropic_shape_operator
 from wulffstab.integrand import (_GAUGE_BLOCK, HARMONIC_POLYNOMIALS,
-                                 HomogeneousPolynomial, _dense_sample)
+                                 HomogeneousPolynomial)
 from wulffstab import spectral
-from wulffstab.spheremesh import tangent_frames
+from wulffstab.spheremesh import direction_sphere, tangent_frames
 from wulffstab.stability import stability_operator
 
 rng = np.random.default_rng(100)
@@ -413,7 +413,7 @@ def test_frame_forms_match_the_projected_hessian(descriptor, level,
     (_, _, _, A), = checked()
     assert np.array_equal(got, A)
 
-    sample = _dense_sample()
+    sample = direction_sphere(4).vertices
     ref = anisotropy_form_reference(integ, sample, *tangent_frames(sample))
     assert abs(integ._compute_margin()
                - np.linalg.eigvalsh(ref)[:, 0].min()) <= 1e-14

@@ -33,11 +33,14 @@ def test_subdivide_matches_per_face_loop():
         assert got_f.dtype == np.int64
 
 
-def test_level_bounds():
-    with pytest.raises(ValueError):
-        build_sphere_mesh(1)
-    with pytest.raises(ValueError):
-        build_sphere_mesh(9)
+def test_level_bounds(ellipsoid_integrand):
+    """Both builders reach the one range check of the direction sphere."""
+    for level in (1, 9):
+        for build in (build_sphere_mesh,
+                      lambda lv: build_wulff(ellipsoid_integrand, lv)):
+            with pytest.raises(ValueError, match=rf"level must be in \[2, 8\], "
+                                                 rf"got {level}$"):
+                build(level)
 
 
 def test_area_converges(sphere5):
@@ -219,7 +222,7 @@ def test_ladders_commute_and_are_harmonic(band):
     assert spectral.ladders(band) is d and not d.flags.writeable
 
 
-def test_spectral_derivatives_reject_bad_coefficients():
+def test_spectral_derivatives_reject_bad_coefficients(fresh_spheres):
     """A length that is not a nonzero square, or a band above the mesh
     limit, is refused as by sh_synthesize and sh_analyze, and nothing is
     cached."""
@@ -232,7 +235,7 @@ def test_spectral_derivatives_reject_bad_coefficients():
     over = spectral.band_limit(mesh.n_vertices) + 2
     with pytest.raises(ValueError, match=f"band {over} exceeds mesh limit"):
         spectral.spectral_derivatives(mesh, np.ones((over + 1) ** 2))
-    assert not mesh._cache
+    assert not mesh._cache and mesh.directions._slot == (None, None)
 
 
 @pytest.mark.parametrize("wulff", [False, True])
@@ -251,15 +254,69 @@ def test_cached_arrays_are_read_only(wulff):
             a *= 2.0
 
 
-def test_derivative_cache_holds_only_the_vertex_basis():
-    """Level 5, band 8: the vertex basis with its Cholesky factor, and no
-    per-vertex derivative rows."""
+def _sphere_arrays(sphere):
+    return sphere.vertices, sphere.faces, sphere.weights, *sphere.frames
+
+
+def _basis_arrays(basis):
+    B, (cinv, cinv_t) = basis
+    return B, cinv, cinv_t
+
+
+def test_meshes_of_a_level_share_one_direction_sphere(fresh_spheres,
+                                                      ellipsoid_integrand):
+    """A sphere mesh and a Wulff mesh of one level share the direction
+    sphere and return the same basis object, equal bit for bit to what a
+    cleared cache builds again."""
+    sphere = build_sphere_mesh(3)
+    wulff = build_wulff(ellipsoid_integrand, 3)
+    assert sphere.directions is wulff.directions
+    assert sphere.normals is wulff.normals and sphere.frames is wulff.frames
+    assert sphere.weights is sphere.directions.weights
+    basis = spectral.mesh_basis(sphere, 6)
+    assert spectral.mesh_basis(wulff, 6) is basis
+    spheremesh._SPHERES.clear()
+    again = build_sphere_mesh(3)
+    assert again.directions is not sphere.directions
+    for got, want in zip((*_sphere_arrays(again.directions),
+                          *_basis_arrays(spectral.mesh_basis(again, 6))),
+                         (*_sphere_arrays(sphere.directions),
+                          *_basis_arrays(basis))):
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+def test_direction_sphere_arrays_are_read_only(fresh_spheres):
+    sphere = spheremesh.direction_sphere(2)
+    spectral.mesh_basis(build_sphere_mesh(2), 4)
+    for a in (*_sphere_arrays(sphere), *_basis_arrays(sphere._slot[1])):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_a_new_band_replaces_the_cached_one(fresh_spheres):
+    """Bands 10, 8, 10 at one level: the slot keeps the latest band, and each
+    basis equals the one a separate direction sphere builds."""
+    mesh = build_sphere_mesh(3)
+    for band in (10, 8, 10):
+        got = spectral.mesh_basis(mesh, band)
+        key, value = mesh.directions._slot
+        assert key == band and value is got
+        fresh = spheremesh.WulffMesh(spheremesh.DirectionSphere(3))
+        for a, b in zip(_basis_arrays(got),
+                        _basis_arrays(spectral.mesh_basis(fresh, band))):
+            np.testing.assert_array_equal(a, b, strict=True)
+
+
+def test_derivative_cache_holds_only_the_vertex_basis(fresh_spheres):
+    """Level 5, band 8: the direction sphere keeps the vertex basis with its
+    Cholesky factor, and nothing keeps per-vertex derivative rows."""
     mesh = build_sphere_mesh(5)
     n, k = mesh.n_vertices, 81
     coeffs = spectral.sh_analyze(mesh, mesh.vertices[:, 2] ** 3, 8)
     spectral.spectral_derivatives(mesh, coeffs)
-    assert set(mesh._cache) == {("sh_basis", 8)}
-    basis, (factor, _) = mesh._cache[("sh_basis", 8)]
+    assert not mesh._cache
+    band, (basis, (factor, _)) = mesh.directions._slot
+    assert band == 8
     assert basis.shape == (n, k) and factor.shape == (k, k)
 
 
@@ -328,17 +385,36 @@ def test_operator_cache_does_not_keep_mesh_alive():
     assert ref() is None
 
 
-def test_spectral_caches_do_not_keep_mesh_alive():
+def test_spectral_caches_do_not_keep_mesh_alive(fresh_spheres):
     import gc
     import weakref
     mesh = build_sphere_mesh(2)
     coeffs = spectral.sh_analyze(mesh, mesh.vertices[:, 2], 4)
     spectral.spectral_derivatives(mesh, coeffs)
-    assert set(mesh._cache) == {("sh_basis", 4)}
+    assert mesh.directions._slot[0] == 4
     ref = weakref.ref(mesh)
     del mesh
     gc.collect()
     assert ref() is None
+
+
+def test_wulff_mesh_caches_do_not_keep_it_alive(fresh_spheres,
+                                                ellipsoid_integrand):
+    """The direction sphere outlives every mesh of its level, and neither it
+    nor the mesh's own caches hold a reference back to the mesh."""
+    import gc
+    import weakref
+    mesh = build_wulff(ellipsoid_integrand, 2)
+    coeffs = spectral.sh_analyze(mesh, mesh.normals[:, 2], 4)
+    spectral.spectral_derivatives(mesh, coeffs)
+    kernel_frame(mesh)
+    get_operators(mesh)
+    assert set(mesh._cache) == {"kernel_frame", "operators"}
+    ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert ref() is None
+    assert spheremesh.direction_sphere(2)._slot[0] == 4
 
 
 def test_gradient_of_linear_field(sphere4):

@@ -390,8 +390,9 @@ def test_recover_radius_spectral_at_zero_reads_the_vertex_basis(level):
     assert lost > 0
 
 
-def test_recover_radius_spectral_fixed_point_paths():
-    """A band above the mesh limit, or any nonzero c, runs the fixed point."""
+def test_recover_radius_spectral_fixed_point_paths(fresh_spheres):
+    """A band above the mesh limit, or any nonzero c, runs the fixed point
+    and builds no basis."""
     mesh = build_sphere_mesh(2)
     over = spectral.band_limit(mesh.n_vertices) + 2
     c = np.array([0.0, 1e-3, -2e-3])
@@ -403,7 +404,7 @@ def test_recover_radius_spectral_fixed_point_paths():
             want = recover_radius_spectral_reference(mesh, coeffs, kind, t)
             np.testing.assert_array_equal(got[0], want[0])
             assert got[1] == want[1]
-    assert not mesh._cache
+    assert not mesh._cache and mesh.directions._slot == (None, None)
 
 
 def test_recover_radius_mesh_translate():
