@@ -23,9 +23,9 @@ from .config import ConfigError, ExperimentConfig
 from .curvature import anisotropic_shape_operator, oscillation_deficit, trace_free
 from .integrand import Integrand, gauge
 from .spheremesh import build_sphere_mesh
-from .stability import (SpectralGraphSurface, center, kernel_frame,
-                        perturbation_field, perturbed_graph, scaling_sweep,
-                        stability_operator)
+from .stability import (CENTER_RADIUS_MAX, SpectralGraphSurface, center,
+                        kernel_frame, perturbation_field, perturbed_graph,
+                        scaling_sweep, stability_operator)
 from .surface import projection_certificate
 from .wulff import build_wulff, write_mesh_text
 
@@ -57,12 +57,25 @@ def _atomic_write(path, text):
 
 
 def write_csv(path, header, rows):
-    """CSV with minimal quoting: fields with a comma, quote or newline."""
+    """CSV with minimal quoting: fields with a comma, quote or newline.
+
+    rows is a list of dicts, or a dict of equal-length numeric columns,
+    which is formatted for all rows by one operation (%d for integer
+    columns, FLOAT_FMT for the others) into the bytes the same values
+    give as dicts.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(_fmt(row.get(k, "")) for k in header)
+    if isinstance(rows, dict):
+        cols = [np.asarray(rows[k]) for k in header]
+        row = ",".join("%d" if c.dtype.kind in "iu" else FLOAT_FMT
+                       for c in cols) + "\n"
+        buf.write(row * len(cols[0])
+                  % tuple(np.column_stack(cols).ravel().tolist()))
+    else:
+        for row in rows:
+            writer.writerow(_fmt(row.get(k, "")) for k in header)
     _atomic_write(path, buf.getvalue())
 
 
@@ -200,11 +213,10 @@ def run_curvature(cfg, outdir, svg):
     write_mesh_text(os.path.join(outdir, "geometry.mesh"), geom.positions,
                     geom.normal, base.faces,
                     f"wulffstab surface level={cfg.level} family={family!r}")
-    node_rows = [{"node": i, "H": geom.mean_curvature[i],
-                  "eta": cert.margins[i], "radius": cert.radius[i]}
-                 for i in range(geom.n_nodes)]
     write_csv(os.path.join(outdir, "geometry.csv"),
-              ["node", "H", "eta", "radius"], node_rows)
+              ["node", "H", "eta", "radius"],
+              {"node": np.arange(geom.n_nodes), "H": geom.mean_curvature,
+               "eta": cert.margins, "radius": cert.radius})
     checks = [check("eta_margin", cert.margin, ">", cert.threshold)]
     checks += [check(key, value, "==", 0)
                for key, value in cert.diagnostics.items()]
@@ -256,6 +268,14 @@ def run_center(cfg, outdir, svg):
     f = np.log(s + np.sqrt(1 - t @ t + s ** 2))
     band = min(10, spectral.band_limit(mesh.n_vertices))
     coeffs = spectral.sh_analyze(mesh, f, band)
+    # the band-limited radius can pass log(1 - |t|) by its truncation error
+    peak = np.abs(spectral.mesh_basis(mesh, band)[0] @ coeffs).max()
+    if peak > CENTER_RADIUS_MAX:
+        raise ConfigError(
+            f"center.translation_norm = {cfg.center.translation_norm!r}: "
+            f"the band-{band} radius of the translated sphere reaches "
+            f"{peak:.9g}, past the {CENTER_RADIUS_MAX:g} smallness gate of "
+            "stability.center")
     res = center(SpectralGraphSurface(mesh, coeffs, "exp"), tolerance=cfg.tolerance)
     err = float(np.linalg.norm(res.c - t))
     rows.append({"case": "translate_recovery", "epsilon": float(np.linalg.norm(t)),

@@ -16,6 +16,15 @@ import numpy as np
 from . import spectral
 from .einstein import DIMENSION_MAX, KAPPA_MAX
 from .integrand import Integrand
+from .stability import CENTER_RADIUS_MAX
+
+# the unit sphere translated by t reads as an exponential graph whose
+# radius reaches log(1 - |t|) opposite t, so centering starts from it only
+# for |t| up to this
+TRANSLATION_NORM_MAX = 1.0 - np.exp(-CENTER_RADIUS_MAX)
+# the one-step family eps (<x, t> + Y20) of `wulffstab center` has
+# |radius| <= eps (1 + max Y20) for every unit t
+EPSILON_MAX = CENTER_RADIUS_MAX / (1.0 + np.sqrt(5.0 / (4.0 * np.pi)))
 
 
 class ConfigError(Exception):
@@ -130,9 +139,9 @@ SCHEMA = {
     },
     "curvature": {
         "family": (parse_family, "harmonic:2,0", None, None),
-        "epsilon": (_number, "1e-3", lambda v: 0 < v <= 0.45,
-                    "must lie in (0, 0.45], the smallness gate of "
-                    "stability.center"),
+        "epsilon": (_number, "1e-3", lambda v: 0 < v <= CENTER_RADIUS_MAX,
+                    f"must lie in (0, {CENTER_RADIUS_MAX:g}], the smallness "
+                    "gate of stability.center"),
     },
     "kernel": {
         "levels": (_integers, None, lambda v: all(2 <= lv <= 8 for lv in v),
@@ -143,13 +152,21 @@ SCHEMA = {
                         "0.03,-0.02,0.028",
                         lambda t: t.shape == (3,) and t.any(),
                         "must be a nonzero 3-vector"),
-        "translation_norm": (_number, "0.05", lambda v: 0 < v < 1,
-                             "must lie in (0, 1): the translated unit sphere "
-                             "must keep the origin inside"),
+        "translation_norm": (_number, "0.05",
+                             lambda v: 0 < v <= TRANSLATION_NORM_MAX,
+                             f"must lie in (0, {TRANSLATION_NORM_MAX:.6g}]: "
+                             "the translated unit sphere's radius "
+                             "log(1 - norm) must pass the "
+                             f"{CENTER_RADIUS_MAX:g} smallness gate of "
+                             "stability.center"),
         "epsilons": (_numbers, "0.01,0.02,0.04",
                      lambda v: (len(v) >= 2 and min(v) > 0
+                                and max(v) <= EPSILON_MAX
                                 and len(set(v)) == len(v)),
-                     "must list two or more distinct positive amplitudes"),
+                     "must list two or more distinct amplitudes in "
+                     f"(0, {EPSILON_MAX:.6g}]: eps (<x, t> + Y20) must pass "
+                     f"the {CENTER_RADIUS_MAX:g} smallness gate of "
+                     "stability.center"),
     },
     "einstein": {
         "dimensions": (_integers, "3,4,5",

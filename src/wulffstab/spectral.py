@@ -2,8 +2,11 @@
 
 Orthonormal convention: the L2(S^2) norm of every basis function is 1, and
 the Condon-Shortley phase is cancelled (Y_{1,1} is a positive multiple of
-x). Evaluation uses the stable fully-normalized associated-Legendre
-recurrence; analysis is a weighted least-squares projection, so the
+x). Evaluation is Cartesian and takes no angle: Y_lm is sqrt2 Q_l^m(z)
+times Re or Im (x + iy)^m, where Q_l^m = P_l^m / sin^m theta follows the
+stable fully-normalized associated-Legendre recurrence in z from a
+constant seed, and (x + iy)^m is stepped by one complex multiply per m;
+analysis is a weighted least-squares projection, so the
 analyze/synthesize round trip is exact (up to conditioning) on band-limited
 fields regardless of quadrature error. The weighted Gram matrix of the basis
 on a mesh is well conditioned (cond(sqrt(w) B) stays near 1 up to the band
@@ -42,65 +45,64 @@ def sh_index(ell, m):
     return ell * ell + ell + m
 
 
-def _angles(points):
-    """cos theta, sin theta, cos phi and sin phi of (n, 3) unit points."""
-    pts = np.asarray(points, dtype=float)
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    ct = np.clip(z, -1.0, 1.0)
-    st = np.sqrt(np.maximum(1.0 - ct * ct, 0.0))
-    phi = np.arctan2(y, x)
-    return ct, st, np.cos(phi), np.sin(phi)
+def _legendre(z, L):
+    """Fully normalized associated Legendre values divided by sin^m theta.
 
-
-def _legendre(ct, st, L):
-    """Fully normalized associated Legendre values at cos theta = ct.
-
-    Yields (m, ell, P) for m = 0..L and ell = m..L in that order, P the
-    values of the normalized P_l^m, so that Y_lm is sqrt2 cos(m phi) P for
-    m > 0, sqrt2 sin(m phi) P for -m, and P for m = 0.
+    Yields (m, ell, Q) for m = 0..L and ell = m..L in that order, Q the
+    values of Q_l^m = P_l^m / sin^m theta at cos theta = z, a polynomial in
+    z, so that Y_lm is sqrt2 Q Re (x + iy)^m for m > 0, sqrt2 Q Im (x + iy)^m
+    for -m, and Q for m = 0. The seed Q_m^m is a scalar; every other Q is
+    an (n,) array, valid until the next one is yielded (three buffers are
+    reused).
     """
-    n = len(ct)
-    # iterate over m; for each m walk l = m..L with the normalized recurrence
-    pmm = np.full(n, np.sqrt(1.0 / (4.0 * np.pi)))
+    bufs = [np.empty(len(z)) for _ in range(3)]
+    qmm = np.sqrt(1.0 / (4.0 * np.pi))
     for m in range(L + 1):
         if m > 0:
-            pmm = pmm * st * np.sqrt((2 * m + 1) / (2.0 * m))
-        p_prev = np.zeros(n)   # P_{l-2}^m, seeded as 0
-        p_curr = pmm           # P_m^m
-        a_prev = 0.0
-        for ell in range(m, L + 1):
-            if ell == m:
-                p = p_curr
+            qmm *= np.sqrt((2 * m + 1) / (2.0 * m))
+        yield m, m, qmm
+        # l = m+1..L by the normalized recurrence; Q_{m+1}^m has no
+        # Q_{l-2}^m term
+        q_prev, q_curr, a_prev = None, qmm, 0.0
+        for k, ell in enumerate(range(m + 1, L + 1)):
+            a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
+            q = bufs[k % 3]
+            if ell == m + 1:
+                np.multiply(z, a * qmm, out=q)
             else:
-                a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-                if ell == m + 1:
-                    p = a * ct * p_curr
-                else:
-                    p = a * (ct * p_curr - p_prev / a_prev)
-                p_prev, p_curr, a_prev = p_curr, p, a
-            yield m, ell, p
+                np.multiply(z, q_curr, out=q)
+                q_prev *= 1.0 / a_prev         # Q_{l-2}^m is not read again
+                q -= q_prev
+                q *= a
+            q_prev, q_curr, a_prev = q_curr, q, a
+            yield m, ell, q
+
+
+def _points(points):
+    """z and x + iy of (n, 3) unit points."""
+    pts = np.asarray(points, dtype=float)
+    return pts[:, 2], pts[:, 0] + 1j * pts[:, 1]
 
 
 def real_sph_harm_matrix(points, L):
     """Evaluate the real orthonormal harmonics Y_lm, l <= L, at unit points.
 
     Returns an (npoints, (L+1)^2) matrix; columns ordered (l, m) with
-    m = -l..l. cos(m phi) and sin(m phi) are stepped in m by angle
-    addition from one cos and sin of phi.
+    m = -l..l. sqrt2 (x + iy)^m is stepped in m by one complex multiply,
+    so no angle is taken.
     """
-    ct, st, c1, s1 = _angles(points)
+    z, w = _points(points)
     # one contiguous row per harmonic; the caller gets the transpose
-    out = np.empty(((L + 1) ** 2, len(ct)))
-    sqrt2 = np.sqrt(2.0)
-    cm, sm = np.full(len(ct), sqrt2), np.zeros(len(ct))  # sqrt2 cos, sin(m phi)
-    for m, ell, p in _legendre(ct, st, L):
+    out = np.empty(((L + 1) ** 2, len(z)))
+    wm = np.full(len(z), np.sqrt(2.0) + 0j)      # sqrt2 (x + iy)^m
+    for m, ell, q in _legendre(z, L):
         if m == 0:
-            out[sh_index(ell, 0)] = p
+            out[sh_index(ell, 0)] = q
             continue
         if ell == m:
-            cm, sm = cm * c1 - sm * s1, sm * c1 + cm * s1
-        np.multiply(p, cm, out=out[sh_index(ell, m)])
-        np.multiply(p, sm, out=out[sh_index(ell, -m)])
+            wm *= w
+        np.multiply(q, wm.real, out=out[sh_index(ell, m)])
+        np.multiply(q, wm.imag, out=out[sh_index(ell, -m)])
     return out.T
 
 
@@ -152,28 +154,38 @@ def _band(coeffs):
 def sh_synthesize(coeffs, points):
     """Evaluate the harmonic expansion at arbitrary unit points.
 
-    For each m the sums over l of c_lm P_l^m and c_l,-m P_l^m are taken
-    inside the Legendre recurrence and then multiplied by sqrt2 cos(m phi)
-    and sqrt2 sin(m phi), so no (npoints, (L+1)^2) matrix is formed.
+    For each m the sums over l of c_lm Q_l^m and c_l,-m Q_l^m are taken as
+    one stacked (2, n) accumulation inside the Legendre recurrence and then
+    multiplied by sqrt2 Re (x + iy)^m and sqrt2 Im (x + iy)^m, so no
+    (npoints, (L+1)^2) matrix is formed.
     """
     L = _band(coeffs)
-    ct, st, c1, s1 = _angles(points)
-    n = len(ct)
+    z, w = _points(points)
+    n = len(z)
+    # column (l, m) holds c_lm and c_l,-m
+    degree = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    pairs = np.stack((coeffs, coeffs[2 * degree * (degree + 1)
+                                     - np.arange(len(coeffs))]))
     out = np.zeros(n)
-    cm, sm = np.full(n, np.sqrt(2.0)), np.zeros(n)
-    acc_c, acc_s = np.zeros(n), np.zeros(n)
-    for m, ell, p in _legendre(ct, st, L):
+    wm = np.full(n, np.sqrt(2.0) + 0j)           # sqrt2 (x + iy)^m
+    acc, tmp = np.empty((2, n)), np.empty((2, n))
+    for m, ell, q in _legendre(z, L):
+        k = sh_index(ell, m)
         if m == 0:
-            out += coeffs[sh_index(ell, 0)] * p
+            out += coeffs[k] * q
             continue
+        pair = pairs[:, k:k + 1]
         if ell == m:
-            acc_c[:] = acc_s[:] = 0.0
-        acc_c += coeffs[sh_index(ell, m)] * p
-        acc_s += coeffs[sh_index(ell, -m)] * p
+            wm *= w
+            np.multiply(pair, q, out=acc)
+        else:
+            np.multiply(pair, q, out=tmp)
+            acc += tmp
         if ell == L:
-            cm, sm = cm * c1 - sm * s1, sm * c1 + cm * s1
-            out += acc_c * cm
-            out += acc_s * sm
+            np.multiply(acc[0], wm.real, out=tmp[0])
+            np.multiply(acc[1], wm.imag, out=tmp[1])
+            out += tmp[0]
+            out += tmp[1]
     return out
 
 

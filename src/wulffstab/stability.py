@@ -20,6 +20,9 @@ from .surface import (exp_graph, radial_graph, projection_certificate,
                       reach_violation, recover_radius_spectral,
                       recover_radius_mesh)
 
+# the smallness gate of `center`: the largest |radius| it starts from
+CENTER_RADIUS_MAX = 0.45
+
 
 class KernelFrame:
     """L2-orthonormal frame of translation modes over a base mesh."""
@@ -137,12 +140,12 @@ def center(surf, tolerance=1e-8, max_iter=25):
     levels 4 and 5, independent of the level), and by about 0.5 eps for a
     Y21 mode of amplitude eps beside one. A non-decreasing residual
     above tolerance is recorded as a sign-convention diagnostic. A starting
-    radius above 0.45 in absolute value is rejected.
+    radius above CENTER_RADIUS_MAX in absolute value is rejected.
     """
     base = surf.base
     frame = kernel_frame(base)
     u = surf.radius_field(np.zeros(3))
-    if np.abs(u).max() > 0.45:
+    if np.abs(u).max() > CENTER_RADIUS_MAX:
         raise ValueError(
             f"radius too large for centering: max |u| = {np.abs(u).max():g}")
     c = np.zeros(3)

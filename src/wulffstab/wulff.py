@@ -31,12 +31,14 @@ def build_wulff(integrand, level):
 
 def write_mesh_text(path, vertices, normals, faces, header):
     """Plain-text mesh format: header, `v x y z nx ny nz`, `f i j k`."""
-    lines = [f"# {header}"]
-    lines += ["v" + " %.17g" * 6 % tuple(row)
-              for row in np.hstack((vertices, normals)).tolist()]
-    lines += ["f %d %d %d" % tuple(f) for f in np.asarray(faces).tolist()]
+    # one format operation per table
+    verts = np.hstack((vertices, normals))
+    faces = np.asarray(faces)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# {header}\n")
+        fh.write(("v" + " %.17g" * 6 + "\n") * len(verts)
+                 % tuple(verts.ravel().tolist()))
+        fh.write("f %d %d %d\n" * len(faces) % tuple(faces.ravel().tolist()))
 
 
 def load_mesh(path):

@@ -40,24 +40,68 @@ def real_sph_harm_matrix_reference(points, L):
 
 
 def real_sph_harm_matrix_columns(points, L):
-    """The harmonics recurrence writing one column of an (n, (L+1)^2)
-    matrix at a time."""
+    """The Cartesian harmonics recurrence writing one column of an
+    (n, (L+1)^2) matrix at a time."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    z, w = pts[:, 2], pts[:, 0] + 1j * pts[:, 1]
+    n = len(pts)
+    out = np.empty((n, (L + 1) ** 2))
+    qmm = np.sqrt(1.0 / (4.0 * np.pi))
+    wm = np.full(n, np.sqrt(2.0) + 0j)          # sqrt2 (x + iy)^m
+    for m in range(L + 1):
+        if m > 0:
+            qmm = qmm * np.sqrt((2 * m + 1) / (2.0 * m))
+            # in place, as in `spectral`: numpy may pick another complex
+            # loop, with other rounding, for a new output array
+            wm *= w
+        q_prev, q_curr, a_prev = 0.0, qmm, 0.0
+        for ell in range(m, L + 1):
+            if ell == m:
+                q = q_curr
+            else:
+                a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
+                if ell == m + 1:
+                    q = z * (a * qmm)
+                else:
+                    q = a * (z * q_curr - q_prev * (1.0 / a_prev))
+                q_prev, q_curr, a_prev = q_curr, q, a
+            if m == 0:
+                out[:, sh_index(ell, 0)] = q
+            else:
+                out[:, sh_index(ell, m)] = q * wm.real
+                out[:, sh_index(ell, -m)] = q * wm.imag
+    return out
+
+
+# The harmonic kernel of `spectral` before it went Cartesian: angles by
+# arctan2, cos and sin, sin theta as sqrt(1 - z^2), and the Legendre
+# recurrence carrying sin^m theta.
+def _angles(points):
+    """cos theta, sin theta, cos phi and sin phi of (n, 3) unit points."""
+    pts = np.asarray(points, dtype=float)
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     ct = np.clip(z, -1.0, 1.0)
     st = np.sqrt(np.maximum(1.0 - ct * ct, 0.0))
     phi = np.arctan2(y, x)
-    c1, s1 = np.cos(phi), np.sin(phi)
-    n = len(pts)
-    out = np.empty((n, (L + 1) ** 2))
-    sqrt2 = np.sqrt(2.0)
+    return ct, st, np.cos(phi), np.sin(phi)
+
+
+def _legendre(ct, st, L):
+    """Fully normalized associated Legendre values at cos theta = ct.
+
+    Yields (m, ell, P) for m = 0..L and ell = m..L in that order, P the
+    values of the normalized P_l^m, so that Y_lm is sqrt2 cos(m phi) P for
+    m > 0, sqrt2 sin(m phi) P for -m, and P for m = 0.
+    """
+    n = len(ct)
+    # iterate over m; for each m walk l = m..L with the normalized recurrence
     pmm = np.full(n, np.sqrt(1.0 / (4.0 * np.pi)))
-    cm, sm = np.full(n, sqrt2), np.zeros(n)  # sqrt2 cos(m phi), sqrt2 sin(m phi)
     for m in range(L + 1):
         if m > 0:
             pmm = pmm * st * np.sqrt((2 * m + 1) / (2.0 * m))
-            cm, sm = cm * c1 - sm * s1, sm * c1 + cm * s1
-        p_prev, p_curr, a_prev = np.zeros(n), pmm, 0.0
+        p_prev = np.zeros(n)   # P_{l-2}^m, seeded as 0
+        p_curr = pmm           # P_m^m
+        a_prev = 0.0
         for ell in range(m, L + 1):
             if ell == m:
                 p = p_curr
@@ -68,11 +112,57 @@ def real_sph_harm_matrix_columns(points, L):
                 else:
                     p = a * (ct * p_curr - p_prev / a_prev)
                 p_prev, p_curr, a_prev = p_curr, p, a
-            if m == 0:
-                out[:, sh_index(ell, 0)] = p
-            else:
-                out[:, sh_index(ell, m)] = p * cm
-                out[:, sh_index(ell, -m)] = p * sm
+            yield m, ell, p
+
+
+def real_sph_harm_matrix_trig(points, L):
+    """Evaluate the real orthonormal harmonics Y_lm, l <= L, at unit points.
+
+    Returns an (npoints, (L+1)^2) matrix; columns ordered (l, m) with
+    m = -l..l. cos(m phi) and sin(m phi) are stepped in m by angle
+    addition from one cos and sin of phi.
+    """
+    ct, st, c1, s1 = _angles(points)
+    # one contiguous row per harmonic; the caller gets the transpose
+    out = np.empty(((L + 1) ** 2, len(ct)))
+    sqrt2 = np.sqrt(2.0)
+    cm, sm = np.full(len(ct), sqrt2), np.zeros(len(ct))  # sqrt2 cos, sin(m phi)
+    for m, ell, p in _legendre(ct, st, L):
+        if m == 0:
+            out[sh_index(ell, 0)] = p
+            continue
+        if ell == m:
+            cm, sm = cm * c1 - sm * s1, sm * c1 + cm * s1
+        np.multiply(p, cm, out=out[sh_index(ell, m)])
+        np.multiply(p, sm, out=out[sh_index(ell, -m)])
+    return out.T
+
+
+def sh_synthesize_trig(coeffs, points):
+    """Evaluate the harmonic expansion at arbitrary unit points.
+
+    For each m the sums over l of c_lm P_l^m and c_l,-m P_l^m are taken
+    inside the Legendre recurrence and then multiplied by sqrt2 cos(m phi)
+    and sqrt2 sin(m phi), so no (npoints, (L+1)^2) matrix is formed.
+    """
+    L = spectral._band(coeffs)
+    ct, st, c1, s1 = _angles(points)
+    n = len(ct)
+    out = np.zeros(n)
+    cm, sm = np.full(n, np.sqrt(2.0)), np.zeros(n)
+    acc_c, acc_s = np.zeros(n), np.zeros(n)
+    for m, ell, p in _legendre(ct, st, L):
+        if m == 0:
+            out += coeffs[sh_index(ell, 0)] * p
+            continue
+        if ell == m:
+            acc_c[:] = acc_s[:] = 0.0
+        acc_c += coeffs[sh_index(ell, m)] * p
+        acc_s += coeffs[sh_index(ell, -m)] * p
+        if ell == L:
+            cm, sm = cm * c1 - sm * s1, sm * c1 + cm * s1
+            out += acc_c * cm
+            out += acc_s * sm
     return out
 
 
@@ -517,3 +607,13 @@ def stencils_reference(mesh):
     n = mesh.n_vertices
     return [sparse.csr_matrix((d, (rows, cols)), shape=(n, n))
             for d in np.concatenate(data, axis=1)]
+
+
+def write_mesh_text_reference(path, vertices, normals, faces, header):
+    """`wulff.write_mesh_text` formatting one line at a time."""
+    lines = [f"# {header}"]
+    lines += ["v" + " %.17g" * 6 % tuple(row)
+              for row in np.hstack((vertices, normals)).tolist()]
+    lines += ["f %d %d %d" % tuple(f) for f in np.asarray(faces).tolist()]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from wulffstab import build_sphere_mesh, build_wulff, cli, load_mesh, spheremesh
 from wulffstab.cli import main, write_csv, write_svg
-from wulffstab.config import (SCHEMA, ConfigError, ExperimentConfig,
-                              parse_family, parse_integrand)
+from wulffstab.config import (SCHEMA, TRANSLATION_NORM_MAX, ConfigError,
+                              ExperimentConfig, parse_family, parse_integrand)
 from wulffstab.stability import perturbation_field, perturbed_graph
 
 
@@ -110,7 +110,8 @@ SIDES = st.floats(-1, 1).map(lambda t: float(f"{10 ** t:.6g}"))
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
-@given(command=st.sampled_from(["wulff", "kernel", "curvature", "sweep"]),
+@given(command=st.sampled_from(["wulff", "kernel", "curvature", "sweep",
+                                "center"]),
        level=st.sampled_from([2, 3]),
        integrand=st.builds(_fuzz_integrand,
                            st.sampled_from(["constant", "quadratic",
@@ -121,19 +122,29 @@ SIDES = st.floats(-1, 1).map(lambda t: float(f"{10 ** t:.6g}"))
                      st.integers(0, 9), st.integers(0, 18)),
            st.lists(st.integers(-3, 3), min_size=3, max_size=3)
            .filter(any).map(lambda c: "kernel:" + ",".join(map(str, c)))),
-       epsilon=st.floats(0, 0.45, exclude_min=True))
+       epsilon=st.floats(0, 0.45, exclude_min=True),
+       translation_norm=st.integers(1, 999).map(lambda k: k / 1000),
+       center_epsilon=st.integers(1, 300).map(lambda k: k / 1000))
 def test_accepted_configs_run_or_exit_2_by_name(tmp_path_factory, command,
                                                 level, integrand, family,
-                                                epsilon):
+                                                epsilon, translation_norm,
+                                                center_epsilon):
     """An accepted config either runs (exit 0 or 1, CSV and .dat written)
     or is refused with exit 2 by a message naming section.key and no CSV;
-    no exception, numpy warnings included, escapes."""
+    no exception, numpy warnings included, escapes. A center config leaves
+    out the families, which it does not read, so that the band check does
+    not refuse it first; its translation norms span (0, 1), on both sides
+    of the bound of center.translation_norm."""
     tmp = tmp_path_factory.mktemp("run")
-    cfg = write_config(tmp, f"[common]\nlevel = {level}\n"
-                       f"integrand = {integrand}\n"
-                       f"[sweep]\nfamily = {family}\n"
-                       f"[curvature]\nfamily = {family}\n"
-                       f"epsilon = {epsilon!r}\n")
+    body = f"[common]\nlevel = {level}\nintegrand = {integrand}\n"
+    if command == "center":
+        body += (f"[center]\ntranslation_norm = {translation_norm!r}\n"
+                 f"epsilons = {center_epsilon / 2!r},{center_epsilon!r}\n")
+    else:
+        body += (f"[sweep]\nfamily = {family}\n"
+                 f"[curvature]\nfamily = {family}\n"
+                 f"epsilon = {epsilon!r}\n")
+    cfg = write_config(tmp, body)
     out = tmp / "out"
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -380,6 +391,32 @@ def test_center_subcommand(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("center_keys, code", [
+    ("translation_norm = 0.36", 0),
+    ("translation_norm = 0.37", 2),
+    ("epsilons = 0.01,0.27", 0),
+    ("epsilons = 0.01,0.3", 2),
+    # at the bound the band-limited radius of a translation towards a node
+    # passes the gate by its truncation error; one within it runs
+    ("translation = 0,0,1\ntranslation_norm = 0.3623", 0),
+    (f"translation = 0,0,1\ntranslation_norm = {TRANSLATION_NORM_MAX!r}", 2),
+])
+def test_center_keys_stay_inside_the_smallness_gate(tmp_path, capsys, level,
+                                                    center_keys, code):
+    """A translation norm or one-step amplitude whose starting radius would
+    fail the smallness gate of stability.center exits 2 naming its key,
+    with no CSV, where it used to raise out of the command."""
+    cfg = write_config(tmp_path, f"[common]\nseed = 11\nlevel = {level}\n"
+                       f"[center]\n{center_keys}\n")
+    out = tmp_path / "c"
+    assert main(["center", "--config", cfg, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    key = center_keys.splitlines()[-1].split(" = ")[0]
+    assert (out / "center.csv").exists() == (code == 0)
+    assert (f"config error: center.{key}" in err) == (code == 2), err
+
+
 def test_curvature_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.format(integrand="constant") + """
 [curvature]
@@ -413,6 +450,21 @@ epsilon = 1e-2
     np.testing.assert_array_equal(norms, geom.normal)
     np.testing.assert_array_equal(faces, build_sphere_mesh(3).faces)
     assert "level=3" in header.split()
+
+
+def test_column_csv_matches_the_row_writer(tmp_path):
+    """write_csv formats a dict of columns, as geometry.csv is written,
+    into the bytes of one dict per row, nan, inf and signed zeros
+    included."""
+    vals = (np.random.default_rng(3).normal(size=(3, 50))
+            * 10.0 ** np.arange(-150, 150, 6))
+    vals[:, :4] = np.nan, np.inf, -np.inf, -0.0
+    header = ["node", "H", "eta", "radius"]
+    write_csv(tmp_path / "a.csv", header,
+              dict(zip(header, (np.arange(50), *vals))))
+    write_csv(tmp_path / "b.csv", header,
+              [dict(zip(header, (i, *vals[:, i]))) for i in range(50)])
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_einstein_subcommand_passes_on_sound_cells(tmp_path, capsys):

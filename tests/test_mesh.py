@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import (real_sph_harm_matrix_columns,
-                     real_sph_harm_matrix_reference, sh_analyze_reference,
+                     real_sph_harm_matrix_reference, real_sph_harm_matrix_trig,
+                     sh_analyze_reference, sh_synthesize_trig,
                      spectral_derivatives_reference, stencil_basis_reference,
                      subdivide_reference)
 from wulffstab import Integrand, build_sphere_mesh, build_wulff
@@ -66,23 +67,56 @@ def test_recurrence_matches_lpmv_reference(sphere4):
     assert_allclose(fast, ref, atol=1e-13)
 
 
+# both poles and phi = +-pi (y = +0.0 and y = -0.0 with x < 0)
+EDGES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                  [-1.0, 0.0, 0.0], [-1.0, -0.0, 0.0],
+                  [-0.6, 0.0, 0.8], [-0.6, -0.0, -0.8]])
+
+
+def edge_and_random_points(seed, n=200):
+    rand = np.random.default_rng(seed).normal(size=(n, 3))
+    rand /= np.linalg.norm(rand, axis=1, keepdims=True)
+    return np.concatenate([EDGES, rand])
+
+
 @pytest.mark.parametrize("L", [25, 50])
 def test_angle_addition_matches_lpmv_at_edges(L):
-    """cos(m phi), sin(m phi) by angle addition up to m = L, at both poles,
-    at phi = +-pi (y = +0.0 and y = -0.0 with x < 0) and at random points."""
-    edges = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
-                      [-1.0, 0.0, 0.0], [-1.0, -0.0, 0.0],
-                      [-0.6, 0.0, 0.8], [-0.6, -0.0, -0.8]])
-    rand = np.random.default_rng(L).normal(size=(200, 3))
-    rand /= np.linalg.norm(rand, axis=1, keepdims=True)
-    pts = np.concatenate([edges, rand])
+    """(x + iy)^m stepped up to m = L, at both poles, at phi = +-pi
+    (y = +0.0 and y = -0.0 with x < 0) and at random points."""
+    pts = edge_and_random_points(L)
     assert_allclose(spectral.real_sph_harm_matrix(pts, L),
                     real_sph_harm_matrix_reference(pts, L), atol=1e-13)
 
 
+@pytest.mark.parametrize("L", [8, 10, 25, 50])
+def test_cartesian_kernel_matches_the_trigonometric_one(L, sphere4):
+    """The harmonics and a synthesis match the arctan2/cos/sin kernel they
+    replace, at the edge points, random points and the level-4 directions:
+    the matrix to 1e-13, the field to 1e-13 of its largest value."""
+    pts = np.concatenate([edge_and_random_points(L), sphere4.vertices])
+    assert_allclose(spectral.real_sph_harm_matrix(pts, L),
+                    real_sph_harm_matrix_trig(pts, L), rtol=0, atol=1e-13)
+    coeffs = np.random.default_rng(L).normal(size=(L + 1) ** 2)
+    want = sh_synthesize_trig(coeffs, pts)
+    assert_allclose(spectral.sh_synthesize(coeffs, pts), want, rtol=0,
+                    atol=1e-13 * max(1.0, np.abs(want).max()))
+
+
+@pytest.mark.parametrize("L", range(11))
+def test_synthesize_matches_the_matrix_product(L):
+    """sh_synthesize, which forms no matrix, agrees pointwise with the
+    harmonics matrix times the coefficients, at the edge points too."""
+    pts = edge_and_random_points(L)
+    coeffs = np.random.default_rng(L).normal(size=(L + 1) ** 2)
+    want = spectral.real_sph_harm_matrix(pts, L) @ coeffs
+    got = spectral.sh_synthesize(coeffs, pts)
+    assert (np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))).all()
+
+
 def test_row_fill_matches_per_column_fill(sphere4):
     for pts, L in ((sphere4.vertices, 10), (sphere4.vertices[::7], 25),
-                   (np.array([[0.0, 0.0, 1.0]]), 3)):
+                   (np.array([[0.0, 0.0, 1.0]]), 3), (EDGES, 12),
+                   (sphere4.vertices[:1], 10)):
         np.testing.assert_array_equal(spectral.real_sph_harm_matrix(pts, L),
                                       real_sph_harm_matrix_columns(pts, L))
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import write_mesh_text_reference
 from wulffstab import Integrand, build_wulff, gauge
 from wulffstab.wulff import build_wulff, load_mesh, write_mesh_text
 
@@ -88,6 +89,18 @@ def test_sphere_mesh_text_roundtrip(tmp_path, sphere4):
     np.testing.assert_array_equal(norms, sphere4.normals)
     np.testing.assert_array_equal(faces, sphere4.faces)
     assert header == "# sphere level=4"
+
+
+def test_mesh_text_matches_the_line_at_a_time_writer(tmp_path, wulff4):
+    """Whole-table formatting writes the bytes of one line per row, nan,
+    inf and signed zeros included."""
+    verts = wulff4.vertices.copy()
+    verts[:4, 0] = np.nan, np.inf, -np.inf, -0.0
+    for name, writer in (("a", write_mesh_text),
+                         ("b", write_mesh_text_reference)):
+        writer(tmp_path / name, verts, wulff4.normals, wulff4.faces,
+               "wulff level=4")
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
 
 def test_build_wulff_matches_the_sphere_directions(ellipsoid_integrand):
