@@ -22,7 +22,7 @@ from . import spectral
 from .config import ConfigError, ExperimentConfig
 from .curvature import anisotropic_shape_operator, oscillation_deficit, trace_free
 from .integrand import Integrand, gauge
-from .spheremesh import build_sphere_mesh
+from .spheremesh import EllipticityError, build_sphere_mesh, rowdot
 from .stability import (CENTER_RADIUS_MAX, SpectralGraphSurface, center,
                         kernel_frame, perturbation_field, perturbed_graph,
                         scaling_sweep, stability_operator)
@@ -165,8 +165,8 @@ def run_wulff(cfg, outdir, svg):
     rows.append({"metric": "ellipticity_margin", "value": integ.ellipticity_margin})
     if integ.family == "quadratic":
         Minv = np.linalg.inv(integ.params["M"])
-        resid = float(np.abs(np.einsum("ni,ij,nj->n", W.vertices, Minv,
-                                       W.vertices) - 1.0).max())
+        resid = float(np.abs(rowdot(W.vertices @ Minv, W.vertices)
+                             - 1.0).max())
         rows.append({"metric": "ellipsoid_closed_form_residual", "value": resid})
     top = max(cfg.level, 4)
     meshes = [W if lv == cfg.level else build_wulff(integ, lv)
@@ -206,7 +206,8 @@ def run_curvature(cfg, outdir, svg):
         {"metric": "oscillation", "value": report.oscillation},
         {"metric": "h_mean_over_n", "value": report.h_mean_over_n},
         {"metric": "c_osc", "value": report.c_osc},
-        {"metric": "max_trace_residual", "value": float(np.abs(np.einsum("nii->n", dev)).max())},
+        {"metric": "max_trace_residual",
+         "value": float(np.abs(dev[:, 0, 0] + dev[:, 1, 1]).max())},
         {"metric": "eta_margin", "value": cert.margin},
     ]
     # per-node geometry dump in the shared mesh text format plus CSV
@@ -428,6 +429,11 @@ def main(argv=None):
         header, rows, checks = COMMANDS[args.command](cfg, outdir, args.svg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except EllipticityError as exc:
+        # the integrand passed its sampled margin, but a mesh of the run
+        # has a direction where A_F is not positive definite
+        print(f"config error: common.integrand: {exc}", file=sys.stderr)
         return 2
     _release_freed_memory()
     write_csv(os.path.join(outdir, args.command + ".csv"), header, rows)

@@ -22,13 +22,13 @@ def anisotropic_shape_operator(geom, integrand):
     tau = geom.tangent_basis  # (N, 3, 2)
     A2 = integrand.anisotropy_form(geom.normal, tau[:, :, 0], tau[:, :, 1])
     s_f = A2 @ geom.shape_operator
-    return s_f, np.einsum("nii->n", s_f)
+    return s_f, s_f[:, 0, 0] + s_f[:, 1, 1]
 
 
 def trace_free(values):
     """Trace-free part T - (tr T / 2) Id of a per-node 2x2 tensor, as an
     (N, 2, 2) array; its `lp_norm` is the deficit when T is S_F."""
-    tr = np.einsum("nii->n", values)
+    tr = values[:, 0, 0] + values[:, 1, 1]
     return values - 0.5 * tr[:, None, None] * np.eye(2)[None]
 
 
@@ -61,8 +61,13 @@ def oscillation_deficit(s_field, hf, weights, p):
     def osc(lam):
         return lp_norm(s_field - lam * np.eye(2)[None], p, weights)
 
-    eigs = np.linalg.eigvals(s_field).real
-    lo, hi = float(eigs.min()) - 1e-6, float(eigs.max()) + 1e-6
+    # real parts of the eigenvalues m +- sqrt(((a - d)/2)^2 + bc) of each
+    # 2x2 block; a complex pair has real part m
+    a, b = s_field[:, 0, 0], s_field[:, 0, 1]
+    c, d = s_field[:, 1, 0], s_field[:, 1, 1]
+    m = 0.5 * (a + d)
+    r = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + b * c, 0.0))
+    lo, hi = float((m - r).min()) - 1e-6, float((m + r).max()) + 1e-6
     lam, oscillation, _ = bounded_brent(osc, lo, hi, xatol=1e-12)
     deficit = lp_norm(trace_free(s_field), p, weights)
     area = float(weights.sum())

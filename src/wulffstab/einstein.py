@@ -42,7 +42,10 @@ def pinching_check(lam, lambda_low):
     return ric_dev2, rhs, bool(ric_dev2 >= rhs - 1e-12 * max(1.0, rhs))
 
 
-_ROW_LAYOUT_MAX = 128  # batches below this many rows are summed row by row
+# batches below this many rows and this many pair terms m n(n - 1) are
+# summed row by row
+_ROW_LAYOUT_MAX = 128
+_ROW_TERMS_MAX = 1 << 16
 _BLOCK_ROWS = 8192
 _PAIRS = {}  # n -> (i, j), the ordered index pairs i != j in row-major order
 
@@ -58,23 +61,27 @@ def polys_batch(lams, kappa):
     np.sum over each spectrum's own terms bit for bit, whatever the other
     rows of the batch. Two layouts give that order:
 
-    - below _ROW_LAYOUT_MAX rows, the terms are a C-ordered (m, n(n - 1))
-      array whose rows np.sum(axis=1) adds one by one (_polys_rows); a
-      small batch then costs a few numpy calls;
-    - from _ROW_LAYOUT_MAX rows on, blocks of _BLOCK_ROWS spectra are
-      transposed to (n, m), so a pair's products over the block are one
-      contiguous row, and the rows of terms are added in numpy's pairwise
-      order (_polys_block, _pairwise_sum); a large batch then costs one
-      numpy call per leaf of the pairwise sum, however many rows it has.
+    - below _ROW_LAYOUT_MAX rows and _ROW_TERMS_MAX pair terms m n(n - 1),
+      the terms are a C-ordered (m, n(n - 1)) array whose rows
+      np.sum(axis=1) adds one by one (_polys_rows); a small batch then
+      costs a few numpy calls. Past half a MiB of terms the blocks win:
+      the polish's (n + 1)-row simplex takes them from n = 41 on (n = 70:
+      from 14 rows);
+    - otherwise blocks of _BLOCK_ROWS spectra are transposed to (n, m), so
+      a pair's products over the block are one contiguous row, and the rows
+      of terms are added in numpy's pairwise order (_polys_block,
+      _pairwise_sum); a large batch then costs one numpy call per leaf of
+      the pairwise sum, however many rows it has.
     """
     lams = np.asarray(lams, dtype=float)
     n = lams.shape[1]
     if n not in _PAIRS:
         _PAIRS[n] = np.nonzero(~np.eye(n, dtype=bool))
-    if len(lams) < _ROW_LAYOUT_MAX:
+    m = len(lams)
+    if m < _ROW_LAYOUT_MAX and m * n * (n - 1) < _ROW_TERMS_MAX:
         return _polys_rows(np.ascontiguousarray(lams), kappa, *_PAIRS[n])
-    p, q = np.empty(len(lams)), np.empty(len(lams))
-    for a in range(0, len(lams), _BLOCK_ROWS):
+    p, q = np.empty(m), np.empty(m)
+    for a in range(0, m, _BLOCK_ROWS):
         rows = slice(a, a + _BLOCK_ROWS)
         p[rows], q[rows] = _polys_block(lams[rows].T.copy(), kappa,
                                         *_PAIRS[n])

@@ -16,13 +16,10 @@ closed-form for every family. This gives all derived quantities directly:
 import numpy as np
 
 from . import spheremesh
-from .spheremesh import sphere_newton, tangent_frames
+from .spheremesh import (EllipticityError, rowdot, sphere_newton,
+                         sym2_eigvalsh, tangent_frames)
 
 UNIT_TOL = 1e-12
-
-
-class EllipticityError(ValueError):
-    """The anisotropy matrix failed to be positive definite."""
 
 
 # real orthonormal spherical harmonics as homogeneous polynomials, used as
@@ -97,12 +94,14 @@ class HomogeneousPolynomial:
         return np.stack([self.partial(a).grad(pts) for a in range(3)], axis=1)
 
     def hess_vec(self, pts, v):
-        """hess P v = sum_b v_b grad(dP/dx_b), without forming hess P."""
-        return sum(self.partial(b).grad(pts) * v[:, b, None] for b in range(3))
+        """hess P v = sum_b v_b grad(dP/dx_b), without forming hess P; v may
+        carry leading axes before (n, 3)."""
+        return sum(self.partial(b).grad(pts) * v[..., b, None]
+                   for b in range(3))
 
     def hess_deriv_vec(self, pts, v, w):
         """D^3 P[v, w, .] = sum_c v_c hess(dP/dx_c) w."""
-        return sum(self.partial(c).hess_vec(pts, w) * v[:, c, None]
+        return sum(self.partial(c).hess_vec(pts, w) * v[..., c, None]
                    for c in range(3))
 
 
@@ -114,18 +113,14 @@ def _powers(x, top):
     return table
 
 
-def _dot(a, b):
-    return np.einsum("ni,ni->n", a, b)
-
-
-def _frame_form(e1, e2, h1, h2):
+def _frame_form(e1, e2, h):
     """(N, 2, 2) forms e_k . B e_l of a symmetric B from its products
-    h1 = B e1, h2 = B e2; the off-diagonal entry is computed once, so each
-    form is exactly symmetric."""
-    A = np.empty((len(h1), 2, 2))
-    A[:, 0, 0] = _dot(e1, h1)
-    A[:, 0, 1] = A[:, 1, 0] = _dot(e1, h2)
-    A[:, 1, 1] = _dot(e2, h2)
+    h = (B e1, B e2), a pair or a (2, N, 3) stack; the off-diagonal entry
+    is computed once, so each form is exactly symmetric."""
+    A = np.empty((len(e1), 2, 2))
+    A[:, 0, 0] = rowdot(e1, h[0])
+    A[:, 0, 1] = A[:, 1, 0] = rowdot(e1, h[1])
+    A[:, 1, 1] = rowdot(e2, h[1])
     return A
 
 
@@ -212,7 +207,7 @@ class Integrand:
 
     def fbar(self, x):
         if self.family == "quadratic":
-            return np.sqrt(np.einsum("ni,ij,nj->n", x, self.params["M"], x))
+            return np.sqrt(rowdot(x @ self.params["M"], x))
         r = np.linalg.norm(x, axis=1)
         out = self._radial * r
         if self.family == "fourier":
@@ -222,9 +217,8 @@ class Integrand:
 
     def fbar_grad(self, x):
         if self.family == "quadratic":
-            M = self.params["M"]
-            s = np.sqrt(np.einsum("ni,ij,nj->n", x, M, x))[:, None]
-            return x @ M / s
+            Mx = x @ self.params["M"]
+            return Mx / np.sqrt(rowdot(Mx, x))[:, None]
         r = np.linalg.norm(x, axis=1)[:, None]
         out = self._radial * x / r
         if self.family == "fourier":
@@ -236,8 +230,8 @@ class Integrand:
     def fbar_hess(self, x):
         if self.family == "quadratic":
             M = self.params["M"]
-            s = np.sqrt(np.einsum("ni,ij,nj->n", x, M, x))[:, None, None]
             Mx = x @ M
+            s = np.sqrt(rowdot(Mx, x))[:, None, None]
             return M[None] / s - Mx[:, :, None] * Mx[:, None, :] / s ** 3
         r = np.linalg.norm(x, axis=1)[:, None, None]
         eye = np.eye(3)[None]
@@ -258,23 +252,26 @@ class Integrand:
     def fbar_hess_vec(self, x, v):
         """hess Fbar(x) v per point, (N, 3), without forming a Hessian.
 
-        The same terms as `fbar_hess`, each applied to v: V (v - x (x.v)/r^2)/r
-        for a constant, (Mv - Mx (Mx.v)/s^2)/s for a quadratic form.
+        v is (N, 3) or a stack (..., N, 3) of several vectors per point, such
+        as a tangent frame (2, N, 3); the terms of x are formed once for the
+        stack. The same terms as `fbar_hess`, each applied to v:
+        V (v - x (x.v)/r^2)/r for a constant, (Mv - Mx (Mx.v)/s^2)/s for a
+        quadratic form.
         """
         if self.family == "quadratic":
             M = self.params["M"]
             Mx = x @ M
-            s = np.sqrt(_dot(x, Mx))[:, None]
-            return (v @ M - Mx * (_dot(Mx, v)[:, None] / s ** 2)) / s
-        r = np.sqrt(_dot(x, x))[:, None]
-        xv = _dot(x, v)[:, None]
+            s = np.sqrt(rowdot(x, Mx))[:, None]
+            return (v @ M - Mx * (rowdot(Mx, v)[..., None] / s ** 2)) / s
+        r = np.sqrt(rowdot(x, x))[:, None]
+        xv = rowdot(x, v)[..., None]
         out = self._radial * (v - x * (xv / r ** 2)) / r
         if self.family == "fourier":
             a, p, k = self._perturbation()
             pv = p.value(x)[:, None]
             pg = p.grad(x)
             out += a * (p.hess_vec(x, v) * r ** k
-                        + k * (pg * xv + x * _dot(pg, v)[:, None] + pv * v)
+                        + k * (pg * xv + x * rowdot(pg, v)[..., None] + pv * v)
                         * r ** (k - 2)
                         + k * (k - 2) * pv * x * xv * r ** (k - 4))
         return out
@@ -293,13 +290,14 @@ class Integrand:
         if self.family == "quadratic":
             M = self.params["M"]
             m, mv, mw = x @ M, v @ M, w @ M
-            S = np.sqrt(_dot(m, x))[:, None]
-            qv, qw = _dot(m, v)[:, None], _dot(m, w)[:, None]
+            S = np.sqrt(rowdot(m, x))[:, None]
+            qv, qw = rowdot(m, v)[..., None], rowdot(m, w)[..., None]
             return (3 * qv * qw * m / S ** 2
-                    - (qv * mw + qw * mv + _dot(mv, w)[:, None] * m)) / S ** 3
-        r = np.sqrt(_dot(x, x))[:, None]
-        s, q, vw = (_dot(x, v)[:, None], _dot(x, w)[:, None],
-                    _dot(v, w)[:, None])
+                    - (qv * mw + qw * mv + rowdot(mv, w)[..., None] * m)
+                    ) / S ** 3
+        r = np.sqrt(rowdot(x, x))[:, None]
+        s, q, vw = (rowdot(x, v)[..., None], rowdot(x, w)[..., None],
+                    rowdot(v, w)[..., None])
         sym = s * w + q * v + vw * x
         out = self._radial * (3 * s * q * x / r ** 2 - sym) / r ** 3
         if self.family == "fourier":
@@ -307,11 +305,11 @@ class Integrand:
             a, p, k = self._perturbation()
             pv = p.value(x)[:, None]
             pg = p.grad(x)
-            gv, gw = _dot(pg, v)[:, None], _dot(pg, w)[:, None]
+            gv, gw = rowdot(pg, v)[..., None], rowdot(pg, w)[..., None]
             hv, hw = p.hess_vec(x, v), p.hess_vec(x, w)
             out += a * (p.hess_deriv_vec(x, v, w) * r ** k
                         + k * (s * hw + q * hv + vw * pg
-                               + gw * v + gv * w + _dot(hv, w)[:, None] * x)
+                               + gw * v + gv * w + rowdot(hv, w)[..., None] * x)
                         * r ** (k - 2)
                         + k * (k - 2) * (s * q * pg + (s * gw + q * gv) * x
                                          + pv * sym) * r ** (k - 4)
@@ -343,17 +341,17 @@ class Integrand:
 
     def anisotropy_form(self, nu, e1, e2):
         """A_F(nu) in the tangent frames (e1, e2): the (N, 2, 2) forms
-        e_k . hess Fbar(nu) e_l from two Hessian-vector products, exactly
-        symmetric."""
-        return _frame_form(e1, e2, self.fbar_hess_vec(nu, e1),
-                           self.fbar_hess_vec(nu, e2))
+        e_k . hess Fbar(nu) e_l from one stacked Hessian-vector product,
+        exactly symmetric."""
+        return _frame_form(e1, e2, self.fbar_hess_vec(nu, np.stack((e1, e2))))
 
     def hess_deriv_form(self, x, v, e1, e2):
         """T_v at x in the tangent frames (e1, e2): the (N, 2, 2) forms
         e_k . T_v e_l from two products `fbar_hess_deriv_vec`, exactly
-        symmetric."""
-        return _frame_form(e1, e2, self.fbar_hess_deriv_vec(x, v, e1),
-                           self.fbar_hess_deriv_vec(x, v, e2))
+        symmetric. (One stacked product would hold twice the temporaries
+        where the graph geometry holds the most arrays.)"""
+        return _frame_form(e1, e2, (self.fbar_hess_deriv_vec(x, v, e1),
+                                    self.fbar_hess_deriv_vec(x, v, e2)))
 
     def anisotropy_ambient(self, nu):
         """A_F(nu) as ambient (N, 3, 3) matrices with nu in their kernel."""
@@ -372,7 +370,7 @@ class Integrand:
         form is positive definite.
         """
         A = self.anisotropy_form(nu, *tangent_frames(nu))
-        mins = np.linalg.eigvalsh(A)[:, 0]
+        mins = sym2_eigvalsh(A)[0]
         if np.any(mins <= 0):
             bad = nu[int(np.argmin(mins))]
             raise EllipticityError(f"A_F not positive definite at nu = {bad}")
@@ -381,7 +379,7 @@ class Integrand:
     def _compute_margin(self):
         sample = _dense_sample()
         A = self.anisotropy_form(sample.vertices, *sample.frames)
-        return float(np.linalg.eigvalsh(A)[:, 0].min())
+        return float(sym2_eigvalsh(A)[0].min())
 
     @property
     def is_elliptic(self):
@@ -423,15 +421,21 @@ def gauge(integrand, x):
         seed[lo:hi] = sample[np.argmax(ratios, axis=1)]
         lo = hi
 
+    return _gauge_ascent(integrand, x, seed)
+
+
+def _gauge_ascent(integrand, x, seed):
+    """(F*, grad F*) at x from ten damped Newton ascent steps on the sphere
+    of g = <x, nu>/F(nu), started at the seed directions."""
     def ascent(nu, e1, e2):
         F = integrand.value(nu)
-        DF = integrand.fbar_grad(nu) - F[:, None] * nu
-        u = np.einsum("ni,ni->n", x, nu)
-        P = np.eye(3)[None] - nu[:, :, None] * nu[:, None, :]
-        Du = np.einsum("nij,nj->ni", P, x)
-        E = np.stack((e1, e2), axis=2)  # (n, 3, 2)
-        Du2 = np.einsum("nik,ni->nk", E, Du)
-        DF2 = np.einsum("nik,ni->nk", E, DF)
+        u = rowdot(x, nu)
+        # frame components of the tangential gradients of <x, nu> and F:
+        # the frame is tangent, so e_k . P x = e_k . x and
+        # e_k . DF = e_k . grad Fbar
+        grad = integrand.fbar_grad(nu)
+        Du2 = np.stack((rowdot(e1, x), rowdot(e2, x)), axis=1)
+        DF2 = np.stack((rowdot(e1, grad), rowdot(e2, grad)), axis=1)
         D2F = integrand.anisotropy_form(nu, e1, e2)
         D2F -= F[:, None, None] * np.eye(2)[None]
         # derivatives of g = u/F on the sphere; Hess of a linear restriction
@@ -447,5 +451,4 @@ def gauge(integrand, x):
 
     nu = sphere_newton(seed, ascent, 10, 0.5)
     F = integrand.value(nu)
-    vals = np.einsum("ni,ni->n", x, nu) / F
-    return vals, nu / F[:, None]
+    return rowdot(x, nu) / F, nu / F[:, None]

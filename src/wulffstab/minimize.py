@@ -35,8 +35,11 @@ def nelder_mead(fun, x0, maxiter, xatol, fatol):
     fsim = fun(sim)
     sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))  # scipy sorts twice
     nit = 1
+    # scipy's stopping test; an infinite best value fails it, as inf - inf
+    # = nan does in scipy, without the invalid-value warning
     while (nit < maxiter
            and not (np.abs(sim[1:] - sim[0]).max() <= xatol
+                    and np.isfinite(fsim[0])
                     and np.abs(fsim[0] - fsim[1:]).max() <= fatol)):
         xbar = np.add.reduce(sim[:-1], 0) / N
         trial = _NM_A * xbar - _NM_B * sim[-1]

@@ -10,6 +10,7 @@ over the directions, pulled to the Wulff shape by the chain rule
 import numpy as np
 
 from . import spectral
+from .spheremesh import rowdot
 
 
 def lp_norm(values, p, weights):
@@ -51,7 +52,9 @@ def covariant_derivatives(mesh, values):
     if mesh.integrand is None:
         return grad, hess
     sw = mesh.shape_operator
-    grad = np.einsum("nij,nj->ni", sw, grad)
+    g1, g2 = grad[:, 0], grad[:, 1]
+    grad = np.stack((sw[:, 0, 0] * g1 + sw[:, 0, 1] * g2,
+                     sw[:, 1, 0] * g1 + sw[:, 1, 1] * g2), axis=1)
     e1, e2 = mesh.frames
     tangent = grad[:, 0:1] * e1 + grad[:, 1:2] * e2
     christoffel = mesh.integrand.hess_deriv_form(mesh.normals, tangent, e1, e2)
@@ -132,12 +135,12 @@ class DerivativeOperators:
         if vectors.shape[1] == 2:
             vectors = vectors[:, 0:1] * e1 + vectors[:, 1:2] * e2
         jac = self.jacobian_ambient(vectors)
-        return (np.einsum("nk,nk->n", jac[:, :, 0], e1)
-                + np.einsum("nk,nk->n", jac[:, :, 1], e2))
+        return rowdot(jac[:, :, 0], e1) + rowdot(jac[:, :, 1], e2)
 
     def laplacian(self, values):
         """Laplace-Beltrami operator, the trace of the covariant Hessian."""
-        return np.einsum("nii->n", self.hessian(values))
+        hess = self.hessian(values)
+        return hess[:, 0, 0] + hess[:, 1, 1]
 
 
 def get_operators(mesh):

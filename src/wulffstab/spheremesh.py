@@ -1,5 +1,7 @@
-"""The mesh type, direction spheres, icospheres, and tangent-plane tools
-on S^2.
+"""The mesh type, direction spheres, icospheres, tangent-plane tools on
+S^2, and the per-vertex kernels every layer shares: row dot products of
+3-vectors (`rowdot`) and closed forms of 2x2 forms (`sym2_eigvalsh`,
+`sym2_inv`), in place of einsum and batched LAPACK calls.
 
 WulffMesh is the one mesh type. Every mesh of a level is built over that
 level's DirectionSphere, the icosphere of unit directions with its area
@@ -72,6 +74,46 @@ def vertex_area_weights(vertices, faces):
     return w
 
 
+class EllipticityError(ValueError):
+    """The anisotropy matrix failed to be positive definite."""
+
+
+def rowdot(a, b):
+    """a . b along the last axis of (..., 3) arrays, broadcast over the
+    leading axes: the per-vertex dot product of every layer."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def sym2_eigvalsh(A):
+    """Eigenvalues (lo, hi) of symmetric (N, 2, 2) forms [[a, b], [b, c]],
+    in closed form. The one of larger magnitude is m + sign(m) r, with
+    m = (a + c)/2 and r = hypot((a - c)/2, b); the other is the
+    determinant divided by it, so a nearly singular form keeps its small
+    eigenvalue to the rounding of ac - b^2, with no cancellation in m - r.
+    lo > 0 exactly where a > 0 and ac - b^2 > 0."""
+    a, b, c = A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]
+    m = 0.5 * (a + c)
+    r = np.hypot(0.5 * (a - c), b)
+    up = m >= 0
+    big = np.where(up, m + r, m - r)
+    # det / big; a zero form (big = 0) has both eigenvalues 0
+    other = np.divide(a * c - b * b, big, out=np.zeros_like(big),
+                      where=big != 0)
+    return np.where(up, other, big), np.where(up, big, other)
+
+
+def sym2_inv(A):
+    """Inverses of symmetric (N, 2, 2) forms of nonzero determinant,
+    [[c, -b], [-b, a]] / (ac - b^2), exactly symmetric."""
+    a, b, c = A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]
+    det = a * c - b * b
+    out = np.empty_like(A)
+    out[:, 0, 0] = c / det
+    out[:, 0, 1] = out[:, 1, 0] = -b / det
+    out[:, 1, 1] = a / det
+    return out
+
+
 def tangent_frames(normals):
     """Deterministic orthonormal tangent frame (e1, e2) per unit normal.
 
@@ -83,7 +125,7 @@ def tangent_frames(normals):
     seed = np.zeros_like(n)
     idx = np.argmin(np.abs(n), axis=1)
     seed[np.arange(len(n)), idx] = 1.0
-    e1 = seed - n * np.sum(seed * n, axis=1, keepdims=True)
+    e1 = seed - n * rowdot(seed, n)[:, None]
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 = np.cross(n, e1)
     return e1, e2
@@ -94,19 +136,26 @@ def sphere_newton(nu, system, n_steps, max_step):
 
     system(nu, e1, e2) returns the (N, 2, 2) Newton matrices and (N, 2)
     right-hand sides in the tangent frames of nu, or None to stop early.
-    Each step solves the 2x2 systems, caps the step length at max_step,
-    moves along the frame and renormalizes. Returns the final directions.
+    Each step solves the 2x2 systems by Cramer's rule (a singular one raises
+    LinAlgError, as a batched solve does), caps the step length at
+    max_step, moves along the frame and renormalizes. Returns the final
+    directions.
     """
     for _ in range(n_steps):
         e1, e2 = tangent_frames(nu)
         eqs = system(nu, e1, e2)
         if eqs is None:
             break
-        step = np.linalg.solve(eqs[0], eqs[1][..., None])[..., 0]
-        slen = np.linalg.norm(step, axis=1, keepdims=True)
-        step = step * np.where(slen > max_step,
-                               max_step / np.maximum(slen, 1e-300), 1.0)
-        nu = nu + np.einsum("nik,nk->ni", np.stack((e1, e2), axis=2), step)
+        (a, b), (c, d) = eqs[0][:, 0].T, eqs[0][:, 1].T
+        r1, r2 = eqs[1].T
+        det = a * d - b * c
+        if not det.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        s1, s2 = (d * r1 - b * r2) / det, (a * r2 - c * r1) / det
+        slen = np.hypot(s1, s2)
+        cap = np.where(slen > max_step, max_step / np.maximum(slen, 1e-300),
+                       1.0)
+        nu = nu + (cap * s1)[:, None] * e1 + (cap * s2)[:, None] * e2
         nu /= np.linalg.norm(nu, axis=1, keepdims=True)
     return nu
 
@@ -189,7 +238,13 @@ class WulffMesh:
     frames : (e1, e2) the directions' tangent frames
     anisotropy, shape_operator : (N, 2, 2) A_F and its inverse in the frames
     mean_curvature : (N,) trace of the shape operator
-    reach : tubular reach estimate, 0.9 / max principal curvature
+    reach : tubular reach estimate, 0.9 / max principal curvature, which is
+        0.9 times the smallest eigenvalue of A_F
+
+    A Wulff mesh whose A_F is not positive definite at one of its own
+    directions is refused with EllipticityError naming the worst one: the
+    integrand's ellipticity margin is sampled on the level-4 directions,
+    and finer levels have directions between them.
 
     The arrays are read-only, so values derived from them and kept by
     `cached` (derivative operators, the kernel frame) or by the directions
@@ -215,11 +270,21 @@ class WulffMesh:
         else:
             self.vertices = integrand.fbar_grad(normals)
             self.weights = vertex_area_weights(self.vertices, self.faces)
-            self.anisotropy = integrand.anisotropy_form(normals, *self.frames)
-            self.shape_operator = np.linalg.inv(self.anisotropy)
-            self.mean_curvature = np.einsum("nii->n", self.shape_operator)
-            kappa_max = np.linalg.eigvalsh(self.shape_operator)[:, 1].max()
-            self.reach = 0.9 / kappa_max
+            self.anisotropy = A = integrand.anisotropy_form(normals,
+                                                            *self.frames)
+            # lo has the sign of det A where a > 0, so lo > 0 everywhere
+            # also keeps the inverse off a zero determinant
+            lo = sym2_eigvalsh(A)[0]
+            worst = int(np.argmin(lo))
+            if not lo[worst] > 0:
+                raise EllipticityError(
+                    f"A_F not positive definite at the level-{self.level} "
+                    f"direction nu = {normals[worst]} (smallest eigenvalue "
+                    f"{lo[worst]:.3g})")
+            self.shape_operator = S = sym2_inv(A)
+            self.mean_curvature = S[:, 0, 0] + S[:, 1, 1]
+            # the largest principal curvature is 1 / lo
+            self.reach = 0.9 * float(lo[worst])
         _freeze((self.vertices, self.weights, self.anisotropy,
                  self.shape_operator, self.mean_curvature))
 

@@ -41,22 +41,21 @@ def kernel_frame(base):
 
 def _kernel_frame(base):
     nu = base.normals
-    w = base.weights
-    gram = np.einsum("n,ni,nj->ij", w, nu, nu)
+    w = base.weights[:, None]
+    gram = nu.T @ (w * nu)
     evals, evecs = np.linalg.eigh(gram)
     if evals.min() < 1e-6 * evals.max():
         raise ValueError("degenerate Gram matrix of translation modes")
     inv_sqrt = evecs @ np.diag(evals ** -0.5) @ evecs.T
     vectors = inv_sqrt  # w_i = sum_k inv_sqrt[i, k] e_k
     fields = nu @ vectors.T
-    resid = np.einsum("n,ni,nj->ij", w, fields, fields) - np.eye(3)
+    resid = fields.T @ (w * fields) - np.eye(3)
     return KernelFrame(vectors, fields, float(np.abs(resid).max()))
 
 
 def kernel_component(frame, values, weights):
     """v_u = sum_i <u, phi_i>_{L2} w_i."""
-    coef = np.einsum("n,ni,n->i", weights, frame.fields, values)
-    return coef @ frame.vectors
+    return (weights * values) @ frame.fields @ frame.vectors
 
 
 def stability_operator(base, integrand, values):
@@ -78,14 +77,16 @@ def stability_operator(base, integrand, values):
     A2 = integrand.anisotropy_form(base.normals, *base.frames)
     sw = base.shape_operator
     ratio = A2 @ sw
-    lam = 0.5 * np.einsum("nii->n", ratio)
+    lam = 0.5 * (ratio[:, 0, 0] + ratio[:, 1, 1])
     spread = np.abs(ratio - lam[:, None, None] * np.eye(2)).max() \
         + np.ptp(lam)
     if spread > 1e-9 * lam.max():
         raise ValueError(f"stability_operator needs A_F proportional to the "
                          f"base's A_W; A_F A_W^-1 varies by {spread:g}")
-    return lam * np.einsum("nij,nji->n", sw, hess) \
-        + base.mean_curvature * val
+    # tr(A_W^-1 Hess_S u)
+    tr = (sw[:, 0, 0] * hess[:, 0, 0] + sw[:, 0, 1] * hess[:, 1, 0]
+          + sw[:, 1, 0] * hess[:, 0, 1] + sw[:, 1, 1] * hess[:, 1, 1])
+    return lam * tr + base.mean_curvature * val
 
 
 class CenteringResult:

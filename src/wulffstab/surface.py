@@ -23,7 +23,7 @@ from .nearest import SiteGrid
 # bound here too: bench/selftest.py checks that its tracer wraps
 # surface.get_operators
 from .operators import get_operators  # noqa: F401
-from .spheremesh import sphere_newton
+from .spheremesh import rowdot, sphere_newton
 
 
 class SurfaceGeometry:
@@ -56,7 +56,8 @@ class SurfaceGeometry:
         self.shape_operator = 0.5 * (shape_operator
                                      + np.swapaxes(shape_operator, 1, 2))
         self.shape_asymmetry = shape_asymmetry
-        self.mean_curvature = np.einsum("nii->n", self.shape_operator)
+        self.mean_curvature = (self.shape_operator[:, 0, 0]
+                               + self.shape_operator[:, 1, 1])
         self.area_element = np.sqrt(metric[:, 0, 0] * metric[:, 1, 1]
                                     - metric[:, 0, 1] * metric[:, 1, 0])
         self.weights = base.weights * self.area_element
@@ -81,9 +82,7 @@ def _finish_from_derivatives(base, positions, psi_d, nu, h_chart, radius,
     with no symmetry of h_chart assumed.
     """
     a, b = psi_d[:, :, 0], psi_d[:, :, 1]
-    g11 = np.einsum("ni,ni->n", a, a)
-    g12 = np.einsum("ni,ni->n", a, b)
-    g22 = np.einsum("ni,ni->n", b, b)
+    g11, g12, g22 = rowdot(a, a), rowdot(a, b), rowdot(b, b)
     metric = np.empty((len(a), 2, 2))
     metric[:, 0, 0] = g11
     metric[:, 0, 1] = metric[:, 1, 0] = g12
@@ -92,7 +91,7 @@ def _finish_from_derivatives(base, positions, psi_d, nu, h_chart, radius,
     q1 = a / r11[:, None]
     r12 = g12 / r11
     w = b - r12[:, None] * q1
-    r22 = np.sqrt(np.einsum("ni,ni->n", w, w))
+    r22 = np.sqrt(rowdot(w, w))
     q = np.stack((q1, w / r22[:, None]), axis=2)
     # R^-1 = [[u, v], [0, d]]
     u, d = 1.0 / r11, 1.0 / r22
@@ -153,8 +152,8 @@ def _spectral_graph(mesh, values, kind):
     nu = np.cross(psi_d[:, :, 0], psi_d[:, :, 1])
     nu /= np.linalg.norm(nu, axis=1, keepdims=True)
     h_chart = np.empty((len(x), 2, 2))
-    nx = np.einsum("ni,ni->n", nu, x)
-    nfe = np.einsum("ni,nik->nk", nu, frames)
+    nx = rowdot(nu, x)
+    nfe = np.stack((rowdot(nu, e1), rowdot(nu, e2)), axis=1)
     for i in range(2):
         for j in range(2):
             val_ij = rho_dd[:, i, j] * nx + rho_d[:, i] * nfe[:, j] \
@@ -229,7 +228,7 @@ def project_to_wulff(wmesh, points, seeds, n_newton=30):
     def residual(nu):
         x = integ.fbar_grad(nu)
         e = points - x
-        t = np.einsum("ni,ni->n", e, nu)
+        t = rowdot(e, nu)
         res = e - t[:, None] * nu
         return x, t, res, np.linalg.norm(res, axis=1) < 1e-12
 
@@ -239,7 +238,7 @@ def project_to_wulff(wmesh, points, seeds, n_newton=30):
             return None
         A2 = integ.anisotropy_form(nu, e1, e2)
         A2 += t[:, None, None] * np.eye(2)[None]
-        return A2, np.einsum("nik,ni->nk", np.stack((e1, e2), axis=2), res)
+        return A2, np.stack((rowdot(e1, res), rowdot(e2, res)), axis=1)
 
     nu = sphere_newton(np.asarray(seeds, dtype=float), foot_point, n_newton,
                        0.3)
@@ -279,14 +278,13 @@ def projection_certificate(geom):
         if not conv.all():
             diagnostics["unconverged_feet"] = int((~conv).sum())
         radius = t
-        margins = np.einsum("ni,ni->n", geom.normal, dirs)
     else:
         r = np.linalg.norm(q, axis=1)
         if r.min() < 1e-8:
             diagnostics["node_at_origin"] = True
         dirs = q / np.maximum(r, 1e-300)[:, None]
         radius = r - 1.0
-        margins = np.einsum("ni,ni->n", geom.normal, dirs)
+    margins = rowdot(geom.normal, dirs)
     return GraphCertificate(margins, radius, diagnostics)
 
 
@@ -336,10 +334,6 @@ _NEWTON_ROWS = 1 << 13
 _NEWTON_STEPS = 30
 
 
-def _dot(a, b):
-    return np.einsum("ni,ni->n", a, b)
-
-
 def recover_radius_mesh(base, coeffs, translation):
     """Radius over a Wulff mesh of the translated graph {x + u nu} - c,
     with x = grad Fbar and u the harmonic expansion coeffs over the
@@ -347,18 +341,27 @@ def recover_radius_mesh(base, coeffs, translation):
 
     For base node i, Newton in (eta, s) solves
     x(eta) + u(eta) eta - c = x(nu_i) + s nu_i, starting at eta = nu_i and
-    s = u(nu_i). Its Jacobian columns are j_k = (A_F(eta) + u) t_k
-    + (d_k u) eta along the frame of nu_i projected to eta's tangent plane
-    (t_k), and -nu_i; the frame components give a 2x2 solve for the move
-    of eta, and the normal component the s-update. u and its three ladder
-    partials (`spectral.ladders`) come from one product with the harmonics
-    at eta, read off the cached vertex basis at the start. A node stops,
-    without taking the step, once it moves neither eta nor s by 1e-13 (s
-    alone does not move at first wherever c is tangent to the base), or at
-    its _NEWTON_STEPS-th evaluation; ok is false if any node's residual
-    there exceeds 1e-9. Nodes are solved _NEWTON_ROWS at a time, each on
-    its own, so the working set stays bounded and the radii do not depend
-    on the block. At c = 0 the field is read off the vertex basis.
+    s = u(nu_i), with the residual and the Jacobian taken by their
+    components in the frame (f_1, f_2, nu_i) of nu_i, where x(nu_i) + c
+    has fixed components; no ambient residual or Jacobian column is
+    formed. The Jacobian columns are -nu_i and
+    j_k = (H + u) t_k + g_k eta, with H = hess Fbar(eta),
+    t_k = f_k - a_k eta the frame projected to eta's tangent plane
+    (a_k = f_k . eta, b = nu_i . eta) and g_k = t_k . grad u. H eta = 0
+    (Fbar is 1-homogeneous), so H t_k = H f_k, one stacked
+    `fbar_hess_vec` per step, and
+        f_l . j_k = f_l . H f_k + u (delta_lk - a_l a_k) + a_l g_k,
+        nu_i . j_k = nu_i . H f_k + b (g_k - u a_k);
+    the f components give a 2x2 solve for the move of eta along t_k, the
+    nu_i components the s-update. u and its three ladder partials
+    (`spectral.ladders`) come from one product with the harmonics at eta,
+    read off the cached vertex basis at the start. A node stops, without
+    taking the step, once it moves neither eta nor s by 1e-13 (s alone
+    does not move at first wherever c is tangent to the base), or at its
+    _NEWTON_STEPS-th evaluation; ok is false if any node's residual there
+    exceeds 1e-9. Nodes are solved _NEWTON_ROWS at a time, each on its own,
+    so the working set stays bounded and the radii do not depend on the
+    block. At c = 0 the field is read off the vertex basis.
     """
     c = np.asarray(translation, dtype=float)
     band = int(np.sqrt(len(coeffs))) - 1
@@ -366,43 +369,64 @@ def recover_radius_mesh(base, coeffs, translation):
     if not c.any():
         return basis @ coeffs, True
     integ = base.integrand
+    # columns: the coefficients of u and of its three partials
     partials = np.column_stack((coeffs, *(spectral.ladders(band) @ coeffs)))
     radius, resid = np.empty((2, base.n_vertices))
     for lo in range(0, base.n_vertices, _NEWTON_ROWS):
         rows = slice(lo, lo + _NEWTON_ROWS)
-        x0, nu, f1, f2 = (a[rows] for a in (base.vertices, base.normals,
-                                            *base.frames))
-        syn = basis[rows] @ partials
-        eta, s = nu, syn[:, 0]
-        live = np.arange(len(x0))
+        # (3, 3, n): f_1, f_2 and nu_i of each node, coordinates first, so
+        # that the frame components of a vector are three products of
+        # contiguous rows; F is its (3, n, 3) view
+        frame = np.stack([e[rows].T for e in (*base.frames, base.normals)])
+        F = frame.transpose(0, 2, 1)
+        target = rowdot(F, base.vertices[rows] + c)      # (3, n)
+        # (4, n): u, grad u, transposed into contiguous rows; a node's row
+        # of the product does not depend on the block's row count
+        syn = (basis[rows] @ partials).T.copy()
+        eta, s = F[2], syn[0]
+        live = np.arange(len(s))
         for step in range(_NEWTON_STEPS):
             if step:
-                syn = spectral.real_sph_harm_matrix(eta, band) @ partials
-            t1, t2 = (f - _dot(f, eta)[:, None] * eta for f in (f1, f2))
-            u, g = syn[:, 0], np.einsum("na,nak->nk", syn[:, 1:],
-                                        np.stack((t1, t2), axis=2))
-            res = (integ.fbar_grad(eta) + u[:, None] * eta - c - x0
-                   - s[:, None] * nu)
-            j1, j2 = (integ.fbar_hess_vec(eta, t) + u[:, None] * t
-                      + g[:, k, None] * eta for k, t in enumerate((t1, t2)))
-            m11, m12, m21, m22 = (_dot(f, j) for f in (f1, f2)
-                                  for j in (j1, j2))
-            r1, r2 = _dot(f1, res), _dot(f2, res)
+                syn = (spectral.real_sph_harm_matrix(eta, band)
+                       @ partials).T.copy()
+            u = syn[0]
+            ab = rowdot(F, eta)                          # a_1, a_2, b
+            a, b = ab[:2], ab[2]
+            G = rowdot(F, syn[1:].T)                     # grad u in the frame
+            g = G[:2] - a * (ab[0] * G[0] + ab[1] * G[1] + b * G[2])
+            r1, r2, rn = rowdot(F, integ.fbar_grad(eta)) + u * ab - target
+            rn -= s
+            # f_l . H f_k (l = 1, 2) and nu_i . H f_k, (3, 2, n)
+            h = rowdot(F[:, None], integ.fbar_hess_vec(eta, F[:2]))
+            ua = u * a
+            m11 = h[0, 0] + u - ua[0] * a[0] + a[0] * g[0]
+            m12 = h[0, 1] - ua[0] * a[1] + a[0] * g[1]
+            m21 = h[1, 0] - ua[1] * a[0] + a[1] * g[0]
+            m22 = h[1, 1] + u - ua[1] * a[1] + a[1] * g[1]
             det = m11 * m22 - m12 * m21
             d1 = (m12 * r2 - m22 * r1) / det
             d2 = (m21 * r1 - m11 * r2) / det
-            ds = _dot(nu, res + d1[:, None] * j1 + d2[:, None] * j2)
+            # nu_i . j_k = nu_i . H f_k + b (g_k - u a_k)
+            jn1, jn2 = h[2] + b * (g - ua)
+            ds = rn + d1 * jn1 + d2 * jn2
             stop = ((np.maximum(np.hypot(d1, d2), np.abs(ds)) < 1e-13)
                     | (step == _NEWTON_STEPS - 1))
-            radius[lo + live[stop]] = s[stop]
-            resid[lo + live[stop]] = np.linalg.norm(res[stop], axis=1)
-            go = ~stop
-            if not go.any():
-                break
-            live, x0, nu, f1, f2 = (a[go] for a in (live, x0, nu, f1, f2))
-            eta = eta[go] + d1[go, None] * t1[go] + d2[go, None] * t2[go]
-            eta /= np.linalg.norm(eta, axis=1, keepdims=True)
-            s = s[go] + ds[go]
+            if stop.any():
+                radius[lo + live[stop]] = s[stop]
+                resid[lo + live[stop]] = np.sqrt(
+                    r1[stop] ** 2 + r2[stop] ** 2 + rn[stop] ** 2)
+                go = ~stop
+                if not go.any():
+                    break
+                live, frame, target = live[go], frame[:, :, go], target[:, go]
+                F = frame.transpose(0, 2, 1)
+                d1, d2, ds, s, a, eta = (d1[go], d2[go], ds[go], s[go],
+                                         a[:, go], eta[go])
+            # eta + d1 t_1 + d2 t_2
+            eta = ((1.0 - d1 * a[0] - d2 * a[1])[:, None] * eta
+                   + d1[:, None] * F[0] + d2[:, None] * F[1])
+            eta /= np.sqrt(rowdot(eta, eta))[:, None]
+            s = s + ds
     return radius, bool(resid.max() < 1e-9)
 
 

@@ -1,6 +1,8 @@
 """Slow, independent reference implementations that the tests compare
 against, and helpers only the tests use."""
 
+from math import comb, factorial
+
 import numpy as np
 from scipy import sparse
 from scipy.optimize import minimize_scalar
@@ -9,10 +11,11 @@ from scipy.special import gammaln, lpmv
 from wulffstab.curvature import gauss_ricci
 from wulffstab.einstein import ricci_spectrum
 from wulffstab.flatgraph import _D1, _SLOPE_LIMIT, GridField
+from wulffstab.integrand import _gauge_ascent
 from wulffstab import spectral
 from wulffstab.operators import get_operators
 from wulffstab.spectral import sh_index
-from wulffstab.spheremesh import direction_sphere, sphere_newton
+from wulffstab.spheremesh import direction_sphere
 from wulffstab.surface import _finish_from_derivatives
 
 
@@ -37,6 +40,39 @@ def real_sph_harm_matrix_reference(points, L):
             else:
                 cols.append(np.sqrt(2.0) * norm * P * np.sin(am * phi))
     return np.column_stack(cols)
+
+
+def real_sph_harm_exact(points, ell, m, dps=40):
+    """Y_lm at each float point in dps-digit arithmetic (mpmath), the
+    coordinates taken exactly: sqrt2 N_lm D^m P_l(z) Re (x + iy)^m for m > 0,
+    Im (x + iy)^{|m|} for m < 0 and N_l0 P_l(z) for m = 0, with D^m P_l
+    from the integer coefficients of the Legendre polynomial
+    P_l = 2^-l sum_k (-1)^k C(l, k) C(2l - 2k, l) z^(l - 2k), and
+    N_lm^2 = (2l + 1)/(4 pi) (l - |m|)!/(l + |m|)!. This is the harmonics'
+    Cartesian form, with no Condon-Shortley phase, evaluated far below
+    double rounding."""
+    import mpmath
+    am = abs(m)
+    # coefficients of D^am P_l times 2^l, by power of z
+    coef = {}
+    for k in range(ell // 2 + 1):
+        p = ell - 2 * k
+        if p >= am:
+            coef[p - am] = ((-1) ** k * comb(ell, k) * comb(2 * ell - 2 * k, ell)
+                            * factorial(p) // factorial(p - am))
+    with mpmath.workdps(dps):
+        norm = mpmath.sqrt(mpmath.mpf(2 * ell + 1) / (4 * mpmath.pi)
+                           * mpmath.mpf(factorial(ell - am))
+                           / factorial(ell + am)) / mpmath.mpf(2) ** ell
+        if m:
+            norm *= mpmath.sqrt(2)
+        out = []
+        for x, y, z in np.asarray(points, dtype=float):
+            z = mpmath.mpf(float(z))
+            q = mpmath.fsum(c * z ** p for p, c in coef.items())
+            w = mpmath.mpc(float(x), float(y)) ** am
+            out.append(float(norm * q * (w.real if m >= 0 else w.imag)))
+    return np.array(out)
 
 
 def real_sph_harm_matrix_columns(points, L):
@@ -265,7 +301,7 @@ def anisotropy_form_reference(integrand, nu, e1, e2):
 
 def gauge_reference(integrand, x):
     """`integrand.gauge` with the seed search over all points at once:
-    one dense (points, sample) ratio matrix."""
+    one dense (points, sample) ratio matrix, then the library's ascent."""
     if np.any(np.linalg.norm(x, axis=1) == 0):
         raise ValueError("gauge is undefined at the origin")
 
@@ -274,32 +310,7 @@ def gauge_reference(integrand, x):
     ratios = x @ sample.T / fs[None, :]
     seed = sample[np.argmax(ratios, axis=1)]
 
-    def ascent(nu, e1, e2):
-        F = integrand.value(nu)
-        DF = integrand.fbar_grad(nu) - F[:, None] * nu
-        u = np.einsum("ni,ni->n", x, nu)
-        P = np.eye(3)[None] - nu[:, :, None] * nu[:, None, :]
-        Du = np.einsum("nij,nj->ni", P, x)
-        E = np.stack((e1, e2), axis=2)  # (n, 3, 2)
-        Du2 = np.einsum("nik,ni->nk", E, Du)
-        DF2 = np.einsum("nik,ni->nk", E, DF)
-        D2F = integrand.anisotropy_form(nu, e1, e2)
-        D2F -= F[:, None, None] * np.eye(2)[None]
-        # derivatives of g = u/F on the sphere; Hess of a linear restriction
-        # is -u * Id
-        Dg = (F[:, None] * Du2 - u[:, None] * DF2) / F[:, None] ** 2
-        D2g = (-u[:, None, None] * np.eye(2)[None] / F[:, None, None]
-               - (Du2[:, :, None] * DF2[:, None, :]
-                  + DF2[:, :, None] * Du2[:, None, :]) / F[:, None, None] ** 2
-               - u[:, None, None] * D2F / F[:, None, None] ** 2
-               + 2 * u[:, None, None] * DF2[:, :, None] * DF2[:, None, :]
-               / F[:, None, None] ** 3)
-        return D2g, -Dg
-
-    nu = sphere_newton(seed, ascent, 10, 0.5)
-    F = integrand.value(nu)
-    vals = np.einsum("ni,ni->n", x, nu) / F
-    return vals, nu / F[:, None]
+    return _gauge_ascent(integrand, x, seed)
 
 
 def finish_from_derivatives_reference(psi_d, h_chart):
@@ -617,3 +628,66 @@ def write_mesh_text_reference(path, vertices, normals, faces, header):
     lines += ["f %d %d %d" % tuple(f) for f in np.asarray(faces).tolist()]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+# blocking and step count of `recover_radius_mesh_reference`, as in the library
+NEWTON_ROWS = 1 << 13
+NEWTON_STEPS = 30
+
+
+def _dot(a, b):
+    return np.einsum("ni,ni->n", a, b)
+
+
+def recover_radius_mesh_reference(base, coeffs, translation):
+    """`surface.recover_radius_mesh` as it was before its step was taken
+    in the frame of nu_i: Newton in (eta, s) on
+    x(eta) + u(eta) eta - c = x(nu_i) + s nu_i with the ambient residual and
+    Jacobian columns j_k = (A_F(eta) + u) t_k + (d_k u) eta, the tangent
+    gradients as one einsum over the stacked (N, 3, 2) tangents t_k and one
+    Hessian-vector product per tangent. Same start, stopping rule (1e-13
+    moves, NEWTON_STEPS evaluations), blocking and ok test (1e-9)."""
+    c = np.asarray(translation, dtype=float)
+    band = int(np.sqrt(len(coeffs))) - 1
+    basis = spectral.mesh_basis(base, band)[0]
+    if not c.any():
+        return basis @ coeffs, True
+    integ = base.integrand
+    partials = np.column_stack((coeffs, *(spectral.ladders(band) @ coeffs)))
+    radius, resid = np.empty((2, base.n_vertices))
+    for lo in range(0, base.n_vertices, NEWTON_ROWS):
+        rows = slice(lo, lo + NEWTON_ROWS)
+        x0, nu, f1, f2 = (a[rows] for a in (base.vertices, base.normals,
+                                            *base.frames))
+        syn = basis[rows] @ partials
+        eta, s = nu, syn[:, 0]
+        live = np.arange(len(x0))
+        for step in range(NEWTON_STEPS):
+            if step:
+                syn = spectral.real_sph_harm_matrix(eta, band) @ partials
+            t1, t2 = (f - _dot(f, eta)[:, None] * eta for f in (f1, f2))
+            u, g = syn[:, 0], np.einsum("na,nak->nk", syn[:, 1:],
+                                        np.stack((t1, t2), axis=2))
+            res = (integ.fbar_grad(eta) + u[:, None] * eta - c - x0
+                   - s[:, None] * nu)
+            j1, j2 = (integ.fbar_hess_vec(eta, t) + u[:, None] * t
+                      + g[:, k, None] * eta for k, t in enumerate((t1, t2)))
+            m11, m12, m21, m22 = (_dot(f, j) for f in (f1, f2)
+                                  for j in (j1, j2))
+            r1, r2 = _dot(f1, res), _dot(f2, res)
+            det = m11 * m22 - m12 * m21
+            d1 = (m12 * r2 - m22 * r1) / det
+            d2 = (m21 * r1 - m11 * r2) / det
+            ds = _dot(nu, res + d1[:, None] * j1 + d2[:, None] * j2)
+            stop = ((np.maximum(np.hypot(d1, d2), np.abs(ds)) < 1e-13)
+                    | (step == NEWTON_STEPS - 1))
+            radius[lo + live[stop]] = s[stop]
+            resid[lo + live[stop]] = np.linalg.norm(res[stop], axis=1)
+            go = ~stop
+            if not go.any():
+                break
+            live, x0, nu, f1, f2 = (a[go] for a in (live, x0, nu, f1, f2))
+            eta = eta[go] + d1[go, None] * t1[go] + d2[go, None] * t2[go]
+            eta /= np.linalg.norm(eta, axis=1, keepdims=True)
+            s = s[go] + ds[go]
+    return radius, bool(resid.max() < 1e-9)

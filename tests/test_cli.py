@@ -109,6 +109,23 @@ MODES = [(ell, m) for ell in range(4) for m in range(-ell, ell + 1)]
 SIDES = st.floats(-1, 1).map(lambda t: float(f"{10 ** t:.6g}"))
 
 
+def _run_or_refused_by_name(tmp, command, body):
+    """Run command on a config; exit 2 must name a SCHEMA section.key and
+    leave no CSV, any other exit must be 0 or 1 with the CSV and .dat."""
+    cfg = write_config(tmp, body)
+    out = tmp / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", cfg, "--out", str(out)])
+    written = [(out / f"{command}{ext}").exists() for ext in (".csv", ".dat")]
+    if code == 2:
+        named = re.match(r"config error: (\w+)\.(\w+)\b", err.getvalue())
+        assert named and named[2] in SCHEMA.get(named[1], ()), err.getvalue()
+        assert not any(written)
+    else:
+        assert code in (0, 1) and all(written), (code, err.getvalue())
+
+
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(command=st.sampled_from(["wulff", "kernel", "curvature", "sweep",
                                 "center"]),
@@ -144,18 +161,47 @@ def test_accepted_configs_run_or_exit_2_by_name(tmp_path_factory, command,
         body += (f"[sweep]\nfamily = {family}\n"
                  f"[curvature]\nfamily = {family}\n"
                  f"epsilon = {epsilon!r}\n")
-    cfg = write_config(tmp, body)
-    out = tmp / "out"
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main([command, "--config", cfg, "--out", str(out)])
-    written = [(out / f"{command}{ext}").exists() for ext in (".csv", ".dat")]
-    if code == 2:
-        named = re.match(r"config error: (\w+)\.(\w+)\b", err.getvalue())
-        assert named and named[2] in SCHEMA.get(named[1], ()), err.getvalue()
-        assert not any(written)
-    else:
-        assert code in (0, 1) and all(written), (code, err.getvalue())
+    _run_or_refused_by_name(tmp, command, body)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(dimensions=st.lists(st.integers(3, 6), min_size=1, max_size=3,
+                           unique=True),
+       kappas=st.lists(st.floats(-10, 10), min_size=1, max_size=3),
+       budget=st.integers(0, 2000),
+       seed=st.integers(0, 2 ** 16))
+def test_accepted_einstein_configs_run_or_exit_2_by_name(
+        tmp_path_factory, dimensions, kappas, budget, seed):
+    """einstein configs with budgets up to 2,000 (0 is refused), dimensions
+    3-6 and kappa over [-10, 10], edge values such as -0.0 and subnormals
+    included: each runs to exit 0 or 1 with its CSV and .dat, or exits 2
+    naming section.key."""
+    body = (f"[common]\nseed = {seed}\n[einstein]\n"
+            f"dimensions = {','.join(map(str, dimensions))}\n"
+            f"kappas = {','.join(map(repr, kappas))}\nbudget = {budget}\n")
+    _run_or_refused_by_name(tmp_path_factory.mktemp("einstein"), "einstein",
+                            body)
+
+
+@pytest.mark.parametrize("command", ["wulff", "kernel"])
+def test_integrand_not_elliptic_at_the_mesh_directions_exits_2(
+        tmp_path, capsys, command):
+    """configs/example.ini (level 5) with fourier:1,0.318,3,2, whose margin
+    on the level-4 sample is positive but whose A_F is indefinite at a
+    level-5 direction: the command exits 2 naming common.integrand, with no
+    CSV written."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "example.ini")) as fh:
+        text = fh.read()
+    text = re.sub(r"(?m)^integrand = .*$", "integrand = fourier:1,0.318,3,2",
+                  text)
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: common.integrand: A_F not positive "
+                          "definite at the level-5 direction"), err
+    assert not (out / f"{command}.csv").exists()
 
 
 def test_commands_hand_freed_heap_back(tmp_path, monkeypatch):

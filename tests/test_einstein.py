@@ -205,10 +205,11 @@ def test_polys_batch_rows_are_independent():
 @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0, 2.5])
 def test_polys_batch_matches_reference_bit_for_bit(n, kappa):
     """Both layouts match the row-wise np.sum bit for bit: the row layout
-    below 128 rows, whatever the memory order of the batch, and the
-    transposed kernel, which adds in numpy's pairwise order, from 128 rows
-    on and on either side of a block boundary: below 8 terms (n = 3: 6
-    pairs; the Ricci sums up to n = 7), with 8 partial sums up to 128
+    below 128 rows and 2^17 pair terms, whatever the memory order of the
+    batch, and the transposed kernel, which adds in numpy's pairwise order,
+    from either bound on (n = 70: 13 rows take the row layout, 14 the
+    blocks) and on either side of a block boundary: below 8 terms (n = 3:
+    6 pairs; the Ricci sums up to n = 7), with 8 partial sums up to 128
     terms (n = 8 on for the Ricci sums; n = 11: 110 pairs) and in halves
     above (n = 12: 132 pairs, n = 70: 4830)."""
     if n < 70:
@@ -216,7 +217,8 @@ def test_polys_batch_matches_reference_bit_for_bit(n, kappa):
         sizes = (1, 127, 128, 129, 8191, 8192, 8193, 20000)
     else:
         lams = rng.normal(size=(200, n)) * 2
-        sizes = (1, 7, 127, 128, 129, 200)
+        sizes = (1, 7, 13, 14, 71, 127, 128, 129, 200)
+        assert 13 * n * (n - 1) < es._ROW_TERMS_MAX <= 14 * n * (n - 1)
     for m in sizes:
         p_ref, q_ref = polys_batch_reference(lams[:m], kappa)
         for batch in (lams[:m], np.asfortranarray(lams[:m])):

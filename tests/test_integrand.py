@@ -363,6 +363,24 @@ def test_hess_vec_is_the_contracted_hessian(descriptor):
     assert np.array_equal(integ.fbar_hess_vec(x[:1], v[:1]), got[:1])
 
 
+@pytest.mark.parametrize("descriptor", [
+    "constant:2.5", "quadratic:2,0.3,0.1,0.3,1.5,-0.2,0.1,-0.2,3",
+    "fourier:1,0.265,3,0", "fourier:1,0.2,2,1"])
+@pytest.mark.parametrize("n", [1, 7, 2562])
+def test_stacked_hess_vec_matches_per_vector_calls(descriptor, n):
+    """fbar_hess_vec(x, v) with a (2, n, 3) stack v, as `anisotropy_form`
+    and the Wulff Newton call it, equals the two per-vector calls bit for
+    bit."""
+    integ = parse_integrand(descriptor)
+    gen = np.random.default_rng(n)
+    x = gen.normal(size=(n, 3))
+    v = gen.normal(size=(2, n, 3))
+    got = integ.fbar_hess_vec(x, v)
+    assert got.shape == (2, n, 3)
+    np.testing.assert_array_equal(
+        got, np.stack([integ.fbar_hess_vec(x, vk) for vk in v]))
+
+
 FORM_FAMILIES = ["constant:2.5", "quadratic:1,1,4", "fourier:1,0.265,3,0"]
 
 

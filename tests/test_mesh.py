@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import (real_sph_harm_matrix_columns,
+from oracles import (real_sph_harm_exact, real_sph_harm_matrix_columns,
                      real_sph_harm_matrix_reference, real_sph_harm_matrix_trig,
                      sh_analyze_reference, sh_synthesize_trig,
                      spectral_derivatives_reference, stencil_basis_reference,
@@ -57,6 +59,102 @@ def test_frames_orthonormal(sphere4):
     assert_allclose(np.cross(e1, e2), n, atol=1e-14)
 
 
+def _forms(gen, n):
+    """Symmetric 2x2 forms: random, positive definite with condition up to
+    1e12 (near singular), indefinite, negative definite, singular,
+    trace-free and the zero form."""
+    a, b, c = gen.normal(size=(3, n))
+    rand = np.stack((np.stack((a, b), -1), np.stack((b, c), -1)), -2)
+    angle = gen.uniform(0, np.pi, n)
+    angle[: n // 4] = 0.0    # diagonal forms: m - r would cancel there
+    rot = np.stack((np.stack((np.cos(angle), -np.sin(angle)), -1),
+                    np.stack((np.sin(angle), np.cos(angle)), -1)), -2)
+    scale = 10.0 ** gen.uniform(-3, 3, n)[:, None]
+    out = [rand]
+    for lam in (np.column_stack((np.ones(n), 10.0 ** -gen.uniform(0, 12, n))),
+                np.column_stack((np.ones(n), -gen.uniform(0, 1, n))),
+                -gen.uniform(0.1, 2, (n, 2)),
+                np.column_stack((gen.uniform(0.1, 2, n), np.zeros(n)))):
+        lam = lam * scale
+        out.append(rot @ (lam[:, :, None] * np.swapaxes(rot, 1, 2)))
+    out = np.concatenate(out)
+    out[:, 1, 0] = out[:, 0, 1]
+    # trace-free forms, -0.0 on the diagonal included
+    edges = np.array([[[-0.0, 1.0], [1.0, -0.0]], [[0.0, 2.0], [2.0, 0.0]],
+                      [[1.5, 0.0], [0.0, -1.5]], [[0.0, 0.0], [0.0, 0.0]]])
+    return np.concatenate((out, edges))
+
+
+def test_closed_form_2x2_kernels_match_numpy_linalg():
+    """sym2_eigvalsh matches eigvalsh within a few ulps of |A| on random,
+    near-singular, indefinite, negative definite, singular and zero forms,
+    and lo > 0 exactly where the form is positive definite; sym2_inv
+    matches inv to cond(A) ulps on the invertible ones, exactly
+    symmetric."""
+    A = _forms(np.random.default_rng(5), 400)
+    lo, hi = spheremesh.sym2_eigvalsh(A)
+    want = np.linalg.eigvalsh(A)
+    size = np.abs(A).max(axis=(1, 2))
+    assert np.all(np.abs(lo - want[:, 0]) <= 8e-16 * size)
+    assert np.all(np.abs(hi - want[:, 1]) <= 8e-16 * size)
+    det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] ** 2
+    pd = (A[:, 0, 0] > 0) & (det > 0)
+    assert np.array_equal(lo > 0, pd)
+    assert pd.sum() > 400 and (~pd).sum() > 800
+    # near-singular forms keep their small eigenvalue to the rounding of
+    # det = ac - b^2 (against det taken exactly), where eigvalsh and m - r
+    # carry an error of the size of |A|
+    near = np.flatnonzero(pd & (lo < 1e-6 * hi))
+    assert len(near) > 100
+    for k in near:
+        a, b, c = (Fraction(float(v)) for v in (A[k, 0, 0], A[k, 0, 1],
+                                                 A[k, 1, 1]))
+        exact = float(a * c - b * b) / hi[k]
+        bound = 4e-16 * (abs(A[k, 0, 0] * A[k, 1, 1]) + A[k, 0, 1] ** 2)
+        assert abs(lo[k] - exact) <= bound / hi[k] + 1e-16 * abs(exact)
+    inv = np.flatnonzero(np.abs(want).min(axis=1) > 1e-9 * size)
+    got = spheremesh.sym2_inv(A[inv])
+    ref = np.linalg.inv(A[inv])
+    cond = np.abs(want[inv]).max(axis=1) / np.abs(want[inv]).min(axis=1)
+    assert np.all(np.abs(got - ref).max(axis=(1, 2))
+                  <= 4e-16 * cond * np.abs(ref).max(axis=(1, 2)))
+    assert np.array_equal(got, np.swapaxes(got, 1, 2))
+
+
+def test_rowdot_broadcasts_like_einsum():
+    gen = np.random.default_rng(6)
+    a, b = gen.normal(size=(2, 50, 3))
+    stack = gen.normal(size=(2, 50, 3))
+    assert_allclose(spheremesh.rowdot(a, b), np.einsum("ni,ni->n", a, b),
+                    rtol=1e-15, atol=1e-15)
+    assert_allclose(spheremesh.rowdot(stack, b),
+                    np.einsum("kni,ni->kn", stack, b), rtol=1e-15, atol=1e-15)
+    assert_allclose(spheremesh.rowdot(stack[:, None], stack),
+                    np.einsum("kni,lni->kln", stack, stack), rtol=1e-15,
+                    atol=1e-15)
+
+
+def test_sphere_newton_steps_by_cramer(sphere4):
+    """One step of sphere_newton moves along the frame by the solution of
+    each 2x2 system, as np.linalg.solve gives it, capped at max_step; a
+    singular system raises LinAlgError, as the batched solve did."""
+    nu = sphere4.vertices[::5]
+    gen = np.random.default_rng(8)
+    M = gen.normal(size=(len(nu), 2, 2))
+    rhs = gen.normal(size=(len(nu), 2)) * 0.1
+    got = spheremesh.sphere_newton(nu, lambda n, e1, e2: (M, rhs), 1, 0.2)
+    step = np.linalg.solve(M, rhs[..., None])[..., 0]
+    length = np.linalg.norm(step, axis=1, keepdims=True)
+    step = step * np.minimum(1.0, 0.2 / length)
+    e1, e2 = spheremesh.tangent_frames(nu)
+    want = nu + step[:, :1] * e1 + step[:, 1:] * e2
+    want /= np.linalg.norm(want, axis=1, keepdims=True)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(step).max() / 0.2 + 1e-15
+    M[3] = [[1.0, 2.0], [0.5, 1.0]]
+    with pytest.raises(np.linalg.LinAlgError):
+        spheremesh.sphere_newton(nu, lambda n, e1, e2: (M, rhs), 1, 0.2)
+
+
 # --- spectral ---------------------------------------------------------------
 
 
@@ -86,6 +184,35 @@ def test_angle_addition_matches_lpmv_at_edges(L):
     pts = edge_and_random_points(L)
     assert_allclose(spectral.real_sph_harm_matrix(pts, L),
                     real_sph_harm_matrix_reference(pts, L), atol=1e-13)
+
+
+def test_band_50_near_the_poles_matches_an_exact_evaluation():
+    """Near the poles (1 - z^2 between 3.3e-4 and 1.3e-3, 20 points by each
+    pole) the band-50 harmonics carry about 1e-13 of rounding from the
+    Legendre recurrence, which the 200 random points of the lpmv test
+    seldom reach, and the lpmv oracle carries more (it works from z alone,
+    with the cancellation of sqrt(1 - z^2)). So they are compared with a
+    40-digit evaluation (`oracles.real_sph_harm_exact`): every degree for
+    |m| <= 2, (50, 1) among them, and every order of degree 50. The bound
+    is set from the kernel's measured error: 1.13e-13 on these points (at
+    (50, 0)) and 1.18e-13 at the worst of 2,000 random points (at
+    1 - z^2 = 6.6e-4, (50, 1)); 1.5e-13 leaves room for another libm or
+    BLAS."""
+    pytest.importorskip("mpmath")
+    gen = np.random.default_rng(66)
+    sin_t = np.sqrt(6.6e-4 * gen.uniform(0.5, 2.0, 40))
+    z = np.sqrt(1 - sin_t ** 2) * np.repeat([1.0, -1.0], 20)
+    phi = gen.uniform(-np.pi, np.pi, 40)
+    pts = np.column_stack((sin_t * np.cos(phi), sin_t * np.sin(phi), z))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    got = spectral.real_sph_harm_matrix(pts, 50)
+    modes = [(ell, m) for ell in range(51) for m in range(-ell, ell + 1)
+             if abs(m) <= 2 or ell == 50]
+    assert (50, 1) in modes
+    for ell, m in modes:
+        want = real_sph_harm_exact(pts, ell, m)
+        err = np.abs(got[:, spectral.sh_index(ell, m)] - want).max()
+        assert err <= 1.5e-13, (ell, m, err)
 
 
 @pytest.mark.parametrize("L", [8, 10, 25, 50])

@@ -105,3 +105,15 @@ def test_nelder_mead_matches_scipy_on_the_hausdorff_objective(offset):
     assert set(seen) <= set(evaluated)
     if any(offset):
         assert ref.nit > 20
+
+
+def test_nelder_mead_runs_on_an_all_infinite_simplex():
+    """Where every vertex value is inf, scipy's stopping test takes
+    inf - inf = nan and fails: the run is not converged and goes on to
+    maxiter, here with no invalid-value warning (warnings are errors in
+    this suite). ratio_bounds meets this at kappa = 1.1e-308, where
+    p + q < 1e-20 at every vertex of its polish."""
+    x, fx, nit = nelder_mead(lambda pts: np.full(len(pts), np.inf),
+                             np.array([1.0, 2.0]), maxiter=6, xatol=1e-10,
+                             fatol=1e-12)
+    assert nit == 6 and fx == np.inf and np.isfinite(x).all()

@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import (finish_from_derivatives_reference,
-                     geometry_from_positions, recover_radius_spectral_reference,
-                     stencils_reference, wulff_graph_stencil)
+                     geometry_from_positions, recover_radius_mesh_reference,
+                     recover_radius_spectral_reference, stencils_reference,
+                     wulff_graph_stencil)
 from wulffstab import Integrand, build_sphere_mesh, build_wulff, spectral
 from wulffstab import surface
 from wulffstab.config import parse_integrand
@@ -418,6 +419,45 @@ def test_recover_radius_mesh_translate():
     b = base.normals @ t
     want = -b + np.sqrt(b * b + 4.0 - t @ t) - 2.0
     assert np.abs(rad - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+@pytest.mark.parametrize("descriptor", ["constant:1", "quadratic:1,1,4",
+                                        "fourier:1,0.2,3,1"])
+def test_frame_newton_matches_the_ambient_one(descriptor, level, monkeypatch):
+    """The Newton taken in the frame of nu_i gives the radii of the ambient
+    one it replaced (`oracles.recover_radius_mesh_reference`), with the same
+    ok and no more evaluations, for translations up to 0.15.
+
+    Both leave a last move below 1e-13 untaken, so where a node's last move
+    lies within rounding of 1e-13 one of them stops an evaluation earlier
+    and the two radii differ by that move: at most 1e-13 plus its rounding
+    (1.003e-13 measured), at a few nodes per solve; every other node agrees
+    to rounding."""
+    base = build_wulff(parse_integrand(descriptor), level)
+    band = spectral.graph_band(base.n_vertices)
+    Y = spectral.real_sph_harm_matrix(base.normals, band)
+    coeffs = spectral.sh_analyze(
+        base, 0.05 * Y[:, 6] + 0.03 * Y[:, 2] - 0.02 * Y[:, 13], band)
+    spectral.ladders(band)          # built once, with harmonics of its own
+    calls = []
+    real = spectral.real_sph_harm_matrix
+    monkeypatch.setattr(spectral, "real_sph_harm_matrix",
+                        lambda pts, L: calls.append(len(pts)) or real(pts, L))
+    gen = np.random.default_rng(level)
+    for size in (1e-4, 0.01, 0.05, 0.15):
+        c = gen.normal(size=3)
+        c *= size / np.linalg.norm(c)
+        calls.clear()
+        got, ok = recover_radius_mesh(base, coeffs, c)
+        evals = len(calls)
+        calls.clear()
+        want, want_ok = recover_radius_mesh_reference(base, coeffs, c)
+        assert ok and want_ok
+        assert 0 < evals <= len(calls)
+        diff = np.abs(got - want)
+        assert diff.max() <= 1.01e-13, (size, diff.max())
+        assert np.count_nonzero(diff > 1e-15) <= 1e-3 * base.n_vertices
 
 
 # --- hausdorff --------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import write_mesh_text_reference
-from wulffstab import Integrand, build_wulff, gauge
+from wulffstab import EllipticityError, Integrand, build_wulff, gauge
 from wulffstab.wulff import build_wulff, load_mesh, write_mesh_text
 
 
@@ -112,3 +112,21 @@ def test_build_wulff_matches_the_sphere_directions(ellipsoid_integrand):
     np.testing.assert_array_equal(W.faces, sphere.faces)
     np.testing.assert_array_equal(
         W.vertices, ellipsoid_integrand.fbar_grad(sphere.vertices))
+
+
+def test_mesh_refuses_a_direction_where_A_F_is_not_elliptic():
+    """fourier:1,0.318,3,2 passes its sampled margin (+1.7e-4 on the level-4
+    directions), but A_F has smallest eigenvalue -7.07e-4 at directions of
+    levels 5 and up: the level-4 mesh builds, the level-5 one is refused,
+    naming the direction and the eigenvalue."""
+    integ = Integrand.fourier_perturbed(1.0, 0.318, (3, 2))
+    assert 1.6e-4 < integ.ellipticity_margin < 1.8e-4
+    mesh = build_wulff(integ, 4)
+    assert mesh.reach == pytest.approx(0.9 * integ.ellipticity_margin,
+                                       rel=1e-12)
+    for level in (5, 6):
+        with pytest.raises(EllipticityError,
+                           match=rf"level-{level} direction nu = \[-0\.5749"
+                                 r".* \(smallest eigenvalue -0\.000707\)"):
+            build_wulff(integ, level)
+
