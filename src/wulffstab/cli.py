@@ -353,9 +353,10 @@ def run_einstein(cfg, outdir, svg):
     budget = cfg.einstein.budget
     rows, checks = [], []
     for n in cfg.einstein.dimensions:
-        for kap in cfg.einstein.kappas:
+        bounds = es.ratio_bounds_cells(n, cfg.einstein.kappas, budget=budget,
+                                       seed=cfg.seed)
+        for kap, rb in zip(cfg.einstein.kappas, bounds):
             zs = es.zero_set_check(n, kap)
-            rb = es.ratio_bounds(n, kap, budget=budget, seed=cfg.seed)
             zero_set = "PASS" if zs["passed"] else "FAIL"
             rows.append({
                 "n": n, "kappa": kap, "c1_est": rb.c1, "c2_est": rb.c2,

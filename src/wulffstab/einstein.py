@@ -6,7 +6,9 @@ covers Ricci eigenvalues, the pinching inequality between trace-free norms,
 the quartic polynomials p and q comparing Riemann and Ricci deviations from
 the constant-curvature model (polys_batch), their zero sets in closed form,
 the bounds c1 (exact) and c2 (Monte Carlo) on their ratio, and the Sobolev
-interpolation exponent.
+interpolation exponent. ratio_bounds bounds one (n, kappa) cell;
+ratio_bounds_cells bounds several kappas of one n from one draw of the
+samples they share, each kappa bit for bit what ratio_bounds gives it.
 """
 
 import numpy as np
@@ -187,9 +189,10 @@ KAPPA_MAX = 10.0  # bound on |kappa| for ratio_bounds and the CLI
 # bound on n for the CLI: a spectrum has n(n-1) pair terms, so the Monte
 # Carlo time grows as n^2; one n = 70 cell is ratio_bounds alone (the zero
 # sets take milliseconds), 4.4-4.8 s at budget 200000 and a 110 MB peak on
-# a 2-vCPU Xeon host (ratio_bounds holds one (100000, n) sample buffer, 56 MB
-# at n = 70, and polys_batch one (n, 8192) block and the terms of one leaf
-# of its pairwise sum, at most 128 x 8192 floats)
+# a 2-vCPU Xeon host (ratio_bounds_cells holds one (100000, n) sample
+# buffer, 56 MB at n = 70, however many kappas it is given, and polys_batch
+# one (n, 8192) block and the terms of one leaf of its pairwise sum, at
+# most 128 x 8192 floats)
 DIMENSION_MAX = 70
 
 
@@ -210,66 +213,111 @@ def ratio_bounds(n, kappa, budget=10 ** 6, seed=0):
     on the sphere, a third in the bulk, the rest in the balls (or a
     narrower Gaussian when there are no zeros). Every batch is drawn into
     the same (per, n) buffer, each regime in place in its own rows, so a
-    call holds one batch of samples however large the budget.
+    call holds one batch of samples however large the budget. This is the
+    one-cell case of ratio_bounds_cells, which bounds several kappas of
+    one n from shared draws with the same result per kappa.
     """
+    return ratio_bounds_cells(n, [kappa], budget, seed)[0]
+
+
+def ratio_bounds_cells(n, kappas, budget=10 ** 6, seed=0):
+    """ratio_bounds(n, kappa, budget, seed) for each kappa of kappas, one
+    RatioBound each in the order given, bit for bit.
+
+    The sphere and bulk rows of batch b do not depend on kappa, save the
+    bulk's scale max(1, sqrt|kappa|), so each batch draws its sphere rows
+    once and its bulk rows once per run of kappas of one scale, saving the
+    generator state after each; every kappa restores the state after the
+    bulk and draws only its ball rows, so it reads the stream ratio_bounds
+    reads alone. polys_batch gives each row's p and q whatever the other
+    rows are, and each kappa keeps its own largest sample and its own
+    polish. Every kappa is checked before anything is drawn.
+    """
+    kappas = list(kappas)
     if n < 3:
         raise ValueError("need dimension n >= 3")
-    if not abs(kappa) <= KAPPA_MAX:
-        raise ValueError(f"kappa = {kappa!r} must be finite with |kappa| <= "
-                         f"the configured bound {KAPPA_MAX}")
+    for kappa in kappas:
+        if not abs(kappa) <= KAPPA_MAX:
+            raise ValueError(f"kappa = {kappa!r} must be finite with |kappa| "
+                             f"<= the configured bound {KAPPA_MAX}")
     if not budget >= 1:
         raise ValueError(f"budget must be a positive sample count, got "
                          f"{budget!r}")
-    scale = max(1.0, np.sqrt(abs(kappa)))
-    zeros = analytic_zeros(n, kappa)
+    scales = [max(1.0, np.sqrt(abs(kappa))) for kappa in kappas]
+    zeros = [analytic_zeros(n, kappa) for kappa in kappas]
     batches = max(1, budget // 100_000)
     per = budget // batches
     third = per // 3
     lams = np.empty((per, n))
     sphere, bulk, ball = lams[:third], lams[third:2 * third], lams[2 * third:]
 
-    c2, argmax = 0.0, None
-    total = 0
+    c2, argmax = [0.0] * len(kappas), [None] * len(kappas)
+    total = [0] * len(kappas)
     for b in range(batches):
         rng = np.random.default_rng((seed, b))
         rng.standard_normal(out=sphere)
         sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
-        rng.standard_normal(out=bulk)
-        bulk *= 2.0
-        bulk *= scale
-        if len(zeros):
-            radii = 10.0 ** rng.uniform(-6, 0, size=len(ball))
-            centers = rng.integers(0, len(zeros), size=len(ball))
-            rng.standard_normal(out=ball)
-            ball /= np.linalg.norm(ball, axis=1, keepdims=True)
-            ball *= radii[:, None]
-            ball *= scale
-            ball += zeros[centers]
-        else:
-            rng.standard_normal(out=ball)
-            ball *= 0.5
-            ball *= scale
-        r, kept = _ratio(lams, kappa)
-        if r.size == 0:
-            continue
-        total += r.size
-        imax = int(np.argmax(r))
-        if r[imax] > c2:
-            # a copy: the next batch overwrites lams
-            c2, argmax = r[imax], lams[kept[imax]].copy()
+        after_sphere, drawn = rng.bit_generator.state, None
+        for c, kappa in enumerate(kappas):
+            scale = scales[c]
+            if scale != drawn:
+                rng.bit_generator.state = after_sphere
+                rng.standard_normal(out=bulk)
+                bulk *= 2.0
+                bulk *= scale
+                after_bulk, drawn = rng.bit_generator.state, scale
+            else:
+                rng.bit_generator.state = after_bulk
+            if len(zeros[c]):
+                radii = 10.0 ** rng.uniform(-6, 0, size=len(ball))
+                centers = rng.integers(0, len(zeros[c]), size=len(ball))
+                rng.standard_normal(out=ball)
+                ball /= np.linalg.norm(ball, axis=1, keepdims=True)
+                ball *= radii[:, None]
+                ball *= scale
+                ball += zeros[c][centers]
+            else:
+                rng.standard_normal(out=ball)
+                ball *= 0.5
+                ball *= scale
+            r, kept = _ratio(lams, kappa)
+            if r.size == 0:
+                continue
+            total[c] += r.size
+            imax = int(np.argmax(r))
+            if r[imax] > c2[c]:
+                # a copy: the next kappa or batch overwrites lams
+                c2[c], argmax[c] = r[imax], lams[kept[imax]].copy()
+    bounds = []
+    for c, kappa in enumerate(kappas):
+        c2[c], argmax[c] = _polish(kappa, c2[c], argmax[c])
+        argmin = np.full(n, 1.0 + np.sqrt(abs(kappa)))
+        bounds.append(RatioBound(1.0 / (n - 1), c2[c], total[c], argmin,
+                                 argmax[c]))
+    return bounds
 
+
+def _polish(kappa, c2, argmax):
+    """The largest sample's ratio c2 at argmax, raised by a Nelder-Mead on
+    -log(p/q) from argmax where that finds more; returns (c2, argmax).
+
+    p/q reads as degenerate (inf) where q <= 0 or p + q < 1e-24 s^2, with
+    s = max(max_i lambda_i^2, |kappa|) the row's squared scale: p and q are
+    homogeneous of degree 4 under lambda -> t lambda, kappa -> t^2 kappa,
+    so an absolute floor would make every vertex degenerate at tiny kappa.
+    """
     def neg_log_ratio(lams):
         p, q = polys_batch(lams, kappa)
+        s = np.maximum(np.square(lams).max(axis=1), abs(kappa))
         with np.errstate(divide="ignore", invalid="ignore"):
             val = -np.log(p / q)
-        return np.where((p + q < 1e-20) | (q <= 0), np.inf, val)
+        return np.where((p + q < 1e-24 * s ** 2) | (q <= 0), np.inf, val)
 
     x, fx, _ = nelder_mead(neg_log_ratio, argmax, maxiter=400, xatol=1e-10,
                            fatol=1e-12)
     if np.isfinite(fx) and np.exp(-fx) > c2:
-        c2, argmax = np.exp(-fx), x.copy()
-    argmin = np.full(n, 1.0 + np.sqrt(abs(kappa)))
-    return RatioBound(1.0 / (n - 1), float(c2), total, argmin, argmax)
+        return float(np.exp(-fx)), x.copy()
+    return float(c2), argmax
 
 
 def _q_only_zeros(n):

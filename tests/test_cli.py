@@ -527,6 +527,44 @@ budget = 20000
     assert capsys.readouterr().err == ""
 
 
+
+def test_einstein_draws_sphere_and_bulk_once_per_dimension(tmp_path,
+                                                           monkeypatch):
+    """The kappa cells of one n share each batch's sphere and bulk rows:
+    one generator per batch and dimension, and per batch one sphere fill,
+    one bulk fill (kappa = -1, 0, 1 share the bulk's scale) and one ball
+    fill per kappa."""
+    cfg = write_config(tmp_path, """
+[common]
+seed = 3
+
+[einstein]
+dimensions = 3,4
+kappas = -1,0,1
+budget = 200001
+""")
+    fills = []
+    default_rng = np.random.default_rng
+
+    class Counted:
+        def __init__(self, seed):
+            fills.append(("rng", seed))
+            self._rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def standard_normal(self, out):
+            fills.append(len(out))
+            return self._rng.standard_normal(out=out)
+
+    monkeypatch.setattr(cli.es.np.random, "default_rng", Counted)
+    # exit 1: sup p/q is infinite at n = 4, kappa = -1
+    assert main(["einstein", "--config", cfg, "--out",
+                 str(tmp_path / "e")]) == 1
+    batch = [33333, 33333, 33334, 33334, 33334]
+    assert fills == 2 * [("rng", (3, 0)), *batch, ("rng", (3, 1)), *batch]
+
 def test_einstein_subcommand_flags_defective_cell(tmp_path, capsys):
     """kappa = -1, n = 4 has a genuine stray zero of q; the run reports it,
     and stderr names the failed zero-set check and the unbounded c2 (a

@@ -331,6 +331,61 @@ def test_ratio_bounds_matches_pinned_cells(pin):
     assert rb.samples == pin["samples"]
 
 
+
+def _bits(rb):
+    """Every field of a RatioBound, floats as hex."""
+    return (rb.c1.hex(), rb.c2.hex(), [v.hex() for v in rb.argmax.tolist()],
+            [v.hex() for v in rb.argmin.tolist()], rb.samples)
+
+
+@pytest.mark.parametrize("n, budget, seed", [
+    (3, 20000, 1), (5, 200003, 7), (8, 300001, 3), (70, 900, 5)])
+def test_ratio_bounds_cells_match_single_cells(n, budget, seed):
+    """One shared draw per dimension gives each kappa what ratio_bounds
+    gives it alone, bit for bit, in one, two and three batches, while the
+    bulk's scale switches back and forth (1, sqrt 10, 1, sqrt 2.5, 1); so
+    does a second call, and the kappas in reverse order."""
+    kappas = [1.0, 10.0, -1.0, 2.5, 0.0]
+    single = [_bits(es.ratio_bounds(n, k, budget=budget, seed=seed))
+              for k in kappas]
+    cells = es.ratio_bounds_cells(n, kappas, budget=budget, seed=seed)
+    assert [_bits(rb) for rb in cells] == single
+    again = es.ratio_bounds_cells(n, kappas, budget=budget, seed=seed)
+    assert [_bits(rb) for rb in again] == single
+    reverse = es.ratio_bounds_cells(n, kappas[::-1], budget=budget,
+                                    seed=seed)
+    assert [_bits(rb) for rb in reverse] == single[::-1]
+
+
+@pytest.mark.parametrize("n, kappas, budget, match", [
+    (2, [0.0, 1.0], 1000, "n >= 3"),
+    (4, [0.0, 1.0], 0, "budget"),
+    (4, [0.0, 1.0], np.nan, "budget"),
+    (4, [0.0, np.nan, 1.0], 1000, "kappa = nan"),
+    (4, [0.0, -np.inf, 1.0], 1000, "kappa = -inf"),
+    (4, [0.0, 25.0, 1.0], 1000, "kappa = 25.0"),
+])
+def test_ratio_bounds_cells_refuse_bad_input_before_drawing(
+        monkeypatch, n, kappas, budget, match):
+    """A bad dimension, budget or kappa anywhere in the list is refused with
+    ratio_bounds' message, naming the kappa, before any sample is drawn."""
+    def no_draws(*args):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(es.np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=match):
+        es.ratio_bounds_cells(n, kappas, budget=budget)
+
+
+def test_ratio_polish_at_tiny_kappa_reaches_the_kappa_zero_sup():
+    """p and q are homogeneous of degree 4, so the polish reads a spectrum
+    as degenerate against its own scale: at kappa = 1e-308 the Monte Carlo
+    extremizer lies near the origin, where p + q is far below any absolute
+    floor, and the polish still climbs to c2(0), a lower bound on c2(kappa)
+    (5.7618638214817395 at n = 5, from the closed-form kappa = 0 splits)."""
+    rb = es.ratio_bounds(5, 1.1125369292536007e-308, budget=814, seed=339)
+    assert rb.c2 >= (1 - 1e-9) * 5.7618638214817395
+
 # --- zero sets --------------------------------------------------------------
 
 

@@ -111,8 +111,8 @@ def test_nelder_mead_runs_on_an_all_infinite_simplex():
     """Where every vertex value is inf, scipy's stopping test takes
     inf - inf = nan and fails: the run is not converged and goes on to
     maxiter, here with no invalid-value warning (warnings are errors in
-    this suite). ratio_bounds meets this at kappa = 1.1e-308, where
-    p + q < 1e-20 at every vertex of its polish."""
+    this suite). A floor on p + q that ignored the spectrum's scale would
+    put ratio_bounds' polish here at kappa = 1.1e-308."""
     x, fx, nit = nelder_mead(lambda pts: np.full(len(pts), np.inf),
                              np.array([1.0, 2.0]), maxiter=6, xatol=1e-10,
                              fatol=1e-12)
