@@ -24,8 +24,8 @@ from .curvature import anisotropic_shape_operator, oscillation_deficit, trace_fr
 from .integrand import Integrand, gauge
 from .spheremesh import EllipticityError, build_sphere_mesh, rowdot
 from .stability import (CENTER_RADIUS_MAX, SpectralGraphSurface, center,
-                        kernel_frame, perturbation_field, perturbed_graph,
-                        scaling_sweep, stability_operator)
+                        kernel_frame, perturbed_graph, scaling_sweep,
+                        stability_operator)
 from .surface import projection_certificate
 from .wulff import build_wulff, write_mesh_text
 
@@ -189,8 +189,7 @@ def run_curvature(cfg, outdir, svg):
     eps = cfg.curvature.epsilon
     family = cfg.curvature.family
     base = _sphere_or_wulff(cfg)
-    geom, violation = perturbed_graph(
-        base, family, eps * perturbation_field(base, family))
+    geom, violation = perturbed_graph(base, family, eps)
     if violation:
         raise ConfigError(f"curvature.epsilon = {eps:g} leaves the "
                           f"tubular neighborhood: {violation}")

@@ -16,7 +16,7 @@ closed-form for every family. This gives all derived quantities directly:
 import numpy as np
 
 from . import spheremesh
-from .spheremesh import (EllipticityError, rowdot, sphere_newton,
+from .spheremesh import (EllipticityError, rowdot, rownorm, sphere_newton,
                          sym2_eigvalsh, tangent_frames)
 
 UNIT_TOL = 1e-12
@@ -208,7 +208,7 @@ class Integrand:
     def fbar(self, x):
         if self.family == "quadratic":
             return np.sqrt(rowdot(x @ self.params["M"], x))
-        r = np.linalg.norm(x, axis=1)
+        r = rownorm(x)
         out = self._radial * r
         if self.family == "fourier":
             a, p, k = self._perturbation()
@@ -219,7 +219,7 @@ class Integrand:
         if self.family == "quadratic":
             Mx = x @ self.params["M"]
             return Mx / np.sqrt(rowdot(Mx, x))[:, None]
-        r = np.linalg.norm(x, axis=1)[:, None]
+        r = rownorm(x)[:, None]
         out = self._radial * x / r
         if self.family == "fourier":
             a, p, k = self._perturbation()
@@ -233,7 +233,7 @@ class Integrand:
             Mx = x @ M
             s = np.sqrt(rowdot(Mx, x))[:, None, None]
             return M[None] / s - Mx[:, :, None] * Mx[:, None, :] / s ** 3
-        r = np.linalg.norm(x, axis=1)[:, None, None]
+        r = rownorm(x)[:, None, None]
         eye = np.eye(3)[None]
         outer = x[:, :, None] * x[:, None, :]
         out = self._radial * (eye - outer / r ** 2) / r
@@ -330,7 +330,7 @@ class Integrand:
         DF is a tangent 3-vector and D2F an ambient 3x3 matrix that
         annihilates nu (rows and columns tangent).
         """
-        r = np.linalg.norm(nu, axis=1)
+        r = rownorm(nu)
         if np.any(np.abs(r - 1.0) > UNIT_TOL):
             raise ValueError("evaluate expects unit directions (|nu| = 1)")
         F = self.fbar(nu)
@@ -406,7 +406,7 @@ def gauge(integrand, x):
     ten damped Newton ascent steps on the sphere. The envelope rule gives
     grad F*(x) = nu*/F(nu*) at the maximizer.
     """
-    if np.any(np.linalg.norm(x, axis=1) == 0):
+    if np.any(rownorm(x) == 0):
         raise ValueError("gauge is undefined at the origin")
 
     sample = _dense_sample().vertices

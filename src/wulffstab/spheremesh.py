@@ -1,7 +1,8 @@
 """The mesh type, direction spheres, icospheres, tangent-plane tools on
-S^2, and the per-vertex kernels every layer shares: row dot products of
-3-vectors (`rowdot`) and closed forms of 2x2 forms (`sym2_eigvalsh`,
-`sym2_inv`), in place of einsum and batched LAPACK calls.
+S^2, and the per-vertex kernels every layer shares: row dot products,
+norms and cross products of 3-vectors (`rowdot`, `rownorm`, `rowcross`)
+and closed forms of 2x2 forms (`sym2_eigvalsh`, `sym2_inv`), in place of
+einsum, np.linalg.norm, np.cross and batched LAPACK calls.
 
 WulffMesh is the one mesh type. Every mesh of a level is built over that
 level's DirectionSphere, the icosphere of unit directions with its area
@@ -63,7 +64,7 @@ def _subdivide(vertices, faces):
 def triangle_areas(vertices, faces):
     """Flat areas of all triangles."""
     p = vertices[faces]
-    return 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+    return 0.5 * rownorm(rowcross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
 
 
 def vertex_area_weights(vertices, faces):
@@ -82,6 +83,26 @@ def rowdot(a, b):
     """a . b along the last axis of (..., 3) arrays, broadcast over the
     leading axes: the per-vertex dot product of every layer."""
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def rownorm(a):
+    """|a| along the last axis of (..., 3) arrays, sqrt(rowdot(a, a)): the
+    sum np.linalg.norm(a, axis=-1) takes in the same order, so the same
+    bits, without its (..., 3) temporary."""
+    return np.sqrt(rowdot(a, a))
+
+
+def rowcross(a, b):
+    """a x b along the last axis of (..., 3) arrays, broadcast over the
+    leading axes, each component the one product difference np.cross
+    takes, so the same bits."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
 
 
 def sym2_eigvalsh(A):
@@ -126,8 +147,8 @@ def tangent_frames(normals):
     idx = np.argmin(np.abs(n), axis=1)
     seed[np.arange(len(n)), idx] = 1.0
     e1 = seed - n * rowdot(seed, n)[:, None]
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(n, e1)
+    e1 /= rownorm(e1)[:, None]
+    e2 = rowcross(n, e1)
     return e1, e2
 
 
@@ -156,7 +177,7 @@ def sphere_newton(nu, system, n_steps, max_step):
         cap = np.where(slen > max_step, max_step / np.maximum(slen, 1e-300),
                        1.0)
         nu = nu + (cap * s1)[:, None] * e1 + (cap * s2)[:, None] * e2
-        nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+        nu /= rownorm(nu)[:, None]
     return nu
 
 
@@ -184,7 +205,7 @@ class DirectionSphere:
         v, f = _icosahedron()
         for _ in range(level):
             v, f = _subdivide(v, f)
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v /= rownorm(v)[:, None]
         self.level, self.vertices, self.faces = level, v, f
         self.weights = vertex_area_weights(self.vertices, self.faces)
         self.frames = tangent_frames(self.vertices)
@@ -309,7 +330,7 @@ class WulffMesh:
         """Mean edge length, the resolution parameter h."""
         e = np.concatenate([self.faces[:, [0, 1]], self.faces[:, [1, 2]],
                             self.faces[:, [2, 0]]])
-        d = np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
+        d = rownorm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]])
         return float(d.mean())
 
     def area(self):

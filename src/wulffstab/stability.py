@@ -16,9 +16,9 @@ import numpy as np
 from . import spectral
 from .operators import lp_norm, w2p_norm
 from .curvature import anisotropic_shape_operator, trace_free
-from .surface import (exp_graph, radial_graph, projection_certificate,
-                      reach_violation, recover_radius_spectral,
-                      recover_radius_mesh)
+from .surface import (_spectral_graph, analyse_radius,
+                      projection_certificate, reach_violation,
+                      recover_radius_spectral, recover_radius_mesh)
 
 # the smallness gate of `center`: the largest |radius| it starts from
 CENTER_RADIUS_MAX = 0.45
@@ -240,60 +240,91 @@ def perturbation_field(base, family):
     raise ValueError(f"unknown perturbation family {family!r}")
 
 
-def perturbed_graph(base, family, values):
-    """(geometry, "") of a family's perturbation values over base, or
-    (None, violation) if they leave its tubular reach (`reach_violation`).
+def _unit_field(base, family):
+    """The family's unit field over base and its `analyse_radius`,
+    analysed once per base and family and kept by the base."""
+    key = family if family[0] == "harmonic" else (
+        "kernel", np.asarray(family[1], dtype=float).tobytes())
+
+    def build(mesh):
+        values = perturbation_field(mesh, family)
+        return values, analyse_radius(mesh, values)
+    return base.cached(("unit_field", key), build)
+
+
+def perturbed_graph(base, family, eps):
+    """(geometry, "") of the family's perturbation at amplitude eps over
+    base, or (None, violation) if eps times its unit field leaves the
+    base's tubular reach (`reach_violation`).
 
     A harmonic family over the sphere takes the exponential graph, any other
     the radial graph: the exponential graph of a translation mode agrees
     with an exact translate to third order, hiding the quadratic deficit.
+    The unit field is analysed once per base (`_unit_field`), and the graph
+    is built from eps times its coefficients, value, gradient and Hessian,
+    which agree with an analysis of eps times the field up to rounding.
     """
+    if not np.isfinite(eps):
+        raise ValueError(f"amplitude must be finite, got {eps!r}")
+    unit, field = _unit_field(base, family)
+    values = eps * unit
     if base.integrand is None and family[0] == "harmonic":
-        return exp_graph(base, values), ""
-    violation = reach_violation(base, values)
+        kind = "exp"
+    else:
+        violation = reach_violation(base, values)
+        if violation:
+            return None, violation
+        kind = "radial"
+    return _spectral_graph(base, values, [eps * a for a in field], kind), ""
+
+
+def _sweep_row(base, integrand, family, eps, p, tolerance, frame):
+    """The row of one amplitude of `scaling_sweep`: its measurements, or a
+    warning entry. Its geometry is released on return, before the next
+    amplitude's is built."""
+    geom, violation = perturbed_graph(base, family, eps)
     if violation:
-        return None, violation
-    return radial_graph(base, values), ""
+        return {"epsilon": eps, "warning": "outside_reach",
+                "detail": violation}
+    cert = projection_certificate(geom)
+    if not cert.passed:
+        return {"epsilon": eps, "warning": "certificate_failed",
+                "eta": cert.margin}
+    try:
+        res = center(SpectralGraphSurface.from_geometry(geom),
+                     tolerance=tolerance)
+    except (ValueError, RuntimeError) as exc:
+        return {"epsilon": eps, "warning": "centering_failed",
+                "eta": cert.margin, "detail": str(exc)}
+    r = _ratio(geom, integrand, p, res.radius, frame)
+    return {"epsilon": eps, "deficit": r.deficit, "distance": r.distance,
+            "ratio": r.ratio, "eta": cert.margin,
+            "iterations": res.iterations,
+            "c_norm": float(np.linalg.norm(res.c))}
 
 
 def scaling_sweep(base, integrand, family, amplitudes, p, tolerance=1e-8):
     """Sweep amplitudes, measure deficit and post-centering distance, fit slopes.
 
-    Each amplitude's surface is `perturbed_graph` of the family. Returns
-    (deficit_fit, distance_fit, rows); a radius outside the base's tubular
-    reach, a certificate failure or a centering failure truncates the sweep
-    with a warning entry in the last row.
+    Each amplitude's surface is `perturbed_graph` of the family, so the
+    unit field is analysed once for the whole sweep, every amplitude's
+    graph is built from eps times that analysis, and it is the surface
+    `wulffstab curvature` builds at that amplitude bit for bit. Returns (deficit_fit, distance_fit, rows); a
+    radius outside the base's tubular reach, a certificate failure or a
+    centering failure truncates the sweep with a warning entry in the last
+    row.
     """
-    shape = perturbation_field(base, family)
     frame = kernel_frame(base)
     rows = []
-    deficits, distances, used = [], [], []
     for eps in amplitudes:
-        geom, violation = perturbed_graph(base, family, eps * shape)
-        if violation:
-            rows.append({"epsilon": eps, "warning": "outside_reach",
-                         "detail": violation})
+        rows.append(_sweep_row(base, integrand, family, eps, p, tolerance,
+                               frame))
+        if "warning" in rows[-1]:
             break
-        cert = projection_certificate(geom)
-        if not cert.passed:
-            rows.append({"epsilon": eps, "warning": "certificate_failed",
-                         "eta": cert.margin})
-            break
-        try:
-            res = center(SpectralGraphSurface.from_geometry(geom),
-                         tolerance=tolerance)
-        except (ValueError, RuntimeError) as exc:
-            rows.append({"epsilon": eps, "warning": "centering_failed",
-                         "eta": cert.margin, "detail": str(exc)})
-            break
-        r = _ratio(geom, integrand, p, res.radius, frame)
-        deficits.append(r.deficit)
-        distances.append(r.distance)
-        used.append(eps)
-        rows.append({"epsilon": eps, "deficit": r.deficit,
-                     "distance": r.distance, "ratio": r.ratio,
-                     "eta": cert.margin, "iterations": res.iterations,
-                     "c_norm": float(np.linalg.norm(res.c))})
+    done = [r for r in rows if "warning" not in r]
+    used = [r["epsilon"] for r in done]
+    deficits = [r["deficit"] for r in done]
+    distances = [r["distance"] for r in done]
     try:
         deficit_fit = ScalingFit(used, deficits)
         distance_fit = ScalingFit(used, distances)

@@ -23,7 +23,7 @@ from .nearest import SiteGrid
 # bound here too: bench/selftest.py checks that its tracer wraps
 # surface.get_operators
 from .operators import get_operators  # noqa: F401
-from .spheremesh import rowdot, sphere_newton
+from .spheremesh import rowcross, rowdot, rownorm, sphere_newton
 
 
 class SurfaceGeometry:
@@ -110,13 +110,28 @@ def _finish_from_derivatives(base, positions, psi_d, nu, h_chart, radius,
                            radius, kind, asym)
 
 
-def _spectral_graph(mesh, values, kind):
+def analyse_radius(mesh, values):
+    """(coeffs, value, gradient, Hessian) of a radius field over mesh.
+
+    The field is analysed at `spectral.graph_band` over the construction
+    directions and differentiated exactly on the direction sphere
+    (`spectral.spectral_derivatives`). The four are linear in the field, so
+    eps times them are, up to rounding, those of eps times the field: a
+    family of graphs of one shape is analysed once
+    (`stability.perturbed_graph`).
+    """
+    band = spectral.graph_band(mesh.n_vertices)
+    coeffs = spectral.sh_analyze(mesh, values, band)
+    return (coeffs, *spectral.spectral_derivatives(mesh, coeffs))
+
+
+def _spectral_graph(mesh, values, field, kind):
     """Geometry of a graph over the sphere or a Wulff mesh, spectrally.
 
-    The radius is analysed at `graph_band` over the construction
-    directions nu and differentiated exactly on the direction sphere. Over
-    the sphere the surface is {rho(nu) nu}, with rho = e^f ('exp') or
-    1 + u ('radial'):
+    field is the radius's (coeffs, value, gradient, Hessian) over the
+    construction directions nu (`analyse_radius` of values, or a multiple
+    of one), values the radius at the nodes. Over the sphere the surface is
+    {rho(nu) nu}, with rho = e^f ('exp') or 1 + u ('radial'):
         Psi_i = rho_i nu + rho e_i,
         Psi_ij = rho_ij nu + rho_i e_j + rho_j e_i - rho delta_ij nu.
     Over a Wulff mesh it is {x(nu) + u(nu) nu} with x = grad Fbar, dx = A
@@ -124,12 +139,11 @@ def _spectral_graph(mesh, values, kind):
         Psi_i = (A + u) e_i + u_i nu,
         Psi_ij = T_{e_i} e_j + u_ij nu + u_i e_j + u_j e_i - u delta_ij nu,
     and <T_{e_i} e_j, nu_Sigma> = e_i . T_{nu_Sigma} e_j by the symmetry of
-    D^3 Fbar (`Integrand.hess_deriv_form`). The chart is then taken to W arclength (Psi_d A^-1 and
-    A^-1 h A^-1), so the weights are W's areas times the area element.
+    D^3 Fbar (`Integrand.hess_deriv_form`). The chart is then taken to W
+    arclength (Psi_d A^-1 and A^-1 h A^-1), so the weights are W's areas
+    times the area element.
     """
-    band = spectral.graph_band(mesh.n_vertices)
-    coeffs = spectral.sh_analyze(mesh, values, band)
-    val, grad, hess = spectral.spectral_derivatives(mesh, coeffs)
+    coeffs, val, grad, hess = field
     wulff = mesh.integrand is not None
     if kind == "exp":
         rho = np.exp(val)
@@ -149,8 +163,8 @@ def _spectral_graph(mesh, values, kind):
         positions = mesh.vertices + values[:, None] * x
     else:
         positions = rho[:, None] * x
-    nu = np.cross(psi_d[:, :, 0], psi_d[:, :, 1])
-    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    nu = rowcross(psi_d[:, :, 0], psi_d[:, :, 1])
+    nu /= rownorm(nu)[:, None]
     h_chart = np.empty((len(x), 2, 2))
     nx = rowdot(nu, x)
     nfe = np.stack((rowdot(nu, e1), rowdot(nu, e2)), axis=1)
@@ -169,7 +183,6 @@ def _spectral_graph(mesh, values, kind):
     geom = _finish_from_derivatives(mesh, positions, psi_d, nu, h_chart,
                                     values, kind)
     geom.radius_coeffs = coeffs
-    geom.band_residual = float(np.abs(val - values).max())
     return geom
 
 
@@ -185,16 +198,17 @@ def reach_violation(base, values):
 def radial_graph(base, values):
     """Geometry of the radial graph psi(x) = x + u(x) nu_base(x).
 
-    The radius is carried spectrally over the construction directions of
-    either base (`_spectral_graph`). Nodes must stay inside the tubular
-    neighborhood of the base.
+    The radius is analysed (`analyse_radius`) and carried spectrally over
+    the construction directions of either base (`_spectral_graph`). Nodes
+    must stay inside the tubular neighborhood of the base.
     """
     values = np.asarray(values, dtype=float)
     violation = reach_violation(base, values)
     if violation:
         raise ValueError(
             f"radius leaves the tubular neighborhood: {violation}")
-    return _spectral_graph(base, values, "radial")
+    return _spectral_graph(base, values, analyse_radius(base, values),
+                           "radial")
 
 
 def exp_graph(mesh, values):
@@ -205,7 +219,7 @@ def exp_graph(mesh, values):
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("radius field must be finite")
-    return _spectral_graph(mesh, values, "exp")
+    return _spectral_graph(mesh, values, analyse_radius(mesh, values), "exp")
 
 
 # --- projection onto the base -------------------------------------------
@@ -230,7 +244,7 @@ def project_to_wulff(wmesh, points, seeds, n_newton=30):
         e = points - x
         t = rowdot(e, nu)
         res = e - t[:, None] * nu
-        return x, t, res, np.linalg.norm(res, axis=1) < 1e-12
+        return x, t, res, rownorm(res) < 1e-12
 
     def foot_point(nu, e1, e2):
         _, t, res, converged = residual(nu)
@@ -279,7 +293,7 @@ def projection_certificate(geom):
             diagnostics["unconverged_feet"] = int((~conv).sum())
         radius = t
     else:
-        r = np.linalg.norm(q, axis=1)
+        r = rownorm(q)
         if r.min() < 1e-8:
             diagnostics["node_at_origin"] = True
         dirs = q / np.maximum(r, 1e-300)[:, None]
@@ -296,7 +310,10 @@ def recover_radius_spectral(mesh, coeffs, kind, translation):
 
     For each node direction x0, solves rho(y) y - c = s x0 by the fixed
     point y = normalize(s x0 + c), s = |rho(y) y - c|, for at most 60 steps
-    or until s moves by less than 1e-13. Returns the radius field in the
+    or until s moves by less than 1e-13. The steps reuse two (3, N)
+    buffers and take each operation of the formulas above in their order
+    (`rownorm` is np.linalg.norm's sum), so neither the buffers nor their
+    layout moves a bit of the radii. Returns the radius field in the
     convention of `kind` ('exp' gives log s, 'radial' s - 1).
 
     At c = 0 the fixed point stops at y = x0, s = |rho(x0)|, so the field
@@ -309,21 +326,32 @@ def recover_radius_spectral(mesh, coeffs, kind, translation):
         radius = spectral.mesh_basis(mesh, band)[0] @ coeffs
         rho = np.exp(radius) if kind == "exp" else 1.0 + radius
         return radius, bool((rho > 0).all())
-    x0 = mesh.vertices
-    s = np.ones(len(x0))
+    # coordinates first: x0 and the two buffers, y and then rho(y) y - c,
+    # are (3, N) with contiguous rows, so each step is whole-row arithmetic
+    # and their transposes are the (N, 3) points
+    x0 = np.ascontiguousarray(mesh.vertices.T)
+    c = c[:, None]
+    s = np.ones(x0.shape[1])
+    y, v = np.empty((2, *x0.shape))
     for _ in range(60):
-        y_new = s[:, None] * x0 + c
-        y_new /= np.linalg.norm(y_new, axis=1, keepdims=True)
-        val = spectral.sh_synthesize(coeffs, y_new)
-        rho = np.exp(val) if kind == "exp" else 1.0 + val
-        v = rho[:, None] * y_new - c
-        s_new = np.linalg.norm(v, axis=1)
+        np.multiply(s, x0, out=y)
+        y += c
+        y /= rownorm(y.T)
+        rho = spectral.sh_synthesize(coeffs, y.T)
+        if kind == "exp":
+            np.exp(rho, out=rho)
+        else:
+            rho += 1.0
+        np.multiply(rho, y, out=v)
+        v -= c
+        s_new = rownorm(v.T)
         delta = np.abs(s_new - s).max()
         s = s_new
         if delta < 1e-13:
             break
-    resid = v / s[:, None] - x0
-    ok = np.abs(resid).max() < 1e-9
+    v /= s
+    v -= x0
+    ok = np.abs(v).max() < 1e-9
     radius = np.log(s) if kind == "exp" else s - 1.0
     return radius, bool(ok)
 
@@ -441,12 +469,13 @@ def symmetric_point_distance(a, b):
 
 
 def hausdorff_distance(geom, base):
-    """Node-sampled symmetric Hausdorff distance at the centroid offset.
+    """Node-sampled symmetric Hausdorff distance of a SurfaceGeometry from a
+    mesh, at the centroid offset.
 
-    The node sets are compared after translating geom by t0 = mean(geom) -
-    mean(base), so the value is an upper bound on the minimum over
-    translations, and exact for a translate of the base.
+    The nodes of geom are compared with the vertices of base after
+    translating them by t0 = mean(geom) - mean(base), so the value is an
+    upper bound on the minimum over translations, and exact for a
+    translate of the base. Point sets go to `symmetric_point_distance`.
     """
-    a = geom.positions if isinstance(geom, SurfaceGeometry) else np.asarray(geom)
-    b = base.vertices if hasattr(base, "vertices") else np.asarray(base)
+    a, b = geom.positions, base.vertices
     return symmetric_point_distance(a - (a.mean(axis=0) - b.mean(axis=0)), b)

@@ -16,7 +16,9 @@ from wulffstab import spectral
 from wulffstab.operators import get_operators
 from wulffstab.spectral import sh_index
 from wulffstab.spheremesh import direction_sphere
-from wulffstab.surface import _finish_from_derivatives
+from wulffstab.stability import (SpectralGraphSurface, _ratio, center,
+                                 kernel_frame, perturbation_field)
+from wulffstab.surface import _finish_from_derivatives, exp_graph, radial_graph
 
 
 def real_sph_harm_matrix_reference(points, L):
@@ -257,7 +259,9 @@ def spectral_derivatives_reference(stencil, coeffs, h):
 
 
 def recover_radius_spectral_reference(mesh, coeffs, kind, translation):
-    """The fixed point at every translation, zero included."""
+    """The fixed point of `recover_radius_spectral` at every translation,
+    zero included, out of place: new (N, 3) arrays and np.linalg.norm at
+    every step."""
     c = np.asarray(translation, dtype=float)
     x0 = mesh.vertices
     s = np.ones(len(x0))
@@ -276,6 +280,20 @@ def recover_radius_spectral_reference(mesh, coeffs, kind, translation):
     ok = np.abs(resid).max() < 1e-9
     radius = np.log(s) if kind == "exp" else s - 1.0
     return radius, bool(ok)
+
+
+def sweep_row_reference(base, integrand, family, eps, p, tolerance=1e-8):
+    """(deficit, distance, ratio) of one amplitude of `scaling_sweep`, from
+    the graph of eps times the family's unit field analysed afresh, as
+    `exp_graph` or `radial_graph` builds it."""
+    values = eps * perturbation_field(base, family)
+    if base.integrand is None and family[0] == "harmonic":
+        geom = exp_graph(base, values)
+    else:
+        geom = radial_graph(base, values)
+    res = center(SpectralGraphSurface.from_geometry(geom), tolerance=tolerance)
+    r = _ratio(geom, integrand, p, res.radius, kernel_frame(base))
+    return r.deficit, r.distance, r.ratio
 
 
 def frame_restriction(A3, e1, e2):

@@ -12,7 +12,7 @@ from wulffstab import build_sphere_mesh, build_wulff, cli, load_mesh, spheremesh
 from wulffstab.cli import main, write_csv, write_svg
 from wulffstab.config import (SCHEMA, TRANSLATION_NORM_MAX, ConfigError,
                               ExperimentConfig, parse_family, parse_integrand)
-from wulffstab.stability import perturbation_field, perturbed_graph
+from wulffstab.stability import perturbed_graph
 
 
 def write_config(tmp_path, body, name="exp.ini"):
@@ -489,8 +489,7 @@ epsilon = 1e-2
     verts, norms, faces, header = load_mesh(out / "geometry.mesh")
     base = build_wulff(parse_integrand("quadratic:1,1,4"), 3)
     family = ("harmonic", 2, 0)
-    geom, violation = perturbed_graph(
-        base, family, 1e-2 * perturbation_field(base, family))
+    geom, violation = perturbed_graph(base, family, 1e-2)
     assert not violation
     np.testing.assert_array_equal(verts, geom.positions)
     np.testing.assert_array_equal(norms, geom.normal)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,7 +17,8 @@ from wulffstab.stability import perturbation_field, perturbed_graph
 from wulffstab.surface import (GraphCertificate, exp_graph, hausdorff_distance,
                                project_to_wulff, projection_certificate,
                                radial_graph, reach_violation,
-                               recover_radius_mesh, recover_radius_spectral)
+                               recover_radius_mesh, recover_radius_spectral,
+                               symmetric_point_distance)
 
 rng = np.random.default_rng(31)
 
@@ -222,27 +225,41 @@ def test_tubular_violation_message(wulff4):
 
 @pytest.mark.parametrize("base_name", ["sphere4", "wulff4"])
 def test_reach_guard_at_its_edge(base_name, request):
-    """A radius is kept only while max |u| < reach: at max |u| = reach
-    radial_graph raises and perturbed_graph returns (None, violation); one
-    ulp below, both build the graph. On the sphere (reach 0.9) and the
+    """A radius is kept only while max |u| < reach: at the smallest
+    amplitude whose field reaches it, radial_graph raises and
+    perturbed_graph returns (None, violation); one ulp of amplitude below,
+    both build the graph. On the sphere (reach 0.9) and the
     quadratic:1,1,4 Wulff mesh."""
     base = request.getfixturevalue(base_name)
     family = ("kernel", (0.3, -0.5, 0.8))
     shape = perturbation_field(base, family)
-    shape = shape / np.abs(shape).max()
-    at_reach = base.reach * shape
-    assert np.abs(at_reach).max() == base.reach
+    top = np.abs(shape).max()
+    eps = base.reach / top
+    while eps * top < base.reach:
+        eps = np.nextafter(eps, np.inf)
+    while np.nextafter(eps, 0.0) * top >= base.reach:
+        eps = np.nextafter(eps, 0.0)
+    at_reach = eps * shape
+    assert np.abs(at_reach).max() >= base.reach
     violation = reach_violation(base, at_reach)
     assert violation.startswith("max |u| = ")
     with pytest.raises(ValueError, match="tubular neighborhood"):
         radial_graph(base, at_reach)
-    assert perturbed_graph(base, family, at_reach) == (None, violation)
-    below = np.nextafter(base.reach, 0.0) * shape
-    assert np.abs(below).max() == np.nextafter(base.reach, 0.0)
+    assert perturbed_graph(base, family, eps) == (None, violation)
+    eps_below = np.nextafter(eps, 0.0)
+    below = eps_below * shape
+    assert np.abs(below).max() < base.reach
     assert reach_violation(base, below) == ""
     assert np.isfinite(radial_graph(base, below).positions).all()
-    geom, violation = perturbed_graph(base, family, below)
+    geom, violation = perturbed_graph(base, family, eps_below)
     assert violation == "" and np.isfinite(geom.positions).all()
+
+
+def _translated(geom, t):
+    """A copy of geom with its nodes moved by t."""
+    moved = copy.copy(geom)
+    moved.positions = geom.positions + t
+    return moved
 
 
 def test_translation_equivariance(sphere4, ellipsoid_integrand):
@@ -253,10 +270,10 @@ def test_translation_equivariance(sphere4, ellipsoid_integrand):
         u = 0.02 * (base.normals @ np.array([0.2, -0.5, 0.1]))
         u += 0.01 * spectral.real_sph_harm_matrix(base.normals, 2)[
             :, spectral.sh_index(2, 0)]
-        positions = radial_graph(base, u).positions
-        d = hausdorff_distance(positions, base)
+        geom = radial_graph(base, u)
+        d = hausdorff_distance(geom, base)
         assert d > 1e-3
-        assert abs(hausdorff_distance(positions + t, base) - d) <= 1e-14
+        assert abs(hausdorff_distance(_translated(geom, t), base) - d) <= 1e-14
 
 
 # --- projection certificates ------------------------------------------------
@@ -408,6 +425,25 @@ def test_recover_radius_spectral_fixed_point_paths(fresh_spheres):
     assert not mesh._cache and mesh.directions._slot == (None, None)
 
 
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_recover_radius_spectral_is_the_out_of_place_loop(level):
+    """The fixed point steps in place in two coordinate-first buffers and
+    takes each operation of the out-of-place loop, which makes new (N, 3)
+    arrays and calls np.linalg.norm every step (`oracles`), so radii and
+    ok are its bits at every |c| and for both kinds."""
+    mesh = build_sphere_mesh(level)
+    gen = np.random.default_rng(40 + level)
+    for size in (1e-4, 1e-2, 5e-2):
+        direction = gen.normal(size=3)
+        c = size * direction / np.linalg.norm(direction)
+        for kind in ("exp", "radial"):
+            coeffs = 0.02 * gen.normal(size=81)
+            got = recover_radius_spectral(mesh, coeffs, kind, c)
+            want = recover_radius_spectral_reference(mesh, coeffs, kind, c)
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1] == want[1] and got[1]
+
+
 def test_recover_radius_mesh_translate():
     """The Wulff shape of F = 2|nu| is the sphere of radius 2, and its
     translate by -t meets the normal line of node nu at offset s with
@@ -466,7 +502,7 @@ def test_frame_newton_matches_the_ambient_one(descriptor, level, monkeypatch):
 def test_hausdorff_concentric(sphere4):
     delta = 0.07
     pts = (1 + delta) * sphere4.vertices
-    d = hausdorff_distance(pts, sphere4)
+    d = symmetric_point_distance(pts, sphere4.vertices)
     assert abs(d - delta) < 1e-12
 
 
@@ -474,7 +510,8 @@ def test_hausdorff_translate_optimized(sphere4):
     """A translate of the base is at distance 0 up to rounding: the centroid
     offset is the translation."""
     t = np.array([0.04, -0.02, 0.05])
-    d = hausdorff_distance(sphere4.vertices + t, sphere4)
+    base = radial_graph(sphere4, np.zeros(sphere4.n_vertices))
+    d = hausdorff_distance(_translated(base, t), sphere4)
     assert d < 1e-14
 
 

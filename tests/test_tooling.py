@@ -1,6 +1,7 @@
 """Repository tooling: the benchmark's self-test, run the way the benchmark
 documents it, and a guard on how the package computes per-vertex kernels."""
 
+import ast
 import re
 import subprocess
 import sys
@@ -43,3 +44,41 @@ def test_per_vertex_kernels_avoid_einsum_and_batched_lapack():
             if DENSE_CALL.search(code):
                 found.add((path.name, code))
     assert found == DENSE_CALLS_ALLOWED
+
+
+# modules whose (N, 3) rows go through spheremesh.rownorm and rowcross;
+# einstein's n-column norms stay with numpy, which sums 8 or more columns
+# pairwise, an order a column loop would not reproduce
+ROW_KERNEL_MODULES = ("spheremesh", "surface", "stability", "operators",
+                      "curvature", "integrand")
+
+
+def _dotted(node):
+    """'np.linalg.norm' for the attribute chain of a call, else ''."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return ""
+
+
+def test_row_norms_and_cross_products_go_through_the_row_kernels():
+    """The mesh, surface, stability, operator, curvature and integrand
+    layers make no np.linalg.norm call along an axis and no np.cross call:
+    rownorm and rowcross give their bits with fewer temporaries. A norm
+    of one whole vector (no axis) is left to numpy."""
+    found = []
+    for name in ROW_KERNEL_MODULES:
+        path = ROOT / "src" / "wulffstab" / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = _dotted(node.func)
+            if func == "np.cross" or (
+                    func == "np.linalg.norm"
+                    and any(k.arg == "axis" for k in node.keywords)):
+                found.append((path.name, node.lineno, func))
+    assert found == []
