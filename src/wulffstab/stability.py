@@ -16,8 +16,7 @@ import numpy as np
 from . import spectral
 from .operators import lp_norm, w2p_norm
 from .curvature import anisotropic_shape_operator, trace_free
-from .surface import (_spectral_graph, analyse_radius,
-                      projection_certificate, reach_violation,
+from .surface import (amplitude_graphs, projection_certificate,
                       recover_radius_spectral, recover_radius_mesh)
 
 # the smallness gate of `center`: the largest |radius| it starts from
@@ -240,49 +239,34 @@ def perturbation_field(base, family):
     raise ValueError(f"unknown perturbation family {family!r}")
 
 
-def _unit_field(base, family):
-    """The family's unit field over base and its `analyse_radius`,
-    analysed once per base and family and kept by the base."""
-    key = family if family[0] == "harmonic" else (
-        "kernel", np.asarray(family[1], dtype=float).tobytes())
-
-    def build(mesh):
-        values = perturbation_field(mesh, family)
-        return values, analyse_radius(mesh, values)
-    return base.cached(("unit_field", key), build)
+def _family_graphs(base, family):
+    """`surface.amplitude_graphs` of the family's unit field over base, of
+    the kind `perturbed_graph` documents."""
+    kind = ("exp" if base.integrand is None and family[0] == "harmonic"
+            else "radial")
+    return amplitude_graphs(base, perturbation_field(base, family), kind)
 
 
 def perturbed_graph(base, family, eps):
     """(geometry, "") of the family's perturbation at amplitude eps over
     base, or (None, violation) if eps times its unit field leaves the
-    base's tubular reach (`reach_violation`).
+    base's tubular reach (`surface.reach_violation`).
 
     A harmonic family over the sphere takes the exponential graph, any other
     the radial graph: the exponential graph of a translation mode agrees
     with an exact translate to third order, hiding the quadratic deficit.
-    The unit field is analysed once per base (`_unit_field`), and the graph
-    is built from eps times its coefficients, value, gradient and Hessian,
-    which agree with an analysis of eps times the field up to rounding.
+    The graph is built by `surface.amplitude_graphs` from eps times the
+    analysis of the unit field, the builder `scaling_sweep` runs once per
+    sweep, so both give the same surface at eps bit for bit.
     """
-    if not np.isfinite(eps):
-        raise ValueError(f"amplitude must be finite, got {eps!r}")
-    unit, field = _unit_field(base, family)
-    values = eps * unit
-    if base.integrand is None and family[0] == "harmonic":
-        kind = "exp"
-    else:
-        violation = reach_violation(base, values)
-        if violation:
-            return None, violation
-        kind = "radial"
-    return _spectral_graph(base, values, [eps * a for a in field], kind), ""
+    return _family_graphs(base, family)(eps)
 
 
-def _sweep_row(base, integrand, family, eps, p, tolerance, frame):
+def _sweep_row(graph, integrand, eps, p, tolerance, frame):
     """The row of one amplitude of `scaling_sweep`: its measurements, or a
     warning entry. Its geometry is released on return, before the next
     amplitude's is built."""
-    geom, violation = perturbed_graph(base, family, eps)
+    geom, violation = graph(eps)
     if violation:
         return {"epsilon": eps, "warning": "outside_reach",
                 "detail": violation}
@@ -306,19 +290,19 @@ def _sweep_row(base, integrand, family, eps, p, tolerance, frame):
 def scaling_sweep(base, integrand, family, amplitudes, p, tolerance=1e-8):
     """Sweep amplitudes, measure deficit and post-centering distance, fit slopes.
 
-    Each amplitude's surface is `perturbed_graph` of the family, so the
-    unit field is analysed once for the whole sweep, every amplitude's
-    graph is built from eps times that analysis, and it is the surface
-    `wulffstab curvature` builds at that amplitude bit for bit. Returns (deficit_fit, distance_fit, rows); a
-    radius outside the base's tubular reach, a certificate failure or a
-    centering failure truncates the sweep with a warning entry in the last
-    row.
+    The family's unit field is analysed once for the whole sweep, and each
+    amplitude's surface is built from eps times that analysis by the
+    builder `perturbed_graph` takes, so it is the surface `wulffstab
+    curvature` builds at that amplitude bit for bit. Returns
+    (deficit_fit, distance_fit, rows); a radius outside the base's tubular
+    reach, a certificate failure or a centering failure truncates the sweep
+    with a warning entry in the last row.
     """
     frame = kernel_frame(base)
+    graph = _family_graphs(base, family)
     rows = []
     for eps in amplitudes:
-        rows.append(_sweep_row(base, integrand, family, eps, p, tolerance,
-                               frame))
+        rows.append(_sweep_row(graph, integrand, eps, p, tolerance, frame))
         if "warning" in rows[-1]:
             break
     done = [r for r in rows if "warning" not in r]

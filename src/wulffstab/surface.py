@@ -110,15 +110,14 @@ def _finish_from_derivatives(base, positions, psi_d, nu, h_chart, radius,
                            radius, kind, asym)
 
 
-def analyse_radius(mesh, values):
+def _analyse_radius(mesh, values):
     """(coeffs, value, gradient, Hessian) of a radius field over mesh.
 
     The field is analysed at `spectral.graph_band` over the construction
     directions and differentiated exactly on the direction sphere
     (`spectral.spectral_derivatives`). The four are linear in the field, so
-    eps times them are, up to rounding, those of eps times the field: a
-    family of graphs of one shape is analysed once
-    (`stability.perturbed_graph`).
+    eps times them are, up to rounding, those of eps times the field
+    (`amplitude_graphs`).
     """
     band = spectral.graph_band(mesh.n_vertices)
     coeffs = spectral.sh_analyze(mesh, values, band)
@@ -129,9 +128,10 @@ def _spectral_graph(mesh, values, field, kind):
     """Geometry of a graph over the sphere or a Wulff mesh, spectrally.
 
     field is the radius's (coeffs, value, gradient, Hessian) over the
-    construction directions nu (`analyse_radius` of values, or a multiple
-    of one), values the radius at the nodes. Over the sphere the surface is
-    {rho(nu) nu}, with rho = e^f ('exp') or 1 + u ('radial'):
+    construction directions nu (`_analyse_radius` of values, or eps times
+    that of a unit field, `amplitude_graphs`), values the radius at the
+    nodes. Over the sphere the surface is {rho(nu) nu}, with rho = e^f
+    ('exp') or 1 + u ('radial'):
         Psi_i = rho_i nu + rho e_i,
         Psi_ij = rho_ij nu + rho_i e_j + rho_j e_i - rho delta_ij nu.
     Over a Wulff mesh it is {x(nu) + u(nu) nu} with x = grad Fbar, dx = A
@@ -198,7 +198,7 @@ def reach_violation(base, values):
 def radial_graph(base, values):
     """Geometry of the radial graph psi(x) = x + u(x) nu_base(x).
 
-    The radius is analysed (`analyse_radius`) and carried spectrally over
+    The radius is analysed (`_analyse_radius`) and carried spectrally over
     the construction directions of either base (`_spectral_graph`). Nodes
     must stay inside the tubular neighborhood of the base.
     """
@@ -207,7 +207,7 @@ def radial_graph(base, values):
     if violation:
         raise ValueError(
             f"radius leaves the tubular neighborhood: {violation}")
-    return _spectral_graph(base, values, analyse_radius(base, values),
+    return _spectral_graph(base, values, _analyse_radius(base, values),
                            "radial")
 
 
@@ -219,7 +219,39 @@ def exp_graph(mesh, values):
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("radius field must be finite")
-    return _spectral_graph(mesh, values, analyse_radius(mesh, values), "exp")
+    return _spectral_graph(mesh, values, _analyse_radius(mesh, values),
+                           "exp")
+
+
+def amplitude_graphs(base, unit, kind):
+    """The graphs over base of radius eps times the unit field, as the
+    function eps -> (geometry, ""), or (None, violation) where a radial
+    graph leaves the tubular reach of base (`reach_violation`).
+
+    kind is 'exp' (`exp_graph`, over the sphere only) or 'radial'
+    (`radial_graph`). The unit field is analysed once, here, and each
+    amplitude's graph is `_spectral_graph` of eps times its coefficients,
+    value, gradient and Hessian, which agree with an analysis of eps times
+    the field up to rounding: a sweep over amplitudes analyses its shape
+    once.
+    """
+    if kind == "exp" and base.integrand is not None:
+        raise ValueError("exp_graph is a graph over the unit sphere; use "
+                         "radial_graph over a Wulff mesh")
+    unit = np.asarray(unit, dtype=float)
+    field = _analyse_radius(base, unit)
+
+    def graph(eps):
+        if not np.isfinite(eps):
+            raise ValueError(f"amplitude must be finite, got {eps!r}")
+        values = eps * unit
+        if kind == "radial":
+            violation = reach_violation(base, values)
+            if violation:
+                return None, violation
+        return _spectral_graph(base, values, [eps * a for a in field],
+                               kind), ""
+    return graph
 
 
 # --- projection onto the base -------------------------------------------

@@ -4,7 +4,7 @@ from scipy.optimize import minimize
 
 from oracles import sweep_row_reference
 from wulffstab import Integrand, build_sphere_mesh, build_wulff
-from wulffstab import spectral, stability
+from wulffstab import spectral, stability, surface
 from wulffstab.stability import (ScalingFit, SpectralGraphSurface, center,
                                  kernel_component, kernel_frame,
                                  perturbation_field, perturbed_graph,
@@ -80,13 +80,13 @@ def test_sweep_rows_match_graphs_analysed_from_the_scaled_field(case, request):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
-def test_a_family_is_analysed_once_per_base(monkeypatch):
-    """A six-amplitude sweep analyses its unit field once, and a later
-    graph of the same family over the same base reuses it; another base,
-    or another family over the same base, is analysed on its own."""
+def test_a_sweep_analyses_its_family_once(monkeypatch):
+    """A six-amplitude sweep analyses its unit field once; a
+    perturbed_graph call analyses its own, and an unknown family is
+    refused before any analysis."""
     calls = []
-    analyse = stability.analyse_radius
-    monkeypatch.setattr(stability, "analyse_radius",
+    analyse = surface._analyse_radius
+    monkeypatch.setattr(surface, "_analyse_radius",
                         lambda mesh, values: calls.append(mesh)
                         or analyse(mesh, values))
     family = ("kernel", (0.36, -0.48, 0.8))
@@ -95,15 +95,13 @@ def test_a_family_is_analysed_once_per_base(monkeypatch):
                              np.geomspace(1e-4, 1e-2, 6), 4)
     assert len(rows) == 6 and "warning" not in rows[-1]
     assert calls == [base]
-    perturbed_graph(base, ("kernel", np.array(family[1])), 1e-3)
-    assert calls == [base]
-    other = build_sphere_mesh(3)
-    perturbed_graph(other, family, 1e-3)
-    assert calls == [base, other]
     y20 = ("harmonic", 2, 0)
     geom, _ = perturbed_graph(base, y20, 1e-3)
-    assert calls == [base, other, base]
+    assert calls == [base, base]
     assert np.array_equal(geom.radius, 1e-3 * perturbation_field(base, y20))
+    with pytest.raises(ValueError, match="unknown perturbation family"):
+        perturbed_graph(base, ("foo", family[1]), 1e-3)
+    assert calls == [base, base]
 
 
 def test_kernel_component_recovers_vector(sphere4):

@@ -225,32 +225,37 @@ def test_tubular_violation_message(wulff4):
 
 @pytest.mark.parametrize("base_name", ["sphere4", "wulff4"])
 def test_reach_guard_at_its_edge(base_name, request):
-    """A radius is kept only while max |u| < reach: at the smallest
-    amplitude whose field reaches it, radial_graph raises and
-    perturbed_graph returns (None, violation); one ulp of amplitude below,
-    both build the graph. On the sphere (reach 0.9) and the
-    quadratic:1,1,4 Wulff mesh."""
+    """A radius is kept only while max |u| < reach: at max |u| = reach
+    radial_graph raises, and one ulp below it builds the graph.
+    perturbed_graph takes an amplitude, so its edge is the smallest eps
+    whose field reaches the reach: there it returns (None, violation), and
+    one ulp of amplitude below it builds the graph. On the sphere (reach
+    0.9) and the quadratic:1,1,4 Wulff mesh."""
     base = request.getfixturevalue(base_name)
     family = ("kernel", (0.3, -0.5, 0.8))
-    shape = perturbation_field(base, family)
-    top = np.abs(shape).max()
+    unit = perturbation_field(base, family)
+    top = np.abs(unit).max()
+    shape = unit / top
+    at_reach = base.reach * shape
+    assert np.abs(at_reach).max() == base.reach
+    violation = reach_violation(base, at_reach)
+    assert violation.startswith("max |u| = ")
+    with pytest.raises(ValueError, match="tubular neighborhood"):
+        radial_graph(base, at_reach)
+    below = np.nextafter(base.reach, 0.0) * shape
+    assert np.abs(below).max() == np.nextafter(base.reach, 0.0)
+    assert reach_violation(base, below) == ""
+    assert np.isfinite(radial_graph(base, below).positions).all()
     eps = base.reach / top
     while eps * top < base.reach:
         eps = np.nextafter(eps, np.inf)
     while np.nextafter(eps, 0.0) * top >= base.reach:
         eps = np.nextafter(eps, 0.0)
-    at_reach = eps * shape
-    assert np.abs(at_reach).max() >= base.reach
-    violation = reach_violation(base, at_reach)
+    violation = reach_violation(base, eps * unit)
     assert violation.startswith("max |u| = ")
-    with pytest.raises(ValueError, match="tubular neighborhood"):
-        radial_graph(base, at_reach)
     assert perturbed_graph(base, family, eps) == (None, violation)
     eps_below = np.nextafter(eps, 0.0)
-    below = eps_below * shape
-    assert np.abs(below).max() < base.reach
-    assert reach_violation(base, below) == ""
-    assert np.isfinite(radial_graph(base, below).positions).all()
+    assert reach_violation(base, eps_below * unit) == ""
     geom, violation = perturbed_graph(base, family, eps_below)
     assert violation == "" and np.isfinite(geom.positions).all()
 
