@@ -10,7 +10,7 @@ over the directions, pulled to the Wulff shape by the chain rule
 import numpy as np
 
 from . import spectral
-from .spheremesh import rowdot
+from .spheremesh import rowdot, sym2_congruence
 
 
 def lp_norm(values, p, weights):
@@ -44,7 +44,8 @@ def covariant_derivatives(mesh, values):
         Hess_W f = A^-1 (Hess_S f - T_G) A^-1,  G = grad_W f,
     where T_G = D^3 Fbar[G] in the frame (`Integrand.hess_deriv_form`)
     carries the Christoffel symbols of the metric A^2 in the direction
-    chart.
+    chart. Both products with A^-1 are entrywise, and the Hessian is
+    exactly symmetric (`sym2_congruence`).
     """
     band = spectral.graph_band(mesh.n_vertices)
     coeffs = spectral.sh_analyze(mesh, values, band)
@@ -58,7 +59,7 @@ def covariant_derivatives(mesh, values):
     e1, e2 = mesh.frames
     tangent = grad[:, 0:1] * e1 + grad[:, 1:2] * e2
     christoffel = mesh.integrand.hess_deriv_form(mesh.normals, tangent, e1, e2)
-    return grad, sw @ (hess - christoffel) @ sw
+    return grad, sym2_congruence(sw, hess - christoffel)
 
 
 def w2p_norm(values, p, mesh):

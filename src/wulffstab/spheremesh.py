@@ -1,8 +1,9 @@
 """The mesh type, direction spheres, icospheres, tangent-plane tools on
 S^2, and the per-vertex kernels every layer shares: row dot products,
 norms and cross products of 3-vectors (`rowdot`, `rownorm`, `rowcross`)
-and closed forms of 2x2 forms (`sym2_eigvalsh`, `sym2_inv`), in place of
-einsum, np.linalg.norm, np.cross and batched LAPACK calls.
+and closed forms of 2x2 forms (`sym2_eigvalsh`, `sym2_inv`,
+`sym2_congruence`), in place of einsum, np.linalg.norm, np.cross, batched
+LAPACK calls and batched matrix products.
 
 WulffMesh is the one mesh type. Every mesh of a level is built over that
 level's DirectionSphere, the icosphere of unit directions with its area
@@ -133,6 +134,18 @@ def sym2_inv(A):
     out[:, 0, 1] = out[:, 1, 0] = -b / det
     out[:, 1, 1] = a / det
     return out
+
+
+def sym2_congruence(S, H):
+    """The congruences S H S of symmetric (N, 2, 2) forms H by symmetric
+    S, written out entrywise from the (0, 1) entries, exactly symmetric."""
+    a, b, c = S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]
+    p, q, r = H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]
+    m11, m12 = a * p + b * q, a * q + b * r     # the rows of S H
+    m21, m22 = b * p + c * q, b * q + c * r
+    off = b * m11 + c * m12
+    return np.stack((a * m11 + b * m12, off, off, b * m21 + c * m22),
+                    axis=1).reshape(-1, 2, 2)
 
 
 def tangent_frames(normals):

@@ -283,8 +283,7 @@ def _sweep_row(graph, integrand, eps, p, tolerance, frame):
     r = _ratio(geom, integrand, p, res.radius, frame)
     return {"epsilon": eps, "deficit": r.deficit, "distance": r.distance,
             "ratio": r.ratio, "eta": cert.margin,
-            "iterations": res.iterations,
-            "c_norm": float(np.linalg.norm(res.c))}
+            "iterations": res.iterations}
 
 
 def scaling_sweep(base, integrand, family, amplitudes, p, tolerance=1e-8):

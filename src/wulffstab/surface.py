@@ -23,91 +23,70 @@ from .nearest import SiteGrid
 # bound here too: bench/selftest.py checks that its tracer wraps
 # surface.get_operators
 from .operators import get_operators  # noqa: F401
-from .spheremesh import rowcross, rowdot, rownorm, sphere_newton
+from .spheremesh import (rowcross, rowdot, rownorm, sphere_newton,
+                         sym2_congruence)
 
 
 class SurfaceGeometry:
-    """Per-node geometry of a parametrized closed surface.
+    """Per-node geometry of a parametrized closed surface, from its chart
+    columns (d_1 psi, d_2 psi), a pair of (N, 3) arrays, and the symmetric
+    (N, 2, 2) form <d nu[d_i], d_j> in that chart, of which the (0, 1)
+    entry is read; normal is the unit normal the form was taken with.
+
+    Gram-Schmidt on the columns gives psi_d = q R with q orthonormal and R
+    upper triangular with a positive diagonal; the shape operator in the
+    basis q is the congruence R^-T form R^-1, written out entrywise.
 
     Attributes
     ----------
     base : the mesh the surface is a graph over
     positions : (N, 3) node positions psi
-    metric : (N, 2, 2) induced metric in the base tangent frame
+    metric : (N, 2, 2) induced metric in the chart
     normal : (N, 3) outward unit normal nu_Sigma
-    tangent_basis : (N, 3, 2) orthonormal basis of the surface tangent plane
-    shape_operator : (N, 2, 2) d(nu_Sigma) in the tangent basis (symmetric)
+    tangent_basis : (N, 3, 2) orthonormal basis q of the tangent plane
+    shape_operator : (N, 2, 2) d(nu_Sigma) in the basis q, exactly symmetric
     mean_curvature : (N,) trace of the shape operator
-    area_element : (N,) sqrt(det metric)
+    area_element : (N,) sqrt(det metric), the product R_11 R_22
     weights : (N,) quadrature weights on the surface
     radius : the defining radius field (u or f), or None
     kind : 'radial' or 'exp'
-    shape_asymmetry : largest |S_12 - S_21| of the shape operator before
-        it is symmetrized
+    radius_coeffs : the radius's harmonic expansion over the construction
+        directions, or None for a surface not built from one
     """
 
-    def __init__(self, base, positions, metric, normal, tangent_basis,
-                 shape_operator, radius, kind, shape_asymmetry):
+    def __init__(self, base, positions, normal, columns, form, radius, kind,
+                 radius_coeffs):
+        a, b = columns
+        g11, g12, g22 = rowdot(a, a), rowdot(a, b), rowdot(b, b)
+        self.metric = np.stack((g11, g12, g12, g22), axis=1).reshape(-1, 2, 2)
+        r11 = np.sqrt(g11)
+        q1 = a / r11[:, None]
+        r12 = g12 / r11
+        w = b - r12[:, None] * q1
+        r22 = rownorm(w)
+        self.tangent_basis = np.stack((q1, w / r22[:, None]), axis=2)
+        # R^-1 = [[u, v], [0, d]]
+        u, d = 1.0 / r11, 1.0 / r22
+        v = -r12 * u * d
+        h11, h12, h22 = form[:, 0, 0], form[:, 0, 1], form[:, 1, 1]
+        hv = v * h11 + d * h12     # (form R^-1)_{12}
+        s11, s12 = u * u * h11, u * hv
+        s22 = v * hv + d * (v * h12 + d * h22)
+        self.shape_operator = np.stack((s11, s12, s12, s22),
+                                       axis=1).reshape(-1, 2, 2)
+        self.mean_curvature = s11 + s22
+        self.area_element = r11 * r22
+        self.weights = base.weights * self.area_element
         self.base = base
         self.positions = positions
-        self.metric = metric
         self.normal = normal
-        self.tangent_basis = tangent_basis
-        self.shape_operator = 0.5 * (shape_operator
-                                     + np.swapaxes(shape_operator, 1, 2))
-        self.shape_asymmetry = shape_asymmetry
-        self.mean_curvature = (self.shape_operator[:, 0, 0]
-                               + self.shape_operator[:, 1, 1])
-        self.area_element = np.sqrt(metric[:, 0, 0] * metric[:, 1, 1]
-                                    - metric[:, 0, 1] * metric[:, 1, 0])
-        self.weights = base.weights * self.area_element
         self.radius = radius
         self.kind = kind
+        self.radius_coeffs = radius_coeffs
 
     @property
     def n_nodes(self):
         return len(self.positions)
-
-
-def _finish_from_derivatives(base, positions, psi_d, nu, h_chart, radius,
-                             kind):
-    """Assemble geometry from chart derivatives and a second fundamental form.
-
-    psi_d is (N, 3, 2); nu is the oriented unit normal the caller also used
-    to build h_chart, the bilinear form <d nu[d_i], d_j> in the chart basis.
-
-    Gram-Schmidt on the two columns gives psi_d = q R with q orthonormal
-    and R upper triangular with a positive diagonal; the shape operator in
-    the basis q is the congruence R^-T h_chart R^-1, written out entrywise
-    with no symmetry of h_chart assumed.
-    """
-    a, b = psi_d[:, :, 0], psi_d[:, :, 1]
-    g11, g12, g22 = rowdot(a, a), rowdot(a, b), rowdot(b, b)
-    metric = np.empty((len(a), 2, 2))
-    metric[:, 0, 0] = g11
-    metric[:, 0, 1] = metric[:, 1, 0] = g12
-    metric[:, 1, 1] = g22
-    r11 = np.sqrt(g11)
-    q1 = a / r11[:, None]
-    r12 = g12 / r11
-    w = b - r12[:, None] * q1
-    r22 = np.sqrt(rowdot(w, w))
-    q = np.stack((q1, w / r22[:, None]), axis=2)
-    # R^-1 = [[u, v], [0, d]]
-    u, d = 1.0 / r11, 1.0 / r22
-    v = -r12 * u * d
-    h11, h12 = h_chart[:, 0, 0], h_chart[:, 0, 1]
-    h21, h22 = h_chart[:, 1, 0], h_chart[:, 1, 1]
-    hv1 = v * h11 + d * h12     # (h R^-1)_{12}
-    hv2 = v * h21 + d * h22     # (h R^-1)_{22}
-    s_tau = np.empty_like(metric)
-    s_tau[:, 0, 0] = u * u * h11
-    s_tau[:, 0, 1] = u * hv1
-    s_tau[:, 1, 0] = u * (v * h11 + d * h21)
-    s_tau[:, 1, 1] = v * hv1 + d * hv2
-    asym = float(np.abs(s_tau[:, 0, 1] - s_tau[:, 1, 0]).max())
-    return SurfaceGeometry(base, positions, metric, nu, q, s_tau,
-                           radius, kind, asym)
 
 
 def _analyse_radius(mesh, values):
@@ -117,8 +96,10 @@ def _analyse_radius(mesh, values):
     directions and differentiated exactly on the direction sphere
     (`spectral.spectral_derivatives`). The four are linear in the field, so
     eps times them are, up to rounding, those of eps times the field
-    (`amplitude_graphs`).
+    (`amplitude_graphs`). A field that is not finite is refused.
     """
+    if not np.all(np.isfinite(values)):
+        raise ValueError("radius field must be finite")
     band = spectral.graph_band(mesh.n_vertices)
     coeffs = spectral.sh_analyze(mesh, values, band)
     return (coeffs, *spectral.spectral_derivatives(mesh, coeffs))
@@ -140,50 +121,51 @@ def _spectral_graph(mesh, values, field, kind):
         Psi_ij = T_{e_i} e_j + u_ij nu + u_i e_j + u_j e_i - u delta_ij nu,
     and <T_{e_i} e_j, nu_Sigma> = e_i . T_{nu_Sigma} e_j by the symmetry of
     D^3 Fbar (`Integrand.hess_deriv_form`). The chart is then taken to W
-    arclength (Psi_d A^-1 and A^-1 h A^-1), so the weights are W's areas
-    times the area element.
+    arclength, entrywise: the columns Psi_k to (Psi A^-1)_k and the form h
+    to the congruence A^-1 h A^-1 (`sym2_congruence`), so the weights are
+    W's areas times the area element. h_12 is formed once, so the form and
+    the shape operator are exactly symmetric.
     """
     coeffs, val, grad, hess = field
     wulff = mesh.integrand is not None
     if kind == "exp":
         rho = np.exp(val)
         rho_d = rho[:, None] * grad
-        rho_dd = rho[:, None, None] * (hess
-                                       + grad[:, :, None] * grad[:, None, :])
     else:
         rho = val if wulff else 1.0 + val
         rho_d = grad
-        rho_dd = hess
     x = mesh.normals   # on the sphere the same array as mesh.vertices
     e1, e2 = mesh.frames
-    frames = np.stack((e1, e2), axis=2)  # (N, 3, 2)
-    psi_d = rho_d[:, None, :] * x[:, :, None] + rho[:, None, None] * frames
+    psi1 = rho_d[:, 0:1] * x + rho[:, None] * e1
+    psi2 = rho_d[:, 1:2] * x + rho[:, None] * e2
     if wulff:
-        psi_d += frames @ mesh.anisotropy
+        A = mesh.anisotropy
+        psi1 += A[:, 0, 0, None] * e1 + A[:, 1, 0, None] * e2
+        psi2 += A[:, 0, 1, None] * e1 + A[:, 1, 1, None] * e2
         positions = mesh.vertices + values[:, None] * x
     else:
         positions = rho[:, None] * x
-    nu = rowcross(psi_d[:, :, 0], psi_d[:, :, 1])
+    nu = rowcross(psi1, psi2)
     nu /= rownorm(nu)[:, None]
-    h_chart = np.empty((len(x), 2, 2))
     nx = rowdot(nu, x)
-    nfe = np.stack((rowdot(nu, e1), rowdot(nu, e2)), axis=1)
-    for i in range(2):
-        for j in range(2):
-            val_ij = rho_dd[:, i, j] * nx + rho_d[:, i] * nfe[:, j] \
-                + rho_d[:, j] * nfe[:, i]
-            if i == j:
-                val_ij -= rho * nx
-            h_chart[:, i, j] = -val_ij
+    nfe = (rowdot(nu, e1), rowdot(nu, e2))
+    h = np.empty((len(x), 2, 2))
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        rho_ij = hess[:, i, j]
+        if kind == "exp":
+            rho_ij = rho * (rho_ij + grad[:, i] * grad[:, j])
+        h_ij = rho_ij * nx + rho_d[:, i] * nfe[j] + rho_d[:, j] * nfe[i]
+        if i == j:
+            h_ij -= rho * nx
+        h[:, i, j] = h[:, j, i] = -h_ij
     if wulff:
-        h_chart -= mesh.integrand.hess_deriv_form(x, nu, e1, e2)
+        h -= mesh.integrand.hess_deriv_form(x, nu, e1, e2)
         sw = mesh.shape_operator
-        psi_d = psi_d @ sw
-        h_chart = sw @ h_chart @ sw
-    geom = _finish_from_derivatives(mesh, positions, psi_d, nu, h_chart,
-                                    values, kind)
-    geom.radius_coeffs = coeffs
-    return geom
+        psi1, psi2 = (sw[:, 0, 0, None] * psi1 + sw[:, 1, 0, None] * psi2,
+                      sw[:, 0, 1, None] * psi1 + sw[:, 1, 1, None] * psi2)
+        h = sym2_congruence(sw, h)
+    return SurfaceGeometry(mesh, positions, nu, (psi1, psi2), h, values,
+                           kind, coeffs)
 
 
 def reach_violation(base, values):
@@ -200,15 +182,15 @@ def radial_graph(base, values):
 
     The radius is analysed (`_analyse_radius`) and carried spectrally over
     the construction directions of either base (`_spectral_graph`). Nodes
-    must stay inside the tubular neighborhood of the base.
+    must be finite and stay inside the tubular neighborhood of the base.
     """
     values = np.asarray(values, dtype=float)
+    field = _analyse_radius(base, values)
     violation = reach_violation(base, values)
     if violation:
         raise ValueError(
             f"radius leaves the tubular neighborhood: {violation}")
-    return _spectral_graph(base, values, _analyse_radius(base, values),
-                           "radial")
+    return _spectral_graph(base, values, field, "radial")
 
 
 def exp_graph(mesh, values):
@@ -217,8 +199,6 @@ def exp_graph(mesh, values):
         raise ValueError("exp_graph is a graph over the unit sphere; use "
                          "radial_graph over a Wulff mesh")
     values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("radius field must be finite")
     return _spectral_graph(mesh, values, _analyse_radius(mesh, values),
                            "exp")
 
@@ -233,7 +213,7 @@ def amplitude_graphs(base, unit, kind):
     amplitude's graph is `_spectral_graph` of eps times its coefficients,
     value, gradient and Hessian, which agree with an analysis of eps times
     the field up to rounding: a sweep over amplitudes analyses its shape
-    once.
+    once. A unit field that is not finite is refused here.
     """
     if kind == "exp" and base.integrand is not None:
         raise ValueError("exp_graph is a graph over the unit sphere; use "

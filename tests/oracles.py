@@ -18,7 +18,7 @@ from wulffstab.spectral import sh_index
 from wulffstab.spheremesh import direction_sphere
 from wulffstab.stability import (SpectralGraphSurface, _ratio, center,
                                  kernel_frame, perturbation_field)
-from wulffstab.surface import _finish_from_derivatives, exp_graph, radial_graph
+from wulffstab.surface import SurfaceGeometry, exp_graph, radial_graph
 
 
 def real_sph_harm_matrix_reference(points, L):
@@ -332,9 +332,9 @@ def gauge_reference(integrand, x):
 
 
 def finish_from_derivatives_reference(psi_d, h_chart):
-    """Metric, tangent basis, shape operator (before symmetrizing) and its
-    asymmetry through batched QR with a sign fix-up, the inverse of R and a
-    three-operand einsum."""
+    """Metric, tangent basis and shape operator of (N, 3, 2) chart columns
+    and an (N, 2, 2) chart form through batched QR with a sign fix-up, the
+    inverse of R and a three-operand einsum."""
     metric = np.einsum("nki,nkj->nij", psi_d, psi_d)
     q, r = np.linalg.qr(psi_d)
     sign = np.sign(np.einsum("nii->ni", r))
@@ -343,8 +343,7 @@ def finish_from_derivatives_reference(psi_d, h_chart):
     r *= sign[:, :, None]
     rinv = np.linalg.inv(r)
     s_tau = np.einsum("nki,nkl,nlj->nij", rinv, h_chart, rinv)
-    asym = float(np.abs(s_tau - np.swapaxes(s_tau, 1, 2)).max())
-    return metric, q, s_tau, asym
+    return metric, q, s_tau
 
 
 def riemann_brute(h):
@@ -540,8 +539,9 @@ def geometry_from_positions(base, positions):
     jac_nu = ops.jacobian_ambient(nu)
     h_chart = np.einsum("nki,nkj->nij", psi_d, jac_nu)
     h_chart = 0.5 * (h_chart + np.swapaxes(h_chart, 1, 2))
-    return _finish_from_derivatives(base, positions, psi_d, nu, h_chart,
-                                    None, "mesh")
+    return SurfaceGeometry(base, positions, nu,
+                           (psi_d[:, :, 0], psi_d[:, :, 1]), h_chart, None,
+                           "mesh", None)
 
 
 def wulff_graph_stencil(wmesh, stencils, values):
@@ -569,8 +569,12 @@ def wulff_graph_stencil(wmesh, stencils, values):
     nu[flip] *= -1.0
     jac_nu = np.stack((g1 @ nu, g2 @ nu), axis=2)  # (N, 3, 2)
     h_chart = np.einsum("nki,nkj->nij", psi_d, jac_nu)
-    return _finish_from_derivatives(wmesh, positions, psi_d, nu, h_chart,
-                                    values, "radial")
+    # the congruence is linear, so symmetrizing the form first gives the
+    # symmetric part of the shape operator
+    h_chart = 0.5 * (h_chart + np.swapaxes(h_chart, 1, 2))
+    return SurfaceGeometry(wmesh, positions, nu,
+                           (psi_d[:, :, 0], psi_d[:, :, 1]), h_chart, values,
+                           "radial", None)
 
 
 def vertex_adjacency_reference(n_vertices, faces):

@@ -865,6 +865,47 @@ budget = 200000
         assert (out / "einstein.csv").read_bytes() == fh.read()
 
 
+def _same_cell(got, want):
+    """An integer or a string cell matches exactly, a number within 1e-12
+    relative."""
+    try:
+        int(want)
+        return got == want
+    except ValueError:
+        pass
+    try:
+        return abs(float(got) - float(want)) <= 1e-12 * abs(float(want))
+    except ValueError:
+        return got == want
+
+
+@pytest.mark.parametrize("command", ["sweep", "curvature"])
+def test_example_csv_matches_its_pinned_numbers(tmp_path, command):
+    """sweep.csv and curvature.csv of configs/example.ini match stored
+    fixtures: integers and strings exactly, numbers within 1e-12 relative,
+    so a change of the graph geometry that moves a deficit, a distance or a
+    margin beyond rounding shows here. max_trace_residual, a rounding-level
+    value, is not compared."""
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                       "example.ini")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    golden = os.path.join(os.path.dirname(__file__), "fixtures",
+                          f"example_{command}.csv")
+    with open(golden, newline="") as fh:
+        want = list(csv.reader(fh))
+    with open(out / f"{command}.csv", newline="") as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got[1:], want[1:]):
+        assert len(got_row) == len(want_row)
+        if got_row[0] == "max_trace_residual":
+            continue
+        for a, b in zip(got_row, want_row):
+            assert _same_cell(a, b), (got_row, want_row)
+
+
 def test_negative_seed_flag_exits_2(tmp_path):
     cfg = write_config(tmp_path, "[common]\nlevel = 3\n")
     with pytest.raises(SystemExit) as exc:

@@ -76,7 +76,7 @@ def test_exp_graph_deficit_linear_in_amplitude(sphere4):
 def test_geometry_invariants(sphere4, wulff4, ellipsoid_integrand):
     col = spectral.sh_index(3, 2)
     f = 0.05 * spectral.real_sph_harm_matrix(sphere4.vertices, 3)[:, col]
-    for g in (exp_graph(sphere4, f),
+    for g in (exp_graph(sphere4, f), radial_graph(sphere4, f),
               radial_graph(wulff4, 0.05 * (wulff4.normals @ np.array([1.0, 0, 0])))):
         # normal orthogonal to the pushed tangent basis
         dots = np.einsum("ni,nik->nk", g.normal, g.tangent_basis)
@@ -84,20 +84,26 @@ def test_geometry_invariants(sphere4, wulff4, ellipsoid_integrand):
         # trace consistency is definitional
         assert np.abs(np.einsum("nii->n", g.shape_operator)
                       - g.mean_curvature).max() == 0.0
-        # g-self-adjointness of the shape operator before symmetrization
-        assert g.shape_asymmetry < 0.05
+        # d nu_Sigma is self-adjoint, and the shape operator is symmetric
+        # by construction, bit for bit
+        S = g.shape_operator
+        assert np.array_equal(S, S.swapaxes(1, 2))
 
 
 def test_wulff_graph_asymmetry_measures_the_stencil(wulff4,
                                                     ellipsoid_integrand):
-    """The shape operator's asymmetry measures the error of the derivatives
-    it is taken from. Over a Wulff mesh they are exact in the directions
-    (h_ij = e_i . T_{nu_Sigma} e_j + ...), so it is rounding on every
-    level."""
+    """Over a Wulff mesh the chart form is exact in the directions
+    (h_ij = e_i . T_{nu_Sigma} e_j + ...) and symmetric, and it is taken to
+    W arclength by one entrywise congruence, as the covariant Hessian is:
+    both come out exactly symmetric on every level."""
     for mesh in (build_wulff(ellipsoid_integrand, 3), wulff4):
-        y20 = spectral.real_sph_harm_matrix(mesh.normals, 2)[
-            :, spectral.sh_index(2, 0)]
-        assert radial_graph(mesh, 0.05 * y20).shape_asymmetry <= 1e-12
+        y = spectral.real_sph_harm_matrix(mesh.normals, 3)
+        S = radial_graph(mesh, 0.05 * y[:, spectral.sh_index(2, 0)]
+                         ).shape_operator
+        assert np.array_equal(S, S.swapaxes(1, 2))
+        _, hess = covariant_derivatives(mesh, y[:, spectral.sh_index(3, 1)])
+        assert np.array_equal(hess, hess.swapaxes(1, 2))
+        assert np.abs(hess[:, 0, 1]).max() > 0.1
 
 
 @pytest.fixture(scope="module")
@@ -167,11 +173,11 @@ def test_exp_graph_refuses_a_wulff_base(wulff4):
 
 
 def test_closed_form_frames_match_qr_reference(sphere4, monkeypatch):
-    """Gram-Schmidt frames and the entrywise congruence against batched QR,
-    inv and einsum, on the chart derivatives each graph really produces: an
-    exp graph of a translated sphere plus a harmonic, a radial graph over
-    the same sphere, and a radial graph over the level-3 ellipsoid Wulff
-    mesh."""
+    """The constructor's Gram-Schmidt frames and entrywise congruence
+    against batched QR, inv and einsum, on the chart columns and forms each
+    graph really produces: an exp graph of a translated sphere plus a
+    harmonic, a radial graph over the same sphere, and a radial graph over
+    the level-3 ellipsoid Wulff mesh."""
     t = np.array([0.03, -0.02, 0.028])
     y31 = spectral.real_sph_harm_matrix(sphere4.vertices, 3)[
         :, spectral.sh_index(3, 1)]
@@ -185,37 +191,46 @@ def test_closed_form_frames_match_qr_reference(sphere4, monkeypatch):
         (radial_graph, w3, 0.05 * y20),
     ]
     seen = []
-    finish = surface._finish_from_derivatives
 
-    def spy(base, positions, psi_d, nu, h_chart, radius, kind):
-        seen.append((psi_d, h_chart))
-        return finish(base, positions, psi_d, nu, h_chart, radius, kind)
+    class Spy(surface.SurfaceGeometry):
+        def __init__(self, base, positions, normal, columns, form, *rest):
+            seen.append((np.stack(columns, axis=2), form))
+            super().__init__(base, positions, normal, columns, form, *rest)
 
-    monkeypatch.setattr(surface, "_finish_from_derivatives", spy)
+    monkeypatch.setattr(surface, "SurfaceGeometry", Spy)
     for build, base, values in cases:
         g = build(base, values)
-        psi_d, h_chart = seen.pop()
-        # an antisymmetric part keeps the asymmetry away from rounding
-        skewed = h_chart.copy()
-        skewed[:, 0, 1] += 1e-3
-        skewed[:, 1, 0] -= 1e-3
-        for geom, h in ((g, h_chart),
-                        (finish(base, g.positions, psi_d, g.normal, skewed,
-                                None, "mesh"), skewed)):
-            metric, q, s_tau, asym = finish_from_derivatives_reference(psi_d, h)
-            s_sym = 0.5 * (s_tau + np.swapaxes(s_tau, 1, 2))
-            area = np.sqrt(np.linalg.det(metric))
-            for got, ref in ((geom.tangent_basis, q), (geom.metric, metric),
-                             (geom.shape_operator, s_sym),
-                             (geom.area_element, area)):
-                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-            assert (abs(geom.shape_asymmetry - asym)
-                    <= 1e-13 * np.abs(s_tau).max())
+        psi_d, form = seen.pop()
+        assert np.array_equal(form, form.swapaxes(1, 2))
+        metric, q, s_tau = finish_from_derivatives_reference(psi_d, form)
+        area = np.sqrt(np.linalg.det(metric))
+        for got, ref in ((g.tangent_basis, q), (g.metric, metric),
+                         (g.shape_operator, s_tau), (g.area_element, area)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         # q is orthonormal and its first column is parallel to d_1 psi
         gram = np.einsum("nki,nkj->nij", g.tangent_basis, g.tangent_basis)
         assert np.abs(gram - np.eye(2)).max() < 1e-14
         d1 = psi_d[:, :, 0] / np.linalg.norm(psi_d[:, :, 0], axis=1)[:, None]
         assert np.abs(g.tangent_basis[:, :, 0] - d1).max() < 1e-15
+
+
+@pytest.mark.parametrize("base_name", ["sphere4", "wulff4"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_graphs_refuse_a_radius_that_is_not_finite(base_name, bad, request):
+    """One node of nan or inf is refused as a radius that is not finite,
+    before the reach test could misread it: by radial_graph, by exp_graph
+    over the sphere and by amplitude_graphs for its unit field."""
+    base = request.getfixturevalue(base_name)
+    values = np.zeros(base.n_vertices)
+    values[7] = bad
+    builds = [lambda: radial_graph(base, values),
+              lambda: surface.amplitude_graphs(base, values, "radial")]
+    if base.integrand is None:
+        builds += [lambda: exp_graph(base, values),
+                   lambda: surface.amplitude_graphs(base, values, "exp")]
+    for build in builds:
+        with pytest.raises(ValueError, match="radius field must be finite"):
+            build()
 
 
 def test_tubular_violation_message(wulff4):
