@@ -216,11 +216,10 @@ def run_curvature(cfg, outdir, svg):
     write_csv(os.path.join(outdir, "geometry.csv"),
               ["node", "H", "eta", "radius"],
               {"node": np.arange(geom.n_nodes), "H": geom.mean_curvature,
-               "eta": cert.margins, "radius": cert.radius})
-    checks = [check("eta_margin", cert.margin, ">", cert.threshold)]
-    checks += [check(key, value, "==", 0)
-               for key, value in cert.diagnostics.items()]
-    return ["metric", "value"], rows, checks
+               "eta": cert.margins,
+               "radius": rowdot(geom.positions - base.vertices, base.normals)})
+    return ["metric", "value"], rows, [
+        check("eta_margin", cert.margin, ">", cert.threshold)]
 
 
 def run_kernel(cfg, outdir, svg):

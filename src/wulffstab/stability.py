@@ -273,7 +273,9 @@ def _sweep_row(graph, integrand, eps, p, tolerance, frame):
     cert = projection_certificate(geom)
     if not cert.passed:
         return {"epsilon": eps, "warning": "certificate_failed",
-                "eta": cert.margin}
+                "eta": cert.margin,
+                "detail": f"eta margin {cert.margin:g} <= threshold "
+                          f"{cert.threshold:g}"}
     try:
         res = center(SpectralGraphSurface.from_geometry(geom),
                      tolerance=tolerance)

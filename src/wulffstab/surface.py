@@ -178,29 +178,20 @@ def reach_violation(base, values):
 
 
 def radial_graph(base, values):
-    """Geometry of the radial graph psi(x) = x + u(x) nu_base(x).
-
-    The radius is analysed (`_analyse_radius`) and carried spectrally over
-    the construction directions of either base (`_spectral_graph`). Nodes
-    must be finite and stay inside the tubular neighborhood of the base.
-    """
-    values = np.asarray(values, dtype=float)
-    field = _analyse_radius(base, values)
-    violation = reach_violation(base, values)
+    """Geometry of the radial graph psi(x) = x + u(x) nu_base(x), the
+    amplitude-1 graph of `amplitude_graphs`. A radius that leaves the
+    tubular neighborhood of base is refused."""
+    geom, violation = amplitude_graphs(base, values, "radial")(1.0)
     if violation:
         raise ValueError(
             f"radius leaves the tubular neighborhood: {violation}")
-    return _spectral_graph(base, values, field, "radial")
+    return geom
 
 
 def exp_graph(mesh, values):
-    """Geometry of the isotropic graph psi(x) = e^{f(x)} x over the sphere."""
-    if mesh.integrand is not None:
-        raise ValueError("exp_graph is a graph over the unit sphere; use "
-                         "radial_graph over a Wulff mesh")
-    values = np.asarray(values, dtype=float)
-    return _spectral_graph(mesh, values, _analyse_radius(mesh, values),
-                           "exp")
+    """Geometry of the isotropic graph psi(x) = e^{f(x)} x over the sphere,
+    the amplitude-1 graph of `amplitude_graphs`."""
+    return amplitude_graphs(mesh, values, "exp")(1.0)[0]
 
 
 def amplitude_graphs(base, unit, kind):
@@ -208,12 +199,14 @@ def amplitude_graphs(base, unit, kind):
     function eps -> (geometry, ""), or (None, violation) where a radial
     graph leaves the tubular reach of base (`reach_violation`).
 
-    kind is 'exp' (`exp_graph`, over the sphere only) or 'radial'
-    (`radial_graph`). The unit field is analysed once, here, and each
+    kind is 'exp' (psi = e^u x, over the sphere only) or 'radial'
+    (psi = x + u nu_base). The unit field is analysed once, here, and each
     amplitude's graph is `_spectral_graph` of eps times its coefficients,
     value, gradient and Hessian, which agree with an analysis of eps times
     the field up to rounding: a sweep over amplitudes analyses its shape
-    once. A unit field that is not finite is refused here.
+    once. At eps = 1 the scaling is exact, so `radial_graph` and
+    `exp_graph` are this builder's graph at 1. A unit field that is not
+    finite is refused here.
     """
     if kind == "exp" and base.integrand is not None:
         raise ValueError("exp_graph is a graph over the unit sphere; use "
@@ -275,43 +268,34 @@ def project_to_wulff(wmesh, points, seeds, n_newton=30):
 class GraphCertificate:
     """Numerical surrogate for the graph property of a surface over a base.
 
-    margin is the minimum over nodes of <nu_Sigma(q), nu_base(p(q))>;
-    the certificate passes when it exceeds the threshold.
+    margin is the minimum over nodes of <nu_Sigma, nu_base>, nan if a node
+    is off the normal line of its base vertex; the certificate passes when
+    it exceeds the threshold.
     """
 
     threshold = 0.1
 
-    def __init__(self, margins, radius, diagnostics=None):
+    def __init__(self, margins):
         self.margins = margins
         self.margin = float(margins.min())
-        self.radius = radius
-        self.diagnostics = diagnostics or {}
-        self.passed = self.margin > self.threshold and not self.diagnostics
+        self.passed = self.margin > self.threshold
 
 
 def projection_certificate(geom):
-    """Project surface nodes to their base, `geom.base`, and certify the
-    graph property.
+    """Certify the graph property of a surface over its base, `geom.base`.
 
-    Node i of the surface is taken to be a graph over base vertex i, so on
-    a Wulff base its projection starts from that vertex's normal.
+    Node i is taken to lie on the normal line of base vertex i, as every
+    graph `_spectral_graph` builds does, so its foot is x_i and its margin
+    <nu_Sigma, nu_i>. A node q_i farther than 1e-12 (1 + |x_i|) from that
+    line, |(q_i - x_i) x nu_i|, is not such a graph node: its margin is nan
+    and the certificate fails.
     """
     base = geom.base
-    q = geom.positions
-    diagnostics = {}
-    if base.integrand is not None:
-        _, dirs, t, conv = project_to_wulff(base, q, base.normals)
-        if not conv.all():
-            diagnostics["unconverged_feet"] = int((~conv).sum())
-        radius = t
-    else:
-        r = rownorm(q)
-        if r.min() < 1e-8:
-            diagnostics["node_at_origin"] = True
-        dirs = q / np.maximum(r, 1e-300)[:, None]
-        radius = r - 1.0
-    margins = rowdot(geom.normal, dirs)
-    return GraphCertificate(margins, radius, diagnostics)
+    x, nu = base.vertices, base.normals
+    margins = rowdot(geom.normal, nu)
+    off_line = rownorm(rowcross(geom.positions - x, nu))
+    margins[off_line > 1e-12 * (1.0 + rownorm(x))] = np.nan
+    return GraphCertificate(margins)
 
 
 # --- radius recovery for translated surfaces ----------------------------

@@ -42,8 +42,10 @@ def test_removed_parameters_are_gone(fn):
 
 
 def test_graph_certificate_keeps_no_feet():
-    """The projection feet were stored and never read."""
-    assert "feet" not in inspect.signature(surface.GraphCertificate).parameters
+    """The projection feet were stored and never read; the offsets and
+    diagnostics went with the projection."""
+    assert list(inspect.signature(surface.GraphCertificate).parameters) == [
+        "margins"]
 
 
 def test_integrand_keeps_no_descriptor():

@@ -12,6 +12,7 @@ from wulffstab import build_sphere_mesh, build_wulff, cli, load_mesh, spheremesh
 from wulffstab.cli import main, write_csv, write_svg
 from wulffstab.config import (SCHEMA, TRANSLATION_NORM_MAX, ConfigError,
                               ExperimentConfig, parse_family, parse_integrand)
+from wulffstab.spheremesh import rowdot
 from wulffstab.stability import perturbed_graph
 
 
@@ -478,7 +479,9 @@ epsilon = 1e-3
 def test_curvature_geometry_mesh_reads_back(tmp_path):
     """The geometry.mesh dump of `curvature` holds the perturbed surface's
     positions and normals bit for bit over the icosphere's faces, and its
-    header names the level."""
+    header names the level; geometry.csv holds each node's certificate
+    margin, the cosine of its normal with the base's, and its offset from
+    its base vertex along the vertex's normal, bit for bit."""
     cfg = write_config(tmp_path, BASE.format(integrand="quadratic:1,1,4") + """
 [curvature]
 family = harmonic:2,0
@@ -495,6 +498,13 @@ epsilon = 1e-2
     np.testing.assert_array_equal(norms, geom.normal)
     np.testing.assert_array_equal(faces, build_sphere_mesh(3).faces)
     assert "level=3" in header.split()
+    with open(out / "geometry.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    np.testing.assert_array_equal([float(r["eta"]) for r in rows],
+                                  rowdot(geom.normal, base.normals))
+    np.testing.assert_array_equal(
+        [float(r["radius"]) for r in rows],
+        rowdot(geom.positions - base.vertices, base.normals))
 
 
 def test_column_csv_matches_the_row_writer(tmp_path):
@@ -641,6 +651,29 @@ amplitudes = 0.4,8.0,6
     assert err == [f"sweep: check gates[epsilon={float(last['epsilon'])}] "
                    f"failed: measured centering_failed: radius too large for "
                    f"centering: max |u| = 0.782269, needs == passed"]
+
+
+def test_sweep_exits_1_on_a_failed_certificate(tmp_path, capsys):
+    """On the level-4 sphere eps Y80 fails the graph certificate at
+    eps = 2: the failed gate names the measured margin and its threshold,
+    and sweep.csv keeps the bare flag and the margin."""
+    cfg = write_config(tmp_path, BASE.format(integrand="constant").replace(
+        "level = 3", "level = 4") + """
+[sweep]
+family = harmonic:8,0
+amplitudes = 2,4
+""")
+    out = tmp_path / "cert"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["epsilon"], r["slope_flags"]) for r in rows] == [
+        ("2", "certificate_failed")]
+    assert capsys.readouterr().err.splitlines() == [
+        "sweep: check gates[epsilon=2.0] failed: measured certificate_failed: "
+        f"eta margin {float(rows[0]['eta_margin']):g} <= threshold 0.1, "
+        "needs == passed"]
+    assert abs(float(rows[0]["eta_margin"]) - 0.086624) < 1e-5
 
 
 REACH_CONFIG = BASE.format(integrand="fourier:1,0.265,3,0").replace(

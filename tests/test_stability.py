@@ -104,6 +104,20 @@ def test_a_sweep_analyses_its_family_once(monkeypatch):
     assert calls == [base, base]
 
 
+def test_sweep_ends_at_a_failed_certificate(sphere4):
+    """On the level-4 sphere eps Y80 reads margin 0.0866 at eps = 2, below
+    the certificate's threshold: a sweep starting there ends in one
+    certificate_failed row whose detail names the margin and the
+    threshold."""
+    fits = scaling_sweep(sphere4, Integrand.constant(), ("harmonic", 8, 0),
+                         (2.0, 4.0), 4)
+    (row,) = fits[2]
+    assert fits[:2] == (None, None)
+    assert row["warning"] == "certificate_failed"
+    assert row["detail"] == f"eta margin {row['eta']:g} <= threshold 0.1"
+    assert abs(row["eta"] - 0.086624) < 1e-5
+
+
 def test_kernel_component_recovers_vector(sphere4):
     fr = kernel_frame(sphere4)
     c = np.array([0.2, -0.4, 0.7])

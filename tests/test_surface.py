@@ -13,6 +13,7 @@ from wulffstab import surface
 from wulffstab.config import parse_integrand
 from wulffstab.curvature import anisotropic_shape_operator, trace_free
 from wulffstab.operators import covariant_derivatives, lp_norm
+from wulffstab.spheremesh import rowdot
 from wulffstab.stability import perturbation_field, perturbed_graph
 from wulffstab.surface import (GraphCertificate, exp_graph, hausdorff_distance,
                                project_to_wulff, projection_certificate,
@@ -299,12 +300,19 @@ def test_translation_equivariance(sphere4, ellipsoid_integrand):
 # --- projection certificates ------------------------------------------------
 
 
+def _offset(geom):
+    """The signed offset of each node from its base vertex along the
+    vertex's normal, as `wulffstab curvature` writes it to geometry.csv."""
+    base = geom.base
+    return rowdot(geom.positions - base.vertices, base.normals)
+
+
 def test_unit_sphere_certificate(sphere4):
     g = exp_graph(sphere4, np.zeros(sphere4.n_vertices))
     cert = projection_certificate(g)
     assert cert.passed
     assert abs(cert.margin - 1.0) < 1e-12
-    assert np.abs(cert.radius).max() < 1e-12
+    assert np.abs(_offset(g)).max() < 1e-12
 
 
 def test_certificate_harmonic_graph(sphere4):
@@ -324,30 +332,59 @@ def test_certificate_dumbbell_fails(sphere4):
                            0.85 * np.cos(theta)])
     cert = projection_certificate(geometry_from_positions(sphere4, pos))
     assert not cert.passed
-    assert cert.margin <= 0.0
+    assert np.isnan(cert.margin)
 
 
 def test_certificate_margin_edge():
     """The certificate passes only on a smallest margin strictly above its
-    threshold 0.1, and never with a diagnostic."""
-    def certificate(margin, diagnostics=None):
-        margins = margin + np.array([0.3, 0.0, 0.7])
-        return GraphCertificate(margins, np.zeros(3), diagnostics)
+    threshold 0.1."""
+    def certificate(margin):
+        return GraphCertificate(margin + np.array([0.3, 0.0, 0.7]))
 
     assert GraphCertificate.threshold == 0.1
     assert not certificate(0.1).passed
     assert certificate(np.nextafter(0.1, 1)).passed
-    failed = certificate(1.0, {"unconverged_feet": 1})
-    assert failed.margin == 1.0 and not failed.passed
+
+
+def test_certificate_edge_on_library_graphs(sphere4):
+    """On the level-4 sphere the exponential graph of eps Y80 passes at
+    eps = 1 (margin 0.171) and fails at eps = 2 (0.0866); its margins are
+    the cosines of its normals with the sphere's."""
+    margins = []
+    for eps in (1.0, 2.0):
+        geom, _ = perturbed_graph(sphere4, ("harmonic", 8, 0), eps)
+        cert = projection_certificate(geom)
+        np.testing.assert_array_equal(cert.margins,
+                                      rowdot(geom.normal, sphere4.normals))
+        margins.append((cert.margin, cert.passed))
+    assert_allclose([m for m, _ in margins], [0.17133, 0.086624], atol=1e-5)
+    assert [p for _, p in margins] == [True, False]
+
+
+def test_certificate_normal_line_guard_at_its_edge(wulff4):
+    """A radial graph over a Wulff base has the cosines of its normals with
+    the base's as margins. A node moved off its vertex's normal line, along
+    the vertex's tangent, keeps its margin just inside the guard
+    1e-12 (1 + |x_i|) and reads nan just outside it, failing the
+    certificate."""
+    geom = radial_graph(wulff4, 0.05 * (wulff4.normals @ [0.3, -0.1, 0.2]))
+    np.testing.assert_array_equal(projection_certificate(geom).margins,
+                                  rowdot(geom.normal, wulff4.normals))
+    edge = 1e-12 * (1.0 + np.linalg.norm(wulff4.vertices[7]))
+    for scale, passed in ((0.99, True), (1.01, False)):
+        moved = copy.copy(geom)
+        moved.positions = geom.positions.copy()
+        moved.positions[7] += scale * edge * wulff4.frames[0][7]
+        cert = projection_certificate(moved)
+        assert cert.passed == passed
+        assert np.isnan(cert.margins).sum() == (not passed)
 
 
 def test_radius_round_trip(sphere4, wulff4):
     u = 0.03 * (sphere4.vertices @ np.array([0.1, 0.7, -0.4]))
-    cert = projection_certificate(radial_graph(sphere4, u))
-    assert np.abs(cert.radius - u).max() < 1e-8
+    assert np.abs(_offset(radial_graph(sphere4, u)) - u).max() < 1e-8
     uw = 0.05 * (wulff4.normals @ np.array([0.3, -0.1, 0.2]))
-    certw = projection_certificate(radial_graph(wulff4, uw))
-    assert np.abs(certw.radius - uw).max() < 1e-8
+    assert np.abs(_offset(radial_graph(wulff4, uw)) - uw).max() < 1e-8
 
 
 def test_project_to_wulff_feet(wulff4):
