@@ -289,6 +289,10 @@ def run_center(cfg, outdir, svg):
     for eps in epsilons:
         fe = eps * (mesh.vertices @ that) + eps * y20
         ce = spectral.sh_analyze(mesh, fe, band)
+        # fe lies in bands 1 and 2: the residue above them is zeroed, so
+        # its recoveries synthesize 9 harmonics, and the band-10 layout
+        # keeps the cached basis
+        ce[(2 + 1) ** 2:] = 0.0
         r1 = center(SpectralGraphSurface(mesh, ce, "exp"),
                     tolerance=1e-15, max_iter=1)
         one_step.append(r1.trace[-1])

@@ -4,6 +4,7 @@ import numpy as np
 
 from .minimize import bounded_brent
 from .operators import lp_norm
+from .spheremesh import sym2_product
 
 
 def anisotropic_shape_operator(geom, integrand):
@@ -11,7 +12,8 @@ def anisotropic_shape_operator(geom, integrand):
 
     Both factors act on the surface tangent plane (which equals the tangent
     plane of the sphere at nu_Sigma), so the composition is a 2x2 product
-    in the node's orthonormal surface basis.
+    of symmetric forms in the node's orthonormal surface basis, written
+    out entrywise (`sym2_product`).
 
     Returns S_F as an (N, 2, 2) array in the bases `geom.tangent_basis`
     (a mixed (1,1) tensor, not symmetric in general) and H_F as (N,).
@@ -21,7 +23,7 @@ def anisotropic_shape_operator(geom, integrand):
             f"integrand is not elliptic (margin {integrand.ellipticity_margin:g})")
     tau = geom.tangent_basis  # (N, 3, 2)
     A2 = integrand.anisotropy_form(geom.normal, tau[:, :, 0], tau[:, :, 1])
-    s_f = A2 @ geom.shape_operator
+    s_f = sym2_product(A2, geom.shape_operator)
     return s_f, s_f[:, 0, 0] + s_f[:, 1, 1]
 
 

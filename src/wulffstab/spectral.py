@@ -151,15 +151,26 @@ def _band(coeffs):
     return L
 
 
+def top_band(coeffs):
+    """Highest band of a coefficient vector that holds a nonzero
+    coefficient, 0 if none does."""
+    nonzero = np.flatnonzero(coeffs)
+    return int(np.sqrt(nonzero[-1])) if len(nonzero) else 0
+
+
 def sh_synthesize(coeffs, points):
     """Evaluate the harmonic expansion at arbitrary unit points.
 
-    For each m the sums over l of c_lm Q_l^m and c_l,-m Q_l^m are taken as
-    one stacked (2, n) accumulation inside the Legendre recurrence and then
-    multiplied by sqrt2 Re (x + iy)^m and sqrt2 Im (x + iy)^m, so no
+    The expansion is evaluated only up to its `top_band`: a band of zeros
+    adds exact zeros, so the values are those of the full vector bit for
+    bit. For each m the sums over l of c_lm Q_l^m and c_l,-m Q_l^m are taken
+    as one stacked (2, n) accumulation inside the Legendre recurrence and
+    then multiplied by sqrt2 Re (x + iy)^m and sqrt2 Im (x + iy)^m, so no
     (npoints, (L+1)^2) matrix is formed.
     """
-    L = _band(coeffs)
+    _band(coeffs)
+    L = top_band(coeffs)
+    coeffs = coeffs[:(L + 1) ** 2]
     z, w = _points(points)
     n = len(z)
     # column (l, m) holds c_lm and c_l,-m

@@ -2,8 +2,8 @@
 S^2, and the per-vertex kernels every layer shares: row dot products,
 norms and cross products of 3-vectors (`rowdot`, `rownorm`, `rowcross`)
 and closed forms of 2x2 forms (`sym2_eigvalsh`, `sym2_inv`,
-`sym2_congruence`), in place of einsum, np.linalg.norm, np.cross, batched
-LAPACK calls and batched matrix products.
+`sym2_product`, `sym2_congruence`), in place of einsum, np.linalg.norm,
+np.cross, batched LAPACK calls and batched matrix products.
 
 WulffMesh is the one mesh type. Every mesh of a level is built over that
 level's DirectionSphere, the icosphere of unit directions with its area
@@ -136,13 +136,25 @@ def sym2_inv(A):
     return out
 
 
+def _sym2_rows(S, H):
+    """Entries m11, m12, m21, m22 of the products S H of symmetric
+    (N, 2, 2) forms, from their (0, 1) entries."""
+    a, b, c = S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]
+    p, q, r = H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]
+    return a * p + b * q, a * q + b * r, b * p + c * q, b * q + c * r
+
+
+def sym2_product(S, H):
+    """The products S H of symmetric (N, 2, 2) forms, written out
+    entrywise from the (0, 1) entries."""
+    return np.stack(_sym2_rows(S, H), axis=1).reshape(-1, 2, 2)
+
+
 def sym2_congruence(S, H):
     """The congruences S H S of symmetric (N, 2, 2) forms H by symmetric
     S, written out entrywise from the (0, 1) entries, exactly symmetric."""
     a, b, c = S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]
-    p, q, r = H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]
-    m11, m12 = a * p + b * q, a * q + b * r     # the rows of S H
-    m21, m22 = b * p + c * q, b * q + c * r
+    m11, m12, m21, m22 = _sym2_rows(S, H)       # the rows of S H
     off = b * m11 + c * m12
     return np.stack((a * m11 + b * m12, off, off, b * m21 + c * m22),
                     axis=1).reshape(-1, 2, 2)

@@ -16,6 +16,7 @@ import numpy as np
 from . import spectral
 from .operators import lp_norm, w2p_norm
 from .curvature import anisotropic_shape_operator, trace_free
+from .spheremesh import sym2_product
 from .surface import (amplitude_graphs, projection_certificate,
                       recover_radius_spectral, recover_radius_mesh)
 
@@ -75,7 +76,7 @@ def stability_operator(base, integrand, values):
     val, _, hess = spectral.spectral_derivatives(base, coeffs)
     A2 = integrand.anisotropy_form(base.normals, *base.frames)
     sw = base.shape_operator
-    ratio = A2 @ sw
+    ratio = sym2_product(A2, sw)
     lam = 0.5 * (ratio[:, 0, 0] + ratio[:, 1, 1])
     spread = np.abs(ratio - lam[:, None, None] * np.eye(2)).max() \
         + np.ptp(lam)
@@ -241,10 +242,13 @@ def perturbation_field(base, family):
 
 def _family_graphs(base, family):
     """`surface.amplitude_graphs` of the family's unit field over base, of
-    the kind `perturbed_graph` documents."""
-    kind = ("exp" if base.integrand is None and family[0] == "harmonic"
-            else "radial")
-    return amplitude_graphs(base, perturbation_field(base, family), kind)
+    the kind `perturbed_graph` documents, whose analysis keeps only the
+    family's own bands: band l of ('harmonic', l, m), band 1 of a kernel
+    family."""
+    unit = perturbation_field(base, family)
+    harmonic = family[0] == "harmonic"
+    kind = "exp" if base.integrand is None and harmonic else "radial"
+    return amplitude_graphs(base, unit, kind, family[1] if harmonic else 1)
 
 
 def perturbed_graph(base, family, eps):
@@ -256,8 +260,9 @@ def perturbed_graph(base, family, eps):
     the radial graph: the exponential graph of a translation mode agrees
     with an exact translate to third order, hiding the quadratic deficit.
     The graph is built by `surface.amplitude_graphs` from eps times the
-    analysis of the unit field, the builder `scaling_sweep` runs once per
-    sweep, so both give the same surface at eps bit for bit.
+    analysis of the unit field, kept to the family's own bands, the
+    builder `scaling_sweep` runs once per sweep, so both give the same
+    surface at eps bit for bit.
     """
     return _family_graphs(base, family)(eps)
 

@@ -89,19 +89,26 @@ class SurfaceGeometry:
         return len(self.positions)
 
 
-def _analyse_radius(mesh, values):
+def _analyse_radius(mesh, values, top=None):
     """(coeffs, value, gradient, Hessian) of a radius field over mesh.
 
     The field is analysed at `spectral.graph_band` over the construction
     directions and differentiated exactly on the direction sphere
-    (`spectral.spectral_derivatives`). The four are linear in the field, so
-    eps times them are, up to rounding, those of eps times the field
-    (`amplitude_graphs`). A field that is not finite is refused.
+    (`spectral.spectral_derivatives`). A field known to lie in the bands up
+    to top keeps only those: the least-squares residue above them is set to
+    exact zero before the derivatives are taken, so the four agree, and the
+    recoveries of its translates synthesize only those bands. The vector
+    keeps the graph_band layout, whose basis the direction sphere caches.
+    The four are linear in the field, so eps times them are, up to
+    rounding, those of eps times the field (`amplitude_graphs`). A field
+    that is not finite is refused.
     """
     if not np.all(np.isfinite(values)):
         raise ValueError("radius field must be finite")
     band = spectral.graph_band(mesh.n_vertices)
     coeffs = spectral.sh_analyze(mesh, values, band)
+    if top is not None:
+        coeffs[(top + 1) ** 2:] = 0.0
     return (coeffs, *spectral.spectral_derivatives(mesh, coeffs))
 
 
@@ -194,7 +201,7 @@ def exp_graph(mesh, values):
     return amplitude_graphs(mesh, values, "exp")(1.0)[0]
 
 
-def amplitude_graphs(base, unit, kind):
+def amplitude_graphs(base, unit, kind, top=None):
     """The graphs over base of radius eps times the unit field, as the
     function eps -> (geometry, ""), or (None, violation) where a radial
     graph leaves the tubular reach of base (`reach_violation`).
@@ -204,15 +211,18 @@ def amplitude_graphs(base, unit, kind):
     amplitude's graph is `_spectral_graph` of eps times its coefficients,
     value, gradient and Hessian, which agree with an analysis of eps times
     the field up to rounding: a sweep over amplitudes analyses its shape
-    once. At eps = 1 the scaling is exact, so `radial_graph` and
-    `exp_graph` are this builder's graph at 1. A unit field that is not
-    finite is refused here.
+    once. A perturbation family's field lies in the bands up to top, and
+    its analysis keeps only those (`_analyse_radius`), so a translate's
+    radius synthesizes only them; with top None every band of
+    `spectral.graph_band` is kept. At eps = 1 the scaling is exact, so
+    `radial_graph` and `exp_graph` are this builder's graph at 1. A unit
+    field that is not finite is refused here.
     """
     if kind == "exp" and base.integrand is not None:
         raise ValueError("exp_graph is a graph over the unit sphere; use "
                          "radial_graph over a Wulff mesh")
     unit = np.asarray(unit, dtype=float)
-    field = _analyse_radius(base, unit)
+    field = _analyse_radius(base, unit, top)
 
     def graph(eps):
         if not np.isfinite(eps):
@@ -309,8 +319,11 @@ def recover_radius_spectral(mesh, coeffs, kind, translation):
     or until s moves by less than 1e-13. The steps reuse two (3, N)
     buffers and take each operation of the formulas above in their order
     (`rownorm` is np.linalg.norm's sum), so neither the buffers nor their
-    layout moves a bit of the radii. Returns the radius field in the
-    convention of `kind` ('exp' gives log s, 'radial' s - 1).
+    layout moves a bit of the radii. rho(y) is `spectral.sh_synthesize`,
+    which evaluates the expansion only up to its highest nonzero band: a
+    family's radius (`_analyse_radius`) synthesizes its own bands, not all
+    of graph_band's. Returns the radius field in the convention of `kind`
+    ('exp' gives log s, 'radial' s - 1).
 
     At c = 0 the fixed point stops at y = x0, s = |rho(x0)|, so the field
     is read off the cached vertex basis, and the residual vanishes exactly
@@ -379,22 +392,27 @@ def recover_radius_mesh(base, coeffs, translation):
     the f components give a 2x2 solve for the move of eta along t_k, the
     nu_i components the s-update. u and its three ladder partials
     (`spectral.ladders`) come from one product with the harmonics at eta,
-    read off the cached vertex basis at the start. A node stops, without
-    taking the step, once it moves neither eta nor s by 1e-13 (s alone
-    does not move at first wherever c is tangent to the base), or at its
-    _NEWTON_STEPS-th evaluation; ok is false if any node's residual there
-    exceeds 1e-9. Nodes are solved _NEWTON_ROWS at a time, each on its own,
-    so the working set stays bounded and the radii do not depend on the
-    block. At c = 0 the field is read off the vertex basis.
+    read off the cached vertex basis at the start; both take only the bands
+    up to the expansion's highest nonzero one (`spectral.top_band`), which
+    hold the partials too. A node stops, without taking the step, once it
+    moves neither eta nor s by 1e-13 (s alone does not move at first
+    wherever c is tangent to the base), or at its _NEWTON_STEPS-th
+    evaluation; ok is false if any node's residual there exceeds 1e-9.
+    Nodes are solved _NEWTON_ROWS at a time, each on its own, so the
+    working set stays bounded and the radii do not depend on the block. At
+    c = 0 the field is read off the vertex basis, to the same band.
     """
     c = np.asarray(translation, dtype=float)
     band = int(np.sqrt(len(coeffs))) - 1
-    basis = spectral.mesh_basis(base, band)[0]
+    top = spectral.top_band(coeffs)
+    k = (top + 1) ** 2
+    basis = spectral.mesh_basis(base, band)[0][:, :k]
     if not c.any():
-        return basis @ coeffs, True
+        return basis @ coeffs[:k], True
     integ = base.integrand
-    # columns: the coefficients of u and of its three partials
-    partials = np.column_stack((coeffs, *(spectral.ladders(band) @ coeffs)))
+    # columns: the coefficients of u and of its three partials, to band top
+    partials = np.column_stack((coeffs,
+                                *(spectral.ladders(band) @ coeffs)))[:k]
     radius, resid = np.empty((2, base.n_vertices))
     for lo in range(0, base.n_vertices, _NEWTON_ROWS):
         rows = slice(lo, lo + _NEWTON_ROWS)
@@ -411,7 +429,7 @@ def recover_radius_mesh(base, coeffs, translation):
         live = np.arange(len(s))
         for step in range(_NEWTON_STEPS):
             if step:
-                syn = (spectral.real_sph_harm_matrix(eta, band)
+                syn = (spectral.real_sph_harm_matrix(eta, top)
                        @ partials).T.copy()
             u = syn[0]
             ab = rowdot(F, eta)                          # a_1, a_2, b

@@ -90,7 +90,8 @@ def test_closed_form_2x2_kernels_match_numpy_linalg():
     near-singular, indefinite, negative definite, singular and zero forms,
     and lo > 0 exactly where the form is positive definite; sym2_inv
     matches inv to cond(A) ulps on the invertible ones, exactly
-    symmetric."""
+    symmetric; sym2_product matches the matrix product to the rounding of
+    its two terms."""
     A = _forms(np.random.default_rng(5), 400)
     lo, hi = spheremesh.sym2_eigvalsh(A)
     want = np.linalg.eigvalsh(A)
@@ -119,6 +120,9 @@ def test_closed_form_2x2_kernels_match_numpy_linalg():
     assert np.all(np.abs(got - ref).max(axis=(1, 2))
                   <= 4e-16 * cond * np.abs(ref).max(axis=(1, 2)))
     assert np.array_equal(got, np.swapaxes(got, 1, 2))
+    B = A[::-1]
+    assert np.all(np.abs(spheremesh.sym2_product(A, B) - A @ B)
+                  <= 5e-16 * (np.abs(A) @ np.abs(B)))
 
 
 def test_rowdot_broadcasts_like_einsum():
@@ -267,6 +271,40 @@ def test_synthesize_matches_the_matrix_product(L):
     want = spectral.real_sph_harm_matrix(pts, L) @ coeffs
     got = spectral.sh_synthesize(coeffs, pts)
     assert (np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))).all()
+
+
+@pytest.mark.parametrize("L", range(11))
+def test_synthesis_stops_at_the_top_nonzero_band(L, monkeypatch):
+    """A band-L vector padded with zero bands to band 10 evaluates only
+    bands up to L and synthesizes its truncation bit for bit; both match
+    the band-L harmonics matrix times the coefficients within
+    1e-14 sum |c| at random unit points."""
+    gen = np.random.default_rng(100 + L)
+    pts = gen.standard_normal((400, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    coeffs = gen.standard_normal((L + 1) ** 2)
+    padded = np.zeros(11 ** 2)
+    padded[:len(coeffs)] = coeffs
+    bands = []
+    legendre = spectral._legendre
+    monkeypatch.setattr(spectral, "_legendre",
+                        lambda z, band: bands.append(band)
+                        or legendre(z, band))
+    got = spectral.sh_synthesize(padded, pts)
+    assert bands == [L]
+    np.testing.assert_array_equal(got, spectral.sh_synthesize(coeffs, pts))
+    want = spectral.real_sph_harm_matrix(pts, L) @ coeffs
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(coeffs).sum()
+
+
+def test_top_band_of_zero_padded_vectors():
+    """top_band is the band of the last nonzero coefficient, 0 for none."""
+    c = np.zeros(81)
+    assert spectral.top_band(c) == 0
+    for k, band in ((0, 0), (3, 1), (4, 2), (8, 2), (80, 8)):
+        c[:] = 0.0
+        c[k] = -1e-300
+        assert spectral.top_band(c) == band
 
 
 def test_row_fill_matches_per_column_fill(sphere4):

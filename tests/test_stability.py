@@ -87,8 +87,8 @@ def test_a_sweep_analyses_its_family_once(monkeypatch):
     calls = []
     analyse = surface._analyse_radius
     monkeypatch.setattr(surface, "_analyse_radius",
-                        lambda mesh, values: calls.append(mesh)
-                        or analyse(mesh, values))
+                        lambda mesh, *args: calls.append(mesh)
+                        or analyse(mesh, *args))
     family = ("kernel", (0.36, -0.48, 0.8))
     base = build_sphere_mesh(3)
     *_, rows = scaling_sweep(base, Integrand.constant(), family,
@@ -102,6 +102,59 @@ def test_a_sweep_analyses_its_family_once(monkeypatch):
     with pytest.raises(ValueError, match="unknown perturbation family"):
         perturbed_graph(base, ("foo", family[1]), 1e-3)
     assert calls == [base, base]
+
+
+@pytest.mark.parametrize("base", ["sphere4", "wulff4"])
+def test_kernel_sweep_centering_synthesizes_band_one(base, request,
+                                                      monkeypatch):
+    """A kernel sweep's analysis keeps bands 0 and 1 only, so its
+    centering evaluates no harmonic above band 1: sh_synthesize over the
+    sphere, the Newton's harmonics at eta over the level-4 Wulff shape of
+    quadratic:1,1,4. At each translation the centering visits, c = 0
+    included, the radii stay within 1e-13 of a recovery from the untrimmed
+    analysis."""
+    base = request.getfixturevalue(base)
+    integ = Integrand.constant() if base.integrand is None else base.integrand
+    family = ("kernel", (0.36, -0.48, 0.8))
+    amplitudes = np.geomspace(0.01, 0.08, 5)
+    entries, bands, visits = [], [], []
+
+    def spy(name):
+        call = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name, lambda *a: entries.append(name)
+                            or call(*a))
+    spy("sh_synthesize")
+    spy("real_sph_harm_matrix")
+    legendre = spectral._legendre
+    monkeypatch.setattr(spectral, "_legendre",
+                        lambda z, L: bands.append(L) or legendre(z, L))
+    radius_field = SpectralGraphSurface.radius_field
+
+    def spy_radius(surf, c):
+        del entries[:], bands[:]
+        radius = radius_field(surf, c)
+        visits.append((surf.coeffs, c, radius, list(entries), list(bands)))
+        return radius
+    monkeypatch.setattr(SpectralGraphSurface, "radius_field", spy_radius)
+    *_, rows = scaling_sweep(base, integ, family, amplitudes, 4)
+    assert len(rows) == len(amplitudes) and "warning" not in rows[-1]
+
+    unit = perturbation_field(base, family)
+    full = spectral.sh_analyze(base, unit, spectral.graph_band(base.n_vertices))
+    kept = full.copy()
+    kept[4:] = 0.0
+    assert np.abs(full[4:]).max() > 0.0     # the residue the analysis drops
+    assert sum(v[1].any() for v in visits) >= len(amplitudes)
+    entry = ("sh_synthesize" if base.integrand is None
+             else "real_sph_harm_matrix")
+    for coeffs, c, radius, called, evaluated in visits:
+        # at c = 0 the radius is read off the cached vertex basis
+        assert entry in called or not c.any()
+        assert max(evaluated, default=0) <= 1
+        (eps,) = [e for e in amplitudes if np.array_equal(coeffs, e * kept)]
+        want = radius_field(SpectralGraphSurface(base, eps * full, "radial"),
+                            c)
+        assert np.abs(radius - want).max() <= 1e-13
 
 
 def test_sweep_ends_at_a_failed_certificate(sphere4):
