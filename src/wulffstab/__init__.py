@@ -1,6 +1,6 @@
 """Wulff shapes, anisotropic curvature deficits and stability experiments."""
 
-from .curvature import (DeficitReport, anisotropic_shape_operator, gauss_ricci,
+from .curvature import (DeficitReport, anisotropic_shape_operator,
                         oscillation_deficit, trace_free)
 from .einstein import (RatioBound, alpha_exponent, pinching_check,
                        ratio_bounds, ricci_spectrum, zero_set_check)
@@ -37,7 +37,6 @@ __all__ = [
     "exp_graph",
     "flat_graph_shape",
     "gauge",
-    "gauss_ricci",
     "get_operators",
     "hausdorff_distance",
     "kernel_component",

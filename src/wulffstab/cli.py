@@ -23,7 +23,7 @@ from .config import ConfigError, ExperimentConfig
 from .curvature import anisotropic_shape_operator, oscillation_deficit, trace_free
 from .integrand import Integrand, gauge
 from .spheremesh import EllipticityError, build_sphere_mesh, rowdot
-from .stability import (CENTER_RADIUS_MAX, SpectralGraphSurface, center,
+from .stability import (SpectralGraphSurface, center, family_coeffs,
                         kernel_frame, perturbed_graph, scaling_sweep,
                         stability_operator)
 from .surface import projection_certificate
@@ -267,33 +267,29 @@ def run_center(cfg, outdir, svg):
     f = np.log(s + np.sqrt(1 - t @ t + s ** 2))
     band = min(10, spectral.band_limit(mesh.n_vertices))
     coeffs = spectral.sh_analyze(mesh, f, band)
-    # the band-limited radius can pass log(1 - |t|) by its truncation error
-    peak = np.abs(spectral.mesh_basis(mesh, band)[0] @ coeffs).max()
-    if peak > CENTER_RADIUS_MAX:
+    try:
+        res = center(SpectralGraphSurface(mesh, coeffs, "exp"),
+                     tolerance=cfg.tolerance)
+    except ValueError as exc:
+        # the band-limited radius can pass log(1 - |t|) by its truncation
+        # error
         raise ConfigError(
             f"center.translation_norm = {cfg.center.translation_norm!r}: "
-            f"the band-{band} radius of the translated sphere reaches "
-            f"{peak:.9g}, past the {CENTER_RADIUS_MAX:g} smallness gate of "
-            "stability.center")
-    res = center(SpectralGraphSurface(mesh, coeffs, "exp"), tolerance=cfg.tolerance)
+            f"the band-{band} radius of the translated sphere fails the "
+            f"smallness gate of stability.center: {exc}") from exc
     err = float(np.linalg.norm(res.c - t))
     rows.append({"case": "translate_recovery", "epsilon": float(np.linalg.norm(t)),
                  "residual": err, "iterations": res.iterations})
-    # one-step contraction on a mixed translation + quadrupole family
+    # one-step contraction on a mixed translation + quadrupole family,
+    # eps (<t, x> + Y20), whose expansion lies in bands 1 and 2
     rng = np.random.default_rng((cfg.seed, 3))
     that = rng.normal(size=3)
     that /= np.linalg.norm(that)
-    col = spectral.sh_index(2, 0)
-    y20 = spectral.real_sph_harm_matrix(mesh.vertices, 2)[:, col]
+    mixed = (family_coeffs(("kernel", that), band)
+             + family_coeffs(("harmonic", 2, 0), band))
     one_step = []
     for eps in epsilons:
-        fe = eps * (mesh.vertices @ that) + eps * y20
-        ce = spectral.sh_analyze(mesh, fe, band)
-        # fe lies in bands 1 and 2: the residue above them is zeroed, so
-        # its recoveries synthesize 9 harmonics, and the band-10 layout
-        # keeps the cached basis
-        ce[(2 + 1) ** 2:] = 0.0
-        r1 = center(SpectralGraphSurface(mesh, ce, "exp"),
+        r1 = center(SpectralGraphSurface(mesh, eps * mixed, "exp"),
                     tolerance=1e-15, max_iter=1)
         one_step.append(r1.trace[-1])
         rows.append({"case": "one_step", "epsilon": eps,

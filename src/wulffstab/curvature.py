@@ -1,4 +1,4 @@
-"""Anisotropic shape operators, trace-free deficits and Gauss-equation algebra."""
+"""Anisotropic shape operators and trace-free deficits."""
 
 import numpy as np
 
@@ -75,19 +75,3 @@ def oscillation_deficit(s_field, hf, weights, p):
     area = float(weights.sum())
     h_mean_over_n = float(np.sum(weights * hf) / area) / 2.0
     return DeficitReport(deficit, float(lam), oscillation, h_mean_over_n)
-
-
-# --- pointwise Gauss-equation algebra (any dimension) ----------------------
-
-
-def gauss_ricci(h):
-    """Ricci tensor and scalar curvature of a hypersurface from h.
-
-    Gauss equation with the flat ambient metric: Ric = H h - h^2 and
-    R = H^2 - |h|^2, in an orthonormal frame (g = Id).
-    """
-    h = np.asarray(h, dtype=float)
-    H = np.trace(h)
-    ric = H * h - h @ h
-    r = H ** 2 - float(np.sum(h * h))
-    return ric, r

@@ -222,33 +222,43 @@ class ScalingFit:
         self.values = values
 
 
-def perturbation_field(base, family):
-    """Unit-amplitude perturbation values at the base nodes.
+def family_coeffs(family, band):
+    """Unit-amplitude harmonic expansion of a perturbation family over the
+    directions, exactly, in the padded layout of band ((band + 1)^2
+    coefficients, every one outside the family's own exactly 0).
 
-    family is ('harmonic', l, m) for a spherical-harmonic mode (evaluated
-    at the construction normals on a Wulff base) or ('kernel', c) for the
-    translation mode <c, nu>.
+    family is ('harmonic', l, m), the mode Y_lm (a single 1), or
+    ('kernel', c), the translation mode <c, nu> = sqrt(4 pi / 3)
+    (c_y Y_1,-1 + c_z Y_10 + c_x Y_11) (Y_11 is a positive multiple of x,
+    `spectral`). A mode above band, an unknown family or a kernel vector
+    that is not finite raises ValueError.
     """
     kind = family[0]
+    if kind not in ("harmonic", "kernel"):
+        raise ValueError(f"unknown perturbation family {family!r}")
+    ell = family[1] if kind == "harmonic" else 1
+    if ell > band:
+        raise ValueError(f"perturbation family {family!r} lies above "
+                         f"band {band}")
+    coeffs = np.zeros((band + 1) ** 2)
     if kind == "harmonic":
-        _, ell, m = family
-        col = spectral.sh_index(ell, m)
-        return spectral.real_sph_harm_matrix(base.normals, ell)[:, col]
-    if kind == "kernel":
-        c = np.asarray(family[1], dtype=float)
-        return base.normals @ c
-    raise ValueError(f"unknown perturbation family {family!r}")
+        coeffs[spectral.sh_index(ell, family[2])] = 1.0
+        return coeffs
+    c = np.asarray(family[1], dtype=float)
+    if c.shape != (3,) or not np.isfinite(c).all():
+        raise ValueError(f"kernel family needs a finite 3-vector, got {c}")
+    coeffs[1:4] = np.sqrt(4.0 * np.pi / 3.0) * c[[1, 2, 0]]
+    return coeffs
 
 
 def _family_graphs(base, family):
-    """`surface.amplitude_graphs` of the family's unit field over base, of
-    the kind `perturbed_graph` documents, whose analysis keeps only the
-    family's own bands: band l of ('harmonic', l, m), band 1 of a kernel
-    family."""
-    unit = perturbation_field(base, family)
+    """`surface.amplitude_graphs` of the family's exact expansion at
+    `spectral.graph_band` over base (`family_coeffs`), of the kind
+    `perturbed_graph` documents."""
+    coeffs = family_coeffs(family, spectral.graph_band(base.n_vertices))
     harmonic = family[0] == "harmonic"
     kind = "exp" if base.integrand is None and harmonic else "radial"
-    return amplitude_graphs(base, unit, kind, family[1] if harmonic else 1)
+    return amplitude_graphs(base, coeffs, kind)
 
 
 def perturbed_graph(base, family, eps):
@@ -260,9 +270,10 @@ def perturbed_graph(base, family, eps):
     the radial graph: the exponential graph of a translation mode agrees
     with an exact translate to third order, hiding the quadratic deficit.
     The graph is built by `surface.amplitude_graphs` from eps times the
-    analysis of the unit field, kept to the family's own bands, the
+    family's exact expansion (`family_coeffs`) and its derivatives, the
     builder `scaling_sweep` runs once per sweep, so both give the same
-    surface at eps bit for bit.
+    surface at eps bit for bit. Nothing is fitted: the radius at the nodes
+    is the expansion's synthesis there.
     """
     return _family_graphs(base, family)(eps)
 
@@ -296,10 +307,10 @@ def _sweep_row(graph, integrand, eps, p, tolerance, frame):
 def scaling_sweep(base, integrand, family, amplitudes, p, tolerance=1e-8):
     """Sweep amplitudes, measure deficit and post-centering distance, fit slopes.
 
-    The family's unit field is analysed once for the whole sweep, and each
-    amplitude's surface is built from eps times that analysis by the
-    builder `perturbed_graph` takes, so it is the surface `wulffstab
-    curvature` builds at that amplitude bit for bit. Returns
+    The family's exact expansion (`family_coeffs`) is differentiated once
+    for the whole sweep, and each amplitude's surface is built from eps
+    times it by the builder `perturbed_graph` takes, so it is the surface
+    `wulffstab curvature` builds at that amplitude bit for bit. Returns
     (deficit_fit, distance_fit, rows); a radius outside the base's tubular
     reach, a certificate failure or a centering failure truncates the sweep
     with a warning entry in the last row.

@@ -89,37 +89,25 @@ class SurfaceGeometry:
         return len(self.positions)
 
 
-def _analyse_radius(mesh, values, top=None):
-    """(coeffs, value, gradient, Hessian) of a radius field over mesh.
-
-    The field is analysed at `spectral.graph_band` over the construction
-    directions and differentiated exactly on the direction sphere
-    (`spectral.spectral_derivatives`). A field known to lie in the bands up
-    to top keeps only those: the least-squares residue above them is set to
-    exact zero before the derivatives are taken, so the four agree, and the
-    recoveries of its translates synthesize only those bands. The vector
-    keeps the graph_band layout, whose basis the direction sphere caches.
-    The four are linear in the field, so eps times them are, up to
-    rounding, those of eps times the field (`amplitude_graphs`). A field
-    that is not finite is refused.
+def _analyse_radius(mesh, values):
+    """Harmonic expansion of a radius field over mesh, analysed at
+    `spectral.graph_band` over the construction directions, whose basis the
+    direction sphere caches. A field that is not finite is refused.
     """
     if not np.all(np.isfinite(values)):
         raise ValueError("radius field must be finite")
-    band = spectral.graph_band(mesh.n_vertices)
-    coeffs = spectral.sh_analyze(mesh, values, band)
-    if top is not None:
-        coeffs[(top + 1) ** 2:] = 0.0
-    return (coeffs, *spectral.spectral_derivatives(mesh, coeffs))
+    return spectral.sh_analyze(mesh, values,
+                               spectral.graph_band(mesh.n_vertices))
 
 
 def _spectral_graph(mesh, values, field, kind):
     """Geometry of a graph over the sphere or a Wulff mesh, spectrally.
 
     field is the radius's (coeffs, value, gradient, Hessian) over the
-    construction directions nu (`_analyse_radius` of values, or eps times
-    that of a unit field, `amplitude_graphs`), values the radius at the
-    nodes. Over the sphere the surface is {rho(nu) nu}, with rho = e^f
-    ('exp') or 1 + u ('radial'):
+    construction directions nu (eps times those of a unit expansion,
+    `amplitude_graphs`), values the radius at the nodes. Over the sphere
+    the surface is {rho(nu) nu}, with rho = e^f ('exp') or 1 + u
+    ('radial'):
         Psi_i = rho_i nu + rho e_i,
         Psi_ij = rho_ij nu + rho_i e_j + rho_j e_i - rho delta_ij nu.
     Over a Wulff mesh it is {x(nu) + u(nu) nu} with x = grad Fbar, dx = A
@@ -186,9 +174,12 @@ def reach_violation(base, values):
 
 def radial_graph(base, values):
     """Geometry of the radial graph psi(x) = x + u(x) nu_base(x), the
-    amplitude-1 graph of `amplitude_graphs`. A radius that leaves the
-    tubular neighborhood of base is refused."""
-    geom, violation = amplitude_graphs(base, values, "radial")(1.0)
+    amplitude-1 graph of `amplitude_graphs` of the values' analysis
+    (`_analyse_radius`). A radius that leaves the tubular neighborhood of
+    base is refused."""
+    values = np.asarray(values, dtype=float)
+    geom, violation = amplitude_graphs(base, _analyse_radius(base, values),
+                                       "radial", values)(1.0)
     if violation:
         raise ValueError(
             f"radius leaves the tubular neighborhood: {violation}")
@@ -197,32 +188,38 @@ def radial_graph(base, values):
 
 def exp_graph(mesh, values):
     """Geometry of the isotropic graph psi(x) = e^{f(x)} x over the sphere,
-    the amplitude-1 graph of `amplitude_graphs`."""
-    return amplitude_graphs(mesh, values, "exp")(1.0)[0]
+    the amplitude-1 graph of `amplitude_graphs` of the values' analysis
+    (`_analyse_radius`)."""
+    values = np.asarray(values, dtype=float)
+    return amplitude_graphs(mesh, _analyse_radius(mesh, values), "exp",
+                            values)(1.0)[0]
 
 
-def amplitude_graphs(base, unit, kind, top=None):
-    """The graphs over base of radius eps times the unit field, as the
-    function eps -> (geometry, ""), or (None, violation) where a radial
-    graph leaves the tubular reach of base (`reach_violation`).
+def amplitude_graphs(base, coeffs, kind, unit=None):
+    """The graphs over base of radius eps times the unit field with
+    harmonic expansion coeffs over the directions (`spectral.graph_band`
+    layout), as the function eps -> (geometry, ""), or (None, violation)
+    where a radial graph leaves the tubular reach of base
+    (`reach_violation`).
 
     kind is 'exp' (psi = e^u x, over the sphere only) or 'radial'
-    (psi = x + u nu_base). The unit field is analysed once, here, and each
-    amplitude's graph is `_spectral_graph` of eps times its coefficients,
-    value, gradient and Hessian, which agree with an analysis of eps times
-    the field up to rounding: a sweep over amplitudes analyses its shape
-    once. A perturbation family's field lies in the bands up to top, and
-    its analysis keeps only those (`_analyse_radius`), so a translate's
-    radius synthesizes only them; with top None every band of
-    `spectral.graph_band` is kept. At eps = 1 the scaling is exact, so
-    `radial_graph` and `exp_graph` are this builder's graph at 1. A unit
-    field that is not finite is refused here.
+    (psi = x + u nu_base). The expansion is differentiated once, here
+    (`spectral.spectral_derivatives`), and each amplitude's graph is
+    `_spectral_graph` of eps times its coefficients, value, gradient and
+    Hessian: a sweep over amplitudes differentiates its shape once. unit
+    is the field at the nodes, which the positions and the reach guard
+    read; it defaults to the expansion's value there, and `radial_graph`
+    and `exp_graph` pass the values they analysed. A perturbation family's
+    expansion is exact (`stability.family_coeffs`), zero above its own
+    bands, so a translate's radius synthesizes only those. At eps = 1 the
+    scaling is exact, so `radial_graph` and `exp_graph` are this builder's
+    graph at 1.
     """
     if kind == "exp" and base.integrand is not None:
         raise ValueError("exp_graph is a graph over the unit sphere; use "
                          "radial_graph over a Wulff mesh")
-    unit = np.asarray(unit, dtype=float)
-    field = _analyse_radius(base, unit, top)
+    field = (coeffs, *spectral.spectral_derivatives(base, coeffs))
+    unit = field[1] if unit is None else unit
 
     def graph(eps):
         if not np.isfinite(eps):
@@ -321,18 +318,21 @@ def recover_radius_spectral(mesh, coeffs, kind, translation):
     (`rownorm` is np.linalg.norm's sum), so neither the buffers nor their
     layout moves a bit of the radii. rho(y) is `spectral.sh_synthesize`,
     which evaluates the expansion only up to its highest nonzero band: a
-    family's radius (`_analyse_radius`) synthesizes its own bands, not all
-    of graph_band's. Returns the radius field in the convention of `kind`
-    ('exp' gives log s, 'radial' s - 1).
+    family's radius (`stability.family_coeffs`) synthesizes its own bands,
+    not all of graph_band's. Returns the radius field in the convention of
+    `kind` ('exp' gives log s, 'radial' s - 1). A coefficient vector whose
+    length is not a square is refused (`spectral`).
 
     At c = 0 the fixed point stops at y = x0, s = |rho(x0)|, so the field
-    is read off the cached vertex basis, and the residual vanishes exactly
-    where rho > 0.
+    is read off the cached vertex basis, to the same top band as
+    `recover_radius_mesh`, and the residual vanishes exactly where
+    rho > 0.
     """
     c = np.asarray(translation, dtype=float)
-    band = int(np.sqrt(len(coeffs))) - 1
+    band = spectral._band(coeffs)
     if not c.any() and band <= spectral.band_limit(mesh.n_vertices):
-        radius = spectral.mesh_basis(mesh, band)[0] @ coeffs
+        k = (spectral.top_band(coeffs) + 1) ** 2
+        radius = spectral.mesh_basis(mesh, band)[0][:, :k] @ coeffs[:k]
         rho = np.exp(radius) if kind == "exp" else 1.0 + radius
         return radius, bool((rho > 0).all())
     # coordinates first: x0 and the two buffers, y and then rho(y) y - c,
@@ -403,7 +403,7 @@ def recover_radius_mesh(base, coeffs, translation):
     c = 0 the field is read off the vertex basis, to the same band.
     """
     c = np.asarray(translation, dtype=float)
-    band = int(np.sqrt(len(coeffs))) - 1
+    band = spectral._band(coeffs)
     top = spectral.top_band(coeffs)
     k = (top + 1) ** 2
     basis = spectral.mesh_basis(base, band)[0][:, :k]

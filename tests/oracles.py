@@ -8,7 +8,6 @@ from scipy import sparse
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, lpmv
 
-from wulffstab.curvature import gauss_ricci
 from wulffstab.einstein import ricci_spectrum
 from wulffstab.flatgraph import _D1, _SLOPE_LIMIT, GridField
 from wulffstab.integrand import _gauge_ascent
@@ -17,7 +16,7 @@ from wulffstab.operators import get_operators
 from wulffstab.spectral import sh_index
 from wulffstab.spheremesh import direction_sphere
 from wulffstab.stability import (SpectralGraphSurface, _ratio, center,
-                                 kernel_frame, perturbation_field)
+                                 kernel_frame)
 from wulffstab.surface import SurfaceGeometry, exp_graph, radial_graph
 
 
@@ -282,6 +281,24 @@ def recover_radius_spectral_reference(mesh, coeffs, kind, translation):
     return radius, bool(ok)
 
 
+def perturbation_field(base, family):
+    """Unit-amplitude perturbation values at the base nodes, evaluated
+    there: the reference for `stability.family_coeffs`.
+
+    family is ('harmonic', l, m) for a spherical-harmonic mode (evaluated
+    at the construction normals on a Wulff base) or ('kernel', c) for the
+    translation mode <c, nu>.
+    """
+    kind = family[0]
+    if kind == "harmonic":
+        _, ell, m = family
+        col = sh_index(ell, m)
+        return spectral.real_sph_harm_matrix(base.normals, ell)[:, col]
+    if kind == "kernel":
+        return base.normals @ np.asarray(family[1], dtype=float)
+    raise ValueError(f"unknown perturbation family {family!r}")
+
+
 def sweep_row_reference(base, integrand, family, eps, p, tolerance=1e-8):
     """(deficit, distance, ratio) of one amplitude of `scaling_sweep`, from
     the graph of eps times the family's unit field analysed afresh, as
@@ -362,6 +379,19 @@ def riemann_brute(h):
 def ricci_from_riemann(riem):
     """Contraction Ric_ij = g^{pq} Riem_ipjq with g = Id."""
     return np.einsum("ipjp->ij", riem)
+
+
+def gauss_ricci(h):
+    """Ricci tensor and scalar curvature of a hypersurface from h.
+
+    Gauss equation with the flat ambient metric: Ric = H h - h^2 and
+    R = H^2 - |h|^2, in an orthonormal frame (g = Id).
+    """
+    h = np.asarray(h, dtype=float)
+    H = np.trace(h)
+    ric = H * h - h @ h
+    r = H ** 2 - float(np.sum(h * h))
+    return ric, r
 
 
 def ricci_matrix_oracle(lam):

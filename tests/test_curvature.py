@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import ricci_from_riemann, riemann_brute
+from oracles import gauss_ricci, ricci_from_riemann, riemann_brute
 from wulffstab import Integrand
 from wulffstab import spectral
-from wulffstab.curvature import (anisotropic_shape_operator, gauss_ricci,
+from wulffstab.curvature import (anisotropic_shape_operator,
                                  oscillation_deficit, trace_free)
 from wulffstab.surface import exp_graph, radial_graph
 

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from oracles import sweep_row_reference
+from oracles import perturbation_field, sweep_row_reference
 from wulffstab import Integrand, build_sphere_mesh, build_wulff
 from wulffstab import spectral, stability, surface
 from wulffstab.stability import (ScalingFit, SpectralGraphSurface, center,
-                                 kernel_component, kernel_frame,
-                                 perturbation_field, perturbed_graph,
+                                 family_coeffs, kernel_component,
+                                 kernel_frame, perturbed_graph,
                                  scaling_sweep, stability_operator,
                                  stability_ratio, _distance_norm)
 from wulffstab.surface import exp_graph, radial_graph, recover_radius_mesh
@@ -81,38 +81,44 @@ def test_sweep_rows_match_graphs_analysed_from_the_scaled_field(case, request):
 
 
 def test_a_sweep_analyses_its_family_once(monkeypatch):
-    """A six-amplitude sweep analyses its unit field once; a
-    perturbed_graph call analyses its own, and an unknown family is
-    refused before any analysis."""
-    calls = []
-    analyse = surface._analyse_radius
+    """A six-amplitude sweep and a perturbed_graph call fit no analysis of
+    the family: its expansion is exact (`family_coeffs`), and the sweep's
+    only least-squares analyses are those of its six distances
+    (`covariant_derivatives` of each centred radius). An unknown family is
+    refused before any work."""
+    fits, analyses = [], []
+    analyse, fit = surface._analyse_radius, spectral.sh_analyze
     monkeypatch.setattr(surface, "_analyse_radius",
-                        lambda mesh, *args: calls.append(mesh)
+                        lambda mesh, *args: fits.append(mesh)
                         or analyse(mesh, *args))
+    monkeypatch.setattr(spectral, "sh_analyze",
+                        lambda mesh, *args: analyses.append(mesh)
+                        or fit(mesh, *args))
     family = ("kernel", (0.36, -0.48, 0.8))
     base = build_sphere_mesh(3)
     *_, rows = scaling_sweep(base, Integrand.constant(), family,
                              np.geomspace(1e-4, 1e-2, 6), 4)
     assert len(rows) == 6 and "warning" not in rows[-1]
-    assert calls == [base]
+    assert fits == [] and analyses == [base] * 6
     y20 = ("harmonic", 2, 0)
     geom, _ = perturbed_graph(base, y20, 1e-3)
-    assert calls == [base, base]
+    assert fits == [] and analyses == [base] * 6
     assert np.array_equal(geom.radius, 1e-3 * perturbation_field(base, y20))
     with pytest.raises(ValueError, match="unknown perturbation family"):
         perturbed_graph(base, ("foo", family[1]), 1e-3)
-    assert calls == [base, base]
+    assert fits == [] and analyses == [base] * 6
 
 
 @pytest.mark.parametrize("base", ["sphere4", "wulff4"])
 def test_kernel_sweep_centering_synthesizes_band_one(base, request,
                                                       monkeypatch):
-    """A kernel sweep's analysis keeps bands 0 and 1 only, so its
+    """A kernel sweep's expansion lies in band 1 (`family_coeffs`), so its
     centering evaluates no harmonic above band 1: sh_synthesize over the
     sphere, the Newton's harmonics at eta over the level-4 Wulff shape of
-    quadratic:1,1,4. At each translation the centering visits, c = 0
-    included, the radii stay within 1e-13 of a recovery from the untrimmed
-    analysis."""
+    quadratic:1,1,4. Every visit reads eps times that expansion, and at
+    each translation the centering visits, c = 0 included, the radii stay
+    within 1e-13 of a recovery from a least-squares analysis of the
+    evaluated field, whose residue reaches every band."""
     base = request.getfixturevalue(base)
     integ = Integrand.constant() if base.integrand is None else base.integrand
     family = ("kernel", (0.36, -0.48, 0.8))
@@ -139,11 +145,10 @@ def test_kernel_sweep_centering_synthesizes_band_one(base, request,
     *_, rows = scaling_sweep(base, integ, family, amplitudes, 4)
     assert len(rows) == len(amplitudes) and "warning" not in rows[-1]
 
-    unit = perturbation_field(base, family)
-    full = spectral.sh_analyze(base, unit, spectral.graph_band(base.n_vertices))
-    kept = full.copy()
-    kept[4:] = 0.0
-    assert np.abs(full[4:]).max() > 0.0     # the residue the analysis drops
+    band = spectral.graph_band(base.n_vertices)
+    full = spectral.sh_analyze(base, perturbation_field(base, family), band)
+    kept = family_coeffs(family, band)
+    assert np.abs(full[4:]).max() > 0.0     # the residue of a fit
     assert sum(v[1].any() for v in visits) >= len(amplitudes)
     entry = ("sh_synthesize" if base.integrand is None
              else "real_sph_harm_matrix")
@@ -408,6 +413,53 @@ def test_scaling_fit_validation():
     assert fit.r_squared > 1 - 1e-12
 
 
-def test_perturbation_field_validation(sphere4):
-    with pytest.raises(ValueError):
-        perturbation_field(sphere4, ("nope", 1))
+@pytest.mark.parametrize("base", ["sphere3", "sphere5", "wulff4"])
+def test_harmonic_family_is_its_evaluated_mode(base, request):
+    """For every (l, m) up to graph_band, the synthesis of ('harmonic', l,
+    m)'s expansion at the nodes is the evaluated Y_lm column, and so is the
+    node radius of its graph over 1e-3 (up to the sign of an exact zero);
+    the expansion is a single 1. On the level-3 and level-5 spheres
+    and the level-4 Wulff shape of quadratic:1,1,4."""
+    base = (build_sphere_mesh(3) if base == "sphere3"
+            else request.getfixturevalue(base))
+    band = spectral.graph_band(base.n_vertices)
+    for ell in range(band + 1):
+        for m in range(-ell, ell + 1):
+            family = ("harmonic", ell, m)
+            coeffs = family_coeffs(family, band)
+            assert np.flatnonzero(coeffs).tolist() == [
+                spectral.sh_index(ell, m)] and coeffs.max() == 1.0
+            want = perturbation_field(base, family)
+            got = spectral.spectral_derivatives(base, coeffs)[0]
+            assert np.array_equal(got, want), family
+            geom, _ = perturbed_graph(base, family, 1e-3)
+            assert np.array_equal(geom.radius, 1e-3 * want), family
+
+
+@pytest.mark.parametrize("base", ["sphere4", "wulff4"])
+def test_kernel_family_is_the_translation_mode(base, request):
+    """For 20 random unit c, ('kernel', c)'s expansion is zero above band
+    1 and in band 0, and its synthesis at the nodes is <c, nu> within 1e-15."""
+    base = request.getfixturevalue(base)
+    band = spectral.graph_band(base.n_vertices)
+    gen = np.random.default_rng(43)
+    for c in gen.normal(size=(20, 3)):
+        c /= np.linalg.norm(c)
+        coeffs = family_coeffs(("kernel", c), band)
+        assert coeffs[0] == 0.0 and not coeffs[4:].any()
+        got = spectral.spectral_derivatives(base, coeffs)[0]
+        assert np.abs(got - base.normals @ c).max() <= 1e-15
+
+
+def test_family_coeffs_validation():
+    """A mode above the band, an unknown family and a kernel vector that is
+    not finite are refused."""
+    with pytest.raises(ValueError, match="above band 4"):
+        family_coeffs(("harmonic", 5, 0), 4)
+    with pytest.raises(ValueError, match="above band 0"):
+        family_coeffs(("kernel", (1.0, 0.0, 0.0)), 0)
+    with pytest.raises(ValueError, match="unknown perturbation family"):
+        family_coeffs(("nope", 1), 4)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite 3-vector"):
+            family_coeffs(("kernel", (0.6, bad, 0.8)), 4)

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import (finish_from_derivatives_reference,
-                     geometry_from_positions, recover_radius_mesh_reference,
+                     geometry_from_positions, perturbation_field,
+                     recover_radius_mesh_reference,
                      recover_radius_spectral_reference, stencils_reference,
                      wulff_graph_stencil)
 from wulffstab import Integrand, build_sphere_mesh, build_wulff, spectral
@@ -14,7 +15,7 @@ from wulffstab.config import parse_integrand
 from wulffstab.curvature import anisotropic_shape_operator, trace_free
 from wulffstab.operators import covariant_derivatives, lp_norm
 from wulffstab.spheremesh import rowdot
-from wulffstab.stability import perturbation_field, perturbed_graph
+from wulffstab.stability import family_coeffs, perturbed_graph
 from wulffstab.surface import (GraphCertificate, exp_graph, hausdorff_distance,
                                project_to_wulff, projection_certificate,
                                radial_graph, reach_violation,
@@ -220,15 +221,19 @@ def test_closed_form_frames_match_qr_reference(sphere4, monkeypatch):
 def test_graphs_refuse_a_radius_that_is_not_finite(base_name, bad, request):
     """One node of nan or inf is refused as a radius that is not finite,
     before the reach test could misread it: by radial_graph, by exp_graph
-    over the sphere and by amplitude_graphs for its unit field."""
+    over the sphere and by the analysis amplitude_graphs is built from."""
     base = request.getfixturevalue(base_name)
     values = np.zeros(base.n_vertices)
     values[7] = bad
     builds = [lambda: radial_graph(base, values),
-              lambda: surface.amplitude_graphs(base, values, "radial")]
+              lambda: surface.amplitude_graphs(
+                  base, surface._analyse_radius(base, values), "radial",
+                  values)]
     if base.integrand is None:
         builds += [lambda: exp_graph(base, values),
-                   lambda: surface.amplitude_graphs(base, values, "exp")]
+                   lambda: surface.amplitude_graphs(
+                       base, surface._analyse_radius(base, values), "exp",
+                       values)]
     for build in builds:
         with pytest.raises(ValueError, match="radius field must be finite"):
             build()
@@ -245,11 +250,15 @@ def test_reach_guard_at_its_edge(base_name, request):
     radial_graph raises, and one ulp below it builds the graph.
     perturbed_graph takes an amplitude, so its edge is the smallest eps
     whose field reaches the reach: there it returns (None, violation), and
-    one ulp of amplitude below it builds the graph. On the sphere (reach
-    0.9) and the quadratic:1,1,4 Wulff mesh."""
+    one ulp of amplitude below it builds the graph. The family's field is
+    its exact expansion at the nodes (`family_coeffs`), within rounding of
+    the evaluated <c, nu>. On the sphere (reach 0.9) and the
+    quadratic:1,1,4 Wulff mesh."""
     base = request.getfixturevalue(base_name)
     family = ("kernel", (0.3, -0.5, 0.8))
-    unit = perturbation_field(base, family)
+    coeffs = family_coeffs(family, spectral.graph_band(base.n_vertices))
+    unit = spectral.spectral_derivatives(base, coeffs)[0]
+    assert np.abs(unit - perturbation_field(base, family)).max() <= 1e-15
     top = np.abs(unit).max()
     shape = unit / top
     at_reach = base.reach * shape
@@ -463,6 +472,36 @@ def test_recover_radius_spectral_at_zero_reads_the_vertex_basis(level):
                     assert np.abs(got - want).max() <= bound
                 lost += not ok
     assert lost > 0
+
+
+@pytest.mark.parametrize("family", [("kernel", (0.36, -0.48, 0.8)),
+                                    ("harmonic", 2, 0)])
+def test_radius_at_zero_reads_only_the_family_bands(sphere5, family):
+    """At c = 0 both recoveries read a family's radius off the vertex basis
+    up to its top band only, bit for bit the full-basis product."""
+    band = spectral.graph_band(sphere5.n_vertices)
+    coeffs = 1e-2 * family_coeffs(family, band)
+    want = spectral.mesh_basis(sphere5, band)[0] @ coeffs
+    radius, ok = recover_radius_spectral(sphere5, coeffs, "radial",
+                                         np.zeros(3))
+    assert ok and np.array_equal(radius, want)
+    wulff = build_wulff(Integrand.quadratic_form(np.diag([1.0, 1.0, 4.0])),
+                        5)
+    radius, ok = recover_radius_mesh(wulff, coeffs, np.zeros(3))
+    assert ok and np.array_equal(radius, want)
+
+
+@pytest.mark.parametrize("c", [np.zeros(3), np.array([0.01, 0.0, 0.0])])
+def test_recoveries_refuse_a_length_that_is_not_a_square(sphere4, wulff4, c):
+    """A coefficient vector of 10 entries names no band: both recoveries
+    refuse it with spectral's length message, at c = 0 and away from it."""
+    coeffs = np.zeros(10)
+    coeffs[2] = 1e-2
+    match = "perfect square, got 10"
+    with pytest.raises(ValueError, match=match):
+        recover_radius_spectral(sphere4, coeffs, "radial", c)
+    with pytest.raises(ValueError, match=match):
+        recover_radius_mesh(wulff4, coeffs, c)
 
 
 def test_recover_radius_spectral_fixed_point_paths(fresh_spheres):
